@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use isdf::face_splitting_product;
 use lrtddft::problem::silicon_like_problem;
 use lrtddft::versions::{build_isdf_hamiltonian, PointSelector};
-use lrtddft::{HxcKernel, StageTimings};
+use lrtddft::HxcKernel;
 use mathkit::{gemm_tn, syev, Mat};
 
 fn bench_kernels(c: &mut Criterion) {
@@ -35,8 +35,9 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| syev(&h));
     });
 
-    let mut t = StageTimings::default();
-    let ham = build_isdf_hamiltonian(&problem, PointSelector::Qrcp, problem.n_cv() / 2, &mut t);
+    let ham =
+        build_isdf_hamiltonian(&problem, PointSelector::Qrcp, problem.n_cv() / 2, &mut Vec::new())
+            .expect("isdf build on clean benchmark input");
     let x = Mat::from_fn(problem.n_cv(), 4, |i, j| ((i + 3 * j) % 7) as f64 * 0.1);
     group.bench_function("implicit_hamiltonian_apply", |b| {
         b.iter(|| ham.apply(&x));

@@ -323,8 +323,7 @@ pub fn fig5(scale: Scale) -> ExperimentRecord {
             let t_pipe = t0.elapsed().as_secs_f64();
             (t_mono, t_pipe, mono.peak_words, pipe.peak_words, c.stats())
         });
-        comm_by_ranks
-            .push((ranks, res.iter().map(|r| (Default::default(), r.4)).collect::<Vec<_>>()));
+        comm_by_ranks.push((ranks, res.iter().map(|r| r.4).collect::<Vec<_>>()));
         let (tm, tp, wm, wp) = res.into_iter().fold((0.0f64, 0.0f64, 0usize, 0usize), |acc, r| {
             (acc.0.max(r.0), acc.1.max(r.1), acc.2.max(r.2), acc.3.max(r.3))
         });
@@ -645,17 +644,16 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
 
     // (a') snap rule: ISDF accuracy with nearest-centroid vs max-weight snap.
     {
-        use lrtddft::versions::{build_isdf_hamiltonian as bih, PointSelector as PS};
         let reference =
             run_solve(&problem, Version::Naive, &SolveOptions::new().n_states(1));
         for snap in [isdf::SnapRule::NearestCentroid, isdf::SnapRule::MaxWeight] {
-            let mut t = StageTimings::default();
-            let ham = bih(
+            let ham = build_isdf_hamiltonian(
                 &problem,
-                PS::Kmeans(KmeansOptions { snap, ..Default::default() }),
+                PointSelector::Kmeans(KmeansOptions { snap, ..Default::default() }),
                 n_mu,
-                &mut t,
-            );
+                &mut Vec::new(),
+            )
+            .expect("isdf build on clean benchmark input");
             let eig = mathkit::syev(&ham.to_dense());
             let rel = ((eig.values[0] - reference.energies[0]) / reference.energies[0]).abs();
             rows.push(vec![
@@ -686,13 +684,13 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
     }
 
     // (c) LOBPCG vs Davidson on the identical implicit operator.
-    let mut t = StageTimings::default();
     let ham = build_isdf_hamiltonian(
         &problem,
         PointSelector::Kmeans(KmeansOptions::default()),
         n_mu,
-        &mut t,
-    );
+        &mut Vec::new(),
+    )
+    .expect("isdf build on clean benchmark input");
     let k = 4;
     let x0 = initial_guess(&ham.diag_d, k, 3);
     let opts = LobpcgOptions { max_iter: 400, tol: 1e-8 };

@@ -8,9 +8,8 @@
 //!   rank — load it in `chrome://tracing` or Perfetto),
 //! * writes a machine-readable `BENCH_trace.json` (per-rank stage seconds,
 //!   counters, per-collective byte breakdown) next to it,
-//! * prints the hierarchical span summary tree, the per-collective
-//!   communication breakdown, and a legacy-vs-span `StageTimings`
-//!   comparison.
+//! * prints the hierarchical span summary tree and the per-collective
+//!   communication breakdown.
 //!
 //! `repro trace-report <path> [--check]` re-parses an exported trace and
 //! prints its schema summary; with `--check` a malformed file exits
@@ -71,21 +70,18 @@ pub fn run_trace(opts: &TraceOptions) -> Result<(), String> {
     );
 
     obskit::enable();
-    let per_rank: Vec<(StageTimings, CommStats)> = match version {
+    let per_rank: Vec<CommStats> = match version {
         Version::ImplicitKmeansIsdfLobpcg => spmd(opts.ranks, |c| {
             let o = SolveOptions::new().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
-            let (_vals, t) =
-                lrtddft::Solver::builder().options(o).build().solve_distributed(c, &problem);
-            (t, c.stats())
+            lrtddft::Solver::builder().options(o).build().solve_distributed(c, &problem);
+            c.stats()
         }),
         Version::Naive => spmd(opts.ranks, |c| {
-            let (h, mut t) = distributed_dense_hamiltonian_with(c, &problem, &SolveOptions::new());
+            let (h, _) = distributed_dense_hamiltonian_with(c, &problem, &SolveOptions::new());
             let sp = obskit::span(obskit::Stage::Diag, "diag.syev");
-            let t0 = std::time::Instant::now();
             let _ = syev(&h);
-            t.diag += t0.elapsed().as_secs_f64();
             drop(sp);
-            (t, c.stats())
+            c.stats()
         }),
         other => {
             obskit::disable();
@@ -130,42 +126,16 @@ pub fn run_trace(opts: &TraceOptions) -> Result<(), String> {
     // Human-readable rollups.
     println!("\n{}", trace.summary_tree());
     print_comm_breakdown(&per_rank);
-    print_timings_comparison(&trace, &per_rank);
     print_counters(&trace);
     Ok(())
 }
 
-/// The legacy-vs-span comparison: per rank, each stage from the section
-/// timers next to the exclusive-time rollup of the same rank's spans.
-fn print_timings_comparison(trace: &obskit::Trace, per_rank: &[(StageTimings, CommStats)]) {
-    println!("== StageTimings: legacy section timers vs span rollup ==");
-    let headers = ["rank", "stage", "legacy (s)", "spans (s)", "rel diff"];
-    let mut rows = Vec::new();
-    for (rank, (legacy, _)) in per_rank.iter().enumerate() {
-        let derived = StageTimings::from_trace(trace, rank);
-        for ((name, l), (_, d)) in legacy.stages().iter().zip(derived.stages().iter()) {
-            if *l == 0.0 && *d == 0.0 {
-                continue;
-            }
-            let rel = (l - d).abs() / l.abs().max(1e-9);
-            rows.push(vec![
-                rank.to_string(),
-                (*name).to_string(),
-                format!("{l:.6}"),
-                format!("{d:.6}"),
-                format!("{:.2}%", rel * 100.0),
-            ]);
-        }
-    }
-    print_table(&headers, &rows);
-}
-
 /// Per-collective communication table (satellite of paper Fig. 8's MPI bar).
-pub fn print_comm_breakdown(per_rank: &[(StageTimings, CommStats)]) {
+pub fn print_comm_breakdown(per_rank: &[CommStats]) {
     println!("== per-collective communication breakdown ==");
     let headers = ["op", "calls", "bytes", "seconds"];
     let mut totals: Vec<(&'static str, u64, u64, f64)> = Vec::new();
-    for (_, stats) in per_rank {
+    for stats in per_rank {
         for (i, (name, op)) in stats.per_op().into_iter().enumerate() {
             if totals.len() <= i {
                 totals.push((name, 0, 0, 0.0));
@@ -234,7 +204,7 @@ fn bench_trace_json(
     version: Version,
     ranks: usize,
     trace: &obskit::Trace,
-    per_rank: &[(StageTimings, CommStats)],
+    per_rank: &[CommStats],
 ) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"version\": {},", json::string(version.label()));
@@ -250,7 +220,7 @@ fn bench_trace_json(
         .collect();
     let _ = writeln!(out, "  \"kernel_dispatch\": {{{}}},", disp.join(", "));
     out.push_str("  \"stage_seconds_by_rank\": [\n");
-    for (rank, _) in per_rank.iter().enumerate() {
+    for rank in 0..per_rank.len() {
         let derived = StageTimings::from_trace(trace, rank);
         let fields: Vec<String> = derived
             .stages()
@@ -261,7 +231,7 @@ fn bench_trace_json(
         out.push_str(if rank + 1 < per_rank.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n  \"comm_by_op\": [\n");
-    for (rank, (_, stats)) in per_rank.iter().enumerate() {
+    for (rank, stats) in per_rank.iter().enumerate() {
         let ops: Vec<String> = stats
             .per_op()
             .into_iter()

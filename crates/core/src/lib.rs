@@ -59,7 +59,7 @@ pub use spectrum::{
 };
 pub use timers::StageTimings;
 pub use versions::{
-    build_isdf_hamiltonian, try_build_isdf_hamiltonian, IsdfHamiltonian, MixedIsdfHamiltonian,
-    PointSelector, Solution, Version, FIT_RESIDUAL_GUARD,
+    build_isdf_hamiltonian, IsdfHamiltonian, MixedIsdfHamiltonian, PointSelector, Solution,
+    Version, FIT_RESIDUAL_GUARD,
 };
 pub use faultkit::{CommError, NumericalError, SolveError};

@@ -1,11 +1,7 @@
 //! Unified solver configuration.
 //!
-//! Historically the entry points grew knobs one at a time: `SolverParams`
-//! carried the serial settings, `distributed_dense_hamiltonian` took a bare
-//! `bool pipelined`, and `distributed_solve_implicit` threaded
-//! `(n_mu, k, seed)` positionally. [`SolveOptions`] collapses all of them
-//! into one consuming builder shared by the serial and distributed entry
-//! points, fronted by [`crate::Solver`]:
+//! [`SolveOptions`] is one consuming builder shared by the serial and
+//! distributed entry points, fronted by [`crate::Solver`]:
 //!
 //! ```
 //! use lrtddft::{Eig, SolveOptions};

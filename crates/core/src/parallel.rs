@@ -26,14 +26,6 @@ use mathkit::{syev, Mat};
 use parcomm::layout::block_ranges;
 use parcomm::redist::{col_to_row_blocks, row_to_col_blocks};
 use parcomm::{Comm, ReduceBatch, ReducePlan};
-use std::time::Instant;
-
-/// Charge the communication time accrued since `mark` to `timings.mpi`.
-fn charge_mpi(comm: &Comm, mark: &mut f64, timings: &mut StageTimings) {
-    let now = comm.stats().measured_seconds;
-    timings.mpi += now - *mark;
-    *mark = now;
-}
 
 /// Apply `f_Hxc` to a row-block-distributed field batch: redistribute to
 /// column blocks, FFT-apply locally, redistribute back. Returns the local
@@ -43,29 +35,23 @@ pub fn distributed_kernel_apply(
     problem: &CasidaProblem,
     local_rows: &Mat,
     n_cols_global: usize,
-    timings: &mut StageTimings,
 ) -> Mat {
     let nr = problem.n_r();
-    let mut mark = comm.stats().measured_seconds;
 
     // Row-block → column-block (Algorithm 1 line 3).
     let col_piece = row_to_col_blocks(comm, local_rows.as_slice(), nr, n_cols_global);
-    charge_mpi(comm, &mut mark, timings);
 
     // FFT + f_xc on my full-grid columns (lines 4–5).
     let sp = obskit::span(obskit::Stage::Fft, "kernel.apply");
-    let t0 = Instant::now();
     let my_cols = block_ranges(n_cols_global, comm.size())[comm.rank()].len();
     let cols_mat = Mat::from_vec(nr, my_cols, col_piece);
     let kernel = HxcKernel::for_problem(problem);
     let mut transformed = Mat::zeros(nr, my_cols);
     kernel.apply_into(&cols_mat, &mut transformed);
-    timings.fft += t0.elapsed().as_secs_f64();
     drop(sp);
 
     // Column-block → row-block (line 6).
     let back = col_to_row_blocks(comm, transformed.as_slice(), nr, n_cols_global);
-    charge_mpi(comm, &mut mark, timings);
     Mat::from_vec(local_rows.nrows(), n_cols_global, back)
 }
 
@@ -78,7 +64,7 @@ pub fn distributed_dense_hamiltonian_with(
     opts: &SolveOptions,
 ) -> (Mat, StageTimings) {
     let pipelined = opts.pipelined;
-    let mut timings = StageTimings::default();
+    let clock = obskit::StageClock::now();
     let nr = problem.n_r();
     let ncv = problem.n_cv();
     let dv = problem.grid.dv();
@@ -86,52 +72,38 @@ pub fn distributed_dense_hamiltonian_with(
 
     // Local face-splitting product on my grid slab (line 2).
     let sp = obskit::span(obskit::Stage::FaceSplit, "face_split");
-    let t0 = Instant::now();
     let psi_v_loc = problem.psi_v.row_block(my_rows.start, my_rows.end);
     let psi_c_loc = problem.psi_c.row_block(my_rows.start, my_rows.end);
     let z_loc = face_splitting_product(&psi_v_loc, &psi_c_loc);
-    timings.face_split += t0.elapsed().as_secs_f64();
     drop(sp);
 
     // f_Hxc through the FFT layout dance (lines 3–6).
-    let fz_loc = distributed_kernel_apply(comm, problem, &z_loc, ncv, &mut timings);
+    let fz_loc = distributed_kernel_apply(comm, problem, &z_loc, ncv);
 
     // V_Hxc: local GEMM + reduction (lines 7–8 / Figs. 4–5).
-    let mut mark = comm.stats().measured_seconds;
     let mut h = if pipelined {
-        // NOTE: legacy accounting double-charges the comm hidden inside the
-        // pipelined reduce (elapsed → gemm AND stats delta → mpi). The span
-        // rollup charges it exclusively (nested mpi:* children subtract from
-        // gemm), so the two views diverge on this branch by design.
         let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.pipelined_reduce");
-        let t0 = Instant::now();
         let res = crate::pipeline::gram_pipelined_reduce(comm, &z_loc, &fz_loc, 2.0 * dv)
             .unwrap_or_else(|e| panic!("v_hxc pipelined reduce: {e}"));
-        timings.gemm += t0.elapsed().as_secs_f64();
         drop(sp);
         // Re-assemble the replicated matrix for the (replicated) eigensolve.
         let gathered = comm.allgatherv(res.local.as_slice());
-        charge_mpi(comm, &mut mark, &mut timings);
         Mat::from_vec(ncv, ncv, gathered)
     } else {
         let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
-        let t0 = Instant::now();
         let mut v = Mat::zeros(ncv, ncv);
         gemm(2.0 * dv, &z_loc, Transpose::Yes, &fz_loc, Transpose::No, 0.0, &mut v);
-        timings.gemm += t0.elapsed().as_secs_f64();
         drop(sp);
         comm.allreduce_sum(v.as_mut_slice());
-        charge_mpi(comm, &mut mark, &mut timings);
         v
     };
-    charge_mpi(comm, &mut mark, &mut timings);
 
     // H = D + 2 V_Hxc (line 10).
     for (i, d) in problem.diag_d().iter().enumerate() {
         h[(i, i)] += d;
     }
     h.symmetrize();
-    (h, timings)
+    (h, StageTimings::since(clock))
 }
 
 /// Distributed weighted K-Means (paper §4.2 parallel design): every rank
@@ -142,26 +114,20 @@ pub fn distributed_kmeans(
     problem: &CasidaProblem,
     n_mu: usize,
     max_iter: usize,
-    timings: &mut StageTimings,
 ) -> Vec<usize> {
     let nr = problem.n_r();
     let my_rows = block_ranges(nr, comm.size())[comm.rank()].clone();
-    let mut mark = comm.stats().measured_seconds;
 
     // Local weights, gathered so every rank can run the identical
     // deterministic initialization.
     let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.weights");
-    let t0 = Instant::now();
     let psi_v_loc = problem.psi_v.row_block(my_rows.start, my_rows.end);
     let psi_c_loc = problem.psi_c.row_block(my_rows.start, my_rows.end);
     let w_loc = isdf::pair_weights(&psi_v_loc, &psi_c_loc);
-    timings.kmeans += t0.elapsed().as_secs_f64();
     drop(sp);
     let w_all = comm.allgatherv(&w_loc);
-    charge_mpi(comm, &mut mark, timings);
 
     let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.init");
-    let t0 = Instant::now();
     let wmax = w_all.iter().cloned().fold(0.0f64, f64::max);
     let cutoff = 1e-6 * wmax;
     // Deterministic weight-guided init (identical on every rank).
@@ -199,7 +165,6 @@ pub fn distributed_kmeans(
     }
     // Local active points.
     let active: Vec<usize> = my_rows.clone().filter(|&gi| w_all[gi] > cutoff).collect();
-    timings.kmeans += t0.elapsed().as_secs_f64();
     drop(sp);
 
     // Lloyd iterations: local classification + ONE fused reduction per sweep.
@@ -211,7 +176,6 @@ pub fn distributed_kmeans(
     let mut plan = ReducePlan::new(&[3 * n_mu, n_mu, 1]);
     for sweep in 0..max_iter {
         let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.classify");
-        let t0 = Instant::now();
         plan.clear();
         for (a, &gi) in assign.iter_mut().zip(active.iter()) {
             let w = w_all[gi];
@@ -225,13 +189,10 @@ pub fn distributed_kmeans(
             plan.field_mut(1)[cluster] += w;
             plan.field_mut(2)[0] += w * d2;
         }
-        timings.kmeans += t0.elapsed().as_secs_f64();
         drop(sp);
         plan.execute(comm).unwrap_or_else(|e| panic!("kmeans cluster reduction: {e}"));
-        charge_mpi(comm, &mut mark, timings);
 
         let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.update");
-        let t0 = Instant::now();
         obskit::instant(
             obskit::Stage::Kmeans,
             "kmeans.sweep",
@@ -248,7 +209,6 @@ pub fn distributed_kmeans(
                 centroids[k] = new;
             }
         }
-        timings.kmeans += t0.elapsed().as_secs_f64();
         drop(sp);
         if movement < 1e-12 {
             break;
@@ -259,7 +219,6 @@ pub fn distributed_kmeans(
     // (negated distance, encoded index) — implemented as min over gathered
     // per-rank candidates.
     let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.snap");
-    let t0 = Instant::now();
     let mut local_best = vec![f64::INFINITY; n_mu];
     let mut local_idx = vec![-1.0; n_mu];
     for (a, &gi) in assign.iter().zip(active.iter()) {
@@ -272,13 +231,10 @@ pub fn distributed_kmeans(
     let mut cand = Vec::with_capacity(2 * n_mu);
     cand.extend_from_slice(&local_best);
     cand.extend_from_slice(&local_idx);
-    timings.kmeans += t0.elapsed().as_secs_f64();
     drop(sp);
     let all_cand = comm.allgatherv(&cand);
-    charge_mpi(comm, &mut mark, timings);
 
     let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.select");
-    let t0 = Instant::now();
     let p = comm.size();
     let mut points = Vec::with_capacity(n_mu);
     for k in 0..n_mu {
@@ -299,7 +255,6 @@ pub fn distributed_kmeans(
     }
     points.sort_unstable();
     points.dedup();
-    timings.kmeans += t0.elapsed().as_secs_f64();
     drop(sp);
     points
 }
@@ -313,21 +268,19 @@ pub fn distributed_isdf_hamiltonian_with(
     problem: &CasidaProblem,
     opts: &SolveOptions,
 ) -> (IsdfHamiltonian, StageTimings) {
-    let mut timings = StageTimings::default();
+    let clock = obskit::StageClock::now();
     let nr = problem.n_r();
     let dv = problem.grid.dv();
     let n_mu = opts.rank.resolve(nr, problem.n_v(), problem.n_c());
     let my_rows = block_ranges(nr, comm.size())[comm.rank()].clone();
 
     // 1. Interpolation points (distributed K-Means).
-    let points = distributed_kmeans(comm, problem, n_mu, 100, &mut timings);
+    let points = distributed_kmeans(comm, problem, n_mu, 100);
     let n_mu_eff = points.len();
-    let mut mark = comm.stats().measured_seconds;
 
     // 2. Sampled orbital rows, assembled by summation (each point's row
     // lives on exactly one rank).
     let sp = obskit::span(obskit::Stage::Theta, "theta.sample_rows");
-    let t0 = Instant::now();
     let (n_v, n_c) = (problem.n_v(), problem.n_c());
     let mut psi_hat = Mat::zeros(n_mu_eff, n_v);
     let mut phi_hat = Mat::zeros(n_mu_eff, n_c);
@@ -341,7 +294,6 @@ pub fn distributed_isdf_hamiltonian_with(
             }
         }
     }
-    timings.theta += t0.elapsed().as_secs_f64();
     drop(sp);
     // Both sampled-row reductions ride ONE fused collective (each point's
     // row lives on exactly one rank, so summation assembles them); the
@@ -352,11 +304,9 @@ pub fn distributed_isdf_hamiltonian_with(
     let fused = batch.flush().unwrap_or_else(|e| panic!("sampled-row reduction: {e}"));
     let psi_hat = Mat::from_vec(n_mu_eff, n_v, fused.field(f_psi).to_vec());
     let phi_hat = Mat::from_vec(n_mu_eff, n_c, fused.field(f_phi).to_vec());
-    charge_mpi(comm, &mut mark, &mut timings);
 
     // 3. Θ rows on my slab: (ZCᵀ)_loc ∘-factored, solved against CCᵀ.
     let sp = obskit::span(obskit::Stage::Theta, "theta.solve");
-    let t0 = Instant::now();
     let psi_v_loc = problem.psi_v.row_block(my_rows.start, my_rows.end);
     let psi_c_loc = problem.psi_c.row_block(my_rows.start, my_rows.end);
     let pair = isdf::interp::gram_pair(&psi_v_loc, &psi_c_loc, &psi_hat, &phi_hat);
@@ -395,35 +345,27 @@ pub fn distributed_isdf_hamiltonian_with(
         )
     });
     let theta_loc = theta_loc_t.transpose();
-    timings.theta += t0.elapsed().as_secs_f64();
     drop(sp);
 
     // 4. f_Hxc Θ through the FFT layout dance.
-    let f_theta_loc = distributed_kernel_apply(comm, problem, &theta_loc, n_mu_eff, &mut timings);
+    let f_theta_loc = distributed_kernel_apply(comm, problem, &theta_loc, n_mu_eff);
 
     // 5. Ṽ = ΔV Θᵀ(fΘ): monolithic GEMM+Allreduce, or the chunked
     // GEMM+Reduce overlap schedule (bitwise-identical) followed by a tiny
     // allgather to re-replicate.
-    let mut mark = comm.stats().measured_seconds;
     let mut v_tilde = if opts.pipelined {
         let sp = obskit::span(obskit::Stage::Gemm, "v_tilde.pipelined_reduce");
-        let t0 = Instant::now();
         let res = crate::pipeline::gram_pipelined_reduce(comm, &theta_loc, &f_theta_loc, dv)
             .unwrap_or_else(|e| panic!("v_tilde pipelined reduce: {e}"));
-        timings.gemm += t0.elapsed().as_secs_f64();
         drop(sp);
         let gathered = comm.allgatherv(res.local.as_slice());
-        charge_mpi(comm, &mut mark, &mut timings);
         Mat::from_vec(n_mu_eff, n_mu_eff, gathered)
     } else {
         let sp = obskit::span(obskit::Stage::Gemm, "v_tilde.contract");
-        let t0 = Instant::now();
         let mut v = Mat::zeros(n_mu_eff, n_mu_eff);
         gemm(dv, &theta_loc, Transpose::Yes, &f_theta_loc, Transpose::No, 0.0, &mut v);
-        timings.gemm += t0.elapsed().as_secs_f64();
         drop(sp);
         comm.allreduce_sum(v.as_mut_slice());
-        charge_mpi(comm, &mut mark, &mut timings);
         v
     };
     v_tilde.symmetrize();
@@ -434,12 +376,10 @@ pub fn distributed_isdf_hamiltonian_with(
 
     // 6. Coefficients (replicated, from the replicated sampled rows).
     let sp = obskit::span(obskit::Stage::Gemm, "coefficients");
-    let t0 = Instant::now();
     let c = face_splitting_product(&psi_hat, &phi_hat);
-    timings.gemm += t0.elapsed().as_secs_f64();
     drop(sp);
 
-    (IsdfHamiltonian { diag_d: problem.diag_d(), c, v_tilde }, timings)
+    (IsdfHamiltonian { diag_d: problem.diag_d(), c, v_tilde }, StageTimings::since(clock))
 }
 
 /// Full distributed solve: ISDF construction (Algorithm 1 + §4) followed by
@@ -453,10 +393,11 @@ pub(crate) fn distributed_solve_with(
     problem: &CasidaProblem,
     opts: &SolveOptions,
 ) -> (Vec<f64>, StageTimings) {
-    let (ham, mut timings) = distributed_isdf_hamiltonian_with(comm, problem, opts);
+    let clock = obskit::StageClock::now();
+    let (ham, _) = distributed_isdf_hamiltonian_with(comm, problem, opts);
     let k = opts.n_states.min(problem.n_cv());
-    let values = distributed_eigensolve(comm, &ham, k, opts, &mut timings);
-    (values, timings)
+    let values = distributed_eigensolve(comm, &ham, k, opts);
+    (values, StageTimings::since(clock))
 }
 
 /// The eigensolver half of [`distributed_solve_with`], split out so the
@@ -469,19 +410,12 @@ pub fn distributed_eigensolve(
     ham: &IsdfHamiltonian,
     k: usize,
     opts: &SolveOptions,
-    timings: &mut StageTimings,
 ) -> Vec<f64> {
     match opts.eigensolver {
         Eig::Lobpcg => {
-            let res = crate::parallel_eig::distributed_casida_lobpcg(
-                comm,
-                ham,
-                k,
-                opts.lobpcg,
-                opts.seed,
-                timings,
-            )
-            .and_then(DistributedEigResult::into_converged);
+            let res =
+                crate::parallel_eig::distributed_casida_lobpcg(comm, ham, k, opts.lobpcg, opts.seed)
+                    .and_then(DistributedEigResult::into_converged);
             match res {
                 Ok(r) => r.values,
                 Err(_) => {
@@ -490,9 +424,7 @@ pub fn distributed_eigensolve(
                     // here together — fall back to the replicated dense
                     // solve rather than abort the whole calculation.
                     let sp = obskit::span(obskit::Stage::Diag, "diag.syev.fallback");
-                    let t0 = Instant::now();
                     let eig = syev(&ham.to_dense());
-                    timings.diag += t0.elapsed().as_secs_f64();
                     drop(sp);
                     eig.values[..k].to_vec()
                 }
@@ -502,9 +434,7 @@ pub fn distributed_eigensolve(
             // The factored H is replicated, so every rank runs the same
             // dense solve — exact while N_cv stays small.
             let sp = obskit::span(obskit::Stage::Diag, "diag.syev.replicated");
-            let t0 = Instant::now();
             let eig = syev(&ham.to_dense());
-            timings.diag += t0.elapsed().as_secs_f64();
             drop(sp);
             eig.values[..k].to_vec()
         }
@@ -545,8 +475,7 @@ mod tests {
     #[test]
     fn distributed_dense_matches_serial() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let mut t = StageTimings::default();
-        let serial = build_dense_hamiltonian(&p, &mut t);
+        let serial = build_dense_hamiltonian(&p);
         for ranks in [1usize, 2, 4] {
             for pipelined in [false, true] {
                 let opts = SolveOptions::new().pipelined(pipelined);
@@ -572,9 +501,9 @@ mod tests {
         let res = spmd(ranks, |c| {
             let rr = block_ranges(p.n_r(), ranks)[c.rank()].clone();
             let loc = fields.row_block(rr.start, rr.end);
-            let mut t = StageTimings::default();
-            let out = distributed_kernel_apply(c, &p, &loc, 3, &mut t);
-            assert!(t.fft > 0.0);
+            let clock = obskit::StageClock::now();
+            let out = distributed_kernel_apply(c, &p, &loc, 3);
+            assert!(StageTimings::since(clock).fft > 0.0);
             (rr, out)
         });
         for (rr, out) in res {
@@ -588,9 +517,9 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let n_mu = 6;
         let res = spmd(3, |c| {
-            let mut t = StageTimings::default();
-            let pts = distributed_kmeans(c, &p, n_mu, 50, &mut t);
-            assert!(t.kmeans > 0.0);
+            let clock = obskit::StageClock::now();
+            let pts = distributed_kmeans(c, &p, n_mu, 50);
+            assert!(StageTimings::since(clock).kmeans > 0.0);
             pts
         });
         // identical on every rank
@@ -605,8 +534,7 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
         let n_mu = p.n_cv(); // full rank → exact
         // Serial reference spectrum via the naive dense Hamiltonian.
-        let mut t = StageTimings::default();
-        let serial_h = build_dense_hamiltonian(&p, &mut t);
+        let serial_h = build_dense_hamiltonian(&p);
         let serial_eig = syev(&serial_h);
         let opts = SolveOptions::new().rank(IsdfRank::Fixed(n_mu));
         for ranks in [1usize, 2, 4] {
@@ -727,9 +655,9 @@ mod tests {
         let batched = spmd(2, |c| {
             // Build once with the batch-key options (rank/seed/pipelined
             // agree between the two jobs), then eigensolve per job.
-            let (ham, mut t) = distributed_isdf_hamiltonian_with(c, &p, &opts_a);
-            let a = distributed_eigensolve(c, &ham, 2, &opts_a, &mut t);
-            let b = distributed_eigensolve(c, &ham, 3, &opts_b, &mut t);
+            let (ham, _) = distributed_isdf_hamiltonian_with(c, &p, &opts_a);
+            let a = distributed_eigensolve(c, &ham, 2, &opts_a);
+            let b = distributed_eigensolve(c, &ham, 3, &opts_b);
             (a, b)
         });
         for (rank, (a, b)) in batched.iter().enumerate() {

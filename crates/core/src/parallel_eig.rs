@@ -32,7 +32,6 @@
 //! each iteration pays two latencies instead of five.
 
 use crate::lobpcg_driver::initial_guess;
-use crate::timers::StageTimings;
 use crate::versions::IsdfHamiltonian;
 use faultkit::SolveError;
 use mathkit::chol::{
@@ -44,7 +43,6 @@ use mathkit::{syev, Mat};
 use parcomm::layout::block_ranges;
 use parcomm::{Comm, ReducePlan, RetryPolicy};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Result of the distributed eigensolve.
 pub struct DistributedEigResult {
@@ -201,17 +199,13 @@ pub fn distributed_casida_lobpcg(
     k: usize,
     opts: LobpcgOptions,
     seed: u64,
-    timings: &mut StageTimings,
 ) -> Result<DistributedEigResult, SolveError> {
     let ncv = ham.diag_d.len();
     let k = k.min(ncv);
     let rows = block_ranges(ncv, comm.size())[comm.rank()].clone();
     // One span over the whole solve: the nested mpi:* spans from the
-    // collectives subtract out in the exclusive rollup, reproducing the
-    // legacy "diag = elapsed − comm" accounting below.
-    let sp = obskit::span(obskit::Stage::Diag, "diag.lobpcg.dist");
-    let t_start = Instant::now();
-    let comm_start = comm.stats().measured_seconds;
+    // collectives subtract out of its self time, so diag = elapsed − comm.
+    let _sp = obskit::span(obskit::Stage::Diag, "diag.lobpcg.dist");
 
     // Replicated deterministic guess, then slice my rows.
     let x0 = initial_guess(&ham.diag_d, k, seed);
@@ -404,11 +398,6 @@ pub fn distributed_casida_lobpcg(
     let values: Vec<f64> = order.iter().map(|&i| theta[i]).collect();
     let local_vectors = x.select_cols(&order);
 
-    let comm_spent = comm.stats().measured_seconds - comm_start;
-    timings.mpi += comm_spent;
-    timings.diag += (t_start.elapsed().as_secs_f64() - comm_spent).max(0.0);
-    drop(sp);
-
     Ok(DistributedEigResult {
         values,
         local_vectors,
@@ -434,8 +423,8 @@ mod tests {
 
     fn test_ham() -> IsdfHamiltonian {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 3);
-        let mut t = StageTimings::default();
-        build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut t)
+        build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
+            .expect("clean full-rank build")
     }
 
     #[test]
@@ -452,14 +441,12 @@ mod tests {
         .expect("serial solve");
         for ranks in [1usize, 2, 4] {
             let res = spmd(ranks, |c| {
-                let mut t = StageTimings::default();
                 distributed_casida_lobpcg(
                     c,
                     &ham,
                     k,
                     LobpcgOptions { max_iter: 300, tol: 1e-9 },
                     42,
-                    &mut t,
                 )
                 .and_then(DistributedEigResult::into_converged)
                 .map(|r| r.values)
@@ -490,14 +477,12 @@ mod tests {
         let ncv = ham.diag_d.len();
         let ranks = 3;
         let res = spmd(ranks, |c| {
-            let mut t = StageTimings::default();
             let r = distributed_casida_lobpcg(
                 c,
                 &ham,
                 k,
                 LobpcgOptions { max_iter: 300, tol: 1e-8 },
                 7,
-                &mut t,
             )
             .expect("distributed solve");
             (c.rank(), r.local_vectors)
@@ -519,16 +504,15 @@ mod tests {
     fn timings_report_mpi_share_for_multirank() {
         let ham = test_ham();
         let res = spmd(4, |c| {
-            let mut t = StageTimings::default();
+            let clock = obskit::StageClock::now();
             let _ = distributed_casida_lobpcg(
                 c,
                 &ham,
                 2,
                 LobpcgOptions { max_iter: 50, tol: 1e-7 },
                 1,
-                &mut t,
             );
-            t
+            crate::StageTimings::since(clock)
         });
         for t in res {
             assert!(t.mpi > 0.0, "distributed solve must register comm time");
@@ -541,14 +525,12 @@ mod tests {
         // costs exactly one H·W reduction plus one fused Gram/norm reduce.
         let ham = test_ham();
         let res = spmd(2, |c| {
-            let mut t = StageTimings::default();
             let short = distributed_casida_lobpcg(
                 c,
                 &ham,
                 2,
                 LobpcgOptions { max_iter: 3, tol: 1e-300 },
                 11,
-                &mut t,
             )
             .expect("short run");
             let calls_short = c.stats().collective_calls;
@@ -559,7 +541,6 @@ mod tests {
                 2,
                 LobpcgOptions { max_iter: 8, tol: 1e-300 },
                 11,
-                &mut t,
             )
             .expect("long run");
             (calls_short, c.stats().collective_calls, short.iterations, long.iterations)

@@ -5,7 +5,7 @@
 //! transient ones along two ladders:
 //!
 //! * **build ladder** — the ISDF Hamiltonian assembly
-//!   ([`try_build_isdf_hamiltonian`]) already recovers point starvation and
+//!   ([`build_isdf_hamiltonian`]) already recovers point starvation and
 //!   fit-residual breaches internally; a typed failure that still escapes
 //!   (poisoned factors, non-SPD Gram) gets one clean rebuild — injected
 //!   faults are one-shot, so the retry runs pristine — before
@@ -30,7 +30,7 @@ use crate::rank::IsdfRank;
 use crate::problem::CasidaProblem;
 use crate::timers::StageTimings;
 use crate::versions::{
-    try_build_isdf_hamiltonian, IsdfHamiltonian, PointSelector, Solution, Version,
+    build_isdf_hamiltonian, IsdfHamiltonian, PointSelector, Solution, Version,
 };
 use faultkit::SolveError;
 use mathkit::davidson::{davidson, DavidsonOptions};
@@ -39,7 +39,6 @@ use mathkit::lobpcg::{
     lobpcg, lobpcg_refined, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT,
 };
 use mathkit::{syev, Mat};
-use std::time::Instant;
 
 /// Inner tolerance of the mixed-precision refined solve: loose enough that
 /// f32 storage (~1e-7 relative operator error) can reach it, tight enough
@@ -59,7 +58,7 @@ impl SolveOptions {
         problem: &CasidaProblem,
         version: Version,
     ) -> Result<Solution, SolveError> {
-        let mut timings = StageTimings::default();
+        let clock = obskit::StageClock::now();
         let mut recovery = Vec::new();
         // A degraded option set must never produce a silently-degraded
         // answer: the marker lands in the recovery log before anything runs.
@@ -79,11 +78,11 @@ impl SolveOptions {
 
         match version {
             Version::Naive => {
-                let (energies, coefficients) = solve_naive(problem, k, &mut timings);
+                let (energies, coefficients) = solve_naive(problem, k);
                 Ok(Solution {
                     energies,
                     coefficients,
-                    timings,
+                    timings: StageTimings::since(clock),
                     n_mu: 0,
                     lobpcg_iterations: None,
                     complexity,
@@ -99,18 +98,16 @@ impl SolveOptions {
                         ..Default::default()
                     })
                 };
-                let ham = build_ladder(problem, selector, n_mu, &mut timings, &mut recovery)?;
+                let ham = build_ladder(problem, selector, n_mu, &mut recovery)?;
                 let sp = obskit::span(obskit::Stage::Diag, "diag.syev");
-                let t0 = Instant::now();
                 let h = ham.to_dense();
                 let eig = syev(&h);
-                timings.diag += t0.elapsed().as_secs_f64();
                 drop(sp);
                 let cols: Vec<usize> = (0..k).collect();
                 Ok(Solution {
                     energies: eig.values[..k].to_vec(),
                     coefficients: eig.vectors.select_cols(&cols),
-                    timings,
+                    timings: StageTimings::since(clock),
                     n_mu,
                     lobpcg_iterations: None,
                     complexity,
@@ -122,9 +119,8 @@ impl SolveOptions {
                     seed: self.seed,
                     ..Default::default()
                 });
-                let ham = build_ladder(problem, selector, n_mu, &mut timings, &mut recovery)?;
+                let ham = build_ladder(problem, selector, n_mu, &mut recovery)?;
                 let sp = obskit::span(obskit::Stage::Diag, "diag.lobpcg");
-                let t0 = Instant::now();
                 let res = if version == Version::KmeansIsdfLobpcg {
                     // Explicit H, iterative eigensolve (Table 4 row 4).
                     let h = ham.to_dense();
@@ -172,12 +168,11 @@ impl SolveOptions {
                         ),
                     }
                 };
-                timings.diag += t0.elapsed().as_secs_f64();
                 drop(sp);
                 Ok(Solution {
                     energies: res.values,
                     coefficients: res.vectors,
-                    timings,
+                    timings: StageTimings::since(clock),
                     n_mu,
                     lobpcg_iterations: Some(res.iterations),
                     complexity,
@@ -228,10 +223,9 @@ fn build_ladder(
     problem: &CasidaProblem,
     selector: PointSelector,
     n_mu: usize,
-    timings: &mut StageTimings,
     recovery: &mut Vec<String>,
 ) -> Result<IsdfHamiltonian, SolveError> {
-    let first = match try_build_isdf_hamiltonian(problem, selector, n_mu, timings, recovery) {
+    let first = match build_isdf_hamiltonian(problem, selector, n_mu, recovery) {
         Ok(ham) => return Ok(ham),
         Err(e) => e,
     };
@@ -239,7 +233,7 @@ fn build_ladder(
     // capture the failure context before the rebuild overwrites it.
     faultkit::notify_solve_error(&first);
     recovery.push(format!("isdf.build: {first}; clean rebuild"));
-    match try_build_isdf_hamiltonian(problem, selector, n_mu, timings, recovery) {
+    match build_isdf_hamiltonian(problem, selector, n_mu, recovery) {
         Ok(ham) => Ok(ham),
         Err(second) => {
             let err = SolveError::LadderExhausted {

@@ -1,8 +1,4 @@
-//! The `Solver` facade — one front door for every way to run a solve.
-//!
-//! Historically callers picked between `solve_with` (serial, panicking),
-//! `SolveOptions::run` (serial, fallible), and `distributed_solve_with`
-//! (SPMD), each configured slightly differently. [`Solver`] subsumes them:
+//! The `Solver` facade — one front door for every way to run a solve:
 //! build one with [`Solver::builder`], then call [`Solver::solve`] for a
 //! serial solve or [`Solver::solve_distributed`] inside an SPMD region.
 //!
@@ -63,9 +59,7 @@ impl Solver {
         &self.opts
     }
 
-    /// Serial solve through the recovery ladder. Replaces both the
-    /// panicking `solve_with` shim (`.unwrap()` restores that behavior) and
-    /// the raw `SolveOptions::run`.
+    /// Serial solve through the recovery ladder.
     pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
         self.opts.apply_runtime_knobs();
         self.opts.run(problem, self.version)

@@ -2,7 +2,7 @@
 //! K-Means / FFT / MPI / GEMM(+Allreduce), plus point selection and
 //! diagonalization stages.
 
-/// Stage timings in seconds. Fields are cumulative; a solver adds into them.
+/// Stage timings in seconds, read off the stage clock ([`StageTimings::since`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageTimings {
     /// Weighted K-Means clustering (interpolation point selection).
@@ -17,7 +17,7 @@ pub struct StageTimings {
     pub fft: f64,
     /// Dense contractions (GEMM) building V_Hxc / Ṽ_Hxc / H.
     pub gemm: f64,
-    /// Communication (collectives) — measured inside the simulated MPI.
+    /// Communication (collectives) — the simulated MPI's `mpi:*` spans.
     pub mpi: f64,
     /// Diagonalization (SYEV or LOBPCG).
     pub diag: f64,
@@ -68,13 +68,21 @@ impl StageTimings {
         ]
     }
 
-    /// Compatibility view over the span subsystem: derive the same
-    /// per-stage breakdown from one rank's recorded trace. Spans roll up by
-    /// *exclusive* time (a `gemm` span's nested `mpi:*` children are charged
-    /// to `mpi`, not `gemm`), which is exactly what the legacy section
-    /// timers measure — the two views agree to within timer noise.
+    /// Stage time charged on the calling thread since `start` was read: the
+    /// difference of two readings of the one stage clock every `obskit::span`
+    /// guard ticks, tracing enabled or not ([`obskit::clock`]). A stage
+    /// abandoned by an early `?` return is still counted, and
+    /// [`StageTimings::total`] never exceeds the thread's wall clock.
+    pub fn since(start: obskit::StageClock) -> StageTimings {
+        StageTimings::from_seconds(&start.elapsed())
+    }
+
+    /// The same breakdown replayed from one rank's recorded trace.
     pub fn from_trace(trace: &obskit::Trace, rank: usize) -> StageTimings {
-        let s = trace.stage_seconds_for_rank(rank);
+        StageTimings::from_seconds(&trace.stage_seconds_for_rank(rank))
+    }
+
+    fn from_seconds(s: &obskit::trace::StageSeconds) -> StageTimings {
         StageTimings {
             kmeans: s[obskit::Stage::Kmeans.index()],
             qrcp: s[obskit::Stage::Qrcp.index()],
@@ -85,15 +93,6 @@ impl StageTimings {
             mpi: s[obskit::Stage::Mpi.index()],
             diag: s[obskit::Stage::Diag.index()],
         }
-    }
-
-    /// [`StageTimings::from_trace`] summed over every rank in the trace.
-    pub fn from_trace_all_ranks(trace: &obskit::Trace) -> StageTimings {
-        let mut out = StageTimings::default();
-        for r in &trace.ranks {
-            out.merge(&StageTimings::from_trace(trace, r.rank));
-        }
-        out
     }
 }
 

@@ -10,7 +10,6 @@ use isdf::{
 };
 use mathkit::gemm::{gemm, Transpose};
 use mathkit::{gemm_mixed_packed, simd, Mat, MatF32, PackedF32};
-use std::time::Instant;
 
 /// Interpolation-point selector for the ISDF versions.
 #[derive(Clone, Copy, Debug)]
@@ -201,28 +200,11 @@ impl MixedIsdfHamiltonian {
     }
 }
 
-/// Fit-residual guard for [`try_build_isdf_hamiltonian`]: a sampled relative
+/// Fit-residual guard for [`build_isdf_hamiltonian`]: a sampled relative
 /// fit residual at or above this means the low-rank basis carries essentially
 /// no signal (healthy fits — even aggressively rank-reduced ones — sit orders
 /// of magnitude below it), so the build escalates the rank and retries.
 pub const FIT_RESIDUAL_GUARD: f64 = 1.0;
-
-/// Run the ISDF pipeline up to the factored Hamiltonian.
-///
-/// Panics if the build fails even after its internal recovery (rank
-/// escalation, point re-selection); see [`try_build_isdf_hamiltonian`].
-pub fn build_isdf_hamiltonian(
-    problem: &CasidaProblem,
-    selector: PointSelector,
-    n_mu: usize,
-    timings: &mut StageTimings,
-) -> IsdfHamiltonian {
-    let mut recovery = Vec::new();
-    match try_build_isdf_hamiltonian(problem, selector, n_mu, timings, &mut recovery) {
-        Ok(ham) => ham,
-        Err(e) => panic!("{e}"),
-    }
-}
 
 /// Interpolation points per the selector, with the K-Means degenerate-start
 /// recovery: a run that had to reseed empty clusters is retried once cleanly
@@ -231,21 +213,17 @@ fn select_isdf_points(
     problem: &CasidaProblem,
     selector: PointSelector,
     n_mu: usize,
-    timings: &mut StageTimings,
     recovery: &mut Vec<String>,
 ) -> Result<Vec<usize>, SolveError> {
     match selector {
         PointSelector::Qrcp => {
             let sp = obskit::span(obskit::Stage::Qrcp, "isdf.qrcp_points");
-            let t0 = Instant::now();
             let pts = qrcp_points(&problem.psi_v, &problem.psi_c, n_mu);
-            timings.qrcp += t0.elapsed().as_secs_f64();
             drop(sp);
             Ok(pts)
         }
         PointSelector::Kmeans(opts) => {
             let sp = obskit::span(obskit::Stage::Kmeans, "isdf.kmeans_points");
-            let t0 = Instant::now();
             let w = pair_weights(&problem.psi_v, &problem.psi_c);
             let coords: Vec<[f64; 3]> =
                 (0..problem.n_r()).map(|i| problem.grid.coords(i)).collect();
@@ -257,7 +235,6 @@ fn select_isdf_points(
                 ));
                 out = kmeans_points_checked(&coords, &w, n_mu, opts)?;
             }
-            timings.kmeans += t0.elapsed().as_secs_f64();
             drop(sp);
             Ok(out.points)
         }
@@ -265,28 +242,22 @@ fn select_isdf_points(
 }
 
 /// Θ fit for a point set (Galerkin LS with separable Gram matrices).
-fn fit_isdf(
-    problem: &CasidaProblem,
-    points: &[usize],
-    timings: &mut StageTimings,
-) -> Result<IsdfDecomposition, SolveError> {
+fn fit_isdf(problem: &CasidaProblem, points: &[usize]) -> Result<IsdfDecomposition, SolveError> {
     let sp = obskit::span(obskit::Stage::Theta, "isdf.theta");
-    let t0 = Instant::now();
     let isdf = IsdfDecomposition::try_build(&problem.psi_v, &problem.psi_c, points)?;
-    timings.theta += t0.elapsed().as_secs_f64();
     drop(sp);
     Ok(isdf)
 }
 
-/// [`build_isdf_hamiltonian`] with typed failure reporting and built-in
-/// recovery: point-starvation re-selection, a sampled fit-residual guard
-/// with one rank-escalation retry, and finiteness guards on the assembled
-/// `C` / `Ṽ` factors. Rungs taken are appended to `recovery`.
-pub fn try_build_isdf_hamiltonian(
+/// Run the ISDF pipeline up to the factored Hamiltonian, with typed failure
+/// reporting and built-in recovery: point-starvation re-selection, a sampled
+/// fit-residual guard with one rank-escalation retry, and finiteness guards
+/// on the assembled `C` / `Ṽ` factors. Rungs taken are appended to
+/// `recovery`.
+pub fn build_isdf_hamiltonian(
     problem: &CasidaProblem,
     selector: PointSelector,
     n_mu: usize,
-    timings: &mut StageTimings,
     recovery: &mut Vec<String>,
 ) -> Result<IsdfHamiltonian, SolveError> {
     problem.validate();
@@ -296,18 +267,18 @@ pub fn try_build_isdf_hamiltonian(
     // comes back short (here, only via injection — natural K-Means dedup
     // shrinkage is accepted downstream as n_mu_eff) is re-run at the
     // requested rank.
-    let mut points = select_isdf_points(problem, selector, n_mu, timings, recovery)?;
+    let mut points = select_isdf_points(problem, selector, n_mu, recovery)?;
     if faultkit::starve_points("isdf.points", &mut points) {
         recovery.push(format!(
             "isdf.points: starved to {} of {n_mu}, re-selecting",
             points.len()
         ));
-        points = select_isdf_points(problem, selector, n_mu, timings, recovery)?;
+        points = select_isdf_points(problem, selector, n_mu, recovery)?;
     }
 
     // Interpolation vectors Θ, guarded by the sampled fit residual with one
     // rank-escalation retry.
-    let mut isdf = fit_isdf(problem, &points, timings)?;
+    let mut isdf = fit_isdf(problem, &points)?;
     // NaN residuals must trip the guard too, hence the is_nan arm.
     let fit_res = isdf.sampled_relative_error(&problem.psi_v, &problem.psi_c);
     if fit_res.is_nan() || fit_res >= FIT_RESIDUAL_GUARD {
@@ -315,8 +286,8 @@ pub fn try_build_isdf_hamiltonian(
         recovery.push(format!(
             "isdf.fit: residual {fit_res:.3e} breaches guard, escalating rank {n_mu} -> {n_esc}"
         ));
-        let points_esc = select_isdf_points(problem, selector, n_esc, timings, recovery)?;
-        isdf = fit_isdf(problem, &points_esc, timings)?;
+        let points_esc = select_isdf_points(problem, selector, n_esc, recovery)?;
+        isdf = fit_isdf(problem, &points_esc)?;
         let second = isdf.sampled_relative_error(&problem.psi_v, &problem.psi_c);
         if second.is_nan() || second >= FIT_RESIDUAL_GUARD {
             return Err(NumericalError::FitResidual {
@@ -329,19 +300,15 @@ pub fn try_build_isdf_hamiltonian(
 
     // Ṽ_Hxc = ΔV · Θᵀ (f_Hxc Θ) (paper Eq. 7).
     let sp = obskit::span(obskit::Stage::Fft, "kernel.apply");
-    let t0 = Instant::now();
     let kernel = HxcKernel::for_problem(problem);
     let f_theta = kernel.apply(&isdf.theta);
-    timings.fft += t0.elapsed().as_secs_f64();
     drop(sp);
     let sp = obskit::span(obskit::Stage::Gemm, "v_tilde.contract");
-    let t0 = Instant::now();
     // ΔV folds into the contraction's alpha — no separate scale pass.
     let mut v_tilde = Mat::zeros(isdf.theta.ncols(), f_theta.ncols());
     gemm(dv, &isdf.theta, Transpose::Yes, &f_theta, Transpose::No, 0.0, &mut v_tilde);
     v_tilde.symmetrize();
     let mut c = isdf.coefficients();
-    timings.gemm += t0.elapsed().as_secs_f64();
     drop(sp);
 
     // Fault-injection hooks on the assembled factors, backed by real
@@ -401,8 +368,8 @@ mod tests {
     #[test]
     fn explicit_and_implicit_hamiltonians_identical() {
         let p = synthetic_problem([8, 8, 8], 7.0, 2, 3);
-        let mut t = StageTimings::default();
-        let ham = build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut t);
+        let ham = build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
+            .expect("clean full-rank build");
         let dense = ham.to_dense();
         // Apply to random block and compare.
         let mut s = 5u64;
@@ -421,8 +388,8 @@ mod tests {
     #[test]
     fn mixed_hamiltonian_tracks_full_precision_apply() {
         let p = synthetic_problem([8, 8, 8], 7.0, 2, 3);
-        let mut t = StageTimings::default();
-        let ham = build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut t);
+        let ham = build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
+            .expect("clean full-rank build");
         let mixed = ham.to_mixed();
         let x = Mat::from_fn(p.n_cv(), 3, |i, j| ((i * 7 + j * 3) % 13) as f64 * 0.1 - 0.6);
         let full = ham.apply(&x);

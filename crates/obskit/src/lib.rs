@@ -10,20 +10,27 @@
 //!   rank (`pid` = rank id);
 //! * [`trace::Trace::summary_tree`] — a human-readable hierarchical call
 //!   tree with per-node total/self time;
-//! * per-stage second rollups ([`trace::Trace::stage_seconds_for_rank`]) that feed
-//!   the machine-readable `BENCH_trace.json` and the `StageTimings`
-//!   compatibility view in `lrtddft::timers`.
+//! * per-stage second rollups ([`trace::Trace::stage_seconds_for_rank`]) that
+//!   feed the machine-readable `BENCH_trace.json`.
+//!
+//! ## Stage clock
+//!
+//! Every span guard — recording or not — also ticks its thread's
+//! [`StageClock`]: self seconds per [`Stage`], by the exclusive-time rule the
+//! trace rollup replays ([`clock`]). `lrtddft::StageTimings` is a difference
+//! of two readings of it.
 //!
 //! ## Overhead budget
 //!
-//! Recording is **disabled by default**. Every instrumentation entry point
-//! ([`span`], [`instant`], the counter adders) starts with a single relaxed
-//! atomic load and returns immediately when tracing is off — hot kernels
-//! (the packed GEMM microkernel path) pay ~1 ns per call. When enabled,
-//! events go to a thread-local buffer (no locks); the buffer drains into the
-//! global registry only when the thread's span stack returns to depth zero,
-//! so lock traffic is one mutex acquisition per *top-level* span, not per
-//! event.
+//! Recording is **disabled by default**. The counter adders and [`instant`]
+//! start with a single relaxed atomic load and return immediately when
+//! tracing is off — hot kernels (the packed GEMM microkernel path) pay ~1 ns
+//! per call; a disabled [`span()`] additionally pays its two clock reads, a
+//! thread-local push/pop for the stage clock, and the flight-ring mirror.
+//! When enabled, events go to a thread-local buffer (no locks); the buffer
+//! drains into the global registry only when the thread's span stack returns
+//! to depth zero, so lock traffic is one mutex acquisition per *top-level*
+//! span, not per event.
 //!
 //! ## Ranks and lanes
 //!
@@ -49,12 +56,14 @@
 //! remain well-formed (every `B` has a matching `E`).
 
 pub mod chrome;
+pub mod clock;
 pub mod counters;
 pub mod flight;
 pub mod serve;
 pub mod span;
 pub mod trace;
 
+pub use clock::StageClock;
 pub use counters::{
     add_bytes_moved, add_comm_segments, add_flops, add_fft_calls, add_fft_plan_hit,
     add_fft_plan_miss, record_gemm_shape, record_kernel_dispatch, CounterSnapshot,

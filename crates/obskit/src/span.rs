@@ -13,8 +13,10 @@
 //!
 //! Span closes and instants are also mirrored into the always-on
 //! [`crate::flight`] ring so the last moments before a fault are available
-//! even with full tracing disabled.
+//! even with full tracing disabled, and every span — recording or not —
+//! ticks the thread's [`crate::StageClock`].
 
+use crate::clock::{SelfTime, StageNanos};
 use crate::flight::{self, FlightKind};
 use crate::{enabled, now_ns, Stage};
 use std::cell::RefCell;
@@ -74,6 +76,8 @@ struct ThreadStream {
     label: Option<String>,
     events: Vec<Event>,
     depth: usize,
+    /// The stage clock: fed by every span on this thread, enabled or not.
+    clock: SelfTime,
 }
 
 impl ThreadStream {
@@ -85,6 +89,7 @@ impl ThreadStream {
             label: None,
             events: Vec::new(),
             depth: 0,
+            clock: SelfTime::new(),
         }
     }
 
@@ -190,6 +195,11 @@ pub fn flush_thread() {
     STREAM.with(|s| s.borrow_mut().flush());
 }
 
+/// This thread's cumulative self nanoseconds per stage (closed spans only).
+pub(crate) fn thread_self_ns() -> StageNanos {
+    STREAM.with(|s| s.borrow().clock.ns)
+}
+
 pub(crate) fn drain_registry() -> Vec<Batch> {
     std::mem::take(&mut *REGISTRY.lock().unwrap_or_else(|p| p.into_inner()))
 }
@@ -198,16 +208,14 @@ pub(crate) fn drain_registry() -> Vec<Batch> {
 /// panic-abort marking) when dropped. Attach numeric payload with
 /// [`Span::arg`] — emitted on the closing event.
 ///
-/// Even when full tracing is disabled the guard mirrors one compact event
-/// into the [`crate::flight`] ring on drop (a handful of atomic stores).
+/// The guard reads the clock once at open and once at close. Those two
+/// readings tick the thread's [`crate::StageClock`] and feed the
+/// [`crate::flight`] ring even when full tracing is disabled.
 #[must_use = "a span measures the scope it lives in; binding it to _ closes it immediately"]
 pub struct Span {
     live: bool,
     name: &'static str,
     stage: Stage,
-    /// Open timestamp, kept even for non-recording guards so the flight
-    /// ring can compute the duration.
-    t0_ns: u64,
     args: Vec<(&'static str, f64)>,
 }
 
@@ -229,61 +237,54 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let aborted = std::thread::panicking();
-        if flight::flight_enabled() {
-            let ts_ns = now_ns();
-            let kind = if aborted { FlightKind::AbortedSpan } else { FlightKind::Span };
-            let arg = self.args.first().map(|&(_, v)| v).unwrap_or(0.0);
-            flight::record(
-                kind,
-                self.stage,
-                thread_rank(),
-                self.name,
-                ts_ns,
-                ts_ns.saturating_sub(self.t0_ns),
-                arg,
-            );
-        }
-        if !self.live {
-            return;
-        }
         let ts_ns = now_ns();
-        let mut args = std::mem::take(&mut self.args);
-        if let Some(t) = current_tenant() {
-            args.push(("tenant", t as f64));
-        }
-        STREAM.with(|s| {
+        let aborted = std::thread::panicking();
+        let arg = self.args.first().map(|&(_, v)| v).unwrap_or(0.0);
+        let (rank, dur_ns) = STREAM.with(|s| {
             let mut st = s.borrow_mut();
-            st.events.push(Event {
-                kind: EventKind::End { aborted },
-                name: self.name,
-                stage: self.stage,
-                ts_ns,
-                args,
-            });
-            st.depth = st.depth.saturating_sub(1);
-            if st.depth == 0 {
-                st.flush();
+            let dur_ns = st.clock.close(ts_ns).map_or(0, |(dur, _)| dur);
+            if self.live {
+                let mut args = std::mem::take(&mut self.args);
+                if let Some(t) = current_tenant() {
+                    args.push(("tenant", t as f64));
+                }
+                st.events.push(Event {
+                    kind: EventKind::End { aborted },
+                    name: self.name,
+                    stage: self.stage,
+                    ts_ns,
+                    args,
+                });
+                st.depth = st.depth.saturating_sub(1);
+                if st.depth == 0 {
+                    st.flush();
+                }
             }
+            (st.rank, dur_ns)
         });
+        if flight::flight_enabled() {
+            let kind = if aborted { FlightKind::AbortedSpan } else { FlightKind::Span };
+            flight::record(kind, self.stage, rank, self.name, ts_ns, dur_ns, arg);
+        }
     }
 }
 
-/// Open a span. Disabled-mode cost: one relaxed atomic load, a clock read
-/// for the flight ring, and an inert guard (no allocation, no TLS access).
+/// Open a span. Disabled-mode cost: one clock read, one relaxed atomic load
+/// and a thread-local push for the stage clock; no allocation once the
+/// thread's span stack has grown to its working depth.
 #[inline]
 pub fn span(stage: Stage, name: &'static str) -> Span {
-    if !enabled() {
-        let t0_ns = if flight::flight_enabled() { now_ns() } else { 0 };
-        return Span { live: false, name, stage, t0_ns, args: Vec::new() };
-    }
     let ts_ns = now_ns();
+    let live = enabled();
     STREAM.with(|s| {
         let mut st = s.borrow_mut();
-        st.events.push(Event { kind: EventKind::Begin, name, stage, ts_ns, args: Vec::new() });
-        st.depth += 1;
+        st.clock.open(stage, ts_ns);
+        if live {
+            st.events.push(Event { kind: EventKind::Begin, name, stage, ts_ns, args: Vec::new() });
+            st.depth += 1;
+        }
     });
-    Span { live: true, name, stage, t0_ns: ts_ns, args: Vec::new() }
+    Span { live, name, stage, args: Vec::new() }
 }
 
 /// Record a point-in-time event with a numeric payload, e.g. one solver
@@ -379,6 +380,72 @@ mod tests {
         let inst = snap.iter().find(|e| e.name == "flight.instant").unwrap();
         assert_eq!(inst.kind, FlightKind::Instant);
         assert_eq!(inst.arg, 7.0);
+    }
+
+    fn spin(ns: u64) {
+        let t0 = now_ns();
+        while now_ns() - t0 < ns {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn stage_clock_ticks_with_tracing_disabled() {
+        let _g = testutil::exclusive();
+        let clock = crate::StageClock::now();
+        {
+            let s = span(Stage::Theta, "untraced");
+            assert!(!s.is_recording());
+            spin(50_000);
+        }
+        let dt = clock.elapsed();
+        assert!(dt[Stage::Theta.index()] >= 50e-6, "clock must run untraced: {dt:?}");
+        assert_eq!(dt[Stage::Gemm.index()], 0.0);
+    }
+
+    #[test]
+    fn nested_child_is_charged_to_its_own_stage() {
+        let _g = testutil::exclusive();
+        enable();
+        let clock = crate::StageClock::now();
+        let t0 = now_ns();
+        {
+            let _outer = span(Stage::Gemm, "outer");
+            spin(50_000);
+            {
+                let _inner = span(Stage::Mpi, "inner");
+                spin(200_000);
+            }
+        }
+        let wall = (now_ns() - t0) as f64 * 1e-9;
+        let live = clock.elapsed();
+        disable();
+        let rollup = take_trace().stage_seconds_for_rank(thread_rank());
+        let (gemm, mpi) = (live[Stage::Gemm.index()], live[Stage::Mpi.index()]);
+        assert!(mpi >= 200e-6 && gemm >= 50e-6, "gemm {gemm} mpi {mpi}");
+        assert!(gemm + mpi <= wall, "child counted twice: {gemm} + {mpi} > {wall}");
+        // Same timestamps through the same rule: the views are identical.
+        assert_eq!(live, rollup);
+    }
+
+    #[test]
+    fn span_dropped_during_unwind_leaves_the_clock_stack_balanced() {
+        let _g = testutil::exclusive();
+        let depth = || STREAM.with(|s| s.borrow().clock.depth());
+        let clock = crate::StageClock::now();
+        let outer = span(Stage::Diag, "outer");
+        let r = std::panic::catch_unwind(|| {
+            let _doomed = span(Stage::Fft, "doomed");
+            assert_eq!(depth(), 2);
+            spin(50_000);
+            panic!("boom");
+        });
+        assert!(r.is_err());
+        assert_eq!(depth(), 1, "the unwound guard closed its own entry");
+        drop(outer);
+        assert_eq!(depth(), 0);
+        let dt = clock.elapsed();
+        assert!(dt[Stage::Fft.index()] >= 50e-6, "aborted span still charged: {dt:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The collected trace: per-rank event streams, nesting validation, the
-//! per-stage second rollup (the `StageTimings` compatibility source), and
-//! the hierarchical summary tree.
+//! per-stage second rollup, and the hierarchical summary tree.
 
+use crate::clock::{to_seconds, SelfTime};
 use crate::counters::{take_counters, CounterSnapshot};
 use crate::span::{drain_registry, flush_thread, Event, EventKind};
 use crate::Stage;
@@ -106,53 +106,19 @@ impl Trace {
         Ok(())
     }
 
-    /// Exclusive (self-time) seconds per stage for one rank: each span
-    /// contributes its duration minus the durations of its direct children,
-    /// so nested `mpi` spans inside a `gemm` span are charged to `mpi`
-    /// only. This is the quantity `lrtddft::StageTimings` measures with its
-    /// section timers.
+    /// Exclusive (self-time) seconds per stage for one rank, by the
+    /// [`crate::clock`] rule: nested `mpi` spans inside a `gemm` span are
+    /// charged to `mpi` only. Replaying a lane here gives exactly what that
+    /// thread's [`crate::StageClock`] read live over the same spans. A rank
+    /// can own several lanes (rank thread + labelled workers); each has its
+    /// own well-nested stack, so they are summed.
     pub fn stage_seconds_for_rank(&self, rank: usize) -> StageSeconds {
-        let mut out = [0.0; Stage::ALL.len()];
-        // A rank can own several lanes (rank thread + labelled workers);
-        // each lane has its own well-nested stack, so sum them.
-        for r in self.ranks.iter().filter(|r| r.rank == rank) {
-            // (stage, begin_ts, child_ns)
-            let mut stack: Vec<(Stage, u64, u64)> = Vec::new();
-            for ev in &r.events {
-                match ev.kind {
-                    EventKind::Begin => stack.push((ev.stage, ev.ts_ns, 0)),
-                    EventKind::End { .. } => {
-                        if let Some((stage, t0, child_ns)) = stack.pop() {
-                            let dur = ev.ts_ns.saturating_sub(t0);
-                            let excl = dur.saturating_sub(child_ns);
-                            out[stage.index()] += excl as f64 * 1e-9;
-                            if let Some(parent) = stack.last_mut() {
-                                parent.2 += dur;
-                            }
-                        }
-                    }
-                    EventKind::Instant => {}
-                }
-            }
-        }
-        out
+        self_seconds(self.ranks.iter().filter(|r| r.rank == rank))
     }
 
     /// [`Trace::stage_seconds_for_rank`] summed over all ranks.
     pub fn stage_seconds_total(&self) -> StageSeconds {
-        let mut out = [0.0; Stage::ALL.len()];
-        let mut seen: Vec<usize> = Vec::new();
-        for r in &self.ranks {
-            if seen.contains(&r.rank) {
-                continue; // stage_seconds_for_rank already summed this rank's lanes
-            }
-            seen.push(r.rank);
-            let s = self.stage_seconds_for_rank(r.rank);
-            for (o, v) in out.iter_mut().zip(s.iter()) {
-                *o += v;
-            }
-        }
-        out
+        self_seconds(self.ranks.iter())
     }
 
     /// Sum of an `args` key over all events (e.g. `"bytes"` across `mpi:*`
@@ -187,27 +153,22 @@ impl Trace {
     pub fn summary_tree(&self) -> String {
         let mut root = Node::default();
         for r in &self.ranks {
-            // Stack of (path-node pointer chain index list, begin_ts, child_ns).
             let mut path: Vec<&'static str> = Vec::new();
-            let mut marks: Vec<(u64, u64)> = Vec::new();
+            let mut lane = SelfTime::new();
             for ev in &r.events {
                 match ev.kind {
                     EventKind::Begin => {
                         path.push(ev.name);
-                        marks.push((ev.ts_ns, 0));
+                        lane.open(ev.stage, ev.ts_ns);
                     }
                     EventKind::End { aborted } => {
-                        if let Some((t0, child_ns)) = marks.pop() {
-                            let dur = ev.ts_ns.saturating_sub(t0);
+                        if let Some((dur, self_ns)) = lane.close(ev.ts_ns) {
                             let node = root.descend(&path);
                             node.calls += 1;
                             node.total_ns += dur;
-                            node.self_ns += dur.saturating_sub(child_ns);
+                            node.self_ns += self_ns;
                             node.aborted += aborted as u64;
                             path.pop();
-                            if let Some(parent) = marks.last_mut() {
-                                parent.1 += dur;
-                            }
                         }
                     }
                     EventKind::Instant => {}
@@ -218,6 +179,27 @@ impl Trace {
         root.render(&mut out, 0);
         out
     }
+}
+
+/// Replay each lane through the self-time rule and sum the charges.
+fn self_seconds<'a>(lanes: impl Iterator<Item = &'a RankTrace>) -> StageSeconds {
+    let mut ns = [0u64; Stage::ALL.len()];
+    for r in lanes {
+        let mut lane = SelfTime::new();
+        for ev in &r.events {
+            match ev.kind {
+                EventKind::Begin => lane.open(ev.stage, ev.ts_ns),
+                EventKind::End { .. } => {
+                    lane.close(ev.ts_ns);
+                }
+                EventKind::Instant => {}
+            }
+        }
+        for (total, n) in ns.iter_mut().zip(lane.ns) {
+            *total += n;
+        }
+    }
+    to_seconds(&ns)
 }
 
 #[derive(Default)]

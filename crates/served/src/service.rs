@@ -432,12 +432,15 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
         let spec = &job.core.spec;
         obskit::set_tenant(Some(spec.tenant));
         let k = job.opts.n_states.min(spec.problem.n_cv());
-        let mut timings = build_timings;
+        let clock = obskit::StageClock::now();
         let values = if healthy {
-            distributed_eigensolve(group, &ham, k, &job.opts, &mut timings)
+            distributed_eigensolve(group, &ham, k, &job.opts)
         } else {
             vec![f64::NAN; k]
         };
+        // The shared build plus this job's own eigensolve.
+        let mut timings = build_timings;
+        timings.merge(&lrtddft::StageTimings::since(clock));
         let eig_stats = group.take_stats();
         if group.rank() == 0 {
             let comm_calls = build_stats.collective_calls + eig_stats.collective_calls;

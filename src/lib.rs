@@ -1,20 +1,4 @@
-//! # lrtddft-suite — workspace umbrella
-//!
-//! Re-exports the whole reproduction stack so examples and integration tests
-//! have one import surface:
-//!
-//! * [`lrtddft`] — the paper's contribution (five solver versions, the
-//!   distributed Algorithm-1 pipeline);
-//! * [`isdf`] — interpolative separable density fitting with QRCP and
-//!   K-Means point selection;
-//! * [`pwdft`] — the plane-wave Kohn–Sham DFT ground-state substrate;
-//! * [`mathkit`] — dense linear algebra (GEMM, SYEV, QRCP, LOBPCG);
-//! * [`fftkit`] — FFTs and the periodic Poisson solver;
-//! * [`parcomm`] — the simulated-MPI SPMD runtime;
-//! * [`served`] — multi-tenant solve-as-a-service scheduler over split
-//!   communicators.
-//!
-//! Start with `examples/quickstart.rs`.
+#![doc = include_str!("../README.md")]
 
 pub use fftkit;
 pub use isdf;

@@ -7,15 +7,13 @@ use lrtddft::parallel::{distributed_dense_hamiltonian_with, distributed_isdf_ham
 use lrtddft::{IsdfRank, SolveOptions};
 use lrtddft::problem::silicon_like_problem;
 use lrtddft::versions::{build_isdf_hamiltonian, PointSelector};
-use lrtddft::StageTimings;
 use mathkit::syev;
 use parcomm::{spmd, spmd_with_model, CostModel};
 
 #[test]
 fn distributed_naive_invariant_across_rank_counts() {
     let p = silicon_like_problem(1, 8, 2);
-    let mut t = StageTimings::default();
-    let serial = build_dense_hamiltonian(&p, &mut t);
+    let serial = build_dense_hamiltonian(&p);
     for ranks in [1usize, 2, 3, 5, 8] {
         let res = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new()).0);
         for h in &res {
@@ -62,8 +60,9 @@ fn distributed_isdf_matches_serial_isdf_spectrum() {
     // where both fits are exact.
     let p = silicon_like_problem(1, 8, 2);
     let n_mu = p.n_cv();
-    let mut t = StageTimings::default();
-    let serial = build_isdf_hamiltonian(&p, PointSelector::Qrcp, n_mu, &mut t).to_dense();
+    let serial = build_isdf_hamiltonian(&p, PointSelector::Qrcp, n_mu, &mut Vec::new())
+        .expect("clean full-rank build")
+        .to_dense();
     let serial_eig = syev(&serial);
     let dist = spmd(3, |c| distributed_isdf_hamiltonian_with(c, &p, &SolveOptions::new().rank(IsdfRank::Fixed(n_mu))).0.to_dense());
     let dist_eig = syev(&dist[0]);

@@ -1,8 +1,8 @@
 //! Integration tests for the `obskit` tracing subsystem wired through the
-//! full distributed pipeline: span-derived `StageTimings` must agree with
-//! the legacy section timers, the Chrome export must be schema-valid with
-//! one lane per rank, recording must be thread-safe, and the disabled-mode
-//! overhead on the `V_Hxc` GEMM must stay within budget.
+//! full distributed pipeline: the live stage clock a solve reports must
+//! equal the rollup of the same run's trace, the Chrome export must be
+//! schema-valid with one lane per rank, recording must be thread-safe, and
+//! the disabled-mode overhead on the `V_Hxc` GEMM must stay within budget.
 //!
 //! `obskit`'s recorder is process-global, so every test takes `OBSKIT_LOCK`
 //! and drains leftover state before recording.
@@ -27,44 +27,107 @@ fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
-/// One traced run of the full implicit ISDF-LOBPCG pipeline.
-fn traced_pipeline_run(ranks: usize) -> (obskit::Trace, Vec<StageTimings>) {
+/// One traced run of the full implicit ISDF-LOBPCG pipeline: the trace plus
+/// each rank's reported timings and its wall clock around the solve.
+fn traced_pipeline_run(ranks: usize, pipelined: bool) -> (obskit::Trace, Vec<(StageTimings, f64)>) {
     let p = silicon_like_problem(1, 10, 3);
     let n_mu = p.n_cv().min(5 * (p.n_v() + p.n_c()));
     obskit::enable();
     let solver = lrtddft::Solver::builder()
-        .options(SolveOptions::new().rank(IsdfRank::Fixed(n_mu)).n_states(3).seed(0xbeef))
+        .options(
+            SolveOptions::new()
+                .rank(IsdfRank::Fixed(n_mu))
+                .n_states(3)
+                .seed(0xbeef)
+                .pipelined(pipelined),
+        )
         .build();
-    let timings = spmd(ranks, |c| solver.solve_distributed(c, &p).1);
+    let per_rank = spmd(ranks, |c| {
+        let t0 = Instant::now();
+        let timings = solver.solve_distributed(c, &p).1;
+        (timings, t0.elapsed().as_secs_f64())
+    });
     obskit::disable();
-    (obskit::take_trace(), timings)
+    (obskit::take_trace(), per_rank)
+}
+
+/// The live clock and the trace rollup run the same arithmetic over the same
+/// timestamps; 1 µs per stage is generous.
+fn assert_live_matches_rollup(what: &str, live: &StageTimings, rollup: &StageTimings) {
+    for ((name, l), (_, r)) in live.stages().iter().zip(rollup.stages().iter()) {
+        assert!(
+            (l - r).abs() <= 1e-6,
+            "{what} stage {name}: live clock {l:.9}s vs trace rollup {r:.9}s"
+        );
+    }
 }
 
 #[test]
-fn stage_timings_from_spans_match_legacy_on_pipeline() {
+fn live_stage_clock_matches_trace_rollup_on_pipeline() {
     let _g = exclusive();
-    let (trace, legacy) = traced_pipeline_run(4);
-    trace.validate().expect("valid span nesting");
-
-    for (rank, legacy) in legacy.iter().enumerate() {
-        let derived = StageTimings::from_trace(&trace, rank);
-        for ((name, l), (_, d)) in legacy.stages().iter().zip(derived.stages().iter()) {
-            let abs = (l - d).abs();
-            let rel = abs / l.abs().max(1e-12);
-            // 1% relative, with an absolute floor for µs-scale stages where
-            // the per-collective span bookkeeping (~tens of ns each) shows.
+    for pipelined in [false, true] {
+        let (trace, per_rank) = traced_pipeline_run(4, pipelined);
+        trace.validate().expect("valid span nesting");
+        for (rank, (live, wall)) in per_rank.iter().enumerate() {
+            let what = format!("pipelined={pipelined} rank {rank}");
+            assert_live_matches_rollup(&what, live, &StageTimings::from_trace(&trace, rank));
+            assert!(live.mpi > 0.0 && live.diag > 0.0, "{what}: clock did not tick: {live:?}");
+            // Self times of one thread's nested spans cannot sum past its
+            // wall clock, hidden collectives of the pipelined reduce included.
             assert!(
-                rel <= 0.01 || abs <= 5e-4,
-                "rank {rank} stage {name}: legacy {l:.6}s vs spans {d:.6}s (rel {rel:.3})"
+                live.total() <= *wall,
+                "{what}: stage total {:.6}s exceeds wall {wall:.6}s",
+                live.total()
             );
         }
     }
 }
 
 #[test]
+fn recovered_solve_counts_both_build_attempts_once() {
+    let _g = exclusive();
+    let p = lrtddft::synthetic_problem([8, 8, 8], 6.0, 2, 2);
+    let solver = lrtddft::Solver::builder()
+        .version(lrtddft::Version::KmeansIsdf)
+        .rank(IsdfRank::Fixed(p.n_cv()))
+        .build();
+    let clean = solver.solve(&p).expect("clean solve");
+
+    // Poisoned `C` factor: the first build fails its finiteness guard after
+    // the K-Means, Θ, FFT and GEMM stages ran; the clean rebuild runs them
+    // all again.
+    let campaign = faultkit::arm(
+        faultkit::FaultPlan::new(3).with("ham.c", 0, faultkit::FaultKind::NanPoison),
+    );
+    obskit::enable();
+    let t0 = Instant::now();
+    let healed = solver.solve(&p).expect("build ladder heals the poison");
+    let wall = t0.elapsed().as_secs_f64();
+    obskit::disable();
+    let trace = obskit::take_trace();
+    assert_eq!(campaign.fired(), 1);
+    assert!(healed.recovery.iter().any(|r| r.contains("clean rebuild")), "{:?}", healed.recovery);
+    assert_eq!(healed.energies, clean.energies);
+
+    let builds = |name: &str| {
+        trace
+            .ranks
+            .iter()
+            .flat_map(|r| r.events.iter())
+            .filter(|e| e.kind == obskit::EventKind::Begin && e.name == name)
+            .count()
+    };
+    assert_eq!(builds("isdf.theta"), 2, "failed attempt + rebuild");
+    assert_eq!(builds("v_tilde.contract"), 2);
+    let rollup = StageTimings::from_trace(&trace, obskit::thread_rank());
+    assert_live_matches_rollup("recovered solve", &healed.timings, &rollup);
+    assert!(healed.timings.theta > 0.0 && healed.timings.total() <= wall);
+}
+
+#[test]
 fn chrome_export_from_pipeline_run_is_schema_valid() {
     let _g = exclusive();
-    let (trace, _) = traced_pipeline_run(4);
+    let (trace, _) = traced_pipeline_run(4, false);
     trace.validate().expect("valid span nesting");
 
     let json = obskit::chrome::chrome_trace_json(&trace);
