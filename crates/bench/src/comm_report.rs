@@ -41,7 +41,7 @@
 
 use crate::report::json;
 use lrtddft::pipeline::{gram_allreduce, gram_pipelined_reduce};
-use lrtddft::{silicon_like_problem, IsdfRank, SolveOptions};
+use lrtddft::{silicon_like_problem, FusionPolicy, IsdfRank, SolveOptions};
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
 use parcomm::{
@@ -271,19 +271,22 @@ struct SolveSide {
 
 /// Run the perf-report quick workload (same problem, states, and seed as the
 /// committed `BENCH_perf.json`) at 4 ranks with fusion forced on or off.
-fn solve_side(fused: bool) -> SolveSide {
+fn solve_side(fusion: FusionPolicy) -> SolveSide {
     let problem = silicon_like_problem(1, 10, 3);
     let n_mu = IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
     let k = 4.min(problem.n_cv());
-    let was = parcomm::fusion_enabled();
-    parcomm::set_fusion_enabled(fused);
+    // The policy rides on the options: `solve_distributed` applies them to
+    // the parcomm global itself, so setting that global here would be undone.
     let per_rank = spmd(4, |c| {
-        let o = SolveOptions::new().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
+        let o = SolveOptions::new()
+            .rank(IsdfRank::Fixed(n_mu))
+            .n_states(k)
+            .seed(0xcafe)
+            .fusion(fusion);
         let (vals, _t) =
             lrtddft::Solver::builder().options(o).build().solve_distributed(c, &problem);
         (vals, c.stats())
     });
-    parcomm::set_fusion_enabled(was);
 
     let eigenvalues = per_rank[0].0.clone();
     assert!(
@@ -435,8 +438,8 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
 
     // ---- fused vs. unfused solve ----------------------------------------
     println!("\nfused vs unfused solve (perf-report quick workload, 4 ranks):");
-    let unfused = solve_side(false);
-    let fused = solve_side(true);
+    let unfused = solve_side(FusionPolicy::Unfused);
+    let fused = solve_side(FusionPolicy::Fused);
     let values_bitwise = fused.eigenvalues.len() == unfused.eigenvalues.len()
         && fused
             .eigenvalues

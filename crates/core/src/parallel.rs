@@ -20,7 +20,6 @@ use crate::timers::StageTimings;
 use crate::versions::IsdfHamiltonian;
 use faultkit::NumericalError;
 use isdf::face_splitting_product;
-use mathkit::chol::solve_spd;
 use mathkit::gemm::{gemm, Transpose};
 use mathkit::{syev, Mat};
 use parcomm::layout::block_ranges;
@@ -305,46 +304,15 @@ pub fn distributed_isdf_hamiltonian_with(
     let psi_hat = Mat::from_vec(n_mu_eff, n_v, fused.field(f_psi).to_vec());
     let phi_hat = Mat::from_vec(n_mu_eff, n_c, fused.field(f_phi).to_vec());
 
-    // 3. Θ rows on my slab: (ZCᵀ)_loc ∘-factored, solved against CCᵀ.
+    // 3. Θ rows on my slab: (ZCᵀ)_loc ∘-factored, solved against CCᵀ from
+    // the right, so the slab is never transposed.
     let sp = obskit::span(obskit::Stage::Theta, "theta.solve");
     let psi_v_loc = problem.psi_v.row_block(my_rows.start, my_rows.end);
     let psi_c_loc = problem.psi_c.row_block(my_rows.start, my_rows.end);
     let pair = isdf::interp::gram_pair(&psi_v_loc, &psi_c_loc, &psi_hat, &phi_hat);
-    // CCᵀ is built from replicated sampled rows — identical on every rank.
-    let mut cc_t = pair.cc_t;
-    let trace: f64 = (0..n_mu_eff).map(|i| cc_t[(i, i)]).sum();
-    for i in 0..n_mu_eff {
-        cc_t[(i, i)] += 1e-12 * (trace / n_mu_eff.max(1) as f64).max(1e-300);
-    }
-    // CCᵀ can lose positive definiteness to roundoff (or injected faults);
-    // escalate the Tikhonov floor a few times before giving up. The matrix is
-    // replicated, so every rank escalates through the identical ladder.
-    let mut floor = 1e-12 * (trace / n_mu_eff.max(1) as f64).max(1e-300);
-    let mut theta_loc_t = None;
-    let mut last_pivot = 0;
-    for _ in 0..3 {
-        match solve_spd(&cc_t, &pair.zc_t.transpose()) {
-            Ok(t) => {
-                theta_loc_t = Some(t);
-                break;
-            }
-            Err(pivot) => {
-                last_pivot = pivot;
-                let bump = floor * 1e3 - floor;
-                for i in 0..n_mu_eff {
-                    cc_t[(i, i)] += bump;
-                }
-                floor *= 1e3;
-            }
-        }
-    }
-    let theta_loc_t = theta_loc_t.unwrap_or_else(|| {
-        panic!(
-            "{}",
-            NumericalError::GramNotSpd { stage: "theta.cc_t", pivot: last_pivot, floor }
-        )
-    });
-    let theta_loc = theta_loc_t.transpose();
+    // CCᵀ is built from replicated sampled rows — identical on every rank —
+    // so every rank climbs the same Tikhonov ladder as the serial fit would.
+    let theta_loc = isdf::interp::fit(pair).unwrap_or_else(|e| panic!("theta.cc_t: {e}"));
     drop(sp);
 
     // 4. f_Hxc Θ through the FFT layout dance.

@@ -16,10 +16,12 @@
 //!
 //! which turns an `O(N_r · (N_vN_c) · N_μ)` contraction into two
 //! `O(N_r · N_e · N_μ)` GEMMs — part of why ISDF construction reaches the
-//! `O(N_r N_μ²)`-class costs in the paper's Table 4.
+//! `O(N_r N_μ²)`-class costs in the paper's Table 4. [`fit`] then solves the
+//! system from the right, in `ZCᵀ`'s own storage: no transpose of either
+//! `N_r × N_μ` matrix is ever formed.
 
 use faultkit::NumericalError;
-use mathkit::chol::solve_spd;
+use mathkit::chol::{cholesky, solve_right_in_place};
 use mathkit::gemm::{gemm, syrk_nt, Transpose};
 use mathkit::Mat;
 
@@ -31,29 +33,71 @@ pub struct GramPair {
     pub cc_t: Mat,
 }
 
-/// Assemble `ZCᵀ` and `CCᵀ` from orbitals and their sampled rows.
+/// Assemble `ZCᵀ` and `CCᵀ` from orbitals and their sampled rows. Each
+/// second Gram factor is multiplied into the first in place.
 pub fn gram_pair(psi: &Mat, phi: &Mat, psi_hat: &Mat, phi_hat: &Mat) -> GramPair {
     let n_mu = psi_hat.nrows();
     assert_eq!(phi_hat.nrows(), n_mu);
     // Ψ Ψ̂ᵀ : (N_r × m)·(m × N_μ)
-    let mut p1 = Mat::zeros(psi.nrows(), n_mu);
-    gemm(1.0, psi, Transpose::No, psi_hat, Transpose::Yes, 0.0, &mut p1);
+    let mut zc_t = Mat::zeros(psi.nrows(), n_mu);
+    gemm(1.0, psi, Transpose::No, psi_hat, Transpose::Yes, 0.0, &mut zc_t);
     let mut p2 = Mat::zeros(phi.nrows(), n_mu);
     gemm(1.0, phi, Transpose::No, phi_hat, Transpose::Yes, 0.0, &mut p2);
-    let zc_t = p1.hadamard(&p2);
+    zc_t.hadamard_assign(&p2);
 
     // Ψ̂ Ψ̂ᵀ and Φ̂ Φ̂ᵀ are symmetric Grams — use the packed rank-k engine,
     // which computes only the lower triangle and mirrors it.
-    let q1 = syrk_nt(psi_hat);
-    let q2 = syrk_nt(phi_hat);
-    let cc_t = q1.hadamard(&q2);
+    let mut cc_t = syrk_nt(psi_hat);
+    cc_t.hadamard_assign(&syrk_nt(phi_hat));
 
     GramPair { zc_t, cc_t }
 }
 
-/// Solve for the interpolation vectors `Θ` (`N_r × N_μ`). The Gram matrix is
-/// Tikhonov-floored before the Cholesky solve, since near-duplicate
-/// interpolation points make `CCᵀ` semi-definite.
+/// Solve `Θ (CCᵀ + floor·I) = ZCᵀ` for `Θ` (`N_r × N_μ`) in `pair.zc_t`'s own
+/// storage: with `CCᵀ + floor·I = LLᵀ`, `Θ = ZCᵀ·L⁻ᵀ·L⁻¹` is two right-side
+/// triangular solves in which every grid row is one right-hand side, so the
+/// serial fit and each rank's row slab run the same code on the same `L`.
+///
+/// `CCᵀ` is Tikhonov-floored before the factorization, since near-duplicate
+/// interpolation points make it semi-definite: the floor starts at `1e-12`
+/// of the mean diagonal and a Cholesky failure retries at ×10³ (3 attempts,
+/// each from the unfloored diagonal) before surfacing
+/// [`NumericalError::GramNotSpd`]. A non-finite Gram entry (poisoned
+/// orbitals) surfaces as [`NumericalError::NonFinite`].
+pub fn fit(pair: GramPair) -> Result<Mat, NumericalError> {
+    let GramPair { zc_t: mut theta, mut cc_t } = pair;
+    if let Some(bad) = cc_t.as_slice().iter().position(|v| !v.is_finite()) {
+        return Err(NumericalError::NonFinite { site: "isdf.cc_t".into(), index: bad });
+    }
+    if let Some(bad) = theta.as_slice().iter().position(|v| !v.is_finite()) {
+        return Err(NumericalError::NonFinite { site: "isdf.zc_t".into(), index: bad });
+    }
+    let n_mu = cc_t.nrows();
+    let diag: Vec<f64> = (0..n_mu).map(|i| cc_t[(i, i)]).collect();
+    let trace: f64 = diag.iter().sum();
+    let mut floor = 1e-12 * (trace / n_mu.max(1) as f64).max(1e-300);
+    let mut last_pivot = 0usize;
+    for _ in 0..3 {
+        for (i, d) in diag.iter().enumerate() {
+            cc_t[(i, i)] = d + floor;
+        }
+        match cholesky(&cc_t) {
+            Ok(l) => {
+                solve_right_in_place(&mut theta, &l, Transpose::Yes);
+                solve_right_in_place(&mut theta, &l, Transpose::No);
+                return Ok(theta);
+            }
+            Err(pivot) => {
+                last_pivot = pivot;
+                floor *= 1e3;
+            }
+        }
+    }
+    Err(NumericalError::GramNotSpd { stage: "isdf.fit", pivot: last_pivot, floor: floor / 1e3 })
+}
+
+/// Interpolation vectors `Θ` (`N_r × N_μ`) for orbitals and their sampled
+/// rows: [`fit`] of their [`gram_pair`].
 ///
 /// Panics if the system stays non-SPD after floor escalation; see
 /// [`try_interpolation_vectors`] for the `Result`-returning variant.
@@ -64,44 +108,14 @@ pub fn interpolation_vectors(psi: &Mat, phi: &Mat, psi_hat: &Mat, phi_hat: &Mat)
     }
 }
 
-/// [`interpolation_vectors`] with typed failure reporting: a non-finite Gram
-/// entry (poisoned orbitals) surfaces as [`NumericalError::NonFinite`], and a
-/// Cholesky failure is retried with the Tikhonov floor escalated ×10³ per
-/// attempt (3 attempts) before surfacing [`NumericalError::GramNotSpd`].
+/// [`interpolation_vectors`] with [`fit`]'s typed failure reporting.
 pub fn try_interpolation_vectors(
     psi: &Mat,
     phi: &Mat,
     psi_hat: &Mat,
     phi_hat: &Mat,
 ) -> Result<Mat, NumericalError> {
-    let GramPair { zc_t, cc_t } = gram_pair(psi, phi, psi_hat, phi_hat);
-    if let Some(bad) = cc_t.as_slice().iter().position(|v| !v.is_finite()) {
-        return Err(NumericalError::NonFinite { site: "isdf.cc_t".into(), index: bad });
-    }
-    if let Some(bad) = zc_t.as_slice().iter().position(|v| !v.is_finite()) {
-        return Err(NumericalError::NonFinite { site: "isdf.zc_t".into(), index: bad });
-    }
-    let n_mu = cc_t.nrows();
-    let trace: f64 = (0..n_mu).map(|i| cc_t[(i, i)]).sum();
-    let base = 1e-12 * (trace / n_mu.max(1) as f64).max(1e-300);
-    // Θᵀ solves (CCᵀ) Θᵀ = (ZCᵀ)ᵀ.
-    let rhs = zc_t.transpose();
-    let mut floor = base;
-    let mut last_pivot = 0usize;
-    for _ in 0..3 {
-        let mut reg = cc_t.clone();
-        for i in 0..n_mu {
-            reg[(i, i)] += floor;
-        }
-        match solve_spd(&reg, &rhs) {
-            Ok(theta_t) => return Ok(theta_t.transpose()),
-            Err(pivot) => {
-                last_pivot = pivot;
-                floor *= 1e3;
-            }
-        }
-    }
-    Err(NumericalError::GramNotSpd { stage: "isdf.fit", pivot: last_pivot, floor: floor / 1e3 })
+    fit(gram_pair(psi, phi, psi_hat, phi_hat))
 }
 
 #[cfg(test)]
@@ -169,16 +183,20 @@ mod tests {
 
     #[test]
     fn poisoned_orbitals_surface_typed_nonfinite() {
-        let mut psi = smooth(25, 2, 0.0);
-        let phi = smooth(25, 2, 0.3);
-        psi[(7, 1)] = f64::NAN;
-        let pts = vec![2usize, 7, 19];
-        let psi_hat = psi.select_rows(&pts);
-        let phi_hat = phi.select_rows(&pts);
-        let err = try_interpolation_vectors(&psi, &phi, &psi_hat, &phi_hat).unwrap_err();
-        match err {
-            NumericalError::NonFinite { site, .. } => assert!(site.starts_with("isdf.")),
-            other => panic!("expected NonFinite, got {other:?}"),
+        // A poisoned sampled row reaches CCᵀ (checked first); a poisoned
+        // unsampled row reaches only ZCᵀ.
+        for (row, want) in [(7usize, "isdf.cc_t"), (8, "isdf.zc_t")] {
+            let mut psi = smooth(25, 2, 0.0);
+            let phi = smooth(25, 2, 0.3);
+            psi[(row, 1)] = f64::NAN;
+            let pts = vec![2usize, 7, 19];
+            let psi_hat = psi.select_rows(&pts);
+            let phi_hat = phi.select_rows(&pts);
+            let err = try_interpolation_vectors(&psi, &phi, &psi_hat, &phi_hat).unwrap_err();
+            match err {
+                NumericalError::NonFinite { site, .. } => assert_eq!(site, want),
+                other => panic!("expected NonFinite, got {other:?}"),
+            }
         }
     }
 

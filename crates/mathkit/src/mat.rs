@@ -185,6 +185,14 @@ impl Mat {
         Mat::from_vec(self.nrows, self.ncols, data)
     }
 
+    /// `self ∘= other`: the Hadamard product in `self`'s own storage.
+    pub fn hadamard_assign(&mut self, other: &Mat) {
+        assert_eq!(self.shape(), other.shape());
+        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a *= b;
+        }
+    }
+
     /// `max_ij |self - other|`.
     pub fn max_abs_diff(&self, other: &Mat) -> f64 {
         assert_eq!(self.shape(), other.shape());
@@ -334,6 +342,9 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Mat::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let h = a.hadamard(&b);
+        let mut h2 = a.clone();
+        h2.hadamard_assign(&b);
+        assert_eq!(h, h2);
         assert_eq!(h[(1, 1)], 32.0);
     }
 
