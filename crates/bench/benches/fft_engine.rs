@@ -2,9 +2,11 @@
 //! (`bench::fft_report::SeedFft3`: per-call twiddle recurrence, per-call
 //! Bluestein setup, per-line allocations).
 //!
-//! Covers 32³–96³ grids (48³ and 96³ have non-power-of-two axes, exercising
-//! the cached-Bluestein path) plus the batched vs. per-column Hxc kernel
-//! application on the acceptance shape (64³ grid, 64 columns).
+//! Covers the Si64 workload's 20³ grid (the kernel number behind the
+//! end-to-end benchmark's `fftkit.gflops` row) and 32³–96³ (20, 48 and 96 are
+//! mixed-radix Stockham axes, the rest radix-2), plus the batched vs.
+//! per-column Hxc kernel application on the acceptance shape (64³ grid, 64
+//! columns).
 
 use bench::fft_report::{hxc_apply_per_column, SeedFft3};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -27,7 +29,7 @@ fn complex_field(n: usize, seed: u64) -> Vec<Complex> {
 fn bench_transforms(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft3");
     group.sample_size(10);
-    for n in [32usize, 48, 64, 96] {
+    for n in [20usize, 32, 48, 64, 96] {
         let seed = SeedFft3::new(n, n, n);
         let plan = Fft3::new(n, n, n);
         let mut buf = complex_field(plan.len(), 0xf3 + n as u64);

@@ -6,7 +6,11 @@
 //! 1. **Transform time per grid** — forward+inverse round trip of a complex
 //!    field, seed engine ([`SeedFft3`]: per-call twiddle recurrence, per-call
 //!    Bluestein setup, per-line `Vec` allocations) vs. the planned engine
-//!    (`fftkit::Fft3`: cached tables, tiled per-worker scratch).
+//!    (`fftkit::Fft3`: cached tables, lane-batched passes), on the grids the
+//!    end-to-end benchmark runs (12³, 16³, 20³) and larger ones. `--check`
+//!    holds two ratios of planned times that do not depend on machine speed:
+//!    a grid between two powers of two beats the next power of two up, and a
+//!    20³ grid point costs at most 1.5× a 16³ one.
 //! 2. **Batched vs. per-column Hxc apply** — `HxcKernel::apply_into` through
 //!    the fused two-for-one Hartree path vs. the per-column complex-transform
 //!    loop it replaced (reconstructed here as [`hxc_apply_per_column`]).
@@ -256,13 +260,15 @@ fn complex_field(n: usize, seed: u64) -> Vec<Complex> {
     (0..n).map(|_| Complex::new(next(), next())).collect()
 }
 
-/// Grid shapes for the transform comparison. 48 and 96 have non-power-of-two
-/// axes (16·3, 32·3) so the Bluestein path is exercised alongside radix-2.
-fn transform_grids(quick: bool) -> Vec<[usize; 3]> {
+/// Cubic grid sizes for the transform comparison: the end-to-end benchmark's
+/// shapes (12³ served, 16³ Si8 and the ladder, 20³ Si64), then a mixed-radix
+/// size (24 = 2³·3, 48 = 2⁴·3) right below the power of two it is gated
+/// against.
+fn transform_grids(quick: bool) -> &'static [usize] {
     if quick {
-        vec![[12, 12, 12], [16, 16, 16]]
+        &[12, 16, 20, 24, 32]
     } else {
-        vec![[32, 32, 32], [48, 48, 48], [64, 64, 64]]
+        &[12, 16, 20, 32, 48, 64]
     }
 }
 
@@ -281,16 +287,21 @@ fn hxc_case(quick: bool) -> HxcCase {
 }
 
 /// Run the report, write `BENCH_fft.json` into `out_dir`, and (with `check`)
-/// assert the acceptance gates: batched output equals the per-column path to
-/// ≤ 1e-8 and the two-for-one FFT-call count is ≤ 55 % of per-column.
+/// assert the acceptance gates: the two grid-time ratios above, batched output
+/// equal to the per-column path to ≤ 1e-8, and a two-for-one FFT-call count
+/// ≤ 55 % of per-column.
 pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
     // --- 1. seed vs planned transform times per grid ----------------------
     let mut grid_entries = Vec::new();
     let mut grid_rows = Vec::new();
-    for [n1, n2, n3] in transform_grids(quick) {
-        let seed = SeedFft3::new(n1, n2, n3);
-        let plan = Fft3::new(n1, n2, n3);
-        let field = complex_field(plan.len(), 0x5eed + (n1 * n2 * n3) as u64);
+    let mut planned_s = std::collections::BTreeMap::new();
+    for &n in transform_grids(quick) {
+        let seed = SeedFft3::new(n, n, n);
+        let plan = Fft3::new(n, n, n);
+        let field = complex_field(plan.len(), 0x5eed + plan.len() as u64);
+        // A 12³ round trip is tens of microseconds: the minimum needs many
+        // more repetitions there than on 64³ before it stops moving.
+        let reps = ((1 << 21) / plan.len()).clamp(8, 256);
 
         let mut buf = field.clone();
         let t_seed = best_seconds(
@@ -298,7 +309,7 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
                 seed.forward(&mut buf);
                 seed.inverse(&mut buf);
             },
-            8,
+            reps,
         );
         let seed_result = buf.clone();
 
@@ -308,18 +319,19 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
                 plan.forward(&mut buf);
                 plan.inverse(&mut buf);
             },
-            8,
+            reps,
         );
+        planned_s.insert(n, t_planned);
         // Both engines compute the same DFT: round trips must agree.
         let diff = buf
             .iter()
             .zip(seed_result.iter())
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0f64, f64::max);
-        assert!(diff < 1e-9, "planned engine disagrees with seed on {n1}x{n2}x{n3}: {diff}");
+        assert!(diff < 1e-9, "planned engine disagrees with seed on {n}^3: {diff}");
 
         let speedup = t_seed / t_planned;
-        let label = format!("{n1}x{n2}x{n3}");
+        let label = format!("{n}x{n}x{n}");
         grid_rows.push(vec![
             label.clone(),
             format!("{:.3}", t_seed * 1e3),
@@ -339,6 +351,25 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         &["grid", "seed fwd+inv (ms)", "planned fwd+inv (ms)", "speedup"],
         &grid_rows,
     );
+    // Two ratios between rows of the table above, free of machine speed.
+    let (mixed, pow2) = if quick { (24, 32) } else { (48, 64) };
+    let mixed_vs_pow2 = planned_s[&mixed] / planned_s[&pow2];
+    let per_point_20_vs_16 = (planned_s[&20] / 20f64.powi(3)) / (planned_s[&16] / 16f64.powi(3));
+    if check {
+        assert!(
+            mixed_vs_pow2 < 1.0,
+            "{mixed}^3 round trip takes {mixed_vs_pow2:.2}x the {pow2}^3 one; the mixed-radix \
+             grid must beat the next power of two up"
+        );
+        assert!(
+            per_point_20_vs_16 <= 1.5,
+            "a 20^3 grid point costs {per_point_20_vs_16:.2}x a 16^3 one (gate 1.5x)"
+        );
+        println!(
+            "check passed: {mixed}^3 / {pow2}^3 round trip {mixed_vs_pow2:.2} < 1, \
+             20^3 / 16^3 seconds per point {per_point_20_vs_16:.2} <= 1.5"
+        );
+    }
 
     // --- 2. batched vs per-column Hxc apply + FFT-call counts -------------
     let case = hxc_case(quick);
@@ -403,11 +434,15 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
     // --- JSON report ------------------------------------------------------
     let body = format!(
         "{{\n  \"benchmark\": \"fft-report\",\n  \"threads\": {},\n  \"grids\": [\n{}\n  ],\n  \
+         \"mixed_vs_pow2_roundtrip\": {{\"grids\": \"{mixed}^3 / {pow2}^3\", \"ratio\": {}}},\n  \
+         \"per_point_20_vs_16\": {},\n  \
          \"hxc_apply\": {{\n    \"grid\": {}, \"columns\": {},\n    \"per_column_s\": {}, \
          \"batched_s\": {}, \"speedup\": {},\n    \"fft_calls_per_column\": {}, \
          \"fft_calls_batched\": {}, \"fft_call_ratio\": {},\n    \"max_abs_diff\": {}\n  }}\n}}",
         rayon::current_num_threads(),
         grid_entries.join(",\n"),
+        json::number(mixed_vs_pow2),
+        json::number(per_point_20_vs_16),
         json::string(&hxc_label),
         case.cols,
         json::number(t_ref),

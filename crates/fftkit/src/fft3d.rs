@@ -5,14 +5,19 @@
 //! flat slice with index `i1 + n1*(i2 + n2*i3)` — the same Fortran-ordering
 //! PWDFT uses, so axis-1 lines are contiguous.
 //!
-//! The 3-D transform is three passes of batched 1-D transforms against the
-//! per-axis [`Plan1d`] tables held by the plan (built once in [`Fft3::new`]):
-//! no trig, no twiddle recurrence, and no per-line allocation runs inside a
-//! transform. Axis-2/axis-3 lines are strided, so they are gathered into
-//! cache-blocked tiles of [`LINE_TILE`] lines per worker-scratch buffer,
-//! transformed contiguously, and scattered back. Each pass is Rayon-parallel
-//! over independent line sets, matching the paper's column-block distribution
-//! where every MPI task FFTs its own orbitals independently.
+//! The 3-D transform is three lane-batched passes through the per-axis
+//! [`Plan1d`] lane driver (tables built once in [`Fft3::new`]), in the order
+//! axis 1 → 2 → 3. Seen along axis 2 an `n1 × n2` plane already is an
+//! `[n2][n1]` panel, and along axis 3 the whole grid is an `[n3][n1·n2]`
+//! panel, so both are transformed where they lie; axis 1 goes through one
+//! transpose of the plane into the worker's scratch and back. No line is
+//! gathered or scattered and no trig runs inside a transform.
+//!
+//! One grid is transformed on the calling thread; batches are Rayon-parallel
+//! over grids — the paper's column-block distribution, where every MPI task
+//! FFTs its own orbitals independently. Each call (each worker of a batch)
+//! allocates one scratch set and reuses it for every grid it touches; nothing
+//! is allocated per grid, per pass or per line.
 //!
 //! For *real* fields (Γ-point orbital pair products, densities, potentials)
 //! the engine additionally offers a two-for-one path: two real fields `a, b`
@@ -28,13 +33,9 @@ use crate::fft1d::Plan1d;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Lines gathered per tile in the strided passes. Eight complex lines of a
-/// 64-point axis are 8 KiB — comfortably L1-resident next to the twiddles.
-const LINE_TILE: usize = 8;
-
 /// A reusable 3-D FFT plan: grid dimensions plus per-axis 1-D plans
-/// (bit-reversal + twiddle tables, cached Bluestein chirp/kernel spectra for
-/// non-power-of-two axes). Cloning shares the tables via `Arc`.
+/// (radix-2, Stockham or Bluestein tables by axis length). Cloning shares the
+/// tables via `Arc`.
 #[derive(Clone, Debug)]
 pub struct Fft3 {
     pub n1: usize,
@@ -45,25 +46,14 @@ pub struct Fft3 {
     ax3: Arc<Plan1d>,
 }
 
-/// Per-worker scratch for the strided passes: one tile of gathered lines
-/// plus the Bluestein convolution buffer. Reused across every line a worker
-/// touches — nothing is allocated inside a transform after warm-up.
+/// Per-worker scratch: the transposed plane of the axis-1 pass and the lane
+/// driver's work buffer — at most one grid (the Stockham ping-pong of the
+/// axis-3 pass) plus one plane.
+#[derive(Default)]
 struct Scratch {
-    lines: Vec<Complex>,
-    conv: Vec<Complex>,
+    plane: Vec<Complex>,
+    work: Vec<Complex>,
 }
-
-impl Scratch {
-    fn new() -> Self {
-        Scratch { lines: Vec::new(), conv: Vec::new() }
-    }
-}
-
-/// Raw pointer wrapper so disjoint strided writes can cross Rayon tasks.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut Complex);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 impl Fft3 {
     pub fn new(n1: usize, n2: usize, n3: usize) -> Self {
@@ -114,14 +104,14 @@ impl Fft3 {
     pub fn forward(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.len());
         obskit::add_fft_calls(1);
-        self.transform_par(data, false);
+        self.transform(data, false, 1.0, &mut Scratch::default());
     }
 
     /// Inverse in-place 3-D FFT (normalized by `1/N`).
     pub fn inverse(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.len());
         obskit::add_fft_calls(1);
-        self.transform_par(data, true);
+        self.transform(data, true, 1.0 / self.len() as f64, &mut Scratch::default());
     }
 
     /// Forward transform of a batch of grids stored back to back
@@ -141,9 +131,10 @@ impl Fft3 {
         assert_eq!(batch.len() % len, 0, "batch length must be a multiple of the grid size");
         let count = batch.len() / len;
         obskit::add_fft_calls(count as u64);
+        let scale = if inverse { 1.0 / len as f64 } else { 1.0 };
         batch
             .par_chunks_mut(len)
-            .for_each_init(Scratch::new, |s, grid| self.transform_seq(grid, inverse, s));
+            .for_each_init(Scratch::default, |s, grid| self.transform(grid, inverse, scale, s));
     }
 
     /// Forward transform of a real field into a freshly allocated complex grid.
@@ -208,9 +199,10 @@ impl Fft3 {
             "diagonal kernel must be even under G → −G for the two-for-one path"
         );
         let k = fields.len() / len;
+        let inv_n = 1.0 / len as f64;
         obskit::add_fft_calls(2 * k.div_ceil(2) as u64);
         out.par_chunks_mut(2 * len).enumerate().for_each_init(
-            || (vec![Complex::ZERO; len], Scratch::new()),
+            || (vec![Complex::ZERO; len], Scratch::default()),
             |(z, s), (p, out_pair)| {
                 let f = &fields[2 * p * len..2 * p * len + out_pair.len()];
                 if out_pair.len() == 2 * len {
@@ -223,11 +215,13 @@ impl Fft3 {
                         *zv = Complex::from_re(a);
                     }
                 }
-                self.transform_seq(z, false, s);
+                self.transform(z, false, 1.0, s);
+                // The inverse's 1/N rides on the kernel (exact when N is a
+                // power of two), so it costs no sweep of its own.
                 for (zv, &c) in z.iter_mut().zip(coeff.iter()) {
-                    *zv = zv.scale(c);
+                    *zv = zv.scale(c * inv_n);
                 }
-                self.transform_seq(z, true, s);
+                self.transform(z, true, 1.0, s);
                 if out_pair.len() == 2 * len {
                     let (oa, ob) = out_pair.split_at_mut(len);
                     if accumulate {
@@ -254,127 +248,29 @@ impl Fft3 {
         );
     }
 
-    /// One full 3-D transform, parallel over line sets within the grid
-    /// (used by the single-grid entry points).
-    fn transform_par(&self, data: &mut [Complex], inverse: bool) {
+    /// One 3-D transform on the calling thread, every output multiplied by
+    /// `scale` (the inverse's `1/N`, or one). Axes 1 and 2 are done plane by
+    /// plane while the plane is in cache, axis 3 over the whole grid; `scale`
+    /// rides on the transpose back out of the axis-1 pass, the one copy a
+    /// transform makes anyway.
+    fn transform(&self, data: &mut [Complex], inverse: bool, scale: f64, s: &mut Scratch) {
         let (n1, n2) = (self.n1, self.n2);
-        let plane = n1 * n2;
-
-        // Pass 1: axis-1 lines are contiguous; transform in place, several
-        // lines per task so scratch init amortizes.
-        data.par_chunks_mut(n1 * LINE_TILE).for_each_init(Scratch::new, |s, block| {
-            for line in block.chunks_mut(n1) {
-                self.line(&self.ax1, line, inverse, s);
-            }
-        });
-
-        // Pass 2: axis-2 lines, stride n1. Planes are contiguous chunks, so
-        // each worker owns whole planes.
-        data.par_chunks_mut(plane).for_each_init(Scratch::new, |s, pl| {
-            let p = SendPtr(pl.as_mut_ptr());
-            self.pass2_plane(p, inverse, s);
-        });
-
-        // Pass 3: axis-3 lines, stride n1*n2, spanning every plane;
-        // parallelize over i2 rows (disjoint strided line sets).
-        let p = SendPtr(data.as_mut_ptr());
-        (0..n2).into_par_iter().for_each_init(Scratch::new, |s, i2| {
-            self.pass3_row(p, i2, inverse, s);
-        });
+        s.plane.resize(n1 * n2, Complex::ZERO);
+        for plane in data.chunks_exact_mut(n1 * n2) {
+            transpose(plane, n2, n1, &mut s.plane, 1.0);
+            self.ax1.lanes(&mut s.plane, n2, inverse, &mut s.work);
+            transpose(&s.plane, n1, n2, plane, scale);
+            self.ax2.lanes(plane, n1, inverse, &mut s.work);
+        }
+        self.ax3.lanes(data, n1 * n2, inverse, &mut s.work);
     }
+}
 
-    /// One full 3-D transform on the calling thread (used inside batches,
-    /// where parallelism lives across grids, not within one).
-    fn transform_seq(&self, data: &mut [Complex], inverse: bool, s: &mut Scratch) {
-        let (n1, n2, n3) = (self.n1, self.n2, self.n3);
-        let plane = n1 * n2;
-        for line in data.chunks_mut(n1) {
-            self.line(&self.ax1, line, inverse, s);
-        }
-        for i3 in 0..n3 {
-            let p = SendPtr(data[i3 * plane..(i3 + 1) * plane].as_mut_ptr());
-            self.pass2_plane(p, inverse, s);
-        }
-        let p = SendPtr(data.as_mut_ptr());
-        for i2 in 0..n2 {
-            self.pass3_row(p, i2, inverse, s);
-        }
-    }
-
-    #[inline]
-    fn line(&self, plan: &Plan1d, x: &mut [Complex], inverse: bool, s: &mut Scratch) {
-        if inverse {
-            plan.inverse(x, &mut s.conv);
-        } else {
-            plan.forward(x, &mut s.conv);
-        }
-    }
-
-    /// Axis-2 pass over one `n1 × n2` plane pointed to by `p`.
-    fn pass2_plane(&self, p: SendPtr, inverse: bool, s: &mut Scratch) {
-        let (n1, n2) = (self.n1, self.n2);
-        let mut i1 = 0;
-        while i1 < n1 {
-            let w = LINE_TILE.min(n1 - i1);
-            // SAFETY: the tile touches only `{i1..i1+w} × {0..n2}` of this
-            // plane; tiles are disjoint and the caller hands each plane to
-            // exactly one worker.
-            unsafe { self.strided_tile(p, i1, w, n2, n1, &self.ax2, inverse, s) };
-            i1 += w;
-        }
-    }
-
-    /// Axis-3 pass over the `i2`-th row family of the whole grid.
-    fn pass3_row(&self, p: SendPtr, i2: usize, inverse: bool, s: &mut Scratch) {
-        let (n1, n3) = (self.n1, self.n3);
-        let plane = n1 * self.n2;
-        let mut i1 = 0;
-        while i1 < n1 {
-            let w = LINE_TILE.min(n1 - i1);
-            // SAFETY: the tile touches only `{i1..i1+w}` at this `i2` across
-            // all planes; (i2, tile) regions are pairwise disjoint.
-            unsafe { self.strided_tile(p, i2 * n1 + i1, w, n3, plane, &self.ax3, inverse, s) };
-            i1 += w;
-        }
-    }
-
-    /// Gather `nline` consecutive strided lines (`base + t + e*stride` for
-    /// line `t`, element `e`) into the scratch tile, transform each
-    /// contiguously, and scatter back.
-    ///
-    /// # Safety
-    /// `base + t + e*stride` must be in bounds for all `t < nline`,
-    /// `e < len`, and no other thread may touch those elements concurrently.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn strided_tile(
-        &self,
-        p: SendPtr,
-        base: usize,
-        nline: usize,
-        len: usize,
-        stride: usize,
-        plan: &Plan1d,
-        inverse: bool,
-        s: &mut Scratch,
-    ) {
-        s.lines.resize(nline * len, Complex::ZERO);
-        for e in 0..len {
-            let src = p.0.add(base + e * stride);
-            for t in 0..nline {
-                *s.lines.get_unchecked_mut(t * len + e) = *src.add(t);
-            }
-        }
-        // Transform the gathered lines without holding a borrow of `s`.
-        let mut lines = std::mem::take(&mut s.lines);
-        for line in lines.chunks_mut(len) {
-            self.line(plan, line, inverse, s);
-        }
-        s.lines = lines;
-        for e in 0..len {
-            let dst = p.0.add(base + e * stride);
-            for t in 0..nline {
-                *dst.add(t) = *s.lines.get_unchecked(t * len + e);
-            }
+/// `dst[c][r] = scale · src[r][c]` for a row-major `rows × cols` `src`.
+fn transpose(src: &[Complex], rows: usize, cols: usize, dst: &mut [Complex], scale: f64) {
+    for (c, out) in dst.chunks_exact_mut(rows).enumerate() {
+        for (o, row) in out.iter_mut().zip(src.chunks_exact(cols)) {
+            *o = row[c].scale(scale);
         }
     }
 }
@@ -389,10 +285,10 @@ pub fn pack_real_pair(a: &[f64], b: &[f64], out: &mut [Complex]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn rand_field(n: usize, seed: u64) -> Vec<Complex> {
+    pub(crate) fn rand_field(n: usize, seed: u64) -> Vec<Complex> {
         let mut s = seed.max(1);
         let mut next = move || {
             s ^= s << 13;
@@ -569,6 +465,77 @@ mod tests {
             plan.apply_real_diagonal_batch(&coeff, &fields, &mut acc, true);
             for (a, o) in acc.iter().zip(out.iter()) {
                 assert!((a - 1.0 - o).abs() < 1e-10);
+            }
+        }
+    }
+
+    /// Separable 3-D DFT straight from the definition, one axis at a time.
+    fn naive_dft3(dims: [usize; 3], x: &[Complex]) -> Vec<Complex> {
+        let strides = [1, dims[0], dims[0] * dims[1]];
+        let mut cur = x.to_vec();
+        for (&n, &stride) in dims.iter().zip(&strides) {
+            let mut next = vec![Complex::ZERO; cur.len()];
+            for (g, o) in next.iter_mut().enumerate() {
+                let k = (g / stride) % n;
+                let base = g - k * stride;
+                for j in 0..n {
+                    let ang = -2.0 * std::f64::consts::PI * ((j * k) % n) as f64 / n as f64;
+                    *o += cur[base + j * stride] * Complex::cis(ang);
+                }
+            }
+            cur = next;
+        }
+        cur
+    }
+
+    #[test]
+    fn anisotropic_grids_match_naive_dft_roundtrip_and_parseval() {
+        // Radix-2, Stockham (20, 12, 6, 9), generic-radix (7) and Bluestein
+        // (17) axes mixed in every position, plus unit axes around one line.
+        for dims in [[20usize, 16, 12], [7, 20, 9], [17, 8, 6], [1, 20, 1], [1, 17, 1]] {
+            let plan = Fft3::new(dims[0], dims[1], dims[2]);
+            let n = plan.len() as f64;
+            let x = rand_field(plan.len(), 5 + plan.len() as u64);
+            let mut y = x.clone();
+            plan.forward(&mut y);
+            for (g, (a, b)) in y.iter().zip(&naive_dft3(dims, &x)).enumerate() {
+                assert!((*a - *b).abs() < 1e-12 * n, "{dims:?}: bin {g} is {a:?}, DFT says {b:?}");
+            }
+            let ex: f64 = x.iter().map(|z| z.norm_sqr()).sum();
+            let ey: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / n;
+            assert!((ex - ey).abs() < 1e-12 * ex, "{dims:?}: Parseval {ex} vs {ey}");
+            plan.inverse(&mut y);
+            for (a, b) in x.iter().zip(&y) {
+                assert!((*a - *b).abs() < 1e-13, "{dims:?}: round trip");
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_batch_on_a_mixed_grid_matches_per_column_path() {
+        // 20 (Stockham) × 12 (Stockham) × 16 (radix-2); odd column counts
+        // leave one unpaired column, and `accumulate` must add on top.
+        let plan = Fft3::new(20, 12, 16);
+        let len = plan.len();
+        let coeff: Vec<f64> =
+            (0..len).map(|g| 0.5 + 0.01 * (g.min(plan.conj_index(g)) % 53) as f64).collect();
+        for k in [1usize, 3, 7] {
+            let fields: Vec<f64> = (0..k).flat_map(|j| rand_real(len, 60 + j as u64)).collect();
+            let mut out = vec![0.5; fields.len()];
+            plan.apply_real_diagonal_batch(&coeff, &fields, &mut out, false);
+            for (col, got) in fields.chunks(len).zip(out.chunks(len)) {
+                let mut spec = plan.forward_real(col);
+                for (z, &c) in spec.iter_mut().zip(coeff.iter()) {
+                    *z = z.scale(c);
+                }
+                for (o, e) in got.iter().zip(&plan.inverse_to_real(spec)) {
+                    assert!((o - e).abs() < 1e-13, "k={k}");
+                }
+            }
+            let mut acc = vec![1.0; fields.len()];
+            plan.apply_real_diagonal_batch(&coeff, &fields, &mut acc, true);
+            for (a, o) in acc.iter().zip(out.iter()) {
+                assert!((a - 1.0 - o).abs() < 1e-13, "k={k} accumulate");
             }
         }
     }

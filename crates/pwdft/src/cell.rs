@@ -75,8 +75,10 @@ impl Grid {
     }
 
     /// Grid from a kinetic-energy cutoff (Hartree) via the paper's formula
-    /// `(N_r)_i = √(2E_cut)·L_i/π`, rounded up to the next power of two for
-    /// radix-2 FFTs (the paper similarly picks FFT-friendly dimensions).
+    /// `(N_r)_i = √(2E_cut)·L_i/π`, rounded up to the next power of two.
+    /// `fftkit` is as fast on 2ᵃ3ᵇ5ᶜ sizes now, so the snap is no longer for
+    /// speed: it stays because the Si8 benchmark workload is defined through
+    /// it (16³) and the unconverged SCF there would change with the grid.
     pub fn for_cutoff(cell: Cell, ecut: f64) -> Self {
         let mut n = [0usize; 3];
         for (nc, len) in n.iter_mut().zip(cell.lengths.iter()) {
