@@ -22,9 +22,9 @@
 //!    at 4 ranks: at least a quarter of outstanding-comm time must hide
 //!    under compute.
 //! 3. **Bitwise agreement** — every column chunk of the pipelined result
-//!    must equal the blocking result bit-for-bit (`--check` gates on it),
-//!    plus a ring vs. recursive-halving/doubling `iallreduce` comparison
-//!    (reassociated tree sums agree only to rounding; reported, not gated).
+//!    must equal the blocking result bit-for-bit, and the ring `iallreduce`
+//!    must equal the blocking `allreduce` bit-for-bit (`--check` gates on
+//!    both).
 //!
 //! Per-op call/byte counters and the engine's segment-step statistics for
 //! the pipelined schedule are included in the JSON so regressions in chunk
@@ -41,12 +41,11 @@
 
 use crate::report::json;
 use lrtddft::pipeline::{gram_allreduce, gram_pipelined_reduce};
-use lrtddft::{silicon_like_problem, FusionPolicy, IsdfRank, SolveOptions};
+use lrtddft::{silicon_like_problem, IsdfRank, SolveOptions};
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
 use parcomm::{
-    overlap_fraction, spmd, Algorithm, CommInterval, CommStats, CommTuning, ComputeInterval,
-    OverlapStats,
+    overlap_fraction, spmd, CommInterval, CommStats, ComputeInterval, OverlapStats,
 };
 use perfsight::{CostModelFit, OpFit};
 use std::io::Write;
@@ -198,14 +197,11 @@ fn bench_case(p: usize, sh: &Shape) -> CaseResult {
 
 struct AlgResult {
     ring_s: f64,
-    tree_s: f64,
-    max_abs_diff: f64,
     ring_matches_blocking_bitwise: bool,
 }
 
-/// Ring vs. recursive-halving/doubling `iallreduce` on an `ncv × ncv`
-/// buffer at 4 ranks. Ring must match the blocking path bit-for-bit (same
-/// fold order); the tree reassociates and agrees only to rounding.
+/// Ring `iallreduce` on an `ncv × ncv` buffer at 4 ranks: timed, and checked
+/// bit-for-bit against the blocking path (same ascending fold order).
 fn bench_algorithms(sh: &Shape) -> AlgResult {
     let n = sh.ncv * sh.ncv;
     let reps = sh.reps;
@@ -213,40 +209,24 @@ fn bench_algorithms(sh: &Shape) -> AlgResult {
         let mine: Vec<f64> =
             (0..n).map(|i| ((i * 31 + c.rank() * 17) % 101) as f64 * 1e-2 - 0.5).collect();
 
-        let ring = c.iallreduce_sum_with(mine.clone(), Algorithm::Ring).wait();
-        let tree = c.iallreduce_sum_with(mine.clone(), Algorithm::RecursiveDoubling).wait();
+        let ring = c.iallreduce_sum(mine.clone()).wait();
         let mut blocking = mine.clone();
         c.allreduce_sum(&mut blocking);
 
         c.barrier();
         let t0 = Instant::now();
         for _ in 0..reps {
-            let _ = c.iallreduce_sum_with(mine.clone(), Algorithm::Ring).wait();
+            let _ = c.iallreduce_sum(mine.clone()).wait();
         }
         c.barrier();
         let ring_s = t0.elapsed().as_secs_f64() / reps as f64;
 
-        c.barrier();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let _ = c.iallreduce_sum_with(mine.clone(), Algorithm::RecursiveDoubling).wait();
-        }
-        c.barrier();
-        let tree_s = t0.elapsed().as_secs_f64() / reps as f64;
-
-        let diff = ring
-            .iter()
-            .zip(&tree)
-            .map(|(r, t)| (r - t).abs())
-            .fold(0.0f64, f64::max);
         let bitwise = ring.iter().zip(&blocking).all(|(r, b)| r.to_bits() == b.to_bits());
-        (ring_s, tree_s, diff, bitwise)
+        (ring_s, bitwise)
     });
     AlgResult {
         ring_s: per_rank.iter().map(|r| r.0).fold(0.0, f64::max),
-        tree_s: per_rank.iter().map(|r| r.1).fold(0.0, f64::max),
-        max_abs_diff: per_rank.iter().map(|r| r.2).fold(0.0, f64::max),
-        ring_matches_blocking_bitwise: per_rank.iter().all(|r| r.3),
+        ring_matches_blocking_bitwise: per_rank.iter().all(|r| r.1),
     }
 }
 
@@ -266,23 +246,25 @@ struct SolveSide {
     fused_fields: u64,
     /// Per-op `(name, calls, bytes)` totals across ranks, for the α–β model.
     op_totals: Vec<(&'static str, u64, u64)>,
-    stats: Vec<CommStats>,
 }
 
 /// Run the perf-report quick workload (same problem, states, and seed as the
 /// committed `BENCH_perf.json`) at 4 ranks with fusion forced on or off.
-fn solve_side(fusion: FusionPolicy) -> SolveSide {
+fn solve_side(fused: bool) -> SolveSide {
+    // The fusion switch is process-wide: put it back on the way out.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            parcomm::set_fusion_enabled(self.0);
+        }
+    }
+    let _restore = Restore(parcomm::fusion_enabled());
+    parcomm::set_fusion_enabled(fused);
     let problem = silicon_like_problem(1, 10, 3);
     let n_mu = IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
     let k = 4.min(problem.n_cv());
-    // The policy rides on the options: `solve_distributed` applies them to
-    // the parcomm global itself, so setting that global here would be undone.
     let per_rank = spmd(4, |c| {
-        let o = SolveOptions::new()
-            .rank(IsdfRank::Fixed(n_mu))
-            .n_states(k)
-            .seed(0xcafe)
-            .fusion(fusion);
+        let o = SolveOptions::new().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
         let (vals, _t) =
             lrtddft::Solver::builder().options(o).build().solve_distributed(c, &problem);
         (vals, c.stats())
@@ -309,7 +291,6 @@ fn solve_side(fusion: FusionPolicy) -> SolveSide {
         fused_flushes: stats.iter().map(|s| s.fused_flushes).sum(),
         fused_fields: stats.iter().map(|s| s.fused_fields).sum(),
         op_totals,
-        stats,
     }
 }
 
@@ -427,19 +408,16 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
 
     let alg = bench_algorithms(&sh);
     println!(
-        "iallreduce algorithms @4 ranks, {} words: ring {:.3} ms, recursive-doubling {:.3} ms, \
-         max |ring−tree| = {:.2e}, ring≡blocking bitwise: {}",
+        "iallreduce @4 ranks, {} words: ring {:.3} ms, ring≡blocking bitwise: {}",
         sh.ncv * sh.ncv,
         alg.ring_s * 1e3,
-        alg.tree_s * 1e3,
-        alg.max_abs_diff,
         alg.ring_matches_blocking_bitwise
     );
 
     // ---- fused vs. unfused solve ----------------------------------------
     println!("\nfused vs unfused solve (perf-report quick workload, 4 ranks):");
-    let unfused = solve_side(FusionPolicy::Unfused);
-    let fused = solve_side(FusionPolicy::Fused);
+    let unfused = solve_side(false);
+    let fused = solve_side(true);
     let values_bitwise = fused.eigenvalues.len() == unfused.eigenvalues.len()
         && fused
             .eigenvalues
@@ -488,36 +466,6 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         "eigenvalues fused ≡ unfused bitwise: {}",
         if values_bitwise { "yes" } else { "NO" }
     );
-    // Feed the hierarchical-collective policy from perfsight's fit of the
-    // fused run: would a two-level schedule win for this workload's mean
-    // small-message allreduce at scale?
-    let fused_fit = perfsight::fit(&fused.stats);
-    let mean_small_bytes = {
-        let (calls, bytes) = fused
-            .op_totals
-            .iter()
-            .filter(|(op, _, _)| matches!(*op, "allreduce" | "iallreduce"))
-            .fold((0u64, 0u64), |(c, b), &(_, calls, bytes)| (c + calls, b + bytes));
-        (bytes / calls.max(1)).max(8) as usize
-    };
-    let tuning = CommTuning {
-        alpha: fused_fit.global_alpha,
-        beta: fused_fit.global_beta,
-        allow_reassociation: true,
-    };
-    let group = (MODEL_RANKS as f64).sqrt() as usize;
-    println!(
-        "hierarchy policy (perfsight-fitted α = {:.3} us, β⁻¹ = {:.2} GB/s): two-level @{} ranks \
-         (g = {group}) for {}-byte allreduce: {} (flat {:.3} ms vs two-level {:.3} ms)",
-        tuning.alpha * 1e6,
-        if tuning.beta > 0.0 { 1.0 / tuning.beta / 1e9 } else { f64::NAN },
-        MODEL_RANKS,
-        mean_small_bytes,
-        if tuning.picks_two_level(MODEL_RANKS, group, mean_small_bytes) { "yes" } else { "no" },
-        tuning.flat_cost(MODEL_RANKS, mean_small_bytes) * 1e3,
-        tuning.two_level_cost(MODEL_RANKS, group, mean_small_bytes) * 1e3,
-    );
-
     // --- BENCH_comm.json --------------------------------------------------
     let case_entries: Vec<String> = cases
         .iter()
@@ -547,8 +495,7 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
     let json_text = format!(
         "{{\n  \"benchmark\": \"comm-report\",\n  \"shape\": {{\"nr\": {}, \"ncv\": {}, \
          \"reps\": {}}},\n  \"segment_words\": {},\n  \"cases\": [\n{}\n  ],\n  \
-         \"algorithms\": {{\"ring_s\": {}, \"recursive_doubling_s\": {}, \"max_abs_diff\": {}, \
-         \"ring_matches_blocking_bitwise\": {}}},\n  \"fused_solve\": {{\n    \
+         \"algorithms\": {{\"ring_s\": {}, \"ring_matches_blocking_bitwise\": {}}},\n  \"fused_solve\": {{\n    \
          \"eigenvalues_bitwise\": {},\n    \"collective_calls_unfused\": {},\n    \
          \"collective_calls_fused\": {},\n    \"alpha_calls_unfused\": {},\n    \
          \"alpha_calls_fused\": {},\n    \"alpha_call_ratio\": {},\n    \
@@ -561,8 +508,6 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         parcomm::DEFAULT_SEGMENT_WORDS,
         case_entries.join(",\n"),
         json::number(alg.ring_s),
-        json::number(alg.tree_s),
-        json::number(alg.max_abs_diff),
         alg.ring_matches_blocking_bitwise,
         values_bitwise,
         unfused.collective_calls,

@@ -13,16 +13,9 @@
 //! maximum ulp distance between a forced-scalar and a forced-SIMD run of the
 //! same call — the explicit microkernels are built to be *bitwise* identical
 //! to the scalar fallback, so this is expected to be 0 and `--check` gates
-//! it at ≤ 1. A final section benchmarks the mixed-precision refined LOBPCG
-//! solve (f32-storage inner iterations, f64 polish) against the full-f64
-//! solve on a synthetic factored Casida Hamiltonian; `--check` requires
-//! eigenvalue agreement ≤ 1e-8 in both modes and ≥ 1.5x end-to-end speedup
-//! on the quick problem (the acceptance benchmark), plus every GEMM shape
-//! at ≥ 1.0x over the reference.
+//! it at ≤ 1, plus every GEMM shape at ≥ 1.0x over the reference.
 
 use crate::report::json;
-use lrtddft::IsdfHamiltonian;
-use mathkit::lobpcg::{lobpcg, lobpcg_refined, LobpcgOptions};
 use mathkit::{Mat, Transpose};
 use std::io::Write;
 use std::path::Path;
@@ -231,117 +224,9 @@ fn dispatched_label(a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, c: &mut Mat)
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Results of the mixed-precision refined LOBPCG benchmark.
-struct MixedBench {
-    ncv: usize,
-    n_mu: usize,
-    k_states: usize,
-    t_full: f64,
-    t_mixed: f64,
-    speedup: f64,
-    max_abs_err: f64,
-    full_iterations: usize,
-    inner_iterations: usize,
-    polish_iterations: usize,
-}
-
-/// Benchmark the mixed-precision refined LOBPCG solve against the full-f64
-/// solve on a synthetic factored Casida Hamiltonian `H = D + 2CᵀṼC` sized so
-/// the implicit applies dominate (the paper's Table 4 row-5 regime).
-fn mixed_lobpcg_bench(quick: bool) -> MixedBench {
-    // `N_μ/N_cv = 1/2` keeps the factored applies (the part the f32 storage
-    // accelerates) dominant over the shared f64 Rayleigh–Ritz work; the tight
-    // diagonal spacing (scaled so both sizes span the same spectrum) plus
-    // strong coupling makes the solve take tens of iterations, so the cheap
-    // inner phase amortizes the f64 polish (a solve that converges in a
-    // handful of iterations caps the refinement speedup at ~1.2x no matter
-    // how fast the low-precision apply is).
-    let (ncv, n_mu, k_states) = if quick { (1024, 512, 6) } else { (2048, 1024, 8) };
-    let dstep = 0.2048 / ncv as f64;
-    let diag_d: Vec<f64> = (0..ncv).map(|i| 1.0 + dstep * i as f64).collect();
-    let scale = 10.0 / n_mu as f64;
-    let c = Mat::from_fn(n_mu, ncv, |i, j| {
-        (((i * 13 + j * 7) % 29) as f64 * 0.07 - 1.0) * scale
-    });
-    let mut v_tilde =
-        Mat::from_fn(n_mu, n_mu, |i, j| ((i * 5 + j * 11) % 17) as f64 * 0.025 - 0.2);
-    v_tilde.symmetrize();
-    let ham = IsdfHamiltonian { diag_d, c, v_tilde };
-    let low = ham.to_mixed();
-
-    // Casida-style guess (unit vectors on the k lowest transitions with a
-    // deterministic dressing) and the Eq. 17 diagonal preconditioner.
-    let x0 = Mat::from_fn(ncv, k_states, |i, j| {
-        if i == j {
-            1.0
-        } else {
-            1e-3 * ((((i * 31 + j * 17) % 19) as f64) * 0.1 - 0.9)
-        }
-    });
-    let diag = ham.diag_d.clone();
-    let precond = move |r: &Mat, theta: &[f64]| {
-        let mut w = r.clone();
-        for (j, &th) in theta.iter().enumerate().take(w.ncols()) {
-            for (i, v) in w.col_mut(j).iter_mut().enumerate() {
-                let mut den = diag[i] - th;
-                if den.abs() < 1e-3 {
-                    den = 1e-3f64.copysign(if den == 0.0 { 1.0 } else { den });
-                }
-                *v /= den;
-            }
-        }
-        w
-    };
-    let opts = LobpcgOptions { max_iter: 300, tol: 1e-8 };
-
-    let mut full = lobpcg(|x| ham.apply(x), &precond, &x0, opts).expect("full-f64 lobpcg");
-    let t_full = best_seconds(
-        || full = lobpcg(|x| ham.apply(x), &precond, &x0, opts).expect("full-f64 lobpcg"),
-        5,
-    );
-    assert!(full.converged, "full-f64 solve unconverged (residual {:.3e})", full.residual);
-
-    let mut refined = lobpcg_refined(|x| low.apply(x), |x| ham.apply(x), &precond, &x0, 1e-6, opts)
-        .expect("mixed refined lobpcg");
-    let t_mixed = best_seconds(
-        || {
-            refined =
-                lobpcg_refined(|x| low.apply(x), |x| ham.apply(x), &precond, &x0, 1e-6, opts)
-                    .expect("mixed refined lobpcg")
-        },
-        5,
-    );
-    assert!(
-        refined.result.converged,
-        "mixed refined solve unconverged (residual {:.3e})",
-        refined.result.residual
-    );
-
-    let max_abs_err = full
-        .values
-        .iter()
-        .zip(&refined.result.values)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    MixedBench {
-        ncv,
-        n_mu,
-        k_states,
-        t_full,
-        t_mixed,
-        speedup: t_full / t_mixed,
-        max_abs_err,
-        full_iterations: full.iterations,
-        inner_iterations: refined.inner_iterations,
-        polish_iterations: refined.polish_iterations,
-    }
-}
-
 /// Run the report and write `BENCH_gemm.json` into `out_dir`. With `check`,
-/// exit with an error if any shape regresses below 1.0x over the reference,
-/// the forced-scalar/-SIMD runs disagree beyond 1 ulp, or the mixed-
-/// precision solve misses its accuracy (≤ 1e-8, both modes) or speedup
-/// (≥ 1.5x, quick mode) gates.
+/// exit with an error if any shape regresses below 1.0x over the reference
+/// or the forced-scalar/-SIMD runs disagree beyond 1 ulp.
 pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
     let mut entries = Vec::new();
     let mut rows = Vec::new();
@@ -427,60 +312,11 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         &rows,
     );
 
-    let mixed = mixed_lobpcg_bench(quick);
-    println!(
-        "\n== mixed-precision refined LOBPCG (N_cv={}, N_mu={}, k={}) ==",
-        mixed.ncv, mixed.n_mu, mixed.k_states
-    );
-    println!(
-        "full f64: {:.3}s ({} iters)   mixed refined: {:.3}s ({} inner + {} polish)   \
-         speedup {:.2}x   max |dlambda| {:.3e}",
-        mixed.t_full,
-        mixed.full_iterations,
-        mixed.t_mixed,
-        mixed.inner_iterations,
-        mixed.polish_iterations,
-        mixed.speedup,
-        mixed.max_abs_err
-    );
-    if mixed.max_abs_err > 1e-8 {
-        failures.push(format!(
-            "mixed lobpcg: eigenvalue error {:.3e} > 1e-8",
-            mixed.max_abs_err
-        ));
-    }
-    // The ≥1.5x speedup gate is defined on the quick problem (the acceptance
-    // benchmark). The full-size problem is reported but not speedup-gated:
-    // its iteration count — and with it how far the cheap inner phase can
-    // amortize the f64 polish — is set by the spectrum, not by the kernels
-    // this report guards.
-    if quick && mixed.speedup < 1.5 {
-        failures.push(format!("mixed lobpcg: speedup {:.2}x < 1.5x", mixed.speedup));
-    }
-
-    let mixed_json = format!(
-        "  \"mixed_lobpcg\": {{\"ncv\": {}, \"n_mu\": {}, \"k_states\": {}, \
-         \"seconds_full\": {}, \"seconds_mixed\": {}, \"speedup\": {}, \
-         \"max_abs_eigenvalue_error\": {}, \"full_iterations\": {}, \
-         \"inner_iterations\": {}, \"polish_iterations\": {}}}",
-        mixed.ncv,
-        mixed.n_mu,
-        mixed.k_states,
-        json::number(mixed.t_full),
-        json::number(mixed.t_mixed),
-        json::number(mixed.speedup),
-        json::number(mixed.max_abs_err),
-        mixed.full_iterations,
-        mixed.inner_iterations,
-        mixed.polish_iterations
-    );
-
     let body = format!(
-        "{{\n  \"benchmark\": \"gemm-report\",\n  \"threads\": {},\n  \"simd\": {},\n  \"shapes\": [\n{}\n  ],\n{}\n}}",
+        "{{\n  \"benchmark\": \"gemm-report\",\n  \"threads\": {},\n  \"simd\": {},\n  \"shapes\": [\n{}\n  ]\n}}",
         rayon::current_num_threads(),
         json::string(mathkit::active_kernel().name()),
-        entries.join(",\n"),
-        mixed_json
+        entries.join(",\n")
     );
     std::fs::create_dir_all(out_dir)?;
     let path = out_dir.join("BENCH_gemm.json");
@@ -530,7 +366,6 @@ mod tests {
         }
         assert!(body.contains("\"kernel\""));
         assert!(body.contains("\"max_ulp_simd_vs_scalar\""));
-        assert!(body.contains("\"mixed_lobpcg\""));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

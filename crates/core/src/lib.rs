@@ -49,7 +49,7 @@ pub use kernel::HxcKernel;
 pub use metrics::ComplexityEstimate;
 pub use naive::{build_dense_hamiltonian, solve_naive};
 pub use problem::{silicon_like_problem, synthetic_problem, CasidaProblem, KernelKind};
-pub use options::{Eig, FusionPolicy, KernelChoice, Precision, SolveOptions};
+pub use options::{Eig, SolveOptions};
 pub use rank::IsdfRank;
 pub use recover::degrade;
 pub use solver::{Solver, SolverBuilder};
@@ -59,7 +59,6 @@ pub use spectrum::{
 };
 pub use timers::StageTimings;
 pub use versions::{
-    build_isdf_hamiltonian, IsdfHamiltonian, MixedIsdfHamiltonian, PointSelector, Solution,
-    Version, FIT_RESIDUAL_GUARD,
+    build_isdf_hamiltonian, IsdfHamiltonian, PointSelector, Solution, Version, FIT_RESIDUAL_GUARD,
 };
 pub use faultkit::{CommError, NumericalError, SolveError};

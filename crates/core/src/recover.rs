@@ -25,7 +25,7 @@
 use crate::lobpcg_driver::{casida_preconditioner, initial_guess, solve_casida_lobpcg};
 use crate::metrics::ComplexityEstimate;
 use crate::naive::solve_naive;
-use crate::options::{Eig, Precision, SolveOptions};
+use crate::options::{Eig, SolveOptions};
 use crate::rank::IsdfRank;
 use crate::problem::CasidaProblem;
 use crate::timers::StageTimings;
@@ -35,15 +35,8 @@ use crate::versions::{
 use faultkit::SolveError;
 use mathkit::davidson::{davidson, DavidsonOptions};
 use mathkit::gemm::{gemm, Transpose};
-use mathkit::lobpcg::{
-    lobpcg, lobpcg_refined, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT,
-};
+use mathkit::lobpcg::{lobpcg, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT};
 use mathkit::{syev, Mat};
-
-/// Inner tolerance of the mixed-precision refined solve: loose enough that
-/// f32 storage (~1e-7 relative operator error) can reach it, tight enough
-/// that the f64 polish only needs a few iterations.
-const MIXED_INNER_TOL: f64 = 1e-6;
 
 impl SolveOptions {
     /// Solve `problem` with the requested `version`, healing transient
@@ -129,44 +122,28 @@ impl SolveOptions {
                         gemm(1.0, &h, Transpose::No, x, Transpose::No, 0.0, &mut y);
                         y
                     };
-                    let mixed = if self.precision == Precision::MixedRefined {
-                        mixed_refined(&ham, apply, k, self.lobpcg, self.seed, &mut recovery)
-                    } else {
-                        None
-                    };
-                    match mixed {
-                        Some(res) => res,
-                        None => eig_ladder(
-                            apply,
-                            || h.clone(),
-                            &ham.diag_d,
-                            k,
-                            self.lobpcg,
-                            self.seed,
-                            &mut recovery,
-                        ),
-                    }
+                    eig_ladder(
+                        apply,
+                        || h.clone(),
+                        &ham.diag_d,
+                        k,
+                        self.lobpcg,
+                        self.seed,
+                        &mut recovery,
+                    )
                 } else {
                     // Matrix-free (Table 4 row 5): H never materialized
                     // unless the ladder bottoms out at the dense floor.
                     let apply = |x: &Mat| ham.apply(x);
-                    let mixed = if self.precision == Precision::MixedRefined {
-                        mixed_refined(&ham, apply, k, self.lobpcg, self.seed, &mut recovery)
-                    } else {
-                        None
-                    };
-                    match mixed {
-                        Some(res) => res,
-                        None => eig_ladder(
-                            apply,
-                            || ham.to_dense(),
-                            &ham.diag_d,
-                            k,
-                            self.lobpcg,
-                            self.seed,
-                            &mut recovery,
-                        ),
-                    }
+                    eig_ladder(
+                        apply,
+                        || ham.to_dense(),
+                        &ham.diag_d,
+                        k,
+                        self.lobpcg,
+                        self.seed,
+                        &mut recovery,
+                    )
                 };
                 drop(sp);
                 Ok(Solution {
@@ -189,23 +166,21 @@ impl SolveOptions {
 /// deadline pressure or for a circuit-breaker half-open probe; a direct
 /// caller can walk it too. Rungs, in order:
 ///
-/// 1. `Full` → [`Precision::MixedRefined`] — f32-storage inner LOBPCG
-///    iterations with an f64 polish (serial LOBPCG path; the distributed
-///    path ignores precision, so the served scheduler pairs this rung with
-///    the next one);
-/// 2. ISDF rank dropped to the `min(N_r, N_v·N_c)` floor — the cheapest
-///    basis that still spans the transition space;
-/// 3. LOBPCG → the direct dense finisher ([`Eig::Syev`]) — skips iterative
-///    work entirely and lands where the PR-5 eig ladder
+/// 1. `rank-floor` — a resolved ISDF rank above `min(N_r, N_v·N_c)` is
+///    dropped to that bound ([`IsdfRank::resolve`] clamps to the same
+///    bound, so no option set reaches this rung today);
+/// 2. `direct-eig` — LOBPCG → the direct dense finisher ([`Eig::Syev`]):
+///    skips iterative work entirely and lands where the eig ladder
 ///    (Davidson → dense SYEV) would bottom out, without burning the
 ///    iterations first.
 ///
-/// Every rung stamps [`SolveOptions::degraded`], so the downgrade is
-/// recorded in `Solution::recovery` and job outcomes — never silent.
+/// Every rung changes the resolved rank or the eigensolver, so both the
+/// serial and the distributed solve see it, and stamps
+/// [`SolveOptions::degraded`], so the downgrade is recorded in
+/// `Solution::recovery` and job outcomes — never silent. There is no
+/// precision rung: the solver has one f64 eigensolve path, as the paper's
+/// five versions do.
 pub fn degrade(opts: &SolveOptions, problem: &CasidaProblem) -> Option<SolveOptions> {
-    if opts.precision == Precision::Full {
-        return Some(opts.precision(Precision::MixedRefined).degraded("mixed-precision"));
-    }
     let floor = (problem.n_v() * problem.n_c()).min(problem.n_r()).max(1);
     if opts.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c()) > floor {
         return Some(opts.rank(IsdfRank::Fixed(floor)).degraded("rank-floor"));
@@ -242,46 +217,6 @@ fn build_ladder(
             };
             faultkit::notify_solve_error(&err);
             Err(err)
-        }
-    }
-}
-
-/// Mixed-precision refined solve (`Precision::MixedRefined`): inner LOBPCG
-/// iterations apply the f32-storage [`crate::versions::MixedIsdfHamiltonian`]
-/// (f64-accumulating GEMMs) down to [`MIXED_INNER_TOL`], then a full-f64
-/// polish continues from the inner eigenvectors to `opts.tol`.
-///
-/// Returns `None` — with the failure recorded in `recovery` — when
-/// refinement breaks down or the polish does not converge; the caller then
-/// falls back to the full-precision [`eig_ladder`], so `MixedRefined` never
-/// sacrifices robustness, only (on the happy path) f64 inner iterations.
-fn mixed_refined<FA>(
-    ham: &IsdfHamiltonian,
-    apply: FA,
-    k: usize,
-    opts: LobpcgOptions,
-    seed: u64,
-    recovery: &mut Vec<String>,
-) -> Option<LobpcgResult>
-where
-    FA: Fn(&Mat) -> Mat,
-{
-    let low = ham.to_mixed();
-    let x0 = initial_guess(&ham.diag_d, k, seed);
-    let pre = casida_preconditioner(&ham.diag_d, 1e-3);
-    match lobpcg_refined(|x| low.apply(x), &apply, pre, &x0, MIXED_INNER_TOL, opts) {
-        Ok(r) if r.result.converged => Some(r.result),
-        Ok(r) => {
-            recovery.push(format!(
-                "mixed: refined solve unconverged (residual {:.3e}); falling back to full precision",
-                r.result.residual
-            ));
-            None
-        }
-        Err(e) => {
-            faultkit::notify_solve_error(&e);
-            recovery.push(format!("mixed: {e}; falling back to full precision"));
-            None
         }
     }
 }
@@ -422,86 +357,36 @@ mod tests {
     }
 
     #[test]
-    fn degrade_ladder_walks_precision_then_rank_then_eigensolver() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p).eigensolver(Eig::Lobpcg);
-        let first = crate::recover::degrade(&o, &p).expect("full precision has a rung");
-        assert_eq!(first.degraded, Some("mixed-precision"));
-        assert_eq!(first.precision, Precision::MixedRefined);
-        let mut cur = first;
-        let mut labels = vec![cur.degraded.unwrap()];
-        while let Some(next) = crate::recover::degrade(&cur, &p) {
-            labels.push(next.degraded.unwrap());
-            cur = next;
-        }
-        assert_eq!(labels.last().copied(), Some("direct-eig"), "{labels:?}");
-        assert_eq!(cur.eigensolver, Eig::Syev);
-        assert!(
-            crate::recover::degrade(&cur, &p).is_none(),
-            "ladder floor reached: no further downgrade"
-        );
-    }
-
-    #[test]
-    fn mixed_refined_matches_full_precision_eigenvalues() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p);
-        for v in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
-            let full = o.run(&p, v).expect("full precision");
-            let mixed = o
-                .precision(crate::options::Precision::MixedRefined)
-                .run(&p, v)
-                .expect("mixed refined");
-            assert!(
-                mixed.recovery.is_empty(),
-                "{v:?}: clean mixed solve must not take recovery rungs: {:?}",
-                mixed.recovery
-            );
-            for (a, b) in full.energies.iter().zip(&mixed.energies) {
+    fn every_degrade_rung_changes_rank_or_eigensolver() {
+        use crate::problem::silicon_like_problem;
+        let si = silicon_like_problem(1, 12, 4);
+        let syn = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        let starts = [
+            (&si, SolveOptions::new()),
+            // Already at the rank floor: the first rung is the eigensolver.
+            (&syn, opts(&syn)),
+            (&si, SolveOptions::new().eigensolver(Eig::Syev)),
+        ];
+        for (p, start) in starts {
+            let resolved = |o: &SolveOptions| o.rank.resolve(p.n_r(), p.n_v(), p.n_c());
+            let mut cur = start;
+            let mut labels = Vec::new();
+            while let Some(next) = degrade(&cur, p) {
                 assert!(
-                    (a - b).abs() <= 1e-8,
-                    "{v:?}: mixed {b} vs full {a} differ by {:.3e}",
-                    (a - b).abs()
+                    resolved(&next) != resolved(&cur) || next.eigensolver != cur.eigensolver,
+                    "rung {:?} changes nothing a solve can see",
+                    next.degraded
                 );
+                labels.push(next.degraded.expect("every rung is labelled"));
+                cur = next;
+                assert!(labels.len() <= 2, "ladder longer than two rungs: {labels:?}");
+            }
+            if start.eigensolver == Eig::Lobpcg {
+                assert_eq!(labels.last().copied(), Some("direct-eig"), "{labels:?}");
+                assert_eq!(cur.eigensolver, Eig::Syev);
             }
         }
-    }
-
-    #[test]
-    fn mixed_refined_breakdown_falls_back_to_full_ladder() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p).precision(crate::options::Precision::MixedRefined);
-        let baseline = opts(&p).run(&p, Version::ImplicitKmeansIsdfLobpcg).expect("baseline");
-        // Poison the first LOBPCG search direction: the mixed inner solve
-        // breaks down, the fallback runs the full-f64 ladder (the fault is
-        // one-shot, so rung 1 of the ladder is clean).
-        let campaign = arm(FaultPlan::new(21).with("lobpcg.w", 0, FaultKind::NanPoison));
-        let healed = o.run(&p, Version::ImplicitKmeansIsdfLobpcg).expect("fallback heals");
-        assert_eq!(campaign.fired(), 1);
-        assert!(
-            healed.recovery.iter().any(|r| r.contains("falling back to full precision")),
-            "recovery log: {:?}",
-            healed.recovery
-        );
-        for (a, b) in baseline.energies.iter().zip(&healed.energies) {
-            assert!((a - b).abs() < 1e-8, "recovered {b} vs baseline {a}");
-        }
-    }
-
-    #[test]
-    fn full_precision_path_unchanged_by_precision_knob_default() {
-        // Guard the contract: a default-options run must be bitwise identical
-        // whether or not the Precision field exists — i.e. Full is untouched.
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p);
-        let a = o.run(&p, Version::ImplicitKmeansIsdfLobpcg).expect("run a");
-        let b = o
-            .precision(crate::options::Precision::Full)
-            .run(&p, Version::ImplicitKmeansIsdfLobpcg)
-            .expect("run b");
-        for (x, y) in a.energies.iter().zip(&b.energies) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(degrade(&opts(&syn), &syn).and_then(|o| o.degraded), Some("direct-eig"));
     }
 
     #[test]

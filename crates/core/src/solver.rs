@@ -17,7 +17,7 @@
 //! executes per job, so a job submitted to the service and a direct call
 //! here run the identical code path.
 
-use crate::options::{Eig, FusionPolicy, KernelChoice, Precision, SolveOptions};
+use crate::options::{Eig, SolveOptions};
 use crate::problem::CasidaProblem;
 use crate::rank::IsdfRank;
 use crate::timers::StageTimings;
@@ -61,7 +61,6 @@ impl Solver {
 
     /// Serial solve through the recovery ladder.
     pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
-        self.opts.apply_runtime_knobs();
         self.opts.run(problem, self.version)
     }
 
@@ -75,7 +74,6 @@ impl Solver {
         comm: &Comm,
         problem: &CasidaProblem,
     ) -> (Vec<f64>, StageTimings) {
-        self.opts.apply_runtime_knobs();
         crate::parallel::distributed_solve_with(comm, problem, &self.opts)
     }
 }
@@ -135,24 +133,6 @@ impl SolverBuilder {
     /// Final eigensolver for the distributed solve.
     pub fn eigensolver(mut self, eig: Eig) -> Self {
         self.solver.opts = self.solver.opts.eigensolver(eig);
-        self
-    }
-
-    /// Arithmetic precision of the LOBPCG solve path.
-    pub fn precision(mut self, p: Precision) -> Self {
-        self.solver.opts = self.solver.opts.precision(p);
-        self
-    }
-
-    /// SIMD kernel dispatch policy (`MATHKIT_KERNEL` env overrides).
-    pub fn kernel(mut self, k: KernelChoice) -> Self {
-        self.solver.opts = self.solver.opts.kernel(k);
-        self
-    }
-
-    /// Reduction fusion policy (`PARCOMM_NO_FUSE` env overrides).
-    pub fn fusion(mut self, f: FusionPolicy) -> Self {
-        self.solver.opts = self.solver.opts.fusion(f);
         self
     }
 

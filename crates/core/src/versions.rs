@@ -9,7 +9,7 @@ use isdf::{
     kmeans_points_checked, pair_weights, qrcp_points, IsdfDecomposition, KmeansOptions,
 };
 use mathkit::gemm::{gemm, Transpose};
-use mathkit::{gemm_mixed_packed, simd, Mat, MatF32, PackedF32};
+use mathkit::{simd, Mat};
 
 /// Interpolation-point selector for the ISDF versions.
 #[derive(Clone, Copy, Debug)]
@@ -116,20 +116,6 @@ impl IsdfHamiltonian {
         out
     }
 
-    /// Demote the ISDF factors to f32 storage for the mixed-precision inner
-    /// solve. The bare diagonal stays f64 — it is cheap and sets the energy
-    /// scale.
-    pub fn to_mixed(&self) -> MixedIsdfHamiltonian {
-        let c32 = MatF32::from_mat(&self.c);
-        MixedIsdfHamiltonian {
-            diag_d: self.diag_d.clone(),
-            n_mu: self.c.nrows(),
-            c_pack: c32.pack(Transpose::No),
-            ct_pack: c32.pack(Transpose::Yes),
-            v_pack: MatF32::from_mat(&self.v_tilde).pack(Transpose::No),
-        }
-    }
-
     /// Materialize the dense `H` (versions 2–4).
     pub fn to_dense(&self) -> Mat {
         let ncv = self.diag_d.len();
@@ -143,60 +129,6 @@ impl IsdfHamiltonian {
         }
         h.symmetrize();
         h
-    }
-}
-
-/// f32-storage twin of [`IsdfHamiltonian`] for the mixed-precision inner
-/// LOBPCG iterations (`SolveOptions::precision = MixedRefined`): `C` and `Ṽ`
-/// are demoted to f32 (halving the working-set bytes of the dominant
-/// contractions) and pre-packed once into the strip layout of
-/// [`mathkit::gemm_mixed_packed`] — the operators are fixed across a solve,
-/// so the per-apply pack cost would otherwise dominate this memory-bound
-/// path. Every GEMM accumulates in f64; the bare diagonal stays f64. `C` is
-/// stored in both orientations, which together cost the same bytes as the
-/// one f64 copy in [`IsdfHamiltonian`].
-pub struct MixedIsdfHamiltonian {
-    /// Bare transition diagonal (`N_cv`), kept in f64.
-    pub diag_d: Vec<f64>,
-    /// Interpolation-point count `N_μ` (rows of `C`).
-    n_mu: usize,
-    /// `C` (`N_μ × N_cv`), packed for `C·X`.
-    c_pack: PackedF32,
-    /// `Cᵀ` (`N_cv × N_μ`), packed for `Cᵀ·(ṼCX)`.
-    ct_pack: PackedF32,
-    /// Projected kernel `Ṽ_Hxc` (`N_μ × N_μ`), packed for `Ṽ·(CX)`.
-    v_pack: PackedF32,
-}
-
-impl MixedIsdfHamiltonian {
-    /// Interpolation-point count `N_μ`.
-    pub fn n_mu(&self) -> usize {
-        self.n_mu
-    }
-
-    /// Matrix-free `H·X = D∘X + 2 Cᵀ(Ṽ(C·X))` with f32 operands and f64
-    /// accumulation. Intermediates round through f32 between stages — the
-    /// ~1e-7 relative error this introduces is exactly what the outer f64
-    /// polish of the refined solve removes.
-    pub fn apply(&self, x: &Mat) -> Mat {
-        let ncv = self.diag_d.len();
-        assert_eq!(x.nrows(), ncv);
-        let xf = MatF32::from_mat(x);
-        // CX: N_μ × k
-        let mut cx = Mat::zeros(self.n_mu, x.ncols());
-        gemm_mixed_packed(1.0, &self.c_pack, &xf, Transpose::No, 0.0, &mut cx);
-        // Ṽ (CX)
-        let cxf = MatF32::from_mat(&cx);
-        let mut vcx = Mat::zeros(self.n_mu, x.ncols());
-        gemm_mixed_packed(1.0, &self.v_pack, &cxf, Transpose::No, 0.0, &mut vcx);
-        // 2 Cᵀ (·) + D∘X, diagonal term in full f64
-        let vcxf = MatF32::from_mat(&vcx);
-        let mut out = Mat::zeros(ncv, x.ncols());
-        gemm_mixed_packed(2.0, &self.ct_pack, &vcxf, Transpose::No, 0.0, &mut out);
-        for j in 0..x.ncols() {
-            simd::pointwise_muladd(out.col_mut(j), &self.diag_d, x.col(j));
-        }
-        out
     }
 }
 
@@ -383,27 +315,6 @@ mod tests {
         let mut explicit = Mat::zeros(p.n_cv(), 4);
         gemm(1.0, &dense, Transpose::No, &x, Transpose::No, 0.0, &mut explicit);
         assert!(implicit.max_abs_diff(&explicit) < 1e-9);
-    }
-
-    #[test]
-    fn mixed_hamiltonian_tracks_full_precision_apply() {
-        let p = synthetic_problem([8, 8, 8], 7.0, 2, 3);
-        let ham = build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
-            .expect("clean full-rank build");
-        let mixed = ham.to_mixed();
-        let x = Mat::from_fn(p.n_cv(), 3, |i, j| ((i * 7 + j * 3) % 13) as f64 * 0.1 - 0.6);
-        let full = ham.apply(&x);
-        let approx = mixed.apply(&x);
-        // f32 storage: relative error should sit near f32 epsilon, far below
-        // the inner tolerance the refined solve uses.
-        let scale = full.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-300);
-        assert!(
-            full.max_abs_diff(&approx) / scale < 1e-5,
-            "mixed apply drifted: {}",
-            full.max_abs_diff(&approx) / scale
-        );
-        // ... but must NOT be exactly the f64 result (it really ran in f32).
-        assert!(full.max_abs_diff(&approx) > 0.0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   implicit-shift QL), the stand-in for `ScaLAPACK::SYEVD`,
 //! * [`qr`] — Householder QR with column pivoting (QRCP), including the
 //!   randomized Gaussian-sketch variant used for ISDF point selection,
-//! * [`chol`] — Cholesky factorization and triangular solves,
-//! * [`lstsq`] — least-squares solvers used by the ISDF Galerkin fit,
+//! * [`chol`] — Cholesky factorization and triangular solves (the ISDF
+//!   Galerkin fit solves its normal equations with these),
 //! * [`ortho`] — Cholesky-QR orthonormalization used by LOBPCG.
 //!
 //! Everything is pure Rust: no BLAS/LAPACK bindings, so the complexity
@@ -23,28 +23,19 @@ pub mod davidson;
 pub mod eigen;
 pub mod gemm;
 pub mod lobpcg;
-pub mod lstsq;
-pub mod lu;
 pub mod mat;
-pub mod mixed;
 pub mod ortho;
 pub mod qr;
 pub mod simd;
 
 pub use chol::{cholesky, solve_lower, solve_lower_transpose, solve_spd};
 pub use davidson::{davidson, DavidsonOptions};
-pub use lobpcg::{
-    lobpcg, lobpcg_refined, no_precond, LobpcgOptions, LobpcgResult, RefinedResult,
-    LOBPCG_CHECKPOINT,
-};
+pub use lobpcg::{lobpcg, no_precond, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT};
 pub use eigen::{syev, Eigen};
 pub use gemm::{
     gemm, gemm_tn, gemv, matmul, syrk_nt, syrk_nt_scaled, syrk_tn, syrk_tn_scaled, Transpose,
 };
-pub use lstsq::{lstsq_normal, lstsq_qr};
-pub use lu::{lu_decompose, solve_general, Lu};
 pub use mat::Mat;
-pub use mixed::{gemm_mixed, gemm_mixed_packed, MatF32, PackedF32};
 pub use ortho::{cholesky_qr, modified_gram_schmidt};
 pub use qr::{qr_householder, qrcp, qrcp_select, randomized_qrcp_select};
 pub use simd::{active_kernel, force_kernel, Kernel};

@@ -254,59 +254,6 @@ where
     })
 }
 
-/// Result of a mixed-precision refined solve ([`lobpcg_refined`]).
-#[derive(Debug)]
-pub struct RefinedResult {
-    /// The polished (full-precision) result; `iterations` counts both stages.
-    pub result: LobpcgResult,
-    /// Outer iterations spent in the reduced-precision inner stage.
-    pub inner_iterations: usize,
-    /// Outer iterations spent in the full-precision polish stage.
-    pub polish_iterations: usize,
-}
-
-/// Iterative-refinement LOBPCG: run the block iteration with a cheap
-/// reduced-precision operator `apply_low` down to `inner_tol`, then polish
-/// the resulting Ritz block with the full-precision operator `apply` to
-/// `opts.tol`.
-///
-/// `apply_low` is typically an f32-storage / f64-accumulate version of
-/// `apply` (see [`crate::mixed::gemm_mixed`]): its residuals stall around
-/// the f32 representation error (~1e-6 relative), which is exactly where
-/// `inner_tol` should sit. The polish stage restarts from the inner Ritz
-/// vectors, so it usually needs only a handful of full-precision applies to
-/// close the gap to `opts.tol` — the end-to-end win is the inner iterations
-/// running on half the memory traffic.
-///
-/// Error contract matches [`lobpcg`]: breakdown in *either* stage is `Err`
-/// (callers fall back to their full-f64 recovery ladder); an exhausted
-/// iteration budget is `Ok` with `converged == false` on the polished result.
-pub fn lobpcg_refined<FL, FA, FP>(
-    apply_low: FL,
-    apply: FA,
-    precond: FP,
-    x0: &Mat,
-    inner_tol: f64,
-    opts: LobpcgOptions,
-) -> Result<RefinedResult, SolveError>
-where
-    FL: Fn(&Mat) -> Mat,
-    FA: Fn(&Mat) -> Mat,
-    FP: Fn(&Mat, &[f64]) -> Mat,
-{
-    let inner_opts = LobpcgOptions { max_iter: opts.max_iter, tol: inner_tol.max(opts.tol) };
-    // The inner stage is allowed to stop short of inner_tol (f32 residual
-    // floor depends on the spectrum); its Ritz block is still the warm start.
-    let inner = lobpcg(&apply_low, &precond, x0, inner_opts)?;
-    let polish = lobpcg(&apply, &precond, &inner.vectors, opts)?;
-    let total = inner.iterations + polish.iterations;
-    Ok(RefinedResult {
-        inner_iterations: inner.iterations,
-        polish_iterations: polish.iterations,
-        result: LobpcgResult { iterations: total, ..polish },
-    })
-}
-
 fn sort_ritz(vals: &mut [f64], vecs: &mut Mat) {
     let k = vals.len();
     let mut order: Vec<usize> = (0..k).collect();
@@ -461,54 +408,6 @@ mod tests {
         for (i, v) in res.values.iter().enumerate() {
             assert!((v - d[i]).abs() < 1e-6, "resumed λ_{i} = {v}");
         }
-    }
-
-    #[test]
-    fn refined_solve_reaches_full_precision() {
-        // apply_low simulates an f32-storage operator by rounding the
-        // diagonal through f32; the polish stage must still land on the
-        // exact f64 eigenvalues.
-        let n = 60;
-        let d: Vec<f64> = (0..n).map(|i| (i as f64) * 0.437 + 1.0 + 1e-8 * (i as f64)).collect();
-        let d_low: Vec<f64> = d.iter().map(|&v| v as f32 as f64).collect();
-        let mut rng = rand::thread_rng();
-        let x0 = Mat::random(n, 4, &mut rng);
-        let opts = LobpcgOptions { max_iter: 300, tol: 1e-10 };
-        let refined = lobpcg_refined(diag_op(&d_low), diag_op(&d), no_precond, &x0, 1e-5, opts)
-            .expect("refined solve");
-        assert!(refined.result.converged, "residual {}", refined.result.residual);
-        assert_eq!(
-            refined.result.iterations,
-            refined.inner_iterations + refined.polish_iterations
-        );
-        for (i, v) in refined.result.values.iter().enumerate() {
-            assert!((v - d[i]).abs() < 1e-8, "λ_{i} = {v}, want {}", d[i]);
-        }
-        // The warm start must make the polish stage cheaper than the inner.
-        assert!(refined.polish_iterations <= refined.inner_iterations);
-    }
-
-    #[test]
-    fn refined_propagates_inner_breakdown() {
-        let n = 30;
-        let d: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-        let mut rng = rand::thread_rng();
-        let x0 = Mat::random(n, 2, &mut rng);
-        faultkit::checkpoint_clear();
-        let campaign = faultkit::arm(
-            faultkit::FaultPlan::new(7).with("lobpcg.w", 0, faultkit::FaultKind::NanPoison),
-        );
-        let err = lobpcg_refined(
-            diag_op(&d),
-            diag_op(&d),
-            no_precond,
-            &x0,
-            1e-5,
-            LobpcgOptions::default(),
-        )
-        .expect_err("poisoned inner stage must surface");
-        assert!(matches!(err, SolveError::Breakdown { stage: "lobpcg", .. }));
-        assert_eq!(campaign.fired(), 1);
     }
 
     #[test]

@@ -17,11 +17,6 @@
 //! the host CPU. The dispatch override (`MATHKIT_KERNEL`, [`force_kernel`])
 //! exists so tests and CI can prove that property rather than assume it.
 //!
-//! The mixed-precision kernels (f32 storage, f64 accumulation) are the one
-//! place FMA is used: their scalar twin folds with [`f64::mul_add`], which is
-//! correctly rounded and therefore also bitwise identical to the `vfmadd`
-//! instruction the AVX2 path issues.
-//!
 //! [`dot`] uses a 4-lane split reduction (documented at the function) and is
 //! intended for new code where the fold order is free; the solver paths keep
 //! their historical sequential folds.
@@ -34,7 +29,7 @@ pub(crate) const MR: usize = 8;
 /// Which kernel family [`active_kernel`] resolved to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    /// Explicit AVX2 (+FMA for the mixed-precision kernels) `std::arch` code.
+    /// Explicit AVX2 `std::arch` code.
     Avx2,
     /// Portable scalar loops, bitwise identical to the AVX2 kernels.
     Scalar,
@@ -57,7 +52,7 @@ static KERNEL_STATE: AtomicU8 = AtomicU8::new(0);
 ///
 /// Order: `MATHKIT_KERNEL` env override (`auto` / `avx2` / `scalar`), then
 /// runtime CPU feature detection (`avx2` *and* `fma` required — every AVX2
-/// part of interest has both, and the mixed-precision kernels need FMA).
+/// part of interest has both).
 #[inline]
 pub fn active_kernel() -> Kernel {
     match KERNEL_STATE.load(Ordering::Relaxed) {
@@ -468,134 +463,6 @@ unsafe fn skinny_dot_avx2<const N: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// Mixed-precision tile: f32 packed operands, f64 FMA accumulation, f64 C.
-// The scalar twin folds with `f64::mul_add`, which is correctly rounded —
-// exactly what `vfmadd` computes — so both kernels agree bitwise here too.
-// ---------------------------------------------------------------------------
-
-/// Mixed-precision dot-fold tile: `c[i,j] = alpha · Σ_l (a64·b64) + beta · c[i,j]`
-/// where `a64`/`b64` are the exact f64 promotions of the packed f32 values.
-/// `ap` is one zero-padded `MR × k` f32 strip, `b` a `k × n` column-major f32
-/// buffer, `n ≤ MR`.
-///
-/// # Safety
-/// Same tile-exclusivity contract as [`skinny_axpy_tile`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn mixed_dot_tile(
-    kernel: Kernel,
-    k: usize,
-    ap: &[f32],
-    b: &[f32],
-    n: usize,
-    mr_eff: usize,
-    alpha: f64,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    debug_assert!((1..=MR).contains(&n) && mr_eff <= MR);
-    debug_assert!(ap.len() >= k * MR && b.len() >= k * n);
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 && mr_eff == MR {
-        macro_rules! go {
-            ($n:literal) => {
-                mixed_dot_avx2::<$n>(k, ap, b, alpha, beta, c, ldc)
-            };
-        }
-        match n {
-            1 => go!(1),
-            2 => go!(2),
-            3 => go!(3),
-            4 => go!(4),
-            5 => go!(5),
-            6 => go!(6),
-            7 => go!(7),
-            _ => go!(8),
-        }
-        return;
-    }
-    let _ = kernel;
-    mixed_dot_scalar(k, ap, b, n, mr_eff, alpha, beta, c, ldc);
-}
-
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn mixed_dot_scalar(
-    k: usize,
-    ap: &[f32],
-    b: &[f32],
-    n: usize,
-    mr_eff: usize,
-    alpha: f64,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    let mut acc = [[0.0f64; MR]; MR];
-    for l in 0..k {
-        let a = &ap[l * MR..l * MR + mr_eff];
-        for j in 0..n {
-            let blj = b[l + j * k] as f64;
-            for (av, accv) in a.iter().zip(acc[j].iter_mut()) {
-                *accv = (*av as f64).mul_add(blj, *accv);
-            }
-        }
-    }
-    for j in 0..n {
-        let cc = std::slice::from_raw_parts_mut(c.add(j * ldc), mr_eff);
-        for (cv, &accv) in cc.iter_mut().zip(acc[j].iter()) {
-            let t = alpha * accv;
-            *cv = if beta == 0.0 { t } else { beta * *cv + t };
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::needless_range_loop)]
-unsafe fn mixed_dot_avx2<const N: usize>(
-    k: usize,
-    ap: &[f32],
-    b: &[f32],
-    alpha: f64,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    use std::arch::x86_64::*;
-    let mut lo = [_mm256_setzero_pd(); N];
-    let mut hi = [_mm256_setzero_pd(); N];
-    let mut a = ap.as_ptr();
-    for l in 0..k {
-        let a0 = _mm256_cvtps_pd(_mm_loadu_ps(a));
-        let a1 = _mm256_cvtps_pd(_mm_loadu_ps(a.add(4)));
-        for j in 0..N {
-            let bv = _mm256_set1_pd(*b.get_unchecked(l + j * k) as f64);
-            lo[j] = _mm256_fmadd_pd(a0, bv, lo[j]);
-            hi[j] = _mm256_fmadd_pd(a1, bv, hi[j]);
-        }
-        a = a.add(MR);
-    }
-    let av = _mm256_set1_pd(alpha);
-    for j in 0..N {
-        let tlo = _mm256_mul_pd(av, lo[j]);
-        let thi = _mm256_mul_pd(av, hi[j]);
-        let (rlo, rhi) = if beta == 0.0 {
-            (tlo, thi)
-        } else {
-            let bv = _mm256_set1_pd(beta);
-            let clo = _mm256_loadu_pd(c.add(j * ldc));
-            let chi = _mm256_loadu_pd(c.add(j * ldc + 4));
-            (
-                _mm256_add_pd(_mm256_mul_pd(bv, clo), tlo),
-                _mm256_add_pd(_mm256_mul_pd(bv, chi), thi),
-            )
-        };
-        _mm256_storeu_pd(c.add(j * ldc), rlo);
-        _mm256_storeu_pd(c.add(j * ldc + 4), rhi);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Vectorized level-1 helpers. All elementwise ones are bit-identical to their
 // obvious scalar loops (independent elements, one mul + one add each).
 // ---------------------------------------------------------------------------
@@ -903,38 +770,6 @@ mod tests {
             let da = with_kernel(Kernel::Avx2, || dot(&x, &y0));
             let ds = with_kernel(Kernel::Scalar, || dot(&x, &y0));
             assert_eq!(da.to_bits(), ds.to_bits(), "dot n={n}");
-        }
-    }
-
-    #[test]
-    fn mixed_tile_matches_mul_add_reference() {
-        let _g = dispatch_lock();
-        let k = 13;
-        let n = 5;
-        let ap: Vec<f32> = (0..k * MR).map(|i| ((i * 7 % 23) as f32 - 11.0) * 0.25).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 5 % 19) as f32 - 9.0) * 0.5).collect();
-        let (alpha, beta) = (1.25, -0.5);
-        let c0: Vec<f64> = (0..MR * n).map(|i| i as f64 * 0.1 - 0.3).collect();
-        // mul_add reference, one accumulator per element.
-        let mut expect = c0.clone();
-        for j in 0..n {
-            for i in 0..MR {
-                let mut acc = 0.0f64;
-                for l in 0..k {
-                    acc = (ap[l * MR + i] as f64).mul_add(b[l + j * k] as f64, acc);
-                }
-                expect[j * MR + i] = beta * c0[j * MR + i] + alpha * acc;
-            }
-        }
-        for kernel in [Kernel::Avx2, Kernel::Scalar] {
-            if kernel == Kernel::Avx2 && !avx2_available() {
-                continue;
-            }
-            let mut c = c0.clone();
-            unsafe { mixed_dot_tile(kernel, k, &ap, &b, n, MR, alpha, beta, c.as_mut_ptr(), MR) };
-            for (got, want) in c.iter().zip(expect.iter()) {
-                assert_eq!(got.to_bits(), want.to_bits(), "{kernel:?}");
-            }
         }
     }
 }

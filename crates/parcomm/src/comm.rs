@@ -10,7 +10,7 @@
 //! never double-counted against the aggregate fields.
 
 use crate::cost::CostModel;
-use crate::requests::{Algorithm, CommInterval, NbShared, Worker, DEFAULT_SEGMENT_WORDS};
+use crate::requests::{CommInterval, NbShared, Worker, DEFAULT_SEGMENT_WORDS};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
@@ -353,7 +353,7 @@ impl Comm {
             return;
         }
         let out = self
-            .issue_reduce(buf.to_vec(), 0, true, false, Algorithm::Ring, None)
+            .issue_reduce(buf.to_vec(), 0, true, false, None)
             .wait();
         buf.copy_from_slice(&out);
         let bytes = buf.len() * 8;
@@ -388,7 +388,7 @@ impl Comm {
             return;
         }
         let out = self
-            .issue_reduce(buf.to_vec(), root, false, false, Algorithm::Ring, None)
+            .issue_reduce(buf.to_vec(), root, false, false, None)
             .wait();
         if self.rank == root {
             buf.copy_from_slice(&out);

@@ -9,13 +9,13 @@
 //!   `Allreduce`, `Reduce`, `Bcast`, `Allgatherv`, `Barrier` — plus their
 //!   **nonblocking request forms** (`ireduce_sum`, `iallreduce_sum`,
 //!   `ibcast`, `ialltoallv`, …) backed by a per-rank progress engine running
-//!   chunked ring / recursive-doubling algorithms ([`requests`]), so
+//!   chunked ring algorithms ([`requests`]), so
 //!   communication proceeds while the caller computes and the measured
 //!   overlap fraction can be reported ([`overlap`]);
 //! * [`batch`] fuses many pending small reductions into one collective over
-//!   a packed buffer (bitwise-identical per-field results), [`comm::Comm::split`]
-//!   carves disjoint sub-communicators, and [`hier`] builds opt-in two-level
-//!   collectives on top of them — the communication-avoiding layer;
+//!   a packed buffer (bitwise-identical per-field results) and
+//!   [`comm::Comm::split`] carves disjoint sub-communicators — the
+//!   communication-avoiding layer;
 //! * every collective records **bytes moved and call counts** ([`CommStats`])
 //!   and accrues modeled wall-time from an **α–β (latency–bandwidth) cost
 //!   model** ([`CostModel`]), so rank counts far beyond the host's cores can
@@ -27,7 +27,6 @@
 pub mod batch;
 pub mod comm;
 pub mod cost;
-pub mod hier;
 pub mod layout;
 pub mod overlap;
 pub mod redist;
@@ -39,10 +38,7 @@ pub use comm::{
     HIST_BUCKETS,
 };
 pub use cost::CostModel;
-pub use hier::{CommTuning, Hierarchy};
 pub use layout::{block_cyclic_owner, block_ranges, segment_ranges, BlockCyclic2D, Layout};
 pub use overlap::{overlap_fraction, ComputeInterval, OverlapStats};
 pub use redist::{col_to_row_blocks, row_to_col_blocks};
-pub use requests::{
-    wait_all, Algorithm, CommInterval, Request, RetryPolicy, DEFAULT_SEGMENT_WORDS,
-};
+pub use requests::{wait_all, CommInterval, Request, RetryPolicy, DEFAULT_SEGMENT_WORDS};

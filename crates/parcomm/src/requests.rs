@@ -11,17 +11,11 @@
 //!
 //! Large payloads are processed as a stream of fixed-size **segments**
 //! ([`Comm::segment_words`]), each an independent step through the op's
-//! state machine:
-//!
-//! * [`Algorithm::Ring`] (default) — each segment is folded in ascending
-//!   rank order (a systolic chain, the shared-memory image of a ring
-//!   reduce-scatter), then read back by the ranks that need it. The
-//!   ascending fold order makes results **bitwise identical** to the legacy
-//!   blocking deposit-then-sum path.
-//! * [`Algorithm::RecursiveDoubling`] — per segment, partial sums combine
-//!   pairwise along a binomial tree (`⌈log₂ p⌉` rounds). Fewer chain steps
-//!   at large `p`, but the pairwise association differs from the sequential
-//!   order, so results agree only to rounding.
+//! state machine. A reduction folds each segment in ascending rank order (a
+//! systolic chain, the shared-memory image of a ring reduce-scatter), then
+//! the ranks that need it read it back. The ascending fold order makes
+//! results **bitwise identical** to the legacy blocking deposit-then-sum
+//! path.
 //!
 //! Every segment step bumps the segment-aware [`SegStats`] counters, and
 //! every completed request records a timestamped [`CommInterval`] — the
@@ -56,18 +50,6 @@ use std::time::{Duration, Instant};
 /// multi-chunk reduction streams, large enough that per-step bookkeeping is
 /// noise.
 pub const DEFAULT_SEGMENT_WORDS: usize = 4096;
-
-/// Which chunked algorithm a reduction uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Ascending rank-order fold chain per segment (deterministic, bitwise
-    /// identical to the blocking path). The default.
-    Ring,
-    /// Pairwise binomial-tree combine per segment (recursive
-    /// halving/doubling); reassociates, so agrees with Ring only to
-    /// rounding.
-    RecursiveDoubling,
-}
 
 /// One request-outstanding window: from the caller's issue of a nonblocking
 /// collective to the completion of this rank's duty in it, in seconds since
@@ -498,7 +480,6 @@ struct ReduceCell {
     root: usize,
     all: bool,
     max_op: bool,
-    alg: Algorithm,
     segs: Vec<Range<usize>>,
     st: Mutex<RedState>,
     cv: Condvar,
@@ -506,24 +487,16 @@ struct ReduceCell {
 }
 
 struct RedState {
-    /// Ring: the single ordered accumulation buffer. Tree: the published
-    /// total (filled by rank 0 after its last fold).
+    /// The single ordered accumulation buffer.
     acc: Vec<f64>,
-    /// Ring: next rank allowed to fold each segment.
+    /// Next rank allowed to fold each segment.
     next_rank: Vec<usize>,
-    /// Segment fully reduced (ring) / total published (tree: one flag in
-    /// slot 0 when any segments exist).
+    /// Segment fully reduced.
     done: Vec<bool>,
-    /// Tree: per-rank partials, deposited at task start.
-    partials: Vec<Option<Vec<f64>>>,
-    /// Tree: rounds completed per rank per segment.
-    round: Vec<Vec<u32>>,
-    /// Tree: total assembled at rank 0 and published into `acc`.
-    published: bool,
 }
 
 impl ReduceCell {
-    fn new(len: usize, root: usize, all: bool, max_op: bool, alg: Algorithm, p: usize, seg: usize) -> Self {
+    fn new(len: usize, root: usize, all: bool, max_op: bool, seg: usize) -> Self {
         let segs = segment_ranges(len, seg);
         let init = if max_op { f64::NEG_INFINITY } else { 0.0 };
         let nseg = segs.len();
@@ -532,23 +505,10 @@ impl ReduceCell {
             root,
             all,
             max_op,
-            alg,
             st: Mutex::new(RedState {
-                acc: match alg {
-                    Algorithm::Ring => vec![init; len],
-                    Algorithm::RecursiveDoubling => Vec::new(),
-                },
+                acc: vec![init; len],
                 next_rank: vec![0; nseg],
                 done: vec![false; nseg],
-                partials: match alg {
-                    Algorithm::Ring => Vec::new(),
-                    Algorithm::RecursiveDoubling => (0..p).map(|_| None).collect(),
-                },
-                round: match alg {
-                    Algorithm::Ring => Vec::new(),
-                    Algorithm::RecursiveDoubling => vec![vec![u32::MAX; nseg]; p],
-                },
-                published: false,
             }),
             cv: Condvar::new(),
             finished: Mutex::new(0),
@@ -571,16 +531,7 @@ impl ReduceCell {
 
     /// This rank's whole part of the collective, run on the progress
     /// worker. Returns the payload for this rank's request.
-    fn run(&self, ctx: &Ctx, data: Vec<f64>) -> Vec<f64> {
-        let out = match self.alg {
-            Algorithm::Ring => self.run_ring(ctx, data),
-            Algorithm::RecursiveDoubling => self.run_tree(ctx, data),
-        };
-        ctx.finish(&self.finished);
-        out
-    }
-
-    fn run_ring(&self, ctx: &Ctx, mut data: Vec<f64>) -> Vec<f64> {
+    fn run(&self, ctx: &Ctx, mut data: Vec<f64>) -> Vec<f64> {
         let (p, rank) = (ctx.size, ctx.rank);
         // Fold phase: ascending rank order per segment — a systolic chain
         // whose sum order matches the legacy blocking path bitwise.
@@ -600,7 +551,7 @@ impl ReduceCell {
             ctx.record(t0, (seg.len() * 8) as u64);
         }
         // Read-back phase.
-        if self.all {
+        let out = if self.all {
             for (si, seg) in self.segs.iter().enumerate() {
                 let mut g = lock(&self.st);
                 while !g.done[si] {
@@ -621,77 +572,9 @@ impl ReduceCell {
             std::mem::take(&mut g.acc)
         } else {
             Vec::new()
-        }
-    }
-
-    fn run_tree(&self, ctx: &Ctx, data: Vec<f64>) -> Vec<f64> {
-        let (p, rank) = (ctx.size, ctx.rank);
-        let nseg = self.segs.len();
-        {
-            let mut g = lock(&self.st);
-            g.partials[rank] = Some(data);
-            for si in 0..nseg {
-                g.round[rank][si] = 0;
-            }
-            drop(g);
-            self.cv.notify_all();
-        }
-        // Binomial combine: at round k, rank r with r % 2^(k+1) == 0 folds
-        // the partial of r + 2^k (the root of the adjacent subtree).
-        let mut k = 0u32;
-        while (1usize << k) < p {
-            let step = 1usize << k;
-            if rank % (step << 1) == 0 {
-                let peer = rank + step;
-                for (si, seg) in self.segs.iter().enumerate() {
-                    let mut g = lock(&self.st);
-                    if peer < p {
-                        while g.partials[peer].is_none() || g.round[peer][si] == u32::MAX || g.round[peer][si] < k {
-                            g = cv_wait(&self.cv, g);
-                        }
-                        let t0 = Instant::now();
-                        let (lo, hi) = g.partials.split_at_mut(peer);
-                        let mine = lo[rank].as_mut().expect("own partial deposited");
-                        let theirs = hi[0].as_ref().expect("peer partial deposited");
-                        Self::fold(self.max_op, &mut mine[seg.clone()], &theirs[seg.clone()]);
-                        g.round[rank][si] = k + 1;
-                        drop(g);
-                        self.cv.notify_all();
-                        ctx.record(t0, (seg.len() * 8) as u64);
-                    } else {
-                        g.round[rank][si] = k + 1;
-                        drop(g);
-                        self.cv.notify_all();
-                    }
-                }
-                k += 1;
-            } else {
-                // Sender: my partial (rounds 0..k complete) is consumed by
-                // rank − 2^k; nothing further to fold.
-                break;
-            }
-        }
-        // Rank 0 holds the total; publish for root / all read-back.
-        if rank == 0 {
-            let mut g = lock(&self.st);
-            g.acc = g.partials[0].take().expect("total at rank 0");
-            g.published = true;
-            drop(g);
-            self.cv.notify_all();
-        }
-        if self.all || rank == self.root {
-            let mut g = lock(&self.st);
-            while !g.published {
-                g = cv_wait(&self.cv, g);
-            }
-            let t0 = Instant::now();
-            let out = g.acc.clone();
-            drop(g);
-            ctx.record(t0, (self.len * 8) as u64);
-            out
-        } else {
-            Vec::new()
-        }
+        };
+        ctx.finish(&self.finished);
+        out
     }
 }
 
@@ -913,19 +796,18 @@ impl Comm {
         span.arg("modeled_s", modeled);
     }
 
-    fn reduce_cell(&self, id: u64, len: usize, root: usize, all: bool, max_op: bool, alg: Algorithm) -> Arc<ReduceCell> {
+    fn reduce_cell(&self, id: u64, len: usize, root: usize, all: bool, max_op: bool) -> Arc<ReduceCell> {
         let nb = &self.shared.nb;
-        let p = self.shared.size;
         let seg = nb.segment_words;
         let mut ops = lock(&nb.ops);
         let cell = ops
             .entry(id)
-            .or_insert_with(|| OpCell::Reduce(Arc::new(ReduceCell::new(len, root, all, max_op, alg, p, seg))));
+            .or_insert_with(|| OpCell::Reduce(Arc::new(ReduceCell::new(len, root, all, max_op, seg))));
         match cell {
             OpCell::Reduce(c) => {
                 assert_eq!(c.len, len, "reduce length mismatch at op {id} (rank {})", self.rank);
                 assert!(
-                    c.root == root && c.all == all && c.max_op == max_op && c.alg == alg,
+                    c.root == root && c.all == all && c.max_op == max_op,
                     "mismatched reduce parameters at op {id} (rank {})",
                     self.rank
                 );
@@ -941,7 +823,6 @@ impl Comm {
         root: usize,
         all: bool,
         max_op: bool,
-        alg: Algorithm,
         acct: Option<NbOp>,
     ) -> Request {
         if self.shared.size == 1 {
@@ -954,7 +835,7 @@ impl Comm {
             None => None,
         };
         let id = self.next_op_id();
-        let cell = self.reduce_cell(id, data.len(), root, all, max_op, alg);
+        let cell = self.reduce_cell(id, data.len(), root, all, max_op);
         let slot = Arc::new(Slot::new());
         let req = Request::pending(Arc::clone(&slot), self.acct_for(acct), NbOp::op_label(acct));
         let ctx = self.ctx(id);
@@ -975,11 +856,6 @@ impl Comm {
     /// returns the reduced buffer; on other ranks it returns an empty
     /// vector once this rank's contribution has been folded in.
     pub fn ireduce_sum(&self, data: Vec<f64>, root: usize) -> Request {
-        self.ireduce_sum_with(data, root, Algorithm::Ring)
-    }
-
-    /// [`Comm::ireduce_sum`] with an explicit chunked algorithm.
-    pub fn ireduce_sum_with(&self, data: Vec<f64>, root: usize, alg: Algorithm) -> Request {
         let sp = obskit::span(obskit::Stage::Mpi, NbOp::Ireduce.span_name());
         let t0 = Instant::now();
         let bytes = data.len() * 8;
@@ -987,7 +863,7 @@ impl Comm {
             .shared
             .model
             .segmented_reduce(self.size(), bytes, self.segment_words() * 8);
-        let rq = self.issue_reduce(data, root, false, false, alg, Some(NbOp::Ireduce));
+        let rq = self.issue_reduce(data, root, false, false, Some(NbOp::Ireduce));
         self.account_issue(NbOp::Ireduce, bytes, t0, modeled, sp);
         rq
     }
@@ -995,11 +871,6 @@ impl Comm {
     /// Nonblocking in-place sum-allreduce: `wait()` returns the fully
     /// reduced buffer on every rank.
     pub fn iallreduce_sum(&self, data: Vec<f64>) -> Request {
-        self.iallreduce_sum_with(data, Algorithm::Ring)
-    }
-
-    /// [`Comm::iallreduce_sum`] with an explicit chunked algorithm.
-    pub fn iallreduce_sum_with(&self, data: Vec<f64>, alg: Algorithm) -> Request {
         let sp = obskit::span(obskit::Stage::Mpi, NbOp::Iallreduce.span_name());
         let t0 = Instant::now();
         let bytes = data.len() * 8;
@@ -1007,14 +878,14 @@ impl Comm {
             .shared
             .model
             .ring_allreduce(self.size(), bytes, self.segment_words() * 8);
-        let rq = self.issue_reduce(data, 0, true, false, alg, Some(NbOp::Iallreduce));
+        let rq = self.issue_reduce(data, 0, true, false, Some(NbOp::Iallreduce));
         self.account_issue(NbOp::Iallreduce, bytes, t0, modeled, sp);
         rq
     }
 
     /// Internal max-allreduce used by the blocking wrapper.
     pub(crate) fn issue_allreduce_max(&self, data: Vec<f64>) -> Request {
-        self.issue_reduce(data, 0, true, true, Algorithm::Ring, None)
+        self.issue_reduce(data, 0, true, true, None)
     }
 
     /// Nonblocking broadcast from `root`; every rank passes a buffer of the

@@ -1,10 +1,8 @@
 //! Property tests for the communication-avoiding layer: fused batched
 //! reductions must be **bitwise identical** to sequential per-field
-//! allreduces at any rank count, and the hierarchical two-level fold must
-//! stay within rounding of the flat ring — and stay *off* unless its
-//! reassociating policy is explicitly enabled.
+//! allreduces at any rank count.
 
-use parcomm::{spmd, Comm, CommTuning, Hierarchy, ReduceBatch, ReducePlan};
+use parcomm::{spmd, Comm, ReduceBatch, ReducePlan};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -106,60 +104,6 @@ proptest! {
                         prop_assert_eq!(x.to_bits(), y.to_bits());
                     }
                 }
-            }
-        }
-    }
-
-    /// Hierarchical two-level allreduce agrees with the flat ring within a
-    /// few ulps (it reassociates group partials, nothing more).
-    #[test]
-    fn hierarchical_matches_flat_within_ulps(
-        ranks in 2usize..=8,
-        len in 1usize..300,
-        seed in 0u64..u64::MAX,
-    ) {
-        let res = spmd(ranks, move |c| {
-            let h = Hierarchy::new(c);
-            let mut two_level = rank_field(c, seed, 0, len);
-            h.allreduce_sum(&mut two_level);
-            let mut flat = rank_field(c, seed, 0, len);
-            c.allreduce_sum(&mut flat);
-            (two_level, flat)
-        });
-        for (a, b) in res {
-            for (x, y) in a.iter().zip(&b) {
-                // ≤ p−1 reassociations, each bounded by an ulp of the
-                // *accumulated magnitude* Σ|x_i| ≤ p (inputs are in ±1) —
-                // the result itself may be tiny through cancellation.
-                let tol = 2.0 * f64::EPSILON * ranks as f64;
-                prop_assert!((x - y).abs() <= tol, "{:e} vs {:e}", x, y);
-            }
-        }
-    }
-
-    /// The tuned entry point is **gated**: with `allow_reassociation: false`
-    /// (the default) it must be bitwise identical to the flat ring no matter
-    /// what the α–β constants predict.
-    #[test]
-    fn tuned_policy_without_optin_is_bitwise_flat(
-        ranks in 2usize..=8,
-        len in 1usize..200,
-        seed in 0u64..u64::MAX,
-    ) {
-        let res = spmd(ranks, move |c| {
-            let h = Hierarchy::new(c);
-            // α–β constants that scream "latency-bound" — reassociation
-            // still not permitted, so the flat path must be taken.
-            let tuning = CommTuning { alpha: 1.0, beta: 1e-30, allow_reassociation: false };
-            let mut tuned = rank_field(c, seed, 0, len);
-            h.allreduce_sum_tuned(&mut tuned, &tuning);
-            let mut flat = rank_field(c, seed, 0, len);
-            c.allreduce_sum(&mut flat);
-            (tuned, flat)
-        });
-        for (a, b) in res {
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }

@@ -3,7 +3,7 @@
 //! uneven/empty all-to-all slabs, and the bitwise contract between the
 //! chunked ring algorithms and the legacy blocking collectives.
 
-use parcomm::{spmd, wait_all, Algorithm, Comm};
+use parcomm::{spmd, wait_all, Comm};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random doubles so every rank regenerates the same
@@ -143,7 +143,7 @@ proptest! {
 
             let mut blocking_all = mine.clone();
             c.allreduce_sum(&mut blocking_all);
-            let nb_all = c.iallreduce_sum_with(mine.clone(), Algorithm::Ring).wait();
+            let nb_all = c.iallreduce_sum(mine.clone()).wait();
 
             let root = ranks - 1;
             let mut blocking_red = mine.clone();
@@ -167,33 +167,6 @@ proptest! {
             r?;
         }
     }
-}
-
-/// Recursive doubling reassociates the sum, so it only agrees with ring to
-/// rounding; both must still be deterministic run-to-run.
-#[test]
-fn recursive_doubling_deterministic_and_close_to_ring() {
-    let ranks = 4;
-    let run = || {
-        spmd(ranks, |c| {
-            let mine = rank_data(c, 42, 2048);
-            c.iallreduce_sum_with(mine, Algorithm::RecursiveDoubling).wait()
-        })
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "recursive doubling must be deterministic");
-
-    let ring = spmd(ranks, |c| {
-        let mine = rank_data(c, 42, 2048);
-        c.iallreduce_sum_with(mine, Algorithm::Ring).wait()
-    });
-    let max_diff = a[0]
-        .iter()
-        .zip(ring[0].iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f64, f64::max);
-    assert!(max_diff < 1e-12, "reassociation error too large: {max_diff}");
 }
 
 /// Mixed op kinds interleaved on the same engine: bcast + allreduce + gather

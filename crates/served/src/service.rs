@@ -15,12 +15,12 @@
 //! scheduler; recoverable failures are re-queued as fresh solo jobs under a
 //! seeded exponential backoff until the attempt budget runs out; terminal
 //! failures feed per-tenant circuit breakers that shed load at admission;
-//! deadline-pressured jobs and breaker probes are downgraded on the
-//! degradation ladder ([`lrtddft::degrade`]) — always labeled, never
-//! silently; and a monitor thread runs the stall detector over leader
-//! heartbeats, marking wedged groups unhealthy (their queue share drains to
-//! the surviving groups because every leader pulls from the one shared
-//! queue).
+//! deadline-pressured jobs and breaker probes are downgraded one rung on the
+//! two-rung degradation ladder ([`lrtddft::degrade`]: `rank-floor`, then
+//! `direct-eig`) — always labeled, never silently; and a monitor thread runs
+//! the stall detector over leader heartbeats, marking wedged groups
+//! unhealthy (their queue share drains to the surviving groups because every
+//! leader pulls from the one shared queue).
 //!
 //! SPMD symmetry: all resilience *decisions* (deadline expiry, degradation,
 //! retry, breaker transitions) are taken by the leader **before** publishing
@@ -46,7 +46,7 @@ use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobResult, JobSp
 use crate::resilience::{retry_delay, Admit, Breakers, GroupHealth, ResilienceConfig};
 use crate::scheduler::SchedulerState;
 use lrtddft::parallel::{distributed_eigensolve, distributed_isdf_hamiltonian_with};
-use lrtddft::{CasidaProblem, IsdfHamiltonian, NumericalError, SolveError, SolveOptions};
+use lrtddft::{IsdfHamiltonian, NumericalError, SolveError, SolveOptions};
 use parcomm::{spmd, Comm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -365,9 +365,11 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
 }
 
 /// Leader-side batch preparation: freeze each job's effective options.
-/// Pressured and probe jobs (always claimed solo) walk the degradation
-/// ladder; everything else runs its spec options untouched — the clean path
-/// must stay bitwise identical.
+/// Pressured and probe jobs (always claimed solo) take one rung of
+/// [`lrtddft::degrade`] — every rung changes the resolved ISDF rank or the
+/// eigensolver, so the distributed path computes what the label says; a job
+/// already at the ladder floor runs at full cost. Everything else runs its
+/// spec options untouched — the clean path must stay bitwise identical.
 fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
     batch
         .into_iter()
@@ -375,7 +377,7 @@ fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
             let opts = *core.spec.opts();
             let cheaper = (core.pressured.load(Ordering::Relaxed)
                 || core.probe.load(Ordering::Relaxed))
-            .then(|| degrade_for_distributed(&opts, &core.spec.problem))
+            .then(|| lrtddft::degrade(&opts, &core.spec.problem))
             .flatten();
             match cheaper {
                 Some(d) => RunJob { core, opts: d, degraded: d.degraded },
@@ -383,27 +385,6 @@ fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
             }
         })
         .collect()
-}
-
-/// Walk [`lrtddft::degrade`] until a rung actually changes what the
-/// *distributed* path computes (a smaller resolved ISDF rank or a different
-/// eigensolver). The first rung — mixed precision — only affects the serial
-/// path, so stopping there would label a downgrade that never happened;
-/// skip past it instead. `None` when no distributed-visible downgrade
-/// exists (already at the ladder floor): the job then runs at full cost.
-fn degrade_for_distributed(opts: &SolveOptions, problem: &CasidaProblem) -> Option<SolveOptions> {
-    let (n_r, n_v, n_c) = (problem.n_r(), problem.n_v(), problem.n_c());
-    let base_rank = opts.rank.resolve(n_r, n_v, n_c);
-    let mut cur = *opts;
-    while let Some(next) = lrtddft::degrade(&cur, problem) {
-        let visible = next.rank.resolve(n_r, n_v, n_c) != base_rank
-            || next.eigensolver != opts.eigensolver;
-        cur = next;
-        if visible {
-            return Some(cur);
-        }
-    }
-    None
 }
 
 /// Run one batch on every rank of a group: a single shared Hamiltonian
@@ -532,7 +513,7 @@ mod tests {
     use super::*;
     use crate::job::{JobOutcome, JobStatus};
     use faultkit::{FaultKind, FaultPlan};
-    use lrtddft::{synthetic_problem, Solver};
+    use lrtddft::{synthetic_problem, CasidaProblem, Solver};
 
     fn small_config() -> ServeConfig {
         ServeConfig { ranks: 2, groups: 1, ..Default::default() }
@@ -741,7 +722,7 @@ mod tests {
         let res = service.submit(spec).unwrap().wait().expect("degraded job completes");
         let label = res.degraded.as_deref().expect("downgrade must be labeled");
         assert!(
-            ["mixed-precision", "rank-floor", "direct-eig"].contains(&label),
+            ["rank-floor", "direct-eig"].contains(&label),
             "ladder label, got {label}"
         );
         assert!(res.values.iter().all(|v| v.is_finite()));
