@@ -37,9 +37,9 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| syev(&h));
     });
 
-    let ham =
-        build_isdf_hamiltonian(&problem, PointSelector::Qrcp, problem.n_cv() / 2, &mut Vec::new())
-            .expect("isdf build on clean benchmark input");
+    let (solo, n_mu) = (parcomm::Comm::solo(), problem.n_cv() / 2);
+    let ham = build_isdf_hamiltonian(&solo, &problem, PointSelector::Qrcp, n_mu, false, &mut vec![])
+        .expect("isdf build on clean benchmark input");
     let x = Mat::from_fn(problem.n_cv(), 4, |i, j| ((i + 3 * j) % 7) as f64 * 0.1);
     group.bench_function("implicit_hamiltonian_apply", |b| {
         b.iter(|| ham.apply(&x));

@@ -131,8 +131,8 @@ fn clean_solver(seed: u64) -> Solver {
 /// The three chaos plans the fault tenant cycles through.
 fn fault_plan(slot: usize) -> (&'static str, FaultPlan) {
     match slot % 3 {
-        0 => ("nan-poison", FaultPlan::new(0xbad).with("par.v_tilde", 0, FaultKind::NanPoison)),
-        1 => ("inf-poison", FaultPlan::new(0xbad).with("par.v_tilde", 0, FaultKind::InfPoison)),
+        0 => ("nan-poison", FaultPlan::new(0xbad).with("ham.v_tilde", 0, FaultKind::NanPoison)),
+        1 => ("inf-poison", FaultPlan::new(0xbad).with("ham.v_tilde", 0, FaultKind::InfPoison)),
         _ => (
             "comm-delay",
             FaultPlan::new(0xbad)
@@ -354,7 +354,7 @@ fn breaker_exercise(problem: &Arc<CasidaProblem>) -> BreakerTrace {
         ..config()
     });
     let poisoned = JobSpec::new(T_FAULT, Arc::clone(problem))
-        .with_fault_plan(FaultPlan::new(0xbad).with("par.v_tilde", 0, FaultKind::NanPoison));
+        .with_fault_plan(FaultPlan::new(0xbad).with("ham.v_tilde", 0, FaultKind::NanPoison));
     let opened = matches!(
         service.submit(poisoned).expect("admitted").outcome(),
         JobOutcome::Failed { .. }

@@ -122,13 +122,13 @@ fn bench_case(p: usize, sh: &Shape) -> CaseResult {
         let bl = b.row_block(rr.start, rr.end);
 
         // Warm-up: page in buffers, spawn the progress worker.
-        let mono = gram_allreduce(c, &al, &bl, 1.0);
+        let mono = gram_allreduce(c, &al, &bl, 1.0, &mut []);
         let _ = gram_pipelined_reduce(c, &al, &bl, 1.0);
 
         c.barrier();
         let t0 = Instant::now();
         for _ in 0..reps {
-            let _ = gram_allreduce(c, &al, &bl, 1.0);
+            let _ = gram_allreduce(c, &al, &bl, 1.0, &mut []);
         }
         c.barrier();
         let blocking_s = t0.elapsed().as_secs_f64() / reps as f64;

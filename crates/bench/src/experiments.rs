@@ -6,13 +6,14 @@ use crate::report::{print_table, ExperimentRecord};
 use crate::scaling::{CommPattern, ScalingStudy, Stage};
 use isdf::{kmeans_points, pair_weights, qrcp_points, KmeansOptions};
 use lrtddft::{
-    parallel::{distributed_dense_hamiltonian_with, distributed_isdf_hamiltonian_with},
+    build_isdf_hamiltonian,
+    parallel::distributed_dense_hamiltonian_with,
     pipeline::{gram_allreduce, gram_pipelined_reduce},
     problem::{silicon_like_problem, CasidaProblem},
-    IsdfRank, SolveOptions, Solver, StageTimings, Version,
+    IsdfRank, PointSelector, SolveOptions, Solver, StageTimings, Version,
 };
 use mathkit::Mat;
-use parcomm::{spmd, CostModel};
+use parcomm::{spmd, Comm, CostModel};
 use pwdft::{bilayer_graphene, gaussian_dos, scf, water_in_box, Grid, ScfOptions};
 
 /// All serial solves go through the `Solver` facade.
@@ -315,7 +316,7 @@ pub fn fig5(scale: Scale) -> ExperimentRecord {
             let rr = parcomm::block_ranges(nr, ranks)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
             let t0 = Instant::now();
-            let mono = gram_allreduce(c, &al, &al, 1.0);
+            let mono = gram_allreduce(c, &al, &al, 1.0, &mut []);
             let t_mono = t0.elapsed().as_secs_f64();
             c.barrier();
             let t0 = Instant::now();
@@ -391,10 +392,11 @@ pub fn calibrate(scale: Scale) -> Calibration {
         spmd(1, |c| distributed_dense_hamiltonian_with(c, &problem, &SolveOptions::new()).1)
             .pop()
             .unwrap();
-    let isdf_opts = SolveOptions::new().rank(IsdfRank::Fixed(n_mu));
-    let isdf_t = spmd(1, |c| distributed_isdf_hamiltonian_with(c, &problem, &isdf_opts).1)
-        .pop()
-        .unwrap();
+    let clock = obskit::StageClock::now();
+    let selector = SolveOptions::new().kmeans_selector();
+    build_isdf_hamiltonian(&Comm::solo(), &problem, selector, n_mu, false, &mut Vec::new())
+        .expect("isdf build on clean benchmark input");
+    let isdf_t = StageTimings::since(clock);
     // Diagonalization works measured via the versions API.
     let opts = SolveOptions::new().n_states(8.min(problem.n_cv()));
     let dense = run_solve(&problem, Version::KmeansIsdf, &opts);
@@ -617,7 +619,6 @@ pub fn weak_scaling(scale: Scale) -> ExperimentRecord {
 pub fn ablation(scale: Scale) -> ExperimentRecord {
     use isdf::KmeansInit;
     use lrtddft::lobpcg_driver::{casida_preconditioner, initial_guess};
-    use lrtddft::versions::{build_isdf_hamiltonian, PointSelector};
     use mathkit::davidson::{davidson, DavidsonOptions};
     use mathkit::lobpcg::{lobpcg, LobpcgOptions};
 
@@ -648,9 +649,11 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
             run_solve(&problem, Version::Naive, &SolveOptions::new().n_states(1));
         for snap in [isdf::SnapRule::NearestCentroid, isdf::SnapRule::MaxWeight] {
             let ham = build_isdf_hamiltonian(
+                &Comm::solo(),
                 &problem,
                 PointSelector::Kmeans(KmeansOptions { snap, ..Default::default() }),
                 n_mu,
+                false,
                 &mut Vec::new(),
             )
             .expect("isdf build on clean benchmark input");
@@ -685,9 +688,11 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
 
     // (c) LOBPCG vs Davidson on the identical implicit operator.
     let ham = build_isdf_hamiltonian(
+        &Comm::solo(),
         &problem,
         PointSelector::Kmeans(KmeansOptions::default()),
         n_mu,
+        false,
         &mut Vec::new(),
     )
     .expect("isdf build on clean benchmark input");

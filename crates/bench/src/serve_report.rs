@@ -221,11 +221,11 @@ fn fault_cases() -> Vec<FaultCase> {
     vec![
         FaultCase {
             name: "nan-poison build",
-            plan: FaultPlan::new(0xbad).with("par.v_tilde", 0, FaultKind::NanPoison),
+            plan: FaultPlan::new(0xbad).with("ham.v_tilde", 0, FaultKind::NanPoison),
         },
         FaultCase {
             name: "inf-poison build",
-            plan: FaultPlan::new(0xbad).with("par.v_tilde", 0, FaultKind::InfPoison),
+            plan: FaultPlan::new(0xbad).with("ham.v_tilde", 0, FaultKind::InfPoison),
         },
         FaultCase {
             // A "rank stall": the progress engine sleeps before the first

@@ -22,10 +22,12 @@
 //!    `H·X = D∘X + 2Cᵀ(Ṽ_Hxc(C·X))`, never forming the `N_cv × N_cv`
 //!    Hamiltonian.
 //!
-//! [`parallel`] reproduces the paper's MPI pipeline (Algorithm 1) on the
-//! simulated-MPI runtime: row/column-block redistributions via `Alltoallv`,
-//! distributed weighted K-Means, and the pipelined GEMM+`Reduce` overlap of
-//! paper Figs. 4–5.
+//! The ISDF construction is written once, against a communicator
+//! ([`build_isdf_hamiltonian`]): ranks classify their own grid slabs in the
+//! weighted K-Means, and a serial solve is its one-rank case. [`parallel`]
+//! holds the rest of the paper's MPI pipeline (Algorithm 1) on the
+//! simulated-MPI runtime: row/column-block redistributions via `Alltoallv`
+//! and the pipelined GEMM+`Reduce` overlap of paper Figs. 4–5.
 
 pub mod analysis;
 pub mod kernel;

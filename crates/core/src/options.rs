@@ -19,6 +19,7 @@
 //! `parcomm::set_fusion_enabled`) that a solve reads and never writes.
 
 use crate::rank::IsdfRank;
+use crate::versions::PointSelector;
 use mathkit::lobpcg::LobpcgOptions;
 
 /// Which eigensolver the distributed solve finishes with.
@@ -59,12 +60,11 @@ pub struct SolveOptions {
     /// Final eigensolver for the distributed solve.
     pub eigensolver: Eig,
     /// Degradation marker. `Some(label)` means this option set is a
-    /// deliberate downgrade to a cheaper configuration — one rung of
-    /// [`crate::recover::degrade`]'s two-rung ladder (`rank-floor`, then
-    /// `direct-eig`), applied by the serving scheduler under deadline
-    /// pressure or a circuit-breaker probe; the label is recorded in
-    /// `Solution::recovery` so a degraded answer is never silent. `None`
-    /// (the default) leaves the clean path untouched.
+    /// deliberate downgrade to a cheaper configuration — the one rung of
+    /// [`crate::recover::degrade`] (`direct-eig`), applied by the serving
+    /// scheduler under deadline pressure or a circuit-breaker probe; the
+    /// label is recorded in `Solution::recovery` so a degraded answer is
+    /// never silent. `None` (the default) leaves the clean path untouched.
     pub degraded: Option<&'static str>,
 }
 
@@ -130,6 +130,19 @@ impl SolveOptions {
         self.degraded = Some(label);
         self
     }
+
+    /// The K-Means point selector of these options: default clustering
+    /// knobs, seeded by [`SolveOptions::seed`].
+    pub fn kmeans_selector(&self) -> PointSelector {
+        PointSelector::Kmeans(isdf::KmeansOptions { seed: self.seed, ..Default::default() })
+    }
+
+    /// A fresh recovery log. A degraded option set must never produce a
+    /// silently-degraded answer: its marker is the first entry, before
+    /// anything runs.
+    pub(crate) fn recovery_log(&self) -> Vec<String> {
+        self.degraded.iter().map(|label| format!("degraded: {label}")).collect()
+    }
 }
 
 #[cfg(test)]
@@ -145,14 +158,14 @@ mod tests {
             .seed(42)
             .pipelined(true)
             .eigensolver(Eig::Syev)
-            .degraded("rank-floor");
+            .degraded("direct-eig");
         assert_eq!(o.n_states, 7);
         assert!(matches!(o.rank, IsdfRank::Fixed(12)));
         assert_eq!(o.lobpcg.max_iter, 10);
         assert_eq!(o.seed, 42);
         assert!(o.pipelined);
         assert_eq!(o.eigensolver, Eig::Syev);
-        assert_eq!(o.degraded, Some("rank-floor"));
+        assert_eq!(o.degraded, Some("direct-eig"));
         assert_eq!(SolveOptions::default().degraded, None);
     }
 

@@ -14,28 +14,28 @@
 
 use crate::kernel::HxcKernel;
 use crate::options::{Eig, SolveOptions};
-use crate::parallel_eig::DistributedEigResult;
+use crate::parallel_eig::{distributed_casida_lobpcg, DistributedEigResult};
+use crate::pipeline::gram_replicated;
 use crate::problem::CasidaProblem;
+use crate::recover::build_ladder;
 use crate::timers::StageTimings;
 use crate::versions::IsdfHamiltonian;
-use faultkit::NumericalError;
 use isdf::face_splitting_product;
-use mathkit::gemm::{gemm, Transpose};
 use mathkit::{syev, Mat};
-use parcomm::layout::block_ranges;
 use parcomm::redist::{col_to_row_blocks, row_to_col_blocks};
-use parcomm::{Comm, ReduceBatch, ReducePlan};
+use parcomm::{block_ranges, Comm};
 
 /// Apply `f_Hxc` to a row-block-distributed field batch: redistribute to
 /// column blocks, FFT-apply locally, redistribute back. Returns the local
-/// row-block piece of the transformed batch.
-pub fn distributed_kernel_apply(
-    comm: &Comm,
-    problem: &CasidaProblem,
-    local_rows: &Mat,
-    n_cols_global: usize,
-) -> Mat {
-    let nr = problem.n_r();
+/// row-block piece of the transformed batch. On one rank the column-block
+/// piece *is* the row-block piece, and the kernel runs on the borrowed slab.
+pub fn distributed_kernel_apply(comm: &Comm, problem: &CasidaProblem, local_rows: &Mat) -> Mat {
+    let (nr, n_cols_global) = (problem.n_r(), local_rows.ncols());
+    let kernel = HxcKernel::for_problem(problem);
+    if comm.size() == 1 {
+        let _sp = obskit::span(obskit::Stage::Fft, "kernel.apply");
+        return kernel.apply(local_rows);
+    }
 
     // Row-block → column-block (Algorithm 1 line 3).
     let col_piece = row_to_col_blocks(comm, local_rows.as_slice(), nr, n_cols_global);
@@ -43,10 +43,7 @@ pub fn distributed_kernel_apply(
     // FFT + f_xc on my full-grid columns (lines 4–5).
     let sp = obskit::span(obskit::Stage::Fft, "kernel.apply");
     let my_cols = block_ranges(n_cols_global, comm.size())[comm.rank()].len();
-    let cols_mat = Mat::from_vec(nr, my_cols, col_piece);
-    let kernel = HxcKernel::for_problem(problem);
-    let mut transformed = Mat::zeros(nr, my_cols);
-    kernel.apply_into(&cols_mat, &mut transformed);
+    let transformed = kernel.apply(&Mat::from_vec(nr, my_cols, col_piece));
     drop(sp);
 
     // Column-block → row-block (line 6).
@@ -62,40 +59,23 @@ pub fn distributed_dense_hamiltonian_with(
     problem: &CasidaProblem,
     opts: &SolveOptions,
 ) -> (Mat, StageTimings) {
-    let pipelined = opts.pipelined;
     let clock = obskit::StageClock::now();
-    let nr = problem.n_r();
-    let ncv = problem.n_cv();
-    let dv = problem.grid.dv();
-    let my_rows = block_ranges(nr, comm.size())[comm.rank()].clone();
 
     // Local face-splitting product on my grid slab (line 2).
     let sp = obskit::span(obskit::Stage::FaceSplit, "face_split");
-    let psi_v_loc = problem.psi_v.row_block(my_rows.start, my_rows.end);
-    let psi_c_loc = problem.psi_c.row_block(my_rows.start, my_rows.end);
-    let z_loc = face_splitting_product(&psi_v_loc, &psi_c_loc);
+    let slab = problem.slab(comm);
+    let z_loc = face_splitting_product(&slab.psi_v, &slab.psi_c);
     drop(sp);
 
     // f_Hxc through the FFT layout dance (lines 3–6).
-    let fz_loc = distributed_kernel_apply(comm, problem, &z_loc, ncv);
+    let fz_loc = distributed_kernel_apply(comm, problem, &z_loc);
 
     // V_Hxc: local GEMM + reduction (lines 7–8 / Figs. 4–5).
-    let mut h = if pipelined {
-        let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.pipelined_reduce");
-        let res = crate::pipeline::gram_pipelined_reduce(comm, &z_loc, &fz_loc, 2.0 * dv)
-            .unwrap_or_else(|e| panic!("v_hxc pipelined reduce: {e}"));
-        drop(sp);
-        // Re-assemble the replicated matrix for the (replicated) eigensolve.
-        let gathered = comm.allgatherv(res.local.as_slice());
-        Mat::from_vec(ncv, ncv, gathered)
-    } else {
-        let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
-        let mut v = Mat::zeros(ncv, ncv);
-        gemm(2.0 * dv, &z_loc, Transpose::Yes, &fz_loc, Transpose::No, 0.0, &mut v);
-        drop(sp);
-        comm.allreduce_sum(v.as_mut_slice());
-        v
-    };
+    let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
+    let scale = 2.0 * problem.grid.dv();
+    let mut h = gram_replicated(comm, &z_loc, &fz_loc, scale, opts.pipelined, &mut [])
+        .unwrap_or_else(|e| panic!("v_hxc reduction: {e}"));
+    drop(sp);
 
     // H = D + 2 V_Hxc (line 10).
     for (i, d) in problem.diag_d().iter().enumerate() {
@@ -105,266 +85,25 @@ pub fn distributed_dense_hamiltonian_with(
     (h, StageTimings::since(clock))
 }
 
-/// Distributed weighted K-Means (paper §4.2 parallel design): every rank
-/// classifies its own grid slab; cluster sums are `Allreduce`d each Lloyd
-/// step. Returns the replicated interpolation-point list.
-pub fn distributed_kmeans(
-    comm: &Comm,
-    problem: &CasidaProblem,
-    n_mu: usize,
-    max_iter: usize,
-) -> Vec<usize> {
-    let nr = problem.n_r();
-    let my_rows = block_ranges(nr, comm.size())[comm.rank()].clone();
-
-    // Local weights, gathered so every rank can run the identical
-    // deterministic initialization.
-    let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.weights");
-    let psi_v_loc = problem.psi_v.row_block(my_rows.start, my_rows.end);
-    let psi_c_loc = problem.psi_c.row_block(my_rows.start, my_rows.end);
-    let w_loc = isdf::pair_weights(&psi_v_loc, &psi_c_loc);
-    drop(sp);
-    let w_all = comm.allgatherv(&w_loc);
-
-    let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.init");
-    let wmax = w_all.iter().cloned().fold(0.0f64, f64::max);
-    let cutoff = 1e-6 * wmax;
-    // Deterministic weight-guided init (identical on every rank).
-    let mut order: Vec<usize> = (0..nr).filter(|&i| w_all[i] > cutoff).collect();
-    order.sort_by(|&a, &b| w_all[b].partial_cmp(&w_all[a]).unwrap());
-    if order.is_empty() {
-        panic!("{}", NumericalError::AllZeroWeights);
-    }
-    // Degrade rather than die: if pruning leaves fewer candidates than N_μ,
-    // proceed at the reduced rank. The weights are replicated, so every rank
-    // clamps identically and the collective schedule stays aligned;
-    // downstream consumes `points.len()` as the effective rank.
-    let n_mu = n_mu.min(order.len());
-    let vol: f64 = problem.grid.cell.volume();
-    let mut dmin = 0.5 * (vol / n_mu as f64).powf(1.0 / 3.0);
-    let mut centroids: Vec<[f64; 3]> = Vec::new();
-    loop {
-        centroids.clear();
-        for &gi in &order {
-            let c = problem.grid.coords(gi);
-            if centroids.iter().all(|&cc| dist2(cc, c) >= dmin * dmin) {
-                centroids.push(c);
-                if centroids.len() == n_mu {
-                    break;
-                }
-            }
-        }
-        if centroids.len() == n_mu || dmin < 1e-12 {
-            while centroids.len() < n_mu {
-                centroids.push(problem.grid.coords(order[centroids.len() % order.len()]));
-            }
-            break;
-        }
-        dmin *= 0.5;
-    }
-    // Local active points.
-    let active: Vec<usize> = my_rows.clone().filter(|&gi| w_all[gi] > cutoff).collect();
-    drop(sp);
-
-    // Lloyd iterations: local classification + ONE fused reduction per sweep.
-    // The persistent plan carries three fields — per-cluster weighted
-    // coordinate sums, per-cluster weight counts, and the scalar Lloyd
-    // objective Σ w·d² — that the unfused schedule pays three collective
-    // latencies for.
-    let mut assign = vec![0usize; active.len()];
-    let mut plan = ReducePlan::new(&[3 * n_mu, n_mu, 1]);
-    for sweep in 0..max_iter {
-        let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.classify");
-        plan.clear();
-        for (a, &gi) in assign.iter_mut().zip(active.iter()) {
-            let w = w_all[gi];
-            let c = problem.grid.coords(gi);
-            let (cluster, d2) = nearest(&centroids, c);
-            *a = cluster;
-            let sums = plan.field_mut(0);
-            sums[3 * cluster] += w * c[0];
-            sums[3 * cluster + 1] += w * c[1];
-            sums[3 * cluster + 2] += w * c[2];
-            plan.field_mut(1)[cluster] += w;
-            plan.field_mut(2)[0] += w * d2;
-        }
-        drop(sp);
-        plan.execute(comm).unwrap_or_else(|e| panic!("kmeans cluster reduction: {e}"));
-
-        let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.update");
-        obskit::instant(
-            obskit::Stage::Kmeans,
-            "kmeans.sweep",
-            &[("sweep", sweep as f64), ("objective", plan.field(2)[0])],
-        );
-        let mut movement = 0.0;
-        for k in 0..n_mu {
-            let wsum = plan.field(1)[k];
-            if wsum > 0.0 {
-                let sums = plan.field(0);
-                let new =
-                    [sums[3 * k] / wsum, sums[3 * k + 1] / wsum, sums[3 * k + 2] / wsum];
-                movement += dist2(centroids[k], new);
-                centroids[k] = new;
-            }
-        }
-        drop(sp);
-        if movement < 1e-12 {
-            break;
-        }
-    }
-
-    // Snap to grid points: global argmin per cluster via allreduce on
-    // (negated distance, encoded index) — implemented as min over gathered
-    // per-rank candidates.
-    let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.snap");
-    let mut local_best = vec![f64::INFINITY; n_mu];
-    let mut local_idx = vec![-1.0; n_mu];
-    for (a, &gi) in assign.iter().zip(active.iter()) {
-        let d = dist2(centroids[*a], problem.grid.coords(gi));
-        if d < local_best[*a] {
-            local_best[*a] = d;
-            local_idx[*a] = gi as f64;
-        }
-    }
-    let mut cand = Vec::with_capacity(2 * n_mu);
-    cand.extend_from_slice(&local_best);
-    cand.extend_from_slice(&local_idx);
-    drop(sp);
-    let all_cand = comm.allgatherv(&cand);
-
-    let sp = obskit::span(obskit::Stage::Kmeans, "kmeans.select");
-    let p = comm.size();
-    let mut points = Vec::with_capacity(n_mu);
-    for k in 0..n_mu {
-        let mut best = f64::INFINITY;
-        let mut idx: i64 = -1;
-        for r in 0..p {
-            let base = r * 2 * n_mu;
-            let d = all_cand[base + k];
-            let gi = all_cand[base + n_mu + k];
-            if gi >= 0.0 && d < best {
-                best = d;
-                idx = gi as i64;
-            }
-        }
-        if idx >= 0 {
-            points.push(idx as usize);
-        }
-    }
-    points.sort_unstable();
-    points.dedup();
-    drop(sp);
-    points
-}
-
-/// Distributed ISDF Hamiltonian construction: K-Means points, row-block Θ
-/// solve, FFT layout dance, monolithic or pipelined Ṽ reduction
-/// (`opts.pipelined`). Returns the replicated factored Hamiltonian plus this
-/// rank's timings.
-pub fn distributed_isdf_hamiltonian_with(
-    comm: &Comm,
-    problem: &CasidaProblem,
-    opts: &SolveOptions,
-) -> (IsdfHamiltonian, StageTimings) {
-    let clock = obskit::StageClock::now();
-    let nr = problem.n_r();
-    let dv = problem.grid.dv();
-    let n_mu = opts.rank.resolve(nr, problem.n_v(), problem.n_c());
-    let my_rows = block_ranges(nr, comm.size())[comm.rank()].clone();
-
-    // 1. Interpolation points (distributed K-Means).
-    let points = distributed_kmeans(comm, problem, n_mu, 100);
-    let n_mu_eff = points.len();
-
-    // 2. Sampled orbital rows, assembled by summation (each point's row
-    // lives on exactly one rank).
-    let sp = obskit::span(obskit::Stage::Theta, "theta.sample_rows");
-    let (n_v, n_c) = (problem.n_v(), problem.n_c());
-    let mut psi_hat = Mat::zeros(n_mu_eff, n_v);
-    let mut phi_hat = Mat::zeros(n_mu_eff, n_c);
-    for (mu, &gi) in points.iter().enumerate() {
-        if my_rows.contains(&gi) {
-            for j in 0..n_v {
-                psi_hat[(mu, j)] = problem.psi_v[(gi, j)];
-            }
-            for j in 0..n_c {
-                phi_hat[(mu, j)] = problem.psi_c[(gi, j)];
-            }
-        }
-    }
-    drop(sp);
-    // Both sampled-row reductions ride ONE fused collective (each point's
-    // row lives on exactly one rank, so summation assembles them); the
-    // unfused fallback issues them per field with the same fold order.
-    let mut batch = ReduceBatch::new(comm);
-    let f_psi = batch.push(psi_hat.as_slice());
-    let f_phi = batch.push(phi_hat.as_slice());
-    let fused = batch.flush().unwrap_or_else(|e| panic!("sampled-row reduction: {e}"));
-    let psi_hat = Mat::from_vec(n_mu_eff, n_v, fused.field(f_psi).to_vec());
-    let phi_hat = Mat::from_vec(n_mu_eff, n_c, fused.field(f_phi).to_vec());
-
-    // 3. Θ rows on my slab: (ZCᵀ)_loc ∘-factored, solved against CCᵀ from
-    // the right, so the slab is never transposed.
-    let sp = obskit::span(obskit::Stage::Theta, "theta.solve");
-    let psi_v_loc = problem.psi_v.row_block(my_rows.start, my_rows.end);
-    let psi_c_loc = problem.psi_c.row_block(my_rows.start, my_rows.end);
-    let pair = isdf::interp::gram_pair(&psi_v_loc, &psi_c_loc, &psi_hat, &phi_hat);
-    // CCᵀ is built from replicated sampled rows — identical on every rank —
-    // so every rank climbs the same Tikhonov ladder as the serial fit would.
-    let theta_loc = isdf::interp::fit(pair).unwrap_or_else(|e| panic!("theta.cc_t: {e}"));
-    drop(sp);
-
-    // 4. f_Hxc Θ through the FFT layout dance.
-    let f_theta_loc = distributed_kernel_apply(comm, problem, &theta_loc, n_mu_eff);
-
-    // 5. Ṽ = ΔV Θᵀ(fΘ): monolithic GEMM+Allreduce, or the chunked
-    // GEMM+Reduce overlap schedule (bitwise-identical) followed by a tiny
-    // allgather to re-replicate.
-    let mut v_tilde = if opts.pipelined {
-        let sp = obskit::span(obskit::Stage::Gemm, "v_tilde.pipelined_reduce");
-        let res = crate::pipeline::gram_pipelined_reduce(comm, &theta_loc, &f_theta_loc, dv)
-            .unwrap_or_else(|e| panic!("v_tilde pipelined reduce: {e}"));
-        drop(sp);
-        let gathered = comm.allgatherv(res.local.as_slice());
-        Mat::from_vec(n_mu_eff, n_mu_eff, gathered)
-    } else {
-        let sp = obskit::span(obskit::Stage::Gemm, "v_tilde.contract");
-        let mut v = Mat::zeros(n_mu_eff, n_mu_eff);
-        gemm(dv, &theta_loc, Transpose::Yes, &f_theta_loc, Transpose::No, 0.0, &mut v);
-        drop(sp);
-        comm.allreduce_sum(v.as_mut_slice());
-        v
-    };
-    v_tilde.symmetrize();
-    // Fault-injection point for the distributed build (mirrors the serial
-    // "ham.v_tilde" site): the poison lands on the same element of every
-    // rank's replicated copy, so the matrix stays replicated.
-    faultkit::inject_slice("par.v_tilde", v_tilde.as_mut_slice());
-
-    // 6. Coefficients (replicated, from the replicated sampled rows).
-    let sp = obskit::span(obskit::Stage::Gemm, "coefficients");
-    let c = face_splitting_product(&psi_hat, &phi_hat);
-    drop(sp);
-
-    (IsdfHamiltonian { diag_d: problem.diag_d(), c, v_tilde }, StageTimings::since(clock))
-}
-
-/// Full distributed solve: ISDF construction (Algorithm 1 + §4) followed by
-/// the eigensolver `opts.eigensolver` picks — distributed matrix-free
-/// LOBPCG ([`Eig::Lobpcg`], paper Table 4 row 5) or a replicated dense SYEV
-/// on the factored Hamiltonian ([`Eig::Syev`]). Returns replicated
-/// eigenvalues plus this rank's timings. External callers go through
-/// [`crate::Solver::solve_distributed`], which fronts this.
+/// Full distributed solve: the K-Means [`crate::build_isdf_hamiltonian`]
+/// behind the serial solve's rebuild ladder, then the eigensolver
+/// `opts.eigensolver` picks — distributed matrix-free LOBPCG ([`Eig::Lobpcg`],
+/// paper Table 4 row 5) or a replicated dense SYEV ([`Eig::Syev`]). Returns
+/// replicated eigenvalues plus this rank's timings; a build the ladder cannot
+/// heal panics with the typed error and the recovery log. External callers go
+/// through [`crate::Solver::solve_distributed`].
 pub(crate) fn distributed_solve_with(
     comm: &Comm,
     problem: &CasidaProblem,
     opts: &SolveOptions,
 ) -> (Vec<f64>, StageTimings) {
     let clock = obskit::StageClock::now();
-    let (ham, _) = distributed_isdf_hamiltonian_with(comm, problem, opts);
-    let k = opts.n_states.min(problem.n_cv());
-    let values = distributed_eigensolve(comm, &ham, k, opts);
+    let mut recovery = opts.recovery_log();
+    let n_mu = opts.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c());
+    let (selector, pipelined) = (opts.kmeans_selector(), opts.pipelined);
+    let ham = build_ladder(comm, problem, selector, n_mu, pipelined, &mut recovery)
+        .unwrap_or_else(|e| panic!("distributed ISDF build: {e} (recovery log: {recovery:?})"));
+    let values = distributed_eigensolve(comm, &ham, opts.n_states.min(problem.n_cv()), opts);
     (values, StageTimings::since(clock))
 }
 
@@ -379,66 +118,39 @@ pub fn distributed_eigensolve(
     k: usize,
     opts: &SolveOptions,
 ) -> Vec<f64> {
+    // The factored H is replicated, so every rank runs the same dense
+    // solve — exact while N_cv stays small.
+    let dense = |name| {
+        let _sp = obskit::span(obskit::Stage::Diag, name);
+        syev(&ham.to_dense()).values[..k].to_vec()
+    };
     match opts.eigensolver {
-        Eig::Lobpcg => {
-            let res =
-                crate::parallel_eig::distributed_casida_lobpcg(comm, ham, k, opts.lobpcg, opts.seed)
-                    .and_then(DistributedEigResult::into_converged);
-            match res {
-                Ok(r) => r.values,
-                Err(_) => {
-                    // Every breakdown/convergence guard in the distributed
-                    // solver tests replicated quantities, so all ranks land
-                    // here together — fall back to the replicated dense
-                    // solve rather than abort the whole calculation.
-                    let sp = obskit::span(obskit::Stage::Diag, "diag.syev.fallback");
-                    let eig = syev(&ham.to_dense());
-                    drop(sp);
-                    eig.values[..k].to_vec()
-                }
-            }
-        }
-        Eig::Syev => {
-            // The factored H is replicated, so every rank runs the same
-            // dense solve — exact while N_cv stays small.
-            let sp = obskit::span(obskit::Stage::Diag, "diag.syev.replicated");
-            let eig = syev(&ham.to_dense());
-            drop(sp);
-            eig.values[..k].to_vec()
-        }
+        Eig::Syev => dense("diag.syev.replicated"),
+        // Every breakdown/convergence guard in the distributed solver tests
+        // replicated quantities, so all ranks fail together — and fall back
+        // to the dense solve rather than abort the whole calculation.
+        Eig::Lobpcg => distributed_casida_lobpcg(comm, ham, k, opts.lobpcg, opts.seed)
+            .and_then(DistributedEigResult::into_converged)
+            .map_or_else(|_| dense("diag.syev.fallback"), |res| res.values),
     }
-}
-
-#[inline]
-fn dist2(a: [f64; 3], b: [f64; 3]) -> f64 {
-    let dx = a[0] - b[0];
-    let dy = a[1] - b[1];
-    let dz = a[2] - b[2];
-    dx * dx + dy * dy + dz * dz
-}
-
-#[inline]
-fn nearest(centroids: &[[f64; 3]], p: [f64; 3]) -> (usize, f64) {
-    let mut bi = 0;
-    let mut bd = f64::INFINITY;
-    for (k, &c) in centroids.iter().enumerate() {
-        let d = dist2(c, p);
-        if d < bd {
-            bd = d;
-            bi = k;
-        }
-    }
-    (bi, bd)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::IsdfRank;
     use crate::naive::build_dense_hamiltonian;
     use crate::problem::synthetic_problem;
+    use crate::rank::IsdfRank;
+    use crate::versions::build_isdf_hamiltonian;
     use mathkit::syev;
     use parcomm::spmd;
+
+    /// The ISDF build the distributed solve runs, on `c`.
+    fn build(c: &Comm, p: &CasidaProblem, opts: &SolveOptions) -> IsdfHamiltonian {
+        let n_mu = opts.rank.resolve(p.n_r(), p.n_v(), p.n_c());
+        build_isdf_hamiltonian(c, p, opts.kmeans_selector(), n_mu, opts.pipelined, &mut vec![])
+            .expect("clean build")
+    }
 
     #[test]
     fn distributed_dense_matches_serial() {
@@ -470,7 +182,7 @@ mod tests {
             let rr = block_ranges(p.n_r(), ranks)[c.rank()].clone();
             let loc = fields.row_block(rr.start, rr.end);
             let clock = obskit::StageClock::now();
-            let out = distributed_kernel_apply(c, &p, &loc, 3);
+            let out = distributed_kernel_apply(c, &p, &loc);
             assert!(StageTimings::since(clock).fft > 0.0);
             (rr, out)
         });
@@ -481,39 +193,23 @@ mod tests {
     }
 
     #[test]
-    fn distributed_kmeans_replicated_and_plausible() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let n_mu = 6;
-        let res = spmd(3, |c| {
-            let clock = obskit::StageClock::now();
-            let pts = distributed_kmeans(c, &p, n_mu, 50);
-            assert!(StageTimings::since(clock).kmeans > 0.0);
-            pts
-        });
-        // identical on every rank
-        assert_eq!(res[0], res[1]);
-        assert_eq!(res[1], res[2]);
-        assert!(!res[0].is_empty() && res[0].len() <= n_mu);
-        assert!(res[0].iter().all(|&gi| gi < p.n_r()));
-    }
-
-    #[test]
     fn distributed_isdf_spectrum_matches_serial() {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
-        let n_mu = p.n_cv(); // full rank → exact
-        // Serial reference spectrum via the naive dense Hamiltonian.
-        let serial_h = build_dense_hamiltonian(&p);
-        let serial_eig = syev(&serial_h);
-        let opts = SolveOptions::new().rank(IsdfRank::Fixed(n_mu));
+        // Full rank → exact against the naive dense Hamiltonian …
+        let naive = syev(&build_dense_hamiltonian(&p));
+        let opts = SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv()));
+        let serial = syev(&build(&Comm::solo(), &p, &opts).to_dense());
+        for i in 0..3 {
+            let rel = (serial.values[i] - naive.values[i]).abs() / naive.values[i].abs();
+            assert!(rel < 1e-5, "λ_{i} rel {rel} against the dense reference");
+        }
+        // … and the same build on every rank count.
         for ranks in [1usize, 2, 4] {
-            let res =
-                spmd(ranks, |c| distributed_isdf_hamiltonian_with(c, &p, &opts).0.to_dense());
-            for h in res {
+            for h in spmd(ranks, |c| build(c, &p, &opts).to_dense()) {
                 let eig = syev(&h);
                 for i in 0..3 {
-                    let rel = (eig.values[i] - serial_eig.values[i]).abs()
-                        / serial_eig.values[i].abs().max(1e-12);
-                    assert!(rel < 1e-4, "ranks={ranks} λ_{i} rel {rel}");
+                    let rel = (eig.values[i] - serial.values[i]).abs() / serial.values[i].abs();
+                    assert!(rel < 1e-10, "ranks={ranks} λ_{i} rel {rel}");
                 }
             }
         }
@@ -539,7 +235,7 @@ mod tests {
                     let rel =
                         (v - serial.energies[i]).abs() / serial.energies[i].abs().max(1e-12);
                     assert!(
-                        rel < 1e-5,
+                        rel < 1e-10,
                         "ranks={ranks} state {i}: {} vs {}",
                         v,
                         serial.energies[i]
@@ -623,7 +319,7 @@ mod tests {
         let batched = spmd(2, |c| {
             // Build once with the batch-key options (rank/seed/pipelined
             // agree between the two jobs), then eigensolve per job.
-            let (ham, _) = distributed_isdf_hamiltonian_with(c, &p, &opts_a);
+            let ham = build(c, &p, &opts_a);
             let a = distributed_eigensolve(c, &ham, 2, &opts_a);
             let b = distributed_eigensolve(c, &ham, 3, &opts_b);
             (a, b)

@@ -423,7 +423,8 @@ mod tests {
 
     fn test_ham() -> IsdfHamiltonian {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 3);
-        build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
+        let solo = Comm::solo();
+        build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, p.n_cv(), false, &mut Vec::new())
             .expect("clean full-rank build")
     }
 

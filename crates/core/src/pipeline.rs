@@ -45,21 +45,34 @@ pub struct GramResult {
 }
 
 /// Monolithic path: full local GEMM `Aᵀ_local·B_local`, then `Allreduce`.
-/// Every rank returns the complete `m × n` matrix.
-pub fn gram_allreduce(comm: &Comm, a_local: &Mat, b_local: &Mat, scale: f64) -> GramResult {
+/// Every rank returns the complete `m × n` matrix. `riders` are a few
+/// per-rank partial sums that travel at the end of the matrix's buffer — on
+/// the collective it needs anyway — and come back summed over the ranks.
+pub fn gram_allreduce(
+    comm: &Comm,
+    a_local: &Mat,
+    b_local: &Mat,
+    scale: f64,
+    riders: &mut [f64],
+) -> GramResult {
     let (m, n) = (a_local.ncols(), b_local.ncols());
     // A Gram of a block with itself is symmetric — the packed rank-k engine
     // computes only the lower triangle and mirrors it.
-    let mut v = if std::ptr::eq(a_local, b_local) {
+    let v = if std::ptr::eq(a_local, b_local) {
         syrk_tn_scaled(scale, a_local)
     } else {
         let mut v = Mat::zeros(m, n);
         gemm(scale, a_local, Transpose::Yes, b_local, Transpose::No, 0.0, &mut v);
         v
     };
-    comm.allreduce_sum(v.as_mut_slice());
+    let mut v = v.into_vec();
+    v.reserve_exact(riders.len());
+    v.extend_from_slice(riders);
+    comm.allreduce_sum(&mut v);
+    riders.copy_from_slice(&v[m * n..]);
+    v.truncate(m * n);
     GramResult {
-        local: v,
+        local: Mat::from_vec(m, n, v),
         col_range: 0..n,
         peak_words: m * n,
         overlap: None,
@@ -144,6 +157,37 @@ pub fn gram_pipelined_reduce(
     })
 }
 
+/// The replicated Gram matrix `scale · Aᵀ B` of row-distributed `A` and `B`
+/// by either schedule: [`gram_allreduce`], or (`pipelined`)
+/// [`gram_pipelined_reduce`] and a small allgather to re-replicate — the two
+/// agree bit for bit. `riders` as in [`gram_allreduce`]; pipelined, they
+/// ride the allgather.
+pub fn gram_replicated(
+    comm: &Comm,
+    a_local: &Mat,
+    b_local: &Mat,
+    scale: f64,
+    pipelined: bool,
+    riders: &mut [f64],
+) -> Result<Mat, CommError> {
+    if !pipelined {
+        return Ok(gram_allreduce(comm, a_local, b_local, scale, riders).local);
+    }
+    let (m, n) = (a_local.ncols(), b_local.ncols());
+    let mut mine = gram_pipelined_reduce(comm, a_local, b_local, scale)?.local.into_vec();
+    mine.extend_from_slice(riders);
+    let gathered = comm.allgatherv(&mine);
+    riders.fill(0.0);
+    let mut v = Vec::with_capacity(m * n);
+    for (rank, chunk) in block_ranges(n, comm.size()).into_iter().enumerate() {
+        let at = m * chunk.start + rank * riders.len();
+        let (cols, rest) = gathered[at..].split_at(m * chunk.len());
+        v.extend_from_slice(cols);
+        riders.iter_mut().zip(rest).for_each(|(sum, part)| *sum += part);
+    }
+    Ok(Mat::from_vec(m, n, v))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +214,7 @@ mod tests {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
             let bl = b.row_block(rr.start, rr.end);
-            gram_allreduce(c, &al, &bl, 2.0).local
+            gram_allreduce(c, &al, &bl, 2.0, &mut []).local
         });
         for r in res {
             assert!(r.max_abs_diff(&expect) < 1e-10);
@@ -202,29 +246,26 @@ mod tests {
 
     #[test]
     fn pipelined_matches_allreduce_bitwise() {
-        // Same ring fold order per element on both paths ⇒ exact equality.
+        // Same ring fold order per element on both paths ⇒ exact equality,
+        // of the replicated matrix and of the riders summed along with it.
         let (nr, m, n, p) = (32, 6, 8, 4);
         let (a, b) = global_ab(nr, m, n);
         let res = spmd(p, |c| {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
             let bl = b.row_block(rr.start, rr.end);
-            let mono = gram_allreduce(c, &al, &bl, 1.5);
-            let pipe = gram_pipelined_reduce(c, &al, &bl, 1.5).expect("pipelined reduce");
-            (mono, pipe)
+            [false, true].map(|pipelined| {
+                let mut riders = [0.1 * (c.rank() + 1) as f64, 1.0];
+                let v = gram_replicated(c, &al, &bl, 1.5, pipelined, &mut riders).expect("reduce");
+                (v, riders)
+            })
         });
-        for (rank, (mono, pipe)) in res.iter().enumerate() {
-            let cr = block_ranges(n, p)[rank].clone();
-            for (jl, j) in cr.clone().enumerate() {
-                for i in 0..m {
-                    let full = mono.local[(i, j)];
-                    let chunk = pipe.local[(i, jl)];
-                    assert!(
-                        full.to_bits() == chunk.to_bits(),
-                        "({i},{j}): {full:e} != {chunk:e}"
-                    );
-                }
-            }
+        for [(mono, mono_riders), (pipe, pipe_riders)] in res {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(mono.as_slice()), bits(pipe.as_slice()));
+            assert_eq!(bits(&mono_riders), bits(&pipe_riders));
+            assert_eq!(mono_riders[1], p as f64);
+            assert!((mono_riders[0] - 1.0).abs() < 1e-15);
         }
     }
 
@@ -236,7 +277,7 @@ mod tests {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
             let bl = b.row_block(rr.start, rr.end);
-            let mono = gram_allreduce(c, &al, &bl, 1.0);
+            let mono = gram_allreduce(c, &al, &bl, 1.0, &mut []);
             let pipe = gram_pipelined_reduce(c, &al, &bl, 1.0).expect("pipelined reduce");
             (mono.peak_words, pipe.peak_words)
         });

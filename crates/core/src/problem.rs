@@ -1,7 +1,9 @@
 //! The Casida/TDA problem data: everything the five solver versions consume.
 
 use mathkit::Mat;
+use parcomm::{block_ranges, Comm};
 use pwdft::{Grid, GroundState};
+use std::borrow::Cow;
 
 /// Spin channel of the TDA kernel for closed-shell systems.
 ///
@@ -35,7 +37,25 @@ pub struct CasidaProblem {
     pub kernel_kind: KernelKind,
 }
 
+/// One rank's row block of the replicated orbitals (paper Fig. 3) — borrowed
+/// when the slab is the whole grid, so one rank copies nothing.
+pub(crate) struct Slab<'a> {
+    pub(crate) rows: std::ops::Range<usize>,
+    pub(crate) psi_v: Cow<'a, Mat>,
+    pub(crate) psi_c: Cow<'a, Mat>,
+}
+
 impl CasidaProblem {
+    /// The calling rank's [`Slab`] of the orbitals on `comm`.
+    pub(crate) fn slab(&self, comm: &Comm) -> Slab<'_> {
+        let rows = block_ranges(self.n_r(), comm.size())[comm.rank()].clone();
+        let cut = |m| match rows.len() == self.n_r() {
+            true => Cow::Borrowed(m),
+            false => Cow::Owned(Mat::row_block(m, rows.start, rows.end)),
+        };
+        Slab { psi_v: cut(&self.psi_v), psi_c: cut(&self.psi_c), rows }
+    }
+
     /// Assemble from a converged ground state.
     pub fn from_ground_state(grid: &Grid, gs: &GroundState) -> Self {
         CasidaProblem {

@@ -9,7 +9,8 @@
 //!   fit-residual breaches internally; a typed failure that still escapes
 //!   (poisoned factors, non-SPD Gram) gets one clean rebuild — injected
 //!   faults are one-shot, so the retry runs pristine — before
-//!   [`SolveError::LadderExhausted`].
+//!   [`SolveError::LadderExhausted`]. The serial solve runs it on a solo
+//!   communicator, the distributed solve on its group.
 //! * **eigensolver ladder** — LOBPCG breakdown → resume from the last-good
 //!   checkpointed iterate → clean restart (same seed) → block Davidson →
 //!   dense SYEV floor. The dense floor always succeeds, so versions 4–5
@@ -26,7 +27,6 @@ use crate::lobpcg_driver::{casida_preconditioner, initial_guess, solve_casida_lo
 use crate::metrics::ComplexityEstimate;
 use crate::naive::solve_naive;
 use crate::options::{Eig, SolveOptions};
-use crate::rank::IsdfRank;
 use crate::problem::CasidaProblem;
 use crate::timers::StageTimings;
 use crate::versions::{
@@ -37,6 +37,7 @@ use mathkit::davidson::{davidson, DavidsonOptions};
 use mathkit::gemm::{gemm, Transpose};
 use mathkit::lobpcg::{lobpcg, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT};
 use mathkit::{syev, Mat};
+use parcomm::Comm;
 
 impl SolveOptions {
     /// Solve `problem` with the requested `version`, healing transient
@@ -52,68 +53,35 @@ impl SolveOptions {
         version: Version,
     ) -> Result<Solution, SolveError> {
         let clock = obskit::StageClock::now();
-        let mut recovery = Vec::new();
-        // A degraded option set must never produce a silently-degraded
-        // answer: the marker lands in the recovery log before anything runs.
-        if let Some(label) = self.degraded {
-            recovery.push(format!("degraded: {label}"));
-        }
+        let mut recovery = self.recovery_log();
         let k = self.n_states.min(problem.n_cv());
-        let n_mu = self.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c());
-        let complexity = ComplexityEstimate::for_version(
-            version,
-            problem.n_r(),
-            n_mu,
-            problem.n_v(),
-            problem.n_c(),
-            k,
-        );
+        let (n_r, n_v, n_c) = (problem.n_r(), problem.n_v(), problem.n_c());
+        let n_mu = match version {
+            Version::Naive => 0,
+            _ => self.rank.resolve(n_r, n_v, n_c),
+        };
+        let complexity = ComplexityEstimate::for_version(version, n_r, n_mu, n_v, n_c, k);
 
-        match version {
-            Version::Naive => {
-                let (energies, coefficients) = solve_naive(problem, k);
-                Ok(Solution {
-                    energies,
-                    coefficients,
-                    timings: StageTimings::since(clock),
-                    n_mu: 0,
-                    lobpcg_iterations: None,
-                    complexity,
-                    recovery,
-                })
-            }
-            Version::QrcpIsdf | Version::KmeansIsdf => {
-                let selector = if version == Version::QrcpIsdf {
-                    PointSelector::Qrcp
-                } else {
-                    PointSelector::Kmeans(isdf::KmeansOptions {
-                        seed: self.seed,
-                        ..Default::default()
-                    })
-                };
-                let ham = build_ladder(problem, selector, n_mu, &mut recovery)?;
-                let sp = obskit::span(obskit::Stage::Diag, "diag.syev");
-                let h = ham.to_dense();
-                let eig = syev(&h);
-                drop(sp);
+        let (energies, coefficients, lobpcg_iterations) = if version == Version::Naive {
+            let (energies, coefficients) = solve_naive(problem, k);
+            (energies, coefficients, None)
+        } else {
+            // The one ISDF build, as its one-rank case: on a solo
+            // communicator, on this thread.
+            let selector = match version {
+                Version::QrcpIsdf => PointSelector::Qrcp,
+                _ => self.kmeans_selector(),
+            };
+            let solo = Comm::solo();
+            let ham = build_ladder(&solo, problem, selector, n_mu, self.pipelined, &mut recovery)?;
+            if matches!(version, Version::QrcpIsdf | Version::KmeansIsdf) {
+                let _sp = obskit::span(obskit::Stage::Diag, "diag.syev");
+                let eig = syev(&ham.to_dense());
                 let cols: Vec<usize> = (0..k).collect();
-                Ok(Solution {
-                    energies: eig.values[..k].to_vec(),
-                    coefficients: eig.vectors.select_cols(&cols),
-                    timings: StageTimings::since(clock),
-                    n_mu,
-                    lobpcg_iterations: None,
-                    complexity,
-                    recovery,
-                })
-            }
-            Version::KmeansIsdfLobpcg | Version::ImplicitKmeansIsdfLobpcg => {
-                let selector = PointSelector::Kmeans(isdf::KmeansOptions {
-                    seed: self.seed,
-                    ..Default::default()
-                });
-                let ham = build_ladder(problem, selector, n_mu, &mut recovery)?;
-                let sp = obskit::span(obskit::Stage::Diag, "diag.lobpcg");
+                (eig.values[..k].to_vec(), eig.vectors.select_cols(&cols), None)
+            } else {
+                let _sp = obskit::span(obskit::Stage::Diag, "diag.lobpcg");
+                let (opts, seed) = (self.lobpcg, self.seed);
                 let res = if version == Version::KmeansIsdfLobpcg {
                     // Explicit H, iterative eigensolve (Table 4 row 4).
                     let h = ham.to_dense();
@@ -122,85 +90,65 @@ impl SolveOptions {
                         gemm(1.0, &h, Transpose::No, x, Transpose::No, 0.0, &mut y);
                         y
                     };
-                    eig_ladder(
-                        apply,
-                        || h.clone(),
-                        &ham.diag_d,
-                        k,
-                        self.lobpcg,
-                        self.seed,
-                        &mut recovery,
-                    )
+                    eig_ladder(apply, || h.clone(), &ham.diag_d, k, opts, seed, &mut recovery)
                 } else {
                     // Matrix-free (Table 4 row 5): H never materialized
                     // unless the ladder bottoms out at the dense floor.
                     let apply = |x: &Mat| ham.apply(x);
-                    eig_ladder(
-                        apply,
-                        || ham.to_dense(),
-                        &ham.diag_d,
-                        k,
-                        self.lobpcg,
-                        self.seed,
-                        &mut recovery,
-                    )
+                    eig_ladder(apply, || ham.to_dense(), &ham.diag_d, k, opts, seed, &mut recovery)
                 };
-                drop(sp);
-                Ok(Solution {
-                    energies: res.values,
-                    coefficients: res.vectors,
-                    timings: StageTimings::since(clock),
-                    n_mu,
-                    lobpcg_iterations: Some(res.iterations),
-                    complexity,
-                    recovery,
-                })
+                (res.values, res.vectors, Some(res.iterations))
             }
-        }
+        };
+        Ok(Solution {
+            energies,
+            coefficients,
+            timings: StageTimings::since(clock),
+            n_mu,
+            lobpcg_iterations,
+            complexity,
+            recovery,
+        })
     }
 }
 
 /// One rung down the graceful-degradation ladder: the next-cheaper
-/// configuration for `opts` at `problem`'s dimensions, or `None` when every
-/// rung has been taken. This is what the serving scheduler walks under
-/// deadline pressure or for a circuit-breaker half-open probe; a direct
-/// caller can walk it too. Rungs, in order:
+/// configuration for `opts`, or `None` when the rung has been taken. This is
+/// what the serving scheduler walks under deadline pressure or for a
+/// circuit-breaker half-open probe; a direct caller can walk it too. The
+/// ladder is one rung:
 ///
-/// 1. `rank-floor` — a resolved ISDF rank above `min(N_r, N_v·N_c)` is
-///    dropped to that bound ([`IsdfRank::resolve`] clamps to the same
-///    bound, so no option set reaches this rung today);
-/// 2. `direct-eig` — LOBPCG → the direct dense finisher ([`Eig::Syev`]):
-///    skips iterative work entirely and lands where the eig ladder
-///    (Davidson → dense SYEV) would bottom out, without burning the
-///    iterations first.
+/// * `direct-eig` — LOBPCG → the direct dense finisher ([`Eig::Syev`]):
+///   skips iterative work entirely and lands where the eig ladder
+///   (Davidson → dense SYEV) would bottom out, without burning the
+///   iterations first.
 ///
-/// Every rung changes the resolved rank or the eigensolver, so both the
-/// serial and the distributed solve see it, and stamps
-/// [`SolveOptions::degraded`], so the downgrade is recorded in
-/// `Solution::recovery` and job outcomes — never silent. There is no
-/// precision rung: the solver has one f64 eigensolve path, as the paper's
-/// five versions do.
-pub fn degrade(opts: &SolveOptions, problem: &CasidaProblem) -> Option<SolveOptions> {
-    let floor = (problem.n_v() * problem.n_c()).min(problem.n_r()).max(1);
-    if opts.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c()) > floor {
-        return Some(opts.rank(IsdfRank::Fixed(floor)).degraded("rank-floor"));
-    }
-    if opts.eigensolver == Eig::Lobpcg {
-        return Some(opts.eigensolver(Eig::Syev).degraded("direct-eig"));
-    }
-    None
+/// The rung changes the eigensolver, so both the serial and the distributed
+/// solve see it, and stamps [`SolveOptions::degraded`], so the downgrade is
+/// recorded in `Solution::recovery` and job outcomes — never silent. There
+/// is no rank rung ([`crate::IsdfRank::resolve`] already clamps to
+/// `min(N_r, N_v·N_c)`) and no precision rung: the solver has one f64
+/// eigensolve path, as the paper's five versions do.
+pub fn degrade(opts: &SolveOptions) -> Option<SolveOptions> {
+    (opts.eigensolver == Eig::Lobpcg).then(|| opts.eigensolver(Eig::Syev).degraded("direct-eig"))
 }
 
-/// ISDF-build ladder: one typed failure earns one clean rebuild (injected
-/// faults are one-shot, so the retry is pristine); a second failure is
-/// [`SolveError::LadderExhausted`].
-fn build_ladder(
+/// ISDF-build ladder, SPMD-collective on `comm`: one typed failure earns one
+/// clean rebuild (injected faults are one-shot, so the retry is pristine); a
+/// second failure is [`SolveError::LadderExhausted`]. Build failures are
+/// decided on replicated data, so every rank of a group climbs together.
+pub(crate) fn build_ladder(
+    comm: &Comm,
     problem: &CasidaProblem,
     selector: PointSelector,
     n_mu: usize,
+    pipelined: bool,
     recovery: &mut Vec<String>,
 ) -> Result<IsdfHamiltonian, SolveError> {
-    let first = match build_isdf_hamiltonian(problem, selector, n_mu, recovery) {
+    let build = |recovery: &mut Vec<String>| {
+        build_isdf_hamiltonian(comm, problem, selector, n_mu, pipelined, recovery)
+    };
+    let first = match build(recovery) {
         Ok(ham) => return Ok(ham),
         Err(e) => e,
     };
@@ -208,17 +156,14 @@ fn build_ladder(
     // capture the failure context before the rebuild overwrites it.
     faultkit::notify_solve_error(&first);
     recovery.push(format!("isdf.build: {first}; clean rebuild"));
-    match build_isdf_hamiltonian(problem, selector, n_mu, recovery) {
-        Ok(ham) => Ok(ham),
-        Err(second) => {
-            let err = SolveError::LadderExhausted {
-                stage: "isdf.build",
-                attempts: vec![first.to_string(), second.to_string()],
-            };
-            faultkit::notify_solve_error(&err);
-            Err(err)
-        }
-    }
+    build(recovery).map_err(|second| {
+        let err = SolveError::LadderExhausted {
+            stage: "isdf.build",
+            attempts: vec![first.to_string(), second.to_string()],
+        };
+        faultkit::notify_solve_error(&err);
+        err
+    })
 }
 
 /// Eigensolver ladder for the LOBPCG versions:
@@ -350,43 +295,19 @@ mod tests {
     fn degraded_marker_lands_in_recovery_before_anything_runs() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let s = opts(&p)
-            .degraded("rank-floor")
+            .degraded("direct-eig")
             .run(&p, Version::KmeansIsdf)
             .expect("degraded run solves");
-        assert_eq!(s.recovery.first().map(String::as_str), Some("degraded: rank-floor"));
+        assert_eq!(s.recovery.first().map(String::as_str), Some("degraded: direct-eig"));
     }
 
     #[test]
-    fn every_degrade_rung_changes_rank_or_eigensolver() {
-        use crate::problem::silicon_like_problem;
-        let si = silicon_like_problem(1, 12, 4);
-        let syn = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let starts = [
-            (&si, SolveOptions::new()),
-            // Already at the rank floor: the first rung is the eigensolver.
-            (&syn, opts(&syn)),
-            (&si, SolveOptions::new().eigensolver(Eig::Syev)),
-        ];
-        for (p, start) in starts {
-            let resolved = |o: &SolveOptions| o.rank.resolve(p.n_r(), p.n_v(), p.n_c());
-            let mut cur = start;
-            let mut labels = Vec::new();
-            while let Some(next) = degrade(&cur, p) {
-                assert!(
-                    resolved(&next) != resolved(&cur) || next.eigensolver != cur.eigensolver,
-                    "rung {:?} changes nothing a solve can see",
-                    next.degraded
-                );
-                labels.push(next.degraded.expect("every rung is labelled"));
-                cur = next;
-                assert!(labels.len() <= 2, "ladder longer than two rungs: {labels:?}");
-            }
-            if start.eigensolver == Eig::Lobpcg {
-                assert_eq!(labels.last().copied(), Some("direct-eig"), "{labels:?}");
-                assert_eq!(cur.eigensolver, Eig::Syev);
-            }
+    fn the_degrade_ladder_is_one_labelled_eigensolver_rung() {
+        for start in [SolveOptions::new(), SolveOptions::new().rank(IsdfRank::Fixed(4))] {
+            let down = degrade(&start).expect("LOBPCG has a cheaper finisher");
+            assert_eq!((down.eigensolver, down.degraded), (Eig::Syev, Some("direct-eig")));
+            assert!(degrade(&down).is_none(), "the dense finisher is the floor");
         }
-        assert_eq!(degrade(&opts(&syn), &syn).and_then(|o| o.degraded), Some("direct-eig"));
     }
 
     #[test]

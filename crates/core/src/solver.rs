@@ -59,16 +59,21 @@ impl Solver {
         &self.opts
     }
 
-    /// Serial solve through the recovery ladder.
+    /// Serial solve through the recovery ladder. The ISDF versions run the
+    /// one build ([`crate::build_isdf_hamiltonian`]) on a solo communicator
+    /// on this thread: no rank thread, no `mpi:*` span, no comm statistics.
     pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
         self.opts.run(problem, self.version)
     }
 
-    /// Distributed solve on an SPMD communicator: ISDF construction
-    /// (Algorithm 1 + §4) then the configured eigensolver. Returns
-    /// replicated eigenvalues plus this rank's stage timings. The `version`
-    /// is ignored here — the distributed path is always the implicit ISDF
-    /// pipeline; `options().eigensolver` picks the finisher.
+    /// Distributed solve on an SPMD communicator: the same ISDF build as
+    /// [`Solver::solve`] — same K-Means points, same typed failures behind
+    /// the same one-rebuild ladder — on `comm`'s ranks, then the configured
+    /// eigensolver. Returns replicated eigenvalues plus this rank's stage
+    /// timings; a build the ladder cannot heal panics with the typed error.
+    /// The `version` is ignored here — the distributed path is always the
+    /// implicit K-Means-ISDF pipeline; `options().eigensolver` picks the
+    /// finisher.
     pub fn solve_distributed(
         &self,
         comm: &Comm,

@@ -1,15 +1,20 @@
 //! The five solver versions of paper Table 4, behind one entry point.
 
-use crate::kernel::HxcKernel;
 use crate::metrics::ComplexityEstimate;
-use crate::problem::CasidaProblem;
+use crate::parallel::distributed_kernel_apply;
+use crate::pipeline::gram_replicated;
+use crate::problem::{CasidaProblem, Slab};
 use crate::timers::StageTimings;
 use faultkit::{NumericalError, SolveError};
+use isdf::interp::{fit, gram_pair};
 use isdf::{
-    kmeans_points_checked, pair_weights, qrcp_points, IsdfDecomposition, KmeansOptions,
+    face_splitting_product, kmeans_points_checked, pair_weights, qrcp_points,
+    sampled_residual_sums, KmeansOptions,
 };
 use mathkit::gemm::{gemm, Transpose};
 use mathkit::{simd, Mat};
+use obskit::Stage;
+use parcomm::{Comm, ReduceBatch, ReducePlan};
 
 /// Interpolation-point selector for the ISDF versions.
 #[derive(Clone, Copy, Debug)]
@@ -59,10 +64,6 @@ impl Version {
 
     pub fn uses_isdf(&self) -> bool {
         !matches!(self, Version::Naive)
-    }
-
-    pub fn uses_lobpcg(&self) -> bool {
-        matches!(self, Version::KmeansIsdfLobpcg | Version::ImplicitKmeansIsdfLobpcg)
     }
 }
 
@@ -138,133 +139,166 @@ impl IsdfHamiltonian {
 /// of magnitude below it), so the build escalates the rank and retries.
 pub const FIT_RESIDUAL_GUARD: f64 = 1.0;
 
-/// Interpolation points per the selector, with the K-Means degenerate-start
-/// recovery: a run that had to reseed empty clusters is retried once cleanly
-/// (injected seeding faults are one-shot, so the retry is pristine).
-fn select_isdf_points(
+/// Interpolation points per the selector, replicated on every rank. QRCP is
+/// the reference selector and runs replicated; K-Means classifies this
+/// rank's slab (paper §4.2), one fused reduction per sweep, and a run that
+/// had to reseed empty clusters is retried once cleanly (seeding faults are
+/// one-shot; `reseeded` comes from reduced sums, so every rank retries).
+fn select_points(
+    comm: &Comm,
     problem: &CasidaProblem,
+    slab: &Slab,
     selector: PointSelector,
     n_mu: usize,
     recovery: &mut Vec<String>,
 ) -> Result<Vec<usize>, SolveError> {
-    match selector {
-        PointSelector::Qrcp => {
-            let sp = obskit::span(obskit::Stage::Qrcp, "isdf.qrcp_points");
-            let pts = qrcp_points(&problem.psi_v, &problem.psi_c, n_mu);
-            drop(sp);
-            Ok(pts)
-        }
-        PointSelector::Kmeans(opts) => {
-            let sp = obskit::span(obskit::Stage::Kmeans, "isdf.kmeans_points");
-            let w = pair_weights(&problem.psi_v, &problem.psi_c);
-            let coords: Vec<[f64; 3]> =
-                (0..problem.n_r()).map(|i| problem.grid.coords(i)).collect();
-            let mut out = kmeans_points_checked(&coords, &w, n_mu, opts)?;
-            if out.reseeded > 0 {
-                recovery.push(format!(
-                    "kmeans: {} empty cluster(s) reseeded — degenerate start, clean retry",
-                    out.reseeded
-                ));
-                out = kmeans_points_checked(&coords, &w, n_mu, opts)?;
-            }
-            drop(sp);
-            Ok(out.points)
-        }
+    let PointSelector::Kmeans(opts) = selector else {
+        let _sp = obskit::span(Stage::Qrcp, "isdf.qrcp_points");
+        return Ok(qrcp_points(&problem.psi_v, &problem.psi_c, n_mu));
+    };
+    let _sp = obskit::span(Stage::Kmeans, "kmeans.points");
+    // Weights are gathered so that pruning, seeding and reseeding replicate.
+    let w = comm.allgatherv(&pair_weights(&slab.psi_v, &slab.psi_c));
+    let coords: Vec<[f64; 3]> = (0..problem.n_r()).map(|i| problem.grid.coords(i)).collect();
+    let mut plan: Option<ReducePlan> = None;
+    let mut lloyd = || {
+        let mut sweep = 0.0;
+        let reduce = |partials: &mut [f64], layout: &[usize]| -> Result<(), SolveError> {
+            plan.get_or_insert_with(|| ReducePlan::new(layout)).execute_packed(comm, partials)?;
+            let args = [("sweep", sweep), ("objective", partials[partials.len() - 1])];
+            obskit::instant(Stage::Kmeans, "kmeans.sweep", &args);
+            sweep += 1.0;
+            Ok(())
+        };
+        let gather = |candidates: &[f64]| comm.allgatherv(candidates);
+        kmeans_points_checked(&coords, &w, n_mu, opts, slab.rows.clone(), reduce, gather)
+    };
+    let mut out = lloyd()?;
+    if out.reseeded > 0 {
+        recovery.push(format!(
+            "kmeans: {} empty cluster(s) reseeded — degenerate start, clean retry",
+            out.reseeded
+        ));
+        out = lloyd()?;
     }
+    Ok(out.points)
 }
 
-/// Θ fit for a point set (Galerkin LS with separable Gram matrices).
-fn fit_isdf(problem: &CasidaProblem, points: &[usize]) -> Result<IsdfDecomposition, SolveError> {
-    let sp = obskit::span(obskit::Stage::Theta, "isdf.theta");
-    let isdf = IsdfDecomposition::try_build(&problem.psi_v, &problem.psi_c, points)?;
-    drop(sp);
-    Ok(isdf)
-}
-
-/// Run the ISDF pipeline up to the factored Hamiltonian, with typed failure
-/// reporting and built-in recovery: point-starvation re-selection, a sampled
-/// fit-residual guard with one rank-escalation retry, and finiteness guards
-/// on the assembled `C` / `Ṽ` factors. Rungs taken are appended to
-/// `recovery`.
+/// The ISDF pipeline up to the replicated factors of `H = D + 2 Cᵀ Ṽ C`,
+/// SPMD-collective on `comm` — a serial solve passes [`Comm::solo`].
+/// Failures are typed and recovery is built in: empty-cluster reseed,
+/// point-starvation re-selection, a sampled fit-residual guard with one
+/// rank-escalation retry, and finiteness guards on the orbitals going in and
+/// on `C` / `Ṽ` coming out. Each is decided on replicated data, so the ranks
+/// of a group take the same branch. Rungs taken are appended to `recovery`.
 pub fn build_isdf_hamiltonian(
+    comm: &Comm,
     problem: &CasidaProblem,
     selector: PointSelector,
     n_mu: usize,
+    pipelined: bool,
     recovery: &mut Vec<String>,
 ) -> Result<IsdfHamiltonian, SolveError> {
     problem.validate();
-    let dv = problem.grid.dv();
+    let finite = |site: &str, values: &[f64]| match values.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(NumericalError::NonFinite { site: site.into(), index }),
+        None => Ok(()),
+    };
+    // Every rank scans the whole input: a slab-local verdict in the Θ fit
+    // would send one rank down the error path alone.
+    finite("problem.psi_v", problem.psi_v.as_slice())?;
+    finite("problem.psi_c", problem.psi_c.as_slice())?;
 
-    // Interpolation points, with the rank-starvation guard: a selector that
-    // comes back short (here, only via injection — natural K-Means dedup
-    // shrinkage is accepted downstream as n_mu_eff) is re-run at the
-    // requested rank.
-    let mut points = select_isdf_points(problem, selector, n_mu, recovery)?;
-    if faultkit::starve_points("isdf.points", &mut points) {
-        recovery.push(format!(
-            "isdf.points: starved to {} of {n_mu}, re-selecting",
-            points.len()
-        ));
-        points = select_isdf_points(problem, selector, n_mu, recovery)?;
-    }
+    let slab = problem.slab(comm);
+    // One pass of Algorithm 1 + §4 at a given rank: the replicated factors
+    // and the sampled relative fit residual.
+    type Pass = Result<(IsdfHamiltonian, f64), SolveError>;
+    let assemble = |n_mu: usize, recovery: &mut Vec<String>| -> Pass {
+        // Rank-starvation guard: a selector that comes back short (only via
+        // injection — natural K-Means dedup shrinkage is accepted as the
+        // effective rank) is re-run.
+        let mut points = select_points(comm, problem, &slab, selector, n_mu, recovery)?;
+        if faultkit::starve_points("isdf.points", &mut points) {
+            let n = points.len();
+            recovery.push(format!("isdf.points: starved to {n} of {n_mu}, re-selecting"));
+            points = select_points(comm, problem, &slab, selector, n_mu, recovery)?;
+        }
 
-    // Interpolation vectors Θ, guarded by the sampled fit residual with one
-    // rank-escalation retry.
-    let mut isdf = fit_isdf(problem, &points)?;
+        // Sampled orbital rows, assembled by summation — each point's row
+        // lives on exactly one rank — both fields on ONE fused collective
+        // (the unfused fallback issues them per field, same fold).
+        let sp = obskit::span(Stage::Theta, "theta.sample_rows");
+        let sample = |m: &Mat| {
+            let mine = |mu: usize| slab.rows.contains(&points[mu]);
+            let row = |mu, j| if mine(mu) { m[(points[mu], j)] } else { 0.0 };
+            Mat::from_fn(points.len(), m.ncols(), row)
+        };
+        let mut batch = ReduceBatch::new(comm);
+        let f_psi = batch.push(sample(&problem.psi_v).as_slice());
+        let f_phi = batch.push(sample(&problem.psi_c).as_slice());
+        let fused = batch.flush()?;
+        let psi_hat = Mat::from_vec(points.len(), problem.n_v(), fused.field(f_psi).to_vec());
+        let phi_hat = Mat::from_vec(points.len(), problem.n_c(), fused.field(f_phi).to_vec());
+        drop(sp);
+
+        // Θ rows of my slab, solved against CCᵀ from the right. CCᵀ comes
+        // from the replicated sampled rows, so every rank climbs the same
+        // Tikhonov ladder and a failed fit fails everywhere.
+        let sp = obskit::span(Stage::Theta, "theta.solve");
+        let theta = fit(gram_pair(&slab.psi_v, &slab.psi_c, &psi_hat, &phi_hat))?;
+        let (num, den) = sampled_residual_sums(
+            &theta, &slab.psi_v, &slab.psi_c, &psi_hat, &phi_hat, slab.rows.clone(), problem.n_r(),
+        );
+        drop(sp);
+        let f_theta = distributed_kernel_apply(comm, problem, &theta);
+
+        // Ṽ_Hxc = ΔV · Θᵀ (f_Hxc Θ) (paper Eq. 7; ΔV folds into the GEMM's
+        // alpha). The two residual sums ride its reduction.
+        let _sp = obskit::span(Stage::Gemm, "v_tilde.contract");
+        let (dv, mut sums) = (problem.grid.dv(), [num, den]);
+        let mut v_tilde = gram_replicated(comm, &theta, &f_theta, dv, pipelined, &mut sums)?;
+        v_tilde.symmetrize();
+        let c = face_splitting_product(&psi_hat, &phi_hat);
+        let fit_res = if sums[1] == 0.0 { 0.0 } else { (sums[0] / sums[1]).sqrt() };
+        Ok((IsdfHamiltonian { diag_d: problem.diag_d(), c, v_tilde }, fit_res))
+    };
+    let (mut ham, fit_res) = assemble(n_mu, recovery)?;
     // NaN residuals must trip the guard too, hence the is_nan arm.
-    let fit_res = isdf.sampled_relative_error(&problem.psi_v, &problem.psi_c);
-    if fit_res.is_nan() || fit_res >= FIT_RESIDUAL_GUARD {
+    let breached = |residual: f64| residual.is_nan() || residual >= FIT_RESIDUAL_GUARD;
+    if breached(fit_res) {
         let n_esc = (n_mu + n_mu.div_ceil(2)).min(problem.n_cv());
         recovery.push(format!(
             "isdf.fit: residual {fit_res:.3e} breaches guard, escalating rank {n_mu} -> {n_esc}"
         ));
-        let points_esc = select_isdf_points(problem, selector, n_esc, recovery)?;
-        isdf = fit_isdf(problem, &points_esc)?;
-        let second = isdf.sampled_relative_error(&problem.psi_v, &problem.psi_c);
-        if second.is_nan() || second >= FIT_RESIDUAL_GUARD {
-            return Err(NumericalError::FitResidual {
-                residual: second,
-                tolerance: FIT_RESIDUAL_GUARD,
-            }
-            .into());
+        let (escalated, residual) = assemble(n_esc, recovery)?;
+        if breached(residual) {
+            let tolerance = FIT_RESIDUAL_GUARD;
+            return Err(NumericalError::FitResidual { residual, tolerance }.into());
         }
+        ham = escalated;
     }
-
-    // Ṽ_Hxc = ΔV · Θᵀ (f_Hxc Θ) (paper Eq. 7).
-    let sp = obskit::span(obskit::Stage::Fft, "kernel.apply");
-    let kernel = HxcKernel::for_problem(problem);
-    let f_theta = kernel.apply(&isdf.theta);
-    drop(sp);
-    let sp = obskit::span(obskit::Stage::Gemm, "v_tilde.contract");
-    // ΔV folds into the contraction's alpha — no separate scale pass.
-    let mut v_tilde = Mat::zeros(isdf.theta.ncols(), f_theta.ncols());
-    gemm(dv, &isdf.theta, Transpose::Yes, &f_theta, Transpose::No, 0.0, &mut v_tilde);
-    v_tilde.symmetrize();
-    let mut c = isdf.coefficients();
-    drop(sp);
 
     // Fault-injection hooks on the assembled factors, backed by real
     // finiteness guards — corruption here (from whatever source) must become
-    // a typed error, not NaN excitation energies.
-    faultkit::inject_slice("ham.v_tilde", v_tilde.as_mut_slice());
-    faultkit::inject_slice("ham.c", c.as_mut_slice());
-    if let Some(bad) = v_tilde.as_slice().iter().position(|v| !v.is_finite()) {
-        return Err(NumericalError::NonFinite { site: "ham.v_tilde".into(), index: bad }.into());
-    }
-    if let Some(bad) = c.as_slice().iter().position(|v| !v.is_finite()) {
-        return Err(NumericalError::NonFinite { site: "ham.c".into(), index: bad }.into());
-    }
-
-    Ok(IsdfHamiltonian { diag_d: problem.diag_d(), c, v_tilde })
+    // a typed error, not NaN excitation energies. A poison lands on the same
+    // element of every rank's replicated copy.
+    faultkit::inject_slice("ham.v_tilde", ham.v_tilde.as_mut_slice());
+    faultkit::inject_slice("ham.c", ham.c.as_mut_slice());
+    finite("ham.v_tilde", ham.v_tilde.as_slice())?;
+    finite("ham.c", ham.c.as_slice())?;
+    Ok(ham)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::HxcKernel;
     use crate::options::SolveOptions;
+    use crate::problem::{silicon_like_problem, synthetic_problem};
     use crate::rank::IsdfRank;
-    use crate::problem::synthetic_problem;
     use crate::solver::Solver;
+    use isdf::{kmeans_points, IsdfDecomposition};
+    use parcomm::spmd;
 
     fn full_rank_opts(p: &CasidaProblem) -> SolveOptions {
         SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv()))
@@ -300,7 +334,8 @@ mod tests {
     #[test]
     fn explicit_and_implicit_hamiltonians_identical() {
         let p = synthetic_problem([8, 8, 8], 7.0, 2, 3);
-        let ham = build_isdf_hamiltonian(&p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
+        let (solo, n_mu) = (Comm::solo(), p.n_cv());
+        let ham = build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, n_mu, false, &mut vec![])
             .expect("clean full-rank build");
         let dense = ham.to_dense();
         // Apply to random block and compare.
@@ -315,6 +350,73 @@ mod tests {
         let mut explicit = Mat::zeros(p.n_cv(), 4);
         gemm(1.0, &dense, Transpose::No, &x, Transpose::No, 0.0, &mut explicit);
         assert!(implicit.max_abs_diff(&explicit) < 1e-9);
+    }
+
+    #[test]
+    fn one_rank_build_is_the_reference_composition() {
+        // On a solo communicator the build is, bit for bit, the textbook
+        // composition written out here: serial K-Means, the whole-grid
+        // Galerkin fit, one kernel application, the ΔV GEMM.
+        let p = silicon_like_problem(1, 12, 4);
+        let opts = SolveOptions::new();
+        let PointSelector::Kmeans(km) = opts.kmeans_selector() else { unreachable!() };
+        let coords: Vec<[f64; 3]> = (0..p.n_r()).map(|i| p.grid.coords(i)).collect();
+        let w = pair_weights(&p.psi_v, &p.psi_c);
+        for rank in [IsdfRank::Fixed(p.n_cv()), opts.rank] {
+            let n_mu = rank.resolve(p.n_r(), p.n_v(), p.n_c());
+            let solo = Comm::solo();
+            let mut log = Vec::new();
+            let ham =
+                build_isdf_hamiltonian(&solo, &p, opts.kmeans_selector(), n_mu, false, &mut log)
+                    .expect("clean build");
+            assert!(log.is_empty(), "{log:?}");
+            assert_eq!(solo.stats().collective_calls, 0, "a solo collective is not a call");
+
+            let points = kmeans_points(&coords, &w, n_mu, km).points;
+            let fit = IsdfDecomposition::build(&p.psi_v, &p.psi_c, &points);
+            let f_theta = HxcKernel::for_problem(&p).apply(&fit.theta);
+            let mut v_tilde = Mat::zeros(points.len(), points.len());
+            let dv = p.grid.dv();
+            gemm(dv, &fit.theta, Transpose::Yes, &f_theta, Transpose::No, 0.0, &mut v_tilde);
+            v_tilde.symmetrize();
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ham.v_tilde), bits(&v_tilde), "Ṽ at rank {n_mu}");
+            assert_eq!(bits(&ham.c), bits(&fit.coefficients()), "C at rank {n_mu}");
+        }
+    }
+
+    #[test]
+    fn every_rank_count_selects_the_serial_points_and_energies() {
+        // One K-Means: the point list is *equal* on the calling thread and on
+        // 1, 2 and 3 ranks, and with it the lowest energies agree to 1e-10
+        // (8.3e-7 apart on the first shape while the distributed build had
+        // its own clustering).
+        let problems = [
+            silicon_like_problem(1, 12, 4),
+            silicon_like_problem(1, 16, 8),
+            synthetic_problem([8, 8, 8], 6.0, 2, 2),
+        ];
+        for p in &problems {
+            let solver = Solver::builder().n_states(5).build();
+            let opts = *solver.options();
+            let n_mu = opts.rank.resolve(p.n_r(), p.n_v(), p.n_c());
+            let points = |c: &Comm| {
+                let slab = p.slab(c);
+                select_points(c, p, &slab, opts.kmeans_selector(), n_mu, &mut vec![]).unwrap()
+            };
+            let serial_points = points(&Comm::solo());
+            let serial = solver.solve(p).unwrap().energies;
+            for ranks in [1usize, 2, 3] {
+                for (pts, (energies, _)) in
+                    spmd(ranks, |c| (points(c), solver.solve_distributed(c, p)))
+                {
+                    assert_eq!(pts, serial_points, "{ranks} ranks");
+                    for (e, s) in energies.iter().zip(&serial) {
+                        assert!((e - s).abs() <= 1e-10 * s.abs(), "{ranks} ranks: {e} vs {s}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -386,8 +488,6 @@ mod tests {
         assert_eq!(Version::all().len(), 5);
         assert!(!Version::Naive.uses_isdf());
         assert!(Version::QrcpIsdf.uses_isdf());
-        assert!(Version::ImplicitKmeansIsdfLobpcg.uses_lobpcg());
-        assert!(!Version::KmeansIsdf.uses_lobpcg());
         assert_eq!(Version::ImplicitKmeansIsdfLobpcg.label(), "Implicit-Kmeans-ISDF-LOBPCG");
     }
 }

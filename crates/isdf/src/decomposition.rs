@@ -1,9 +1,8 @@
 //! The assembled ISDF decomposition and the face-splitting product.
 
-use faultkit::NumericalError;
 use mathkit::Mat;
 
-use crate::interp::try_interpolation_vectors;
+use crate::interp::{fit, gram_pair};
 
 /// Transposed block face-splitting product (column-wise Khatri–Rao):
 /// `Z[r, i·n_phi + j] = ψ_i(r) · φ_j(r)` — the paper's `P_vc` with pair
@@ -39,25 +38,19 @@ pub struct IsdfDecomposition {
 }
 
 impl IsdfDecomposition {
-    /// Build from orbitals and chosen interpolation points.
+    /// Build from orbitals and chosen interpolation points: the reference
+    /// composition of [`gram_pair`] and [`fit`] on the whole grid.
     ///
-    /// Panics on a failed Galerkin fit; see [`IsdfDecomposition::try_build`]
-    /// for the `Result`-returning variant used on recoverable paths.
+    /// Panics on a failed Galerkin fit (the solve path calls [`fit`] itself
+    /// and ladders on its typed error).
     pub fn build(psi: &Mat, phi: &Mat, points: &[usize]) -> Self {
-        match Self::try_build(psi, phi, points) {
-            Ok(isdf) => isdf,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`IsdfDecomposition::build`] with fit failures (non-finite Gram
-    /// entries, non-SPD `CCᵀ` after floor escalation) reported as typed
-    /// errors so callers can ladder (rank escalation, point re-selection).
-    pub fn try_build(psi: &Mat, phi: &Mat, points: &[usize]) -> Result<Self, NumericalError> {
         let psi_hat = psi.select_rows(points);
         let phi_hat = phi.select_rows(points);
-        let theta = try_interpolation_vectors(psi, phi, &psi_hat, &phi_hat)?;
-        Ok(IsdfDecomposition { points: points.to_vec(), theta, psi_hat, phi_hat })
+        let theta = match fit(gram_pair(psi, phi, &psi_hat, &phi_hat)) {
+            Ok(theta) => theta,
+            Err(e) => panic!("{e}"),
+        };
+        IsdfDecomposition { points: points.to_vec(), theta, psi_hat, phi_hat }
     }
 
     /// Rank of the fit.
@@ -94,28 +87,8 @@ impl IsdfDecomposition {
     /// `Z`: cost is `O(samples · N_μ)`.
     pub fn sampled_relative_error(&self, psi: &Mat, phi: &Mat) -> f64 {
         let nr = self.theta.nrows();
-        let (m, n) = (self.psi_hat.ncols(), self.phi_hat.ncols());
-        let n_pairs = m * n;
-        if nr == 0 || n_pairs == 0 {
-            return 0.0;
-        }
-        let row_step = nr.div_ceil(16).max(1);
-        let pair_step = n_pairs.div_ceil(32).max(1);
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for r in (0..nr).step_by(row_step) {
-            for p in (0..n_pairs).step_by(pair_step) {
-                let (i, j) = (p / n, p % n);
-                let z = psi[(r, i)] * phi[(r, j)];
-                let mut approx = 0.0;
-                for mu in 0..self.n_mu() {
-                    approx +=
-                        self.theta[(r, mu)] * self.psi_hat[(mu, i)] * self.phi_hat[(mu, j)];
-                }
-                num += (z - approx) * (z - approx);
-                den += z * z;
-            }
-        }
+        let (num, den) =
+            sampled_residual_sums(&self.theta, psi, phi, &self.psi_hat, &self.phi_hat, 0..nr, nr);
         if den == 0.0 {
             0.0
         } else {
@@ -146,6 +119,41 @@ impl IsdfDecomposition {
             approx.norm_fro() / zn
         }
     }
+}
+
+/// One row slab's share `(Σ (z − θc)², Σ z²)` of the sampled fit residual:
+/// `theta`, `psi` and `phi` hold grid rows `rows` of an `n_r`-point grid, and
+/// the sample — every `⌈n_r/16⌉`-th grid row, every `⌈pairs/32⌉`-th orbital
+/// pair — is fixed by the grid, not by the slab, so the shares of disjoint
+/// slabs add up to [`IsdfDecomposition::sampled_relative_error`]'s sums.
+pub fn sampled_residual_sums(
+    theta: &Mat,
+    psi: &Mat,
+    phi: &Mat,
+    psi_hat: &Mat,
+    phi_hat: &Mat,
+    rows: std::ops::Range<usize>,
+    n_r: usize,
+) -> (f64, f64) {
+    let (n_mu, n) = (psi_hat.nrows(), phi_hat.ncols());
+    let n_pairs = psi_hat.ncols() * n;
+    let row_step = n_r.div_ceil(16).max(1);
+    let pair_step = n_pairs.div_ceil(32).max(1);
+    let (mut num, mut den) = (0.0, 0.0);
+    for r in (0..n_r).step_by(row_step).filter(|r| rows.contains(r)) {
+        let r = r - rows.start;
+        for p in (0..n_pairs).step_by(pair_step) {
+            let (i, j) = (p / n, p % n);
+            let z = psi[(r, i)] * phi[(r, j)];
+            let mut approx = 0.0;
+            for mu in 0..n_mu {
+                approx += theta[(r, mu)] * psi_hat[(mu, i)] * phi_hat[(mu, j)];
+            }
+            num += (z - approx) * (z - approx);
+            den += z * z;
+        }
+    }
+    (num, den)
 }
 
 #[cfg(test)]
@@ -237,16 +245,6 @@ mod tests {
         let sampled = bad.sampled_relative_error(&psi, &phi);
         assert!(full > 1e-3, "starved fit should be inaccurate: {full}");
         assert!(sampled > 0.1 * full, "sampled {sampled} vs full {full}");
-    }
-
-    #[test]
-    fn try_build_surfaces_poisoned_orbitals() {
-        let (nr, nb) = (40, 2);
-        let mut psi = smooth_orbitals(nr, nb, 0.2);
-        let phi = smooth_orbitals(nr, nb, 0.9);
-        let pts = qrcp_points(&psi, &phi, 4);
-        psi[(pts[0], 0)] = f64::INFINITY;
-        assert!(IsdfDecomposition::try_build(&psi, &phi, &pts).is_err());
     }
 
     #[test]

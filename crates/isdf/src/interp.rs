@@ -96,28 +96,6 @@ pub fn fit(pair: GramPair) -> Result<Mat, NumericalError> {
     Err(NumericalError::GramNotSpd { stage: "isdf.fit", pivot: last_pivot, floor: floor / 1e3 })
 }
 
-/// Interpolation vectors `Θ` (`N_r × N_μ`) for orbitals and their sampled
-/// rows: [`fit`] of their [`gram_pair`].
-///
-/// Panics if the system stays non-SPD after floor escalation; see
-/// [`try_interpolation_vectors`] for the `Result`-returning variant.
-pub fn interpolation_vectors(psi: &Mat, phi: &Mat, psi_hat: &Mat, phi_hat: &Mat) -> Mat {
-    match try_interpolation_vectors(psi, phi, psi_hat, phi_hat) {
-        Ok(theta) => theta,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`interpolation_vectors`] with [`fit`]'s typed failure reporting.
-pub fn try_interpolation_vectors(
-    psi: &Mat,
-    phi: &Mat,
-    psi_hat: &Mat,
-    phi_hat: &Mat,
-) -> Result<Mat, NumericalError> {
-    fit(gram_pair(psi, phi, psi_hat, phi_hat))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +135,7 @@ mod tests {
         let pts = vec![1usize, 9, 22, 33];
         let psi_hat = psi.select_rows(&pts);
         let phi_hat = phi.select_rows(&pts);
-        let theta = interpolation_vectors(&psi, &phi, &psi_hat, &phi_hat);
+        let theta = fit(gram_pair(&psi, &phi, &psi_hat, &phi_hat)).unwrap();
 
         let z = face_splitting_product(&psi, &phi);
         let c = face_splitting_product(&psi_hat, &phi_hat);
@@ -192,7 +170,7 @@ mod tests {
             let pts = vec![2usize, 7, 19];
             let psi_hat = psi.select_rows(&pts);
             let phi_hat = phi.select_rows(&pts);
-            let err = try_interpolation_vectors(&psi, &phi, &psi_hat, &phi_hat).unwrap_err();
+            let err = fit(gram_pair(&psi, &phi, &psi_hat, &phi_hat)).unwrap_err();
             match err {
                 NumericalError::NonFinite { site, .. } => assert_eq!(site, want),
                 other => panic!("expected NonFinite, got {other:?}"),
@@ -207,7 +185,7 @@ mod tests {
         let pts = vec![5usize, 5, 17]; // duplicated row → singular CCᵀ
         let psi_hat = psi.select_rows(&pts);
         let phi_hat = phi.select_rows(&pts);
-        let theta = interpolation_vectors(&psi, &phi, &psi_hat, &phi_hat);
+        let theta = fit(gram_pair(&psi, &phi, &psi_hat, &phi_hat)).unwrap();
         assert!(theta.as_slice().iter().all(|v| v.is_finite()));
     }
 }

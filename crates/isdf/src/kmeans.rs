@@ -9,8 +9,9 @@
 //!    weights (the paper initializes at points "whose weight functions are
 //!    rather large"),
 //! 4. Lloyd iterations with *weighted* centroid updates (Eq. 13); the
-//!    classification step is embarrassingly parallel (Rayon here; MPI ranks
-//!    each classify their own grid slab in the paper),
+//!    classification step is embarrassingly parallel — each rank classifies
+//!    its own grid slab, as in the paper, and the ranks meet through the two
+//!    closures of [`kmeans_points_checked`],
 //! 5. return, per cluster, the member grid point closest to the centroid.
 
 use faultkit::NumericalError;
@@ -43,7 +44,7 @@ pub enum SnapRule {
     MaxWeight,
 }
 
-/// Options for [`kmeans_points`].
+/// Options for [`kmeans_points`] and [`kmeans_points_checked`].
 #[derive(Clone, Copy, Debug)]
 pub struct KmeansOptions {
     /// Relative weight threshold for pruning (fraction of the max weight).
@@ -90,44 +91,62 @@ pub struct KmeansOutcome {
 }
 
 /// Select `n_mu` interpolation points from grid `coords` (one `[x,y,z]` per
-/// point) with weights `w` (Eq. 14 values).
-///
-/// Panics on degenerate inputs; see [`kmeans_points_checked`] for the
-/// `Result`-returning variant used on recoverable paths.
+/// point) with weights `w` (Eq. 14 values): [`kmeans_points_checked`] on the
+/// whole grid, alone. Panics on degenerate inputs.
 pub fn kmeans_points(
     coords: &[[f64; 3]],
     w: &[f64],
     n_mu: usize,
     opts: KmeansOptions,
 ) -> KmeansOutcome {
-    match kmeans_points_checked(coords, w, n_mu, opts) {
+    let reduce = |_: &mut [f64], _: &[usize]| Ok::<(), NumericalError>(());
+    match kmeans_points_checked(coords, w, n_mu, opts, 0..coords.len(), reduce, <[f64]>::to_vec) {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`kmeans_points`] with degenerate inputs reported as typed errors instead
-/// of panics: all-zero weights, a coords/weights length mismatch, or pruning
-/// that leaves fewer than `n_mu` candidate points.
-pub fn kmeans_points_checked(
+/// The Lloyd loop, for one caller of a group that shares the work as the
+/// paper's ranks do (§4.2). `coords` and `w` — hence pruning, seeding, the
+/// centroids and every decision on them — are replicated; the caller
+/// classifies only the active points of its `slab` of grid indices and meets
+/// the others through two closures:
+///
+/// * `reduce(partials, layout)` sum-reduces the packed per-sweep partials in
+///   place — fields of `layout` lengths, side by side: `3·n_mu` weighted
+///   coordinate sums, `n_mu` cluster weights, the objective `Σ w·d²`;
+/// * `gather(mine)` concatenates every caller's `mine` in slab order: per
+///   cluster its best snap candidate (`n_mu` scores, then `n_mu` grid
+///   indices, `-1` for none), then its share of the final objective. Equal
+///   scores go to the lowest grid index, as in one scan of the whole grid.
+///
+/// With the whole grid as `slab` and identity closures this is the serial
+/// algorithm ([`kmeans_points`]), operation for operation. Degenerate inputs
+/// are typed errors: all-zero weights, a coords/weights length mismatch, or
+/// pruning that leaves fewer than `n_mu` candidates.
+pub fn kmeans_points_checked<E: From<NumericalError>>(
     coords: &[[f64; 3]],
     w: &[f64],
     n_mu: usize,
     opts: KmeansOptions,
-) -> Result<KmeansOutcome, NumericalError> {
+    slab: std::ops::Range<usize>,
+    mut reduce: impl FnMut(&mut [f64], &[usize]) -> Result<(), E>,
+    mut gather: impl FnMut(&[f64]) -> Vec<f64>,
+) -> Result<KmeansOutcome, E> {
     assert!(n_mu >= 1);
     if coords.len() != w.len() {
         return Err(NumericalError::ShapeMismatch {
             stage: "kmeans",
             expected: (coords.len(), 1),
             got: (w.len(), 1),
-        });
+        }
+        .into());
     }
     // `f64::max` against the 0.0 seed discards NaN entries, so a weight
     // vector of all NaNs also lands here rather than seeding centroids.
     let wmax = w.iter().cloned().fold(0.0f64, f64::max);
     if wmax <= 0.0 {
-        return Err(NumericalError::AllZeroWeights);
+        return Err(NumericalError::AllZeroWeights.into());
     }
 
     // Step 2: prune.
@@ -135,14 +154,20 @@ pub fn kmeans_points_checked(
     let active: Vec<usize> = (0..coords.len()).filter(|&i| w[i] > cutoff).collect();
     let n_active = active.len();
     if n_active < n_mu {
-        return Err(NumericalError::RankDeficient { requested: n_mu, got: n_active });
+        return Err(NumericalError::RankDeficient { requested: n_mu, got: n_active }.into());
     }
+    // `active` ascends, so the slab's share of it is one contiguous run.
+    let mine = &active[active.partition_point(|&gi| gi < slab.start)
+        ..active.partition_point(|&gi| gi < slab.end)];
 
     // Step 3: initialize centroids.
     let mut centroids = initialize(coords, w, &active, n_mu, opts);
 
     // Step 4: Lloyd iterations.
-    let mut assign = vec![0usize; n_active];
+    let layout = [3 * n_mu, n_mu, 1];
+    let mut partials = vec![0.0f64; 4 * n_mu + 1];
+    // (cluster, squared distance to its centroid) of each of `mine`.
+    let mut assign = vec![(0usize, 0.0f64); mine.len()];
     let mut iterations = 0;
     let mut reseeded = 0usize;
     // Weight-descending candidate order for empty-cluster reseeding,
@@ -150,26 +175,25 @@ pub fn kmeans_points_checked(
     let mut weight_order: Option<Vec<usize>> = None;
     for it in 0..opts.max_iter {
         iterations = it + 1;
-        // Classification (parallel over active points).
-        assign = active
-            .par_iter()
-            .map(|&gi| nearest(&centroids, coords[gi]).0)
-            .collect();
+        // Classification (parallel over this slab's active points).
+        assign = mine.par_iter().map(|&gi| nearest(&centroids, coords[gi])).collect();
 
-        // Weighted centroid update (Eq. 13).
-        let mut sums = vec![[0.0f64; 3]; n_mu];
-        let mut wsum = vec![0.0f64; n_mu];
-        for (a, &gi) in assign.iter().zip(active.iter()) {
+        // Weighted centroid update (Eq. 13) from the group-wide sums.
+        partials.fill(0.0);
+        for (&(a, d2), &gi) in assign.iter().zip(mine.iter()) {
             let wi = w[gi];
             for c in 0..3 {
-                sums[*a][c] += coords[gi][c] * wi;
+                partials[3 * a + c] += coords[gi][c] * wi;
             }
-            wsum[*a] += wi;
+            partials[3 * n_mu + a] += wi;
+            partials[4 * n_mu] += wi * d2;
         }
+        reduce(&mut partials, &layout)?;
+        let (sums, wsum) = partials.split_at(3 * n_mu);
         let mut movement = 0.0;
         for k in 0..n_mu {
             let new = if wsum[k] > 0.0 {
-                [sums[k][0] / wsum[k], sums[k][1] / wsum[k], sums[k][2] / wsum[k]]
+                [sums[3 * k] / wsum[k], sums[3 * k + 1] / wsum[k], sums[3 * k + 2] / wsum[k]]
             } else {
                 // Empty cluster: re-seed deterministically at the
                 // highest-weight active point no other centroid sits on, so
@@ -198,21 +222,38 @@ pub fn kmeans_points_checked(
     }
 
     // Step 5: snap centroids to actual grid points (per the snap rule;
-    // empty clusters fall back to the globally nearest active point).
-    let mut best: Vec<(f64, Option<usize>)> = vec![(f64::INFINITY, None); n_mu];
-    for (a, &gi) in assign.iter().zip(active.iter()) {
+    // empty clusters fall back to the globally nearest active point). This
+    // slab's candidates travel with its share of the Eq. 11 objective at the
+    // final assignment.
+    let mut cand = vec![f64::INFINITY; 2 * n_mu + 1];
+    cand[n_mu..2 * n_mu].fill(-1.0);
+    for (&(a, _), &gi) in assign.iter().zip(mine.iter()) {
         let score = match opts.snap {
-            SnapRule::NearestCentroid => dist2(centroids[*a], coords[gi]),
+            SnapRule::NearestCentroid => dist2(centroids[a], coords[gi]),
             SnapRule::MaxWeight => -w[gi],
         };
-        if score < best[*a].0 {
-            best[*a] = (score, Some(gi));
+        if score < cand[a] {
+            cand[a] = score;
+            cand[n_mu + a] = gi as f64;
         }
     }
+    cand[2 * n_mu] = assign
+        .iter()
+        .zip(mine.iter())
+        .map(|(&(a, _), &gi)| w[gi] * dist2(centroids[a], coords[gi]))
+        .sum();
+    let all = gather(&cand);
+    let shares = || all.chunks_exact(2 * n_mu + 1);
     let mut points: Vec<usize> = Vec::with_capacity(n_mu);
-    for (k, (_, p)) in best.iter().enumerate() {
-        let idx = match p {
-            Some(gi) => *gi,
+    for k in 0..n_mu {
+        let mut best: (f64, Option<usize>) = (f64::INFINITY, None);
+        for share in shares() {
+            if share[k] < best.0 {
+                best = (share[k], Some(share[n_mu + k] as usize));
+            }
+        }
+        let idx = match best.1 {
+            Some(gi) => gi,
             None => {
                 // Global nearest active point to this centroid (`active` is
                 // non-empty — checked above — so this cannot fail).
@@ -232,13 +273,7 @@ pub fn kmeans_points_checked(
     }
     points.sort_unstable();
     points.dedup();
-
-    // Objective (Eq. 11) at the final assignment.
-    let objective: f64 = assign
-        .iter()
-        .zip(active.iter())
-        .map(|(a, &gi)| w[gi] * dist2(centroids[*a], coords[gi]))
-        .sum();
+    let objective: f64 = shares().map(|share| share[2 * n_mu]).sum();
 
     Ok(KmeansOutcome { points, iterations, active_points: n_active, objective, reseeded })
 }
@@ -510,21 +545,31 @@ mod tests {
 
     #[test]
     fn checked_variant_reports_typed_errors() {
-        use faultkit::NumericalError;
+        let alone = |coords: &[[f64; 3]], w: &[f64], n_mu| {
+            kmeans_points_checked(
+                coords,
+                w,
+                n_mu,
+                KmeansOptions::default(),
+                0..coords.len(),
+                |_: &mut [f64], _: &[usize]| Ok::<(), NumericalError>(()),
+                <[f64]>::to_vec,
+            )
+        };
         let coords = vec![[0.0, 0.0, 0.0]; 3];
         assert_eq!(
-            kmeans_points_checked(&coords, &[0.0; 3], 1, KmeansOptions::default()).unwrap_err(),
+            alone(&coords, &[0.0; 3], 1).unwrap_err(),
             NumericalError::AllZeroWeights
         );
         assert_eq!(
-            kmeans_points_checked(&coords, &[1.0; 2], 1, KmeansOptions::default()).unwrap_err(),
+            alone(&coords, &[1.0; 2], 1).unwrap_err(),
             NumericalError::ShapeMismatch { stage: "kmeans", expected: (3, 1), got: (2, 1) }
         );
         // One heavy point drowns the rest below the prune cutoff.
         let mut w = vec![1e-12; 3];
         w[0] = 1.0;
         assert_eq!(
-            kmeans_points_checked(&coords, &w, 2, KmeansOptions::default()).unwrap_err(),
+            alone(&coords, &w, 2).unwrap_err(),
             NumericalError::RankDeficient { requested: 2, got: 1 }
         );
     }

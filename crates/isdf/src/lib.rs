@@ -28,8 +28,8 @@ pub mod interp;
 pub mod kmeans;
 pub mod points;
 
-pub use decomposition::{face_splitting_product, IsdfDecomposition};
-pub use interp::{interpolation_vectors, try_interpolation_vectors, GramPair};
+pub use decomposition::{face_splitting_product, sampled_residual_sums, IsdfDecomposition};
+pub use interp::GramPair;
 pub use kmeans::{
     kmeans_points, kmeans_points_checked, KmeansInit, KmeansOptions, KmeansOutcome, SnapRule,
 };

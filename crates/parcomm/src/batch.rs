@@ -217,6 +217,15 @@ impl ReducePlan {
         }
         Ok(())
     }
+
+    /// [`ReducePlan::execute`] for a caller that accumulates the fields —
+    /// side by side, in registration order — in a buffer of its own.
+    pub fn execute_packed(&mut self, comm: &Comm, packed: &mut [f64]) -> Result<(), CommError> {
+        self.buf.copy_from_slice(packed);
+        self.execute(comm)?;
+        packed.copy_from_slice(&self.buf);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

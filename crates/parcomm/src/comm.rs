@@ -230,6 +230,18 @@ pub(crate) struct Shared {
     pub(crate) splits: Mutex<HashMap<(u64, u64), SplitEntry>>,
 }
 
+impl Shared {
+    fn new(size: usize, model: CostModel, segment_words: usize) -> Arc<Shared> {
+        Arc::new(Shared {
+            size,
+            barrier: Barrier::new(size),
+            model,
+            nb: NbShared::new(segment_words),
+            splits: Mutex::new(HashMap::new()),
+        })
+    }
+}
+
 /// One color group being assembled by a [`Comm::split`] call.
 pub(crate) struct SplitEntry {
     shared: Arc<Shared>,
@@ -266,6 +278,26 @@ impl Drop for Comm {
 }
 
 impl Comm {
+    fn new(rank: usize, shared: Arc<Shared>) -> Comm {
+        Comm {
+            rank,
+            shared,
+            stats: Arc::new(Mutex::new(CommStats::default())),
+            timeline: Arc::new(Mutex::new(Vec::new())),
+            next_op: Cell::new(0),
+            split_seq: Cell::new(0),
+            worker: RefCell::new(None),
+        }
+    }
+
+    /// The size-1 communicator, built on the calling thread: no rank thread
+    /// is spawned, and every collective on it is the identity — it returns
+    /// before it opens an `mpi:*` span or touches [`CommStats`]. This is what
+    /// makes a serial solve the one-rank case of the distributed one.
+    pub fn solo() -> Comm {
+        Comm::new(0, Shared::new(1, CostModel::default(), DEFAULT_SEGMENT_WORDS))
+    }
+
     #[inline]
     pub fn rank(&self) -> usize {
         self.rank
@@ -332,6 +364,9 @@ impl Comm {
 
     /// Synchronize all ranks.
     pub fn barrier(&self) {
+        if self.size() == 1 {
+            return;
+        }
         let op = CollOp::Barrier;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
@@ -344,14 +379,13 @@ impl Comm {
     /// over the ring engine; the ascending rank-order fold keeps results
     /// bitwise identical to the historical staging-buffer path.
     pub fn allreduce_sum(&self, buf: &mut [f64]) {
+        let p = self.size();
+        if p == 1 {
+            return;
+        }
         let op = CollOp::Allreduce;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let p = self.size();
-        if p == 1 {
-            self.account(op, 0, t0, 0.0, sp);
-            return;
-        }
         let out = self
             .issue_reduce(buf.to_vec(), 0, true, false, None)
             .wait();
@@ -363,14 +397,13 @@ impl Comm {
 
     /// Max-allreduce of a scalar.
     pub fn allreduce_max(&self, v: f64) -> f64 {
+        let p = self.size();
+        if p == 1 {
+            return v;
+        }
         let op = CollOp::Allreduce;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let p = self.size();
-        if p == 1 {
-            self.account(op, 0, t0, 0.0, sp);
-            return v;
-        }
         let out = self.issue_allreduce_max(vec![v]).wait();
         let m = self.shared.model.allreduce(p, 8);
         self.account(op, 8, t0, m, sp);
@@ -379,14 +412,13 @@ impl Comm {
 
     /// Sum-reduce `buf` to `root`; non-root ranks' buffers are untouched.
     pub fn reduce_sum(&self, buf: &mut [f64], root: usize) {
+        let p = self.size();
+        if p == 1 {
+            return;
+        }
         let op = CollOp::Reduce;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let p = self.size();
-        if p == 1 {
-            self.account(op, 0, t0, 0.0, sp);
-            return;
-        }
         let out = self
             .issue_reduce(buf.to_vec(), root, false, false, None)
             .wait();
@@ -400,14 +432,13 @@ impl Comm {
 
     /// Broadcast `buf` from `root` to all ranks.
     pub fn bcast(&self, buf: &mut [f64], root: usize) {
+        let p = self.size();
+        if p == 1 {
+            return;
+        }
         let op = CollOp::Bcast;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let p = self.size();
-        if p == 1 {
-            self.account(op, 0, t0, 0.0, sp);
-            return;
-        }
         let out = self.issue_bcast(buf.to_vec(), root, None).wait();
         buf.copy_from_slice(&out);
         let bytes = buf.len() * 8;
@@ -418,14 +449,13 @@ impl Comm {
     /// Variable all-gather: every rank contributes `mine`, receives the
     /// concatenation in rank order.
     pub fn allgatherv(&self, mine: &[f64]) -> Vec<f64> {
+        let p = self.size();
+        if p == 1 {
+            return mine.to_vec();
+        }
         let op = CollOp::Allgatherv;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let p = self.size();
-        if p == 1 {
-            self.account(op, 0, t0, 0.0, sp);
-            return mine.to_vec();
-        }
         let out = self.issue_gather(mine.to_vec(), None).wait();
         let total = out.len() * 8;
         let m = self.shared.model.allgatherv(p, total);
@@ -436,16 +466,15 @@ impl Comm {
     /// Variable all-to-all: `send[q]` goes to rank `q`; returns what every
     /// rank sent to *me*, indexed by source rank.
     pub fn alltoallv(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        let p = self.size();
+        assert_eq!(send.len(), p, "alltoallv needs one chunk per destination");
+        if p == 1 {
+            return send;
+        }
         let op = CollOp::Alltoallv;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let p = self.size();
-        assert_eq!(send.len(), p, "alltoallv needs one chunk per destination");
         let sent_bytes: usize = send.iter().map(|c| c.len() * 8).sum();
-        if p == 1 {
-            self.account(op, 0, t0, 0.0, sp);
-            return send;
-        }
         let recv = self.issue_alltoall(send, None).wait();
         let m = self.shared.model.alltoallv(p, sent_bytes);
         self.account(op, sent_bytes, t0, m, sp);
@@ -533,13 +562,7 @@ impl Comm {
         let shared = {
             let mut splits = lock(&self.shared.splits);
             let entry = splits.entry((seq, color as u64)).or_insert_with(|| SplitEntry {
-                shared: Arc::new(Shared {
-                    size: group_size,
-                    barrier: Barrier::new(group_size),
-                    model: self.shared.model,
-                    nb: NbShared::new(self.shared.nb.segment_words),
-                    splits: Mutex::new(HashMap::new()),
-                }),
+                shared: Shared::new(group_size, self.shared.model, self.shared.nb.segment_words),
                 taken: 0,
             });
             entry.taken += 1;
@@ -549,15 +572,7 @@ impl Comm {
             }
             shared
         };
-        Comm {
-            rank: group_rank,
-            shared,
-            stats: Arc::new(Mutex::new(CommStats::default())),
-            timeline: Arc::new(Mutex::new(Vec::new())),
-            next_op: Cell::new(0),
-            split_seq: Cell::new(0),
-            worker: RefCell::new(None),
-        }
+        Comm::new(group_rank, shared)
     }
 }
 
@@ -578,13 +593,7 @@ where
     F: Fn(&Comm) -> T + Sync,
 {
     assert!(size > 0, "need at least one rank");
-    let shared = Arc::new(Shared {
-        size,
-        barrier: Barrier::new(size),
-        model,
-        nb: NbShared::new(DEFAULT_SEGMENT_WORDS),
-        splits: Mutex::new(HashMap::new()),
-    });
+    let shared = Shared::new(size, model, DEFAULT_SEGMENT_WORDS);
     let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
     // An armed fault plan on the launching thread extends to every rank:
     // rank threads install the same handle, so per-rank occurrence counters
@@ -604,15 +613,7 @@ where
                 obskit::set_rank(rank);
                 faultkit::install(faults);
                 faultkit::set_rank(rank);
-                let comm = Comm {
-                    rank,
-                    shared,
-                    stats: Arc::new(Mutex::new(CommStats::default())),
-                    timeline: Arc::new(Mutex::new(Vec::new())),
-                    next_op: Cell::new(0),
-                    split_seq: Cell::new(0),
-                    worker: RefCell::new(None),
-                };
+                let comm = Comm::new(rank, shared);
                 let out = f(&comm);
                 obskit::flush_thread();
                 // `comm` drops here, joining the progress worker.
@@ -875,17 +876,24 @@ mod tests {
 
     #[test]
     fn single_rank_everything_is_identity() {
-        let res = spmd(1, |c| {
-            let mut buf = vec![3.0];
-            c.allreduce_sum(&mut buf);
-            c.bcast(&mut buf, 0);
-            let g = c.allgatherv(&buf);
-            let a = c.alltoallv(vec![vec![1.0, 2.0]]);
-            (buf[0], g, a)
-        });
-        assert_eq!(res[0].0, 3.0);
-        assert_eq!(res[0].1, vec![3.0]);
-        assert_eq!(res[0].2, vec![vec![1.0, 2.0]]);
+        // The solo communicator lives on the calling thread; its collectives
+        // — blocking and request-based — are identities that account nothing.
+        let c = Comm::solo();
+        let mut buf = vec![3.0];
+        c.barrier();
+        c.allreduce_sum(&mut buf);
+        c.reduce_sum(&mut buf, 0);
+        c.bcast(&mut buf, 0);
+        assert_eq!(c.allreduce_max(buf[0]), 3.0);
+        assert_eq!(c.allgatherv(&buf), vec![3.0]);
+        assert_eq!(c.alltoallv(vec![vec![1.0, 2.0]]), vec![vec![1.0, 2.0]]);
+        assert_eq!(c.iallreduce_sum(buf.clone()).wait(), vec![3.0]);
+        assert_eq!(c.ireduce_sum(buf.clone(), 0).wait(), vec![3.0]);
+        assert_eq!(c.ibcast(buf.clone(), 0).wait(), vec![3.0]);
+        assert_eq!(c.iallgatherv(&buf).wait(), vec![3.0]);
+        assert_eq!(c.ialltoallv(vec![vec![1.0, 2.0]]).wait(), vec![vec![1.0, 2.0]]);
+        assert_eq!(buf, vec![3.0]);
+        assert_eq!(c.stats(), CommStats::default());
     }
 
     #[test]

@@ -817,6 +817,8 @@ impl Comm {
         }
     }
 
+    /// The `issue_*` engines assume at least two ranks: every public
+    /// collective returns its identity before issuing on a solo communicator.
     pub(crate) fn issue_reduce(
         &self,
         data: Vec<f64>,
@@ -825,10 +827,6 @@ impl Comm {
         max_op: bool,
         acct: Option<NbOp>,
     ) -> Request {
-        if self.shared.size == 1 {
-            // Identity: the single contribution is the result, bitwise.
-            return Request::ready(data);
-        }
         let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
             Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
             Some(CommFault::Delay(d)) => Some(d),
@@ -856,6 +854,9 @@ impl Comm {
     /// returns the reduced buffer; on other ranks it returns an empty
     /// vector once this rank's contribution has been folded in.
     pub fn ireduce_sum(&self, data: Vec<f64>, root: usize) -> Request {
+        if self.shared.size == 1 {
+            return Request::ready(data);
+        }
         let sp = obskit::span(obskit::Stage::Mpi, NbOp::Ireduce.span_name());
         let t0 = Instant::now();
         let bytes = data.len() * 8;
@@ -871,6 +872,9 @@ impl Comm {
     /// Nonblocking in-place sum-allreduce: `wait()` returns the fully
     /// reduced buffer on every rank.
     pub fn iallreduce_sum(&self, data: Vec<f64>) -> Request {
+        if self.shared.size == 1 {
+            return Request::ready(data);
+        }
         let sp = obskit::span(obskit::Stage::Mpi, NbOp::Iallreduce.span_name());
         let t0 = Instant::now();
         let bytes = data.len() * 8;
@@ -891,6 +895,9 @@ impl Comm {
     /// Nonblocking broadcast from `root`; every rank passes a buffer of the
     /// broadcast length and `wait()` returns it filled with root's data.
     pub fn ibcast(&self, data: Vec<f64>, root: usize) -> Request {
+        if self.shared.size == 1 {
+            return Request::ready(data);
+        }
         let sp = obskit::span(obskit::Stage::Mpi, NbOp::Ibcast.span_name());
         let t0 = Instant::now();
         let bytes = data.len() * 8;
@@ -906,9 +913,6 @@ impl Comm {
     }
 
     pub(crate) fn issue_bcast(&self, data: Vec<f64>, root: usize, acct: Option<NbOp>) -> Request {
-        if self.shared.size == 1 {
-            return Request::ready(data);
-        }
         let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
             Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
             Some(CommFault::Delay(d)) => Some(d),
@@ -955,6 +959,9 @@ impl Comm {
     /// Nonblocking variable all-gather; `wait()` returns the rank-order
     /// concatenation on every rank.
     pub fn iallgatherv(&self, mine: &[f64]) -> Request {
+        if self.shared.size == 1 {
+            return Request::ready(mine.to_vec());
+        }
         let sp = obskit::span(obskit::Stage::Mpi, NbOp::Iallgatherv.span_name());
         let t0 = Instant::now();
         let bytes = mine.len() * 8;
@@ -967,9 +974,6 @@ impl Comm {
     }
 
     pub(crate) fn issue_gather(&self, mine: Vec<f64>, acct: Option<NbOp>) -> Request {
-        if self.shared.size == 1 {
-            return Request::ready(mine);
-        }
         let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
             Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
             Some(CommFault::Delay(d)) => Some(d),
@@ -1004,6 +1008,9 @@ impl Comm {
     /// Nonblocking variable all-to-all: `send[q]` goes to rank `q`;
     /// `wait()` returns the received chunks indexed by source rank.
     pub fn ialltoallv(&self, send: Vec<Vec<f64>>) -> Request<Vec<Vec<f64>>> {
+        if self.shared.size == 1 {
+            return Request::ready(send);
+        }
         let sp = obskit::span(obskit::Stage::Mpi, NbOp::Ialltoallv.span_name());
         let t0 = Instant::now();
         let bytes: usize = send.iter().map(|c| c.len() * 8).sum();
@@ -1016,9 +1023,6 @@ impl Comm {
     pub(crate) fn issue_alltoall(&self, send: Vec<Vec<f64>>, acct: Option<NbOp>) -> Request<Vec<Vec<f64>>> {
         let p = self.shared.size;
         assert_eq!(send.len(), p, "alltoallv needs one chunk per destination");
-        if p == 1 {
-            return Request::ready(send);
-        }
         let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
             Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
             Some(CommFault::Delay(d)) => Some(d),

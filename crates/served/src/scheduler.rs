@@ -317,7 +317,7 @@ mod tests {
     fn faulted_jobs_never_share_a_batch() {
         let s = sched(8, 64, 8);
         let faulted = spec(1, 2).with_fault_plan(
-            faultkit::FaultPlan::new(7).with("par.v_tilde", 0, faultkit::FaultKind::NanPoison),
+            faultkit::FaultPlan::new(7).with("ham.v_tilde", 0, faultkit::FaultKind::NanPoison),
         );
         s.submit(JobCore::new(faulted)).unwrap();
         s.submit(JobCore::new(spec(2, 2))).unwrap(); // same structure, clean
@@ -333,7 +333,7 @@ mod tests {
         let s = sched(8, 64, 8);
         s.submit(JobCore::new(spec(1, 2))).unwrap();
         let faulted = spec(2, 2).with_fault_plan(
-            faultkit::FaultPlan::new(7).with("par.v_tilde", 0, faultkit::FaultKind::NanPoison),
+            faultkit::FaultPlan::new(7).with("ham.v_tilde", 0, faultkit::FaultKind::NanPoison),
         );
         s.submit(JobCore::new(faulted)).unwrap();
         s.submit(JobCore::new(spec(3, 2))).unwrap();

@@ -15,9 +15,9 @@
 //! scheduler; recoverable failures are re-queued as fresh solo jobs under a
 //! seeded exponential backoff until the attempt budget runs out; terminal
 //! failures feed per-tenant circuit breakers that shed load at admission;
-//! deadline-pressured jobs and breaker probes are downgraded one rung on the
-//! two-rung degradation ladder ([`lrtddft::degrade`]: `rank-floor`, then
-//! `direct-eig`) — always labeled, never silently; and a monitor thread runs
+//! deadline-pressured jobs and breaker probes are downgraded the one rung of
+//! the degradation ladder ([`lrtddft::degrade`]: `direct-eig`) — always
+//! labeled, never silently; and a monitor thread runs
 //! the stall detector over leader heartbeats, marking wedged groups
 //! unhealthy (their queue share drains to the surviving groups because every
 //! leader pulls from the one shared queue).
@@ -45,8 +45,8 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobResult, JobSpec};
 use crate::resilience::{retry_delay, Admit, Breakers, GroupHealth, ResilienceConfig};
 use crate::scheduler::SchedulerState;
-use lrtddft::parallel::{distributed_eigensolve, distributed_isdf_hamiltonian_with};
-use lrtddft::{IsdfHamiltonian, NumericalError, SolveError, SolveOptions};
+use lrtddft::parallel::distributed_eigensolve;
+use lrtddft::{build_isdf_hamiltonian, NumericalError, SolveError, SolveOptions};
 use parcomm::{spmd, Comm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -365,10 +365,10 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
 }
 
 /// Leader-side batch preparation: freeze each job's effective options.
-/// Pressured and probe jobs (always claimed solo) take one rung of
-/// [`lrtddft::degrade`] — every rung changes the resolved ISDF rank or the
-/// eigensolver, so the distributed path computes what the label says; a job
-/// already at the ladder floor runs at full cost. Everything else runs its
+/// Pressured and probe jobs (always claimed solo) take the one rung of
+/// [`lrtddft::degrade`] — it changes the eigensolver, so the distributed
+/// path computes what the label says; a job already at the ladder floor runs
+/// at full cost. Everything else runs its
 /// spec options untouched — the clean path must stay bitwise identical.
 fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
     batch
@@ -377,7 +377,7 @@ fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
             let opts = *core.spec.opts();
             let cheaper = (core.pressured.load(Ordering::Relaxed)
                 || core.probe.load(Ordering::Relaxed))
-            .then(|| lrtddft::degrade(&opts, &core.spec.problem))
+            .then(|| lrtddft::degrade(&opts))
             .flatten();
             match cheaper {
                 Some(d) => RunJob { core, opts: d, degraded: d.degraded },
@@ -401,23 +401,27 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
     obskit::set_tenant(Some(lead.core.spec.tenant));
 
     group.take_stats(); // discard idle-window stats; build gets a fresh window
-    let (ham, build_timings) =
-        distributed_isdf_hamiltonian_with(group, &lead.core.spec.problem, &lead.opts);
+    let clock = obskit::StageClock::now();
+    let (problem, opts) = (&lead.core.spec.problem, &lead.opts);
+    let n_mu = opts.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c());
+    // The one ISDF build, without the solver's rebuild ladder: this
+    // service's retry/breaker policy owns failures. A build error is decided
+    // on replicated data, so all ranks agree to skip the eigensolve (dense
+    // fallbacks on NaN do not terminate) and fail the job.
+    let (selector, pipelined) = (opts.kmeans_selector(), opts.pipelined);
+    let built =
+        build_isdf_hamiltonian(group, problem, selector, n_mu, pipelined, &mut Vec::new());
+    let build_timings = lrtddft::StageTimings::since(clock);
     let build_stats = group.take_stats();
-    // An injected fault can leave non-finite entries in the replicated
-    // factors; every rank sees the same copy, so all ranks agree to skip the
-    // eigensolve (dense fallbacks on NaN do not terminate) and fail the job.
-    let healthy = ham_is_finite(&ham);
 
     for job in batch {
         let spec = &job.core.spec;
         obskit::set_tenant(Some(spec.tenant));
         let k = job.opts.n_states.min(spec.problem.n_cv());
         let clock = obskit::StageClock::now();
-        let values = if healthy {
-            distributed_eigensolve(group, &ham, k, &job.opts)
-        } else {
-            vec![f64::NAN; k]
+        let values = match &built {
+            Ok(ham) => distributed_eigensolve(group, ham, k, &job.opts),
+            Err(_) => vec![f64::NAN; k],
         };
         // The shared build plus this job's own eigensolve.
         let mut timings = build_timings;
@@ -500,12 +504,6 @@ fn finish_job(
         }
         core.fail(err.to_string(), false);
     }
-}
-
-fn ham_is_finite(ham: &IsdfHamiltonian) -> bool {
-    ham.diag_d.iter().all(|v| v.is_finite())
-        && ham.c.as_slice().iter().all(|v| v.is_finite())
-        && ham.v_tilde.as_slice().iter().all(|v| v.is_finite())
 }
 
 #[cfg(test)]
@@ -641,7 +639,7 @@ mod tests {
         let service = Service::start(small_config());
         let spec = JobSpec::new(3, Arc::clone(&problem))
             .with_solver(solver)
-            .with_fault_plan(FaultPlan::new(17).with("par.v_tilde", 0, FaultKind::NanPoison));
+            .with_fault_plan(FaultPlan::new(17).with("ham.v_tilde", 0, FaultKind::NanPoison));
         let res = service.submit(spec).unwrap().wait().expect("retried then solved");
         assert_eq!(res.attempts, 2, "poisoned first attempt, clean second");
         assert_eq!(res.values, solo, "healed result is bitwise solo-identical");
@@ -667,7 +665,7 @@ mod tests {
         };
         let service = Service::start(config);
         let poisoned = JobSpec::new(8, Arc::clone(&problem))
-            .with_fault_plan(FaultPlan::new(23).with("par.v_tilde", 0, FaultKind::NanPoison));
+            .with_fault_plan(FaultPlan::new(23).with("ham.v_tilde", 0, FaultKind::NanPoison));
         let h = service.submit(poisoned).unwrap();
         match h.outcome() {
             JobOutcome::Failed { error, attempts } => {
@@ -720,11 +718,7 @@ mod tests {
             .with_solver(Solver::builder().n_states(2).eigensolver(lrtddft::Eig::Lobpcg).build())
             .with_deadline(Duration::from_secs(30));
         let res = service.submit(spec).unwrap().wait().expect("degraded job completes");
-        let label = res.degraded.as_deref().expect("downgrade must be labeled");
-        assert!(
-            ["rank-floor", "direct-eig"].contains(&label),
-            "ladder label, got {label}"
-        );
+        assert_eq!(res.degraded.as_deref(), Some("direct-eig"), "downgrade must be labeled");
         assert!(res.values.iter().all(|v| v.is_finite()));
         assert_eq!(res.batch_size, 1, "pressured jobs run solo");
         assert!(obskit::serve_counters().degraded >= 1);

@@ -6,10 +6,19 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use lrtddft::parallel::{distributed_dense_hamiltonian_with, distributed_isdf_hamiltonian_with};
-use lrtddft::{IsdfRank, Solver};
+use lrtddft::parallel::distributed_dense_hamiltonian_with;
 use lrtddft::problem::silicon_like_problem;
-use parcomm::spmd;
+use lrtddft::{build_isdf_hamiltonian, CasidaProblem, Solver, StageTimings};
+use parcomm::{spmd, Comm};
+
+/// Stage timings of one K-Means-ISDF build at rank `n_mu` on `comm`.
+fn timed_isdf_build(comm: &Comm, problem: &CasidaProblem, n_mu: usize) -> StageTimings {
+    let clock = obskit::StageClock::now();
+    let selector = Solver::default().options().kmeans_selector();
+    build_isdf_hamiltonian(comm, problem, selector, n_mu, false, &mut Vec::new())
+        .expect("clean ISDF build");
+    StageTimings::since(clock)
+}
 
 fn main() {
     let problem = silicon_like_problem(1, 12, 4);
@@ -25,16 +34,12 @@ fn main() {
     println!("\n-- real SPMD runs (thread ranks, simulated MPI collectives) --");
     println!("{:>5} | {:>10} | {:>10} | {:>10} | {:>12}", "ranks", "face+theta", "fft (s)", "gemm (s)", "comm calls");
     let naive_solver = Solver::builder().pipelined(true).build();
-    let isdf_solver = Solver::builder().rank(IsdfRank::Fixed(n_mu)).build();
     for ranks in [1usize, 2, 4] {
         let naive = spmd(ranks, |c| {
             let (_, t) = distributed_dense_hamiltonian_with(c, &problem, naive_solver.options());
             (t, c.stats())
         });
-        let isdf = spmd(ranks, |c| {
-            let (_, t) = distributed_isdf_hamiltonian_with(c, &problem, isdf_solver.options());
-            (t, c.stats())
-        });
+        let isdf = spmd(ranks, |c| (timed_isdf_build(c, &problem, n_mu), c.stats()));
         let (tn, sn) = &naive[0];
         let (ti, si) = &isdf[0];
         println!(
@@ -69,10 +74,7 @@ fn bench_calibration(
     n_mu: usize,
 ) -> bench::scaling::ScalingStudy {
     use bench::scaling::{CommPattern, ScalingStudy, Stage};
-    let solver = Solver::builder().rank(IsdfRank::Fixed(n_mu)).build();
-    let t = spmd(1, |c| distributed_isdf_hamiltonian_with(c, problem, solver.options()).1)
-        .pop()
-        .unwrap();
+    let t = timed_isdf_build(&Comm::solo(), problem, n_mu);
     ScalingStudy::new(
         vec![
             Stage::new(

@@ -3,12 +3,26 @@
 //! strategies — the correctness contract behind the paper's Figs. 3–5.
 
 use lrtddft::naive::build_dense_hamiltonian;
-use lrtddft::parallel::{distributed_dense_hamiltonian_with, distributed_isdf_hamiltonian_with};
-use lrtddft::{IsdfRank, SolveOptions};
-use lrtddft::problem::silicon_like_problem;
-use lrtddft::versions::{build_isdf_hamiltonian, PointSelector};
+use lrtddft::parallel::distributed_dense_hamiltonian_with;
+use lrtddft::problem::{silicon_like_problem, CasidaProblem};
+use lrtddft::{build_isdf_hamiltonian, SolveOptions};
 use mathkit::syev;
-use parcomm::{spmd, spmd_with_model, CostModel};
+use parcomm::{spmd, spmd_with_model, Comm, CostModel};
+
+/// Spectrum of the K-Means-ISDF Hamiltonian built at rank `n_mu` on `comm`.
+fn isdf_spectrum(comm: &Comm, p: &CasidaProblem, n_mu: usize) -> Vec<f64> {
+    let selector = SolveOptions::new().kmeans_selector();
+    let ham = build_isdf_hamiltonian(comm, p, selector, n_mu, false, &mut Vec::new())
+        .expect("clean build");
+    syev(&ham.to_dense()).values
+}
+
+fn assert_spectra_agree(got: &[f64], want: &[f64], what: &str) {
+    for i in 0..4 {
+        let rel = (got[i] - want[i]).abs() / want[i].abs().max(1e-12);
+        assert!(rel < 1e-10, "{what}, state {i}: {} vs {} (rel {rel})", got[i], want[i]);
+    }
+}
 
 #[test]
 fn distributed_naive_invariant_across_rank_counts() {
@@ -40,36 +54,22 @@ fn pipelined_and_monolithic_reductions_agree() {
 fn distributed_isdf_spectrum_stable_across_ranks() {
     let p = silicon_like_problem(1, 8, 2);
     let n_mu = p.n_cv(); // full rank: spectrum pinned by the exact fit
-    let baseline = spmd(1, |c| distributed_isdf_hamiltonian_with(c, &p, &SolveOptions::new().rank(IsdfRank::Fixed(n_mu))).0.to_dense());
-    let base_eig = syev(&baseline[0]);
+    let baseline = spmd(1, |c| isdf_spectrum(c, &p, n_mu)).remove(0);
     for ranks in [2usize, 4] {
-        let res = spmd(ranks, |c| distributed_isdf_hamiltonian_with(c, &p, &SolveOptions::new().rank(IsdfRank::Fixed(n_mu))).0.to_dense());
-        let eig = syev(&res[0]);
-        for i in 0..4 {
-            let rel =
-                (eig.values[i] - base_eig.values[i]).abs() / base_eig.values[i].abs().max(1e-12);
-            assert!(rel < 1e-5, "ranks={ranks}, state {i}: rel {rel}");
-        }
+        let res = spmd(ranks, |c| isdf_spectrum(c, &p, n_mu));
+        assert_spectra_agree(&res[0], &baseline, &format!("ranks={ranks}"));
     }
 }
 
 #[test]
 fn distributed_isdf_matches_serial_isdf_spectrum() {
-    // Distributed K-Means may pick a slightly different (equally valid)
-    // point set than the serial path, so compare *spectra* at full rank
-    // where both fits are exact.
+    // At half rank the point set decides the spectrum: the ranks run the
+    // serial K-Means, so they pick the serial points.
     let p = silicon_like_problem(1, 8, 2);
-    let n_mu = p.n_cv();
-    let serial = build_isdf_hamiltonian(&p, PointSelector::Qrcp, n_mu, &mut Vec::new())
-        .expect("clean full-rank build")
-        .to_dense();
-    let serial_eig = syev(&serial);
-    let dist = spmd(3, |c| distributed_isdf_hamiltonian_with(c, &p, &SolveOptions::new().rank(IsdfRank::Fixed(n_mu))).0.to_dense());
-    let dist_eig = syev(&dist[0]);
-    for i in 0..4 {
-        let rel = (dist_eig.values[i] - serial_eig.values[i]).abs()
-            / serial_eig.values[i].abs().max(1e-12);
-        assert!(rel < 1e-4, "state {i}: {} vs {}", dist_eig.values[i], serial_eig.values[i]);
+    let n_mu = p.n_cv() / 2;
+    let serial = isdf_spectrum(&Comm::solo(), &p, n_mu);
+    for dist in spmd(3, |c| isdf_spectrum(c, &p, n_mu)) {
+        assert_spectra_agree(&dist, &serial, "3 ranks vs the calling thread");
     }
 }
 

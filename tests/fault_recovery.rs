@@ -67,6 +67,23 @@ fn armed_run(
     (sol.energies, sol.recovery, events)
 }
 
+/// The distributed solve runs the same build behind the same ladder: a
+/// poisoned `Ṽ` is a typed error on every rank (the factors are replicated),
+/// both rebuild, and the healed energies are the clean ones, bit for bit.
+#[test]
+fn poisoned_v_tilde_heals_on_every_rank_of_a_distributed_solve() {
+    let p = problem();
+    let solver = Solver::builder().options(opts(p)).build();
+    let clean = parcomm::spmd(2, |c| solver.solve_distributed(c, p).0);
+    let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
+    let healed = parcomm::spmd(2, |c| solver.solve_distributed(c, p).0);
+    assert_eq!(campaign.fired(), 2, "one poison per rank");
+    for (h, c) in healed.iter().zip(&clean) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(h), bits(c));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -3,10 +3,9 @@
 //! bution layer holds under randomized shapes.
 
 use bench::scaling::{CommPattern, ScalingStudy, Stage};
-use lrtddft::parallel::distributed_isdf_hamiltonian_with;
-use lrtddft::{IsdfRank, SolveOptions};
 use lrtddft::problem::silicon_like_problem;
-use parcomm::{block_ranges, spmd, CostModel};
+use lrtddft::{build_isdf_hamiltonian, SolveOptions, StageTimings};
+use parcomm::{block_ranges, spmd, Comm, CostModel};
 use proptest::prelude::*;
 
 #[test]
@@ -15,8 +14,11 @@ fn calibrated_isdf_study_has_paper_shape() {
     // monotone efficiency decay, compute share shrinking with ranks.
     let p = silicon_like_problem(1, 12, 4);
     let n_mu = 40.min(p.n_cv());
-    let opts = SolveOptions::new().rank(IsdfRank::Fixed(n_mu));
-    let t = spmd(1, |c| distributed_isdf_hamiltonian_with(c, &p, &opts).1).pop().unwrap();
+    let clock = obskit::StageClock::now();
+    let selector = SolveOptions::new().kmeans_selector();
+    build_isdf_hamiltonian(&Comm::solo(), &p, selector, n_mu, false, &mut Vec::new())
+        .expect("clean build");
+    let t = StageTimings::since(clock);
     let study = ScalingStudy::new(
         vec![
             Stage::new(

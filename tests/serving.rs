@@ -91,7 +91,7 @@ fn poisoned_tenant_never_contaminates_coscheduled_victim() {
     let service = Service::start(four_rank_config());
     let poisoned = JobSpec::new(0xa, Arc::clone(&problem))
         .with_solver(solver)
-        .with_fault_plan(FaultPlan::new(0xbad).with("par.v_tilde", 0, FaultKind::NanPoison));
+        .with_fault_plan(FaultPlan::new(0xbad).with("ham.v_tilde", 0, FaultKind::NanPoison));
     let clean = JobSpec::new(0xb, Arc::clone(&problem)).with_solver(solver);
     let ha = service.submit(poisoned).expect("attacker admitted");
     let hb = service.submit(clean).expect("victim admitted");
@@ -113,7 +113,7 @@ fn poisoned_tenant_never_contaminates_coscheduled_victim() {
     );
     assert!(!ra.fault_events.is_empty(), "injected fault must be logged on the attacker");
     assert!(
-        ra.fault_events.iter().all(|e| e.contains("par.v_tilde")),
+        ra.fault_events.iter().all(|e| e.contains("ham.v_tilde")),
         "events name the poisoned site: {:?}",
         ra.fault_events
     );

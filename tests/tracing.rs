@@ -117,8 +117,12 @@ fn recovered_solve_counts_both_build_attempts_once() {
             .filter(|e| e.kind == obskit::EventKind::Begin && e.name == name)
             .count()
     };
-    assert_eq!(builds("isdf.theta"), 2, "failed attempt + rebuild");
+    assert_eq!(builds("theta.solve"), 2, "failed attempt + rebuild");
     assert_eq!(builds("v_tilde.contract"), 2);
+    // The serial solve is the one-rank case on a solo communicator, whose
+    // collectives return before they open a span.
+    let events = trace.ranks.iter().flat_map(|r| r.events.iter());
+    assert_eq!(events.filter(|e| e.name.starts_with("mpi:")).count(), 0);
     let rollup = StageTimings::from_trace(&trace, obskit::thread_rank());
     assert_live_matches_rollup("recovered solve", &healed.timings, &rollup);
     assert!(healed.timings.theta > 0.0 && healed.timings.total() <= wall);
