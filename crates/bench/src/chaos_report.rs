@@ -125,7 +125,7 @@ const T_DEAD: u64 = 13;
 const T_DEGRADE: u64 = 42;
 
 fn clean_solver(seed: u64) -> Solver {
-    Solver::builder().n_states(2).seed(0xc1ea + seed).eigensolver(lrtddft::Eig::Lobpcg).build()
+    Solver::builder().n_states(2).seed(0xc1ea + seed).build()
 }
 
 /// The three chaos plans the fault tenant cycles through.

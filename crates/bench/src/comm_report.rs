@@ -41,7 +41,7 @@
 
 use crate::report::json;
 use lrtddft::pipeline::{gram_allreduce, gram_pipelined_reduce};
-use lrtddft::{silicon_like_problem, IsdfRank, SolveOptions};
+use lrtddft::{silicon_like_problem, IsdfRank, Solver};
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
 use parcomm::{
@@ -264,9 +264,8 @@ fn solve_side(fused: bool) -> SolveSide {
     let n_mu = IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
     let k = 4.min(problem.n_cv());
     let per_rank = spmd(4, |c| {
-        let o = SolveOptions::new().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
-        let (vals, _t) =
-            lrtddft::Solver::builder().options(o).build().solve_distributed(c, &problem);
+        let solver = Solver::builder().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
+        let (vals, _t) = solver.solve_distributed(c, &problem);
         (vals, c.stats())
     });
 

@@ -10,15 +10,14 @@ use lrtddft::{
     parallel::distributed_dense_hamiltonian_with,
     pipeline::{gram_allreduce, gram_pipelined_reduce},
     problem::{silicon_like_problem, CasidaProblem},
-    IsdfRank, PointSelector, SolveOptions, Solver, StageTimings, Version,
+    IsdfRank, PointSelector, Solver, StageTimings, Version,
 };
 use mathkit::Mat;
 use parcomm::{spmd, Comm, CostModel};
 use pwdft::{bilayer_graphene, gaussian_dos, scf, water_in_box, Grid, ScfOptions};
 
-/// All serial solves go through the `Solver` facade.
-fn run_solve(p: &CasidaProblem, v: Version, o: &SolveOptions) -> lrtddft::Solution {
-    Solver::builder().version(v).options(*o).build().solve(p).unwrap()
+fn run_solve(p: &CasidaProblem, v: Version, o: &Solver) -> lrtddft::Solution {
+    o.version(v).solve(p).unwrap()
 }
 use std::time::Instant;
 
@@ -93,7 +92,7 @@ pub fn table4(scale: Scale) -> ExperimentRecord {
         Scale::Quick => silicon_like_problem(1, 12, 4),
         _ => silicon_like_problem(1, 16, 8),
     };
-    let opts = SolveOptions::new().n_states(3);
+    let opts = Solver::builder().n_states(3);
     let mut rows = Vec::new();
     for v in Version::all() {
         let t0 = Instant::now();
@@ -129,11 +128,11 @@ pub fn table4(scale: Scale) -> ExperimentRecord {
 pub fn table5(scale: Scale) -> ExperimentRecord {
     let mut rows = Vec::new();
     let mut run_system = |label: &str, problem: &CasidaProblem, n_mu: usize| {
-        let naive = run_solve(problem, Version::Naive, &SolveOptions::new().n_states(3));
+        let naive = run_solve(problem, Version::Naive, &Solver::builder().n_states(3));
         let isdf = run_solve(
             problem,
             Version::ImplicitKmeansIsdfLobpcg,
-            &SolveOptions::new().n_states(3).rank(IsdfRank::Fixed(n_mu)),
+            &Solver::builder().n_states(3).rank(IsdfRank::Fixed(n_mu)),
         );
         for i in 0..3.min(naive.energies.len()) {
             let e_ref = naive.energies[i];
@@ -209,7 +208,7 @@ pub fn table6(scale: Scale) -> ExperimentRecord {
     let mut rows = Vec::new();
     for (label, n_cells, grid_n, n_c) in ladder {
         let problem = silicon_like_problem(n_cells, grid_n, n_c);
-        let opts = SolveOptions::new().n_states(8.min(problem.n_cv()));
+        let opts = Solver::builder().n_states(8.min(problem.n_cv()));
         let t0 = Instant::now();
         let naive = run_solve(&problem, Version::Naive, &opts);
         let t_naive = t0.elapsed().as_secs_f64();
@@ -389,16 +388,16 @@ pub fn calibrate(scale: Scale) -> Calibration {
     let n_mu = IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
     // Single-rank distributed runs give the per-stage serial works.
     let naive_t =
-        spmd(1, |c| distributed_dense_hamiltonian_with(c, &problem, &SolveOptions::new()).1)
+        spmd(1, |c| distributed_dense_hamiltonian_with(c, &problem, false).1)
             .pop()
             .unwrap();
     let clock = obskit::StageClock::now();
-    let selector = SolveOptions::new().kmeans_selector();
+    let selector = Solver::builder().kmeans_selector();
     build_isdf_hamiltonian(&Comm::solo(), &problem, selector, n_mu, false, &mut Vec::new())
         .expect("isdf build on clean benchmark input");
     let isdf_t = StageTimings::since(clock);
     // Diagonalization works measured via the versions API.
-    let opts = SolveOptions::new().n_states(8.min(problem.n_cv()));
+    let opts = Solver::builder().n_states(8.min(problem.n_cv()));
     let dense = run_solve(&problem, Version::KmeansIsdf, &opts);
     let implicit = run_solve(&problem, Version::ImplicitKmeansIsdfLobpcg, &opts);
     Calibration {
@@ -646,7 +645,7 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
     // (a') snap rule: ISDF accuracy with nearest-centroid vs max-weight snap.
     {
         let reference =
-            run_solve(&problem, Version::Naive, &SolveOptions::new().n_states(1));
+            run_solve(&problem, Version::Naive, &Solver::builder().n_states(1));
         for snap in [isdf::SnapRule::NearestCentroid, isdf::SnapRule::MaxWeight] {
             let ham = build_isdf_hamiltonian(
                 &Comm::solo(),
@@ -669,13 +668,13 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
     }
 
     // (b) rank sweep: relative error of the lowest excitation vs N_μ.
-    let reference = run_solve(&problem, Version::Naive, &SolveOptions::new().n_states(1));
+    let reference = run_solve(&problem, Version::Naive, &Solver::builder().n_states(1));
     for frac in [4usize, 8, 16, 32] {
         let n_mu = (problem.n_cv() * frac / 32).max(4);
         let s = run_solve(
             &problem,
             Version::ImplicitKmeansIsdfLobpcg,
-            &SolveOptions::new().n_states(1).rank(IsdfRank::Fixed(n_mu)),
+            &Solver::builder().n_states(1).rank(IsdfRank::Fixed(n_mu)),
         );
         let rel = ((s.energies[0] - reference.energies[0]) / reference.energies[0]).abs();
         rows.push(vec![
@@ -778,7 +777,7 @@ pub fn fig9(scale: Scale) -> ExperimentRecord {
             let sol = run_solve(
                 &problem,
                 Version::ImplicitKmeansIsdfLobpcg,
-                &SolveOptions::new().n_states(k),
+                &Solver::builder().n_states(k),
             );
             let emax = sol.energies.iter().cloned().fold(0.0f64, f64::max) + 0.1;
             let xdos = gaussian_dos(&sol.energies, None, 0.02, 0.0, emax, 25);

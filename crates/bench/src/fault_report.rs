@@ -2,8 +2,8 @@
 //! LR-TDDFT pipeline, written to `BENCH_fault.json`.
 //!
 //! Each case arms one [`faultkit::FaultPlan`], runs the solver through the
-//! recovery ladders ([`SolveOptions::run`] serially, or
-//! `distributed_solve_with` under SPMD for the comm faults), and grades the
+//! recovery ladders ([`Solver::solve`] serially, or
+//! [`Solver::solve_distributed`] under SPMD for the comm faults), and grades the
 //! outcome against a fault-free baseline computed once up front:
 //!
 //! * **recovered** — the run completed without panicking and every
@@ -20,7 +20,7 @@
 use crate::report::json;
 use faultkit::{arm, FaultKind, FaultPlan};
 use lrtddft::problem::{synthetic_problem, CasidaProblem};
-use lrtddft::{IsdfRank, SolveOptions, Solver, Version};
+use lrtddft::{IsdfRank, Solver, Version};
 use parcomm::spmd;
 use std::io::Write;
 use std::path::Path;
@@ -149,15 +149,14 @@ struct CaseOutcome {
     value_bits: Vec<u64>,
 }
 
-fn opts(p: &CasidaProblem, seed: u64) -> SolveOptions {
-    SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv())).n_states(3).seed(seed)
+fn opts(p: &CasidaProblem, seed: u64) -> Solver {
+    Solver::builder().rank(IsdfRank::Fixed(p.n_cv())).n_states(3).seed(seed)
 }
 
 /// Fault-free eigenvalues for `version` on the campaign problem.
 fn baseline(p: &CasidaProblem, case: &Case, seed: u64) -> Vec<f64> {
     if case.distributed {
-        let o = opts(p, seed);
-        let solver = Solver::builder().options(o.pipelined(true)).build();
+        let solver = opts(p, seed).version(case.version).pipelined(true);
         let mut vals = spmd(COMM_RANKS, |c| solver.solve_distributed(c, p).0);
         vals.pop().expect("at least one rank")
     } else {
@@ -170,7 +169,7 @@ fn o_run(
     version: Version,
     seed: u64,
 ) -> Result<(Vec<f64>, Vec<String>), String> {
-    match Solver::builder().version(version).options(opts(p, seed)).build().solve(p) {
+    match opts(p, seed).version(version).solve(p) {
         Ok(s) => Ok((s.energies, s.recovery)),
         Err(e) => Err(e.to_string()),
     }
@@ -183,7 +182,7 @@ fn run_case(p: &CasidaProblem, case: &Case, base: &[f64], plan_seed: u64) -> Cas
     let solved: Result<(Vec<f64>, Vec<String>), String> = if case.distributed {
         // `spmd` re-installs this thread's armed plan on every rank thread,
         // so the drops/delays fire symmetrically from the one shared plan.
-        let solver = Solver::builder().options(opts(p, plan_seed).pipelined(true)).build();
+        let solver = opts(p, plan_seed).version(case.version).pipelined(true);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut vals = spmd(COMM_RANKS, |c| solver.solve_distributed(c, p).0);
             vals.pop().expect("at least one rank")

@@ -25,7 +25,7 @@
 //! `BENCH_gemm/fft/fault.json` records, exiting non-zero on regression.
 
 use crate::report::{json, print_table};
-use lrtddft::{silicon_like_problem, IsdfRank, SolveOptions, Version};
+use lrtddft::{silicon_like_problem, IsdfRank, Solver, Version};
 use mathkit::{gemm, Mat, Transpose};
 use obskit::Stage;
 use parcomm::{spmd, CommStats};
@@ -91,8 +91,8 @@ pub fn run(out: &Path, quick: bool, check: bool) -> Result<(), String> {
     obskit::enable();
     let t0 = Instant::now();
     let comm: Vec<CommStats> = spmd(RANKS, |c| {
-        let o = SolveOptions::new().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
-        lrtddft::Solver::builder().options(o).build().solve_distributed(c, &problem);
+        let solver = Solver::builder().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
+        solver.solve_distributed(c, &problem);
         c.stats()
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
@@ -245,11 +245,11 @@ fn fault_and_dump(
     let campaign = faultkit::arm(
         faultkit::FaultPlan::new(0x5eed).with("lobpcg.w", 0, faultkit::FaultKind::NanPoison),
     );
-    let o = SolveOptions::new().rank(IsdfRank::Fixed(problem.n_cv())).n_states(3).seed(7);
-    let solved = lrtddft::Solver::builder()
+    let solved = Solver::builder()
         .version(Version::ImplicitKmeansIsdfLobpcg)
-        .options(o)
-        .build()
+        .rank(IsdfRank::Fixed(problem.n_cv()))
+        .n_states(3)
+        .seed(7)
         .solve(problem);
     faultkit::clear_solve_error_hook();
     let fired = campaign.fired();

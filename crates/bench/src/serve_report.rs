@@ -22,7 +22,7 @@
 //!    distributed build, +Inf poison, and a comm-delay "rank stall"), an
 //!    attacker tenant carrying the fault plan is co-scheduled with clean
 //!    victim jobs of the *same structure*. Every victim's eigenvalues must
-//!    be bitwise identical to a fault-free solo `distributed_solve_with`
+//!    be bitwise identical to a fault-free solo `Solver::solve_distributed`
 //!    run at the same group size, and every injected fault must actually
 //!    fire inside the attacker's window. `--check` gates on zero
 //!    cross-tenant contaminations and zero unfired plans.

@@ -16,9 +16,7 @@
 //! non-zero (used by CI).
 
 use crate::report::{json, print_table};
-use lrtddft::parallel::distributed_dense_hamiltonian_with;
-use lrtddft::{silicon_like_problem, IsdfRank, SolveOptions, StageTimings, Version};
-use mathkit::syev;
+use lrtddft::{silicon_like_problem, Solver, StageTimings, Version};
 use parcomm::{spmd, CommStats};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -57,8 +55,8 @@ pub fn run_trace(opts: &TraceOptions) -> Result<(), String> {
     } else {
         silicon_like_problem(1, 12, 4)
     };
-    let n_mu = lrtddft::IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
-    let k = 4.min(problem.n_cv());
+    let solver =
+        Solver::builder().version(version).n_states(4.min(problem.n_cv())).seed(0xcafe).build();
 
     println!(
         "== trace: {} on {} ranks (N_r={}, N_cv={}, N_mu={}) ==",
@@ -66,34 +64,14 @@ pub fn run_trace(opts: &TraceOptions) -> Result<(), String> {
         opts.ranks,
         problem.n_r(),
         problem.n_cv(),
-        n_mu
+        solver.n_mu(&problem)
     );
 
     obskit::enable();
-    let per_rank: Vec<CommStats> = match version {
-        Version::ImplicitKmeansIsdfLobpcg => spmd(opts.ranks, |c| {
-            let o = SolveOptions::new().rank(IsdfRank::Fixed(n_mu)).n_states(k).seed(0xcafe);
-            lrtddft::Solver::builder().options(o).build().solve_distributed(c, &problem);
-            c.stats()
-        }),
-        Version::Naive => spmd(opts.ranks, |c| {
-            let (h, _) = distributed_dense_hamiltonian_with(c, &problem, &SolveOptions::new());
-            let sp = obskit::span(obskit::Stage::Diag, "diag.syev");
-            let _ = syev(&h);
-            drop(sp);
-            c.stats()
-        }),
-        other => {
-            obskit::disable();
-            let _ = obskit::take_trace();
-            return Err(format!(
-                "no distributed pipeline for {}; supported: {}, {}",
-                other.label(),
-                Version::ImplicitKmeansIsdfLobpcg.label(),
-                Version::Naive.label()
-            ));
-        }
-    };
+    let per_rank: Vec<CommStats> = spmd(opts.ranks, |c| {
+        solver.solve_distributed(c, &problem);
+        c.stats()
+    });
     obskit::disable();
     let trace = obskit::take_trace();
     trace.validate().map_err(|e| format!("trace failed nesting validation: {e}"))?;

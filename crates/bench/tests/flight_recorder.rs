@@ -10,7 +10,7 @@
 //! Both properties drive process-global state (obskit's recorder and ring,
 //! faultkit's hook), so every case runs under one test-local mutex.
 
-use lrtddft::{silicon_like_problem, IsdfRank, SolveOptions, Version};
+use lrtddft::{silicon_like_problem, IsdfRank, Solver, Version};
 use obskit::Stage;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -54,11 +54,11 @@ proptest! {
         let campaign = faultkit::arm(
             faultkit::FaultPlan::new(seed).with("lobpcg.w", 0, faultkit::FaultKind::NanPoison),
         );
-        let o = SolveOptions::new().rank(IsdfRank::Fixed(problem.n_cv())).n_states(2).seed(seed);
-        let solved = lrtddft::Solver::builder()
+        let solved = Solver::builder()
             .version(Version::ImplicitKmeansIsdfLobpcg)
-            .options(o)
-            .build()
+            .rank(IsdfRank::Fixed(problem.n_cv()))
+            .n_states(2)
+            .seed(seed)
             .solve(&problem);
         faultkit::clear_solve_error_hook();
         prop_assert!(campaign.fired() > 0, "fault plan never fired");

@@ -22,19 +22,22 @@
 //!    `H·X = D∘X + 2Cᵀ(Ṽ_Hxc(C·X))`, never forming the `N_cv × N_cv`
 //!    Hamiltonian.
 //!
-//! The ISDF construction is written once, against a communicator
-//! ([`build_isdf_hamiltonian`]): ranks classify their own grid slabs in the
-//! weighted K-Means, and a serial solve is its one-rank case. [`parallel`]
-//! holds the rest of the paper's MPI pipeline (Algorithm 1) on the
-//! simulated-MPI runtime: row/column-block redistributions via `Alltoallv`
-//! and the pipelined GEMM+`Reduce` overlap of paper Figs. 4–5.
+//! [`Solver`] is the one configuration type; its `version` alone picks the
+//! algorithms, on every door: [`Solver::solve`], [`Solver::solve_distributed`]
+//! and a `served` job all run the build half [`Solver::hamiltonian`] and
+//! finish by the same version → (points, explicit or matrix-free `H`, SYEV
+//! or LOBPCG) mapping. Both builds — dense
+//! ([`parallel::distributed_dense_hamiltonian_with`]) and ISDF
+//! ([`build_isdf_hamiltonian`]) — are written once, against a communicator,
+//! and a serial solve is their one-rank case. [`parallel`] holds the paper's
+//! MPI pipeline (Algorithm 1) on the simulated-MPI runtime: `Alltoallv`
+//! redistributions and the pipelined GEMM+`Reduce` overlap of Figs. 4–5.
 
 pub mod analysis;
 pub mod kernel;
 pub mod lobpcg_driver;
 pub mod metrics;
 pub mod naive;
-pub mod options;
 pub mod parallel;
 pub mod parallel_eig;
 pub mod pipeline;
@@ -49,18 +52,15 @@ pub mod versions;
 pub use analysis::{analyze_states, describe_state, StateCharacter};
 pub use kernel::HxcKernel;
 pub use metrics::ComplexityEstimate;
-pub use naive::{build_dense_hamiltonian, solve_naive};
+pub use naive::build_dense_hamiltonian;
 pub use problem::{silicon_like_problem, synthetic_problem, CasidaProblem, KernelKind};
-pub use options::{Eig, SolveOptions};
 pub use rank::IsdfRank;
 pub use recover::degrade;
-pub use solver::{Solver, SolverBuilder};
-pub use spectrum::{
-    absorption_spectrum, oscillator_strengths, transition_dipoles, try_absorption_spectrum,
-    try_oscillator_strengths,
-};
+pub use solver::Solver;
+pub use spectrum::{absorption_spectrum, oscillator_strengths, transition_dipoles};
 pub use timers::StageTimings;
 pub use versions::{
-    build_isdf_hamiltonian, IsdfHamiltonian, PointSelector, Solution, Version, FIT_RESIDUAL_GUARD,
+    build_isdf_hamiltonian, Hamiltonian, IsdfHamiltonian, PointSelector, Solution, Version,
+    FIT_RESIDUAL_GUARD,
 };
 pub use faultkit::{CommError, NumericalError, SolveError};

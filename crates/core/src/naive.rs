@@ -1,62 +1,34 @@
 //! The naïve explicit LR-TDDFT path (paper Algorithm 1):
-//! face-splitting product → `f_Hxc` application → `V_Hxc` GEMM → dense SYEV.
+//! face-splitting product → `f_Hxc` application → `V_Hxc` GEMM → dense SYEV
+//! ([`crate::Version::Naive`]).
 //!
 //! Complexity `O(N_v²N_c²N_r)` construction + `O(N_v³N_c³)` diagonalization
 //! (paper Table 2) — the baseline all speedups are measured against.
 
-use crate::kernel::HxcKernel;
+use crate::parallel::distributed_dense_hamiltonian_with;
 use crate::problem::CasidaProblem;
-use isdf::face_splitting_product;
-use mathkit::{syev, Mat, Transpose};
+use mathkit::Mat;
+use parcomm::Comm;
 
-/// Build the dense TDA Hamiltonian `H = D + 2 V_Hxc` (`N_cv × N_cv`).
+/// Build the dense TDA Hamiltonian `H = D + 2 V_Hxc` (`N_cv × N_cv`): the
+/// one dense build ([`distributed_dense_hamiltonian_with`]) on a solo
+/// communicator on this thread.
 pub fn build_dense_hamiltonian(problem: &CasidaProblem) -> Mat {
-    problem.validate();
-    let dv = problem.grid.dv();
-
-    // Face-splitting product P_vc (Algorithm 1 line 2).
-    let sp = obskit::span(obskit::Stage::FaceSplit, "face_split");
-    let p_vc = face_splitting_product(&problem.psi_v, &problem.psi_c);
-    drop(sp);
-
-    // Apply f_Hxc (lines 4–5: FFT Hartree + real-space f_xc).
-    let sp = obskit::span(obskit::Stage::Fft, "kernel.apply");
-    let kernel = HxcKernel::for_problem(problem);
-    let f_p = kernel.apply(&p_vc);
-    drop(sp);
-
-    // V_Hxc = ΔV · P_vcᵀ (f_Hxc P_vc) (line 7). The TDA singlet factor 2
-    // (paper Eq. 2) and ΔV fold into the GEMM's alpha — no scale pass.
-    let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
-    let mut h = Mat::zeros(p_vc.ncols(), f_p.ncols());
-    mathkit::gemm(2.0 * dv, &p_vc, Transpose::Yes, &f_p, Transpose::No, 0.0, &mut h);
-    drop(sp);
-
-    // H = D + 2 V_Hxc (line 10).
-    let d = problem.diag_d();
-    for (i, di) in d.iter().enumerate() {
-        h[(i, i)] += di;
-    }
-    h.symmetrize();
-    h
-}
-
-/// Solve for the lowest `k` excitations with the dense pipeline. Returns
-/// `(energies, eigenvector coefficients N_cv × k)`.
-pub fn solve_naive(problem: &CasidaProblem, k: usize) -> (Vec<f64>, Mat) {
-    let h = build_dense_hamiltonian(problem);
-    let sp = obskit::span(obskit::Stage::Diag, "diag.syev");
-    let eig = syev(&h);
-    drop(sp);
-    let k = k.min(eig.values.len());
-    let cols: Vec<usize> = (0..k).collect();
-    (eig.values[..k].to_vec(), eig.vectors.select_cols(&cols))
+    distributed_dense_hamiltonian_with(&Comm::solo(), problem, false).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::HxcKernel;
     use crate::problem::synthetic_problem;
+    use crate::{Solver, Version};
+
+    /// Row 1 through the front door: `(energies, coefficients N_cv × k)`.
+    fn solve_naive(problem: &CasidaProblem, k: usize) -> (Vec<f64>, Mat) {
+        let s = Solver::builder().version(Version::Naive).n_states(k).solve(problem).unwrap();
+        (s.energies, s.coefficients)
+    }
 
     #[test]
     fn hamiltonian_is_symmetric_with_positive_diagonal_shift() {

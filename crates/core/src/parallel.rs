@@ -13,15 +13,11 @@
 //! replicated (suitable for the replicated diagonalization step).
 
 use crate::kernel::HxcKernel;
-use crate::options::{Eig, SolveOptions};
-use crate::parallel_eig::{distributed_casida_lobpcg, DistributedEigResult};
 use crate::pipeline::gram_replicated;
 use crate::problem::CasidaProblem;
-use crate::recover::build_ladder;
 use crate::timers::StageTimings;
-use crate::versions::IsdfHamiltonian;
 use isdf::face_splitting_product;
-use mathkit::{syev, Mat};
+use mathkit::Mat;
 use parcomm::redist::{col_to_row_blocks, row_to_col_blocks};
 use parcomm::{block_ranges, Comm};
 
@@ -51,14 +47,17 @@ pub fn distributed_kernel_apply(comm: &Comm, problem: &CasidaProblem, local_rows
     Mat::from_vec(local_rows.nrows(), n_cols_global, back)
 }
 
-/// Distributed naive Hamiltonian construction (Algorithm 1). Returns the
-/// replicated dense `H` plus this rank's stage timings. `opts.pipelined`
-/// selects the GEMM+`Reduce` overlap schedule for the `V_Hxc` contraction.
+/// Naive Hamiltonian construction (Algorithm 1), SPMD-collective on `comm`;
+/// [`crate::build_dense_hamiltonian`] is its one-rank case. Returns the
+/// replicated dense `H = D + 2 V_Hxc` plus this rank's stage timings.
+/// `pipelined` selects the GEMM+`Reduce` overlap schedule for the `V_Hxc`
+/// contraction.
 pub fn distributed_dense_hamiltonian_with(
     comm: &Comm,
     problem: &CasidaProblem,
-    opts: &SolveOptions,
+    pipelined: bool,
 ) -> (Mat, StageTimings) {
+    problem.validate();
     let clock = obskit::StageClock::now();
 
     // Local face-splitting product on my grid slab (line 2).
@@ -70,10 +69,12 @@ pub fn distributed_dense_hamiltonian_with(
     // f_Hxc through the FFT layout dance (lines 3–6).
     let fz_loc = distributed_kernel_apply(comm, problem, &z_loc);
 
-    // V_Hxc: local GEMM + reduction (lines 7–8 / Figs. 4–5).
+    // V_Hxc = ΔV · P_vcᵀ (f_Hxc P_vc): local GEMM + reduction (lines 7–8 /
+    // Figs. 4–5). The TDA singlet factor 2 (paper Eq. 2) and ΔV fold into
+    // the GEMM's alpha — no scale pass.
     let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
     let scale = 2.0 * problem.grid.dv();
-    let mut h = gram_replicated(comm, &z_loc, &fz_loc, scale, opts.pipelined, &mut [])
+    let mut h = gram_replicated(comm, &z_loc, &fz_loc, scale, pipelined, &mut [])
         .unwrap_or_else(|e| panic!("v_hxc reduction: {e}"));
     drop(sp);
 
@@ -85,72 +86,16 @@ pub fn distributed_dense_hamiltonian_with(
     (h, StageTimings::since(clock))
 }
 
-/// Full distributed solve: the K-Means [`crate::build_isdf_hamiltonian`]
-/// behind the serial solve's rebuild ladder, then the eigensolver
-/// `opts.eigensolver` picks — distributed matrix-free LOBPCG ([`Eig::Lobpcg`],
-/// paper Table 4 row 5) or a replicated dense SYEV ([`Eig::Syev`]). Returns
-/// replicated eigenvalues plus this rank's timings; a build the ladder cannot
-/// heal panics with the typed error and the recovery log. External callers go
-/// through [`crate::Solver::solve_distributed`].
-pub(crate) fn distributed_solve_with(
-    comm: &Comm,
-    problem: &CasidaProblem,
-    opts: &SolveOptions,
-) -> (Vec<f64>, StageTimings) {
-    let clock = obskit::StageClock::now();
-    let mut recovery = opts.recovery_log();
-    let n_mu = opts.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c());
-    let (selector, pipelined) = (opts.kmeans_selector(), opts.pipelined);
-    let ham = build_ladder(comm, problem, selector, n_mu, pipelined, &mut recovery)
-        .unwrap_or_else(|e| panic!("distributed ISDF build: {e} (recovery log: {recovery:?})"));
-    let values = distributed_eigensolve(comm, &ham, opts.n_states.min(problem.n_cv()), opts);
-    (values, StageTimings::since(clock))
-}
-
-/// The eigensolver half of [`distributed_solve_with`], split out so the
-/// serving scheduler can amortize one Hamiltonian build across a batch of
-/// same-structure jobs while keeping each job's eigensolve — and therefore
-/// its results — bitwise identical to a solo [`distributed_solve_with`]
-/// run with the same options.
-pub fn distributed_eigensolve(
-    comm: &Comm,
-    ham: &IsdfHamiltonian,
-    k: usize,
-    opts: &SolveOptions,
-) -> Vec<f64> {
-    // The factored H is replicated, so every rank runs the same dense
-    // solve — exact while N_cv stays small.
-    let dense = |name| {
-        let _sp = obskit::span(obskit::Stage::Diag, name);
-        syev(&ham.to_dense()).values[..k].to_vec()
-    };
-    match opts.eigensolver {
-        Eig::Syev => dense("diag.syev.replicated"),
-        // Every breakdown/convergence guard in the distributed solver tests
-        // replicated quantities, so all ranks fail together — and fall back
-        // to the dense solve rather than abort the whole calculation.
-        Eig::Lobpcg => distributed_casida_lobpcg(comm, ham, k, opts.lobpcg, opts.seed)
-            .and_then(DistributedEigResult::into_converged)
-            .map_or_else(|_| dense("diag.syev.fallback"), |res| res.values),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::build_dense_hamiltonian;
     use crate::problem::synthetic_problem;
     use crate::rank::IsdfRank;
-    use crate::versions::build_isdf_hamiltonian;
+    use crate::solver::Solver;
+    use crate::versions::{Hamiltonian, Version};
     use mathkit::syev;
     use parcomm::spmd;
-
-    /// The ISDF build the distributed solve runs, on `c`.
-    fn build(c: &Comm, p: &CasidaProblem, opts: &SolveOptions) -> IsdfHamiltonian {
-        let n_mu = opts.rank.resolve(p.n_r(), p.n_v(), p.n_c());
-        build_isdf_hamiltonian(c, p, opts.kmeans_selector(), n_mu, opts.pipelined, &mut vec![])
-            .expect("clean build")
-    }
 
     #[test]
     fn distributed_dense_matches_serial() {
@@ -158,9 +103,8 @@ mod tests {
         let serial = build_dense_hamiltonian(&p);
         for ranks in [1usize, 2, 4] {
             for pipelined in [false, true] {
-                let opts = SolveOptions::new().pipelined(pipelined);
                 let res =
-                    spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, &opts).0);
+                    spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, pipelined).0);
                 for h in res {
                     assert!(
                         h.max_abs_diff(&serial) < 1e-9,
@@ -197,15 +141,20 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
         // Full rank → exact against the naive dense Hamiltonian …
         let naive = syev(&build_dense_hamiltonian(&p));
-        let opts = SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv()));
-        let serial = syev(&build(&Comm::solo(), &p, &opts).to_dense());
+        let solver = Solver::builder().version(Version::KmeansIsdf).rank(IsdfRank::Fixed(p.n_cv()));
+        let build = |c: &Comm| -> Mat {
+            let ham = solver.hamiltonian(c, &p, &mut vec![]).expect("clean build");
+            assert!(matches!(ham, Hamiltonian::Isdf(_)));
+            ham.dense().into_owned()
+        };
+        let serial = syev(&build(&Comm::solo()));
         for i in 0..3 {
             let rel = (serial.values[i] - naive.values[i]).abs() / naive.values[i].abs();
             assert!(rel < 1e-5, "λ_{i} rel {rel} against the dense reference");
         }
         // … and the same build on every rank count.
         for ranks in [1usize, 2, 4] {
-            for h in spmd(ranks, |c| build(c, &p, &opts).to_dense()) {
+            for h in spmd(ranks, build) {
                 let eig = syev(&h);
                 for i in 0..3 {
                     let rel = (eig.values[i] - serial.values[i]).abs() / serial.values[i].abs();
@@ -216,121 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn full_distributed_solve_matches_serial_implicit() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
-        let n_mu = p.n_cv();
-        let k = 3;
-        let serial = crate::Solver::builder()
-            .version(crate::Version::ImplicitKmeansIsdfLobpcg)
-            .n_states(k)
-            .rank(IsdfRank::Fixed(n_mu))
-            .build()
-            .solve(&p)
-            .unwrap();
-        let opts = SolveOptions::new().n_states(k).rank(IsdfRank::Fixed(n_mu)).seed(9);
-        for ranks in [1usize, 3] {
-            let res = spmd(ranks, |c| distributed_solve_with(c, &p, &opts).0);
-            for vals in &res {
-                for (i, v) in vals.iter().enumerate().take(k) {
-                    let rel =
-                        (v - serial.energies[i]).abs() / serial.energies[i].abs().max(1e-12);
-                    assert!(
-                        rel < 1e-10,
-                        "ranks={ranks} state {i}: {} vs {}",
-                        v,
-                        serial.energies[i]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn timings_accumulate_mpi_for_multirank() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let res = spmd(4, |c| distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new()).1);
+        let res = spmd(4, |c| distributed_dense_hamiltonian_with(c, &p, false).1);
         for t in res {
             assert!(t.mpi > 0.0, "collectives must register comm time");
             assert!(t.fft > 0.0 && t.gemm > 0.0 && t.face_split > 0.0);
-        }
-    }
-
-    #[test]
-    fn pipelined_solve_bitwise_matches_blocking() {
-        // The overlap schedule reorders nothing: every distributed solve must
-        // produce bitwise-identical eigenvalues either way.
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let base = SolveOptions::new().n_states(2).rank(IsdfRank::Fixed(p.n_cv())).seed(7);
-        for ranks in [2usize, 4] {
-            let blocking = spmd(ranks, |c| distributed_solve_with(c, &p, &base).0);
-            let pipelined =
-                spmd(ranks, |c| distributed_solve_with(c, &p, &base.pipelined(true)).0);
-            for (b, q) in blocking.iter().zip(&pipelined) {
-                assert_eq!(b.len(), q.len());
-                for (x, y) in b.iter().zip(q) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "ranks={ranks}: {x:e} vs {y:e}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_syev_matches_lobpcg_spectrum() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
-        let base = SolveOptions::new().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
-        let dense = spmd(2, |c| distributed_solve_with(c, &p, &base.eigensolver(Eig::Syev)).0);
-        let iter = spmd(2, |c| distributed_solve_with(c, &p, &base).0);
-        for (d, l) in dense.iter().zip(&iter) {
-            for (x, y) in d.iter().zip(l) {
-                let rel = (x - y).abs() / x.abs().max(1e-12);
-                assert!(rel < 1e-6, "syev {x} vs lobpcg {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn lobpcg_fallback_to_dense_on_nonconvergence() {
-        // One iteration at an impossible tolerance cannot converge, so the
-        // Lobpcg arm must fall back to the replicated dense solve — which is
-        // exactly what the Syev arm runs, hence bitwise equality.
-        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
-        let base = SolveOptions::new().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
-        let starved = base.lobpcg(mathkit::LobpcgOptions { max_iter: 1, tol: 1e-14 });
-        let fell_back = spmd(2, |c| distributed_solve_with(c, &p, &starved).0);
-        let dense = spmd(2, |c| distributed_solve_with(c, &p, &base.eigensolver(Eig::Syev)).0);
-        for (f, d) in fell_back.iter().zip(&dense) {
-            for (x, y) in f.iter().zip(d) {
-                assert_eq!(x.to_bits(), y.to_bits(), "fallback {x:e} vs syev {y:e}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_build_eigensolve_bitwise_matches_solo_solve() {
-        // The serving scheduler's batching contract: one Hamiltonian build
-        // shared by several jobs, each finishing with its own
-        // `distributed_eigensolve`, must be bitwise identical to each job
-        // running the whole `distributed_solve_with` alone.
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let opts_a = SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv())).n_states(2).seed(9);
-        let opts_b = opts_a.n_states(3).eigensolver(Eig::Syev);
-        let solo_a = spmd(2, |c| distributed_solve_with(c, &p, &opts_a).0);
-        let solo_b = spmd(2, |c| distributed_solve_with(c, &p, &opts_b).0);
-        let batched = spmd(2, |c| {
-            // Build once with the batch-key options (rank/seed/pipelined
-            // agree between the two jobs), then eigensolve per job.
-            let ham = build(c, &p, &opts_a);
-            let a = distributed_eigensolve(c, &ham, 2, &opts_a);
-            let b = distributed_eigensolve(c, &ham, 3, &opts_b);
-            (a, b)
-        });
-        for (rank, (a, b)) in batched.iter().enumerate() {
-            for (x, y) in a.iter().zip(&solo_a[rank]) {
-                assert_eq!(x.to_bits(), y.to_bits(), "job A diverged under batching");
-            }
-            for (x, y) in b.iter().zip(&solo_b[rank]) {
-                assert_eq!(x.to_bits(), y.to_bits(), "job B diverged under batching");
-            }
         }
     }
 }

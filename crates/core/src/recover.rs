@@ -1,12 +1,11 @@
-//! Self-healing solver ladders: the `Result`-returning solve entry point.
+//! Self-healing solver ladders behind the `Result`-returning solve.
 //!
-//! `SolveOptions::run` (reached through [`crate::Solver::solve`]) executes
-//! the solve pipeline, reports failures as typed [`SolveError`]s, and heals
-//! transient ones along two ladders:
+//! [`crate::Solver::solve`] executes the solve pipeline, reports failures as
+//! typed [`SolveError`]s, and heals transient ones along two ladders:
 //!
 //! * **build ladder** — the ISDF Hamiltonian assembly
-//!   ([`build_isdf_hamiltonian`]) already recovers point starvation and
-//!   fit-residual breaches internally; a typed failure that still escapes
+//!   ([`crate::build_isdf_hamiltonian`]) already recovers point starvation
+//!   and fit-residual breaches internally; a typed failure that still escapes
 //!   (poisoned factors, non-SPD Gram) gets one clean rebuild — injected
 //!   faults are one-shot, so the retry runs pristine — before
 //!   [`SolveError::LadderExhausted`]. The serial solve runs it on a solo
@@ -16,138 +15,56 @@
 //!   dense SYEV floor. The dense floor always succeeds, so versions 4–5
 //!   degrade gracefully to version 3 cost instead of panicking.
 //!
-//! Every rung taken is recorded in [`Solution::recovery`] so campaigns (and
-//! users) can see *how* a solve healed, not just that it did.
+//! Every rung taken is recorded in [`crate::Solution::recovery`] so campaigns
+//! (and users) can see *how* a solve healed, not just that it did.
 //!
 //! The fault-free path is bitwise-identical to the pre-ladder solver: rung 1
 //! performs exactly the operations the old code performed, and later rungs
 //! only engage after a failure.
 
 use crate::lobpcg_driver::{casida_preconditioner, initial_guess, solve_casida_lobpcg};
-use crate::metrics::ComplexityEstimate;
-use crate::naive::solve_naive;
-use crate::options::{Eig, SolveOptions};
 use crate::problem::CasidaProblem;
-use crate::timers::StageTimings;
-use crate::versions::{
-    build_isdf_hamiltonian, IsdfHamiltonian, PointSelector, Solution, Version,
-};
+use crate::solver::Solver;
+use crate::versions::{Hamiltonian, Version};
 use faultkit::SolveError;
 use mathkit::davidson::{davidson, DavidsonOptions};
-use mathkit::gemm::{gemm, Transpose};
 use mathkit::lobpcg::{lobpcg, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT};
 use mathkit::{syev, Mat};
 use parcomm::Comm;
 
-impl SolveOptions {
-    /// Solve `problem` with the requested `version`, healing transient
-    /// failures through the recovery ladders and reporting unrecoverable
-    /// ones as typed errors.
-    ///
-    /// On a clean run this is bitwise-identical to the pre-ladder solver;
-    /// rungs taken are listed in [`Solution::recovery`]. External callers
-    /// reach this through the [`crate::Solver`] facade.
-    pub(crate) fn run(
-        &self,
-        problem: &CasidaProblem,
-        version: Version,
-    ) -> Result<Solution, SolveError> {
-        let clock = obskit::StageClock::now();
-        let mut recovery = self.recovery_log();
-        let k = self.n_states.min(problem.n_cv());
-        let (n_r, n_v, n_c) = (problem.n_r(), problem.n_v(), problem.n_c());
-        let n_mu = match version {
-            Version::Naive => 0,
-            _ => self.rank.resolve(n_r, n_v, n_c),
-        };
-        let complexity = ComplexityEstimate::for_version(version, n_r, n_mu, n_v, n_c, k);
-
-        let (energies, coefficients, lobpcg_iterations) = if version == Version::Naive {
-            let (energies, coefficients) = solve_naive(problem, k);
-            (energies, coefficients, None)
-        } else {
-            // The one ISDF build, as its one-rank case: on a solo
-            // communicator, on this thread.
-            let selector = match version {
-                Version::QrcpIsdf => PointSelector::Qrcp,
-                _ => self.kmeans_selector(),
-            };
-            let solo = Comm::solo();
-            let ham = build_ladder(&solo, problem, selector, n_mu, self.pipelined, &mut recovery)?;
-            if matches!(version, Version::QrcpIsdf | Version::KmeansIsdf) {
-                let _sp = obskit::span(obskit::Stage::Diag, "diag.syev");
-                let eig = syev(&ham.to_dense());
-                let cols: Vec<usize> = (0..k).collect();
-                (eig.values[..k].to_vec(), eig.vectors.select_cols(&cols), None)
-            } else {
-                let _sp = obskit::span(obskit::Stage::Diag, "diag.lobpcg");
-                let (opts, seed) = (self.lobpcg, self.seed);
-                let res = if version == Version::KmeansIsdfLobpcg {
-                    // Explicit H, iterative eigensolve (Table 4 row 4).
-                    let h = ham.to_dense();
-                    let apply = |x: &Mat| {
-                        let mut y = Mat::zeros(h.nrows(), x.ncols());
-                        gemm(1.0, &h, Transpose::No, x, Transpose::No, 0.0, &mut y);
-                        y
-                    };
-                    eig_ladder(apply, || h.clone(), &ham.diag_d, k, opts, seed, &mut recovery)
-                } else {
-                    // Matrix-free (Table 4 row 5): H never materialized
-                    // unless the ladder bottoms out at the dense floor.
-                    let apply = |x: &Mat| ham.apply(x);
-                    eig_ladder(apply, || ham.to_dense(), &ham.diag_d, k, opts, seed, &mut recovery)
-                };
-                (res.values, res.vectors, Some(res.iterations))
-            }
-        };
-        Ok(Solution {
-            energies,
-            coefficients,
-            timings: StageTimings::since(clock),
-            n_mu,
-            lobpcg_iterations,
-            complexity,
-            recovery,
-        })
-    }
-}
-
 /// One rung down the graceful-degradation ladder: the next-cheaper
-/// configuration for `opts`, or `None` when the rung has been taken. This is
-/// what the serving scheduler walks under deadline pressure or for a
+/// configuration for `solver`, or `None` when the rung has been taken. This
+/// is what the serving scheduler walks under deadline pressure or for a
 /// circuit-breaker half-open probe; a direct caller can walk it too. The
 /// ladder is one rung:
 ///
-/// * `direct-eig` — LOBPCG → the direct dense finisher ([`Eig::Syev`]):
-///   skips iterative work entirely and lands where the eig ladder
-///   (Davidson → dense SYEV) would bottom out, without burning the
-///   iterations first.
+/// * `direct-eig` — an LOBPCG row (4–5) → [`Version::KmeansIsdf`], the same
+///   K-Means build finished by the direct dense SYEV: skips iterative work
+///   entirely and lands where the eig ladder (Davidson → dense SYEV) would
+///   bottom out, without burning the iterations first.
 ///
-/// The rung changes the eigensolver, so both the serial and the distributed
-/// solve see it, and stamps [`SolveOptions::degraded`], so the downgrade is
-/// recorded in `Solution::recovery` and job outcomes — never silent. There
-/// is no rank rung ([`crate::IsdfRank::resolve`] already clamps to
-/// `min(N_r, N_v·N_c)`) and no precision rung: the solver has one f64
-/// eigensolve path, as the paper's five versions do.
-pub fn degrade(opts: &SolveOptions) -> Option<SolveOptions> {
-    (opts.eigensolver == Eig::Lobpcg).then(|| opts.eigensolver(Eig::Syev).degraded("direct-eig"))
+/// The rung moves `version`, which every door reads, and stamps
+/// [`Solver::degraded`], so the downgrade is recorded in
+/// `Solution::recovery` and job outcomes — never silent. There is no rank
+/// rung ([`crate::IsdfRank::resolve`] already clamps to `min(N_r, N_v·N_c)`)
+/// and no precision rung: the solver has one f64 eigensolve path, as the
+/// paper's five versions do.
+pub fn degrade(solver: &Solver) -> Option<Solver> {
+    solver.plan().lobpcg.then(|| solver.version(Version::KmeansIsdf).degraded("direct-eig"))
 }
 
-/// ISDF-build ladder, SPMD-collective on `comm`: one typed failure earns one
-/// clean rebuild (injected faults are one-shot, so the retry is pristine); a
-/// second failure is [`SolveError::LadderExhausted`]. Build failures are
-/// decided on replicated data, so every rank of a group climbs together.
+/// Build ladder around [`Solver::hamiltonian`], SPMD-collective on `comm`:
+/// one typed failure earns one clean rebuild (injected faults are one-shot,
+/// so the retry is pristine); a second failure is
+/// [`SolveError::LadderExhausted`]. Build failures are decided on replicated
+/// data, so every rank of a group climbs together.
 pub(crate) fn build_ladder(
+    solver: &Solver,
     comm: &Comm,
     problem: &CasidaProblem,
-    selector: PointSelector,
-    n_mu: usize,
-    pipelined: bool,
     recovery: &mut Vec<String>,
-) -> Result<IsdfHamiltonian, SolveError> {
-    let build = |recovery: &mut Vec<String>| {
-        build_isdf_hamiltonian(comm, problem, selector, n_mu, pipelined, recovery)
-    };
+) -> Result<Hamiltonian, SolveError> {
+    let build = |recovery: &mut Vec<String>| solver.hamiltonian(comm, problem, recovery);
     let first = match build(recovery) {
         Ok(ham) => return Ok(ham),
         Err(e) => e,
@@ -176,7 +93,7 @@ pub(crate) fn build_ladder(
 ///
 /// Returns the first converged result; rungs taken are appended to
 /// `recovery`. Infallible by construction (the floor cannot fail).
-fn eig_ladder<FA, FD>(
+pub(crate) fn eig_ladder<FA, FD>(
     apply: FA,
     dense: FD,
     diag_d: &[f64],
@@ -278,15 +195,15 @@ mod tests {
     use crate::rank::IsdfRank;
     use faultkit::{arm, FaultKind, FaultPlan, NumericalError};
 
-    fn opts(p: &CasidaProblem) -> SolveOptions {
-        SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv()))
+    fn opts(p: &CasidaProblem) -> Solver {
+        Solver::builder().rank(IsdfRank::Fixed(p.n_cv()))
     }
 
     #[test]
     fn clean_run_has_empty_recovery_log() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         for v in Version::all() {
-            let s = opts(&p).run(&p, v).expect("clean run");
+            let s = opts(&p).version(v).solve(&p).expect("clean run");
             assert!(s.recovery.is_empty(), "{v:?}: {:?}", s.recovery);
         }
     }
@@ -295,28 +212,45 @@ mod tests {
     fn degraded_marker_lands_in_recovery_before_anything_runs() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let s = opts(&p)
+            .version(Version::KmeansIsdf)
             .degraded("direct-eig")
-            .run(&p, Version::KmeansIsdf)
+            .solve(&p)
             .expect("degraded run solves");
         assert_eq!(s.recovery.first().map(String::as_str), Some("degraded: direct-eig"));
     }
 
     #[test]
     fn the_degrade_ladder_is_one_labelled_eigensolver_rung() {
-        for start in [SolveOptions::new(), SolveOptions::new().rank(IsdfRank::Fixed(4))] {
-            let down = degrade(&start).expect("LOBPCG has a cheaper finisher");
-            assert_eq!((down.eigensolver, down.degraded), (Eig::Syev, Some("direct-eig")));
+        for start in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
+            let down =
+                degrade(&Solver::builder().version(start)).expect("LOBPCG has a cheaper row");
+            assert_eq!((down.version, down.degraded), (Version::KmeansIsdf, Some("direct-eig")));
             assert!(degrade(&down).is_none(), "the dense finisher is the floor");
         }
+        assert!(degrade(&Solver::builder().version(Version::Naive)).is_none());
+    }
+
+    #[test]
+    fn a_degraded_serial_solve_computes_what_its_label_says() {
+        // `direct-eig` means no LOBPCG iteration runs: the degraded solve is
+        // the K-Means-ISDF + SYEV row, to the bit, plus the label.
+        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        let down = degrade(&opts(&p)).expect("the default row iterates");
+        let degraded = down.solve(&p).expect("degraded run solves");
+        assert_eq!(degraded.lobpcg_iterations, None);
+        assert_eq!(degraded.recovery, ["degraded: direct-eig"]);
+        let direct = opts(&p).version(Version::KmeansIsdf).solve(&p).expect("row 3");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&degraded.energies), bits(&direct.energies));
     }
 
     #[test]
     fn poisoned_v_tilde_heals_via_clean_rebuild() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let o = opts(&p);
-        let baseline = o.run(&p, Version::KmeansIsdf).expect("baseline");
+        let baseline = o.version(Version::KmeansIsdf).solve(&p).expect("baseline");
         let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
-        let healed = o.run(&p, Version::KmeansIsdf).expect("ladder heals poison");
+        let healed = o.version(Version::KmeansIsdf).solve(&p).expect("ladder heals poison");
         assert_eq!(campaign.fired(), 1);
         assert!(
             healed.recovery.iter().any(|r| r.contains("clean rebuild")),
@@ -332,12 +266,12 @@ mod tests {
     fn lobpcg_breakdown_heals_through_ladder() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let o = opts(&p);
-        let baseline = o.run(&p, Version::ImplicitKmeansIsdfLobpcg).expect("baseline");
+        let baseline = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("baseline");
         // Poison the LOBPCG search direction on the first iteration: rung 1
         // breaks down, the ladder resumes from the checkpoint or restarts
         // clean (the fault is one-shot, so the retry runs unpoisoned).
         let campaign = arm(FaultPlan::new(11).with("lobpcg.w", 0, FaultKind::NanPoison));
-        let healed = o.run(&p, Version::ImplicitKmeansIsdfLobpcg).expect("ladder heals");
+        let healed = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("ladder heals");
         assert_eq!(campaign.fired(), 1);
         assert!(!healed.recovery.is_empty());
         for (a, b) in baseline.energies.iter().zip(&healed.energies) {
@@ -353,9 +287,9 @@ mod tests {
     fn rank_starvation_recovers_at_full_rank() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let o = opts(&p);
-        let baseline = o.run(&p, Version::KmeansIsdf).expect("baseline");
+        let baseline = o.version(Version::KmeansIsdf).solve(&p).expect("baseline");
         let campaign = arm(FaultPlan::new(5).with("isdf.points", 0, FaultKind::RankStarvation));
-        let healed = o.run(&p, Version::KmeansIsdf).expect("re-selection heals");
+        let healed = o.version(Version::KmeansIsdf).solve(&p).expect("re-selection heals");
         assert_eq!(campaign.fired(), 1);
         assert!(
             healed.recovery.iter().any(|r| r.contains("starved")),
@@ -378,7 +312,7 @@ mod tests {
                 .with("ham.c", 0, FaultKind::NanPoison)
                 .with("ham.c", 1, FaultKind::NanPoison),
         );
-        let err = match o.run(&p, Version::KmeansIsdf) {
+        let err = match o.version(Version::KmeansIsdf).solve(&p) {
             Err(e) => e,
             Ok(_) => panic!("double fault must exhaust the build ladder"),
         };

@@ -1,157 +1,309 @@
-//! The `Solver` facade — one front door for every way to run a solve:
-//! build one with [`Solver::builder`], then call [`Solver::solve`] for a
-//! serial solve or [`Solver::solve_distributed`] inside an SPMD region.
+//! `Solver` — the one configuration type and the one front door: set the
+//! fields (or chain the setters), then call [`Solver::solve`] for a serial
+//! solve or [`Solver::solve_distributed`] inside an SPMD region.
 //!
 //! ```
 //! use lrtddft::{Solver, Version};
-//! let solver = Solver::builder()
-//!     .version(Version::KmeansIsdf)
-//!     .n_states(2)
-//!     .build();
+//! let solver = Solver::builder().version(Version::KmeansIsdf).n_states(2).build();
 //! let problem = lrtddft::synthetic_problem([8, 8, 8], 6.0, 2, 2);
 //! let solution = solver.solve(&problem).unwrap();
 //! assert_eq!(solution.energies.len(), 2);
 //! ```
 //!
-//! The same `Solver` value is what the serving scheduler (`served` crate)
-//! executes per job, so a job submitted to the service and a direct call
-//! here run the identical code path.
+//! [`Solver::version`] alone decides which algorithms run, on every door:
+//! one private mapping (`Solver::plan`) turns the Table 4 row into a point
+//! selector, the form the eigensolver sees `H` in, and a finisher. The
+//! serial solve, the distributed solve and the serving scheduler (`served`)
+//! all run the same build half ([`Solver::hamiltonian`]) and read the same
+//! mapping in their finish half, so a job submitted to the service and a
+//! direct call here compute the same thing.
+//!
+//! The scalar-kernel and unfused-reduction *reference* paths are not solver
+//! fields: they are process-wide switches (`MATHKIT_KERNEL`,
+//! `PARCOMM_NO_FUSE`, `mathkit::force_kernel`,
+//! `parcomm::set_fusion_enabled`) that a solve reads and never writes.
 
-use crate::options::{Eig, SolveOptions};
+use crate::metrics::ComplexityEstimate;
+use crate::parallel::distributed_dense_hamiltonian_with;
+use crate::parallel_eig::{distributed_casida_lobpcg, DistributedEigResult};
 use crate::problem::CasidaProblem;
 use crate::rank::IsdfRank;
+use crate::recover::{build_ladder, eig_ladder};
 use crate::timers::StageTimings;
-use crate::versions::{Solution, Version};
+use crate::versions::{
+    build_isdf_hamiltonian, Hamiltonian, PointSelector, Solution, Version,
+};
 use faultkit::SolveError;
 use mathkit::lobpcg::LobpcgOptions;
+use mathkit::syev;
+use obskit::Stage;
 use parcomm::Comm;
 
-/// A fully-configured solve: algorithm [`Version`] plus every
-/// [`SolveOptions`] knob. Cheap to copy; construct via [`Solver::builder`].
+/// A fully-configured solve. Plain data, cheap to copy: write the fields or
+/// chain the consuming setters of the same names.
 #[derive(Clone, Copy, Debug)]
 pub struct Solver {
-    version: Version,
-    opts: SolveOptions,
+    /// Paper Table 4 row — the only thing that decides which point selector,
+    /// Hamiltonian form and eigensolver run.
+    pub version: Version,
+    /// Number of excitations to return (`k`).
+    pub n_states: usize,
+    /// ISDF rank policy.
+    pub rank: IsdfRank,
+    /// LOBPCG settings (rows 4–5).
+    pub lobpcg: LobpcgOptions,
+    /// RNG seed (K-Means init, LOBPCG guess dressing).
+    pub seed: u64,
+    /// Use the pipelined GEMM+`Reduce` overlap schedule (paper Fig. 5) for
+    /// the distributed `V_Hxc` / `Ṽ_Hxc` contractions instead of the
+    /// monolithic GEMM+`Allreduce`. Bitwise-identical results either way.
+    pub pipelined: bool,
+    /// Degradation marker. `Some(label)` means this configuration is a
+    /// deliberate downgrade to a cheaper one — the one rung of
+    /// [`crate::degrade`] (`direct-eig`), applied by the serving scheduler
+    /// under deadline pressure or for a circuit-breaker probe; the label is
+    /// the first entry of `Solution::recovery` so a degraded answer is never
+    /// silent. `None` (the default) leaves the clean path untouched.
+    pub degraded: Option<&'static str>,
 }
 
 impl Default for Solver {
-    /// The paper's headline path ([`Version::ImplicitKmeansIsdfLobpcg`])
-    /// with default options.
+    /// The paper's headline path, monolithic reductions.
     fn default() -> Self {
-        Solver { version: Version::ImplicitKmeansIsdfLobpcg, opts: SolveOptions::default() }
+        Solver {
+            version: Version::ImplicitKmeansIsdfLobpcg,
+            n_states: 3,
+            rank: IsdfRank::default(),
+            lobpcg: LobpcgOptions { max_iter: 400, tol: 1e-8 },
+            seed: 0xcafe,
+            pipelined: false,
+            degraded: None,
+        }
     }
+}
+
+/// What one Table 4 row runs.
+pub(crate) struct Plan {
+    /// ISDF interpolation points; `None` builds the dense `H` (row 1).
+    pub selector: Option<PointSelector>,
+    /// The eigensolver sees `H` as a dense matrix (rows 1–4), not as its
+    /// ISDF factors (row 5).
+    pub explicit: bool,
+    /// Iterative LOBPCG for the lowest `k` (rows 4–5), not a dense SYEV.
+    pub lobpcg: bool,
 }
 
 impl Solver {
-    /// Start configuring a solver. Defaults: the paper's implicit
-    /// K-Means-ISDF-LOBPCG path with [`SolveOptions::default`] knobs.
-    pub fn builder() -> SolverBuilder {
-        SolverBuilder { solver: Solver::default() }
+    /// The defaults; same as [`Solver::default`].
+    pub fn builder() -> Solver {
+        Solver::default()
     }
 
-    /// The algorithm version this solver runs.
-    pub fn version(&self) -> Version {
-        self.version
-    }
-
-    /// The option set this solver runs with.
-    pub fn options(&self) -> &SolveOptions {
-        &self.opts
-    }
-
-    /// Serial solve through the recovery ladder. The ISDF versions run the
-    /// one build ([`crate::build_isdf_hamiltonian`]) on a solo communicator
-    /// on this thread: no rank thread, no `mpi:*` span, no comm statistics.
-    pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
-        self.opts.run(problem, self.version)
-    }
-
-    /// Distributed solve on an SPMD communicator: the same ISDF build as
-    /// [`Solver::solve`] — same K-Means points, same typed failures behind
-    /// the same one-rebuild ladder — on `comm`'s ranks, then the configured
-    /// eigensolver. Returns replicated eigenvalues plus this rank's stage
-    /// timings; a build the ladder cannot heal panics with the typed error.
-    /// The `version` is ignored here — the distributed path is always the
-    /// implicit K-Means-ISDF pipeline; `options().eigensolver` picks the
-    /// finisher.
-    pub fn solve_distributed(
-        &self,
-        comm: &Comm,
-        problem: &CasidaProblem,
-    ) -> (Vec<f64>, StageTimings) {
-        crate::parallel::distributed_solve_with(comm, problem, &self.opts)
-    }
-}
-
-/// Builder for [`Solver`]: the algorithm version plus every
-/// [`SolveOptions`] knob, as consuming methods.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SolverBuilder {
-    solver: Solver,
-}
-
-impl SolverBuilder {
-    /// Algorithm version (paper Table 4 row). Default: the implicit
-    /// K-Means-ISDF-LOBPCG path.
-    pub fn version(mut self, v: Version) -> Self {
-        self.solver.version = v;
+    /// The solver itself (closes a `Solver::builder()…` chain).
+    pub fn build(self) -> Solver {
         self
     }
 
-    /// Replace the whole option set at once (escape hatch for callers that
-    /// already hold a [`SolveOptions`]).
-    pub fn options(mut self, opts: SolveOptions) -> Self {
-        self.solver.opts = opts;
+    /// Algorithm version (paper Table 4 row).
+    pub fn version(mut self, v: Version) -> Self {
+        self.version = v;
         self
     }
 
     /// Number of excitations to return.
     pub fn n_states(mut self, k: usize) -> Self {
-        self.solver.opts = self.solver.opts.n_states(k);
+        self.n_states = k;
         self
     }
 
     /// ISDF rank policy.
     pub fn rank(mut self, rank: IsdfRank) -> Self {
-        self.solver.opts = self.solver.opts.rank(rank);
+        self.rank = rank;
         self
     }
 
     /// LOBPCG iteration/tolerance settings.
     pub fn lobpcg(mut self, opts: LobpcgOptions) -> Self {
-        self.solver.opts = self.solver.opts.lobpcg(opts);
+        self.lobpcg = opts;
         self
     }
 
     /// RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.solver.opts = self.solver.opts.seed(seed);
+        self.seed = seed;
         self
     }
 
     /// Toggle the pipelined GEMM+`Reduce` overlap schedule.
     pub fn pipelined(mut self, on: bool) -> Self {
-        self.solver.opts = self.solver.opts.pipelined(on);
-        self
-    }
-
-    /// Final eigensolver for the distributed solve.
-    pub fn eigensolver(mut self, eig: Eig) -> Self {
-        self.solver.opts = self.solver.opts.eigensolver(eig);
+        self.pipelined = on;
         self
     }
 
     /// Mark the configuration as a deliberate downgrade (see
-    /// [`SolveOptions::degraded`]); the label is recorded in
-    /// `Solution::recovery` and surfaced in served job outcomes.
+    /// [`Solver::degraded`]).
     pub fn degraded(mut self, label: &'static str) -> Self {
-        self.solver.opts = self.solver.opts.degraded(label);
+        self.degraded = Some(label);
         self
     }
 
-    /// Finish configuration.
-    pub fn build(self) -> Solver {
-        self.solver
+    /// The K-Means point selector of this solver: default clustering knobs,
+    /// seeded by [`Solver::seed`].
+    pub fn kmeans_selector(&self) -> PointSelector {
+        PointSelector::Kmeans(isdf::KmeansOptions { seed: self.seed, ..Default::default() })
+    }
+
+    /// The one place `version` is turned into algorithms (paper Table 4).
+    pub(crate) fn plan(&self) -> Plan {
+        let kmeans = Some(self.kmeans_selector());
+        let (selector, explicit, lobpcg) = match self.version {
+            Version::Naive => (None, true, false),
+            Version::QrcpIsdf => (Some(PointSelector::Qrcp), true, false),
+            Version::KmeansIsdf => (kmeans, true, false),
+            Version::KmeansIsdfLobpcg => (kmeans, true, true),
+            Version::ImplicitKmeansIsdfLobpcg => (kmeans, false, true),
+        };
+        Plan { selector, explicit, lobpcg }
+    }
+
+    /// The Table 4 row whose Hamiltonian build this solver runs: rows 3–5
+    /// share the K-Means ISDF build, rows 1 and 2 have their own. Two solvers
+    /// equal in this, [`Solver::n_mu`], `seed` and `pipelined` build the same
+    /// Hamiltonian — what the serving scheduler batches on.
+    pub fn build_row(&self) -> Version {
+        match self.plan().selector {
+            None => Version::Naive,
+            Some(PointSelector::Qrcp) => Version::QrcpIsdf,
+            Some(PointSelector::Kmeans(_)) => Version::KmeansIsdf,
+        }
+    }
+
+    /// ISDF rank this solver builds at on `problem`; 0 for the dense build.
+    pub fn n_mu(&self, problem: &CasidaProblem) -> usize {
+        match self.plan().selector {
+            None => 0,
+            Some(_) => self.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c()),
+        }
+    }
+
+    /// A fresh recovery log. A degraded configuration must never produce a
+    /// silently-degraded answer: its marker is the first entry, before
+    /// anything runs.
+    fn recovery_log(&self) -> Vec<String> {
+        self.degraded.iter().map(|label| format!("degraded: {label}")).collect()
+    }
+
+    /// Build half of every door, SPMD-collective on `comm` (a serial solve
+    /// passes [`Comm::solo`]): the replicated Hamiltonian `version` asks for
+    /// — the dense `H` of Algorithm 1 (row 1) or the ISDF factors from
+    /// [`build_isdf_hamiltonian`] with this row's point selector (rows 2–5).
+    /// One attempt, no rebuild ladder; rungs the build takes internally are
+    /// appended to `recovery`.
+    pub fn hamiltonian(
+        &self,
+        comm: &Comm,
+        problem: &CasidaProblem,
+        recovery: &mut Vec<String>,
+    ) -> Result<Hamiltonian, SolveError> {
+        let Some(selector) = self.plan().selector else {
+            let (h, _) = distributed_dense_hamiltonian_with(comm, problem, self.pipelined);
+            return Ok(Hamiltonian::Dense(h));
+        };
+        let n_mu = self.n_mu(problem);
+        build_isdf_hamiltonian(comm, problem, selector, n_mu, self.pipelined, recovery)
+            .map(Hamiltonian::Isdf)
+    }
+
+    /// Finish half of the distributed doors: the lowest `n_states`
+    /// eigenvalues of a replicated `ham`, replicated. Rows 1–3 run the same
+    /// dense SYEV on every rank; rows 4–5 the distributed matrix-free LOBPCG,
+    /// falling back to the dense solve if it breaks down or does not
+    /// converge — every guard there tests replicated quantities, so all
+    /// ranks fall back together. Split from the build so the serving
+    /// scheduler can share one build across a batch and keep each job's
+    /// result bitwise identical to a solo [`Solver::solve_distributed`].
+    pub fn eigensolve(&self, comm: &Comm, ham: &Hamiltonian) -> Vec<f64> {
+        let k = self.n_states.min(ham.n_cv());
+        let dense = |name| {
+            let _sp = obskit::span(Stage::Diag, name);
+            syev(&ham.dense()).values[..k].to_vec()
+        };
+        match ham {
+            Hamiltonian::Isdf(factors) if self.plan().lobpcg => {
+                distributed_casida_lobpcg(comm, factors, k, self.lobpcg, self.seed)
+                    .and_then(DistributedEigResult::into_converged)
+                    .map_or_else(|_| dense("diag.syev.fallback"), |res| res.values)
+            }
+            _ => dense("diag.syev.replicated"),
+        }
+    }
+
+    /// Serial solve through the recovery ladders: the build half on a solo
+    /// communicator on this thread (no rank thread, no `mpi:*` span, no comm
+    /// statistics) behind the one-rebuild ladder, then the finisher `version`
+    /// names — dense SYEV (rows 1–3) or LOBPCG behind the eigensolver ladder
+    /// on the materialized (row 4) or matrix-free (row 5) `H`. Failures are
+    /// typed; rungs taken are listed in [`Solution::recovery`], and a clean
+    /// run takes none.
+    pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
+        let clock = obskit::StageClock::now();
+        let mut recovery = self.recovery_log();
+        let k = self.n_states.min(problem.n_cv());
+        let (n_r, n_v, n_c) = (problem.n_r(), problem.n_v(), problem.n_c());
+        let n_mu = self.n_mu(problem);
+        let complexity = ComplexityEstimate::for_version(self.version, n_r, n_mu, n_v, n_c, k);
+
+        let plan = self.plan();
+        let mut ham = build_ladder(self, &Comm::solo(), problem, &mut recovery)?;
+        let (energies, coefficients, lobpcg_iterations) = {
+            let name = if plan.lobpcg { "diag.lobpcg" } else { "diag.syev" };
+            let _sp = obskit::span(Stage::Diag, name);
+            // Rows 1–4 hand the eigensolver a matrix; row 5 never forms it
+            // unless the ladder bottoms out at the dense floor.
+            if plan.explicit {
+                ham.materialize();
+            }
+            if plan.lobpcg {
+                let (diag_d, opts, seed) = (problem.diag_d(), self.lobpcg, self.seed);
+                let floor = || ham.dense().into_owned();
+                let res =
+                    eig_ladder(|x| ham.apply(x), floor, &diag_d, k, opts, seed, &mut recovery);
+                (res.values, res.vectors, Some(res.iterations))
+            } else {
+                let eig = syev(&ham.dense());
+                let cols: Vec<usize> = (0..k).collect();
+                (eig.values[..k].to_vec(), eig.vectors.select_cols(&cols), None)
+            }
+        };
+        Ok(Solution {
+            energies,
+            coefficients,
+            timings: StageTimings::since(clock),
+            n_mu,
+            lobpcg_iterations,
+            complexity,
+            recovery,
+        })
+    }
+
+    /// Distributed solve on an SPMD communicator: the same build as
+    /// [`Solver::solve`] — same `version`, same points, same typed failures
+    /// behind the same one-rebuild ladder — on `comm`'s ranks, then
+    /// [`Solver::eigensolve`]. Rows 4 and 5 share the distributed
+    /// matrix-free LOBPCG (there is no distributed explicit-`H` iteration),
+    /// so they return the same numbers here. Returns replicated eigenvalues
+    /// plus this rank's stage timings; a build the ladder cannot heal panics
+    /// with the typed error and the recovery log.
+    pub fn solve_distributed(
+        &self,
+        comm: &Comm,
+        problem: &CasidaProblem,
+    ) -> (Vec<f64>, StageTimings) {
+        let clock = obskit::StageClock::now();
+        let mut recovery = self.recovery_log();
+        let ham = build_ladder(self, comm, problem, &mut recovery)
+            .unwrap_or_else(|e| panic!("distributed build: {e} (recovery log: {recovery:?})"));
+        (self.eigensolve(comm, &ham), StageTimings::since(clock))
     }
 }
 
@@ -159,50 +311,146 @@ impl SolverBuilder {
 mod tests {
     use super::*;
     use crate::problem::synthetic_problem;
+    use parcomm::spmd;
 
     #[test]
-    fn builder_defaults_to_paper_headline_path() {
-        let s = Solver::builder().build();
-        assert_eq!(s.version(), Version::ImplicitKmeansIsdfLobpcg);
-        assert_eq!(s.options().n_states, 3);
+    fn defaults_are_the_headline_path_and_setters_chain() {
+        let fresh = Solver::builder().build();
+        assert_eq!(fresh.version, Version::ImplicitKmeansIsdfLobpcg);
+        assert_eq!((fresh.n_states, fresh.seed, fresh.lobpcg.max_iter), (3, 0xcafe, 400));
+        assert!(!fresh.pipelined && fresh.degraded.is_none());
+
+        let s = Solver::builder()
+            .version(Version::QrcpIsdf)
+            .n_states(7)
+            .rank(IsdfRank::Fixed(12))
+            .lobpcg(LobpcgOptions { max_iter: 10, tol: 1e-3 })
+            .seed(42)
+            .pipelined(true)
+            .degraded("direct-eig");
+        assert_eq!((s.version, s.n_states, s.seed), (Version::QrcpIsdf, 7, 42));
+        assert!(matches!(s.rank, IsdfRank::Fixed(12)));
+        assert_eq!(s.lobpcg.max_iter, 10);
+        assert!(s.pipelined);
+        assert_eq!(s.degraded, Some("direct-eig"));
     }
 
     #[test]
-    fn facade_matches_raw_options_run_bitwise() {
+    fn every_version_agrees_between_the_serial_and_the_distributed_door() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let solver = Solver::builder()
-            .version(Version::KmeansIsdf)
-            .n_states(2)
-            .rank(IsdfRank::Fixed(p.n_cv()))
-            .seed(11)
-            .build();
-        let via_facade = solver.solve(&p).unwrap();
-        let via_opts = solver.options().run(&p, Version::KmeansIsdf).unwrap();
-        for (a, b) in via_facade.energies.iter().zip(&via_opts.energies) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let full = Solver::builder().n_states(2).rank(IsdfRank::Fixed(p.n_cv()));
+        for v in Version::all() {
+            let solver = full.version(v);
+            let serial = solver.solve(&p).unwrap().energies;
+            let tol = if solver.plan().lobpcg { 1e-8 } else { 1e-10 };
+            for values in spmd(2, |c| solver.solve_distributed(c, &p).0) {
+                for (d, s) in values.iter().zip(&serial) {
+                    assert!((d - s).abs() <= tol * s.abs(), "{v:?}: 2 ranks {d} vs serial {s}");
+                }
+            }
         }
+        // At reduced rank the dense row must not come back as ISDF numbers.
+        let reduced = full.rank(IsdfRank::Fixed(3));
+        let lowest = |v| {
+            let solver = reduced.version(v);
+            let serial = solver.solve(&p).unwrap().energies[0];
+            (serial, spmd(2, |c| solver.solve_distributed(c, &p).0[0])[0])
+        };
+        let (naive, isdf) = (lowest(Version::Naive), lowest(Version::KmeansIsdf));
+        assert!((naive.0 - isdf.0).abs() > 1e-3, "serial: {} vs {}", naive.0, isdf.0);
+        assert!((naive.1 - isdf.1).abs() > 1e-3, "2 ranks: {} vs {}", naive.1, isdf.1);
     }
 
     #[test]
-    fn distributed_facade_matches_distributed_solve_with() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let solver =
-            Solver::builder().n_states(2).rank(IsdfRank::Fixed(p.n_cv())).seed(5).build();
-        let facade = parcomm::spmd(2, |c| solver.solve_distributed(c, &p).0);
-        let raw =
-            parcomm::spmd(2, |c| crate::parallel::distributed_solve_with(c, &p, solver.options()).0);
-        for (f, r) in facade.iter().zip(&raw) {
-            for (x, y) in f.iter().zip(r) {
-                assert_eq!(x.to_bits(), y.to_bits());
+    fn full_distributed_solve_matches_serial_implicit() {
+        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
+        let k = 3;
+        let base = Solver::builder().n_states(k).rank(IsdfRank::Fixed(p.n_cv()));
+        let serial = base.solve(&p).unwrap();
+        let solver = base.seed(9);
+        for ranks in [1usize, 3] {
+            for vals in spmd(ranks, |c| solver.solve_distributed(c, &p).0) {
+                for (i, v) in vals.iter().enumerate().take(k) {
+                    let rel =
+                        (v - serial.energies[i]).abs() / serial.energies[i].abs().max(1e-12);
+                    assert!(rel < 1e-10, "ranks={ranks} state {i}: {v} vs {}", serial.energies[i]);
+                }
             }
         }
     }
 
     #[test]
-    fn options_escape_hatch_replaces_everything() {
-        let opts = SolveOptions::new().n_states(9).seed(1);
-        let s = Solver::builder().options(opts).n_states(4).build();
-        assert_eq!(s.options().n_states, 4, "later builder calls refine the injected set");
-        assert_eq!(s.options().seed, 1);
+    fn pipelined_solve_bitwise_matches_blocking() {
+        // The overlap schedule reorders nothing: every distributed solve must
+        // produce bitwise-identical eigenvalues either way.
+        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        let base = Solver::builder().n_states(2).rank(IsdfRank::Fixed(p.n_cv())).seed(7);
+        for ranks in [2usize, 4] {
+            let blocking = spmd(ranks, |c| base.solve_distributed(c, &p).0);
+            let pipelined = spmd(ranks, |c| base.pipelined(true).solve_distributed(c, &p).0);
+            for (b, q) in blocking.iter().zip(&pipelined) {
+                assert_eq!(b.len(), q.len());
+                for (x, y) in b.iter().zip(q) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "ranks={ranks}: {x:e} vs {y:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distributed_syev_matches_lobpcg_spectrum() {
+        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
+        let base = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
+        let dense = spmd(2, |c| base.version(Version::KmeansIsdf).solve_distributed(c, &p).0);
+        let iter = spmd(2, |c| base.solve_distributed(c, &p).0);
+        for (d, l) in dense.iter().zip(&iter) {
+            for (x, y) in d.iter().zip(l) {
+                let rel = (x - y).abs() / x.abs().max(1e-12);
+                assert!(rel < 1e-6, "syev {x} vs lobpcg {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn lobpcg_fallback_to_dense_on_nonconvergence() {
+        // One iteration at an impossible tolerance cannot converge, so the
+        // LOBPCG rows must fall back to the replicated dense solve — which is
+        // exactly what row 3 runs, hence bitwise equality.
+        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
+        let base = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
+        let starved = base.lobpcg(LobpcgOptions { max_iter: 1, tol: 1e-14 });
+        let fell_back = spmd(2, |c| starved.solve_distributed(c, &p).0);
+        let dense = spmd(2, |c| base.version(Version::KmeansIsdf).solve_distributed(c, &p).0);
+        for (f, d) in fell_back.iter().zip(&dense) {
+            for (x, y) in f.iter().zip(d) {
+                assert_eq!(x.to_bits(), y.to_bits(), "fallback {x:e} vs syev {y:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_build_eigensolve_bitwise_matches_solo_solve() {
+        // The serving scheduler's batching contract: one Hamiltonian build
+        // shared by several jobs of one build row, each finishing with its
+        // own `eigensolve`, must be bitwise identical to each job running the
+        // whole `solve_distributed` alone.
+        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        let job_a = Solver::builder().rank(IsdfRank::Fixed(p.n_cv())).n_states(2).seed(9);
+        let job_b = job_a.n_states(3).version(Version::KmeansIsdf);
+        assert_eq!(job_a.build_row(), job_b.build_row());
+        let solo_a = spmd(2, |c| job_a.solve_distributed(c, &p).0);
+        let solo_b = spmd(2, |c| job_b.solve_distributed(c, &p).0);
+        let batched = spmd(2, |c| {
+            let ham = job_a.hamiltonian(c, &p, &mut vec![]).expect("clean build");
+            (job_a.eigensolve(c, &ham), job_b.eigensolve(c, &ham))
+        });
+        for (rank, (a, b)) in batched.iter().enumerate() {
+            for (x, y) in a.iter().zip(&solo_a[rank]) {
+                assert_eq!(x.to_bits(), y.to_bits(), "job A diverged under batching");
+            }
+            for (x, y) in b.iter().zip(&solo_b[rank]) {
+                assert_eq!(x.to_bits(), y.to_bits(), "job B diverged under batching");
+            }
+        }
     }
 }

@@ -47,26 +47,11 @@ pub fn transition_dipoles(problem: &CasidaProblem) -> Mat {
 }
 
 /// Oscillator strengths of the excitations in `(energies, coefficients)`
-/// (as returned by [`crate::solve`]); `coefficients` is `N_cv × k`.
-///
-/// Panicking wrapper over [`try_oscillator_strengths`] for callers that
-/// treat a shape mismatch as a programming error.
+/// (as returned by [`crate::Solver::solve`]); `coefficients` is `N_cv × k`.
+/// Dimension bookkeeping errors surface as
+/// [`NumericalError::ShapeMismatch`], so post-processing pipelines fed by an
+/// external solver can reject a bad solution and continue.
 pub fn oscillator_strengths(
-    problem: &CasidaProblem,
-    energies: &[f64],
-    coefficients: &Mat,
-) -> Vec<f64> {
-    match try_oscillator_strengths(problem, energies, coefficients) {
-        Ok(f) => f,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`oscillator_strengths`]: dimension bookkeeping errors
-/// surface as [`NumericalError::ShapeMismatch`] instead of a panic, so
-/// post-processing pipelines fed by an external solver can reject a bad
-/// solution and continue.
-pub fn try_oscillator_strengths(
     problem: &CasidaProblem,
     energies: &[f64],
     coefficients: &Mat,
@@ -97,28 +82,11 @@ pub fn try_oscillator_strengths(
 }
 
 /// Gaussian-broadened absorption spectrum `σ(ω) = Σ_n f_n g(ω − ω_n)`,
-/// returned as `(ω, σ)` pairs.
-///
-/// Panicking wrapper over [`try_absorption_spectrum`].
+/// returned as `(ω, σ)` pairs. Mismatched energy/strength lengths surface as
+/// [`NumericalError::ShapeMismatch`]. Grid-parameter misuse (`sigma <= 0`,
+/// fewer than two points, inverted window) is still a plain panic — those
+/// are caller bugs, not data-dependent failures.
 pub fn absorption_spectrum(
-    energies: &[f64],
-    strengths: &[f64],
-    sigma: f64,
-    omega_min: f64,
-    omega_max: f64,
-    npts: usize,
-) -> Vec<(f64, f64)> {
-    match try_absorption_spectrum(energies, strengths, sigma, omega_min, omega_max, npts) {
-        Ok(s) => s,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`absorption_spectrum`]: mismatched energy/strength
-/// lengths surface as [`NumericalError::ShapeMismatch`]. Grid-parameter
-/// misuse (`sigma <= 0`, fewer than two points, inverted window) is still a
-/// plain panic — those are caller bugs, not data-dependent failures.
-pub fn try_absorption_spectrum(
     energies: &[f64],
     strengths: &[f64],
     sigma: f64,
@@ -169,7 +137,7 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let sol =
             Solver::builder().version(Version::Naive).n_states(4).build().solve(&p).unwrap();
-        let f = oscillator_strengths(&p, &sol.energies, &sol.coefficients);
+        let f = oscillator_strengths(&p, &sol.energies, &sol.coefficients).unwrap();
         assert_eq!(f.len(), 4);
         for (i, fi) in f.iter().enumerate() {
             assert!(*fi >= 0.0, "f_{i} = {fi}");
@@ -182,8 +150,8 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 1, 2);
         let mut x = Mat::zeros(2, 1);
         x[(0, 0)] = 1.0;
-        let f1 = oscillator_strengths(&p, &[0.5], &x);
-        let f2 = oscillator_strengths(&p, &[1.0], &x);
+        let f1 = oscillator_strengths(&p, &[0.5], &x).unwrap();
+        let f2 = oscillator_strengths(&p, &[1.0], &x).unwrap();
         assert!((f2[0] - 2.0 * f1[0]).abs() < 1e-12);
     }
 
@@ -191,7 +159,7 @@ mod tests {
     fn spectrum_integrates_to_total_strength() {
         let energies = [0.3, 0.6];
         let strengths = [0.8, 0.4];
-        let spec = absorption_spectrum(&energies, &strengths, 0.02, 0.0, 1.0, 2001);
+        let spec = absorption_spectrum(&energies, &strengths, 0.02, 0.0, 1.0, 2001).unwrap();
         let dw = 1.0 / 2000.0;
         let integral: f64 = spec.iter().map(|(_, s)| s * dw).sum();
         assert!((integral - 1.2).abs() < 1e-3, "integral {integral}");
@@ -215,7 +183,7 @@ mod tests {
             }
         }
         let xm = Mat::from_vec(4, 1, x);
-        let f = oscillator_strengths(&p, &[0.4], &xm);
+        let f = oscillator_strengths(&p, &[0.4], &xm).unwrap();
         assert!(f[0].abs() < 1e-20, "dark state has f = {}", f[0]);
     }
 
@@ -224,10 +192,10 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         // 4 pair rows expected; hand a 3-row coefficient block instead.
         let bad = Mat::zeros(3, 1);
-        let err = try_oscillator_strengths(&p, &[0.4], &bad).expect_err("shape mismatch");
+        let err = oscillator_strengths(&p, &[0.4], &bad).expect_err("shape mismatch");
         assert!(err.to_string().contains("shape mismatch"), "{err}");
 
-        let err = try_absorption_spectrum(&[0.1, 0.2], &[1.0], 0.02, 0.0, 1.0, 10)
+        let err = absorption_spectrum(&[0.1, 0.2], &[1.0], 0.02, 0.0, 1.0, 10)
             .expect_err("length mismatch");
         assert!(matches!(err, NumericalError::ShapeMismatch { stage: "spectrum.broaden", .. }));
     }

@@ -15,6 +15,7 @@ use mathkit::gemm::{gemm, Transpose};
 use mathkit::{simd, Mat};
 use obskit::Stage;
 use parcomm::{Comm, ReduceBatch, ReducePlan};
+use std::borrow::Cow;
 
 /// Interpolation-point selector for the ISDF versions.
 #[derive(Clone, Copy, Debug)]
@@ -26,7 +27,7 @@ pub enum PointSelector {
 }
 
 /// The five versions of paper Table 4.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Version {
     /// (1) explicit construction + dense SYEV.
     Naive,
@@ -130,6 +131,54 @@ impl IsdfHamiltonian {
         }
         h.symmetrize();
         h
+    }
+}
+
+/// What the build half of a solve ([`crate::Solver::hamiltonian`]) hands its
+/// finish half: the dense `H` of Algorithm 1 (row 1) or the ISDF factors
+/// (rows 2–5), replicated on every rank.
+pub enum Hamiltonian {
+    /// `H = D + 2 V_Hxc`, `N_cv × N_cv`.
+    Dense(Mat),
+    /// `H = D + 2 Cᵀ Ṽ C`, never formed unless asked.
+    Isdf(IsdfHamiltonian),
+}
+
+impl Hamiltonian {
+    /// `N_cv`, the order of `H`.
+    pub fn n_cv(&self) -> usize {
+        match self {
+            Hamiltonian::Dense(h) => h.nrows(),
+            Hamiltonian::Isdf(factors) => factors.diag_d.len(),
+        }
+    }
+
+    /// The dense `H`: borrowed, or materialized from the factors.
+    pub fn dense(&self) -> Cow<'_, Mat> {
+        match self {
+            Hamiltonian::Dense(h) => Cow::Borrowed(h),
+            Hamiltonian::Isdf(factors) => Cow::Owned(factors.to_dense()),
+        }
+    }
+
+    /// Replace ISDF factors by the dense `H` they stand for.
+    pub fn materialize(&mut self) {
+        if let Hamiltonian::Isdf(factors) = self {
+            *self = Hamiltonian::Dense(factors.to_dense());
+        }
+    }
+
+    /// `H·X`: one GEMM on the dense form, [`IsdfHamiltonian::apply`] on the
+    /// factors.
+    pub fn apply(&self, x: &Mat) -> Mat {
+        match self {
+            Hamiltonian::Dense(h) => {
+                let mut y = Mat::zeros(h.nrows(), x.ncols());
+                gemm(1.0, h, Transpose::No, x, Transpose::No, 0.0, &mut y);
+                y
+            }
+            Hamiltonian::Isdf(factors) => factors.apply(x),
+        }
     }
 }
 
@@ -293,20 +342,18 @@ pub fn build_isdf_hamiltonian(
 mod tests {
     use super::*;
     use crate::kernel::HxcKernel;
-    use crate::options::SolveOptions;
     use crate::problem::{silicon_like_problem, synthetic_problem};
     use crate::rank::IsdfRank;
     use crate::solver::Solver;
     use isdf::{kmeans_points, IsdfDecomposition};
     use parcomm::spmd;
 
-    fn full_rank_opts(p: &CasidaProblem) -> SolveOptions {
-        SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv()))
+    fn full_rank_opts(p: &CasidaProblem) -> Solver {
+        Solver::builder().rank(IsdfRank::Fixed(p.n_cv()))
     }
 
-    /// All solves in this module go through the `Solver` facade.
-    fn run(p: &CasidaProblem, v: Version, o: &SolveOptions) -> Solution {
-        Solver::builder().version(v).options(*o).build().solve(p).unwrap()
+    fn run(p: &CasidaProblem, v: Version, o: &Solver) -> Solution {
+        o.version(v).solve(p).unwrap()
     }
 
     #[test]
@@ -358,7 +405,7 @@ mod tests {
         // composition written out here: serial K-Means, the whole-grid
         // Galerkin fit, one kernel application, the ΔV GEMM.
         let p = silicon_like_problem(1, 12, 4);
-        let opts = SolveOptions::new();
+        let opts = Solver::default();
         let PointSelector::Kmeans(km) = opts.kmeans_selector() else { unreachable!() };
         let coords: Vec<[f64; 3]> = (0..p.n_r()).map(|i| p.grid.coords(i)).collect();
         let w = pair_weights(&p.psi_v, &p.psi_c);
@@ -398,11 +445,10 @@ mod tests {
         ];
         for p in &problems {
             let solver = Solver::builder().n_states(5).build();
-            let opts = *solver.options();
-            let n_mu = opts.rank.resolve(p.n_r(), p.n_v(), p.n_c());
+            let n_mu = solver.n_mu(p);
             let points = |c: &Comm| {
                 let slab = p.slab(c);
-                select_points(c, p, &slab, opts.kmeans_selector(), n_mu, &mut vec![]).unwrap()
+                select_points(c, p, &slab, solver.kmeans_selector(), n_mu, &mut vec![]).unwrap()
             };
             let serial_points = points(&Comm::solo());
             let serial = solver.solve(p).unwrap().energies;
@@ -425,7 +471,7 @@ mod tests {
         // only tiny relative errors (Table 5: ~0.001%–1%).
         let p = synthetic_problem([8, 8, 8], 6.0, 4, 3);
         let reference = run(&p, Version::Naive, &full_rank_opts(&p));
-        let reduced = SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv() * 3 / 4));
+        let reduced = Solver::builder().rank(IsdfRank::Fixed(p.n_cv() * 3 / 4));
         let s = run(&p, Version::ImplicitKmeansIsdfLobpcg, &reduced);
         for i in 0..3 {
             let rel = (s.energies[i] - reference.energies[i]).abs()
@@ -455,9 +501,9 @@ mod tests {
     #[test]
     fn n_mu_reported() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let s = run(&p, Version::KmeansIsdf, &SolveOptions::new().rank(IsdfRank::Fixed(3)));
+        let s = run(&p, Version::KmeansIsdf, &Solver::builder().rank(IsdfRank::Fixed(3)));
         assert_eq!(s.n_mu, 3);
-        let s = run(&p, Version::Naive, &SolveOptions::default());
+        let s = run(&p, Version::Naive, &Solver::default());
         assert_eq!(s.n_mu, 0);
     }
 

@@ -4,7 +4,6 @@
 
 use parcomm::{spmd, Comm, ReduceBatch, ReducePlan};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 /// Deterministic pseudo-random payload (same generator as tests/requests.rs).
 fn fill(seed: u64, len: usize) -> Vec<f64> {
@@ -22,9 +21,6 @@ fn fill(seed: u64, len: usize) -> Vec<f64> {
 fn rank_field(c: &Comm, seed: u64, field: usize, len: usize) -> Vec<f64> {
     fill(seed.wrapping_add(c.rank() as u64 * 1_000_003).wrapping_add(field as u64 * 7919), len)
 }
-
-/// Serializes the tests that toggle the process-global fusion switch.
-static FUSION_GUARD: Mutex<()> = Mutex::new(());
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -106,30 +102,6 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-/// The forced-unfused branch produces the same sums and never bumps the
-/// fused counters (serialized: the fusion switch is process-global).
-#[test]
-fn unfused_branch_matches_and_counts_nothing() {
-    let _g = FUSION_GUARD.lock().unwrap_or_else(|p| p.into_inner());
-    let was = parcomm::fusion_enabled();
-    parcomm::set_fusion_enabled(false);
-    let res = spmd(4, |c| {
-        let mut batch = ReduceBatch::new(c);
-        batch.push(&[c.rank() as f64, 2.0]);
-        batch.push(&[1.0]);
-        let out = batch.flush().expect("flush");
-        (out.field(0).to_vec(), out.field(1).to_vec(), c.stats())
-    });
-    parcomm::set_fusion_enabled(was);
-    for (f0, f1, stats) in res {
-        assert_eq!(f0, vec![6.0, 8.0]);
-        assert_eq!(f1, vec![4.0]);
-        assert_eq!(stats.fused_flushes, 0, "unfused branch must not count flushes");
-        assert_eq!(stats.fused_fields, 0);
-        assert_eq!(stats.iallreduce.calls, 2, "one collective per field when unfused");
     }
 }
 

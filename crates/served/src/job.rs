@@ -1,6 +1,6 @@
 //! Jobs, handles, and the hashing that drives batching and result caching.
 
-use lrtddft::{CasidaProblem, SolveOptions, Solver, StageTimings};
+use lrtddft::{CasidaProblem, Solver, StageTimings, Version};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 /// trace tags, and fault scopes are all keyed by this.
 pub type TenantId = u64;
 
-/// One unit of work: solve `problem` with `solver`'s options on behalf of
-/// `tenant`. Construct via [`JobSpec::new`] and the with-methods.
+/// One unit of work: solve `problem` with `solver` on behalf of `tenant`.
+/// Construct via [`JobSpec::new`] and the with-methods.
 #[derive(Clone)]
 pub struct JobSpec {
     pub tenant: TenantId,
@@ -42,8 +42,8 @@ impl JobSpec {
         }
     }
 
-    /// Use this fully-configured [`Solver`] (version is ignored by the
-    /// distributed path; its options drive the solve).
+    /// Use this [`Solver`]: its `version` picks the build and the finisher
+    /// exactly as on [`Solver::solve_distributed`].
     pub fn with_solver(mut self, solver: Solver) -> Self {
         self.solver = solver;
         self
@@ -60,10 +60,6 @@ impl JobSpec {
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
-    }
-
-    pub(crate) fn opts(&self) -> &SolveOptions {
-        self.solver.options()
     }
 }
 
@@ -379,46 +375,50 @@ pub fn structure_hash(p: &CasidaProblem) -> u64 {
 /// Everything the Hamiltonian build depends on. Jobs with equal keys (and
 /// no fault plan) can share one distributed build; results stay bitwise
 /// identical because the per-job eigensolve is unchanged (property-tested in
-/// `lrtddft::parallel`).
+/// `lrtddft::solver`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BatchKey {
     pub structure: u64,
-    /// ISDF rank resolved at this problem's dimensions.
+    /// The Table 4 row whose build the job's version runs
+    /// ([`Solver::build_row`]): dense, QRCP-ISDF or K-Means-ISDF.
+    pub build: Version,
+    /// ISDF rank resolved at this problem's dimensions (0 for the dense
+    /// build).
     pub n_mu: usize,
     pub seed: u64,
     pub pipelined: bool,
 }
 
 pub(crate) fn batch_key(spec: &JobSpec) -> BatchKey {
-    let p = &spec.problem;
-    let o = spec.opts();
+    let s = &spec.solver;
     BatchKey {
-        structure: structure_hash(p),
-        n_mu: o.rank.resolve(p.n_r(), p.n_v(), p.n_c()),
-        seed: o.seed,
-        pipelined: o.pipelined,
+        structure: structure_hash(&spec.problem),
+        build: s.build_row(),
+        n_mu: s.n_mu(&spec.problem),
+        seed: s.seed,
+        pipelined: s.pipelined,
     }
 }
 
-/// Cache key: the batch key plus every knob the eigensolve depends on.
+/// Cache key: the batch key plus everything the eigensolve depends on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     pub batch: BatchKey,
+    pub version: Version,
     pub n_states: usize,
-    pub eigensolver_syev: bool,
     pub lobpcg_max_iter: usize,
     /// `tol` bits — f64 keyed exactly.
     pub lobpcg_tol_bits: u64,
 }
 
 pub(crate) fn cache_key(spec: &JobSpec) -> CacheKey {
-    let o = spec.opts();
+    let s = &spec.solver;
     CacheKey {
         batch: batch_key(spec),
-        n_states: o.n_states,
-        eigensolver_syev: matches!(o.eigensolver, lrtddft::Eig::Syev),
-        lobpcg_max_iter: o.lobpcg.max_iter,
-        lobpcg_tol_bits: o.lobpcg.tol.to_bits(),
+        version: s.version,
+        n_states: s.n_states,
+        lobpcg_max_iter: s.lobpcg.max_iter,
+        lobpcg_tol_bits: s.lobpcg.tol.to_bits(),
     }
 }
 
@@ -475,8 +475,16 @@ mod tests {
             .with_solver(Solver::builder().n_states(5).build());
         assert_eq!(batch_key(&base), batch_key(&more_states));
         let other_seed =
-            JobSpec::new(3, p).with_solver(Solver::builder().seed(99).build());
+            JobSpec::new(3, p.clone()).with_solver(Solver::builder().seed(99).build());
         assert_ne!(batch_key(&base), batch_key(&other_seed));
+        // Rows 3–5 share the K-Means build; rows 1 and 2 build something else.
+        let row = |v| {
+            batch_key(&JobSpec::new(4, p.clone()).with_solver(Solver::builder().version(v)))
+        };
+        assert_eq!(row(Version::KmeansIsdf), batch_key(&base));
+        assert_eq!(row(Version::KmeansIsdfLobpcg), batch_key(&base));
+        assert_ne!(row(Version::QrcpIsdf), batch_key(&base));
+        assert_ne!(row(Version::Naive), batch_key(&base));
     }
 
     #[test]
@@ -486,7 +494,11 @@ mod tests {
         let b = JobSpec::new(1, p.clone())
             .with_solver(Solver::builder().n_states(5).build());
         assert_ne!(cache_key(&a), cache_key(&b));
-        let c = JobSpec::new(2, p); // tenant does NOT key the cache
+        let c = JobSpec::new(2, p.clone()); // tenant does NOT key the cache
         assert_eq!(cache_key(&a), cache_key(&c));
+        // Same build, other finisher: batch mates, never each other's hit.
+        let d = JobSpec::new(1, p).with_solver(Solver::builder().version(Version::KmeansIsdf));
+        assert_eq!(batch_key(&a), batch_key(&d));
+        assert_ne!(cache_key(&a), cache_key(&d));
     }
 }

@@ -8,11 +8,11 @@
 //! - **Admission control** — per-tenant quotas and a global queue cap,
 //!   surfaced as typed [`AdmissionError`]s at submit time.
 //! - **Same-shape batching** — queued jobs with the same [`BatchKey`]
-//!   (structure hash, resolved ISDF rank, seed, schedule) share one
-//!   distributed Hamiltonian build; each job keeps its own eigensolve, so
-//!   results stay bitwise identical to solo runs.
+//!   (structure hash, build row of the version, resolved ISDF rank, seed,
+//!   schedule) share one distributed Hamiltonian build; each job keeps its
+//!   own eigensolve, so results stay bitwise identical to solo runs.
 //! - **Result caching** — completed fault-free solves are cached by
-//!   structure hash + solve parameters with a TTL; repeat submissions
+//!   structure hash + version + solve parameters with a TTL; repeat submissions
 //!   complete at admission without touching a solver group.
 //! - **Tenant isolation** — every job runs under its tenant's obskit trace
 //!   scope, and a tenant's injected fault plan ([`JobSpec::with_fault_plan`])
@@ -33,11 +33,13 @@
 //! service.shutdown();
 //! ```
 //!
-//! Scope: per-job [`Solver`](lrtddft::Solver) options that feed the solve
-//! (`rank`, `seed`, `n_states`, `eigensolver`, `lobpcg`, `pipelined`) are
-//! honored per job. The process-wide runtime knobs (`kernel`, `fusion`) are
-//! deliberately **not** flipped per job — they are global switches shared
-//! by every tenant; set them once before `Service::start` if needed.
+//! Scope: a job's [`Solver`](lrtddft::Solver) means what it means on
+//! [`Solver::solve_distributed`](lrtddft::Solver::solve_distributed) — every
+//! field, `version` included, is honored per job, because a batch runs that
+//! call's two halves (`Solver::hamiltonian` once, `Solver::eigensolve` per
+//! job). The process-wide reference-path switches (`MATHKIT_KERNEL`,
+//! `PARCOMM_NO_FUSE`) are deliberately **not** flipped per job — they are
+//! shared by every tenant; set them once before `Service::start` if needed.
 
 mod cache;
 mod job;

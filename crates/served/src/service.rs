@@ -45,8 +45,7 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobResult, JobSpec};
 use crate::resilience::{retry_delay, Admit, Breakers, GroupHealth, ResilienceConfig};
 use crate::scheduler::SchedulerState;
-use lrtddft::parallel::distributed_eigensolve;
-use lrtddft::{build_isdf_hamiltonian, NumericalError, SolveError, SolveOptions};
+use lrtddft::{NumericalError, SolveError, Solver};
 use parcomm::{spmd, Comm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -89,15 +88,13 @@ impl Default for ServeConfig {
 }
 
 /// One job as the leader published it: the core plus the *effective*
-/// options every rank must use (degraded for pressured/probe claims). The
-/// options ride in the slot so followers never re-derive — and thus never
-/// diverge from — the leader's decision.
+/// solver every rank must use (degraded for pressured/probe claims, its
+/// ladder label in `solver.degraded`). It rides in the slot so followers
+/// never re-derive — and thus never diverge from — the leader's decision.
 #[derive(Clone)]
 struct RunJob {
     core: Arc<JobCore>,
-    opts: SolveOptions,
-    /// Ladder label when `opts` are a downgrade of the spec's options.
-    degraded: Option<&'static str>,
+    solver: Solver,
 }
 
 /// What a group leader publishes to its followers.
@@ -364,33 +361,31 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
     }
 }
 
-/// Leader-side batch preparation: freeze each job's effective options.
+/// Leader-side batch preparation: freeze each job's effective solver.
 /// Pressured and probe jobs (always claimed solo) take the one rung of
-/// [`lrtddft::degrade`] — it changes the eigensolver, so the distributed
-/// path computes what the label says; a job already at the ladder floor runs
-/// at full cost. Everything else runs its
-/// spec options untouched — the clean path must stay bitwise identical.
+/// [`lrtddft::degrade`] — it moves `version`, so the build and the finisher
+/// are what the label says; a job already at the ladder floor runs at full
+/// cost. Everything else runs its spec solver untouched — the clean path must
+/// stay bitwise identical.
 fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
     batch
         .into_iter()
         .map(|core| {
-            let opts = *core.spec.opts();
+            let spec = core.spec.solver;
             let cheaper = (core.pressured.load(Ordering::Relaxed)
                 || core.probe.load(Ordering::Relaxed))
-            .then(|| lrtddft::degrade(&opts))
+            .then(|| lrtddft::degrade(&spec))
             .flatten();
-            match cheaper {
-                Some(d) => RunJob { core, opts: d, degraded: d.degraded },
-                None => RunJob { core, opts, degraded: None },
-            }
+            RunJob { core, solver: cheaper.unwrap_or(spec) }
         })
         .collect()
 }
 
-/// Run one batch on every rank of a group: a single shared Hamiltonian
-/// build, then one eigensolve per job. Results are bitwise identical to
-/// per-job solo runs because the build is deterministic in the batch key
-/// and the eigensolve path is untouched (pinned by
+/// Run one batch on every rank of a group: the two halves of
+/// [`Solver::solve_distributed`] — a single shared [`Solver::hamiltonian`]
+/// build, then one [`Solver::eigensolve`] per job. Results are bitwise
+/// identical to per-job solo runs because the build is deterministic in the
+/// batch key and the eigensolve path is untouched (pinned by
 /// `shared_build_eigensolve_bitwise_matches_solo_solve` in `lrtddft`).
 fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
     let lead = &batch[0];
@@ -402,26 +397,21 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
 
     group.take_stats(); // discard idle-window stats; build gets a fresh window
     let clock = obskit::StageClock::now();
-    let (problem, opts) = (&lead.core.spec.problem, &lead.opts);
-    let n_mu = opts.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c());
-    // The one ISDF build, without the solver's rebuild ladder: this
-    // service's retry/breaker policy owns failures. A build error is decided
-    // on replicated data, so all ranks agree to skip the eigensolve (dense
+    // The build half, without the solver's rebuild ladder: this service's
+    // retry/breaker policy owns failures. A build error is decided on
+    // replicated data, so all ranks agree to skip the eigensolve (dense
     // fallbacks on NaN do not terminate) and fail the job.
-    let (selector, pipelined) = (opts.kmeans_selector(), opts.pipelined);
-    let built =
-        build_isdf_hamiltonian(group, problem, selector, n_mu, pipelined, &mut Vec::new());
+    let built = lead.solver.hamiltonian(group, &lead.core.spec.problem, &mut Vec::new());
     let build_timings = lrtddft::StageTimings::since(clock);
     let build_stats = group.take_stats();
 
     for job in batch {
         let spec = &job.core.spec;
         obskit::set_tenant(Some(spec.tenant));
-        let k = job.opts.n_states.min(spec.problem.n_cv());
         let clock = obskit::StageClock::now();
         let values = match &built {
-            Ok(ham) => distributed_eigensolve(group, ham, k, &job.opts),
-            Err(_) => vec![f64::NAN; k],
+            Ok(ham) => job.solver.eigensolve(group, ham),
+            Err(_) => vec![f64::NAN; job.solver.n_states.min(spec.problem.n_cv())],
         };
         // The shared build plus this job's own eigensolve.
         let mut timings = build_timings;
@@ -460,14 +450,14 @@ fn finish_job(
         if deadline_missed {
             obskit::add_serve_deadline_miss();
         }
-        if job.degraded.is_some() {
+        if job.solver.degraded.is_some() {
             obskit::add_serve_degraded();
         }
         // Only clean, full-cost results may populate the cache: the key
         // does not encode fault plans or the degradation ladder, and probes
         // must keep exercising real solves.
         if spec.fault.is_none()
-            && job.degraded.is_none()
+            && job.solver.degraded.is_none()
             && !core.probe.load(Ordering::Relaxed)
         {
             shared.cache.put(cache_key(spec), values.clone());
@@ -485,7 +475,7 @@ fn finish_job(
             comm_calls,
             fault_events,
             attempts,
-            degraded: job.degraded.map(str::to_owned),
+            degraded: job.solver.degraded.map(str::to_owned),
             deadline_missed,
         });
     } else if attempts < shared.resilience.retry_max_attempts.max(1) {
@@ -560,6 +550,28 @@ mod tests {
         assert_eq!(warm.batch_size, 0);
         let stats = service.cache_stats();
         assert!(stats.hits >= 1 && stats.entries >= 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_naive_job_after_an_isdf_job_is_solved_not_served_from_its_entry() {
+        // Same problem, rank, seed and state count; only `version` differs.
+        // At rank 3 the ISDF energies are 2 % off the dense ones, so a key
+        // that forgot the version would hand back visibly wrong numbers.
+        let problem = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
+        let isdf = Solver::builder().n_states(2).rank(lrtddft::IsdfRank::Fixed(3)).build();
+        let naive = isdf.version(lrtddft::Version::Naive);
+        let service = Service::start(small_config());
+        let submit = |solver| {
+            let spec = JobSpec::new(1, Arc::clone(&problem)).with_solver(solver);
+            service.submit(spec).unwrap().wait().expect("job completes")
+        };
+        let first = submit(isdf);
+        let second = submit(naive);
+        assert!(!second.cache_hit, "a Naive job must not hit an ISDF job's entry");
+        assert_eq!(second.values, solo_oracle(&problem, &naive, 2));
+        assert!((second.values[0] - first.values[0]).abs() > 1e-3);
+        assert!(submit(naive).cache_hit, "its own repeat is a hit");
         service.shutdown();
     }
 
@@ -715,7 +727,7 @@ mod tests {
         };
         let service = Service::start(config);
         let spec = JobSpec::new(4, Arc::clone(&problem))
-            .with_solver(Solver::builder().n_states(2).eigensolver(lrtddft::Eig::Lobpcg).build())
+            .with_solver(Solver::builder().n_states(2).build())
             .with_deadline(Duration::from_secs(30));
         let res = service.submit(spec).unwrap().wait().expect("degraded job completes");
         assert_eq!(res.degraded.as_deref(), Some("direct-eig"), "downgrade must be labeled");
@@ -726,7 +738,7 @@ mod tests {
         // Degraded results never populate the cache: a repeat clean submit
         // at the same key must be a miss (fresh full-cost solve).
         let clean = JobSpec::new(5, Arc::clone(&problem))
-            .with_solver(Solver::builder().n_states(2).eigensolver(lrtddft::Eig::Lobpcg).build());
+            .with_solver(Solver::builder().n_states(2).build());
         let clean_res = service.submit(clean).unwrap().wait().expect("clean job");
         assert!(!clean_res.cache_hit, "degraded result must not have seeded the cache");
         assert_eq!(clean_res.degraded, None);

@@ -14,7 +14,7 @@ use parcomm::{spmd, Comm};
 /// Stage timings of one K-Means-ISDF build at rank `n_mu` on `comm`.
 fn timed_isdf_build(comm: &Comm, problem: &CasidaProblem, n_mu: usize) -> StageTimings {
     let clock = obskit::StageClock::now();
-    let selector = Solver::default().options().kmeans_selector();
+    let selector = Solver::default().kmeans_selector();
     build_isdf_hamiltonian(comm, problem, selector, n_mu, false, &mut Vec::new())
         .expect("clean ISDF build");
     StageTimings::since(clock)
@@ -33,10 +33,9 @@ fn main() {
     // per-rank stage/communication breakdown.
     println!("\n-- real SPMD runs (thread ranks, simulated MPI collectives) --");
     println!("{:>5} | {:>10} | {:>10} | {:>10} | {:>12}", "ranks", "face+theta", "fft (s)", "gemm (s)", "comm calls");
-    let naive_solver = Solver::builder().pipelined(true).build();
     for ranks in [1usize, 2, 4] {
         let naive = spmd(ranks, |c| {
-            let (_, t) = distributed_dense_hamiltonian_with(c, &problem, naive_solver.options());
+            let (_, t) = distributed_dense_hamiltonian_with(c, &problem, true);
             (t, c.stats())
         });
         let isdf = spmd(ranks, |c| (timed_isdf_build(c, &problem, n_mu), c.stats()));

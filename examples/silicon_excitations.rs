@@ -98,7 +98,8 @@ fn main() {
         e.exc,
         e.ewald
     );
-    let f = oscillator_strengths(&problem, &fast.energies, &fast.coefficients);
+    let f = oscillator_strengths(&problem, &fast.energies, &fast.coefficients)
+        .expect("solver output matches the problem shape");
     let states = analyze_states(&problem, &fast.energies, &fast.coefficients, 3);
     println!("\nExcited-state characters (orbital pairs, weights, oscillator strengths):");
     for (s, fi) in states.iter().zip(&f) {

@@ -5,13 +5,13 @@
 use lrtddft::naive::build_dense_hamiltonian;
 use lrtddft::parallel::distributed_dense_hamiltonian_with;
 use lrtddft::problem::{silicon_like_problem, CasidaProblem};
-use lrtddft::{build_isdf_hamiltonian, SolveOptions};
+use lrtddft::{build_isdf_hamiltonian, Solver};
 use mathkit::syev;
 use parcomm::{spmd, spmd_with_model, Comm, CostModel};
 
 /// Spectrum of the K-Means-ISDF Hamiltonian built at rank `n_mu` on `comm`.
 fn isdf_spectrum(comm: &Comm, p: &CasidaProblem, n_mu: usize) -> Vec<f64> {
-    let selector = SolveOptions::new().kmeans_selector();
+    let selector = Solver::builder().kmeans_selector();
     let ham = build_isdf_hamiltonian(comm, p, selector, n_mu, false, &mut Vec::new())
         .expect("clean build");
     syev(&ham.to_dense()).values
@@ -29,7 +29,7 @@ fn distributed_naive_invariant_across_rank_counts() {
     let p = silicon_like_problem(1, 8, 2);
     let serial = build_dense_hamiltonian(&p);
     for ranks in [1usize, 2, 3, 5, 8] {
-        let res = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new()).0);
+        let res = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).0);
         for h in &res {
             assert!(
                 h.max_abs_diff(&serial) < 1e-8,
@@ -44,8 +44,8 @@ fn distributed_naive_invariant_across_rank_counts() {
 fn pipelined_and_monolithic_reductions_agree() {
     let p = silicon_like_problem(1, 8, 2);
     for ranks in [2usize, 4] {
-        let mono = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new()).0);
-        let pipe = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new().pipelined(true)).0);
+        let mono = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).0);
+        let pipe = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, true).0);
         assert!(mono[0].max_abs_diff(&pipe[0]) < 1e-9);
     }
 }
@@ -78,12 +78,12 @@ fn comm_cost_model_does_not_change_results() {
     // The α-β model only affects *charged* time, never data.
     let p = silicon_like_problem(1, 8, 2);
     let free = spmd_with_model(2, CostModel::free(), |c| {
-        distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new()).0
+        distributed_dense_hamiltonian_with(c, &p, false).0
     });
     let expensive = spmd_with_model(
         2,
         CostModel { alpha: 1.0, beta: 1e-3 },
-        |c| distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new()).0,
+        |c| distributed_dense_hamiltonian_with(c, &p, false).0,
     );
     assert!(free[0].max_abs_diff(&expensive[0]) < 1e-14);
 }
@@ -92,7 +92,7 @@ fn comm_cost_model_does_not_change_results() {
 fn rank_timings_report_comm_share() {
     let p = silicon_like_problem(1, 8, 2);
     let res = spmd(4, |c| {
-        let (_, t) = distributed_dense_hamiltonian_with(c, &p, &SolveOptions::new());
+        let (_, t) = distributed_dense_hamiltonian_with(c, &p, false);
         (t, c.stats())
     });
     for (t, stats) in res {

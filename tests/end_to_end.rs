@@ -1,11 +1,11 @@
 //! Cross-crate integration: SCF ground state → Casida problem → all five
 //! solver versions, on a real (small) first-principles system.
 
-use lrtddft::{CasidaProblem, IsdfRank, SolveOptions, Solver, Version};
+use lrtddft::{CasidaProblem, IsdfRank, Solver, Version};
 
 /// All solves go through the `Solver` facade.
-fn run(p: &CasidaProblem, v: Version, o: &SolveOptions) -> lrtddft::Solution {
-    Solver::builder().version(v).options(*o).build().solve(p).unwrap()
+fn run(p: &CasidaProblem, v: Version, o: &Solver) -> lrtddft::Solution {
+    o.version(v).solve(p).unwrap()
 }
 
 use pwdft::{scf, silicon_supercell, water_in_box, Grid, ScfOptions};
@@ -30,7 +30,7 @@ fn si8_problem() -> CasidaProblem {
 #[test]
 fn si8_five_versions_agree_at_full_rank() {
     let p = si8_problem();
-    let opts = SolveOptions::new().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
+    let opts = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
     let reference = run(&p, Version::Naive, &opts);
     assert!(reference.energies[0] > 0.0, "excitations must be positive for a gapped system");
     for v in [
@@ -57,11 +57,11 @@ fn si8_five_versions_agree_at_full_rank() {
 #[test]
 fn si8_reduced_rank_error_is_small_paper_table5_shape() {
     let p = si8_problem();
-    let reference = run(&p, Version::Naive, &SolveOptions::new().n_states(3));
+    let reference = run(&p, Version::Naive, &Solver::builder().n_states(3));
     let reduced = run(
         &p,
         Version::ImplicitKmeansIsdfLobpcg,
-        &SolveOptions::new().n_states(3).rank(IsdfRank::Fixed((p.n_cv() * 7 / 8).max(8))),
+        &Solver::builder().n_states(3).rank(IsdfRank::Fixed((p.n_cv() * 7 / 8).max(8))),
     );
     // Paper Table 5 reports sub-percent errors on production systems. On
     // this scaled-down Si8 fixture the reduced-rank error depends on which
@@ -96,7 +96,7 @@ fn water_end_to_end_runs() {
     );
     let p = CasidaProblem::from_ground_state(&grid, &gs);
     assert_eq!(p.n_v(), 4);
-    let sol = run(&p, Version::ImplicitKmeansIsdfLobpcg, &SolveOptions::new().n_states(2));
+    let sol = run(&p, Version::ImplicitKmeansIsdfLobpcg, &Solver::builder().n_states(2));
     assert_eq!(sol.energies.len(), 2);
     assert!(sol.energies[0] > 0.0);
     assert!(sol.energies[0] <= sol.energies[1]);
@@ -113,7 +113,7 @@ fn excitations_exceed_none_of_bare_gap_bounds() {
         .diag_d()
         .into_iter()
         .fold(f64::INFINITY, f64::min);
-    let sol = run(&p, Version::Naive, &SolveOptions::new().n_states(1));
+    let sol = run(&p, Version::Naive, &Solver::builder().n_states(1));
     let e0 = sol.energies[0];
     assert!(e0 > 0.2 * bare_min, "excitation collapsed: {e0} vs bare {bare_min}");
     assert!(e0 < 5.0 * bare_min.max(1e-3), "excitation blew up: {e0} vs bare {bare_min}");

@@ -6,7 +6,7 @@
 
 use faultkit::{arm, FaultKind, FaultPlan};
 use lrtddft::problem::{synthetic_problem, CasidaProblem};
-use lrtddft::{IsdfRank, SolveOptions, Solver, Version};
+use lrtddft::{IsdfRank, Solver, Version};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -16,8 +16,8 @@ fn problem() -> &'static CasidaProblem {
     P.get_or_init(|| synthetic_problem([8, 8, 8], 6.0, 2, 2))
 }
 
-fn opts(p: &CasidaProblem) -> SolveOptions {
-    SolveOptions::new().rank(IsdfRank::Fixed(p.n_cv())).n_states(3).seed(7)
+fn opts(p: &CasidaProblem) -> Solver {
+    Solver::builder().rank(IsdfRank::Fixed(p.n_cv())).n_states(3).seed(7)
 }
 
 /// The serial injection sites, each with the fault kind that makes sense
@@ -36,10 +36,8 @@ fn baseline(version: Version) -> Vec<f64> {
     static KMEANS: OnceLock<Vec<f64>> = OnceLock::new();
     let solve = move || {
         let p = problem();
-        Solver::builder()
+        opts(p)
             .version(version)
-            .options(opts(p))
-            .build()
             .solve(p)
             .expect("fault-free baseline")
             .energies
@@ -57,10 +55,8 @@ fn armed_run(
 ) -> (Vec<f64>, Vec<String>, Vec<String>) {
     let p = problem();
     let campaign = arm(plan.clone());
-    let sol = Solver::builder()
+    let sol = opts(p)
         .version(version)
-        .options(opts(p))
-        .build()
         .solve(p)
         .expect("single injected fault must heal");
     let events = campaign.events().iter().map(|e| e.render()).collect();
@@ -73,7 +69,7 @@ fn armed_run(
 #[test]
 fn poisoned_v_tilde_heals_on_every_rank_of_a_distributed_solve() {
     let p = problem();
-    let solver = Solver::builder().options(opts(p)).build();
+    let solver = opts(p);
     let clean = parcomm::spmd(2, |c| solver.solve_distributed(c, p).0);
     let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
     let healed = parcomm::spmd(2, |c| solver.solve_distributed(c, p).0);

@@ -3,11 +3,11 @@
 //! module-level unit tests don't reach.
 
 use fftkit::{Complex, Fft3};
-use lrtddft::{CasidaProblem, IsdfRank, SolveOptions, Solver, Version};
+use lrtddft::{CasidaProblem, IsdfRank, Solver, Version};
 
 /// All solves go through the `Solver` facade.
-fn run(p: &CasidaProblem, v: Version, o: &SolveOptions) -> lrtddft::Solution {
-    Solver::builder().version(v).options(*o).build().solve(p).unwrap()
+fn run(p: &CasidaProblem, v: Version, o: &Solver) -> lrtddft::Solution {
+    o.version(v).solve(p).unwrap()
 }
 
 use mathkit::Mat;
@@ -103,7 +103,7 @@ fn solver_with_single_state_and_minimal_rank() {
     let s = run(
         &p,
         Version::ImplicitKmeansIsdfLobpcg,
-        &SolveOptions::new().n_states(1).rank(IsdfRank::Fixed(1)),
+        &Solver::builder().n_states(1).rank(IsdfRank::Fixed(1)),
     );
     assert_eq!(s.energies.len(), 1);
     assert!(s.energies[0].is_finite());
@@ -134,7 +134,7 @@ fn rank_factor_extremes() {
 fn version_solutions_share_problem_dimensions() {
     let p = lrtddft::problem::synthetic_problem([4, 4, 4], 5.0, 2, 2);
     for v in Version::all() {
-        let s = run(&p, v, &SolveOptions::new().n_states(2));
+        let s = run(&p, v, &Solver::builder().n_states(2));
         assert_eq!(s.coefficients.nrows(), p.n_cv(), "{:?}", v);
         assert_eq!(s.coefficients.ncols(), 2);
         assert_eq!(s.complexity.version_label, v.label());

@@ -4,7 +4,7 @@
 
 use bench::scaling::{CommPattern, ScalingStudy, Stage};
 use lrtddft::problem::silicon_like_problem;
-use lrtddft::{build_isdf_hamiltonian, SolveOptions, StageTimings};
+use lrtddft::{build_isdf_hamiltonian, Solver, StageTimings};
 use parcomm::{block_ranges, spmd, Comm, CostModel};
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ fn calibrated_isdf_study_has_paper_shape() {
     let p = silicon_like_problem(1, 12, 4);
     let n_mu = 40.min(p.n_cv());
     let clock = obskit::StageClock::now();
-    let selector = SolveOptions::new().kmeans_selector();
+    let selector = Solver::builder().kmeans_selector();
     build_isdf_hamiltonian(&Comm::solo(), &p, selector, n_mu, false, &mut Vec::new())
         .expect("clean build");
     let t = StageTimings::since(clock);

@@ -3,23 +3,23 @@
 
 use lrtddft::{
     absorption_spectrum, analyze_states, oscillator_strengths, problem::silicon_like_problem,
-    transition_dipoles, CasidaProblem, SolveOptions, Solver, Version,
+    transition_dipoles, CasidaProblem, Solver, Version,
 };
 
 /// All solves go through the `Solver` facade.
-fn run(p: &CasidaProblem, v: Version, o: &SolveOptions) -> lrtddft::Solution {
-    Solver::builder().version(v).options(*o).build().solve(p).unwrap()
+fn run(p: &CasidaProblem, v: Version, o: &Solver) -> lrtddft::Solution {
+    o.version(v).solve(p).unwrap()
 }
 
 
 #[test]
 fn spectra_consistent_between_naive_and_implicit() {
     let p = silicon_like_problem(1, 12, 4);
-    let opts = SolveOptions::new().n_states(4).rank(lrtddft::IsdfRank::Fixed(p.n_cv()));
+    let opts = Solver::builder().n_states(4).rank(lrtddft::IsdfRank::Fixed(p.n_cv()));
     let a = run(&p, Version::Naive, &opts);
     let b = run(&p, Version::ImplicitKmeansIsdfLobpcg, &opts);
-    let fa = oscillator_strengths(&p, &a.energies, &a.coefficients);
-    let fb = oscillator_strengths(&p, &b.energies, &b.coefficients);
+    let fa = oscillator_strengths(&p, &a.energies, &a.coefficients).unwrap();
+    let fb = oscillator_strengths(&p, &b.energies, &b.coefficients).unwrap();
     for i in 0..4 {
         // Eigenvectors may differ by sign/degenerate rotation; strengths of
         // non-degenerate states must agree.
@@ -38,8 +38,8 @@ fn spectra_consistent_between_naive_and_implicit() {
 #[test]
 fn absorption_spectrum_peaks_at_bright_states() {
     let p = silicon_like_problem(1, 12, 4);
-    let sol = run(&p, Version::Naive, &SolveOptions::new().n_states(6));
-    let f = oscillator_strengths(&p, &sol.energies, &sol.coefficients);
+    let sol = run(&p, Version::Naive, &Solver::builder().n_states(6));
+    let f = oscillator_strengths(&p, &sol.energies, &sol.coefficients).unwrap();
     let (brightest, _) = f
         .iter()
         .enumerate()
@@ -47,7 +47,7 @@ fn absorption_spectrum_peaks_at_bright_states() {
         .unwrap();
     let emin = sol.energies[0] - 0.1;
     let emax = sol.energies.last().unwrap() + 0.1;
-    let spec = absorption_spectrum(&sol.energies, &f, 0.005, emin, emax, 2000);
+    let spec = absorption_spectrum(&sol.energies, &f, 0.005, emin, emax, 2000).unwrap();
     let (peak_e, _) = spec
         .iter()
         .cloned()
@@ -87,7 +87,7 @@ fn analysis_identifies_band_edge_transition() {
     // The lowest bare transition is (highest valence → lowest conduction);
     // with a modest kernel the lowest excited state keeps that character.
     let p = silicon_like_problem(1, 12, 4);
-    let sol = run(&p, Version::Naive, &SolveOptions::new().n_states(1));
+    let sol = run(&p, Version::Naive, &Solver::builder().n_states(1));
     let states = analyze_states(&p, &sol.energies, &sol.coefficients, 5);
     let lead = &states[0].leading[0];
     // dominant pair involves the top valence band

@@ -7,7 +7,7 @@
 //! `obskit`'s recorder is process-global, so every test takes `OBSKIT_LOCK`
 //! and drains leftover state before recording.
 
-use lrtddft::{IsdfRank, SolveOptions};
+use lrtddft::{IsdfRank, Solver};
 use lrtddft::problem::silicon_like_problem;
 use lrtddft::StageTimings;
 use mathkit::{Mat, Transpose};
@@ -33,14 +33,11 @@ fn traced_pipeline_run(ranks: usize, pipelined: bool) -> (obskit::Trace, Vec<(St
     let p = silicon_like_problem(1, 10, 3);
     let n_mu = p.n_cv().min(5 * (p.n_v() + p.n_c()));
     obskit::enable();
-    let solver = lrtddft::Solver::builder()
-        .options(
-            SolveOptions::new()
-                .rank(IsdfRank::Fixed(n_mu))
-                .n_states(3)
-                .seed(0xbeef)
-                .pipelined(pipelined),
-        )
+    let solver = Solver::builder()
+        .rank(IsdfRank::Fixed(n_mu))
+        .n_states(3)
+        .seed(0xbeef)
+        .pipelined(pipelined)
         .build();
     let per_rank = spmd(ranks, |c| {
         let t0 = Instant::now();
