@@ -1,12 +1,12 @@
 //! Criterion bench for the packed GEMM engine against the pre-rewrite
-//! column-parallel reference kernel (`bench::gemm_report::reference_gemm`).
+//! column-parallel reference kernel (`bench::reference_gemm`).
 //!
 //! The headline shape is the `V_Hxc` contraction of Algorithm 1 line 7:
 //! `C(128×128) = Aᵀ(32768×128)·B(32768×128)` — a 32³ grid with
 //! `N_cv = 128` orbital-pair products. The acceptance bar for the engine is
 //! ≥3× over the reference on this shape.
 
-use bench::gemm_report::reference_gemm;
+use bench::reference_gemm;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mathkit::{Mat, Transpose};
 

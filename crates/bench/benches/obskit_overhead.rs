@@ -9,7 +9,7 @@
 //! * `enabled`   — recording on: span events are written to a thread-local
 //!   buffer, bounding the cost of actually capturing a trace.
 //! * `seed`      — the uninstrumented pre-rewrite reference kernel
-//!   (`bench::gemm_report::reference_gemm`), the absolute baseline.
+//!   (`bench::reference_gemm`), the absolute baseline.
 //!
 //! `seed` uses a different (slower) kernel than the packed engine, so the
 //! disabled-vs-seed comparison is dominated by the engine speedup; the
@@ -17,7 +17,7 @@
 //! disabled-vs-bare comparison of the *same* kernel (also enforced in CI by
 //! `tests/tracing.rs::disabled_tracing_overhead_under_budget`).
 
-use bench::gemm_report::reference_gemm;
+use bench::reference_gemm;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mathkit::{Mat, Transpose};
 use std::time::Instant;

@@ -30,14 +30,12 @@
 //! the pipelined schedule are included in the JSON so regressions in chunk
 //! granularity (segment count collapsing to 1, say) are visible.
 //!
-//! 4. **Fused vs. unfused solve** — the full ISDF solve (the `repro
-//!    perf-report` quick workload) run twice at 4 ranks, once with the
+//! 4. **Fused vs. unfused solve** — a small ISDF solve (one Si cell on a
+//!    10³ grid, 3 conduction bands) run twice at 4 ranks, once with the
 //!    deferred-reduction scheduler fusing collectives and once forced
-//!    unfused. `--check` gates on: eigenvalues bitwise identical, the fused
-//!    schedule issuing ≤ 60% of the unfused α-dominated (≤ 32 KiB)
-//!    collective calls, and the α–β-modeled 1024-rank comm seconds beating
-//!    the *committed* `BENCH_perf.json` baseline under that record's own
-//!    fitted constants.
+//!    unfused. `--check` gates on: eigenvalues bitwise identical, and the
+//!    fused schedule issuing ≤ 60% of the unfused α-dominated (≤ 32 KiB)
+//!    collective calls.
 
 use crate::report::json;
 use lrtddft::pipeline::{gram_allreduce, gram_pipelined_reduce};
@@ -47,9 +45,8 @@ use parcomm::layout::block_ranges;
 use parcomm::{
     overlap_fraction, spmd, CommInterval, CommStats, ComputeInterval, OverlapStats,
 };
-use perfsight::{CostModelFit, OpFit};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Rank counts benchmarked; `--check` gates on the last one.
@@ -59,8 +56,6 @@ const OVERLAP_GATE: f64 = 0.25;
 /// `--check` gate: the fused solve must issue at most this fraction of the
 /// unfused solve's α-dominated collective calls (≥ 40% reduction).
 const ALPHA_CALL_RATIO_GATE: f64 = 0.6;
-/// Extrapolation rank count for the modeled comm-seconds gate.
-const MODEL_RANKS: usize = 1024;
 
 struct Shape {
     /// Global grid rows (`N_r` of the contraction).
@@ -244,12 +239,9 @@ struct SolveSide {
     alpha_calls: u64,
     fused_flushes: u64,
     fused_fields: u64,
-    /// Per-op `(name, calls, bytes)` totals across ranks, for the α–β model.
-    op_totals: Vec<(&'static str, u64, u64)>,
 }
 
-/// Run the perf-report quick workload (same problem, states, and seed as the
-/// committed `BENCH_perf.json`) at 4 ranks with fusion forced on or off.
+/// Run the small Si ISDF solve at 4 ranks with fusion forced on or off.
 fn solve_side(fused: bool) -> SolveSide {
     // The fusion switch is process-wide: put it back on the way out.
     struct Restore(bool);
@@ -275,106 +267,13 @@ fn solve_side(fused: bool) -> SolveSide {
         "solve eigenvalues must be replicated across ranks"
     );
     let stats: Vec<CommStats> = per_rank.iter().map(|(_, s)| *s).collect();
-    let mut op_totals: Vec<(&'static str, u64, u64)> = Vec::new();
-    for (idx, &(op, _)) in stats[0].per_op().iter().enumerate() {
-        let calls: u64 = stats.iter().map(|s| s.per_op()[idx].1.calls).sum();
-        let bytes: u64 = stats.iter().map(|s| s.per_op()[idx].1.bytes).sum();
-        if calls > 0 {
-            op_totals.push((op, calls, bytes));
-        }
-    }
     SolveSide {
         eigenvalues,
         collective_calls: stats.iter().map(|s| s.collective_calls).sum(),
         alpha_calls: stats.iter().map(|s| s.alpha_calls).sum(),
         fused_flushes: stats.iter().map(|s| s.fused_flushes).sum(),
         fused_fields: stats.iter().map(|s| s.fused_fields).sum(),
-        op_totals,
     }
-}
-
-/// The committed `BENCH_perf.json` costmodel block: fitted global (α, β) and
-/// the per-op call/byte totals it was fitted on.
-struct CommittedModel {
-    ranks: usize,
-    alpha: f64,
-    beta: f64,
-    ops: Vec<(&'static str, u64, u64)>,
-}
-
-/// Parse the committed record. Searched in `--out`, then
-/// the working directory (CI runs from the repo root, where it is committed).
-fn committed_costmodel(out_dir: &Path) -> Option<CommittedModel> {
-    let path = [out_dir.join("BENCH_perf.json"), PathBuf::from("BENCH_perf.json")]
-        .into_iter()
-        .find(|p| p.is_file())?;
-    let text = std::fs::read_to_string(&path).ok()?;
-    let v = obskit::chrome::parse_json(&text).ok()?;
-    let ranks = v.get("ranks").and_then(|x| x.as_f64())? as usize;
-    let cm = v.get("costmodel")?;
-    let alpha = cm.get("global_alpha_s").and_then(|x| x.as_f64())?;
-    let beta = cm.get("global_beta_s_per_byte").and_then(|x| x.as_f64())?;
-    let mut ops = Vec::new();
-    for o in cm.get("ops").and_then(|x| x.as_array())? {
-        let name = o.get("op").and_then(|x| x.as_str())?;
-        let Some(op) = op_name_static(name) else { continue };
-        let calls = o.get("calls").and_then(|x| x.as_f64())? as u64;
-        let bytes = o.get("bytes").and_then(|x| x.as_f64())? as u64;
-        ops.push((op, calls, bytes));
-    }
-    Some(CommittedModel { ranks, alpha, beta, ops })
-}
-
-/// Map a JSON op label back to the `'static` name `OpFit` carries.
-fn op_name_static(s: &str) -> Option<&'static str> {
-    [
-        "allreduce",
-        "reduce",
-        "bcast",
-        "allgatherv",
-        "alltoallv",
-        "barrier",
-        "ireduce",
-        "iallreduce",
-        "ibcast",
-        "iallgatherv",
-        "ialltoallv",
-    ]
-    .iter()
-    .find(|&&n| n == s)
-    .copied()
-}
-
-/// Hockney-extrapolated comm seconds at [`MODEL_RANKS`] for a per-op
-/// call/byte profile measured at `ranks`, under fixed global (α, β).
-fn modeled_comm_at_scale(
-    ranks: usize,
-    alpha: f64,
-    beta: f64,
-    ops: &[(&'static str, u64, u64)],
-) -> f64 {
-    let fitlike = CostModelFit {
-        ranks,
-        ops: ops
-            .iter()
-            .map(|&(op, calls, bytes)| OpFit {
-                op,
-                calls,
-                bytes,
-                measured_s: 0.0,
-                alpha: 0.0,
-                beta: 0.0,
-                predicted_s: 0.0,
-                rel_err: 0.0,
-            })
-            .collect(),
-        global_alpha: alpha,
-        global_beta: beta,
-        total_measured_s: 0.0,
-        total_predicted_s: 0.0,
-        worst_rel_err: 0.0,
-    };
-    fitlike.comm_seconds_at(MODEL_RANKS)
 }
 
 pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
@@ -414,7 +313,7 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
     );
 
     // ---- fused vs. unfused solve ----------------------------------------
-    println!("\nfused vs unfused solve (perf-report quick workload, 4 ranks):");
+    println!("\nfused vs unfused solve (Si ISDF, 4 ranks):");
     let unfused = solve_side(false);
     let fused = solve_side(true);
     let values_bitwise = fused.eigenvalues.len() == unfused.eigenvalues.len()
@@ -424,18 +323,6 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
             .zip(&unfused.eigenvalues)
             .all(|(a, b)| a.to_bits() == b.to_bits());
     let alpha_ratio = fused.alpha_calls as f64 / unfused.alpha_calls.max(1) as f64;
-    let committed = committed_costmodel(out_dir);
-    // Model both schedules' 1024-rank comm time under the *committed*
-    // record's fitted constants: the committed per-op profile is the
-    // "before", the measured fused profile the "after".
-    let (comm_at_scale_baseline, comm_at_scale_fused) = match &committed {
-        Some(cm) => (
-            Some(modeled_comm_at_scale(cm.ranks, cm.alpha, cm.beta, &cm.ops)),
-            Some(modeled_comm_at_scale(4, cm.alpha, cm.beta, &fused.op_totals)),
-        ),
-        None => (None, None),
-    };
-    let fmt_s = |v: Option<f64>| v.map_or("n/a".to_string(), |s| format!("{s:.6}"));
     crate::report::print_table(
         &["metric", "unfused", "fused"],
         &[
@@ -453,11 +340,6 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
                 "fused flushes / fields".into(),
                 format!("{} / {}", unfused.fused_flushes, unfused.fused_fields),
                 format!("{} / {}", fused.fused_flushes, fused.fused_fields),
-            ],
-            vec![
-                format!("modeled comm_s @{MODEL_RANKS} (committed α–β)"),
-                fmt_s(comm_at_scale_baseline),
-                fmt_s(comm_at_scale_fused),
             ],
         ],
     );
@@ -498,9 +380,7 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
          \"eigenvalues_bitwise\": {},\n    \"collective_calls_unfused\": {},\n    \
          \"collective_calls_fused\": {},\n    \"alpha_calls_unfused\": {},\n    \
          \"alpha_calls_fused\": {},\n    \"alpha_call_ratio\": {},\n    \
-         \"fused_flushes\": {},\n    \"fused_fields\": {},\n    \
-         \"modeled_comm_s_at_{}_committed\": {},\n    \
-         \"modeled_comm_s_at_{}_fused\": {}\n  }}\n}}\n",
+         \"fused_flushes\": {},\n    \"fused_fields\": {}\n  }}\n}}\n",
         sh.nr,
         sh.ncv,
         sh.reps,
@@ -516,10 +396,6 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         json::number(alpha_ratio),
         fused.fused_flushes,
         fused.fused_fields,
-        MODEL_RANKS,
-        comm_at_scale_baseline.map_or("null".to_string(), json::number),
-        MODEL_RANKS,
-        comm_at_scale_fused.map_or("null".to_string(), json::number),
     );
     std::fs::create_dir_all(out_dir)?;
     let path = out_dir.join("BENCH_comm.json");
@@ -556,21 +432,6 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
                 unfused.alpha_calls,
                 ALPHA_CALL_RATIO_GATE * 100.0
             ));
-        }
-        match (comm_at_scale_baseline, comm_at_scale_fused) {
-            (Some(before), Some(after)) => {
-                if after >= before {
-                    failures.push(format!(
-                        "modeled comm_s at {MODEL_RANKS} ranks did not improve: \
-                         {after:.6} (fused) vs {before:.6} (committed BENCH_perf.json)"
-                    ));
-                }
-            }
-            _ => failures.push(
-                "committed BENCH_perf.json not found (searched --out and the working \
-                 directory) — cannot grade modeled comm seconds at scale"
-                    .to_string(),
-            ),
         }
         if failures.is_empty() {
             println!("comm-report --check: all gates passed");

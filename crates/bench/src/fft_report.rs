@@ -19,7 +19,7 @@
 //!    benchmarked column counts), which `--check` asserts.
 //!
 //! The seed transform is benchmarked from a faithful in-tree copy (same
-//! pattern as `gemm_report::reference_gemm`) so the comparison runs in one
+//! pattern as [`crate::reference_gemm`]) so the comparison runs in one
 //! build instead of an old git checkout.
 
 use crate::report::json;

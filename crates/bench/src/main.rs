@@ -5,7 +5,7 @@
 //! experiments: table3 table4 table5 table6 fig2 fig5 fig7 fig8 weak fig9 all
 //! ```
 //!
-//! The `*-report` subcommands (gemm, fft, comm, fault, perf) all take the
+//! The `*-report` subcommands (chaos, fft, comm, fault, serve) all take the
 //! same `[--quick|--full] [--out DIR] [--check]` flags, so they share one
 //! parser ([`ReportArgs`]) and one dispatch table ([`REPORTS`]) — adding a
 //! report is one table row, and the usage string regenerates itself.
@@ -65,9 +65,7 @@ const REPORTS: &[(&str, ReportFn)] = &[
     ("fft-report", |o, q, c| bench::fft_report::run(o, q, c).map_err(|e| e.to_string())),
     ("comm-report", |o, q, c| bench::comm_report::run(o, q, c).map_err(|e| e.to_string())),
     ("fault-report", |o, q, c| bench::fault_report::run(o, q, c).map_err(|e| e.to_string())),
-    ("gemm-report", |o, q, c| bench::gemm_report::run(o, q, c).map_err(|e| e.to_string())),
     ("serve-report", |o, q, c| bench::serve_report::run(o, q, c).map_err(|e| e.to_string())),
-    ("perf-report", bench::perf_report::run),
 ];
 
 fn usage() -> String {

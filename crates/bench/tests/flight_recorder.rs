@@ -4,8 +4,7 @@
 //!   the `faultkit` solve-error hook, and the hook's flight-ring dump is a
 //!   well-formed Chrome trace (validated by the in-tree parser);
 //! * a rank thread that panics mid-workload leaves aborted spans in the
-//!   ring and a ragged trace stream, and `perfsight::critical_path` still
-//!   decomposes the surviving trace exactly to its wall clock.
+//!   ring and a ragged trace stream that still validates.
 //!
 //! Both properties drive process-global state (obskit's recorder and ring,
 //! faultkit's hook), so every case runs under one test-local mutex.
@@ -77,11 +76,11 @@ proptest! {
     }
 
     /// A rank that panics partway through an SPMD-shaped workload leaves a
-    /// shorter stream (and aborted spans in the flight ring); the critical
-    /// path over the surviving trace must still telescope to its wall
-    /// clock, and the ring must still dump a valid Chrome trace.
+    /// shorter stream (and aborted spans in the flight ring); the surviving
+    /// trace must still validate with a positive wall clock, and the ring
+    /// must still dump a valid Chrome trace.
     #[test]
-    fn critical_path_tolerates_mid_solve_panic(
+    fn mid_solve_panic_leaves_valid_trace_and_flight_dump(
         ranks in 2usize..4,
         panic_rank in 0usize..2,
         panic_at in 0usize..4,
@@ -118,18 +117,7 @@ proptest! {
         trace
             .validate()
             .map_err(|e| TestCaseError::fail(format!("unwound trace invalid: {e}")))?;
-        let cp = perfsight::critical_path(&trace);
-        let wall = trace.wall_seconds();
-        prop_assert!(wall > 0.0);
-        prop_assert!(
-            (cp.total_seconds - wall).abs() <= 1e-9 + 1e-6 * wall,
-            "critical path {} != wall {}",
-            cp.total_seconds,
-            wall
-        );
-        // The panicking rank truncates the matchable prefix but never below
-        // the rounds it completed.
-        prop_assert!(cp.matched_collectives <= rounds);
+        prop_assert!(trace.wall_seconds() > 0.0);
 
         let snap = obskit::flight::snapshot();
         prop_assert!(

@@ -31,67 +31,11 @@ pub struct OpStats {
     pub seconds: f64,
 }
 
-/// Number of log₂ message-size buckets in [`MsgHist`]. Bucket `b` counts
-/// calls whose payload is in `(2^(b−1), 2^b]` bytes (bucket 0 holds 0- and
-/// 1-byte calls); the last bucket absorbs everything ≥ 2^(BUCKETS−1).
-/// 24 buckets reach 8 MiB, far beyond any per-call payload in the solve.
-pub const HIST_BUCKETS: usize = 24;
-
 /// Payload threshold below which a collective call is **α-dominated**
 /// (latency-bound): at the default [`CostModel`] and 4 ranks, the allreduce
 /// latency and bandwidth terms cross at ~32 KiB — also the engine's segment
 /// size, so anything under it is a single-segment (pure-latency) op.
 pub const ALPHA_SMALL_BYTES: u64 = 32 * 1024;
-
-/// Per-op log₂ message-size histogram: one row per [`CommStats::per_op`]
-/// label, in the same order. Distinguishes latency-bound (small-payload)
-/// from bandwidth-bound collectives at a glance.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MsgHist {
-    /// `counts[op][bucket]` — rows in [`CommStats::per_op`] order.
-    pub counts: [[u64; HIST_BUCKETS]; 11],
-}
-
-impl Default for MsgHist {
-    fn default() -> Self {
-        MsgHist { counts: [[0; HIST_BUCKETS]; 11] }
-    }
-}
-
-impl MsgHist {
-    /// ⌈log₂ bytes⌉ capped to the last bucket; 0 bytes lands in bucket 0.
-    #[inline]
-    pub fn bucket(bytes: u64) -> usize {
-        let b = bytes.max(1).next_power_of_two().trailing_zeros() as usize;
-        b.min(HIST_BUCKETS - 1)
-    }
-
-    /// Upper payload bound (bytes) of bucket `b`.
-    #[inline]
-    pub fn bucket_limit(b: usize) -> u64 {
-        1u64 << b
-    }
-
-    #[inline]
-    pub(crate) fn record(&mut self, op_index: usize, bytes: u64) {
-        self.counts[op_index][Self::bucket(bytes)] += 1;
-    }
-
-    /// Total calls recorded across every op and bucket — a quick "is this
-    /// histogram empty?" probe for stats-window tests and reports.
-    pub fn total_calls(&self) -> u64 {
-        self.counts.iter().flatten().sum()
-    }
-
-    /// Merge another histogram into this one (per-rank → global rollups).
-    pub fn merge(&mut self, other: &MsgHist) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            for (a, b) in mine.iter_mut().zip(theirs.iter()) {
-                *a += b;
-            }
-        }
-    }
-}
 
 /// Engine-side segment counters. A nonblocking collective is executed as a
 /// stream of segment steps on the progress worker; those steps are counted
@@ -147,8 +91,6 @@ pub struct CommStats {
     /// Collective calls whose payload was ≤ [`ALPHA_SMALL_BYTES`] — the
     /// latency-bound population the communication-avoiding path shrinks.
     pub alpha_calls: u64,
-    /// Per-op log₂ message-size histogram.
-    pub hist: MsgHist,
 }
 
 impl CommStats {
@@ -202,18 +144,6 @@ impl CollOp {
             CollOp::Allgatherv => &mut stats.allgatherv,
             CollOp::Alltoallv => &mut stats.alltoallv,
             CollOp::Barrier => &mut stats.barrier,
-        }
-    }
-
-    /// Row in [`CommStats::per_op`] order (the nonblocking ops follow at 6+).
-    fn index(self) -> usize {
-        match self {
-            CollOp::Allreduce => 0,
-            CollOp::Reduce => 1,
-            CollOp::Bcast => 2,
-            CollOp::Allgatherv => 3,
-            CollOp::Alltoallv => 4,
-            CollOp::Barrier => 5,
         }
     }
 }
@@ -314,8 +244,8 @@ impl Comm {
     }
 
     /// Reset the statistics counters (e.g. between timed phases). One store:
-    /// aggregate, per-op, per-segment, message-histogram, fused-flush, and
-    /// latency-bound counters all clear together — `CommStats` resets as a
+    /// aggregate, per-op, per-segment, fused-flush, and latency-bound
+    /// counters all clear together — `CommStats` resets as a
     /// whole struct, so no field can bleed into the next window.
     pub fn reset_stats(&self) {
         *lock(&self.stats) = CommStats::default();
@@ -342,7 +272,6 @@ impl Comm {
             if bytes as u64 <= ALPHA_SMALL_BYTES {
                 s.alpha_calls += 1;
             }
-            s.hist.record(op.index(), bytes as u64);
             let slot = op.slot(&mut s);
             slot.calls += 1;
             slot.bytes += bytes as u64;
@@ -818,28 +747,28 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_histogram_fused_and_alpha_counters() {
+    fn reset_clears_call_fused_and_alpha_counters() {
         // Per-job stats windows in the serving scheduler rely on reset
-        // clearing *every* counter family, including the message-size
-        // histogram, fused-flush credits, and latency-bound call counts —
-        // none may bleed from one tenant's window into the next.
+        // clearing *every* counter family, including call counts,
+        // fused-flush credits, and latency-bound call counts — none may
+        // bleed from one tenant's window into the next.
         let res = spmd(2, |c| {
             let mut small = vec![1.0; 4]; // under ALPHA_SMALL_BYTES
             c.allreduce_sum(&mut small);
             c.note_fused(3);
             let before = c.stats();
+            assert!(before.collective_calls > 0);
             assert!(before.alpha_calls >= 1);
             assert_eq!(before.fused_flushes, 1);
             assert_eq!(before.fused_fields, 3);
-            assert!(before.hist.total_calls() > 0);
             c.reset_stats();
             c.stats()
         });
         for s in res {
+            assert_eq!(s.collective_calls, 0);
             assert_eq!(s.alpha_calls, 0);
             assert_eq!(s.fused_flushes, 0);
             assert_eq!(s.fused_fields, 0);
-            assert_eq!(s.hist.total_calls(), 0);
         }
     }
 
@@ -855,7 +784,7 @@ mod tests {
         for (window, after) in res {
             assert_eq!(window.collective_calls, 2);
             assert_eq!(window.bytes_sent, 64);
-            assert!(window.hist.total_calls() > 0);
+            assert!(window.alpha_calls > 0);
             assert_eq!(after, CommStats::default(), "take_stats must leave a fresh window");
         }
     }

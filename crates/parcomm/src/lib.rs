@@ -33,10 +33,7 @@ pub mod redist;
 pub mod requests;
 
 pub use batch::{fusion_enabled, set_fusion_enabled, FusedFields, ReduceBatch, ReducePlan};
-pub use comm::{
-    spmd, spmd_with_model, Comm, CommStats, MsgHist, OpStats, SegStats, ALPHA_SMALL_BYTES,
-    HIST_BUCKETS,
-};
+pub use comm::{spmd, spmd_with_model, Comm, CommStats, OpStats, SegStats, ALPHA_SMALL_BYTES};
 pub use cost::CostModel;
 pub use layout::{block_cyclic_owner, block_ranges, segment_ranges, BlockCyclic2D, Layout};
 pub use overlap::{overlap_fraction, ComputeInterval, OverlapStats};

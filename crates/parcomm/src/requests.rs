@@ -161,17 +161,6 @@ impl NbOp {
         }
     }
 
-    /// Row in [`CommStats::per_op`] order (blocking ops occupy 0..=5).
-    fn index(self) -> usize {
-        match self {
-            NbOp::Ireduce => 6,
-            NbOp::Iallreduce => 7,
-            NbOp::Ibcast => 8,
-            NbOp::Iallgatherv => 9,
-            NbOp::Ialltoallv => 10,
-        }
-    }
-
     /// Fault-hook site for this op. Blocking wrappers issue with no `NbOp`
     /// accounting and hook under `comm.blocking`, so a `FaultPlan` can
     /// target the request API without perturbing blocking call sites (whose
@@ -784,7 +773,6 @@ impl Comm {
         if bytes as u64 <= crate::comm::ALPHA_SMALL_BYTES {
             s.alpha_calls += 1;
         }
-        s.hist.record(op.index(), bytes as u64);
         let slot = op.slot(&mut s);
         slot.calls += 1;
         slot.bytes += bytes as u64;
