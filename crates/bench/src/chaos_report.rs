@@ -137,8 +137,7 @@ fn fault_plan(slot: usize) -> (&'static str, FaultPlan) {
             "comm-delay",
             FaultPlan::new(0xbad)
                 .with("comm.ireduce", 0, FaultKind::CommDelay { micros: 1500 })
-                .with("comm.iallreduce", 0, FaultKind::CommDelay { micros: 1500 })
-                .with("comm.iallgatherv", 0, FaultKind::CommDelay { micros: 1500 }),
+                .with("comm.iallreduce", 0, FaultKind::CommDelay { micros: 1500 }),
         ),
     }
 }

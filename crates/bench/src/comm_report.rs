@@ -1,36 +1,19 @@
-//! `repro comm-report` — the nonblocking comms engine vs. the blocking path,
-//! written to `BENCH_comm.json`.
+//! `repro comm-report` — the pipelined GEMM+Reduce schedule against the
+//! blocking one, and the fused solve against the unfused one, written to
+//! `BENCH_comm.json`.
 //!
-//! Three measurements on the Fig.-5 `V_Hxc` contraction shape (distinct
-//! `A`/`B` factors so the packed GEMM path, not SYRK, is exercised — the
-//! same path the pipelined schedule chunks):
-//!
-//! 1. **Blocking vs. pipelined wall time** — `gram_allreduce` (monolithic
-//!    GEMM + `Allreduce`) against `gram_pipelined_reduce` (chunked GEMM with
-//!    each chunk's `ireduce` streaming on the progress engine), per rank
-//!    count.
-//! 2. **Measured overlap fraction** — each rank's request-outstanding
-//!    windows intersected with the union of *every* rank's GEMM intervals
-//!    (`parcomm::overlap_fraction`), averaged across ranks: the share of
-//!    outstanding-communication time during which the application was
-//!    computing. The global union is the right compute reference here
-//!    because the SPMD ranks are threads sharing this host's cores — a
-//!    single rank's own compute is bounded by `1/P` of wall-clock, which
-//!    would make the per-rank measure say more about the core count than
-//!    about the schedule. (The per-rank own-compute fractions are still
-//!    reported as `overlap_fraction_self_mean`.) `--check` asserts `> 0.25`
-//!    at 4 ranks: at least a quarter of outstanding-comm time must hide
-//!    under compute.
-//! 3. **Bitwise agreement** — every column chunk of the pipelined result
-//!    must equal the blocking result bit-for-bit, and the ring `iallreduce`
-//!    must equal the blocking `allreduce` bit-for-bit (`--check` gates on
-//!    both).
-//!
-//! Per-op call/byte counters and the engine's segment-step statistics for
-//! the pipelined schedule are included in the JSON so regressions in chunk
-//! granularity (segment count collapsing to 1, say) are visible.
-//!
-//! 4. **Fused vs. unfused solve** — a small ISDF solve (one Si cell on a
+//! 1. **Blocking vs. pipelined wall time** on the Fig.-5 `V_Hxc` contraction
+//!    shape (distinct `A`/`B` factors so the packed GEMM path, not SYRK, is
+//!    exercised — the same path the pipelined schedule chunks):
+//!    `gram_allreduce` (monolithic GEMM + `Allreduce`) against
+//!    `gram_pipelined_reduce` (chunked GEMM, each chunk's `ireduce` settled
+//!    after the next chunk's GEMM), per rank count. Reported, not gated:
+//!    ranks are threads on this host's cores, so the pipeline buys the
+//!    paper's `1/P` memory bound, not hidden communication time.
+//! 2. **Bitwise agreement** — every column chunk of the pipelined result
+//!    must equal the blocking result bit-for-bit, and `iallreduce` must
+//!    equal the blocking `allreduce` bit-for-bit (`--check` gates on both).
+//! 3. **Fused vs. unfused solve** — a small ISDF solve (one Si cell on a
 //!    10³ grid, 3 conduction bands) run twice at 4 ranks, once with the
 //!    deferred-reduction scheduler fusing collectives and once forced
 //!    unfused. `--check` gates on: eigenvalues bitwise identical, and the
@@ -42,17 +25,13 @@ use lrtddft::pipeline::{gram_allreduce, gram_pipelined_reduce};
 use lrtddft::{silicon_like_problem, IsdfRank, Solver};
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
-use parcomm::{
-    overlap_fraction, spmd, CommInterval, CommStats, ComputeInterval, OverlapStats,
-};
+use parcomm::{spmd, CommStats};
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
-/// Rank counts benchmarked; `--check` gates on the last one.
+/// Rank counts benchmarked.
 const RANK_COUNTS: [usize; 2] = [2, 4];
-/// Overlap-fraction gate for `--check` at 4 ranks.
-const OVERLAP_GATE: f64 = 0.25;
 /// `--check` gate: the fused solve must issue at most this fraction of the
 /// unfused solve's α-dominated collective calls (≥ 40% reduction).
 const ALPHA_CALL_RATIO_GATE: f64 = 0.6;
@@ -80,34 +59,16 @@ fn global_ab(nr: usize, ncv: usize) -> (Mat, Mat) {
     (a, b)
 }
 
-struct RankResult {
-    blocking_s: f64,
-    pipelined_s: f64,
-    bitwise_identical: bool,
-    /// Overlap against this rank's own compute intervals.
-    overlap_self: OverlapStats,
-    comm_intervals: Vec<CommInterval>,
-    compute_intervals: Vec<ComputeInterval>,
-    stats: CommStats,
-}
-
 struct CaseResult {
     ranks: usize,
     blocking_s: f64,
     pipelined_s: f64,
     bitwise_identical: bool,
-    overlap_fraction_mean: f64,
-    overlap_fraction_min: f64,
-    overlap_fraction_self_mean: f64,
-    comm_outstanding_s: f64,
-    compute_busy_s: f64,
-    seg_steps: u64,
-    seg_bytes: u64,
     ireduce_calls: u64,
 }
 
-/// One rank count: time both schedules, verify bitwise agreement, collect
-/// the engine's overlap measurement and per-op stats from one clean run.
+/// One rank count: time both schedules, then verify bitwise agreement and
+/// count the pipelined schedule's `ireduce`s on one stats-isolated run.
 fn bench_case(p: usize, sh: &Shape) -> CaseResult {
     let (a, b) = global_ab(sh.nr, sh.ncv);
     let reps = sh.reps;
@@ -116,7 +77,7 @@ fn bench_case(p: usize, sh: &Shape) -> CaseResult {
         let al = a.row_block(rr.start, rr.end);
         let bl = b.row_block(rr.start, rr.end);
 
-        // Warm-up: page in buffers, spawn the progress worker.
+        // Warm-up: page in buffers.
         let mono = gram_allreduce(c, &al, &bl, 1.0, &mut []);
         let _ = gram_pipelined_reduce(c, &al, &bl, 1.0);
 
@@ -136,11 +97,9 @@ fn bench_case(p: usize, sh: &Shape) -> CaseResult {
         c.barrier();
         let pipelined_s = t0.elapsed().as_secs_f64() / reps as f64;
 
-        // One clean, stats-isolated run for overlap + per-op counters and
-        // the bitwise comparison against the blocking result.
         c.reset_stats();
         let pipe = gram_pipelined_reduce(c, &al, &bl, 1.0).expect("pipelined reduce");
-        let stats = c.stats();
+        let ireduce_calls = c.stats().ireduce.calls;
         let mut bitwise = true;
         for (jl, j) in pipe.col_range.clone().enumerate() {
             for i in 0..sh.ncv {
@@ -149,53 +108,25 @@ fn bench_case(p: usize, sh: &Shape) -> CaseResult {
                 }
             }
         }
-        RankResult {
-            blocking_s,
-            pipelined_s,
-            bitwise_identical: bitwise,
-            overlap_self: pipe.overlap.expect("pipelined path measures overlap"),
-            comm_intervals: pipe.comm_intervals,
-            compute_intervals: pipe.compute_intervals,
-            stats,
-        }
+        (blocking_s, pipelined_s, bitwise, ireduce_calls)
     });
-
-    // Overlap of each rank's outstanding-comm windows with the union of
-    // every rank's compute: the ranks are threads on shared cores, so
-    // "the application was computing" means *any* rank's GEMM was running.
-    let all_compute: Vec<ComputeInterval> =
-        per_rank.iter().flat_map(|r| r.compute_intervals.iter().copied()).collect();
-    let global: Vec<OverlapStats> = per_rank
-        .iter()
-        .map(|r| overlap_fraction(&r.comm_intervals, &all_compute))
-        .collect();
-
-    let n = per_rank.len() as f64;
     CaseResult {
         ranks: p,
         // Barriers bracket the timed loops, so every rank reads ~the
         // critical path; take the max to be exact about it.
-        blocking_s: per_rank.iter().map(|r| r.blocking_s).fold(0.0, f64::max),
-        pipelined_s: per_rank.iter().map(|r| r.pipelined_s).fold(0.0, f64::max),
-        bitwise_identical: per_rank.iter().all(|r| r.bitwise_identical),
-        overlap_fraction_mean: global.iter().map(|o| o.fraction).sum::<f64>() / n,
-        overlap_fraction_min: global.iter().map(|o| o.fraction).fold(f64::INFINITY, f64::min),
-        overlap_fraction_self_mean: per_rank.iter().map(|r| r.overlap_self.fraction).sum::<f64>()
-            / n,
-        comm_outstanding_s: global.iter().map(|o| o.comm_busy).sum::<f64>(),
-        compute_busy_s: per_rank.iter().map(|r| r.overlap_self.compute_busy).sum::<f64>(),
-        seg_steps: per_rank.iter().map(|r| r.stats.seg.steps).sum(),
-        seg_bytes: per_rank.iter().map(|r| r.stats.seg.bytes).sum(),
-        ireduce_calls: per_rank.iter().map(|r| r.stats.ireduce.calls).sum(),
+        blocking_s: per_rank.iter().map(|r| r.0).fold(0.0, f64::max),
+        pipelined_s: per_rank.iter().map(|r| r.1).fold(0.0, f64::max),
+        bitwise_identical: per_rank.iter().all(|r| r.2),
+        ireduce_calls: per_rank.iter().map(|r| r.3).sum(),
     }
 }
 
 struct AlgResult {
-    ring_s: f64,
-    ring_matches_blocking_bitwise: bool,
+    iallreduce_s: f64,
+    iallreduce_matches_blocking_bitwise: bool,
 }
 
-/// Ring `iallreduce` on an `ncv × ncv` buffer at 4 ranks: timed, and checked
+/// `iallreduce` on an `ncv × ncv` buffer at 4 ranks: timed, and checked
 /// bit-for-bit against the blocking path (same ascending fold order).
 fn bench_algorithms(sh: &Shape) -> AlgResult {
     let n = sh.ncv * sh.ncv;
@@ -204,7 +135,7 @@ fn bench_algorithms(sh: &Shape) -> AlgResult {
         let mine: Vec<f64> =
             (0..n).map(|i| ((i * 31 + c.rank() * 17) % 101) as f64 * 1e-2 - 0.5).collect();
 
-        let ring = c.iallreduce_sum(mine.clone()).wait();
+        let nonblocking = c.iallreduce_sum(mine.clone()).wait();
         let mut blocking = mine.clone();
         c.allreduce_sum(&mut blocking);
 
@@ -214,14 +145,14 @@ fn bench_algorithms(sh: &Shape) -> AlgResult {
             let _ = c.iallreduce_sum(mine.clone()).wait();
         }
         c.barrier();
-        let ring_s = t0.elapsed().as_secs_f64() / reps as f64;
+        let iallreduce_s = t0.elapsed().as_secs_f64() / reps as f64;
 
-        let bitwise = ring.iter().zip(&blocking).all(|(r, b)| r.to_bits() == b.to_bits());
-        (ring_s, bitwise)
+        let bitwise = nonblocking.iter().zip(&blocking).all(|(r, b)| r.to_bits() == b.to_bits());
+        (iallreduce_s, bitwise)
     });
     AlgResult {
-        ring_s: per_rank.iter().map(|r| r.0).fold(0.0, f64::max),
-        ring_matches_blocking_bitwise: per_rank.iter().all(|r| r.1),
+        iallreduce_s: per_rank.iter().map(|r| r.0).fold(0.0, f64::max),
+        iallreduce_matches_blocking_bitwise: per_rank.iter().all(|r| r.1),
     }
 }
 
@@ -293,23 +224,22 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
                 format!("{:.3}", c.blocking_s * 1e3),
                 format!("{:.3}", c.pipelined_s * 1e3),
                 format!("{:.2}x", c.blocking_s / c.pipelined_s),
-                format!("{:.3}", c.overlap_fraction_mean),
-                c.seg_steps.to_string(),
+                c.ireduce_calls.to_string(),
                 if c.bitwise_identical { "yes" } else { "NO" }.to_string(),
             ]
         })
         .collect();
     crate::report::print_table(
-        &["ranks", "blocking (ms)", "pipelined (ms)", "speedup", "overlap", "seg steps", "bitwise"],
+        &["ranks", "blocking (ms)", "pipelined (ms)", "speedup", "ireduce calls", "bitwise"],
         &rows,
     );
 
     let alg = bench_algorithms(&sh);
     println!(
-        "iallreduce @4 ranks, {} words: ring {:.3} ms, ring≡blocking bitwise: {}",
+        "iallreduce @4 ranks, {} words: {:.3} ms, iallreduce≡allreduce bitwise: {}",
         sh.ncv * sh.ncv,
-        alg.ring_s * 1e3,
-        alg.ring_matches_blocking_bitwise
+        alg.iallreduce_s * 1e3,
+        alg.iallreduce_matches_blocking_bitwise
     );
 
     // ---- fused vs. unfused solve ----------------------------------------
@@ -353,21 +283,11 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         .map(|c| {
             format!(
                 "    {{\"ranks\": {}, \"blocking_s\": {}, \"pipelined_s\": {}, \"speedup\": {}, \
-                 \"overlap_fraction\": {}, \"overlap_fraction_min\": {}, \
-                 \"overlap_fraction_self_mean\": {}, \"comm_outstanding_s\": {}, \
-                 \"compute_busy_s\": {}, \"seg_steps\": {}, \"seg_bytes\": {}, \
                  \"ireduce_calls\": {}, \"bitwise_identical\": {}}}",
                 c.ranks,
                 json::number(c.blocking_s),
                 json::number(c.pipelined_s),
                 json::number(c.blocking_s / c.pipelined_s),
-                json::number(c.overlap_fraction_mean),
-                json::number(c.overlap_fraction_min),
-                json::number(c.overlap_fraction_self_mean),
-                json::number(c.comm_outstanding_s),
-                json::number(c.compute_busy_s),
-                c.seg_steps,
-                c.seg_bytes,
                 c.ireduce_calls,
                 c.bitwise_identical
             )
@@ -375,8 +295,8 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         .collect();
     let json_text = format!(
         "{{\n  \"benchmark\": \"comm-report\",\n  \"shape\": {{\"nr\": {}, \"ncv\": {}, \
-         \"reps\": {}}},\n  \"segment_words\": {},\n  \"cases\": [\n{}\n  ],\n  \
-         \"algorithms\": {{\"ring_s\": {}, \"ring_matches_blocking_bitwise\": {}}},\n  \"fused_solve\": {{\n    \
+         \"reps\": {}}},\n  \"cases\": [\n{}\n  ],\n  \
+         \"algorithms\": {{\"iallreduce_s\": {}, \"iallreduce_matches_blocking_bitwise\": {}}},\n  \"fused_solve\": {{\n    \
          \"eigenvalues_bitwise\": {},\n    \"collective_calls_unfused\": {},\n    \
          \"collective_calls_fused\": {},\n    \"alpha_calls_unfused\": {},\n    \
          \"alpha_calls_fused\": {},\n    \"alpha_call_ratio\": {},\n    \
@@ -384,10 +304,9 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
         sh.nr,
         sh.ncv,
         sh.reps,
-        parcomm::DEFAULT_SEGMENT_WORDS,
         case_entries.join(",\n"),
-        json::number(alg.ring_s),
-        alg.ring_matches_blocking_bitwise,
+        json::number(alg.iallreduce_s),
+        alg.iallreduce_matches_blocking_bitwise,
         values_bitwise,
         unfused.collective_calls,
         fused.collective_calls,
@@ -404,19 +323,12 @@ pub fn run(out_dir: &Path, quick: bool, check: bool) -> std::io::Result<()> {
     println!("wrote {}", path.display());
 
     if check {
-        let four = cases.iter().find(|c| c.ranks == 4).expect("4-rank case present");
         let mut failures = Vec::new();
-        if four.overlap_fraction_mean <= OVERLAP_GATE {
-            failures.push(format!(
-                "overlap fraction {:.3} at 4 ranks ≤ gate {OVERLAP_GATE}",
-                four.overlap_fraction_mean
-            ));
-        }
         if !cases.iter().all(|c| c.bitwise_identical) {
             failures.push("pipelined result not bitwise-identical to blocking".to_string());
         }
-        if !alg.ring_matches_blocking_bitwise {
-            failures.push("ring iallreduce diverged from blocking allreduce".to_string());
+        if !alg.iallreduce_matches_blocking_bitwise {
+            failures.push("iallreduce diverged from blocking allreduce".to_string());
         }
         if !values_bitwise {
             failures.push(

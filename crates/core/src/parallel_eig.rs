@@ -8,8 +8,8 @@
 //!
 //! 1. `H·W` — only the preconditioned-residual block pays an operator
 //!    application (`H·X`, `H·P` are carried forward as local linear
-//!    combinations of the previous `H·S`); the `C·W` partial-product
-//!    reduction inside it streams on the progress engine;
+//!    combinations of the previous `H·S`); its `C·W` partial-product
+//!    reduction is settled after the local diagonal term is computed;
 //! 2. one **fused** allreduce (a persistent [`ReducePlan`]) carrying
 //!    `SᵀS`, `SᵀHS`, *and* the residual-norm partials of the current
 //!    iterate in a single packed payload.
@@ -84,8 +84,8 @@ fn apply_distributed(
     let c_loc = ham.c.col_block(rows.start, rows.end);
     let mut cx = Mat::zeros(n_mu, m);
     gemm(1.0, &c_loc, Transpose::No, x_loc, Transpose::No, 0.0, &mut cx);
-    // The CX reduction streams on the progress engine while the diagonal
-    // term (independent of CX) is computed. The partial product is retained
+    // The CX reduction is issued before the diagonal term (independent of
+    // CX) is computed and settled after it. The partial product is retained
     // so a dropped request can be re-issued (drop faults fire symmetrically
     // across ranks, so the re-issue stays collective).
     let cx_vec = cx.into_vec();

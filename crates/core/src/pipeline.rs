@@ -7,19 +7,17 @@
 //!
 //! Optimized (Fig. 4 partitioning + Fig. 5 pipelining): the output columns
 //! are split into per-rank chunks; each chunk is GEMMed and its `ireduce` to
-//! the owning rank is issued **nonblocking**, so the reduction of chunk `q`
-//! streams on the progress engine while this rank GEMMs chunk `q+1`. The
-//! in-flight window is bounded at one chunk, which preserves the `1/P`
-//! peak-memory property, and the engine's per-segment timestamps yield a
-//! measured compute/communication [`OverlapStats`] for the schedule.
+//! the owning rank is issued **nonblocking**, and settled only after this
+//! rank has GEMMed chunk `q+1`. The in-flight window is bounded at one
+//! chunk, which preserves the `1/P` peak-memory property. (Ranks here are
+//! threads that complete a reduction inside its `wait`, so the window buys
+//! the paper's memory bound, not hidden communication time.)
 
 use faultkit::CommError;
 use mathkit::gemm::{gemm, syrk_tn_scaled, Transpose};
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
-use parcomm::{
-    overlap_fraction, Comm, CommInterval, ComputeInterval, OverlapStats, Request, RetryPolicy,
-};
+use parcomm::{Comm, Request, RetryPolicy};
 
 /// Result of a distributed Gram-matrix build.
 pub struct GramResult {
@@ -30,18 +28,6 @@ pub struct GramResult {
     pub col_range: std::ops::Range<usize>,
     /// Peak output words held by this rank.
     pub peak_words: usize,
-    /// Measured comm/compute overlap of the pipelined schedule (`None` on
-    /// the monolithic path, where nothing can overlap by construction),
-    /// against *this rank's own* compute intervals. On a host where rank
-    /// threads share cores, a rank's own compute is bounded by `1/P` of
-    /// wall-clock, so schedule-level overlap is better judged from the raw
-    /// intervals below against the union of every rank's compute.
-    pub overlap: Option<OverlapStats>,
-    /// Request-outstanding windows of this schedule's `ireduce`s (pipelined
-    /// path only).
-    pub comm_intervals: Vec<CommInterval>,
-    /// The chunk-GEMM intervals of this rank (pipelined path only).
-    pub compute_intervals: Vec<ComputeInterval>,
 }
 
 /// Monolithic path: full local GEMM `Aᵀ_local·B_local`, then `Allreduce`.
@@ -75,9 +61,6 @@ pub fn gram_allreduce(
         local: Mat::from_vec(m, n, v),
         col_range: 0..n,
         peak_words: m * n,
-        overlap: None,
-        comm_intervals: Vec::new(),
-        compute_intervals: Vec::new(),
     }
 }
 
@@ -100,10 +83,6 @@ pub fn gram_pipelined_reduce(
     let (m, n) = (a_local.ncols(), b_local.ncols());
     let ranges = block_ranges(n, p);
     let my_range = ranges[comm.rank()].clone();
-    // Comm windows from earlier phases must not count toward this
-    // schedule's overlap measurement.
-    let _ = comm.drain_comm_intervals();
-    let mut compute: Vec<ComputeInterval> = Vec::with_capacity(p);
     let mut mine = Mat::zeros(m, my_range.len());
     let mut peak_words = 0usize;
     let policy = RetryPolicy::default();
@@ -125,9 +104,8 @@ pub fn gram_pipelined_reduce(
             Ok(())
         };
     for (owner, range) in ranges.iter().enumerate() {
-        // GEMM only this chunk of output columns (overlaps the in-flight
-        // reduce of the previous chunk on the progress engine).
-        let t0 = comm.now_secs();
+        // GEMM only this chunk of output columns while the previous chunk's
+        // reduce is in flight.
         let v_chunk = if range.is_empty() {
             // Zero-length ireduce keeps the op-id schedule aligned.
             Vec::new()
@@ -137,7 +115,6 @@ pub fn gram_pipelined_reduce(
             gemm(scale, a_local, Transpose::Yes, &b_chunk, Transpose::No, 0.0, &mut v);
             v.into_vec()
         };
-        compute.push(ComputeInterval::new(t0, comm.now_secs()));
         let prev_words = in_flight.as_ref().map_or(0, |(_, len, _, _)| m * *len);
         peak_words = peak_words.max(v_chunk.len() + prev_words + mine.as_slice().len());
         settle(in_flight.take(), &mut mine)?;
@@ -145,16 +122,7 @@ pub fn gram_pipelined_reduce(
         in_flight = Some((owner, range.len(), retained, comm.ireduce_sum(v_chunk, owner)));
     }
     settle(in_flight.take(), &mut mine)?;
-    let segs = comm.drain_comm_intervals();
-    let overlap = Some(overlap_fraction(&segs, &compute));
-    Ok(GramResult {
-        local: mine,
-        col_range: my_range,
-        peak_words,
-        overlap,
-        comm_intervals: segs,
-        compute_intervals: compute,
-    })
+    Ok(GramResult { local: mine, col_range: my_range, peak_words })
 }
 
 /// The replicated Gram matrix `scale · Aᵀ B` of row-distributed `A` and `B`
@@ -283,25 +251,6 @@ mod tests {
         });
         for (mono, pipe) in res {
             assert!(pipe < mono, "pipelined {pipe} should beat monolithic {mono}");
-        }
-    }
-
-    #[test]
-    fn pipelined_reports_overlap_stats() {
-        let (nr, m, n, p) = (64, 24, 24, 3);
-        let (a, b) = global_ab(nr, m, n);
-        let res = spmd(p, |c| {
-            let rr = block_ranges(nr, p)[c.rank()].clone();
-            let al = a.row_block(rr.start, rr.end);
-            let bl = b.row_block(rr.start, rr.end);
-            gram_pipelined_reduce(c, &al, &bl, 1.0).expect("pipelined reduce").overlap
-        });
-        for ov in res {
-            let ov = ov.expect("pipelined path must measure overlap");
-            assert!(ov.comm_busy > 0.0, "engine must have run segment steps");
-            assert!(ov.compute_busy > 0.0);
-            assert!((0.0..=1.0).contains(&ov.fraction), "fraction {}", ov.fraction);
-            assert!(ov.overlapped <= ov.comm_busy + 1e-12);
         }
     }
 

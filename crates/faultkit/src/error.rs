@@ -6,9 +6,9 @@
 //!   entry, a Gram matrix that lost positive-definiteness, an ISDF fit whose
 //!   residual blew past its guard, a point selector that came back with too
 //!   few points.
-//! * [`CommError`] — the progress engine could not complete a collective
-//!   within its retry budget (stall) or the request was dropped by fault
-//!   injection and must be re-issued.
+//! * [`CommError`] — a collective did not complete within its retry budget
+//!   (stall) or the request was dropped by fault injection and must be
+//!   re-issued.
 //! * [`SolveError`] — the solver-facing roll-up: iterative breakdown, honest
 //!   non-convergence with the final residual attached, or a recovery ladder
 //!   that ran out of rungs. Carries `From` impls for the two layers below so

@@ -3,7 +3,7 @@
 //! Robustness backbone for the LR-TDDFT reproduction. The paper's iterative
 //! low-rank machinery (K-Means ISDF + implicit LOBPCG) fails in ways a dense
 //! SYEVD never does — LOBPCG basis breakdown, K-Means empty clusters, ISDF
-//! fits whose residual blows up, progress-engine requests that stall. This
+//! fits whose residual blows up, collectives that stall on a late peer. This
 //! crate supplies the three pieces every other crate threads through:
 //!
 //! * **Error taxonomy** ([`error`]) — [`NumericalError`], [`CommError`],

@@ -30,7 +30,7 @@ pub enum FaultKind {
     RankStarvation,
     /// Collapse every K-Means centroid onto a single grid point.
     DegenerateSeeding,
-    /// Sleep the progress engine for `micros` before running the collective.
+    /// Hold this rank's contribution to the collective back `micros` past issue.
     CommDelay { micros: u64 },
     /// Like `CommDelay` but sized to exceed a wait deadline, so the
     /// wait-with-deadline + retry path is exercised.
@@ -110,7 +110,7 @@ impl FaultEvent {
 /// Comm-level fault decision returned by [`comm_fault`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommFault {
-    /// Sleep this long on the progress engine before running the collective.
+    /// Make this rank's contribution visible only this long after issue.
     Delay(Duration),
     /// Drop the request before submission.
     Drop,
@@ -353,7 +353,7 @@ pub fn degenerate_seeding(site: &str) -> bool {
     true
 }
 
-/// Comm hook, called by the progress engine at issue time. Because rank
+/// Comm hook, called when a rank issues a collective. Because rank
 /// counters advance in lockstep across an SPMD region, the same decision
 /// fires on every rank of the same collective.
 pub fn comm_fault(site: &str) -> Option<CommFault> {

@@ -4,7 +4,7 @@
 //! with one process row per simulated MPI rank (`pid` = rank) and one lane
 //! per thread (`tid` = process-unique lane id), `B`/`E` duration events for
 //! spans, `i` instant events, and `thread_name` metadata (`M`) events
-//! labelling each lane (`"rank 2"`, `"progress-1"`, …). The output loads in
+//! labelling each lane (`"rank 2"`, `"bench client 1"`, …). The output loads in
 //! `chrome://tracing` and Perfetto.
 //!
 //! [`validate_chrome_trace`] re-parses exported (or externally produced)

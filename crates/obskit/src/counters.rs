@@ -16,7 +16,6 @@ static BYTES_MOVED: AtomicU64 = AtomicU64::new(0);
 static FFT_CALLS: AtomicU64 = AtomicU64::new(0);
 static FFT_PLAN_HITS: AtomicU64 = AtomicU64::new(0);
 static FFT_PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-static COMM_SEGMENTS: AtomicU64 = AtomicU64::new(0);
 static GEMM_SHAPES: Mutex<Option<HashMap<[u8; 3], u64>>> = Mutex::new(None);
 static KERNEL_DISPATCH: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
 
@@ -60,16 +59,6 @@ pub fn add_fft_plan_hit() {
 pub fn add_fft_plan_miss() {
     if enabled() {
         FFT_PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Count chunked-collective segment steps executed by the comm progress
-/// engine (safe to call from engine worker threads — a plain atomic, no
-/// thread-local trace stream involved).
-#[inline]
-pub fn add_comm_segments(n: u64) {
-    if enabled() {
-        COMM_SEGMENTS.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -127,8 +116,6 @@ pub struct CounterSnapshot {
     pub fft_plan_hits: u64,
     /// 1-D FFT plan-cache lookups that built a new plan.
     pub fft_plan_misses: u64,
-    /// Chunked-collective segment steps run by the comm progress engine.
-    pub comm_segments: u64,
     /// GEMM shape histogram, sorted by descending call count.
     pub gemm_shapes: Vec<GemmBucket>,
     /// Kernel dispatch decisions `(label, calls)`, sorted by descending call
@@ -163,7 +150,6 @@ pub(crate) fn take_counters() -> CounterSnapshot {
         fft_calls: FFT_CALLS.swap(0, Ordering::Relaxed),
         fft_plan_hits: FFT_PLAN_HITS.swap(0, Ordering::Relaxed),
         fft_plan_misses: FFT_PLAN_MISSES.swap(0, Ordering::Relaxed),
-        comm_segments: COMM_SEGMENTS.swap(0, Ordering::Relaxed),
         gemm_shapes: shapes,
         kernel_dispatch: dispatch,
     }

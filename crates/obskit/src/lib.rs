@@ -37,9 +37,9 @@
 //! The simulated MPI runtime (`parcomm`) runs each rank on its own OS
 //! thread; [`set_rank`] tags the calling thread's stream (lane label
 //! `"rank N"`). Threads that never call it — the main thread, Rayon
-//! workers, progress engines — still record under rank 0 but each gets its
-//! own trace lane, named via [`set_thread_label`] or the OS thread name, so
-//! worker activity no longer pollutes the rank-0 timeline.
+//! workers, the serving scheduler's threads — still record under rank 0 but
+//! each gets its own trace lane, named via [`set_thread_label`] or the OS
+//! thread name, so worker activity no longer pollutes the rank-0 timeline.
 //!
 //! ## Flight recorder
 //!
@@ -65,8 +65,8 @@ pub mod trace;
 
 pub use clock::StageClock;
 pub use counters::{
-    add_bytes_moved, add_comm_segments, add_flops, add_fft_calls, add_fft_plan_hit,
-    add_fft_plan_miss, record_gemm_shape, record_kernel_dispatch, CounterSnapshot,
+    add_bytes_moved, add_flops, add_fft_calls, add_fft_plan_hit, add_fft_plan_miss,
+    record_gemm_shape, record_kernel_dispatch, CounterSnapshot,
 };
 pub use serve::{
     add_serve_breaker_open, add_serve_deadline_miss, add_serve_degraded, add_serve_group_unhealthy,

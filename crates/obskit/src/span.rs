@@ -172,7 +172,7 @@ pub fn set_rank(rank: usize) {
 
 /// Give this thread's trace lane a human-readable name, exported as a
 /// Chrome `thread_name` metadata event. Use for worker/service threads that
-/// are not SPMD ranks (progress engines, schedulers) so they don't read as
+/// are not SPMD ranks (benchmark clients, schedulers) so they don't read as
 /// anonymous rank-0 activity.
 pub fn set_thread_label(label: &str) {
     STREAM.with(|s| s.borrow_mut().label = Some(label.to_string()));

@@ -9,14 +9,14 @@ use std::collections::BTreeMap;
 
 /// One thread lane's event stream, in recording order. A simulated-MPI
 /// rank is usually a single lane, but unranked threads (main thread, Rayon
-/// workers, progress engines) each get their own lane under rank 0 rather
+/// workers, serving threads) each get their own lane under rank 0 rather
 /// than being merged together.
 #[derive(Clone, Debug)]
 pub struct RankTrace {
     pub rank: usize,
     /// Process-unique lane id (distinguishes threads sharing a rank).
     pub tid: u64,
-    /// Human-readable lane name, e.g. `"rank 2"` or `"progress-0"`.
+    /// Human-readable lane name, e.g. `"rank 2"` or `"bench client 0"`.
     pub label: String,
     pub events: Vec<Event>,
 }

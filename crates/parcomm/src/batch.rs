@@ -14,7 +14,7 @@
 //! ## Bitwise identity
 //!
 //! The fused flush reduces the packed buffer with the same ascending
-//! rank-order ring fold the unfused path uses per field. Summation is
+//! rank-order fold the unfused path uses per field. Summation is
 //! element-wise, so packing fields side by side changes *which* elements ride
 //! in one collective but never the fold order *within* an element — fault-free
 //! f64 results are **bitwise identical** to issuing one collective per field
@@ -203,11 +203,7 @@ impl ReducePlan {
         }
         if fusion_enabled() && self.n_fields() > 1 {
             comm.note_fused(self.n_fields() as u64);
-            let sent = std::mem::take(&mut self.buf);
-            let keep = if faultkit::is_armed() { sent.clone() } else { Vec::new() };
-            let rq = comm.iallreduce_sum(sent);
-            self.buf =
-                comm.settle(rq, &RetryPolicy::default(), |c| c.iallreduce_sum(keep.clone()))?;
+            self.buf = resilient_allreduce(comm, std::mem::take(&mut self.buf))?;
         } else {
             for i in 0..self.n_fields() {
                 let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);

@@ -1,17 +1,15 @@
-//! The SPMD engine: thread ranks + request-based collectives.
+//! The SPMD runtime: thread ranks and the blocking collectives.
 //!
-//! Every collective — blocking or not — is executed by the nonblocking
-//! progress engine in [`crate::requests`]: the blocking API below is a thin
-//! *issue-then-wait* wrapper over the same chunked algorithms, so the two
-//! paths are one implementation and stay bitwise-identical by construction.
-//! Blocking calls account under the legacy op labels (`allreduce`, `reduce`,
-//! …); nonblocking calls account under their own `i*` labels, with engine
-//! segment steps tracked separately in [`SegStats`] so per-segment work is
-//! never double-counted against the aggregate fields.
+//! Every collective — blocking or not — runs on the thread that calls it:
+//! the blocking API below is *issue, then wait* over the request machinery
+//! in [`crate::requests`], so the two paths are one implementation and stay
+//! bitwise-identical by construction. Blocking calls account under their own
+//! op labels (`allreduce`, `allgatherv`, …), request calls under their `i*`
+//! labels.
 
 use crate::cost::CostModel;
-use crate::requests::{CommInterval, NbShared, Worker, DEFAULT_SEGMENT_WORDS};
-use std::cell::{Cell, RefCell};
+use crate::requests::{complete_chunks, complete_vals, Deposit, OpCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Instant;
@@ -33,25 +31,9 @@ pub struct OpStats {
 
 /// Payload threshold below which a collective call is **α-dominated**
 /// (latency-bound): at the default [`CostModel`] and 4 ranks, the allreduce
-/// latency and bandwidth terms cross at ~32 KiB — also the engine's segment
-/// size, so anything under it is a single-segment (pure-latency) op.
+/// latency and bandwidth terms cross at ~32 KiB — also the reduction's
+/// segment size, so anything under it is a single-segment (pure-latency) op.
 pub const ALPHA_SMALL_BYTES: u64 = 32 * 1024;
-
-/// Engine-side segment counters. A nonblocking collective is executed as a
-/// stream of segment steps on the progress worker; those steps are counted
-/// here and **only** here — `bytes`/`busy_seconds` below deliberately do
-/// not feed [`CommStats::bytes_sent`] / [`CommStats::measured_seconds`],
-/// which charge each collective exactly once at issue/wait on the caller's
-/// thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SegStats {
-    /// Segment steps executed by this rank's progress worker.
-    pub steps: u64,
-    /// Bytes touched by those steps (fold + copy traffic).
-    pub bytes: u64,
-    /// Seconds the progress worker was busy executing steps.
-    pub busy_seconds: f64,
-}
 
 /// Per-rank communication statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -61,27 +43,21 @@ pub struct CommStats {
     /// Number of collective calls.
     pub collective_calls: u64,
     /// Wall-clock seconds actually spent inside collectives (measured):
-    /// blocked time for the blocking API, issue + `wait()` time for the
-    /// request API. Engine-thread busy time is in [`SegStats`] instead.
+    /// the whole call for the blocking API, issue + `wait()` time for the
+    /// request API.
     pub measured_seconds: f64,
     /// Seconds the α–β model charges for the same collectives.
     pub modeled_seconds: f64,
     /// Per-operation breakdowns; their `calls`/`bytes`/`seconds` sum to the
     /// aggregate fields above.
     pub allreduce: OpStats,
-    pub reduce: OpStats,
-    pub bcast: OpStats,
     pub allgatherv: OpStats,
     pub alltoallv: OpStats,
     pub barrier: OpStats,
     /// Nonblocking (request-based) ops.
     pub ireduce: OpStats,
     pub iallreduce: OpStats,
-    pub ibcast: OpStats,
-    pub iallgatherv: OpStats,
     pub ialltoallv_nb: OpStats,
-    /// Engine segment-step counters (not part of the aggregates above).
-    pub seg: SegStats,
     /// Fused flushes executed by the deferred-reduction scheduler
     /// ([`crate::batch`]): each flush is one collective that replaced
     /// `fused_fields / fused_flushes` small ones on average.
@@ -96,54 +72,80 @@ pub struct CommStats {
 impl CommStats {
     /// The per-operation breakdown as `(label, stats)` rows, in a stable
     /// report order.
-    pub fn per_op(&self) -> [(&'static str, OpStats); 11] {
+    pub fn per_op(&self) -> [(&'static str, OpStats); 7] {
         [
             ("allreduce", self.allreduce),
-            ("reduce", self.reduce),
-            ("bcast", self.bcast),
             ("allgatherv", self.allgatherv),
             ("alltoallv", self.alltoallv),
             ("barrier", self.barrier),
             ("ireduce", self.ireduce),
             ("iallreduce", self.iallreduce),
-            ("ibcast", self.ibcast),
-            ("iallgatherv", self.iallgatherv),
             ("ialltoallv", self.ialltoallv_nb),
         ]
     }
 }
 
-/// Which blocking collective an accounting entry belongs to.
+/// Which collective an accounting entry, span and fault site belong to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CollOp {
+pub(crate) enum Op {
     Allreduce,
-    Reduce,
-    Bcast,
     Allgatherv,
     Alltoallv,
     Barrier,
+    Ireduce,
+    Iallreduce,
+    Ialltoallv,
 }
 
-impl CollOp {
-    fn span_name(self) -> &'static str {
+impl Op {
+    pub(crate) fn span_name(self) -> &'static str {
         match self {
-            CollOp::Allreduce => "mpi:allreduce",
-            CollOp::Reduce => "mpi:reduce",
-            CollOp::Bcast => "mpi:bcast",
-            CollOp::Allgatherv => "mpi:allgatherv",
-            CollOp::Alltoallv => "mpi:alltoallv",
-            CollOp::Barrier => "mpi:barrier",
+            Op::Allreduce => "mpi:allreduce",
+            Op::Allgatherv => "mpi:allgatherv",
+            Op::Alltoallv => "mpi:alltoallv",
+            Op::Barrier => "mpi:barrier",
+            Op::Ireduce => "mpi:ireduce",
+            Op::Iallreduce => "mpi:iallreduce",
+            Op::Ialltoallv => "mpi:ialltoallv",
         }
     }
 
     fn slot(self, stats: &mut CommStats) -> &mut OpStats {
         match self {
-            CollOp::Allreduce => &mut stats.allreduce,
-            CollOp::Reduce => &mut stats.reduce,
-            CollOp::Bcast => &mut stats.bcast,
-            CollOp::Allgatherv => &mut stats.allgatherv,
-            CollOp::Alltoallv => &mut stats.alltoallv,
-            CollOp::Barrier => &mut stats.barrier,
+            Op::Allreduce => &mut stats.allreduce,
+            Op::Allgatherv => &mut stats.allgatherv,
+            Op::Alltoallv => &mut stats.alltoallv,
+            Op::Barrier => &mut stats.barrier,
+            Op::Ireduce => &mut stats.ireduce,
+            Op::Iallreduce => &mut stats.iallreduce,
+            Op::Ialltoallv => &mut stats.ialltoallv_nb,
+        }
+    }
+
+    /// Whether this is a request-API op (its waits are traced and charged).
+    pub(crate) fn is_request(self) -> bool {
+        matches!(self, Op::Ireduce | Op::Iallreduce | Op::Ialltoallv)
+    }
+
+    /// Fault-hook site. Blocking ops all hook under `comm.blocking`, so a
+    /// `FaultPlan` can target the request API without perturbing blocking
+    /// call sites (whose plain `wait` has no drop recovery).
+    pub(crate) fn fault_site(self) -> &'static str {
+        match self {
+            Op::Ireduce => "comm.ireduce",
+            Op::Iallreduce => "comm.iallreduce",
+            Op::Ialltoallv => "comm.ialltoallv",
+            _ => "comm.blocking",
+        }
+    }
+
+    /// Label carried by [`faultkit::CommError`].
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Op::Ireduce => "ireduce",
+            Op::Iallreduce => "iallreduce",
+            Op::Ialltoallv => "ialltoallv",
+            _ => "blocking",
         }
     }
 }
@@ -152,8 +154,9 @@ pub(crate) struct Shared {
     pub(crate) size: usize,
     pub(crate) barrier: Barrier,
     pub(crate) model: CostModel,
-    /// Cross-rank state of the nonblocking progress engine.
-    pub(crate) nb: NbShared,
+    /// Collectives in flight, by op id. A cell leaves once every rank has
+    /// waited on or dropped its request for it.
+    pub(crate) ops: Mutex<HashMap<u64, Arc<OpCell>>>,
     /// Sub-communicator rendezvous for [`Comm::split`], keyed by
     /// `(split sequence number, color)`. The entry is removed once every
     /// member of the group has taken its handle.
@@ -161,12 +164,12 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(size: usize, model: CostModel, segment_words: usize) -> Arc<Shared> {
+    fn new(size: usize, model: CostModel) -> Arc<Shared> {
         Arc::new(Shared {
             size,
             barrier: Barrier::new(size),
             model,
-            nb: NbShared::new(segment_words),
+            ops: Mutex::new(HashMap::new()),
             splits: Mutex::new(HashMap::new()),
         })
     }
@@ -179,32 +182,18 @@ pub(crate) struct SplitEntry {
     taken: usize,
 }
 
-/// Per-rank communicator handle (not shared across threads).
+/// Per-rank communicator handle (not shared across threads). Everything but
+/// `shared` is touched only by the rank's own thread.
 pub struct Comm {
     pub(crate) rank: usize,
     pub(crate) shared: Arc<Shared>,
-    /// Shared with this rank's progress worker (it bumps [`SegStats`]), so
-    /// a mutex rather than a `Cell`; still reset atomically as one struct.
-    pub(crate) stats: Arc<Mutex<CommStats>>,
-    /// Timestamped engine steps since the last
-    /// [`Comm::drain_comm_intervals`].
-    pub(crate) timeline: Arc<Mutex<Vec<CommInterval>>>,
+    stats: Cell<CommStats>,
     /// Per-rank issue counter; SPMD issue order pairs op `n` here with op
     /// `n` on every other rank.
-    pub(crate) next_op: Cell<u64>,
+    next_op: Cell<u64>,
     /// Per-rank [`Comm::split`] counter; splits pair up across ranks by call
     /// order exactly like collectives pair by op id.
-    pub(crate) split_seq: Cell<u64>,
-    /// Lazily spawned progress worker (joined on drop).
-    pub(crate) worker: RefCell<Option<Worker>>,
-}
-
-impl Drop for Comm {
-    fn drop(&mut self) {
-        if let Some(w) = self.worker.borrow_mut().take() {
-            w.shutdown();
-        }
-    }
+    split_seq: Cell<u64>,
 }
 
 impl Comm {
@@ -212,11 +201,9 @@ impl Comm {
         Comm {
             rank,
             shared,
-            stats: Arc::new(Mutex::new(CommStats::default())),
-            timeline: Arc::new(Mutex::new(Vec::new())),
+            stats: Cell::new(CommStats::default()),
             next_op: Cell::new(0),
             split_seq: Cell::new(0),
-            worker: RefCell::new(None),
         }
     }
 
@@ -225,7 +212,7 @@ impl Comm {
     /// before it opens an `mpi:*` span or touches [`CommStats`]. This is what
     /// makes a serial solve the one-rank case of the distributed one.
     pub fn solo() -> Comm {
-        Comm::new(0, Shared::new(1, CostModel::default(), DEFAULT_SEGMENT_WORDS))
+        Comm::new(0, Shared::new(1, CostModel::default()))
     }
 
     #[inline]
@@ -240,31 +227,43 @@ impl Comm {
 
     /// Statistics accumulated by this rank so far.
     pub fn stats(&self) -> CommStats {
-        *lock(&self.stats)
+        self.stats.get()
     }
 
-    /// Reset the statistics counters (e.g. between timed phases). One store:
-    /// aggregate, per-op, per-segment, fused-flush, and latency-bound
-    /// counters all clear together — `CommStats` resets as a
-    /// whole struct, so no field can bleed into the next window.
+    /// Reset the statistics counters (e.g. between timed phases): aggregate,
+    /// per-op, fused-flush and latency-bound counters clear together.
     pub fn reset_stats(&self) {
-        *lock(&self.stats) = CommStats::default();
+        self.stats.take();
     }
 
-    /// Atomically snapshot **and** reset the statistics counters under one
-    /// lock acquisition. This is the per-job stats window primitive for the
-    /// serving scheduler: a `stats()` + `reset_stats()` pair leaves a gap in
-    /// which another collective on a shared progress path could be counted in
-    /// neither window, while `take_stats()` hands every recorded event to
-    /// exactly one window.
+    /// Snapshot **and** reset the statistics counters in one step — the
+    /// per-job stats window of the serving scheduler: every recorded event
+    /// lands in exactly one window.
     pub fn take_stats(&self) -> CommStats {
-        std::mem::take(&mut *lock(&self.stats))
+        self.stats.take()
     }
 
-    fn account(&self, op: CollOp, bytes: usize, t0: Instant, modeled: f64, span: obskit::Span) {
+    fn charge(&self, f: impl FnOnce(&mut CommStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
+    }
+
+    /// Charge `dt` seconds a request waited to its op.
+    pub(crate) fn charge_wait(&self, op: Op, dt: f64) {
+        self.charge(|s| {
+            s.measured_seconds += dt;
+            op.slot(s).seconds += dt;
+        });
+    }
+
+    /// Charge one collective call: its bytes, its modeled time and the wall
+    /// time since `t0`. `span` was opened at the op's entry, so span-derived
+    /// stage timings match `measured_seconds`; it gets its args here and
+    /// closes on drop.
+    pub(crate) fn account(&self, op: Op, bytes: usize, t0: Instant, modeled: f64, span: obskit::Span) {
         let seconds = t0.elapsed().as_secs_f64();
-        {
-            let mut s = lock(&self.stats);
+        self.charge(|s| {
             s.bytes_sent += bytes as u64;
             s.collective_calls += 1;
             s.measured_seconds += seconds;
@@ -272,11 +271,11 @@ impl Comm {
             if bytes as u64 <= ALPHA_SMALL_BYTES {
                 s.alpha_calls += 1;
             }
-            let slot = op.slot(&mut s);
+            let slot = op.slot(s);
             slot.calls += 1;
             slot.bytes += bytes as u64;
             slot.seconds += seconds;
-        }
+        });
         obskit::add_bytes_moved(bytes as u64);
         let mut span = span;
         span.arg("bytes", bytes as f64);
@@ -286,9 +285,18 @@ impl Comm {
     /// Credit one fused flush of `fields` pending reductions to this rank
     /// (called by the [`crate::batch`] scheduler).
     pub(crate) fn note_fused(&self, fields: u64) {
-        let mut s = lock(&self.stats);
-        s.fused_flushes += 1;
-        s.fused_fields += fields;
+        self.charge(|s| {
+            s.fused_flushes += 1;
+            s.fused_fields += fields;
+        });
+    }
+
+    /// Per-rank monotone op id; SPMD issue order matches op `n` here with
+    /// op `n` on every other rank.
+    pub(crate) fn next_op_id(&self) -> u64 {
+        let id = self.next_op.get();
+        self.next_op.set(id + 1);
+        id
     }
 
     /// Synchronize all ranks.
@@ -296,7 +304,7 @@ impl Comm {
         if self.size() == 1 {
             return;
         }
-        let op = CollOp::Barrier;
+        let op = Op::Barrier;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
         self.shared.barrier.wait();
@@ -304,75 +312,22 @@ impl Comm {
         self.account(op, 0, t0, m, sp);
     }
 
-    /// In-place sum-allreduce of `buf` across all ranks. Issue-then-wait
-    /// over the ring engine; the ascending rank-order fold keeps results
-    /// bitwise identical to the historical staging-buffer path.
+    /// In-place sum-allreduce of `buf` across all ranks: every element is
+    /// summed over the ranks in ascending rank order from `+0.0`.
     pub fn allreduce_sum(&self, buf: &mut [f64]) {
         let p = self.size();
         if p == 1 {
             return;
         }
-        let op = CollOp::Allreduce;
+        let op = Op::Allreduce;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let out = self
-            .issue_reduce(buf.to_vec(), 0, true, false, None)
-            .wait();
+        let deposit = Deposit::Reduce { root: None, buf: buf.to_vec() };
+        let out = self.issue(op, deposit, complete_vals).wait();
         buf.copy_from_slice(&out);
         let bytes = buf.len() * 8;
         let m = self.shared.model.allreduce(p, bytes);
         self.account(op, bytes, t0, m, sp);
-    }
-
-    /// Max-allreduce of a scalar.
-    pub fn allreduce_max(&self, v: f64) -> f64 {
-        let p = self.size();
-        if p == 1 {
-            return v;
-        }
-        let op = CollOp::Allreduce;
-        let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
-        let out = self.issue_allreduce_max(vec![v]).wait();
-        let m = self.shared.model.allreduce(p, 8);
-        self.account(op, 8, t0, m, sp);
-        out[0]
-    }
-
-    /// Sum-reduce `buf` to `root`; non-root ranks' buffers are untouched.
-    pub fn reduce_sum(&self, buf: &mut [f64], root: usize) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let op = CollOp::Reduce;
-        let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
-        let out = self
-            .issue_reduce(buf.to_vec(), root, false, false, None)
-            .wait();
-        if self.rank == root {
-            buf.copy_from_slice(&out);
-        }
-        let bytes = buf.len() * 8;
-        let m = self.shared.model.reduce(p, bytes);
-        self.account(op, bytes, t0, m, sp);
-    }
-
-    /// Broadcast `buf` from `root` to all ranks.
-    pub fn bcast(&self, buf: &mut [f64], root: usize) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let op = CollOp::Bcast;
-        let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
-        let out = self.issue_bcast(buf.to_vec(), root, None).wait();
-        buf.copy_from_slice(&out);
-        let bytes = buf.len() * 8;
-        let m = self.shared.model.bcast(p, bytes);
-        self.account(op, if self.rank == root { bytes } else { 0 }, t0, m, sp);
     }
 
     /// Variable all-gather: every rank contributes `mine`, receives the
@@ -382,12 +337,11 @@ impl Comm {
         if p == 1 {
             return mine.to_vec();
         }
-        let op = CollOp::Allgatherv;
+        let op = Op::Allgatherv;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
-        let out = self.issue_gather(mine.to_vec(), None).wait();
-        let total = out.len() * 8;
-        let m = self.shared.model.allgatherv(p, total);
+        let out = self.issue(op, Deposit::Gather(mine.to_vec()), complete_vals).wait();
+        let m = self.shared.model.allgatherv(p, out.len() * 8);
         self.account(op, mine.len() * 8, t0, m, sp);
         out
     }
@@ -400,67 +354,14 @@ impl Comm {
         if p == 1 {
             return send;
         }
-        let op = CollOp::Alltoallv;
+        let op = Op::Alltoallv;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
         let sent_bytes: usize = send.iter().map(|c| c.len() * 8).sum();
-        let recv = self.issue_alltoall(send, None).wait();
+        let recv = self.issue(op, Deposit::Alltoall(send), complete_chunks).wait();
         let m = self.shared.model.alltoallv(p, sent_bytes);
         self.account(op, sent_bytes, t0, m, sp);
         recv
-    }
-
-    // ---- point-to-point-flavoured collectives (formerly collectives_ext)
-
-    /// Gather variable-length contributions at `root`. Non-root ranks get an
-    /// empty vector; `root` gets the concatenation in rank order.
-    pub fn gatherv(&self, mine: &[f64], root: usize) -> Vec<f64> {
-        let all = self.allgatherv(mine);
-        if self.rank() == root {
-            all
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Scatter per-rank chunks from `root`: `chunks` is only read on `root`
-    /// (other ranks pass anything, conventionally `&[]`). Returns my chunk.
-    pub fn scatterv(&self, chunks: &[Vec<f64>], root: usize) -> Vec<f64> {
-        let p = self.size();
-        // Route through alltoallv: root supplies the payload row, everyone
-        // else sends empties.
-        let send: Vec<Vec<f64>> = if self.rank() == root {
-            assert_eq!(chunks.len(), p, "scatterv needs one chunk per rank on root");
-            chunks.to_vec()
-        } else {
-            vec![Vec::new(); p]
-        };
-        let recv = self.alltoallv(send);
-        recv[root].clone()
-    }
-
-    /// Ring shift: send `mine` to `(rank+1) % size`, receive from the left
-    /// neighbour. The building block of systolic matrix algorithms.
-    pub fn ring_shift(&self, mine: &[f64]) -> Vec<f64> {
-        let p = self.size();
-        let mut send: Vec<Vec<f64>> = vec![Vec::new(); p];
-        send[(self.rank() + 1) % p] = mine.to_vec();
-        let recv = self.alltoallv(send);
-        recv[(self.rank() + p - 1) % p].clone()
-    }
-
-    /// Sum a scalar across ranks.
-    pub fn allreduce_sum_scalar(&self, v: f64) -> f64 {
-        let mut buf = [v];
-        self.allreduce_sum(&mut buf);
-        buf[0]
-    }
-
-    /// Exclusive prefix sum of a scalar (rank 0 gets 0.0) — used to compute
-    /// global offsets of variable-length local arrays.
-    pub fn exscan_sum(&self, v: f64) -> f64 {
-        let all = self.allgatherv(&[v]);
-        all[..self.rank()].iter().sum()
     }
 
     /// Split this communicator into disjoint sub-communicators: ranks with
@@ -468,9 +369,9 @@ impl Comm {
     /// `(key, parent rank)` — the MPI `Comm_split` convention.
     ///
     /// Collective on the parent (every rank must call it, in the same call
-    /// order). The returned [`Comm`] has its own rank numbering, barrier,
-    /// progress engine, and [`CommStats`], so a sub-group's collectives are
-    /// accounted separately from the parent's and never pair with them.
+    /// order). The returned [`Comm`] has its own rank numbering, barrier, op
+    /// table, and [`CommStats`], so a sub-group's collectives are accounted
+    /// separately from the parent's and never pair with them.
     pub fn split(&self, color: usize, key: usize) -> Comm {
         let seq = self.split_seq.get();
         self.split_seq.set(seq + 1);
@@ -491,7 +392,7 @@ impl Comm {
         let shared = {
             let mut splits = lock(&self.shared.splits);
             let entry = splits.entry((seq, color as u64)).or_insert_with(|| SplitEntry {
-                shared: Shared::new(group_size, self.shared.model, self.shared.nb.segment_words),
+                shared: Shared::new(group_size, self.shared.model),
                 taken: 0,
             });
             entry.taken += 1;
@@ -522,7 +423,7 @@ where
     F: Fn(&Comm) -> T + Sync,
 {
     assert!(size > 0, "need at least one rank");
-    let shared = Shared::new(size, model, DEFAULT_SEGMENT_WORDS);
+    let shared = Shared::new(size, model);
     let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
     // An armed fault plan on the launching thread extends to every rank:
     // rank threads install the same handle, so per-rank occurrence counters
@@ -545,7 +446,6 @@ where
                 let comm = Comm::new(rank, shared);
                 let out = f(&comm);
                 obskit::flush_thread();
-                // `comm` drops here, joining the progress worker.
                 out
             }));
         }
@@ -586,30 +486,6 @@ mod tests {
         for (a, b) in res {
             assert_eq!(a, 3.0);
             assert_eq!(b, 3.0); // 0+1+2
-        }
-    }
-
-    #[test]
-    fn reduce_only_root_gets_sum() {
-        let res = spmd(4, |c| {
-            let mut buf = vec![2.0];
-            c.reduce_sum(&mut buf, 2);
-            buf[0]
-        });
-        assert_eq!(res[2], 8.0);
-        assert_eq!(res[0], 2.0);
-        assert_eq!(res[3], 2.0);
-    }
-
-    #[test]
-    fn bcast_distributes_roots_data() {
-        let res = spmd(5, |c| {
-            let mut buf = if c.rank() == 1 { vec![7.0, 8.0] } else { vec![0.0, 0.0] };
-            c.bcast(&mut buf, 1);
-            buf
-        });
-        for r in res {
-            assert_eq!(r, vec![7.0, 8.0]);
         }
     }
 
@@ -655,14 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_scalar() {
-        let res = spmd(6, |c| c.allreduce_max((c.rank() as f64 - 2.5).abs()));
-        for r in res {
-            assert_eq!(r, 2.5);
-        }
-    }
-
-    #[test]
     fn stats_account_bytes_and_calls() {
         let res = spmd(2, |c| {
             let mut buf = vec![0.0; 100];
@@ -682,21 +550,21 @@ mod tests {
         let res = spmd(2, |c| {
             let mut buf = vec![1.0; 16];
             c.allreduce_sum(&mut buf);
-            c.bcast(&mut buf, 0);
             let _ = c.allgatherv(&buf);
             let _ = c.alltoallv(vec![vec![1.0], vec![2.0]]);
-            c.reduce_sum(&mut buf, 0);
+            let _ = c.iallreduce_sum(buf.clone()).wait();
+            let _ = c.ireduce_sum(buf.clone(), 0).wait();
             c.barrier();
             c.stats()
         });
         for s in &res {
             assert_eq!(s.allreduce.calls, 1);
-            assert_eq!(s.reduce.calls, 1);
-            assert_eq!(s.bcast.calls, 1);
             assert_eq!(s.allgatherv.calls, 1);
             assert_eq!(s.alltoallv.calls, 1);
+            assert_eq!(s.iallreduce.calls, 1);
+            assert_eq!(s.ireduce.calls, 1);
             assert_eq!(s.barrier.calls, 1);
-            let per: [(&str, OpStats); 11] = s.per_op();
+            let per: [(&str, OpStats); 7] = s.per_op();
             let calls: u64 = per.iter().map(|(_, o)| o.calls).sum();
             let bytes: u64 = per.iter().map(|(_, o)| o.bytes).sum();
             let secs: f64 = per.iter().map(|(_, o)| o.seconds).sum();
@@ -706,29 +574,30 @@ mod tests {
             assert_eq!(s.allreduce.bytes, 128);
             assert_eq!(s.barrier.bytes, 0);
         }
-        // Root contributed bcast bytes, non-root did not.
-        assert_eq!(res[0].bcast.bytes, 128);
-        assert_eq!(res[1].bcast.bytes, 0);
     }
 
     #[test]
-    fn segment_steps_do_not_double_count_aggregates() {
-        // The bugfix this PR guards: engine segment traffic must stay out of
-        // bytes_sent / measured_seconds, which charge each op exactly once.
-        let res = spmd(2, |c| {
-            let mut buf = vec![1.0; 10_000]; // > one segment
+    fn multi_segment_allreduce_is_the_ascending_fold_and_accounts_once() {
+        // Three segments, each claimed by whichever rank gets to it first:
+        // every element must still be `((+0.0 + x₀) + x₁) + x₂`, and the op
+        // is charged once however the segments were shared out.
+        let len = 10_000;
+        let data = |rank: usize| -> Vec<f64> {
+            (0..len).map(|i| ((i * 31 + rank * 17) % 101) as f64 * 1e-2 - 0.5).collect()
+        };
+        let res = spmd(3, |c| {
+            let mut buf = data(c.rank());
             c.allreduce_sum(&mut buf);
-            c.stats()
+            (buf, c.stats())
         });
-        for s in res {
+        let mut want = vec![0.0; len];
+        for rank in 0..3 {
+            want.iter_mut().zip(data(rank)).for_each(|(w, x)| *w += x);
+        }
+        for (got, s) in res {
+            assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
             assert_eq!(s.collective_calls, 1);
             assert_eq!(s.bytes_sent, 80_000);
-            assert!(s.seg.steps >= 2, "chunked algorithm must take multiple steps");
-            assert!(s.seg.bytes >= 80_000);
-            assert!(s.seg.busy_seconds >= 0.0);
-            // Aggregate bytes unchanged by segment traffic.
-            let per_sum: u64 = s.per_op().iter().map(|(_, o)| o.bytes).sum();
-            assert_eq!(per_sum, s.bytes_sent);
         }
     }
 
@@ -790,20 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_segment_counters() {
-        let res = spmd(2, |c| {
-            let mut buf = vec![1.0; 9000];
-            c.allreduce_sum(&mut buf);
-            assert!(c.stats().seg.steps > 0);
-            c.reset_stats();
-            c.stats()
-        });
-        for s in res {
-            assert_eq!(s.seg, SegStats::default());
-        }
-    }
-
-    #[test]
     fn single_rank_everything_is_identity() {
         // The solo communicator lives on the calling thread; its collectives
         // — blocking and request-based — are identities that account nothing.
@@ -811,15 +666,10 @@ mod tests {
         let mut buf = vec![3.0];
         c.barrier();
         c.allreduce_sum(&mut buf);
-        c.reduce_sum(&mut buf, 0);
-        c.bcast(&mut buf, 0);
-        assert_eq!(c.allreduce_max(buf[0]), 3.0);
         assert_eq!(c.allgatherv(&buf), vec![3.0]);
         assert_eq!(c.alltoallv(vec![vec![1.0, 2.0]]), vec![vec![1.0, 2.0]]);
         assert_eq!(c.iallreduce_sum(buf.clone()).wait(), vec![3.0]);
         assert_eq!(c.ireduce_sum(buf.clone(), 0).wait(), vec![3.0]);
-        assert_eq!(c.ibcast(buf.clone(), 0).wait(), vec![3.0]);
-        assert_eq!(c.iallgatherv(&buf).wait(), vec![3.0]);
         assert_eq!(c.ialltoallv(vec![vec![1.0, 2.0]]).wait(), vec![vec![1.0, 2.0]]);
         assert_eq!(buf, vec![3.0]);
         assert_eq!(c.stats(), CommStats::default());
@@ -840,75 +690,6 @@ mod tests {
         let expect: f64 = (0..5).map(|r| (0..16).map(|k| (k + r) as f64).sum::<f64>()).sum();
         for v in res {
             assert_eq!(v, expect);
-        }
-    }
-
-    // ---- formerly collectives_ext tests
-
-    #[test]
-    fn gatherv_only_root_receives() {
-        let res = spmd(4, |c| {
-            let mine = vec![c.rank() as f64; c.rank() + 1];
-            c.gatherv(&mine, 2)
-        });
-        assert!(res[0].is_empty() && res[1].is_empty() && res[3].is_empty());
-        assert_eq!(res[2], vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    fn scatterv_routes_chunks_from_root() {
-        let res = spmd(3, |c| {
-            let chunks = if c.rank() == 1 {
-                vec![vec![10.0], vec![20.0, 21.0], vec![30.0, 31.0, 32.0]]
-            } else {
-                vec![Vec::new(); 3]
-            };
-            c.scatterv(&chunks, 1)
-        });
-        assert_eq!(res[0], vec![10.0]);
-        assert_eq!(res[1], vec![20.0, 21.0]);
-        assert_eq!(res[2], vec![30.0, 31.0, 32.0]);
-    }
-
-    #[test]
-    fn ring_shift_rotates() {
-        let res = spmd(5, |c| {
-            let mine = vec![c.rank() as f64];
-            c.ring_shift(&mine)
-        });
-        for (me, r) in res.iter().enumerate() {
-            let left = (me + 5 - 1) % 5;
-            assert_eq!(r, &vec![left as f64]);
-        }
-    }
-
-    #[test]
-    fn ring_shift_composes_to_identity() {
-        // P shifts bring the data home.
-        let p = 4;
-        let res = spmd(p, |c| {
-            let mut data = vec![c.rank() as f64 * 10.0, 1.0];
-            for _ in 0..p {
-                data = c.ring_shift(&data);
-            }
-            data
-        });
-        for (me, r) in res.iter().enumerate() {
-            assert_eq!(r, &vec![me as f64 * 10.0, 1.0]);
-        }
-    }
-
-    #[test]
-    fn scalar_helpers() {
-        let res = spmd(4, |c| {
-            let sum = c.allreduce_sum_scalar(c.rank() as f64 + 1.0);
-            let offset = c.exscan_sum((c.rank() + 1) as f64);
-            (sum, offset)
-        });
-        for (me, (sum, offset)) in res.iter().enumerate() {
-            assert_eq!(*sum, 10.0);
-            let expect: f64 = (1..=me).map(|r| r as f64).sum();
-            assert_eq!(*offset, expect, "rank {me}");
         }
     }
 }

@@ -117,12 +117,6 @@ impl CostModel {
             self.alpha * (Self::log2p(p) + s - 1.0) + self.beta * bytes as f64
         }
     }
-
-    /// Pipelined (segmented) binomial-tree broadcast — same shape as
-    /// [`CostModel::segmented_reduce`].
-    pub fn segmented_bcast(&self, p: usize, bytes: usize, seg_bytes: usize) -> f64 {
-        self.segmented_reduce(p, bytes, seg_bytes)
-    }
 }
 
 #[cfg(test)]

@@ -35,21 +35,6 @@ pub fn block_ranges(n: usize, p: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Split `0..len` into fixed-size segments of `seg` items (the last one may
-/// be short). The chunked collective algorithms stream one segment per
-/// engine step. `len == 0` yields no segments.
-pub fn segment_ranges(len: usize, seg: usize) -> Vec<Range<usize>> {
-    assert!(seg > 0, "segment size must be positive");
-    let mut out = Vec::with_capacity(len.div_ceil(seg));
-    let mut start = 0;
-    while start < len {
-        let end = (start + seg).min(len);
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
-
 /// Owner rank of global index `i` under [`block_ranges`]`(n, p)`.
 pub fn block_owner(i: usize, n: usize, p: usize) -> usize {
     let base = n / p;

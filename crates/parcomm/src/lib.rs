@@ -6,12 +6,11 @@
 //! * [`spmd`] launches `P` ranks as OS threads executing the same closure
 //!   (SPMD), each holding a [`Comm`] handle;
 //! * [`Comm`] provides the collectives Algorithm 1 uses — `Alltoallv`,
-//!   `Allreduce`, `Reduce`, `Bcast`, `Allgatherv`, `Barrier` — plus their
-//!   **nonblocking request forms** (`ireduce_sum`, `iallreduce_sum`,
-//!   `ibcast`, `ialltoallv`, …) backed by a per-rank progress engine running
-//!   chunked ring algorithms ([`requests`]), so
-//!   communication proceeds while the caller computes and the measured
-//!   overlap fraction can be reported ([`overlap`]);
+//!   `Allreduce`, `Allgatherv`, `Barrier` — plus the **request forms** the
+//!   pipelined paths use (`ireduce_sum`, `iallreduce_sum`, `ialltoallv`).
+//!   Every collective runs on the rank thread that calls it: issue deposits
+//!   the rank's contribution and never blocks, and the waiting rank completes
+//!   the op itself ([`requests`]) — no helper threads;
 //! * [`batch`] fuses many pending small reductions into one collective over
 //!   a packed buffer (bitwise-identical per-field results) and
 //!   [`comm::Comm::split`] carves disjoint sub-communicators — the
@@ -28,14 +27,12 @@ pub mod batch;
 pub mod comm;
 pub mod cost;
 pub mod layout;
-pub mod overlap;
 pub mod redist;
 pub mod requests;
 
 pub use batch::{fusion_enabled, set_fusion_enabled, FusedFields, ReduceBatch, ReducePlan};
-pub use comm::{spmd, spmd_with_model, Comm, CommStats, OpStats, SegStats, ALPHA_SMALL_BYTES};
+pub use comm::{spmd, spmd_with_model, Comm, CommStats, OpStats, ALPHA_SMALL_BYTES};
 pub use cost::CostModel;
-pub use layout::{block_cyclic_owner, block_ranges, segment_ranges, BlockCyclic2D, Layout};
-pub use overlap::{overlap_fraction, ComputeInterval, OverlapStats};
+pub use layout::{block_cyclic_owner, block_ranges, BlockCyclic2D, Layout};
 pub use redist::{col_to_row_blocks, row_to_col_blocks};
-pub use requests::{wait_all, CommInterval, Request, RetryPolicy, DEFAULT_SEGMENT_WORDS};
+pub use requests::{Request, RetryPolicy};

@@ -1,191 +1,40 @@
-//! Request-based nonblocking collectives and their progress engine.
+//! Request-based collectives, completed on the rank that waits.
 //!
-//! Every `i*` collective ([`Comm::ireduce_sum`], [`Comm::iallreduce_sum`],
-//! [`Comm::ibcast`], [`Comm::ialltoallv`], [`Comm::iallgatherv`]) returns a
-//! [`Request`] immediately; the data movement is carried out by a per-rank
-//! **progress worker thread**, so communication genuinely proceeds while the
-//! issuing rank computes. `test()` polls completion without blocking,
-//! `wait()` blocks and hands the payload back, [`wait_all`] drains a batch.
+//! There is no progress engine: every collective runs on the thread that
+//! calls it, in two halves.
 //!
-//! ## Chunked algorithms
+//! * **Issue** ([`Comm::ireduce_sum`], [`Comm::iallreduce_sum`],
+//!   [`Comm::ialltoallv`], and inside every blocking call) deposits this
+//!   rank's contribution in the op's shared cell and returns a [`Request`].
+//!   It never blocks.
+//! * **Completion** happens inside [`Request::wait`] /
+//!   [`Request::wait_deadline`]: the waiting rank does the remaining work
+//!   itself. Reduction waiters claim unfolded 4096-word segments and sum each
+//!   over every rank's deposit in ascending rank order from `+0.0` — the
+//!   per-element order of the blocking sum, so results are bitwise identical
+//!   however the segments were shared out, and one waiter can finish the
+//!   whole op alone. A gather or all-to-all waiter copies or takes its parts.
 //!
-//! Large payloads are processed as a stream of fixed-size **segments**
-//! ([`Comm::segment_words`]), each an independent step through the op's
-//! state machine. A reduction folds each segment in ascending rank order (a
-//! systolic chain, the shared-memory image of a ring reduce-scatter), then
-//! the ranks that need it read it back. The ascending fold order makes
-//! results **bitwise identical** to the legacy blocking deposit-then-sum
-//! path.
-//!
-//! Every segment step bumps the segment-aware [`SegStats`] counters, and
-//! every completed request records a timestamped [`CommInterval`] — the
-//! issue-to-completion window during which the collective was in flight on
-//! the issuing rank — into that rank's timeline.
-//! [`crate::overlap::overlap_fraction`] turns those windows plus the
-//! caller's compute intervals into a measured compute/communication overlap
-//! fraction (paper Fig. 5): comm that is outstanding while the application
-//! computes is overlapped; comm that is outstanding while the caller sits
-//! in `wait` is not.
-//!
-//! ## Issue order and progress model
-//!
-//! Collectives pair up across ranks by per-rank issue order (op `n` on rank
-//! `a` matches op `n` on rank `b`), the SPMD discipline the blocking API
-//! already required. Progress is engine-driven: a request completes whether
-//! or not anyone calls `wait`, and waits may happen in any order without
-//! deadlock. Workers are spawned lazily on the first nonblocking issue and
-//! joined when the rank's [`Comm`] drops.
+//! A wait depends only on the other ranks having *issued*, never on them
+//! having waited, so waits in any order cannot deadlock — opposite orders on
+//! different ranks and requests dropped without a wait included. Ops pair up
+//! across ranks by per-rank issue order (op `n` on rank `a` matches op `n`
+//! on rank `b`), and an op's cell leaves the communicator's table once every
+//! rank has waited on or dropped its request.
 
-use crate::comm::{lock, Comm, CommStats, OpStats};
-use crate::layout::segment_ranges;
+use crate::comm::{lock, Comm, Op};
 use faultkit::{CommError, CommFault};
-use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Words (f64) per segment step: 4096 words = 32 KiB, small enough that a
-/// multi-chunk reduction streams, large enough that per-step bookkeeping is
-/// noise.
-pub const DEFAULT_SEGMENT_WORDS: usize = 4096;
-
-/// One request-outstanding window: from the caller's issue of a nonblocking
-/// collective to the completion of this rank's duty in it, in seconds since
-/// the SPMD epoch ([`Comm::now_secs`] uses the same origin). Compute the
-/// caller performs inside this window is genuinely overlapped with the
-/// communication (the standard "availability" methodology of MPI overlap
-/// benchmarks, which stays meaningful even when rank threads and engine
-/// threads share cores).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CommInterval {
-    pub start: f64,
-    pub end: f64,
-    pub bytes: u64,
-}
+/// Words (f64) per reduction segment, the unit one waiter claims: 32 KiB,
+/// so a large reduction is shared out among its waiters and a
+/// latency-bound one is a single claim.
+const SEGMENT_WORDS: usize = 4096;
 
 /// `Condvar::wait` with poison recovery (same policy as [`lock`]).
 fn cv_wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|p| p.into_inner())
-}
-
-// ---------------------------------------------------------------- requests
-
-struct Slot<T> {
-    m: Mutex<Option<T>>,
-    cv: Condvar,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Slot { m: Mutex::new(None), cv: Condvar::new() }
-    }
-
-    fn ready(v: T) -> Self {
-        Slot { m: Mutex::new(Some(v)), cv: Condvar::new() }
-    }
-
-    fn put(&self, v: T) {
-        *lock(&self.m) = Some(v);
-        self.cv.notify_all();
-    }
-
-    fn try_take(&self) -> Option<T> {
-        lock(&self.m).take()
-    }
-
-    fn take_blocking(&self) -> T {
-        let mut g = lock(&self.m);
-        loop {
-            match g.take() {
-                Some(v) => return v,
-                None => g = cv_wait(&self.cv, g),
-            }
-        }
-    }
-
-    /// Blocking take with a deadline; `None` when the deadline expires with
-    /// the slot still empty.
-    fn take_timeout(&self, d: Duration) -> Option<T> {
-        let deadline = Instant::now() + d;
-        let mut g = lock(&self.m);
-        loop {
-            if let Some(v) = g.take() {
-                return Some(v);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (ng, timeout) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            g = ng;
-            if timeout.timed_out() {
-                return g.take();
-            }
-        }
-    }
-}
-
-/// Which nonblocking op a request accounts against.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum NbOp {
-    Ireduce,
-    Iallreduce,
-    Ibcast,
-    Iallgatherv,
-    Ialltoallv,
-}
-
-impl NbOp {
-    pub(crate) fn slot(self, s: &mut CommStats) -> &mut OpStats {
-        match self {
-            NbOp::Ireduce => &mut s.ireduce,
-            NbOp::Iallreduce => &mut s.iallreduce,
-            NbOp::Ibcast => &mut s.ibcast,
-            NbOp::Iallgatherv => &mut s.iallgatherv,
-            NbOp::Ialltoallv => &mut s.ialltoallv_nb,
-        }
-    }
-
-    fn span_name(self) -> &'static str {
-        match self {
-            NbOp::Ireduce => "mpi:ireduce",
-            NbOp::Iallreduce => "mpi:iallreduce",
-            NbOp::Ibcast => "mpi:ibcast",
-            NbOp::Iallgatherv => "mpi:iallgatherv",
-            NbOp::Ialltoallv => "mpi:ialltoallv",
-        }
-    }
-
-    /// Fault-hook site for this op. Blocking wrappers issue with no `NbOp`
-    /// accounting and hook under `comm.blocking`, so a `FaultPlan` can
-    /// target the request API without perturbing blocking call sites (whose
-    /// plain `wait` has no drop recovery).
-    fn fault_site(op: Option<NbOp>) -> &'static str {
-        match op {
-            Some(NbOp::Ireduce) => "comm.ireduce",
-            Some(NbOp::Iallreduce) => "comm.iallreduce",
-            Some(NbOp::Ibcast) => "comm.ibcast",
-            Some(NbOp::Iallgatherv) => "comm.iallgatherv",
-            Some(NbOp::Ialltoallv) => "comm.ialltoallv",
-            None => "comm.blocking",
-        }
-    }
-
-    fn op_label(op: Option<NbOp>) -> &'static str {
-        match op {
-            Some(NbOp::Ireduce) => "ireduce",
-            Some(NbOp::Iallreduce) => "iallreduce",
-            Some(NbOp::Ibcast) => "ibcast",
-            Some(NbOp::Iallgatherv) => "iallgatherv",
-            Some(NbOp::Ialltoallv) => "ialltoallv",
-            None => "blocking",
-        }
-    }
 }
 
 /// Deadline/backoff budget for [`Request::wait_deadline`] and
@@ -201,9 +50,9 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        // Engine completions are sub-millisecond; 60 ms + linear backoff
-        // tolerates CI scheduling hiccups while a genuinely stalled engine
-        // (or an injected `CommStall` larger than the whole budget) is
+        // A wait completes as soon as every rank has issued; 60 ms + linear
+        // backoff tolerates CI scheduling hiccups while a genuinely stalled
+        // peer (or an injected `CommStall` larger than the whole budget) is
         // surfaced within ~1 s.
         RetryPolicy {
             deadline: Duration::from_millis(60),
@@ -213,99 +62,240 @@ impl Default for RetryPolicy {
     }
 }
 
-struct ReqAcct {
-    stats: Arc<Mutex<CommStats>>,
-    op: NbOp,
+/// One rank's contribution to a collective, handed over at issue.
+pub(crate) enum Deposit {
+    /// Sum-reduce `buf` to `root`, or to every rank when `root` is `None`.
+    Reduce { root: Option<usize>, buf: Vec<f64> },
+    /// All-gather `mine` in rank order.
+    Gather(Vec<f64>),
+    /// All-to-all: chunk `q` goes to rank `q`.
+    Alltoall(Vec<Vec<f64>>),
 }
 
-/// Handle to an in-flight nonblocking collective. The payload type depends
-/// on the op: `Vec<f64>` for reductions/bcast/allgatherv, `Vec<Vec<f64>>`
-/// for all-to-all.
-///
-/// `wait` after a successful `test` is idempotent: the payload is cached on
-/// the request and handed back without blocking. Dropping a request without
-/// waiting is allowed — the engine still completes the collective (every
-/// rank's duties were enqueued at issue), only the payload is discarded.
-pub struct Request<T = Vec<f64>> {
-    slot: Arc<Slot<T>>,
-    taken: Option<T>,
-    acct: Option<ReqAcct>,
-    /// Fault injection dropped this request before submission; the payload
-    /// will never arrive and the issuing rank must re-issue
-    /// ([`Comm::settle`] does).
-    dropped: bool,
-    op: &'static str,
+/// Finishes a request on the waiting rank: `None` when `deadline` passed
+/// before every rank's deposit was visible.
+pub(crate) type Complete<T> = fn(&OpCell, usize, Option<Instant>) -> Option<T>;
+
+/// One collective in flight, shared by the ranks through the op table.
+pub(crate) struct OpCell {
+    /// The root of a reduce-to-root; `None` for every other op.
+    root: Option<usize>,
+    st: Mutex<OpState>,
+    cv: Condvar,
 }
 
-impl<T> Request<T> {
-    fn pending(slot: Arc<Slot<T>>, acct: Option<ReqAcct>, op: &'static str) -> Self {
-        Request { slot, taken: None, acct, dropped: false, op }
+struct OpState {
+    /// When each rank's deposit becomes visible; `None` until it issues. A
+    /// `CommDelay`/`CommStall` fault pushes this past the issue instant.
+    visible_at: Vec<Option<Instant>>,
+    parts: Parts,
+    /// Ranks that have waited on or dropped their request.
+    released: usize,
+}
+
+/// The deposits, by completion kind.
+enum Parts {
+    Reduce(Reduction),
+    /// Each rank's contribution, copied by every waiter.
+    Gather(Vec<Vec<f64>>),
+    /// `boxes[src][dst]`: the chunk `src` sent to `dst`, taken by `dst`.
+    Alltoall(Vec<Vec<Vec<f64>>>),
+}
+
+struct Reduction {
+    len: usize,
+    /// Every rank's buffer, shared read-only with the waiters folding it,
+    /// until its owner takes it back as its output.
+    bufs: Vec<Option<Arc<Vec<f64>>>>,
+    /// Segments handed to a waiter so far, in index order.
+    claimed: usize,
+    /// The folded segments.
+    sums: Vec<Option<Arc<Vec<f64>>>>,
+    folded: usize,
+}
+
+impl OpCell {
+    fn new(p: usize, first: &Deposit) -> OpCell {
+        let (root, parts) = match first {
+            Deposit::Reduce { root, buf } => (
+                *root,
+                Parts::Reduce(Reduction {
+                    len: buf.len(),
+                    bufs: vec![None; p],
+                    claimed: 0,
+                    sums: vec![None; buf.len().div_ceil(SEGMENT_WORDS)],
+                    folded: 0,
+                }),
+            ),
+            Deposit::Gather(_) => (None, Parts::Gather(vec![Vec::new(); p])),
+            Deposit::Alltoall(_) => (None, Parts::Alltoall(vec![Vec::new(); p])),
+        };
+        let st = OpState { visible_at: vec![None; p], parts, released: 0 };
+        OpCell { root, st: Mutex::new(st), cv: Condvar::new() }
     }
 
-    fn ready(v: T) -> Self {
-        Request {
-            slot: Arc::new(Slot::ready(v)),
-            taken: None,
-            acct: None,
-            dropped: false,
-            op: "local",
-        }
-    }
-
-    fn make_dropped(op: &'static str) -> Self {
-        Request { slot: Arc::new(Slot::new()), taken: None, acct: None, dropped: true, op }
-    }
-
-    /// Whether fault injection dropped this request at issue. A dropped
-    /// request never completes; re-issue it (symmetrically on every rank —
-    /// the injection decision is) or hand it to [`Comm::settle`].
-    pub fn is_dropped(&self) -> bool {
-        self.dropped
-    }
-
-    /// Nonblocking completion poll. Returns `true` once the collective has
-    /// finished; the payload is then pinned to this handle for `wait`.
-    pub fn test(&mut self) -> bool {
-        if self.taken.is_some() {
-            return true;
-        }
-        match self.slot.try_take() {
-            Some(v) => {
-                self.taken = Some(v);
-                true
+    /// Lock the cell once every rank's deposit is visible, or `None` once
+    /// `deadline` passes first. Nobody signals a delayed deposit turning
+    /// visible, so the wait times out at that instant.
+    fn all_visible(&self, deadline: Option<Instant>) -> Option<MutexGuard<'_, OpState>> {
+        let mut g = lock(&self.st);
+        loop {
+            let now = Instant::now();
+            // When the last deposit shows; `None` while a rank has not issued.
+            let last = g.visible_at.iter().try_fold(now, |t, v| v.map(|v| t.max(v)));
+            if last == Some(now) {
+                return Some(g);
             }
-            None => false,
+            if deadline.is_some_and(|d| d <= now) {
+                return None;
+            }
+            g = match last.into_iter().chain(deadline).min() {
+                Some(until) => {
+                    self.cv.wait_timeout(g, until - now).unwrap_or_else(|p| p.into_inner()).0
+                }
+                None => cv_wait(&self.cv, g),
+            };
         }
     }
 
-    /// Block until completion and hand back the payload. Blocked time is
-    /// charged to the issuing rank's [`CommStats`] (the engine's own busy
-    /// time is *not* — it lives in the segment counters).
-    pub fn wait(mut self) -> T {
-        if let Some(v) = self.taken.take() {
-            return v;
+    /// Fold every segment no waiter has claimed yet — outside the lock, so
+    /// waiters fold in parallel — wait out the ones another waiter holds,
+    /// then return the sum in this rank's own deposit buffer.
+    fn fold<'a>(&'a self, mut g: MutexGuard<'a, OpState>, rank: usize) -> Vec<f64> {
+        loop {
+            let Parts::Reduce(r) = &mut g.parts else { unreachable!("fold of a non-reduction") };
+            if r.claimed < r.sums.len() {
+                let seg = r.claimed;
+                r.claimed += 1;
+                let range = seg * SEGMENT_WORDS..(seg * SEGMENT_WORDS + SEGMENT_WORDS).min(r.len);
+                let bufs: Vec<Arc<Vec<f64>>> =
+                    r.bufs.iter().map(|b| Arc::clone(b.as_ref().expect("deposited"))).collect();
+                drop(g);
+                let mut sum = vec![0.0; range.len()];
+                for buf in &bufs {
+                    sum.iter_mut().zip(&buf[range.clone()]).for_each(|(s, x)| *s += x);
+                }
+                drop(bufs);
+                g = lock(&self.st);
+                let Parts::Reduce(r) = &mut g.parts else { unreachable!() };
+                r.sums[seg] = Some(Arc::new(sum));
+                r.folded += 1;
+                if r.folded == r.sums.len() {
+                    self.cv.notify_all();
+                }
+            } else if r.folded < r.sums.len() {
+                g = cv_wait(&self.cv, g);
+            } else {
+                // Every segment is folded, so no waiter reads a deposit any
+                // more: this rank's own buffer becomes its output.
+                let mine = r.bufs[rank].take().expect("a rank completes a reduction once");
+                let sums: Vec<Arc<Vec<f64>>> =
+                    r.sums.iter().map(|s| Arc::clone(s.as_ref().expect("folded"))).collect();
+                drop(g);
+                let mut out = Arc::try_unwrap(mine).unwrap_or_else(|shared| shared.to_vec());
+                for (chunk, sum) in out.chunks_mut(SEGMENT_WORDS).zip(&sums) {
+                    chunk.copy_from_slice(sum);
+                }
+                return out;
+            }
         }
-        assert!(
-            !self.dropped,
-            "wait() on a request dropped by fault injection (op `{}`); \
-             use wait_deadline/Comm::settle on fault-injected paths",
-            self.op
-        );
-        let span = self.acct.as_ref().map(|_| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
-        let t0 = Instant::now();
-        let v = self.slot.take_blocking();
-        self.charge_wait(t0);
-        drop(span);
-        v
+    }
+}
+
+/// Completion of reductions and gathers. A non-root rank of a
+/// reduce-to-root owes nothing past its deposit and returns at once.
+pub(crate) fn complete_vals(
+    cell: &OpCell,
+    rank: usize,
+    deadline: Option<Instant>,
+) -> Option<Vec<f64>> {
+    if cell.root.is_some_and(|root| root != rank) {
+        return Some(Vec::new());
+    }
+    let g = cell.all_visible(deadline)?;
+    if let Parts::Gather(parts) = &g.parts {
+        return Some(parts.concat());
+    }
+    Some(cell.fold(g, rank))
+}
+
+/// Completion of all-to-all: take the chunk every rank sent this one.
+pub(crate) fn complete_chunks(
+    cell: &OpCell,
+    rank: usize,
+    deadline: Option<Instant>,
+) -> Option<Vec<Vec<f64>>> {
+    let mut g = cell.all_visible(deadline)?;
+    let Parts::Alltoall(boxes) = &mut g.parts else { unreachable!("chunks of a non-all-to-all") };
+    Some(boxes.iter_mut().map(|sent| std::mem::take(&mut sent[rank])).collect())
+}
+
+/// Handle to an issued collective. The payload type depends on the op:
+/// `Vec<f64>` for reductions, `Vec<Vec<f64>>` for all-to-all.
+///
+/// Dropping a request without waiting is allowed: this rank's deposit stays
+/// for the ranks that do wait, and only its own payload is discarded.
+pub struct Request<'c, T = Vec<f64>> {
+    comm: &'c Comm,
+    op: Op,
+    state: State<T>,
+}
+
+enum State<T> {
+    /// Solo communicator: complete at issue, taken by the wait.
+    Ready(Option<T>),
+    /// Deposited in op `id`'s cell; `complete` finishes it on this rank.
+    Issued { id: u64, cell: Arc<OpCell>, complete: Complete<T> },
+    /// Fault injection dropped it before an op id was taken; the issuing
+    /// rank must re-issue ([`Comm::settle`] does).
+    Dropped,
+}
+
+impl<'c, T> Request<'c, T> {
+    fn ready(comm: &'c Comm, op: Op, v: T) -> Self {
+        Request { comm, op, state: State::Ready(Some(v)) }
+    }
+
+    fn is_dropped(&self) -> bool {
+        matches!(self.state, State::Dropped)
+    }
+
+    /// Request-API waits on a real group are traced and charged; blocking
+    /// calls charge their whole call instead.
+    fn traced(&self) -> bool {
+        self.op.is_request() && matches!(self.state, State::Issued { .. })
+    }
+
+    fn complete(&mut self, deadline: Option<Instant>) -> Option<T> {
+        match &mut self.state {
+            State::Ready(v) => v.take(),
+            State::Issued { cell, complete, .. } => complete(cell, self.comm.rank, deadline),
+            State::Dropped => None,
+        }
     }
 
     fn charge_wait(&self, t0: Instant) {
-        if let Some(a) = &self.acct {
-            let dt = t0.elapsed().as_secs_f64();
-            let mut s = lock(&a.stats);
-            s.measured_seconds += dt;
-            a.op.slot(&mut s).seconds += dt;
+        if self.traced() {
+            self.comm.charge_wait(self.op, t0.elapsed().as_secs_f64());
         }
+    }
+
+    /// Block until completion and hand back the payload. The waiting rank
+    /// finishes the op itself; the time is charged to its
+    /// [`CommStats`](crate::CommStats).
+    pub fn wait(mut self) -> T {
+        assert!(
+            !self.is_dropped(),
+            "wait() on a request dropped by fault injection (op `{}`); \
+             use wait_deadline/Comm::settle on fault-injected paths",
+            self.op.label()
+        );
+        let span = self.traced().then(|| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
+        let t0 = Instant::now();
+        let v = self.complete(None).expect("a wait without a deadline completes");
+        self.charge_wait(t0);
+        drop(span);
+        v
     }
 
     /// Wait with a deadline/backoff budget. Attempt `k` blocks for
@@ -318,18 +308,16 @@ impl<T> Request<T> {
     /// SPMD op-id matching across ranks. Only symmetrically-dropped requests
     /// are re-issued ([`Comm::settle`]).
     pub fn wait_deadline(mut self, policy: &RetryPolicy) -> Result<T, CommError> {
-        if let Some(v) = self.taken.take() {
-            return Ok(v);
+        if self.is_dropped() {
+            return Err(CommError::Dropped { op: self.op.label() });
         }
-        if self.dropped {
-            return Err(CommError::Dropped { op: self.op });
-        }
-        let span = self.acct.as_ref().map(|_| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
+        let span = self.traced().then(|| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
         let t0 = Instant::now();
+        let attempts = policy.max_attempts.max(1);
         let mut waited = Duration::ZERO;
-        for attempt in 0..policy.max_attempts.max(1) {
+        for attempt in 0..attempts {
             let d = policy.deadline + policy.backoff * attempt;
-            if let Some(v) = self.slot.take_timeout(d) {
+            if let Some(v) = self.complete(Some(Instant::now() + d)) {
                 self.charge_wait(t0);
                 drop(span);
                 return Ok(v);
@@ -337,715 +325,116 @@ impl<T> Request<T> {
             waited += d;
         }
         self.charge_wait(t0);
-        Err(CommError::Stalled { op: self.op, waited, attempts: policy.max_attempts.max(1) })
+        Err(CommError::Stalled { op: self.op.label(), waited, attempts })
     }
 }
 
-/// Wait on a batch of requests, returning payloads in issue order.
-pub fn wait_all<T>(reqs: Vec<Request<T>>) -> Vec<T> {
-    reqs.into_iter().map(Request::wait).collect()
-}
-
-// ------------------------------------------------------------------ engine
-
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-pub(crate) struct Worker {
-    tx: Sender<Task>,
-    handle: JoinHandle<()>,
-}
-
-impl Worker {
-    fn spawn(rank: usize) -> Worker {
-        let (tx, rx) = std::sync::mpsc::channel::<Task>();
-        let handle = std::thread::Builder::new()
-            .name(format!("parcomm-nb-{rank}"))
-            .spawn(move || {
-                // FIFO drain; the channel closing (Comm drop) ends the loop.
-                // The engine thread records no spans of its own (engine work
-                // is observable via SegStats and the timeline), but label
-                // its lane anyway: anything that *does* record here — flight
-                // events, future instrumentation — must not read as
-                // anonymous rank-0 activity.
-                obskit::set_thread_label(&format!("progress-{rank}"));
-                for task in rx {
-                    task();
-                }
-            })
-            .expect("spawn progress worker");
-        Worker { tx, handle }
-    }
-
-    fn send(&self, task: Task) {
-        self.tx.send(task).expect("progress worker alive");
-    }
-
-    pub(crate) fn shutdown(self) {
-        drop(self.tx);
-        let _ = self.handle.join();
-    }
-}
-
-/// Cross-rank shared state of the nonblocking engine.
-pub(crate) struct NbShared {
-    pub(crate) epoch: Instant,
-    pub(crate) segment_words: usize,
-    ops: Mutex<HashMap<u64, OpCell>>,
-}
-
-impl NbShared {
-    pub(crate) fn new(segment_words: usize) -> Self {
-        NbShared {
-            epoch: Instant::now(),
-            segment_words: segment_words.max(1),
-            ops: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn retire(&self, id: u64) {
-        lock(&self.ops).remove(&id);
-    }
-}
-
-#[derive(Clone)]
-enum OpCell {
-    Reduce(Arc<ReduceCell>),
-    Bcast(Arc<BcastCell>),
-    Gather(Arc<GatherCell>),
-    A2a(Arc<A2aCell>),
-}
-
-/// Per-task context cloned into the worker closure: everything a step needs
-/// to synchronize, time itself, and account.
-struct Ctx {
-    nb: Arc<crate::comm::Shared>,
-    id: u64,
-    rank: usize,
-    size: usize,
-    timeline: Arc<Mutex<Vec<CommInterval>>>,
-    stats: Arc<Mutex<CommStats>>,
-}
-
-impl Ctx {
-    /// Account one engine segment step (fold/publish/copy) in [`SegStats`].
-    fn record(&self, t0: Instant, bytes: u64) {
-        let epoch = self.nb.nb.epoch;
-        let start = t0.duration_since(epoch).as_secs_f64();
-        let end = epoch.elapsed().as_secs_f64();
-        let mut s = lock(&self.stats);
-        s.seg.steps += 1;
-        s.seg.bytes += bytes;
-        s.seg.busy_seconds += end - start;
-        drop(s);
-        obskit::add_comm_segments(1);
-    }
-
-    /// Close this rank's request-outstanding window: called by the engine
-    /// the moment the rank's duty in the collective completes (not when the
-    /// caller gets around to `wait`ing), so the window's end is the true
-    /// completion time.
-    fn record_window(&self, issued_at: f64, bytes: u64) {
-        let end = self.nb.nb.epoch.elapsed().as_secs_f64();
-        lock(&self.timeline).push(CommInterval { start: issued_at, end, bytes });
-    }
-
-    /// Mark this rank done with the op; the last rank retires the cell.
-    fn finish(&self, finished: &Mutex<usize>) {
-        let done = {
-            let mut f = lock(finished);
-            *f += 1;
-            *f == self.size
-        };
-        if done {
-            self.nb.nb.retire(self.id);
-        }
-    }
-}
-
-// ------------------------------------------------------------ reduce cells
-
-struct ReduceCell {
-    len: usize,
-    root: usize,
-    all: bool,
-    max_op: bool,
-    segs: Vec<Range<usize>>,
-    st: Mutex<RedState>,
-    cv: Condvar,
-    finished: Mutex<usize>,
-}
-
-struct RedState {
-    /// The single ordered accumulation buffer.
-    acc: Vec<f64>,
-    /// Next rank allowed to fold each segment.
-    next_rank: Vec<usize>,
-    /// Segment fully reduced.
-    done: Vec<bool>,
-}
-
-impl ReduceCell {
-    fn new(len: usize, root: usize, all: bool, max_op: bool, seg: usize) -> Self {
-        let segs = segment_ranges(len, seg);
-        let init = if max_op { f64::NEG_INFINITY } else { 0.0 };
-        let nseg = segs.len();
-        ReduceCell {
-            len,
-            root,
-            all,
-            max_op,
-            st: Mutex::new(RedState {
-                acc: vec![init; len],
-                next_rank: vec![0; nseg],
-                done: vec![false; nseg],
-            }),
-            cv: Condvar::new(),
-            finished: Mutex::new(0),
-            segs,
-        }
-    }
-
-    #[inline]
-    fn fold(max_op: bool, acc: &mut [f64], x: &[f64]) {
-        if max_op {
-            for (a, v) in acc.iter_mut().zip(x) {
-                *a = a.max(*v);
-            }
-        } else {
-            for (a, v) in acc.iter_mut().zip(x) {
-                *a += *v;
+impl<T> Drop for Request<'_, T> {
+    /// Release this rank's hold on the op; the last rank out retires the
+    /// cell from the op table.
+    fn drop(&mut self) {
+        if let State::Issued { id, cell, .. } = &self.state {
+            let last = {
+                let mut g = lock(&cell.st);
+                g.released += 1;
+                g.released == self.comm.size()
+            };
+            if last {
+                lock(&self.comm.shared.ops).remove(id);
             }
         }
     }
-
-    /// This rank's whole part of the collective, run on the progress
-    /// worker. Returns the payload for this rank's request.
-    fn run(&self, ctx: &Ctx, mut data: Vec<f64>) -> Vec<f64> {
-        let (p, rank) = (ctx.size, ctx.rank);
-        // Fold phase: ascending rank order per segment — a systolic chain
-        // whose sum order matches the legacy blocking path bitwise.
-        for (si, seg) in self.segs.iter().enumerate() {
-            let mut g = lock(&self.st);
-            while g.next_rank[si] != rank {
-                g = cv_wait(&self.cv, g);
-            }
-            let t0 = Instant::now();
-            Self::fold(self.max_op, &mut g.acc[seg.clone()], &data[seg.clone()]);
-            g.next_rank[si] += 1;
-            if g.next_rank[si] == p {
-                g.done[si] = true;
-            }
-            drop(g);
-            self.cv.notify_all();
-            ctx.record(t0, (seg.len() * 8) as u64);
-        }
-        // Read-back phase.
-        let out = if self.all {
-            for (si, seg) in self.segs.iter().enumerate() {
-                let mut g = lock(&self.st);
-                while !g.done[si] {
-                    g = cv_wait(&self.cv, g);
-                }
-                let t0 = Instant::now();
-                data[seg.clone()].copy_from_slice(&g.acc[seg.clone()]);
-                drop(g);
-                ctx.record(t0, (seg.len() * 8) as u64);
-            }
-            data
-        } else if rank == self.root {
-            let mut g = lock(&self.st);
-            while !g.done.iter().all(|d| *d) {
-                g = cv_wait(&self.cv, g);
-            }
-            // Only the root reads the accumulator — move it out.
-            std::mem::take(&mut g.acc)
-        } else {
-            Vec::new()
-        };
-        ctx.finish(&self.finished);
-        out
-    }
 }
-
-// ------------------------------------------------------------- bcast cell
-
-struct BcastCell {
-    root: usize,
-    segs: Vec<Range<usize>>,
-    st: Mutex<BcState>,
-    cv: Condvar,
-    finished: Mutex<usize>,
-}
-
-struct BcState {
-    data: Vec<f64>,
-    published: usize,
-}
-
-impl BcastCell {
-    fn new(len: usize, root: usize, seg: usize) -> Self {
-        BcastCell {
-            root,
-            segs: segment_ranges(len, seg),
-            st: Mutex::new(BcState { data: vec![0.0; len], published: 0 }),
-            cv: Condvar::new(),
-            finished: Mutex::new(0),
-        }
-    }
-
-    fn run(&self, ctx: &Ctx, mut data: Vec<f64>) -> Vec<f64> {
-        if ctx.rank == self.root {
-            for (si, seg) in self.segs.iter().enumerate() {
-                let mut g = lock(&self.st);
-                let t0 = Instant::now();
-                g.data[seg.clone()].copy_from_slice(&data[seg.clone()]);
-                g.published = si + 1;
-                drop(g);
-                self.cv.notify_all();
-                ctx.record(t0, (seg.len() * 8) as u64);
-            }
-        } else {
-            for (si, seg) in self.segs.iter().enumerate() {
-                let mut g = lock(&self.st);
-                while g.published <= si {
-                    g = cv_wait(&self.cv, g);
-                }
-                let t0 = Instant::now();
-                data[seg.clone()].copy_from_slice(&g.data[seg.clone()]);
-                drop(g);
-                ctx.record(t0, (seg.len() * 8) as u64);
-            }
-        }
-        ctx.finish(&self.finished);
-        data
-    }
-}
-
-// ------------------------------------------------------------ gather cell
-
-struct GatherCell {
-    st: Mutex<GatherState>,
-    cv: Condvar,
-    finished: Mutex<usize>,
-}
-
-struct GatherState {
-    parts: Vec<Option<Vec<f64>>>,
-}
-
-impl GatherCell {
-    fn new(p: usize) -> Self {
-        GatherCell {
-            st: Mutex::new(GatherState { parts: (0..p).map(|_| None).collect() }),
-            cv: Condvar::new(),
-            finished: Mutex::new(0),
-        }
-    }
-
-    fn run(&self, ctx: &Ctx, mine: Vec<f64>) -> Vec<f64> {
-        {
-            let mut g = lock(&self.st);
-            g.parts[ctx.rank] = Some(mine);
-            drop(g);
-            self.cv.notify_all();
-        }
-        let mut out = Vec::new();
-        for r in 0..ctx.size {
-            let mut g = lock(&self.st);
-            while g.parts[r].is_none() {
-                g = cv_wait(&self.cv, g);
-            }
-            let t0 = Instant::now();
-            let part = g.parts[r].as_ref().expect("deposited");
-            out.extend_from_slice(part);
-            let bytes = (part.len() * 8) as u64;
-            drop(g);
-            ctx.record(t0, bytes);
-        }
-        ctx.finish(&self.finished);
-        out
-    }
-}
-
-// --------------------------------------------------------- all-to-all cell
-
-struct A2aCell {
-    st: Mutex<A2aState>,
-    cv: Condvar,
-    finished: Mutex<usize>,
-}
-
-struct A2aState {
-    /// `boxes[src][dst]`: the chunk src sent to dst, taken by dst.
-    boxes: Vec<Vec<Option<Vec<f64>>>>,
-}
-
-impl A2aCell {
-    fn new(p: usize) -> Self {
-        A2aCell {
-            st: Mutex::new(A2aState {
-                boxes: (0..p).map(|_| (0..p).map(|_| None).collect()).collect(),
-            }),
-            cv: Condvar::new(),
-            finished: Mutex::new(0),
-        }
-    }
-
-    fn run(&self, ctx: &Ctx, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        let sizes: Vec<u64> = send.iter().map(|c| (c.len() * 8) as u64).collect();
-        {
-            let t0 = Instant::now();
-            let mut g = lock(&self.st);
-            for (dst, chunk) in send.into_iter().enumerate() {
-                g.boxes[ctx.rank][dst] = Some(chunk);
-            }
-            drop(g);
-            self.cv.notify_all();
-            ctx.record(t0, sizes.iter().sum());
-        }
-        let mut recv = Vec::with_capacity(ctx.size);
-        for src in 0..ctx.size {
-            let mut g = lock(&self.st);
-            while g.boxes[src][ctx.rank].is_none() {
-                g = cv_wait(&self.cv, g);
-            }
-            let t0 = Instant::now();
-            let chunk = g.boxes[src][ctx.rank].take().expect("deposited");
-            let bytes = (chunk.len() * 8) as u64;
-            drop(g);
-            ctx.record(t0, bytes);
-            recv.push(chunk);
-        }
-        ctx.finish(&self.finished);
-        recv
-    }
-}
-
-// --------------------------------------------------- issue paths on `Comm`
 
 impl Comm {
-    /// Seconds since the SPMD epoch — the time origin of
-    /// [`CommInterval`] timestamps, for callers recording compute
-    /// intervals to overlap against.
-    pub fn now_secs(&self) -> f64 {
-        self.shared.nb.epoch.elapsed().as_secs_f64()
-    }
-
-    /// Segment size (in f64 words) of the chunked algorithms.
-    pub fn segment_words(&self) -> usize {
-        self.shared.nb.segment_words
-    }
-
-    /// Drain this rank's engine timeline: the outstanding window of every
-    /// nonblocking collective completed since the previous drain, in
-    /// completion order.
-    pub fn drain_comm_intervals(&self) -> Vec<CommInterval> {
-        std::mem::take(&mut *lock(&self.timeline))
-    }
-
-    fn ctx(&self, id: u64) -> Ctx {
-        Ctx {
-            nb: Arc::clone(&self.shared),
-            id,
-            rank: self.rank,
-            size: self.shared.size,
-            timeline: Arc::clone(&self.timeline),
-            stats: Arc::clone(&self.stats),
-        }
-    }
-
-    fn acct_for(&self, op: Option<NbOp>) -> Option<ReqAcct> {
-        op.map(|op| ReqAcct { stats: Arc::clone(&self.stats), op })
-    }
-
-    /// Charge the issue side of a public nonblocking op: one collective
-    /// call, its bytes, its modeled time, and the caller-side issue latency.
-    /// `span` was opened at the op's entry (same convention as the blocking
-    /// wrappers) so span-derived stage timings match `measured_seconds`; it
-    /// gets its args here and closes on drop.
-    fn account_issue(&self, op: NbOp, bytes: usize, t0: Instant, modeled: f64, span: obskit::Span) {
-        let seconds = t0.elapsed().as_secs_f64();
-        let mut s = lock(&self.stats);
-        s.bytes_sent += bytes as u64;
-        s.collective_calls += 1;
-        s.measured_seconds += seconds;
-        s.modeled_seconds += modeled;
-        if bytes as u64 <= crate::comm::ALPHA_SMALL_BYTES {
-            s.alpha_calls += 1;
-        }
-        let slot = op.slot(&mut s);
-        slot.calls += 1;
-        slot.bytes += bytes as u64;
-        slot.seconds += seconds;
-        drop(s);
-        obskit::add_bytes_moved(bytes as u64);
-        let mut span = span;
-        span.arg("bytes", bytes as f64);
-        span.arg("modeled_s", modeled);
-    }
-
-    fn reduce_cell(&self, id: u64, len: usize, root: usize, all: bool, max_op: bool) -> Arc<ReduceCell> {
-        let nb = &self.shared.nb;
-        let seg = nb.segment_words;
-        let mut ops = lock(&nb.ops);
-        let cell = ops
-            .entry(id)
-            .or_insert_with(|| OpCell::Reduce(Arc::new(ReduceCell::new(len, root, all, max_op, seg))));
-        match cell {
-            OpCell::Reduce(c) => {
-                assert_eq!(c.len, len, "reduce length mismatch at op {id} (rank {})", self.rank);
+    /// Deposit this rank's part of a collective and return its request;
+    /// never blocks. A `CommDrop` fault returns a dropped request before an
+    /// op id is taken; a `CommDelay`/`CommStall` of `d` makes the deposit
+    /// visible only at issue + `d`, so every rank's wait sees the same stall.
+    pub(crate) fn issue<T>(&self, op: Op, dep: Deposit, complete: Complete<T>) -> Request<'_, T> {
+        let visible_at = match faultkit::comm_fault(op.fault_site()) {
+            Some(CommFault::Drop) => return Request { comm: self, op, state: State::Dropped },
+            Some(CommFault::Delay(d)) => Instant::now() + d,
+            None => Instant::now(),
+        };
+        let id = self.next_op_id();
+        let cell = Arc::clone(
+            lock(&self.shared.ops)
+                .entry(id)
+                .or_insert_with(|| Arc::new(OpCell::new(self.size(), &dep))),
+        );
+        let mut g = lock(&cell.st);
+        match (&mut g.parts, dep) {
+            (Parts::Reduce(r), Deposit::Reduce { root, buf }) => {
                 assert!(
-                    c.root == root && c.all == all && c.max_op == max_op,
+                    r.len == buf.len() && cell.root == root,
                     "mismatched reduce parameters at op {id} (rank {})",
                     self.rank
                 );
-                Arc::clone(c)
+                r.bufs[self.rank] = Some(Arc::new(buf));
             }
-            _ => panic!("collective kind mismatch at op {id}: expected reduce"),
+            (Parts::Gather(parts), Deposit::Gather(mine)) => parts[self.rank] = mine,
+            (Parts::Alltoall(boxes), Deposit::Alltoall(send)) => boxes[self.rank] = send,
+            _ => panic!("collective kind mismatch at op {id} (rank {})", self.rank),
         }
+        g.visible_at[self.rank] = Some(visible_at);
+        drop(g);
+        cell.cv.notify_all();
+        Request { comm: self, op, state: State::Issued { id, cell, complete } }
     }
 
-    /// The `issue_*` engines assume at least two ranks: every public
-    /// collective returns its identity before issuing on a solo communicator.
-    pub(crate) fn issue_reduce(
+    /// Issue a request-API op under its `mpi:*` span and charge the issue
+    /// side: one call, its bytes and modeled time, the issue latency.
+    fn issue_request<T>(
         &self,
-        data: Vec<f64>,
-        root: usize,
-        all: bool,
-        max_op: bool,
-        acct: Option<NbOp>,
-    ) -> Request {
-        let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
-            Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
-            Some(CommFault::Delay(d)) => Some(d),
-            None => None,
-        };
-        let id = self.next_op_id();
-        let cell = self.reduce_cell(id, data.len(), root, all, max_op);
-        let slot = Arc::new(Slot::new());
-        let req = Request::pending(Arc::clone(&slot), self.acct_for(acct), NbOp::op_label(acct));
-        let ctx = self.ctx(id);
-        let issued_at = self.now_secs();
-        let bytes = (data.len() * 8) as u64;
-        self.submit(Box::new(move || {
-            if let Some(d) = delay {
-                std::thread::sleep(d);
-            }
-            let out = cell.run(&ctx, data);
-            ctx.record_window(issued_at, bytes);
-            slot.put(out);
-        }));
-        req
+        op: Op,
+        bytes: usize,
+        modeled: f64,
+        deposit: Deposit,
+        complete: Complete<T>,
+    ) -> Request<'_, T> {
+        let span = obskit::span(obskit::Stage::Mpi, op.span_name());
+        let t0 = Instant::now();
+        let rq = self.issue(op, deposit, complete);
+        self.account(op, bytes, t0, modeled, span);
+        rq
     }
 
     /// Nonblocking sum-reduce of `data` to `root`. On `root`, `wait()`
-    /// returns the reduced buffer; on other ranks it returns an empty
-    /// vector once this rank's contribution has been folded in.
-    pub fn ireduce_sum(&self, data: Vec<f64>, root: usize) -> Request {
-        if self.shared.size == 1 {
-            return Request::ready(data);
+    /// returns the reduced buffer; on other ranks it returns an empty vector
+    /// at once — the deposit is all a non-root rank owes.
+    pub fn ireduce_sum(&self, data: Vec<f64>, root: usize) -> Request<'_> {
+        if self.size() == 1 {
+            return Request::ready(self, Op::Ireduce, data);
         }
-        let sp = obskit::span(obskit::Stage::Mpi, NbOp::Ireduce.span_name());
-        let t0 = Instant::now();
         let bytes = data.len() * 8;
-        let modeled = self
-            .shared
-            .model
-            .segmented_reduce(self.size(), bytes, self.segment_words() * 8);
-        let rq = self.issue_reduce(data, root, false, false, Some(NbOp::Ireduce));
-        self.account_issue(NbOp::Ireduce, bytes, t0, modeled, sp);
-        rq
+        let modeled = self.shared.model.segmented_reduce(self.size(), bytes, SEGMENT_WORDS * 8);
+        let deposit = Deposit::Reduce { root: Some(root), buf: data };
+        self.issue_request(Op::Ireduce, bytes, modeled, deposit, complete_vals)
     }
 
     /// Nonblocking in-place sum-allreduce: `wait()` returns the fully
     /// reduced buffer on every rank.
-    pub fn iallreduce_sum(&self, data: Vec<f64>) -> Request {
-        if self.shared.size == 1 {
-            return Request::ready(data);
+    pub fn iallreduce_sum(&self, data: Vec<f64>) -> Request<'_> {
+        if self.size() == 1 {
+            return Request::ready(self, Op::Iallreduce, data);
         }
-        let sp = obskit::span(obskit::Stage::Mpi, NbOp::Iallreduce.span_name());
-        let t0 = Instant::now();
         let bytes = data.len() * 8;
-        let modeled = self
-            .shared
-            .model
-            .ring_allreduce(self.size(), bytes, self.segment_words() * 8);
-        let rq = self.issue_reduce(data, 0, true, false, Some(NbOp::Iallreduce));
-        self.account_issue(NbOp::Iallreduce, bytes, t0, modeled, sp);
-        rq
-    }
-
-    /// Internal max-allreduce used by the blocking wrapper.
-    pub(crate) fn issue_allreduce_max(&self, data: Vec<f64>) -> Request {
-        self.issue_reduce(data, 0, true, true, None)
-    }
-
-    /// Nonblocking broadcast from `root`; every rank passes a buffer of the
-    /// broadcast length and `wait()` returns it filled with root's data.
-    pub fn ibcast(&self, data: Vec<f64>, root: usize) -> Request {
-        if self.shared.size == 1 {
-            return Request::ready(data);
-        }
-        let sp = obskit::span(obskit::Stage::Mpi, NbOp::Ibcast.span_name());
-        let t0 = Instant::now();
-        let bytes = data.len() * 8;
-        let modeled = self
-            .shared
-            .model
-            .segmented_bcast(self.size(), bytes, self.segment_words() * 8);
-        let rq = self.issue_bcast(data, root, Some(NbOp::Ibcast));
-        // Match the blocking convention: only root "contributes" bytes.
-        let contributed = if self.rank == root { bytes } else { 0 };
-        self.account_issue(NbOp::Ibcast, contributed, t0, modeled, sp);
-        rq
-    }
-
-    pub(crate) fn issue_bcast(&self, data: Vec<f64>, root: usize, acct: Option<NbOp>) -> Request {
-        let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
-            Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
-            Some(CommFault::Delay(d)) => Some(d),
-            None => None,
-        };
-        let id = self.next_op_id();
-        let nb = &self.shared.nb;
-        let cell = {
-            let seg = nb.segment_words;
-            let mut ops = lock(&nb.ops);
-            let cell = ops
-                .entry(id)
-                .or_insert_with(|| OpCell::Bcast(Arc::new(BcastCell::new(data.len(), root, seg))));
-            match cell {
-                OpCell::Bcast(c) => {
-                    assert_eq!(c.root, root, "bcast root mismatch at op {id}");
-                    assert_eq!(
-                        lock(&c.st).data.len(),
-                        data.len(),
-                        "bcast length mismatch at op {id} (rank {})",
-                        self.rank
-                    );
-                    Arc::clone(c)
-                }
-                _ => panic!("collective kind mismatch at op {id}: expected bcast"),
-            }
-        };
-        let slot = Arc::new(Slot::new());
-        let req = Request::pending(Arc::clone(&slot), self.acct_for(acct), NbOp::op_label(acct));
-        let ctx = self.ctx(id);
-        let issued_at = self.now_secs();
-        let bytes = (data.len() * 8) as u64;
-        self.submit(Box::new(move || {
-            if let Some(d) = delay {
-                std::thread::sleep(d);
-            }
-            let out = cell.run(&ctx, data);
-            ctx.record_window(issued_at, bytes);
-            slot.put(out);
-        }));
-        req
-    }
-
-    /// Nonblocking variable all-gather; `wait()` returns the rank-order
-    /// concatenation on every rank.
-    pub fn iallgatherv(&self, mine: &[f64]) -> Request {
-        if self.shared.size == 1 {
-            return Request::ready(mine.to_vec());
-        }
-        let sp = obskit::span(obskit::Stage::Mpi, NbOp::Iallgatherv.span_name());
-        let t0 = Instant::now();
-        let bytes = mine.len() * 8;
-        // Modeled like the blocking allgatherv; total size is only known
-        // collectively, so charge the per-rank contribution p-fold.
-        let modeled = self.shared.model.allgatherv(self.size(), bytes * self.size());
-        let rq = self.issue_gather(mine.to_vec(), Some(NbOp::Iallgatherv));
-        self.account_issue(NbOp::Iallgatherv, bytes, t0, modeled, sp);
-        rq
-    }
-
-    pub(crate) fn issue_gather(&self, mine: Vec<f64>, acct: Option<NbOp>) -> Request {
-        let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
-            Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
-            Some(CommFault::Delay(d)) => Some(d),
-            None => None,
-        };
-        let id = self.next_op_id();
-        let p = self.shared.size;
-        let cell = {
-            let mut ops = lock(&self.shared.nb.ops);
-            let cell = ops.entry(id).or_insert_with(|| OpCell::Gather(Arc::new(GatherCell::new(p))));
-            match cell {
-                OpCell::Gather(c) => Arc::clone(c),
-                _ => panic!("collective kind mismatch at op {id}: expected allgatherv"),
-            }
-        };
-        let slot = Arc::new(Slot::new());
-        let req = Request::pending(Arc::clone(&slot), self.acct_for(acct), NbOp::op_label(acct));
-        let ctx = self.ctx(id);
-        let issued_at = self.now_secs();
-        let bytes = (mine.len() * 8) as u64;
-        self.submit(Box::new(move || {
-            if let Some(d) = delay {
-                std::thread::sleep(d);
-            }
-            let out = cell.run(&ctx, mine);
-            ctx.record_window(issued_at, bytes);
-            slot.put(out);
-        }));
-        req
+        let modeled = self.shared.model.ring_allreduce(self.size(), bytes, SEGMENT_WORDS * 8);
+        let deposit = Deposit::Reduce { root: None, buf: data };
+        self.issue_request(Op::Iallreduce, bytes, modeled, deposit, complete_vals)
     }
 
     /// Nonblocking variable all-to-all: `send[q]` goes to rank `q`;
     /// `wait()` returns the received chunks indexed by source rank.
-    pub fn ialltoallv(&self, send: Vec<Vec<f64>>) -> Request<Vec<Vec<f64>>> {
-        if self.shared.size == 1 {
-            return Request::ready(send);
+    pub fn ialltoallv(&self, send: Vec<Vec<f64>>) -> Request<'_, Vec<Vec<f64>>> {
+        if self.size() == 1 {
+            return Request::ready(self, Op::Ialltoallv, send);
         }
-        let sp = obskit::span(obskit::Stage::Mpi, NbOp::Ialltoallv.span_name());
-        let t0 = Instant::now();
+        assert_eq!(send.len(), self.size(), "alltoallv needs one chunk per destination");
         let bytes: usize = send.iter().map(|c| c.len() * 8).sum();
         let modeled = self.shared.model.alltoallv(self.size(), bytes);
-        let rq = self.issue_alltoall(send, Some(NbOp::Ialltoallv));
-        self.account_issue(NbOp::Ialltoallv, bytes, t0, modeled, sp);
-        rq
-    }
-
-    pub(crate) fn issue_alltoall(&self, send: Vec<Vec<f64>>, acct: Option<NbOp>) -> Request<Vec<Vec<f64>>> {
-        let p = self.shared.size;
-        assert_eq!(send.len(), p, "alltoallv needs one chunk per destination");
-        let delay = match faultkit::comm_fault(NbOp::fault_site(acct)) {
-            Some(CommFault::Drop) => return Request::make_dropped(NbOp::op_label(acct)),
-            Some(CommFault::Delay(d)) => Some(d),
-            None => None,
-        };
-        let id = self.next_op_id();
-        let cell = {
-            let mut ops = lock(&self.shared.nb.ops);
-            let cell = ops.entry(id).or_insert_with(|| OpCell::A2a(Arc::new(A2aCell::new(p))));
-            match cell {
-                OpCell::A2a(c) => Arc::clone(c),
-                _ => panic!("collective kind mismatch at op {id}: expected alltoallv"),
-            }
-        };
-        let slot = Arc::new(Slot::new());
-        let req = Request::pending(Arc::clone(&slot), self.acct_for(acct), NbOp::op_label(acct));
-        let ctx = self.ctx(id);
-        let issued_at = self.now_secs();
-        let bytes: u64 = send.iter().map(|c| (c.len() * 8) as u64).sum();
-        self.submit(Box::new(move || {
-            if let Some(d) = delay {
-                std::thread::sleep(d);
-            }
-            let out = cell.run(&ctx, send);
-            ctx.record_window(issued_at, bytes);
-            slot.put(out);
-        }));
-        req
-    }
-
-    /// Zero-payload helper some schedules use to keep op ids aligned when a
-    /// rank's chunk is empty: issues a real (empty) reduce so every rank
-    /// consumes the same op-id sequence.
-    pub fn ireduce_sum_empty(&self, root: usize) -> Request {
-        self.ireduce_sum(Vec::new(), root)
+        self.issue_request(Op::Ialltoallv, bytes, modeled, Deposit::Alltoall(send), complete_chunks)
     }
 
     /// Settle an already-issued request with bounded recovery: a request
@@ -1056,53 +445,42 @@ impl Comm {
     /// [`CommError::Stalled`] surfaces.
     ///
     /// Taking the first request as an argument (rather than issuing it
-    /// here) lets callers keep their issue-then-compute overlap window: the
-    /// recovery path only engages after the overlapped compute is done.
-    pub fn settle<T>(
-        &self,
-        first: Request<T>,
+    /// here) lets callers keep their issue-then-compute window: the
+    /// recovery path only engages after that compute is done.
+    pub fn settle<'c, T>(
+        &'c self,
+        first: Request<'c, T>,
         policy: &RetryPolicy,
-        mut reissue: impl FnMut(&Comm) -> Request<T>,
+        mut reissue: impl FnMut(&'c Comm) -> Request<'c, T>,
     ) -> Result<T, CommError> {
         let mut rq = first;
         let mut reissues = 0u32;
-        loop {
-            if rq.is_dropped() {
-                let op = rq.op;
-                if reissues >= policy.max_attempts.max(1) {
-                    return Err(CommError::Dropped { op });
-                }
-                reissues += 1;
-                rq = reissue(self);
-                continue;
+        while rq.is_dropped() {
+            if reissues >= policy.max_attempts.max(1) {
+                return Err(CommError::Dropped { op: rq.op.label() });
             }
-            return rq.wait_deadline(policy);
+            reissues += 1;
+            rq = reissue(self);
         }
+        rq.wait_deadline(policy)
     }
+}
 
-    /// Issue-and-settle in one call: `issue` runs once up front and again on
-    /// every (symmetric) drop re-issue.
-    pub fn resilient<T>(
-        &self,
-        policy: &RetryPolicy,
-        mut issue: impl FnMut(&Comm) -> Request<T>,
-    ) -> Result<T, CommError> {
-        let first = issue(self);
-        self.settle(first, policy, issue)
-    }
+#[cfg(test)]
+mod tests {
+    use crate::comm::{lock, spmd};
 
-    /// Per-rank monotone op id; SPMD issue order matches op `n` here with
-    /// op `n` on every other rank.
-    pub(crate) fn next_op_id(&self) -> u64 {
-        let id = self.next_op.get();
-        self.next_op.set(id + 1);
-        id
-    }
-
-    /// Enqueue a task on this rank's progress worker (spawned lazily).
-    pub(crate) fn submit(&self, task: Task) {
-        let mut w = self.worker.borrow_mut();
-        let w = w.get_or_insert_with(|| Worker::spawn(self.rank));
-        w.send(task);
+    #[test]
+    fn dropped_requests_leave_nothing_behind() {
+        // A request dropped unwaited still releases its op: once every rank
+        // has dropped its side, the cell leaves the table.
+        let left = spmd(2, |c| {
+            for i in 0..1000 {
+                drop(c.iallreduce_sum(vec![i as f64; 3]));
+            }
+            c.barrier();
+            lock(&c.shared.ops).len()
+        });
+        assert_eq!(left, vec![0, 0]);
     }
 }

@@ -1,10 +1,10 @@
-//! Property tests for the nonblocking request API: completion-handle
-//! semantics (test/wait), engine-driven progress under out-of-order waits,
-//! uneven/empty all-to-all slabs, and the bitwise contract between the
-//! chunked ring algorithms and the legacy blocking collectives.
+//! Tests for the request API: waits in any order on any rank complete,
+//! issue never blocks on a peer, uneven/empty all-to-all slabs route, and
+//! the request forms agree bitwise with the blocking collectives.
 
-use parcomm::{spmd, wait_all, Comm};
+use parcomm::{spmd, Comm};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Deterministic pseudo-random doubles so every rank regenerates the same
 /// global picture without sharing state.
@@ -28,40 +28,9 @@ fn rank_data(c: &Comm, seed: u64, len: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `wait` after a successful `test` must hand back the same payload the
-    /// engine produced, and repeated `test` calls stay true (idempotence).
-    #[test]
-    fn wait_after_test_is_idempotent(ranks in 1usize..6, len in 1usize..600, seed in 0u64..u64::MAX) {
-        let results = spmd(ranks, |c| {
-            let mine = rank_data(c, seed, len);
-            let mut blocking = mine.clone();
-            c.allreduce_sum(&mut blocking);
-
-            let mut rq = c.iallreduce_sum(mine);
-            // Spin until the engine finishes; the barrier above every spmd
-            // exit bounds this, but completion must arrive without waiting.
-            while !rq.test() {
-                std::hint::spin_loop();
-            }
-            // test() after completion stays true and must not lose the payload
-            prop_assert!(rq.test());
-            prop_assert!(rq.test());
-            let nb = rq.wait();
-            prop_assert_eq!(nb.len(), blocking.len());
-            for (a, b) in nb.iter().zip(blocking.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            Ok(())
-        });
-        for r in results {
-            r?;
-        }
-    }
-
     /// Several requests issued back-to-back, then waited in *reverse* issue
-    /// order: the engine drives all of them to completion regardless of the
-    /// order the caller collects payloads, so this must not deadlock and
-    /// every payload must match its blocking counterpart.
+    /// order: a wait needs only the peers' deposits, so this must not
+    /// deadlock and every payload must match its blocking counterpart.
     #[test]
     fn out_of_order_waits_complete(ranks in 1usize..6, len in 1usize..300, seed in 0u64..u64::MAX) {
         let n_reqs = 4usize;
@@ -133,29 +102,28 @@ proptest! {
         }
     }
 
-    /// The chunked ring reduce folds contributions in ascending rank order —
-    /// exactly the legacy blocking order — so `iallreduce_sum`/`ireduce_sum`
-    /// must agree *bitwise* with the blocking collectives for 1..=8 ranks.
+    /// Every reduction folds each element over the ranks in ascending order
+    /// from `+0.0`, however its segments were shared out among the waiters,
+    /// so `iallreduce_sum` and `ireduce_sum` must agree *bitwise* with the
+    /// blocking allreduce for 1..=8 ranks and lengths spanning segments.
     #[test]
     fn ring_matches_blocking_bitwise(ranks in 1usize..=8, len in 1usize..5000, seed in 0u64..u64::MAX) {
         let results = spmd(ranks, |c| {
             let mine = rank_data(c, seed, len);
 
-            let mut blocking_all = mine.clone();
-            c.allreduce_sum(&mut blocking_all);
+            let mut blocking = mine.clone();
+            c.allreduce_sum(&mut blocking);
             let nb_all = c.iallreduce_sum(mine.clone()).wait();
 
             let root = ranks - 1;
-            let mut blocking_red = mine.clone();
-            c.reduce_sum(&mut blocking_red, root);
             let nb_red = c.ireduce_sum(mine, root).wait();
 
-            for (a, b) in nb_all.iter().zip(blocking_all.iter()) {
+            for (a, b) in nb_all.iter().zip(blocking.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
             if c.rank() == root {
-                prop_assert_eq!(nb_red.len(), blocking_red.len());
-                for (a, b) in nb_red.iter().zip(blocking_red.iter()) {
+                prop_assert_eq!(nb_red.len(), blocking.len());
+                for (a, b) in nb_red.iter().zip(blocking.iter()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
             } else {
@@ -169,38 +137,81 @@ proptest! {
     }
 }
 
-/// Mixed op kinds interleaved on the same engine: bcast + allreduce + gather
-/// issued together, waited together via `wait_all`.
+/// Mixed op kinds issued together and waited in reverse issue order.
 #[test]
-fn interleaved_op_kinds_via_wait_all() {
+fn interleaved_op_kinds_waited_in_reverse_order() {
     let ranks = 4;
     let results = spmd(ranks, |c| {
         let me = c.rank();
-        let bc_in = if me == 2 { fill(7, 33) } else { vec![0.0; 33] };
-        let rq_bc = c.ibcast(bc_in, 2);
-        let rq_ar = c.iallreduce_sum(rank_data(c, 9, 100));
-        let rq_ag = c.iallgatherv(&[me as f64; 3]);
-        let out = wait_all(vec![rq_bc, rq_ar, rq_ag]);
-        (out[0].clone(), out[1].clone(), out[2].clone())
+        let rq_red = c.ireduce_sum(rank_data(c, 3, 33), 2);
+        let rq_all = c.iallreduce_sum(rank_data(c, 9, 100));
+        let rq_a2a = c.ialltoallv((0..ranks).map(|q| vec![me as f64, q as f64]).collect());
+        let a2a = rq_a2a.wait();
+        let all = rq_all.wait();
+        let red = rq_red.wait();
+        (red, all, a2a)
     });
-    let want_bc = fill(7, 33);
-    let want_ar = {
-        let mut acc = vec![0.0; 100];
+    let sum_of = |seed: u64, len: usize| {
+        let mut acc = vec![0.0; len];
         for r in 0..ranks {
-            let v = fill(9u64.wrapping_add(r as u64 * 1_000_003), 100);
-            for (a, x) in acc.iter_mut().zip(v) {
-                *a += x;
-            }
+            let v = fill(seed.wrapping_add(r as u64 * 1_000_003), len);
+            acc.iter_mut().zip(v).for_each(|(a, x)| *a += x);
         }
         acc
     };
-    for (bc, ar, ag) in &results {
-        assert_eq!(bc, &want_bc);
-        assert_eq!(ar.len(), want_ar.len());
-        assert_eq!(
-            ag,
-            &(0..ranks).flat_map(|r| [r as f64; 3]).collect::<Vec<_>>()
-        );
+    let (want_red, want_all) = (sum_of(3, 33), sum_of(9, 100));
+    for (me, (red, all, a2a)) in results.iter().enumerate() {
+        assert_eq!(red, if me == 2 { &want_red[..] } else { &[] });
+        assert_eq!(all, &want_all);
+        for (src, chunk) in a2a.iter().enumerate() {
+            assert_eq!(chunk, &vec![src as f64, me as f64]);
+        }
+    }
+}
+
+/// Two outstanding allreduces waited in *opposite* orders on the two ranks:
+/// a wait depends only on the peer having issued, so neither rank waits on
+/// the other's wait, and both sums are the blocking ones bit for bit.
+#[test]
+fn opposite_wait_orders_complete_bitwise() {
+    let results = spmd(2, |c| {
+        let (a, b) = (rank_data(c, 21, 5000), rank_data(c, 22, 7));
+        let mut want = (a.clone(), b.clone());
+        c.allreduce_sum(&mut want.0);
+        c.allreduce_sum(&mut want.1);
+        let (rq_a, rq_b) = (c.iallreduce_sum(a), c.iallreduce_sum(b));
+        let got = if c.rank() == 0 {
+            let a = rq_a.wait();
+            (a, rq_b.wait())
+        } else {
+            let b = rq_b.wait();
+            (rq_a.wait(), b)
+        };
+        (got, want)
+    });
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for ((got_a, got_b), (want_a, want_b)) in results {
+        assert_eq!(bits(&got_a), bits(&want_a));
+        assert_eq!(bits(&got_b), bits(&want_b));
+    }
+}
+
+/// Issue deposits and returns: rank 0's issue does not wait for a peer that
+/// has not issued yet, and its wait picks the sum up once the peer arrives.
+#[test]
+fn late_peer_does_not_block_issue() {
+    let results = spmd(2, |c| {
+        if c.rank() == 1 {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let t0 = Instant::now();
+        let rq = c.iallreduce_sum(vec![c.rank() as f64 + 1.0; 4]);
+        let issue = t0.elapsed();
+        (issue, rq.wait())
+    });
+    assert!(results[0].0 < Duration::from_millis(5), "issue took {:?}", results[0].0);
+    for (_, sum) in results {
+        assert_eq!(sum, vec![3.0; 4]);
     }
 }
 
@@ -290,8 +301,9 @@ mod faults {
             let mine = rank_data(c, 5, 120);
             let mut expect = mine.clone();
             c.allreduce_sum(&mut expect);
+            let rq = c.iallreduce_sum(mine.clone());
             let got = c
-                .resilient(&RetryPolicy::default(), |c| c.iallreduce_sum(mine.clone()))
+                .settle(rq, &RetryPolicy::default(), |c| c.iallreduce_sum(mine.clone()))
                 .expect("drop must recover by re-issue");
             (expect, got)
         });

@@ -160,6 +160,18 @@ fn chrome_export_from_pipeline_run_is_schema_valid() {
     }
 }
 
+/// Collectives run on the rank threads that call them: a traced distributed
+/// solve records one lane per rank and no helper-thread lane.
+#[test]
+fn distributed_solve_records_one_lane_per_rank() {
+    let _g = exclusive();
+    let (trace, _) = traced_pipeline_run(2, true);
+    let lanes: Vec<(usize, &str)> =
+        trace.ranks.iter().map(|l| (l.rank, l.label.as_str())).collect();
+    assert_eq!(lanes, [(0, "rank 0"), (1, "rank 1")]);
+    assert!(lanes.iter().all(|(_, label)| !label.starts_with("progress")));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
