@@ -3,11 +3,11 @@
 //! `BENCH_comm.json`.
 //!
 //! 1. **Blocking vs. pipelined wall time** on the Fig.-5 `V_Hxc` contraction
-//!    shape (distinct `A`/`B` factors so the packed GEMM path, not SYRK, is
-//!    exercised — the same path the pipelined schedule chunks):
-//!    `gram_allreduce` (monolithic GEMM + `Allreduce`) against
-//!    `gram_pipelined_reduce` (chunked GEMM, each chunk's `ireduce` settled
-//!    after the next chunk's GEMM), per rank count. Reported, not gated:
+//!    shape (`B = diag(k)·A`, distinct factors whose product is symmetric by
+//!    construction, as `P_vcᵀ(f_Hxc P_vc)` is):
+//!    `gram_allreduce` (monolithic symmetric product + `Allreduce`) against
+//!    `gram_pipelined_reduce` (column chunks, each chunk's `ireduce` settled
+//!    after the next chunk is computed), per rank count. Reported, not gated:
 //!    ranks are threads on this host's cores, so the pipeline buys the
 //!    paper's `1/P` memory bound, not hidden communication time.
 //! 2. **Bitwise agreement** — every column chunk of the pipelined result
@@ -52,10 +52,11 @@ fn shape(quick: bool) -> Shape {
     }
 }
 
-/// Deterministic dense factors — distinct so the Gram takes the GEMM path.
+/// Deterministic dense factors `A` and `B = diag(k)·A`: distinct, with
+/// `AᵀB = Aᵀ diag(k) A` symmetric by construction.
 fn global_ab(nr: usize, ncv: usize) -> (Mat, Mat) {
     let a = Mat::from_fn(nr, ncv, |i, j| ((i * 7 + j * 3) % 13) as f64 * 0.1 - 0.5);
-    let b = Mat::from_fn(nr, ncv, |i, j| ((i * 5 + j * 11) % 17) as f64 * 0.1 - 0.7);
+    let b = Mat::from_fn(nr, ncv, |i, j| (((i * 5) % 17) as f64 * 0.1 - 0.7) * a[(i, j)]);
     (a, b)
 }
 

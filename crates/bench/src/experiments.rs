@@ -565,7 +565,8 @@ pub fn weak_scaling(scale: Scale) -> ExperimentRecord {
     // evaluate the Table 4 cost model for the paper ladder at P = 1024.
     let cal = calibrate(scale);
     let ncv = cal.n_cv() as f64;
-    let gemm_flops = 2.0 * ncv * ncv * cal.n_r as f64; // V_Hxc contraction
+    // The V_Hxc contraction is a symmetric product: its lower triangle.
+    let gemm_flops = ncv * (ncv + 1.0) * cal.n_r as f64;
     let flop_rate = gemm_flops / cal.naive_t.gemm.max(1e-9);
     let model = CostModel::default();
     let p = 1024usize;

@@ -138,6 +138,36 @@ mod tests {
     }
 
     #[test]
+    fn spaces_smaller_than_the_trial_block_return_the_dense_spectrum() {
+        // With 3k > n the trial space [X W P] cannot hold its columns. Random
+        // Casida-like H (positive diagonal plus a symmetric coupling), 200
+        // seeds per order: every run converges to the dense spectrum. (With
+        // Cholesky-QR on the over-wide [X W P], 4.5e-47 came back "converged"
+        // where the lowest eigenvalue is 0.35.)
+        for n in [3usize, 4, 5, 6, 8] {
+            for seed in 0..200u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let k = rng.gen_range(n / 3 + 1..=n);
+                let d: Vec<f64> = (0..n).map(|_| rng.gen_range(0.3..1.5)).collect();
+                let mut h = Mat::from_fn(n, n, |_, _| 0.1 * rng.gen_range(-1.0..1.0));
+                h.symmetrize();
+                for (i, di) in d.iter().enumerate() {
+                    h[(i, i)] += di;
+                }
+                let dense = syev(&h);
+                let opts = LobpcgOptions::default();
+                let res = solve_casida_lobpcg(|x| matmul(&h, x), &d, k, opts, seed).expect("lobpcg");
+                assert!(res.converged, "n={n} k={k} seed={seed}: residual {}", res.residual);
+                for (i, v) in res.values.iter().enumerate() {
+                    let want = dense.values[i];
+                    let case = format!("n={n} k={k} seed={seed} λ_{i}");
+                    assert!((v - want).abs() < 1e-6, "{case}: {v} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn preconditioned_converges_faster_than_identity() {
         let n = 100;
         let d: Vec<f64> = (0..n).map(|i| 1.0 + 0.1 * i as f64).collect();

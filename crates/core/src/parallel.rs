@@ -69,9 +69,9 @@ pub fn distributed_dense_hamiltonian_with(
     // f_Hxc through the FFT layout dance (lines 3–6).
     let fz_loc = distributed_kernel_apply(comm, problem, &z_loc);
 
-    // V_Hxc = ΔV · P_vcᵀ (f_Hxc P_vc): local GEMM + reduction (lines 7–8 /
-    // Figs. 4–5). The TDA singlet factor 2 (paper Eq. 2) and ΔV fold into
-    // the GEMM's alpha — no scale pass.
+    // V_Hxc = ΔV · P_vcᵀ (f_Hxc P_vc): local symmetric product + reduction
+    // (lines 7–8 / Figs. 4–5). The TDA singlet factor 2 (paper Eq. 2) and
+    // ΔV fold into the product's alpha — no scale pass.
     let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
     let scale = 2.0 * problem.grid.dv();
     let mut h = gram_replicated(comm, &z_loc, &fz_loc, scale, pipelined, &mut [])

@@ -12,9 +12,14 @@
 //! chunk, which preserves the `1/P` peak-memory property. (Ranks here are
 //! threads that complete a reduction inside its `wait`, so the window buys
 //! the paper's memory bound, not hidden communication time.)
+//!
+//! Both contractions this serves, `V_Hxc = P_vcᵀ(f_Hxc P_vc)` and
+//! `Ṽ = Wᵀ(f_Hxc W)`, are symmetric by construction (`f_Hxc` is), so every
+//! product here is [`symm_tn`]: the monolithic schedule computes half of
+//! it, and a column chunk takes each entry's fold from the same half.
 
 use faultkit::CommError;
-use mathkit::gemm::{gemm, syrk_tn_scaled, Transpose};
+use mathkit::gemm::symm_tn;
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
 use parcomm::{Comm, Request, RetryPolicy};
@@ -30,10 +35,12 @@ pub struct GramResult {
     pub peak_words: usize,
 }
 
-/// Monolithic path: full local GEMM `Aᵀ_local·B_local`, then `Allreduce`.
-/// Every rank returns the complete `m × n` matrix. `riders` are a few
-/// per-rank partial sums that travel at the end of the matrix's buffer — on
-/// the collective it needs anyway — and come back summed over the ranks.
+/// Monolithic path: the local symmetric product `scale·Aᵀ_local·B_local`
+/// (lower triangle computed, upper mirrored), then `Allreduce`. `A` and `B`
+/// have one shape and `AᵀB` is symmetric by construction. Every rank returns
+/// the complete `n × n` matrix. `riders` are a few per-rank partial sums
+/// that travel at the end of the matrix's buffer — on the collective it
+/// needs anyway — and come back summed over the ranks.
 pub fn gram_allreduce(
     comm: &Comm,
     a_local: &Mat,
@@ -41,32 +48,24 @@ pub fn gram_allreduce(
     scale: f64,
     riders: &mut [f64],
 ) -> GramResult {
-    let (m, n) = (a_local.ncols(), b_local.ncols());
-    // A Gram of a block with itself is symmetric — the packed rank-k engine
-    // computes only the lower triangle and mirrors it.
-    let v = if std::ptr::eq(a_local, b_local) {
-        syrk_tn_scaled(scale, a_local)
-    } else {
-        let mut v = Mat::zeros(m, n);
-        gemm(scale, a_local, Transpose::Yes, b_local, Transpose::No, 0.0, &mut v);
-        v
-    };
-    let mut v = v.into_vec();
+    let n = b_local.ncols();
+    let mut v = symm_tn(scale, a_local, b_local, 0..n).into_vec();
     v.reserve_exact(riders.len());
     v.extend_from_slice(riders);
     comm.allreduce_sum(&mut v);
-    riders.copy_from_slice(&v[m * n..]);
-    v.truncate(m * n);
+    riders.copy_from_slice(&v[n * n..]);
+    v.truncate(n * n);
     GramResult {
-        local: Mat::from_vec(m, n, v),
+        local: Mat::from_vec(n, n, v),
         col_range: 0..n,
-        peak_words: m * n,
+        peak_words: n * n,
     }
 }
 
-/// Pipelined path: per-destination column chunks, each GEMMed and then
-/// `ireduce`d to its owner while the *next* chunk's GEMM runs (Fig. 5).
-/// Rank `r` returns only columns `block_ranges(n, P)[r]`.
+/// Pipelined path: per-destination column chunks of the same symmetric
+/// product, each computed and then `ireduce`d to its owner while the *next*
+/// chunk is computed (Fig. 5). Rank `r` returns only columns
+/// `block_ranges(n, P)[r]`.
 ///
 /// Each in-flight reduce is settled with a deadline/backoff wait; a request
 /// dropped by fault injection is re-issued from the retained chunk (drop
@@ -80,14 +79,14 @@ pub fn gram_pipelined_reduce(
     scale: f64,
 ) -> Result<GramResult, CommError> {
     let p = comm.size();
-    let (m, n) = (a_local.ncols(), b_local.ncols());
+    let n = b_local.ncols();
     let ranges = block_ranges(n, p);
     let my_range = ranges[comm.rank()].clone();
-    let mut mine = Mat::zeros(m, my_range.len());
+    let mut mine = Mat::zeros(n, my_range.len());
     let mut peak_words = 0usize;
     let policy = RetryPolicy::default();
     // Window-2 pipeline: at most one chunk's reduce in flight while the
-    // next chunk is GEMMed. Bounding the window keeps peak memory at
+    // next chunk is computed. Bounding the window keeps peak memory at
     // ~2 chunks + my piece, still `O(1/P)` of the full matrix. The tuple
     // retains the chunk data for drop re-issue — only while a fault plan is
     // armed (drops cannot occur otherwise), so the fault-free hot path pays
@@ -98,24 +97,17 @@ pub fn gram_pipelined_reduce(
             if let Some((owner, cols, chunk, rq)) = slot {
                 let out = comm.settle(rq, &policy, |c| c.ireduce_sum(chunk.clone(), owner))?;
                 if owner == comm.rank() {
-                    *mine = Mat::from_vec(m, cols, out);
+                    *mine = Mat::from_vec(n, cols, out);
                 }
             }
             Ok(())
         };
     for (owner, range) in ranges.iter().enumerate() {
-        // GEMM only this chunk of output columns while the previous chunk's
-        // reduce is in flight.
-        let v_chunk = if range.is_empty() {
-            // Zero-length ireduce keeps the op-id schedule aligned.
-            Vec::new()
-        } else {
-            let b_chunk = b_local.col_block(range.start, range.end);
-            let mut v = Mat::zeros(m, range.len());
-            gemm(scale, a_local, Transpose::Yes, &b_chunk, Transpose::No, 0.0, &mut v);
-            v.into_vec()
-        };
-        let prev_words = in_flight.as_ref().map_or(0, |(_, len, _, _)| m * *len);
+        // Compute only this chunk of output columns while the previous
+        // chunk's reduce is in flight. A zero-length chunk's ireduce keeps
+        // the op-id schedule aligned.
+        let v_chunk = symm_tn(scale, a_local, b_local, range.clone()).into_vec();
+        let prev_words = in_flight.as_ref().map_or(0, |(_, len, _, _)| n * *len);
         peak_words = peak_words.max(v_chunk.len() + prev_words + mine.as_slice().len());
         settle(in_flight.take(), &mut mine)?;
         let retained = if faultkit::is_armed() { v_chunk.clone() } else { Vec::new() };
@@ -125,8 +117,8 @@ pub fn gram_pipelined_reduce(
     Ok(GramResult { local: mine, col_range: my_range, peak_words })
 }
 
-/// The replicated Gram matrix `scale · Aᵀ B` of row-distributed `A` and `B`
-/// by either schedule: [`gram_allreduce`], or (`pipelined`)
+/// The replicated symmetric product `scale · Aᵀ B` of row-distributed `A`
+/// and `B` by either schedule: [`gram_allreduce`], or (`pipelined`)
 /// [`gram_pipelined_reduce`] and a small allgather to re-replicate — the two
 /// agree bit for bit. `riders` as in [`gram_allreduce`]; pipelined, they
 /// ride the allgather.
@@ -141,19 +133,19 @@ pub fn gram_replicated(
     if !pipelined {
         return Ok(gram_allreduce(comm, a_local, b_local, scale, riders).local);
     }
-    let (m, n) = (a_local.ncols(), b_local.ncols());
+    let n = b_local.ncols();
     let mut mine = gram_pipelined_reduce(comm, a_local, b_local, scale)?.local.into_vec();
     mine.extend_from_slice(riders);
     let gathered = comm.allgatherv(&mine);
     riders.fill(0.0);
-    let mut v = Vec::with_capacity(m * n);
+    let mut v = Vec::with_capacity(n * n);
     for (rank, chunk) in block_ranges(n, comm.size()).into_iter().enumerate() {
-        let at = m * chunk.start + rank * riders.len();
-        let (cols, rest) = gathered[at..].split_at(m * chunk.len());
+        let at = n * chunk.start + rank * riders.len();
+        let (cols, rest) = gathered[at..].split_at(n * chunk.len());
         v.extend_from_slice(cols);
         riders.iter_mut().zip(rest).for_each(|(sum, part)| *sum += part);
     }
-    Ok(Mat::from_vec(m, n, v))
+    Ok(Mat::from_vec(n, n, v))
 }
 
 #[cfg(test)]
@@ -163,16 +155,18 @@ mod tests {
     use parcomm::layout::block_ranges;
     use parcomm::spmd;
 
-    fn global_ab(nr: usize, m: usize, n: usize) -> (Mat, Mat) {
-        let a = Mat::from_fn(nr, m, |i, j| ((i * 7 + j * 3) % 13) as f64 * 0.1 - 0.5);
-        let b = Mat::from_fn(nr, n, |i, j| ((i * 5 + j * 11) % 17) as f64 * 0.1 - 0.7);
+    /// `A` and `B = diag(k)·A`: `AᵀB = Aᵀ diag(k) A` is symmetric by
+    /// construction, as the contractions these schedules serve are.
+    fn global_ab(nr: usize, n: usize) -> (Mat, Mat) {
+        let a = Mat::from_fn(nr, n, |i, j| ((i * 7 + j * 3) % 13) as f64 * 0.1 - 0.5);
+        let b = Mat::from_fn(nr, n, |i, j| (((i * 5) % 17) as f64 * 0.1 - 0.7) * a[(i, j)]);
         (a, b)
     }
 
     #[test]
     fn allreduce_path_matches_serial() {
-        let (nr, m, n, p) = (24, 5, 7, 4);
-        let (a, b) = global_ab(nr, m, n);
+        let (nr, n, p) = (24, 7, 4);
+        let (a, b) = global_ab(nr, n);
         let expect = {
             let mut e = gemm_tn(&a, &b);
             e.scale(2.0);
@@ -191,8 +185,8 @@ mod tests {
 
     #[test]
     fn pipelined_path_matches_serial_chunks() {
-        let (nr, m, n, p) = (30, 4, 9, 3);
-        let (a, b) = global_ab(nr, m, n);
+        let (nr, n, p) = (30, 9, 3);
+        let (a, b) = global_ab(nr, n);
         let expect = gemm_tn(&a, &b);
         let res = spmd(p, |c| {
             let rr = block_ranges(nr, p)[c.rank()].clone();
@@ -203,9 +197,9 @@ mod tests {
         for (rank, r) in res.iter().enumerate() {
             let cr = block_ranges(n, p)[rank].clone();
             assert_eq!(r.col_range, cr);
-            assert_eq!(r.local.shape(), (m, cr.len()));
+            assert_eq!(r.local.shape(), (n, cr.len()));
             for (jl, j) in cr.clone().enumerate() {
-                for i in 0..m {
+                for i in 0..n {
                     assert!((r.local[(i, jl)] - expect[(i, j)]).abs() < 1e-10);
                 }
             }
@@ -216,8 +210,8 @@ mod tests {
     fn pipelined_matches_allreduce_bitwise() {
         // Same ring fold order per element on both paths ⇒ exact equality,
         // of the replicated matrix and of the riders summed along with it.
-        let (nr, m, n, p) = (32, 6, 8, 4);
-        let (a, b) = global_ab(nr, m, n);
+        let (nr, n, p) = (32, 8, 4);
+        let (a, b) = global_ab(nr, n);
         let res = spmd(p, |c| {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
@@ -239,8 +233,8 @@ mod tests {
 
     #[test]
     fn pipelined_uses_less_memory_per_rank() {
-        let (nr, m, n, p) = (40, 16, 16, 4);
-        let (a, b) = global_ab(nr, m, n);
+        let (nr, n, p) = (40, 16, 4);
+        let (a, b) = global_ab(nr, n);
         let res = spmd(p, |c| {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
@@ -256,8 +250,8 @@ mod tests {
 
     #[test]
     fn more_ranks_than_columns() {
-        let (nr, m, n, p) = (12, 3, 2, 5);
-        let (a, b) = global_ab(nr, m, n);
+        let (nr, n, p) = (12, 2, 5);
+        let (a, b) = global_ab(nr, n);
         let expect = gemm_tn(&a, &b);
         let res = spmd(p, |c| {
             let rr = block_ranges(nr, p)[c.rank()].clone();
@@ -266,11 +260,11 @@ mod tests {
             gram_pipelined_reduce(c, &al, &bl, 1.0).expect("pipelined reduce")
         });
         // ranks 2..5 own nothing; ranks 0,1 own one column each
-        let mut recovered = Mat::zeros(m, n);
+        let mut recovered = Mat::zeros(n, n);
         for (rank, r) in res.iter().enumerate() {
             let cr = block_ranges(n, p)[rank].clone();
             for (jl, j) in cr.clone().enumerate() {
-                for i in 0..m {
+                for i in 0..n {
                     recovered[(i, j)] = r.local[(i, jl)];
                 }
             }
@@ -283,8 +277,8 @@ mod tests {
         // Every rank arms the same plan, so the injected drop fires
         // symmetrically and the re-issue stays a collective. The healed run
         // must match the clean run bit-for-bit (same ring fold order).
-        let (nr, m, n, p) = (24, 4, 6, 3);
-        let (a, b) = global_ab(nr, m, n);
+        let (nr, n, p) = (24, 6, 3);
+        let (a, b) = global_ab(nr, n);
         let run = |with_fault: bool| {
             spmd(p, |c| {
                 let campaign = with_fault.then(|| {

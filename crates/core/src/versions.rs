@@ -6,11 +6,12 @@ use crate::pipeline::gram_replicated;
 use crate::problem::{CasidaProblem, Slab};
 use crate::timers::StageTimings;
 use faultkit::{NumericalError, SolveError};
-use isdf::interp::{fit, gram_pair};
+use isdf::interp::{floored_cholesky, gram_pair, GramPair};
 use isdf::{
     face_splitting_product, kmeans_points_checked, pair_weights, qrcp_points,
-    sampled_residual_sums, KmeansOptions,
+    residual_sample_rows, sampled_residual_sums, KmeansOptions,
 };
+use mathkit::chol::solve_right_in_place;
 use mathkit::gemm::{gemm, Transpose};
 use mathkit::{simd, Mat};
 use obskit::Stage;
@@ -290,22 +291,39 @@ pub fn build_isdf_hamiltonian(
         let phi_hat = Mat::from_vec(points.len(), problem.n_c(), fused.field(f_phi).to_vec());
         drop(sp);
 
-        // Θ rows of my slab, solved against CCᵀ from the right. CCᵀ comes
-        // from the replicated sampled rows, so every rank climbs the same
-        // Tikhonov ladder and a failed fit fails everywhere.
+        // Half the Galerkin fit, in my slab's rows of B = ZCᵀ: with
+        // CCᵀ + floor·I = LLᵀ, W = B·L⁻ᵀ is one tall right solve, and
+        // Θ = W·L⁻¹ is never formed. L comes from the replicated sampled
+        // rows, so every rank climbs the same Tikhonov ladder and a failed
+        // fit fails everywhere. The residual guard solves Θ at its sampled
+        // rows only.
         let sp = obskit::span(Stage::Theta, "theta.solve");
-        let theta = fit(gram_pair(&slab.psi_v, &slab.psi_c, &psi_hat, &phi_hat))?;
-        let (num, den) = sampled_residual_sums(
-            &theta, &slab.psi_v, &slab.psi_c, &psi_hat, &phi_hat, slab.rows.clone(), problem.n_r(),
-        );
+        let GramPair { zc_t: mut w, cc_t } =
+            gram_pair(&slab.psi_v, &slab.psi_c, &psi_hat, &phi_hat);
+        let l = floored_cholesky(cc_t)?;
+        finite("isdf.zc_t", w.as_slice())?;
+        solve_right_in_place(&mut w, &l, Transpose::Yes);
+        let sample = residual_sample_rows(slab.rows.clone(), problem.n_r());
+        let mut theta_rows = w.select_rows(&sample);
+        solve_right_in_place(&mut theta_rows, &l, Transpose::No);
+        let (psi, phi) = (&slab.psi_v, &slab.psi_c);
+        let (num, den) = sampled_residual_sums(&theta_rows, psi, phi, &psi_hat, &phi_hat, &sample);
         drop(sp);
-        let f_theta = distributed_kernel_apply(comm, problem, &theta);
+        let f_w = distributed_kernel_apply(comm, problem, &w);
 
-        // Ṽ_Hxc = ΔV · Θᵀ (f_Hxc Θ) (paper Eq. 7; ΔV folds into the GEMM's
-        // alpha). The two residual sums ride its reduction.
+        // Ṽ_Hxc = ΔV·Θᵀ(f_Hxc Θ) (paper Eq. 7) = L⁻ᵀ N L⁻¹ with
+        // N = ΔV·Wᵀ(f_Hxc W), symmetric by construction (ΔV folds into its
+        // alpha, and the two residual sums ride its reduction). The finish
+        // is N_μ-sized: N·L⁻¹, transposed in place to L⁻ᵀN, then ·L⁻¹. Not
+        // A⁻¹(Bᵀ f_Hxc B)A⁻¹ with A = CCᵀ: that form amplifies the rounding
+        // of the reduction by κ(A)² instead of κ(A), and 2 ranks then left
+        // the serial energies by 4.2e-10 on `silicon_like_problem(1, 12, 4)`.
         let _sp = obskit::span(Stage::Gemm, "v_tilde.contract");
         let (dv, mut sums) = (problem.grid.dv(), [num, den]);
-        let mut v_tilde = gram_replicated(comm, &theta, &f_theta, dv, pipelined, &mut sums)?;
+        let mut v_tilde = gram_replicated(comm, &w, &f_w, dv, pipelined, &mut sums)?;
+        solve_right_in_place(&mut v_tilde, &l, Transpose::No);
+        v_tilde.transpose_in_place();
+        solve_right_in_place(&mut v_tilde, &l, Transpose::No);
         v_tilde.symmetrize();
         let c = face_splitting_product(&psi_hat, &phi_hat);
         let fit_res = if sums[1] == 0.0 { 0.0 } else { (sums[0] / sums[1]).sqrt() };
@@ -346,6 +364,8 @@ mod tests {
     use crate::rank::IsdfRank;
     use crate::solver::Solver;
     use isdf::{kmeans_points, IsdfDecomposition};
+    use mathkit::gemm::symm_tn;
+    use mathkit::syev;
     use parcomm::spmd;
 
     fn full_rank_opts(p: &CasidaProblem) -> Solver {
@@ -401,14 +421,15 @@ mod tests {
 
     #[test]
     fn one_rank_build_is_the_reference_composition() {
-        // On a solo communicator the build is, bit for bit, the textbook
-        // composition written out here: serial K-Means, the whole-grid
-        // Galerkin fit, one kernel application, the ΔV GEMM.
+        // On a solo communicator the build is, bit for bit, the composition
+        // written out here: serial K-Means, the whole-grid Gram pair, the
+        // floored factor, W = ZCᵀ·L⁻ᵀ, one kernel application, the
+        // symmetric ΔV contraction and the N_μ-sized L⁻ᵀ N L⁻¹ finish.
         let p = silicon_like_problem(1, 12, 4);
         let opts = Solver::default();
         let PointSelector::Kmeans(km) = opts.kmeans_selector() else { unreachable!() };
         let coords: Vec<[f64; 3]> = (0..p.n_r()).map(|i| p.grid.coords(i)).collect();
-        let w = pair_weights(&p.psi_v, &p.psi_c);
+        let weights = pair_weights(&p.psi_v, &p.psi_c);
         for rank in [IsdfRank::Fixed(p.n_cv()), opts.rank] {
             let n_mu = rank.resolve(p.n_r(), p.n_v(), p.n_c());
             let solo = Comm::solo();
@@ -419,16 +440,61 @@ mod tests {
             assert!(log.is_empty(), "{log:?}");
             assert_eq!(solo.stats().collective_calls, 0, "a solo collective is not a call");
 
-            let points = kmeans_points(&coords, &w, n_mu, km).points;
+            let points = kmeans_points(&coords, &weights, n_mu, km).points;
+            let (psi_hat, phi_hat) = (p.psi_v.select_rows(&points), p.psi_c.select_rows(&points));
+            let GramPair { zc_t: mut w, cc_t } = gram_pair(&p.psi_v, &p.psi_c, &psi_hat, &phi_hat);
+            let l = floored_cholesky(cc_t).expect("SPD Gram");
+            solve_right_in_place(&mut w, &l, Transpose::Yes);
+            let f_w = HxcKernel::for_problem(&p).apply(&w);
+            let mut v_tilde = symm_tn(p.grid.dv(), &w, &f_w, 0..points.len());
+            solve_right_in_place(&mut v_tilde, &l, Transpose::No);
+            v_tilde.transpose_in_place();
+            solve_right_in_place(&mut v_tilde, &l, Transpose::No);
+            v_tilde.symmetrize();
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ham.v_tilde), bits(&v_tilde), "Ṽ at rank {n_mu}");
+            let c = face_splitting_product(&psi_hat, &phi_hat);
+            assert_eq!(bits(&ham.c), bits(&c), "C at rank {n_mu}");
+        }
+    }
+
+    #[test]
+    fn v_tilde_matches_the_theta_composition() {
+        // The W form reassociates Θᵀ(f_Hxc Θ) with Θ = W·L⁻¹: Ṽ and the
+        // lowest energies agree with the textbook composition — the whole
+        // Θ, the kernel on it, the ΔV GEMM — to 1e-12 relative, on the
+        // shapes of the cross-rank test below.
+        let problems = [
+            silicon_like_problem(1, 12, 4),
+            silicon_like_problem(1, 16, 8),
+            synthetic_problem([8, 8, 8], 6.0, 2, 2),
+        ];
+        for p in &problems {
+            let solver = Solver::builder().n_states(5).build();
+            let (solo, n_mu) = (Comm::solo(), solver.n_mu(p));
+            let selector = solver.kmeans_selector();
+            let ham = build_isdf_hamiltonian(&solo, p, selector, n_mu, false, &mut vec![])
+                .expect("clean build");
+            let points = select_points(&solo, p, &p.slab(&solo), selector, n_mu, &mut vec![])
+                .expect("clean selection");
             let fit = IsdfDecomposition::build(&p.psi_v, &p.psi_c, &points);
-            let f_theta = HxcKernel::for_problem(&p).apply(&fit.theta);
+            let f_theta = HxcKernel::for_problem(p).apply(&fit.theta);
             let mut v_tilde = Mat::zeros(points.len(), points.len());
             let dv = p.grid.dv();
             gemm(dv, &fit.theta, Transpose::Yes, &f_theta, Transpose::No, 0.0, &mut v_tilde);
             v_tilde.symmetrize();
-            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&ham.v_tilde), bits(&v_tilde), "Ṽ at rank {n_mu}");
-            assert_eq!(bits(&ham.c), bits(&fit.coefficients()), "C at rank {n_mu}");
+            let rel = ham.v_tilde.max_abs_diff(&v_tilde) / v_tilde.norm_max();
+            assert!(rel < 1e-12, "Ṽ differs by {rel:e} relative");
+
+            let k = solver.n_states.min(p.n_cv());
+            let energies = |v_tilde: &Mat| {
+                let (diag_d, c, v_tilde) = (p.diag_d(), ham.c.clone(), v_tilde.clone());
+                let h = IsdfHamiltonian { diag_d, c, v_tilde };
+                syev(&h.to_dense()).values[..k].to_vec()
+            };
+            for (w, t) in energies(&ham.v_tilde).iter().zip(energies(&v_tilde)) {
+                assert!((w - t).abs() <= 1e-12 * t.abs(), "{w} vs {t}");
+            }
         }
     }
 
@@ -437,7 +503,9 @@ mod tests {
         // One K-Means: the point list is *equal* on the calling thread and on
         // 1, 2 and 3 ranks, and with it the lowest energies agree to 1e-10
         // (8.3e-7 apart on the first shape while the distributed build had
-        // its own clustering).
+        // its own clustering). Ṽ stays in the W = ZCᵀ·L⁻ᵀ form for this: the
+        // full A⁻¹(ZCᵀ)ᵀ f_Hxc (ZCᵀ)A⁻¹ form put 2 ranks 4.2e-10 away from
+        // the serial energy on the first shape.
         let problems = [
             silicon_like_problem(1, 12, 4),
             silicon_like_problem(1, 16, 8),

@@ -1,6 +1,7 @@
 //! The assembled ISDF decomposition and the face-splitting product.
 
 use mathkit::Mat;
+use std::ops::Range;
 
 use crate::interp::{fit, gram_pair};
 
@@ -87,8 +88,10 @@ impl IsdfDecomposition {
     /// `Z`: cost is `O(samples · N_μ)`.
     pub fn sampled_relative_error(&self, psi: &Mat, phi: &Mat) -> f64 {
         let nr = self.theta.nrows();
+        let sample = residual_sample_rows(0..nr, nr);
+        let theta_rows = self.theta.select_rows(&sample);
         let (num, den) =
-            sampled_residual_sums(&self.theta, psi, phi, &self.psi_hat, &self.phi_hat, 0..nr, nr);
+            sampled_residual_sums(&theta_rows, psi, phi, &self.psi_hat, &self.phi_hat, &sample);
         if den == 0.0 {
             0.0
         } else {
@@ -121,33 +124,41 @@ impl IsdfDecomposition {
     }
 }
 
+/// The grid rows the sampled fit residual reads from the slab `rows` of an
+/// `n_r`-point grid, as slab-local indices: every `⌈n_r/16⌉`-th grid row
+/// that falls in the slab, ascending. The sample is fixed by the grid, not
+/// by the slab, so disjoint slabs share it out.
+pub fn residual_sample_rows(rows: Range<usize>, n_r: usize) -> Vec<usize> {
+    let row_step = n_r.div_ceil(16).max(1);
+    (0..n_r).step_by(row_step).filter(|r| rows.contains(r)).map(|r| r - rows.start).collect()
+}
+
 /// One row slab's share `(Σ (z − θc)², Σ z²)` of the sampled fit residual:
-/// `theta`, `psi` and `phi` hold grid rows `rows` of an `n_r`-point grid, and
-/// the sample — every `⌈n_r/16⌉`-th grid row, every `⌈pairs/32⌉`-th orbital
-/// pair — is fixed by the grid, not by the slab, so the shares of disjoint
-/// slabs add up to [`IsdfDecomposition::sampled_relative_error`]'s sums.
+/// `psi` and `phi` hold the slab's grid rows, `sample` its
+/// [`residual_sample_rows`], and `theta_rows` Θ at those rows only, one row
+/// each. Every `⌈pairs/32⌉`-th orbital pair is sampled, so the shares of
+/// disjoint slabs add up to
+/// [`IsdfDecomposition::sampled_relative_error`]'s sums.
 pub fn sampled_residual_sums(
-    theta: &Mat,
+    theta_rows: &Mat,
     psi: &Mat,
     phi: &Mat,
     psi_hat: &Mat,
     phi_hat: &Mat,
-    rows: std::ops::Range<usize>,
-    n_r: usize,
+    sample: &[usize],
 ) -> (f64, f64) {
+    assert_eq!(theta_rows.nrows(), sample.len(), "one Θ row per sampled grid row");
     let (n_mu, n) = (psi_hat.nrows(), phi_hat.ncols());
     let n_pairs = psi_hat.ncols() * n;
-    let row_step = n_r.div_ceil(16).max(1);
     let pair_step = n_pairs.div_ceil(32).max(1);
     let (mut num, mut den) = (0.0, 0.0);
-    for r in (0..n_r).step_by(row_step).filter(|r| rows.contains(r)) {
-        let r = r - rows.start;
+    for (s, &r) in sample.iter().enumerate() {
         for p in (0..n_pairs).step_by(pair_step) {
             let (i, j) = (p / n, p % n);
             let z = psi[(r, i)] * phi[(r, j)];
             let mut approx = 0.0;
             for mu in 0..n_mu {
-                approx += theta[(r, mu)] * psi_hat[(mu, i)] * phi_hat[(mu, j)];
+                approx += theta_rows[(s, mu)] * psi_hat[(mu, i)] * phi_hat[(mu, j)];
             }
             num += (z - approx) * (z - approx);
             den += z * z;

@@ -54,23 +54,34 @@ pub fn gram_pair(psi: &Mat, phi: &Mat, psi_hat: &Mat, phi_hat: &Mat) -> GramPair
 }
 
 /// Solve `Θ (CCᵀ + floor·I) = ZCᵀ` for `Θ` (`N_r × N_μ`) in `pair.zc_t`'s own
-/// storage: with `CCᵀ + floor·I = LLᵀ`, `Θ = ZCᵀ·L⁻ᵀ·L⁻¹` is two right-side
-/// triangular solves in which every grid row is one right-hand side, so the
-/// serial fit and each rank's row slab run the same code on the same `L`.
-///
-/// `CCᵀ` is Tikhonov-floored before the factorization, since near-duplicate
-/// interpolation points make it semi-definite: the floor starts at `1e-12`
-/// of the mean diagonal and a Cholesky failure retries at ×10³ (3 attempts,
-/// each from the unfloored diagonal) before surfacing
-/// [`NumericalError::GramNotSpd`]. A non-finite Gram entry (poisoned
-/// orbitals) surfaces as [`NumericalError::NonFinite`].
+/// storage: with [`floored_cholesky`]'s `LLᵀ = CCᵀ + floor·I`,
+/// `Θ = ZCᵀ·L⁻ᵀ·L⁻¹` is two right-side triangular solves in which every grid
+/// row is one right-hand side, so any row slab gets the same rows. A
+/// non-finite `ZCᵀ` entry (a poisoned unsampled orbital row) surfaces as
+/// [`NumericalError::NonFinite`] at `isdf.zc_t`.
 pub fn fit(pair: GramPair) -> Result<Mat, NumericalError> {
-    let GramPair { zc_t: mut theta, mut cc_t } = pair;
-    if let Some(bad) = cc_t.as_slice().iter().position(|v| !v.is_finite()) {
-        return Err(NumericalError::NonFinite { site: "isdf.cc_t".into(), index: bad });
-    }
+    let GramPair { zc_t: mut theta, cc_t } = pair;
+    let l = floored_cholesky(cc_t)?;
     if let Some(bad) = theta.as_slice().iter().position(|v| !v.is_finite()) {
         return Err(NumericalError::NonFinite { site: "isdf.zc_t".into(), index: bad });
+    }
+    solve_right_in_place(&mut theta, &l, Transpose::Yes);
+    solve_right_in_place(&mut theta, &l, Transpose::No);
+    Ok(theta)
+}
+
+/// The Tikhonov-floored Cholesky factor `L` of the Galerkin Gram,
+/// `LLᵀ = CCᵀ + floor·I`. The floor is added in `cc_t`'s own storage.
+///
+/// Near-duplicate interpolation points make `CCᵀ` semi-definite, so the
+/// floor starts at `1e-12` of the mean diagonal and a Cholesky failure
+/// retries at ×10³ (3 attempts, each from the unfloored diagonal) before
+/// surfacing [`NumericalError::GramNotSpd`]. A non-finite entry (a poisoned
+/// sampled orbital row) surfaces as [`NumericalError::NonFinite`] at
+/// `isdf.cc_t`.
+pub fn floored_cholesky(mut cc_t: Mat) -> Result<Mat, NumericalError> {
+    if let Some(bad) = cc_t.as_slice().iter().position(|v| !v.is_finite()) {
+        return Err(NumericalError::NonFinite { site: "isdf.cc_t".into(), index: bad });
     }
     let n_mu = cc_t.nrows();
     let diag: Vec<f64> = (0..n_mu).map(|i| cc_t[(i, i)]).collect();
@@ -82,11 +93,7 @@ pub fn fit(pair: GramPair) -> Result<Mat, NumericalError> {
             cc_t[(i, i)] = d + floor;
         }
         match cholesky(&cc_t) {
-            Ok(l) => {
-                solve_right_in_place(&mut theta, &l, Transpose::Yes);
-                solve_right_in_place(&mut theta, &l, Transpose::No);
-                return Ok(theta);
-            }
+            Ok(l) => return Ok(l),
             Err(pivot) => {
                 last_pivot = pivot;
                 floor *= 1e3;

@@ -28,7 +28,9 @@ pub mod interp;
 pub mod kmeans;
 pub mod points;
 
-pub use decomposition::{face_splitting_product, sampled_residual_sums, IsdfDecomposition};
+pub use decomposition::{
+    face_splitting_product, residual_sample_rows, sampled_residual_sums, IsdfDecomposition,
+};
 pub use interp::GramPair;
 pub use kmeans::{
     kmeans_points, kmeans_points_checked, KmeansInit, KmeansOptions, KmeansOutcome, SnapRule,

@@ -42,6 +42,7 @@
 use crate::mat::Mat;
 use crate::simd::{self, Kernel};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Whether an operand is used as-is or transposed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,11 +185,7 @@ pub fn matmul(a: &Mat, b: &Mat) -> Mat {
 /// triangle of macro-tiles is computed through the packed engine; the upper
 /// triangle is mirrored afterwards.
 pub fn syrk_tn_scaled(alpha: f64, a: &Mat) -> Mat {
-    let n = a.ncols();
-    let k = a.nrows();
-    let av = View::of(a, Transpose::Yes);
-    let bv = View::of(a, Transpose::No);
-    syrk_engine(alpha, &av, &bv, n, k)
+    symm_tn(alpha, a, a, 0..a.ncols())
 }
 
 /// Symmetric rank-k update `C = AᵀA` (Gram matrix), exploiting symmetry.
@@ -203,12 +200,24 @@ pub fn syrk_nt_scaled(alpha: f64, a: &Mat) -> Mat {
     let k = a.ncols();
     let av = View::of(a, Transpose::No);
     let bv = View::of(a, Transpose::Yes);
-    syrk_engine(alpha, &av, &bv, n, k)
+    syrk_engine(alpha, &av, &bv, n, k, 0..n)
 }
 
 /// Symmetric rank-k update `C = A·Aᵀ`.
 pub fn syrk_nt(a: &Mat) -> Mat {
     syrk_nt_scaled(1.0, a)
+}
+
+/// Columns `cols` of `C = alpha·AᵀB` for equal-shape `A`, `B` whose product
+/// is symmetric by construction — `B = K·A` with `K` symmetric, as for the
+/// `f_Hxc`-applied factors of `V_Hxc` and `Ṽ`. Only the lower triangle is
+/// computed and the upper one mirrored, so the whole product costs half a
+/// GEMM, and column blocks of `C` assemble it bit for bit.
+pub fn symm_tn(alpha: f64, a: &Mat, b: &Mat, cols: Range<usize>) -> Mat {
+    assert_eq!(a.shape(), b.shape(), "the factors of a symmetric product have one shape");
+    let av = View::of(a, Transpose::Yes);
+    let bv = View::of(b, Transpose::No);
+    syrk_engine(alpha, &av, &bv, a.ncols(), a.nrows(), cols)
 }
 
 /// `y = alpha * A x + beta * y`, parallel over row chunks of `y`.
@@ -717,88 +726,116 @@ unsafe fn macro_tile(
     }
 }
 
-/// Shared engine for both SYRK flavours: `C = alpha·op(A)·op(B)` where the
-/// product is symmetric by construction. Macro-tiles strictly above the
-/// diagonal are skipped; the lower triangle is mirrored up at the end.
-fn syrk_engine(alpha: f64, av: &View, bv: &View, n: usize, k: usize) -> Mat {
-    let mut c = Mat::zeros(n, n);
-    if n == 0 {
+/// Shared engine of the symmetric products: columns `cols` of the `n × n`
+/// product `C = alpha·op(A)·op(B)`, which is symmetric by construction.
+/// Only entries on or below the diagonal are computed (macro-tiles strictly
+/// above it are skipped); every other entry is the mirror image of one. The
+/// fold of an entry depends on `n` and `k` alone, so column blocks of `C`
+/// assemble the whole product bit for bit. The flops of the tiles computed
+/// are added to `obskit`'s count.
+fn syrk_engine(alpha: f64, av: &View, bv: &View, n: usize, k: usize, cols: Range<usize>) -> Mat {
+    assert!(cols.end <= n, "column block out of bounds");
+    let (c0, w) = (cols.start, cols.len());
+    let mut c = Mat::zeros(n, w);
+    if w == 0 || k == 0 || alpha == 0.0 {
         return c;
     }
-    if k == 0 || alpha == 0.0 {
-        return c;
+    let small = 2 * n * n * k < SMALL_FLOPS;
+    // The block column's own rows `[c0, n)`, then the block row beside it,
+    // `[c0, c1) × [0, c0)`, whose transpose is the part above the block.
+    let own = &mut c.as_mut_slice()[c0..];
+    let mut flops = lower_part(alpha, av, bv, k, small, c0..n, cols.clone(), own, n);
+    let mut beside = Mat::zeros(w, c0);
+    flops += lower_part(alpha, av, bv, k, small, cols.clone(), 0..c0, beside.as_mut_slice(), w);
+    obskit::add_flops(flops);
+    for jl in 0..w {
+        let j = c0 + jl;
+        for i in 0..j {
+            c[(i, jl)] = if i < c0 { beside[(jl, i)] } else { c[(j, i - c0)] };
+        }
     }
-    if 2 * n * n * k < SMALL_FLOPS {
-        // Serial: lower-triangle dot products, then mirror.
-        {
-            let cs = c.as_mut_slice();
-            for j in 0..n {
-                for i in j..n {
-                    let mut s = 0.0;
-                    for l in 0..k {
-                        s += av.get(i, l) * bv.get(l, j);
-                    }
-                    cs[i + j * n] = alpha * s;
+    c
+}
+
+/// `out[(i − rows.start) + (j − cols.start)·ldo] = alpha·Σ_l op(A)[i,l]·op(B)[l,j]`
+/// for the entries of `rows × cols` on or below the diagonal (`i ≥ j`);
+/// the blocked path also fills the rest of every tile it touches. `small`
+/// takes the serial dot fold, else the packed microkernel fold. Returns the
+/// flops spent.
+#[allow(clippy::too_many_arguments)]
+fn lower_part(
+    alpha: f64,
+    av: &View,
+    bv: &View,
+    k: usize,
+    small: bool,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    out: &mut [f64],
+    ldo: usize,
+) -> u64 {
+    if rows.is_empty() || cols.is_empty() {
+        return 0;
+    }
+    if small {
+        let mut dots = 0;
+        for j in cols.clone() {
+            for i in rows.start.max(j)..rows.end {
+                let mut s = 0.0;
+                for l in 0..k {
+                    s += av.get(i, l) * bv.get(l, j);
                 }
+                out[i - rows.start + (j - cols.start) * ldo] = alpha * s;
+                dots += 1;
             }
         }
-        mirror_lower_to_upper(&mut c);
-        return c;
+        return 2 * dots * k as u64;
     }
 
+    // The tile kernels write `out` through raw pointers: the window must fit.
+    assert!(ldo >= rows.len() && out.len() >= (cols.len() - 1) * ldo + rows.len());
     let kernel = simd::active_kernel();
-    let nr = blocked_nr(n);
-    let n_blk = n.div_ceil(MC.min(NC));
+    let nr = blocked_nr(cols.len());
     let blk = MC.min(NC);
+    let (m_blk, n_blk) = (rows.len().div_ceil(blk), cols.len().div_ceil(blk));
     let n_pc = k.div_ceil(KC);
-    let packed_a: Vec<Vec<f64>> = (0..n_pc * n_blk)
+    let packed_a: Vec<Vec<f64>> = (0..n_pc * m_blk)
         .into_par_iter()
         .map(|idx| {
-            let (pc, ic) = (idx / n_blk, idx % n_blk);
-            let p0 = pc * KC;
-            let i0 = ic * blk;
-            pack_a(av, i0, blk.min(n - i0), p0, KC.min(k - p0))
+            let (pc, ic) = (idx / m_blk, idx % m_blk);
+            let (p0, i0) = (pc * KC, rows.start + ic * blk);
+            pack_a(av, i0, blk.min(rows.end - i0), p0, KC.min(k - p0))
         })
         .collect();
     let packed_b: Vec<Vec<f64>> = (0..n_pc * n_blk)
         .into_par_iter()
         .map(|idx| {
             let (pc, jc) = (idx / n_blk, idx % n_blk);
-            let p0 = pc * KC;
-            let j0 = jc * blk;
-            pack_b(bv, p0, KC.min(k - p0), j0, blk.min(n - j0), nr)
+            let (p0, j0) = (pc * KC, cols.start + jc * blk);
+            pack_b(bv, p0, KC.min(k - p0), j0, blk.min(cols.end - j0), nr)
         })
         .collect();
 
-    // Tiles on or below the block diagonal only.
-    let tiles: Vec<(usize, usize)> =
-        (0..n_blk).flat_map(|jc| (jc..n_blk).map(move |ic| (ic, jc))).collect();
-    let cptr = CPtr(c.as_mut_slice().as_mut_ptr());
-    tiles.par_iter().for_each(|&(ic, jc)| {
-        let i0 = ic * blk;
-        let j0 = jc * blk;
-        let mc = blk.min(n - i0);
-        let nc = blk.min(n - j0);
+    // Tiles holding at least one entry on or below the diagonal, as
+    // (row offset, column offset, rows, columns) within `out`.
+    let tiles: Vec<(usize, usize, usize, usize)> = (0..n_blk)
+        .flat_map(|jc| (0..m_blk).map(move |ic| (ic * blk, jc * blk)))
+        .map(|(i0, j0)| (i0, j0, blk.min(rows.len() - i0), blk.min(cols.len() - j0)))
+        .filter(|&(i0, j0, mc, _)| rows.start + i0 + mc > cols.start + j0)
+        .collect();
+    let cptr = CPtr(out.as_mut_ptr());
+    tiles.par_iter().for_each(|&(i0, j0, mc, nc)| {
+        let (ic, jc) = (i0 / blk, j0 / blk);
         for pc in 0..n_pc {
             let kc = KC.min(k - pc * KC);
-            let ap = &packed_a[pc * n_blk + ic];
+            let ap = &packed_a[pc * m_blk + ic];
             let bp = &packed_b[pc * n_blk + jc];
-            // SAFETY: each (ic ≥ jc) tile is visited by exactly one task.
-            unsafe { macro_tile(kernel, nr, alpha, ap, bp, kc, mc, nc, cptr, n, i0, j0) };
+            // SAFETY: each tile is visited by exactly one task, and the
+            // caller's `out` holds `cols.len()` columns of `ldo ≥ rows.len()`.
+            unsafe { macro_tile(kernel, nr, alpha, ap, bp, kc, mc, nc, cptr, ldo, i0, j0) };
         }
     });
-    mirror_lower_to_upper(&mut c);
-    c
-}
-
-/// Copy the strict lower triangle onto the strict upper triangle.
-fn mirror_lower_to_upper(c: &mut Mat) {
-    let n = c.nrows();
-    for j in 0..n {
-        for i in j + 1..n {
-            c[(j, i)] = c[(i, j)];
-        }
-    }
+    tiles.iter().map(|&(_, _, mc, nc)| 2 * (mc * nc * k) as u64).sum()
 }
 
 #[cfg(test)]
@@ -946,6 +983,30 @@ mod tests {
         let gs = syrk_nt_scaled(2.5, &a);
         expect.scale(2.5);
         assert!(gs.max_abs_diff(&expect) < 1e-12);
+    }
+
+    #[test]
+    fn symm_column_blocks_assemble_the_whole_product_bitwise() {
+        // B = diag(d)·A makes AᵀB symmetric by construction. The serial and
+        // the tiled fold, with blocks that straddle macro-tile edges.
+        let mut rng = test_rng();
+        for (k, n) in [(9, 7), (300, 2 * MC + 11)] {
+            let a = Mat::random(k, n, &mut rng);
+            let b = Mat::from_fn(k, n, |l, j| (1.0 + 0.1 * l as f64) * a[(l, j)]);
+            let whole = symm_tn(0.7, &a, &b, 0..n);
+            let mut expect = gemm_tn(&a, &b);
+            expect.scale(0.7);
+            assert!(whole.max_abs_diff(&expect) < 1e-10);
+            assert_eq!(whole.max_abs_diff(&whole.transpose()), 0.0, "exact symmetry by mirroring");
+            for cuts in [vec![0, 1, n], vec![0, n / 3, n / 2, n], vec![0, MC.min(n - 1) + 1, n]] {
+                for pair in cuts.windows(2) {
+                    let block = symm_tn(0.7, &a, &b, pair[0]..pair[1]);
+                    let want = whole.col_block(pair[0], pair[1]);
+                    let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&block), bits(&want), "n={n} columns {pair:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1276,7 +1337,7 @@ mod tests {
                 // Forced tiled path.
                 let av = View::of(&a, Transpose::Yes);
                 let bv = View::of(&a, Transpose::No);
-                let mut gt = syrk_engine(alpha, &av, &bv, n, k);
+                let mut gt = syrk_engine(alpha, &av, &bv, n, k, 0..n);
                 // syrk_engine dispatches on size internally; compare anyway.
                 prop_assert!(gt.max_abs_diff(&expect) < 1e-10);
                 gt.symmetrize();

@@ -185,10 +185,15 @@ where
             }
         }
 
-        // Orthonormalize S (drop dependent directions if necessary).
-        let s_orth = match cholesky_qr(&s) {
-            Ok(q) => q,
-            Err(_) => modified_gram_schmidt(&s, 1e-10),
+        // Orthonormalize S (drop dependent directions if necessary). With
+        // more columns than rows (n < 3k) the Gram is singular by
+        // construction: a Cholesky that happens to pass on rounding noise
+        // returns a non-orthonormal basis whose Ritz vectors collapse to
+        // zero norm (θ ≈ 0, residual ≈ 0, "converged"), so that case goes
+        // straight to MGS.
+        let s_orth = match (ncols_s <= n).then(|| cholesky_qr(&s)) {
+            Some(Ok(q)) => q,
+            _ => modified_gram_schmidt(&s, 1e-10),
         };
         if s_orth.ncols() < k {
             // Subspace collapsed — return the best we have.

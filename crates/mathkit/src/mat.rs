@@ -129,6 +129,17 @@ impl Mat {
         t
     }
 
+    /// Transpose a square matrix in its own storage.
+    pub fn transpose_in_place(&mut self) {
+        let n = self.nrows;
+        assert_eq!(n, self.ncols);
+        for j in 0..n {
+            for i in 0..j {
+                self.data.swap(i + j * n, j + i * n);
+            }
+        }
+    }
+
     /// Copy of the contiguous column block `[j0, j1)`.
     pub fn col_block(&self, j0: usize, j1: usize) -> Mat {
         assert!(j0 <= j1 && j1 <= self.ncols);

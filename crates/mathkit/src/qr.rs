@@ -8,6 +8,7 @@
 
 use crate::gemm::{gemm, Transpose};
 use crate::mat::Mat;
+use crate::simd;
 use rand::Rng;
 
 /// Plain (unpivoted) Householder QR: returns `(Q, R)` with `A = Q R`,
@@ -120,40 +121,28 @@ pub fn qrcp(a: &Mat, max_steps: usize, tol: f64) -> Qrcp {
             perm.swap(j, piv);
             norms2.swap(j, piv);
         }
-        // Householder reflector on column j.
-        let mut v = vec![0.0; m - j];
-        for i in j..m {
-            v[i - j] = r[(i, j)];
-        }
+        // Householder reflector on column j, applied column by column to
+        // rows j.. of the trailing columns; each column's norm is downdated
+        // (recomputed when cancellation ate it) while the column is still
+        // in cache, rather than by a sweep along row j at the column stride.
+        let mut v = r.col(j)[j..].to_vec();
         let alpha = -v[0].signum() * v.iter().map(|x| x * x).sum::<f64>().sqrt();
         v[0] -= alpha;
         let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        if vnorm2 > 0.0 {
-            for c in j..n {
-                let mut dot = 0.0;
-                for i in j..m {
-                    dot += v[i - j] * r[(i, c)];
-                }
-                let coef = 2.0 * dot / vnorm2;
-                for i in j..m {
-                    r[(i, c)] -= coef * v[i - j];
+        for (c, norm2) in norms2.iter_mut().enumerate().skip(j) {
+            let col = &mut r.col_mut(c)[j..];
+            if vnorm2 > 0.0 {
+                let dot = v.iter().zip(col.iter()).fold(0.0, |s, (a, b)| s + a * b);
+                simd::axpy(-(2.0 * dot / vnorm2), &v, col);
+            }
+            if c > j {
+                *norm2 -= col[0] * col[0];
+                if *norm2 < 1e-12 * first_norm * first_norm {
+                    *norm2 = col[1..].iter().map(|x| x * x).sum::<f64>().max(0.0);
                 }
             }
         }
         rdiag.push(r[(j, j)].abs());
-        // Downdate column norms (with recompute guard against cancellation).
-        for c in (j + 1)..n {
-            let t = r[(j, c)];
-            norms2[c] -= t * t;
-            if norms2[c] < 1e-12 * first_norm * first_norm {
-                norms2[c] = r.col(c)[(j + 1)..m.max(j + 1)]
-                    .iter()
-                    .map(|x| x * x)
-                    .sum::<f64>()
-                    .max(0.0);
-                // col(c) slice indexing above covers rows j+1..m
-            }
-        }
     }
     Qrcp { perm, rdiag, rank: kmax }
 }
@@ -203,6 +192,112 @@ pub fn randomized_qrcp_select(
 mod tests {
     use super::*;
     use crate::gemm::{gemm_tn, matmul};
+
+    /// The element-indexed loops the slice-based step replaced, kept
+    /// verbatim as the oracle.
+    mod reference {
+        use super::{Mat, Qrcp};
+
+        pub fn qrcp(a: &Mat, max_steps: usize, tol: f64) -> Qrcp {
+            let (m, n) = a.shape();
+            let kmax = max_steps.min(m).min(n);
+            let mut r = a.clone();
+            let mut perm: Vec<usize> = (0..n).collect();
+            let mut norms2: Vec<f64> =
+                (0..n).map(|j| r.col(j).iter().map(|x| x * x).sum()).collect();
+            let mut rdiag = Vec::with_capacity(kmax);
+            let mut first_norm = 0.0f64;
+
+            for j in 0..kmax {
+                let (piv, &pnorm2) = norms2[j..]
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                    .map(|(i, v)| (i + j, v))
+                    .unwrap();
+                let pnorm = pnorm2.max(0.0).sqrt();
+                if j == 0 {
+                    first_norm = pnorm;
+                }
+                if pnorm <= tol * first_norm {
+                    return Qrcp { perm, rdiag, rank: j };
+                }
+                if piv != j {
+                    for i in 0..m {
+                        let t = r[(i, j)];
+                        r[(i, j)] = r[(i, piv)];
+                        r[(i, piv)] = t;
+                    }
+                    perm.swap(j, piv);
+                    norms2.swap(j, piv);
+                }
+                let mut v = vec![0.0; m - j];
+                for i in j..m {
+                    v[i - j] = r[(i, j)];
+                }
+                let alpha = -v[0].signum() * v.iter().map(|x| x * x).sum::<f64>().sqrt();
+                v[0] -= alpha;
+                let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+                if vnorm2 > 0.0 {
+                    for c in j..n {
+                        let mut dot = 0.0;
+                        for i in j..m {
+                            dot += v[i - j] * r[(i, c)];
+                        }
+                        let coef = 2.0 * dot / vnorm2;
+                        for i in j..m {
+                            r[(i, c)] -= coef * v[i - j];
+                        }
+                    }
+                }
+                rdiag.push(r[(j, j)].abs());
+                for c in (j + 1)..n {
+                    let t = r[(j, c)];
+                    norms2[c] -= t * t;
+                    if norms2[c] < 1e-12 * first_norm * first_norm {
+                        norms2[c] = r.col(c)[(j + 1)..m.max(j + 1)]
+                            .iter()
+                            .map(|x| x * x)
+                            .sum::<f64>()
+                            .max(0.0);
+                    }
+                }
+            }
+            Qrcp { perm, rdiag, rank: kmax }
+        }
+    }
+
+    #[test]
+    fn qrcp_is_bitwise_the_reference() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let low_rank = |m, n, r, rng: &mut rand::rngs::StdRng| {
+            matmul(&Mat::random(m, r, rng), &Mat::random(r, n, rng))
+        };
+        // Zero columns under a negative tolerance: the pivots run past the
+        // rank into all-zero residual columns, where `vnorm2 == 0`.
+        let mut with_zero_cols = Mat::random(9, 6, &mut rng);
+        for c in [1, 4, 5] {
+            with_zero_cols.col_mut(c).fill(0.0);
+        }
+        let cases = [
+            (Mat::random(20, 15, &mut rng), 15, 0.0),
+            (Mat::random(7, 40, &mut rng), 7, 0.0),
+            (low_rank(30, 12, 3, &mut rng), 12, 0.0),
+            (low_rank(30, 12, 3, &mut rng), 12, 1e-8),
+            (low_rank(8, 60, 4, &mut rng), 8, 0.0),
+            (with_zero_cols, 6, -1.0),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, (a, steps, tol)) in cases.iter().enumerate() {
+            let (got, want) = (qrcp(a, *steps, *tol), reference::qrcp(a, *steps, *tol));
+            assert_eq!(got.perm, want.perm, "case {i}");
+            assert_eq!(bits(&got.rdiag), bits(&want.rdiag), "case {i}");
+            assert_eq!(got.rank, want.rank, "case {i}");
+        }
+        let past_rank = qrcp(&cases[5].0, 6, -1.0);
+        assert_eq!((past_rank.rank, &past_rank.rdiag[3..]), (6, &[0.0; 3][..]));
+    }
 
     #[test]
     fn qr_reconstructs() {
