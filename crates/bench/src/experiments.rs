@@ -388,7 +388,7 @@ pub fn calibrate(scale: Scale) -> Calibration {
     let n_mu = IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
     // Single-rank distributed runs give the per-stage serial works.
     let naive_t =
-        spmd(1, |c| distributed_dense_hamiltonian_with(c, &problem, false).1)
+        spmd(1, |c| distributed_dense_hamiltonian_with(c, &problem, false).expect("dense build").1)
             .pop()
             .unwrap();
     let clock = obskit::StageClock::now();

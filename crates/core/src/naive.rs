@@ -1,5 +1,6 @@
 //! The naïve explicit LR-TDDFT path (paper Algorithm 1):
-//! face-splitting product → `f_Hxc` application → `V_Hxc` GEMM → dense SYEV
+//! face-splitting product → `f_Hxc` application → `V_Hxc` GEMM → dense
+//! eigensolve of the lowest `k` ([`mathkit::lowest`])
 //! ([`crate::Version::Naive`]).
 //!
 //! Complexity `O(N_v²N_c²N_r)` construction + `O(N_v³N_c³)` diagonalization
@@ -7,14 +8,15 @@
 
 use crate::parallel::distributed_dense_hamiltonian_with;
 use crate::problem::CasidaProblem;
+use faultkit::SolveError;
 use mathkit::Mat;
 use parcomm::Comm;
 
 /// Build the dense TDA Hamiltonian `H = D + 2 V_Hxc` (`N_cv × N_cv`): the
 /// one dense build ([`distributed_dense_hamiltonian_with`]) on a solo
 /// communicator on this thread.
-pub fn build_dense_hamiltonian(problem: &CasidaProblem) -> Mat {
-    distributed_dense_hamiltonian_with(&Comm::solo(), problem, false).0
+pub fn build_dense_hamiltonian(problem: &CasidaProblem) -> Result<Mat, SolveError> {
+    distributed_dense_hamiltonian_with(&Comm::solo(), problem, false).map(|(h, _)| h)
 }
 
 #[cfg(test)]
@@ -34,7 +36,7 @@ mod tests {
     fn hamiltonian_is_symmetric_with_positive_diagonal_shift() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let clock = obskit::StageClock::now();
-        let h = build_dense_hamiltonian(&p);
+        let h = build_dense_hamiltonian(&p).unwrap();
         let t = crate::StageTimings::since(clock);
         assert_eq!(h.shape(), (4, 4));
         assert!(h.max_abs_diff(&h.transpose()) < 1e-12);

@@ -16,6 +16,7 @@ use crate::kernel::HxcKernel;
 use crate::pipeline::gram_replicated;
 use crate::problem::CasidaProblem;
 use crate::timers::StageTimings;
+use faultkit::SolveError;
 use isdf::face_splitting_product;
 use mathkit::Mat;
 use parcomm::redist::{col_to_row_blocks, row_to_col_blocks};
@@ -49,15 +50,16 @@ pub fn distributed_kernel_apply(comm: &Comm, problem: &CasidaProblem, local_rows
 
 /// Naive Hamiltonian construction (Algorithm 1), SPMD-collective on `comm`;
 /// [`crate::build_dense_hamiltonian`] is its one-rank case. Returns the
-/// replicated dense `H = D + 2 V_Hxc` plus this rank's stage timings.
-/// `pipelined` selects the GEMM+`Reduce` overlap schedule for the `V_Hxc`
-/// contraction.
+/// replicated dense `H = D + 2 V_Hxc` plus this rank's stage timings, or the
+/// typed failure of the input check ([`CasidaProblem::check_inputs`]) or of
+/// the reduction. `pipelined` selects the GEMM+`Reduce` overlap schedule for
+/// the `V_Hxc` contraction.
 pub fn distributed_dense_hamiltonian_with(
     comm: &Comm,
     problem: &CasidaProblem,
     pipelined: bool,
-) -> (Mat, StageTimings) {
-    problem.validate();
+) -> Result<(Mat, StageTimings), SolveError> {
+    problem.check_inputs()?;
     let clock = obskit::StageClock::now();
 
     // Local face-splitting product on my grid slab (line 2).
@@ -74,8 +76,7 @@ pub fn distributed_dense_hamiltonian_with(
     // ΔV fold into the product's alpha — no scale pass.
     let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
     let scale = 2.0 * problem.grid.dv();
-    let mut h = gram_replicated(comm, &z_loc, &fz_loc, scale, pipelined, &mut [])
-        .unwrap_or_else(|e| panic!("v_hxc reduction: {e}"));
+    let mut h = gram_replicated(comm, &z_loc, &fz_loc, scale, pipelined, &mut [])?;
     drop(sp);
 
     // H = D + 2 V_Hxc (line 10).
@@ -83,7 +84,7 @@ pub fn distributed_dense_hamiltonian_with(
         h[(i, i)] += d;
     }
     h.symmetrize();
-    (h, StageTimings::since(clock))
+    Ok((h, StageTimings::since(clock)))
 }
 
 #[cfg(test)]
@@ -100,11 +101,11 @@ mod tests {
     #[test]
     fn distributed_dense_matches_serial() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let serial = build_dense_hamiltonian(&p);
+        let serial = build_dense_hamiltonian(&p).unwrap();
         for ranks in [1usize, 2, 4] {
             for pipelined in [false, true] {
-                let res =
-                    spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, pipelined).0);
+                let build = |c: &Comm| distributed_dense_hamiltonian_with(c, &p, pipelined);
+                let res = spmd(ranks, |c| build(c).unwrap().0);
                 for h in res {
                     assert!(
                         h.max_abs_diff(&serial) < 1e-9,
@@ -140,7 +141,7 @@ mod tests {
     fn distributed_isdf_spectrum_matches_serial() {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
         // Full rank → exact against the naive dense Hamiltonian …
-        let naive = syev(&build_dense_hamiltonian(&p));
+        let naive = syev(&build_dense_hamiltonian(&p).unwrap());
         let solver = Solver::builder().version(Version::KmeansIsdf).rank(IsdfRank::Fixed(p.n_cv()));
         let build = |c: &Comm| -> Mat {
             let ham = solver.hamiltonian(c, &p, &mut vec![]).expect("clean build");
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn timings_accumulate_mpi_for_multirank() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let res = spmd(4, |c| distributed_dense_hamiltonian_with(c, &p, false).1);
+        let res = spmd(4, |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().1);
         for t in res {
             assert!(t.mpi > 0.0, "collectives must register comm time");
             assert!(t.fft > 0.0 && t.gemm > 0.0 && t.face_split > 0.0);

@@ -1,5 +1,6 @@
 //! The Casida/TDA problem data: everything the five solver versions consume.
 
+use faultkit::NumericalError;
 use mathkit::Mat;
 use parcomm::{block_ranges, Comm};
 use pwdft::{Grid, GroundState};
@@ -119,6 +120,32 @@ impl CasidaProblem {
         assert_eq!(self.eps_c.len(), self.n_c());
         assert_eq!(self.fxc.len(), self.grid.len());
         assert!(self.n_v() > 0 && self.n_c() > 0);
+    }
+
+    /// The input check both builds (dense and ISDF) run before any work:
+    /// shapes agree — [`CasidaProblem::validate`], a caller bug, so a panic —
+    /// and every orbital, energy and kernel value is finite, else a typed
+    /// [`NumericalError::NonFinite`] naming the field. Every rank scans the
+    /// whole replicated input, so a group fails together.
+    pub fn check_inputs(&self) -> Result<(), NumericalError> {
+        self.validate();
+        let fields: [(&str, &[f64]); 5] = [
+            ("problem.psi_v", self.psi_v.as_slice()),
+            ("problem.psi_c", self.psi_c.as_slice()),
+            ("problem.eps_v", &self.eps_v),
+            ("problem.eps_c", &self.eps_c),
+            ("problem.fxc", &self.fxc),
+        ];
+        fields.into_iter().try_for_each(|(site, values)| check_finite(site, values))
+    }
+}
+
+/// [`NumericalError::NonFinite`] at `site` for the first non-finite entry of
+/// `values`.
+pub(crate) fn check_finite(site: &str, values: &[f64]) -> Result<(), NumericalError> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(NumericalError::NonFinite { site: site.into(), index }),
+        None => Ok(()),
     }
 }
 

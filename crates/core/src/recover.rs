@@ -29,7 +29,7 @@ use crate::versions::{Hamiltonian, Version};
 use faultkit::SolveError;
 use mathkit::davidson::{davidson, DavidsonOptions};
 use mathkit::lobpcg::{lobpcg, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT};
-use mathkit::{syev, Mat};
+use mathkit::{lowest, Mat};
 use parcomm::Comm;
 
 /// One rung down the graceful-degradation ladder: the next-cheaper
@@ -56,8 +56,9 @@ pub fn degrade(solver: &Solver) -> Option<Solver> {
 /// Build ladder around [`Solver::hamiltonian`], SPMD-collective on `comm`:
 /// one typed failure earns one clean rebuild (injected faults are one-shot,
 /// so the retry is pristine); a second failure is
-/// [`SolveError::LadderExhausted`]. Build failures are decided on replicated
-/// data, so every rank of a group climbs together.
+/// [`SolveError::LadderExhausted`]. A failure on input that fails
+/// [`CasidaProblem::check_inputs`] is returned as is. Build failures are
+/// decided on replicated data, so every rank of a group climbs together.
 pub(crate) fn build_ladder(
     solver: &Solver,
     comm: &Comm,
@@ -72,6 +73,10 @@ pub(crate) fn build_ladder(
     // Let registered observers (e.g. the flight-recorder dump in `repro`)
     // capture the failure context before the rebuild overwrites it.
     faultkit::notify_solve_error(&first);
+    // A defective input is not transient: no rebuild can heal it.
+    if problem.check_inputs().is_err() {
+        return Err(first);
+    }
     recovery.push(format!("isdf.build: {first}; clean rebuild"));
     build(recovery).map_err(|second| {
         let err = SolveError::LadderExhausted {
@@ -176,12 +181,11 @@ where
     ));
 
     // Rung 5: dense floor. Version-3 cost, but exact and unconditional.
-    let eig = syev(&dense());
-    let cols: Vec<usize> = (0..k).collect();
+    let eig = lowest(&dense(), k);
     recovery.push("dense: syev floor".into());
     LobpcgResult {
-        values: eig.values[..k].to_vec(),
-        vectors: eig.vectors.select_cols(&cols),
+        values: eig.values,
+        vectors: eig.vectors,
         iterations: 0,
         residual: 0.0,
         converged: true,

@@ -35,7 +35,7 @@ use crate::versions::{
 };
 use faultkit::SolveError;
 use mathkit::lobpcg::LobpcgOptions;
-use mathkit::syev;
+use mathkit::lowest;
 use obskit::Stage;
 use parcomm::Comm;
 
@@ -206,7 +206,7 @@ impl Solver {
         recovery: &mut Vec<String>,
     ) -> Result<Hamiltonian, SolveError> {
         let Some(selector) = self.plan().selector else {
-            let (h, _) = distributed_dense_hamiltonian_with(comm, problem, self.pipelined);
+            let (h, _) = distributed_dense_hamiltonian_with(comm, problem, self.pipelined)?;
             return Ok(Hamiltonian::Dense(h));
         };
         let n_mu = self.n_mu(problem);
@@ -216,17 +216,18 @@ impl Solver {
 
     /// Finish half of the distributed doors: the lowest `n_states`
     /// eigenvalues of a replicated `ham`, replicated. Rows 1–3 run the same
-    /// dense SYEV on every rank; rows 4–5 the distributed matrix-free LOBPCG,
-    /// falling back to the dense solve if it breaks down or does not
-    /// converge — every guard there tests replicated quantities, so all
-    /// ranks fall back together. Split from the build so the serving
-    /// scheduler can share one build across a batch and keep each job's
-    /// result bitwise identical to a solo [`Solver::solve_distributed`].
+    /// dense eigensolve of the lowest `k` ([`mathkit::lowest`]) on every
+    /// rank; rows 4–5 the distributed matrix-free LOBPCG, falling back to
+    /// the dense solve if it breaks down or does not converge — every guard
+    /// there tests replicated quantities, so all ranks fall back together.
+    /// Split from the build so the serving scheduler can share one build
+    /// across a batch and keep each job's result bitwise identical to a solo
+    /// [`Solver::solve_distributed`].
     pub fn eigensolve(&self, comm: &Comm, ham: &Hamiltonian) -> Vec<f64> {
         let k = self.n_states.min(ham.n_cv());
         let dense = |name| {
             let _sp = obskit::span(Stage::Diag, name);
-            syev(&ham.dense()).values[..k].to_vec()
+            lowest(&ham.dense(), k).values
         };
         match ham {
             Hamiltonian::Isdf(factors) if self.plan().lobpcg => {
@@ -241,10 +242,10 @@ impl Solver {
     /// Serial solve through the recovery ladders: the build half on a solo
     /// communicator on this thread (no rank thread, no `mpi:*` span, no comm
     /// statistics) behind the one-rebuild ladder, then the finisher `version`
-    /// names — dense SYEV (rows 1–3) or LOBPCG behind the eigensolver ladder
-    /// on the materialized (row 4) or matrix-free (row 5) `H`. Failures are
-    /// typed; rungs taken are listed in [`Solution::recovery`], and a clean
-    /// run takes none.
+    /// names — the dense eigensolve of the lowest `k` ([`mathkit::lowest`],
+    /// rows 1–3) or LOBPCG behind the eigensolver ladder on the materialized
+    /// (row 4) or matrix-free (row 5) `H`. Failures are typed; rungs taken
+    /// are listed in [`Solution::recovery`], and a clean run takes none.
     pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
         let clock = obskit::StageClock::now();
         let mut recovery = self.recovery_log();
@@ -270,9 +271,8 @@ impl Solver {
                     eig_ladder(|x| ham.apply(x), floor, &diag_d, k, opts, seed, &mut recovery);
                 (res.values, res.vectors, Some(res.iterations))
             } else {
-                let eig = syev(&ham.dense());
-                let cols: Vec<usize> = (0..k).collect();
-                (eig.values[..k].to_vec(), eig.vectors.select_cols(&cols), None)
+                let eig = lowest(&ham.dense(), k);
+                (eig.values, eig.vectors, None)
             }
         };
         Ok(Solution {
@@ -310,8 +310,56 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::synthetic_problem;
+    use crate::problem::{silicon_like_problem, synthetic_problem};
+    use faultkit::NumericalError;
+    use mathkit::syev;
     use parcomm::spmd;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn non_finite_inputs_are_typed_errors_on_every_row() {
+        type Field = fn(&mut CasidaProblem) -> &mut [f64];
+        let fields: [(&str, Field); 5] = [
+            ("problem.psi_v", |p| p.psi_v.as_mut_slice()),
+            ("problem.psi_c", |p| p.psi_c.as_mut_slice()),
+            ("problem.eps_v", |p| &mut p.eps_v),
+            ("problem.eps_c", |p| &mut p.eps_c),
+            ("problem.fxc", |p| &mut p.fxc),
+        ];
+        for (site, field) in fields {
+            let mut p = silicon_like_problem(1, 12, 4);
+            field(&mut p)[3] = f64::NAN;
+            for v in Version::all() {
+                match Solver::default().version(v).solve(&p) {
+                    Err(SolveError::Numerical(NumericalError::NonFinite { site: got, index })) => {
+                        assert_eq!((got.as_str(), index), (site, 3), "{v:?}");
+                    }
+                    Err(other) => panic!("{v:?} with NaN in {site}: {other}"),
+                    Ok(_) => panic!("{v:?} solved with NaN in {site}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_rows_return_the_syev_values_to_the_bit() {
+        let p = silicon_like_problem(1, 12, 4);
+        for v in [Version::Naive, Version::QrcpIsdf, Version::KmeansIsdf] {
+            let solver = Solver::default().version(v).n_states(8);
+            let ham = solver.hamiltonian(&Comm::solo(), &p, &mut vec![]).expect("clean build");
+            let full = syev(&ham.dense());
+            let solution = solver.solve(&p).expect("clean solve");
+            assert_eq!(bits(&solution.energies), bits(&full.values[..8]), "{v:?}");
+            for j in 0..8 {
+                let (x, y) = (solution.coefficients.col(j), full.vectors.col(j));
+                let dot: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+                assert!((dot.abs() - 1.0).abs() < 1e-12, "{v:?} state {j}: overlap {dot}");
+            }
+        }
+    }
 
     #[test]
     fn defaults_are_the_headline_path_and_setters_chain() {

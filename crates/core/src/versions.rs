@@ -3,7 +3,7 @@
 use crate::metrics::ComplexityEstimate;
 use crate::parallel::distributed_kernel_apply;
 use crate::pipeline::gram_replicated;
-use crate::problem::{CasidaProblem, Slab};
+use crate::problem::{check_finite, CasidaProblem, Slab};
 use crate::timers::StageTimings;
 use faultkit::{NumericalError, SolveError};
 use isdf::interp::{floored_cholesky, gram_pair, GramPair};
@@ -238,8 +238,9 @@ fn select_points(
 /// SPMD-collective on `comm` — a serial solve passes [`Comm::solo`].
 /// Failures are typed and recovery is built in: empty-cluster reseed,
 /// point-starvation re-selection, a sampled fit-residual guard with one
-/// rank-escalation retry, and finiteness guards on the orbitals going in and
-/// on `C` / `Ṽ` coming out. Each is decided on replicated data, so the ranks
+/// rank-escalation retry, the input check
+/// ([`CasidaProblem::check_inputs`]) going in and finiteness guards on `C` /
+/// `Ṽ` coming out. Each is decided on replicated data, so the ranks
 /// of a group take the same branch. Rungs taken are appended to `recovery`.
 pub fn build_isdf_hamiltonian(
     comm: &Comm,
@@ -249,15 +250,7 @@ pub fn build_isdf_hamiltonian(
     pipelined: bool,
     recovery: &mut Vec<String>,
 ) -> Result<IsdfHamiltonian, SolveError> {
-    problem.validate();
-    let finite = |site: &str, values: &[f64]| match values.iter().position(|v| !v.is_finite()) {
-        Some(index) => Err(NumericalError::NonFinite { site: site.into(), index }),
-        None => Ok(()),
-    };
-    // Every rank scans the whole input: a slab-local verdict in the Θ fit
-    // would send one rank down the error path alone.
-    finite("problem.psi_v", problem.psi_v.as_slice())?;
-    finite("problem.psi_c", problem.psi_c.as_slice())?;
+    problem.check_inputs()?;
 
     let slab = problem.slab(comm);
     // One pass of Algorithm 1 + §4 at a given rank: the replicated factors
@@ -301,7 +294,7 @@ pub fn build_isdf_hamiltonian(
         let GramPair { zc_t: mut w, cc_t } =
             gram_pair(&slab.psi_v, &slab.psi_c, &psi_hat, &phi_hat);
         let l = floored_cholesky(cc_t)?;
-        finite("isdf.zc_t", w.as_slice())?;
+        check_finite("isdf.zc_t", w.as_slice())?;
         solve_right_in_place(&mut w, &l, Transpose::Yes);
         let sample = residual_sample_rows(slab.rows.clone(), problem.n_r());
         let mut theta_rows = w.select_rows(&sample);
@@ -351,8 +344,8 @@ pub fn build_isdf_hamiltonian(
     // element of every rank's replicated copy.
     faultkit::inject_slice("ham.v_tilde", ham.v_tilde.as_mut_slice());
     faultkit::inject_slice("ham.c", ham.c.as_mut_slice());
-    finite("ham.v_tilde", ham.v_tilde.as_slice())?;
-    finite("ham.c", ham.c.as_slice())?;
+    check_finite("ham.v_tilde", ham.v_tilde.as_slice())?;
+    check_finite("ham.c", ham.c.as_slice())?;
     Ok(ham)
 }
 

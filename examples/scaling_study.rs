@@ -35,7 +35,8 @@ fn main() {
     println!("{:>5} | {:>10} | {:>10} | {:>10} | {:>12}", "ranks", "face+theta", "fft (s)", "gemm (s)", "comm calls");
     for ranks in [1usize, 2, 4] {
         let naive = spmd(ranks, |c| {
-            let (_, t) = distributed_dense_hamiltonian_with(c, &problem, true);
+            let (_, t) =
+                distributed_dense_hamiltonian_with(c, &problem, true).expect("dense build");
             (t, c.stats())
         });
         let isdf = spmd(ranks, |c| (timed_isdf_build(c, &problem, n_mu), c.stats()));

@@ -27,9 +27,9 @@ fn assert_spectra_agree(got: &[f64], want: &[f64], what: &str) {
 #[test]
 fn distributed_naive_invariant_across_rank_counts() {
     let p = silicon_like_problem(1, 8, 2);
-    let serial = build_dense_hamiltonian(&p);
+    let serial = build_dense_hamiltonian(&p).unwrap();
     for ranks in [1usize, 2, 3, 5, 8] {
-        let res = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).0);
+        let res = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().0);
         for h in &res {
             assert!(
                 h.max_abs_diff(&serial) < 1e-8,
@@ -44,8 +44,8 @@ fn distributed_naive_invariant_across_rank_counts() {
 fn pipelined_and_monolithic_reductions_agree() {
     let p = silicon_like_problem(1, 8, 2);
     for ranks in [2usize, 4] {
-        let mono = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).0);
-        let pipe = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, true).0);
+        let mono = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().0);
+        let pipe = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, true).unwrap().0);
         assert!(mono[0].max_abs_diff(&pipe[0]) < 1e-9);
     }
 }
@@ -78,12 +78,12 @@ fn comm_cost_model_does_not_change_results() {
     // The α-β model only affects *charged* time, never data.
     let p = silicon_like_problem(1, 8, 2);
     let free = spmd_with_model(2, CostModel::free(), |c| {
-        distributed_dense_hamiltonian_with(c, &p, false).0
+        distributed_dense_hamiltonian_with(c, &p, false).unwrap().0
     });
     let expensive = spmd_with_model(
         2,
         CostModel { alpha: 1.0, beta: 1e-3 },
-        |c| distributed_dense_hamiltonian_with(c, &p, false).0,
+        |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().0,
     );
     assert!(free[0].max_abs_diff(&expensive[0]) < 1e-14);
 }
@@ -92,7 +92,7 @@ fn comm_cost_model_does_not_change_results() {
 fn rank_timings_report_comm_share() {
     let p = silicon_like_problem(1, 8, 2);
     let res = spmd(4, |c| {
-        let (_, t) = distributed_dense_hamiltonian_with(c, &p, false);
+        let (_, t) = distributed_dense_hamiltonian_with(c, &p, false).unwrap();
         (t, c.stats())
     });
     for (t, stats) in res {
