@@ -1,16 +1,12 @@
-//! Criterion bench for the planned FFT engine against the seed transform
-//! (`bench::fft_report::SeedFft3`: per-call twiddle recurrence, per-call
-//! Bluestein setup, per-line allocations).
+//! Criterion bench for the planned FFT engine.
 //!
 //! Covers the Si64 workload's 20³ grid (the kernel number behind the
 //! end-to-end benchmark's `fftkit.gflops` row) and 32³–96³ (20, 48 and 96 are
-//! mixed-radix Stockham axes, the rest radix-2), plus the batched vs.
-//! per-column Hxc kernel application on the acceptance shape (64³ grid, 64
-//! columns).
+//! mixed-radix Stockham axes, the rest radix-2), plus the batched Hxc kernel
+//! application on a 64³ grid with 64 columns.
 
-use bench::fft_report::{hxc_apply_per_column, SeedFft3};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fftkit::{Complex, Fft3, PoissonSolver};
+use fftkit::{Complex, Fft3};
 use lrtddft::kernel::HxcKernel;
 use mathkit::Mat;
 use pwdft::{Cell, Grid};
@@ -30,17 +26,9 @@ fn bench_transforms(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft3");
     group.sample_size(10);
     for n in [20usize, 32, 48, 64, 96] {
-        let seed = SeedFft3::new(n, n, n);
         let plan = Fft3::new(n, n, n);
         let mut buf = complex_field(plan.len(), 0xf3 + n as u64);
         let label = format!("{n}x{n}x{n}");
-
-        group.bench_with_input(BenchmarkId::new("seed", &label), &n, |bch, _| {
-            bch.iter(|| {
-                seed.forward(&mut buf);
-                seed.inverse(&mut buf);
-            });
-        });
         group.bench_with_input(BenchmarkId::new("planned", &label), &n, |bch, _| {
             bch.iter(|| {
                 plan.forward(&mut buf);
@@ -56,8 +44,7 @@ fn bench_hxc_apply(c: &mut Criterion) {
     let cols = 64usize;
     let grid = Grid::new(Cell::cubic(n as f64 * 0.25), [n, n, n]);
     let fxc: Vec<f64> = (0..grid.len()).map(|i| -0.2 - ((i % 11) as f64) * 0.01).collect();
-    let kernel = HxcKernel::new(&grid, fxc.clone());
-    let solver = PoissonSolver::new(grid.plan(), grid.cell.lengths);
+    let kernel = HxcKernel::new(&grid, fxc);
     let fields = Mat::from_fn(grid.len(), cols, |r, j| {
         (((r * 7 + j * 131 + 5) % 23) as f64) * 0.04 - 0.44
     });
@@ -66,9 +53,6 @@ fn bench_hxc_apply(c: &mut Criterion) {
     let mut group = c.benchmark_group("hxc_apply");
     group.sample_size(10);
     let label = format!("{n}x{n}x{n}_x{cols}");
-    group.bench_with_input(BenchmarkId::new("per_column", &label), &cols, |bch, _| {
-        bch.iter(|| hxc_apply_per_column(&solver, &fxc, &fields, &mut out));
-    });
     group.bench_with_input(BenchmarkId::new("batched", &label), &cols, |bch, _| {
         bch.iter(|| kernel.apply_into(&fields, &mut out));
     });

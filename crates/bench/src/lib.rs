@@ -12,14 +12,9 @@
 //! * [`reference_gemm`] — the seed GEMM kernel, the baseline of the `gemm`
 //!   and `obskit_overhead` benches.
 
-pub mod chaos_report;
-pub mod comm_report;
 pub mod experiments;
-pub mod fault_report;
-pub mod fft_report;
 pub mod report;
 pub mod scaling;
-pub mod serve_report;
 pub mod trace_cmd;
 
 use mathkit::{Mat, Transpose};

@@ -2,87 +2,25 @@
 //!
 //! ```text
 //! repro <experiment> [--quick|--full] [--out results/]
-//! experiments: table3 table4 table5 table6 fig2 fig5 fig7 fig8 weak fig9 all
+//! experiments: table3 table4 table5 table6 fig2 fig5 fig7 fig8 weak fig9 ablation all
+//! repro trace [--version LABEL] [--ranks N] [--trace PATH] [--quick]
+//! repro trace-report <PATH> [--check]
 //! ```
-//!
-//! The `*-report` subcommands (chaos, fft, comm, fault, serve) all take the
-//! same `[--quick|--full] [--out DIR] [--check]` flags, so they share one
-//! parser ([`ReportArgs`]) and one dispatch table ([`REPORTS`]) — adding a
-//! report is one table row, and the usage string regenerates itself.
 
 use bench::experiments::{self, Scale};
 use bench::report::ExperimentRecord;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Shared arguments of every `repro <name>-report` subcommand.
-struct ReportArgs {
-    quick: bool,
-    check: bool,
-    out: PathBuf,
-}
-
-impl ReportArgs {
-    /// Parse `[--quick|--full] [--out DIR] [--check]`; exits with status 2
-    /// on an unknown flag, naming the subcommand in the message.
-    fn parse(subcommand: &str, args: &[String]) -> ReportArgs {
-        let mut parsed = ReportArgs {
-            quick: false,
-            check: false,
-            // Default to the working directory so `BENCH_<name>.json` lands
-            // at the repo root when run as `cargo run -p bench -- <name>`.
-            out: PathBuf::from("."),
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => parsed.quick = true,
-                "--full" => parsed.quick = false,
-                "--check" => parsed.check = true,
-                "--out" => match it.next() {
-                    Some(p) => parsed.out = PathBuf::from(p),
-                    None => {
-                        eprintln!("--out needs a path");
-                        std::process::exit(2);
-                    }
-                },
-                other => {
-                    eprintln!("unknown {subcommand} argument: {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        parsed
-    }
-}
-
-/// Entry point shared by every report: `run(out, quick, check)`.
-type ReportFn = fn(&Path, bool, bool) -> Result<(), String>;
-
-/// Every report subcommand: name → entry point. The usage string below is
-/// generated from this table, so it cannot drift.
-const REPORTS: &[(&str, ReportFn)] = &[
-    ("chaos-report", |o, q, c| bench::chaos_report::run(o, q, c).map_err(|e| e.to_string())),
-    ("fft-report", |o, q, c| bench::fft_report::run(o, q, c).map_err(|e| e.to_string())),
-    ("comm-report", |o, q, c| bench::comm_report::run(o, q, c).map_err(|e| e.to_string())),
-    ("fault-report", |o, q, c| bench::fault_report::run(o, q, c).map_err(|e| e.to_string())),
-    ("serve-report", |o, q, c| bench::serve_report::run(o, q, c).map_err(|e| e.to_string())),
-];
-
-fn usage() -> String {
-    let mut u = String::from(
-        "usage: repro <table3|table4|table5|table6|fig2|fig5|fig7|fig8|weak|fig9|ablation|all> [--quick|--full] [--out DIR]\n       repro trace [--version LABEL] [--ranks N] [--trace PATH] [--quick]\n       repro trace-report <PATH> [--check]",
-    );
-    for (name, _) in REPORTS {
-        u.push_str(&format!("\n       repro {name} [--quick|--full] [--out DIR] [--check]"));
-    }
-    u
-}
+const USAGE: &str = "\
+usage: repro <table3|table4|table5|table6|fig2|fig5|fig7|fig8|weak|fig9|ablation|all> [--quick|--full] [--out DIR]
+       repro trace [--version LABEL] [--ranks N] [--trace PATH] [--quick]
+       repro trace-report <PATH> [--check]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `trace`, `trace-report`, and the report table take their own flags
-    // (--version/--ranks/--trace/--check) that the experiment arg loop would
-    // reject, so they are dispatched before it.
+    // `trace` and `trace-report` take their own flags (--version/--ranks/
+    // --trace/--check) that the experiment arg loop would reject, so they are
+    // dispatched before it.
     match args.first().map(String::as_str) {
         Some("trace") => {
             run_trace_cli(&args[1..]);
@@ -92,17 +30,7 @@ fn main() {
             run_trace_report_cli(&args[1..]);
             return;
         }
-        Some(name) => {
-            if let Some((sub, run)) = REPORTS.iter().find(|(n, _)| *n == name) {
-                let a = ReportArgs::parse(sub, &args[1..]);
-                if let Err(e) = run(&a.out, a.quick, a.check) {
-                    eprintln!("{sub} failed: {e}");
-                    std::process::exit(1);
-                }
-                return;
-            }
-        }
-        None => {}
+        _ => {}
     }
     let mut experiment = None;
     let mut scale = Scale::Default;
@@ -127,7 +55,7 @@ fn main() {
         }
     }
     let experiment = experiment.unwrap_or_else(|| {
-        eprintln!("{}", usage());
+        eprintln!("{USAGE}");
         std::process::exit(2);
     });
 

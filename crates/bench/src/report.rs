@@ -83,28 +83,6 @@ pub mod json {
     }
 }
 
-/// Linear-interpolated quantile of an ascending-sorted sample (the R-7 /
-/// NumPy `linear` definition): `q` in `[0, 1]` maps to fractional index
-/// `h = q·(n−1)`, and the value interpolates between the two bracketing
-/// order statistics. Unlike nearest-rank, small samples do not snap p99 to
-/// the max and p50 interpolates between the middle pair for even `n`.
-/// `NaN` for an empty sample; `sorted` must be ascending.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let h = q * (sorted.len() - 1) as f64;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = h - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
 /// A JSON-serializable record of one experiment run (appended to
 /// `results/<experiment>.json` by the harness).
 pub struct ExperimentRecord {
@@ -184,21 +162,5 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
         print_table(&["a", "b"], &[vec!["1".into()]]);
-    }
-
-    #[test]
-    fn quantile_interpolates_known_small_samples() {
-        // R-7 reference values (same as numpy.quantile(..., method="linear")).
-        let s = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&s, 0.0), 1.0);
-        assert_eq!(quantile(&s, 1.0), 4.0);
-        assert_eq!(quantile(&s, 0.5), 2.5, "even n interpolates the middle pair");
-        assert!((quantile(&s, 0.25) - 1.75).abs() < 1e-12);
-        assert!((quantile(&s, 0.99) - 3.97).abs() < 1e-12, "p99 does not snap to max");
-        let odd = [10.0, 20.0, 40.0];
-        assert_eq!(quantile(&odd, 0.5), 20.0);
-        assert_eq!(quantile(&odd, 0.75), 30.0);
-        assert_eq!(quantile(&[7.5], 0.99), 7.5, "singleton is its own quantile");
-        assert!(quantile(&[], 0.5).is_nan());
     }
 }

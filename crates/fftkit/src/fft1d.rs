@@ -10,7 +10,7 @@
 //! * Power-of-two lengths: iterative radix-2 decimation in time reading the
 //!   bit-reversal and stage-major twiddle tables built at plan time. Its
 //!   bits are frozen while the Si8 SCF does not converge: the band solver's
-//!   iteration count follows the last bit of every 16³ transform (DESIGN §9;
+//!   iteration count follows the last bit of every 16³ transform (DESIGN §7;
 //!   `crate::reference` holds the scalar original the bit tests compare to).
 //! * Other lengths whose prime factors are all ≤ 13 — what the paper's
 //!   `(N_r)_i = √(2E_cut)·L_i/π` produces (20, 12, 48; Si₁₀₀₀ ran on

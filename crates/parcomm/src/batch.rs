@@ -49,8 +49,8 @@ pub fn fusion_enabled() -> bool {
     fusion_flag().load(Ordering::Relaxed)
 }
 
-/// Toggle fusion process-wide (used by the comm report to measure fused vs
-/// unfused with identical code paths; tests serialize around it).
+/// Toggle fusion process-wide (used by tests to compare fused and unfused
+/// solves on identical code paths; each such test is its own process).
 pub fn set_fusion_enabled(on: bool) {
     fusion_flag().store(on, Ordering::Relaxed);
 }

@@ -80,6 +80,64 @@ fn poisoned_v_tilde_heals_on_every_rank_of_a_distributed_solve() {
     }
 }
 
+/// Every serial site, plus the LOBPCG and `Ṽ` faults on the versions that
+/// reach them by another road: the planned fault fires exactly once, the
+/// ladder logs what it did, and the healed energies are the fault-free ones
+/// to 1e-8.
+#[test]
+fn every_serial_fault_fires_once_and_heals() {
+    let extra = [
+        ("lobpcg.w", FaultKind::NanPoison, Version::KmeansIsdfLobpcg),
+        ("ham.v_tilde", FaultKind::NanPoison, Version::ImplicitKmeansIsdfLobpcg),
+    ];
+    let p = problem();
+    for (site, kind, version) in SITES.into_iter().chain(extra) {
+        let clean = opts(p).version(version).solve(p).expect("fault-free solve").energies;
+        let plan = FaultPlan::new(42).with(site, 0, kind);
+        let campaign = arm(plan);
+        let healed = opts(p).version(version).solve(p);
+        assert_eq!(campaign.fired(), 1, "{site} on {version:?} did not fire once");
+        drop(campaign);
+        let healed = healed.unwrap_or_else(|e| panic!("{site} on {version:?} did not heal: {e}"));
+        assert!(!healed.recovery.is_empty(), "{site} on {version:?} healed without a log line");
+        assert_eq!(healed.energies.len(), clean.len());
+        for (h, c) in healed.energies.iter().zip(&clean) {
+            assert!((h - c).abs() < 1e-8, "{site} on {version:?}: {h} vs fault-free {c}");
+        }
+    }
+}
+
+/// A dropped pipelined reduce, a delayed allreduce and a stall longer than
+/// one wait deadline fire on both ranks of a distributed solve, and the
+/// solve comes back with the fault-free energies bit for bit. The fault
+/// events repeat exactly when the campaign does.
+#[test]
+fn comm_faults_fire_on_every_rank_and_heal_bitwise() {
+    let p = problem();
+    let solver = opts(p).version(Version::ImplicitKmeansIsdfLobpcg).pipelined(true);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let clean = bits(&parcomm::spmd(2, |c| solver.solve_distributed(c, p).0)[0]);
+    let cases = [
+        ("comm.ireduce", 1, FaultKind::CommDrop),
+        ("comm.iallreduce", 0, FaultKind::CommDelay { micros: 2_000 }),
+        ("comm.iallreduce", 0, FaultKind::CommStall { micros: 80_000 }),
+    ];
+    for (site, occurrence, kind) in cases {
+        let run = || {
+            let campaign = arm(FaultPlan::new(42).with(site, occurrence, kind));
+            let values = parcomm::spmd(2, |c| solver.solve_distributed(c, p).0);
+            let events: Vec<String> = campaign.events().iter().map(|e| e.render()).collect();
+            (values, events)
+        };
+        let (values, events) = run();
+        assert_eq!(events.len(), 2, "{kind:?} at {site} fires once per rank: {events:?}");
+        for v in &values {
+            assert_eq!(bits(v), clean, "{kind:?} at {site} changed the energies");
+        }
+        assert_eq!(run().1, events, "{kind:?} at {site}: the campaign did not repeat");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -76,57 +76,60 @@ fn concurrent_same_shape_solves_share_fft_plan_cache() {
     }
 }
 
-/// Tenant A carries a NaN-poison plan against the distributed Hamiltonian
-/// build; tenant B submits the same structure clean, co-scheduled on the
-/// same service. B's eigenvalues must be bitwise identical to a fault-free
-/// solo run at the group size; A is retried-then-solved (the one-shot fault
-/// fires on attempt one, the fresh solo attempt heals) and must observe its
-/// own fault in its event log — and nothing else.
+/// Tenant A carries a NaN- or Inf-poison plan against the distributed
+/// Hamiltonian build; tenant B submits the same structure clean,
+/// co-scheduled on the same service. B's eigenvalues must be bitwise
+/// identical to a fault-free solo run at the group size; A is
+/// retried-then-solved (the one-shot fault fires on attempt one, the fresh
+/// solo attempt heals) and must observe its own fault in its event log — and
+/// nothing else.
 #[test]
 fn poisoned_tenant_never_contaminates_coscheduled_victim() {
     let problem = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
     let solver = Solver::builder().n_states(2).build();
     let solo = spmd(2, |c| solver.solve_distributed(c, &problem).0)[0].clone();
 
-    let service = Service::start(four_rank_config());
-    let poisoned = JobSpec::new(0xa, Arc::clone(&problem))
-        .with_solver(solver)
-        .with_fault_plan(FaultPlan::new(0xbad).with("ham.v_tilde", 0, FaultKind::NanPoison));
-    let clean = JobSpec::new(0xb, Arc::clone(&problem)).with_solver(solver);
-    let ha = service.submit(poisoned).expect("attacker admitted");
-    let hb = service.submit(clean).expect("victim admitted");
-    let ra = ha.wait().expect("attacker completes");
-    let rb = hb.wait().expect("victim completes");
-    service.shutdown();
+    for kind in [FaultKind::NanPoison, FaultKind::InfPoison] {
+        let service = Service::start(four_rank_config());
+        let poisoned = JobSpec::new(0xa, Arc::clone(&problem))
+            .with_solver(solver)
+            .with_fault_plan(FaultPlan::new(0xbad).with("ham.v_tilde", 0, kind));
+        let clean = JobSpec::new(0xb, Arc::clone(&problem)).with_solver(solver);
+        let ha = service.submit(poisoned).expect("attacker admitted");
+        let hb = service.submit(clean).expect("victim admitted");
+        let ra = ha.wait().expect("attacker completes");
+        let rb = hb.wait().expect("victim completes");
+        service.shutdown();
 
-    // The one-shot plan fires per rank thread: a retry that lands on the
-    // *other* group's (fresh) ranks is poisoned once more before healing.
-    assert!(
-        (2..=3).contains(&ra.attempts),
-        "poisoned first attempt(s), healed on a retry: {} attempts",
-        ra.attempts
-    );
-    assert!(
-        ra.values.iter().zip(&solo).all(|(a, b)| a.to_bits() == b.to_bits()),
-        "retried attacker converges to the clean result: {:?}",
-        ra.values
-    );
-    assert!(!ra.fault_events.is_empty(), "injected fault must be logged on the attacker");
-    assert!(
-        ra.fault_events.iter().all(|e| e.contains("ham.v_tilde")),
-        "events name the poisoned site: {:?}",
-        ra.fault_events
-    );
+        // The one-shot plan fires per rank thread: a retry that lands on the
+        // *other* group's (fresh) ranks is poisoned once more before healing.
+        assert!(
+            (2..=3).contains(&ra.attempts),
+            "{kind:?}: poisoned first attempt(s), healed on a retry: {} attempts",
+            ra.attempts
+        );
+        assert!(
+            ra.values.iter().zip(&solo).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{kind:?}: retried attacker converges to the clean result: {:?}",
+            ra.values
+        );
+        assert!(!ra.fault_events.is_empty(), "injected fault must be logged on the attacker");
+        assert!(
+            ra.fault_events.iter().all(|e| e.contains("ham.v_tilde")),
+            "events name the poisoned site: {:?}",
+            ra.fault_events
+        );
 
-    assert_eq!(rb.values.len(), solo.len());
-    assert!(
-        rb.values.iter().zip(&solo).all(|(a, b)| a.to_bits() == b.to_bits()),
-        "victim diverged from the fault-free solo run: {:?} vs {:?}",
-        rb.values,
-        solo
-    );
-    assert!(rb.fault_events.is_empty(), "victim must not log another tenant's faults");
-    assert!(!rb.cache_hit, "poisoned runs bypass the cache, so the victim solved fresh");
+        assert_eq!(rb.values.len(), solo.len());
+        assert!(
+            rb.values.iter().zip(&solo).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{kind:?}: victim diverged from the fault-free solo run: {:?} vs {:?}",
+            rb.values,
+            solo
+        );
+        assert!(rb.fault_events.is_empty(), "victim must not log another tenant's faults");
+        assert!(!rb.cache_hit, "poisoned runs bypass the cache, so the victim solved fresh");
+    }
 }
 
 /// A rank stall (comm-delay) injected by one tenant slows only that tenant's
