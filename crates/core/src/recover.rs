@@ -70,21 +70,14 @@ pub(crate) fn build_ladder(
         Ok(ham) => return Ok(ham),
         Err(e) => e,
     };
-    // Let registered observers (e.g. the flight-recorder dump in `repro`)
-    // capture the failure context before the rebuild overwrites it.
-    faultkit::notify_solve_error(&first);
     // A defective input is not transient: no rebuild can heal it.
     if problem.check_inputs().is_err() {
         return Err(first);
     }
     recovery.push(format!("isdf.build: {first}; clean rebuild"));
-    build(recovery).map_err(|second| {
-        let err = SolveError::LadderExhausted {
-            stage: "isdf.build",
-            attempts: vec![first.to_string(), second.to_string()],
-        };
-        faultkit::notify_solve_error(&err);
-        err
+    build(recovery).map_err(|second| SolveError::LadderExhausted {
+        stage: "isdf.build",
+        attempts: vec![first.to_string(), second.to_string()],
     })
 }
 
@@ -125,7 +118,6 @@ where
             ));
         }
         Err(e) => {
-            faultkit::notify_solve_error(&e);
             recovery.push(format!("lobpcg: {e}"));
 
             // Rung 2: resume from the last-good iterate deposited before the

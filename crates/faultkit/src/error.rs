@@ -114,11 +114,6 @@ pub enum SolveError {
     /// Every rung of the recovery ladder was tried and failed; `attempts`
     /// names each rung in order.
     LadderExhausted { stage: &'static str, attempts: Vec<String> },
-    /// A serving-layer solver group stopped making progress: its leader's
-    /// heartbeat went stale for `stalled` while a batch was in flight. Raised
-    /// through the solve-error hook by the `served` stall detector so
-    /// operators see wedged groups, not just slow jobs.
-    GroupStalled { group: usize, stalled: Duration },
 }
 
 impl fmt::Display for SolveError {
@@ -137,11 +132,6 @@ impl fmt::Display for SolveError {
                 f,
                 "{stage}: recovery ladder exhausted after [{}]",
                 attempts.join(" -> ")
-            ),
-            SolveError::GroupStalled { group, stalled } => write!(
-                f,
-                "solver group {group} stalled: no leader heartbeat for {:.1} ms",
-                stalled.as_secs_f64() * 1e3
             ),
         }
     }
@@ -185,13 +175,6 @@ mod tests {
 
         let zero = NumericalError::AllZeroWeights;
         assert!(zero.to_string().contains("all-zero weights"));
-    }
-
-    #[test]
-    fn group_stalled_names_group_and_duration() {
-        let e = SolveError::GroupStalled { group: 1, stalled: Duration::from_millis(250) };
-        let s = e.to_string();
-        assert!(s.contains("group 1") && s.contains("250.0 ms"), "{s}");
     }
 
     #[test]

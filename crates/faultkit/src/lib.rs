@@ -25,14 +25,12 @@
 
 pub mod checkpoint;
 pub mod error;
-pub mod hooks;
 pub mod plan;
 
 pub use checkpoint::{
     checkpoint_clear, checkpoint_peek, checkpoint_save, checkpoint_take, Checkpoint,
 };
 pub use error::{CommError, NumericalError, SolveError};
-pub use hooks::{clear_solve_error_hook, notify_solve_error, set_solve_error_hook};
 pub use plan::{
     arm, comm_fault, degenerate_seeding, handle, inject_slice, install, install_scoped, is_armed,
     set_rank, starve_points, Campaign, CommFault, FaultEvent, FaultKind, FaultPlan, FaultSpec,

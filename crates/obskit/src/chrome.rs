@@ -11,9 +11,8 @@
 //! JSON with the minimal recursive-descent parser below and checks the
 //! schema: `traceEvents` is an array, every event carries
 //! `name`/`ph`/`ts`/`pid`/`tid`, and per-`(pid,tid)` lane every `B` has a
-//! matching `E` in stack order. Complete (`X`) events — used by the flight
-//! recorder — and metadata (`M`) events are accepted. `repro trace-report
-//! --check` builds on it.
+//! matching `E` in stack order. Complete (`X`) and metadata (`M`) events
+//! are accepted. `repro trace-report --check` builds on it.
 
 use crate::span::EventKind;
 use crate::trace::Trace;
@@ -82,12 +81,6 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
-}
-
-/// Escape a string as a JSON string literal (quotes included). Shared with
-/// the flight-recorder dump.
-pub(crate) fn escape_json_string(s: &str) -> String {
-    escape(s)
 }
 
 fn escape(s: &str) -> String {

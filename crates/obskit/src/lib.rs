@@ -25,9 +25,8 @@
 //! Recording is **disabled by default**. The counter adders and [`instant`]
 //! start with a single relaxed atomic load and return immediately when
 //! tracing is off — hot kernels (the packed GEMM microkernel path) pay ~1 ns
-//! per call; a disabled [`span()`] additionally pays its two clock reads, a
-//! thread-local push/pop for the stage clock, and the flight-ring mirror.
-//! When enabled, events go to a thread-local buffer (no locks); the buffer
+//! per call; a disabled [`span()`] additionally pays its two clock reads and
+//! a thread-local push/pop for the stage clock. When enabled, events go to a thread-local buffer (no locks); the buffer
 //! drains into the global registry only when the thread's span stack returns
 //! to depth zero, so lock traffic is one mutex acquisition per *top-level*
 //! span, not per event.
@@ -41,14 +40,6 @@
 //! each gets its own trace lane, named via [`set_thread_label`] or the OS
 //! thread name, so worker activity no longer pollutes the rank-0 timeline.
 //!
-//! ## Flight recorder
-//!
-//! Independently of full tracing, every span close and instant is mirrored
-//! into [`flight`] — a bounded lock-free ring of recent events that stays
-//! on even when tracing is disabled. `faultkit`'s recovery ladders dump it
-//! as a Chrome trace on any `SolveError`, so recovered faults ship with
-//! their last-N-events context.
-//!
 //! ## Panic safety
 //!
 //! A [`Span`] dropped during unwinding still closes with its correct
@@ -58,8 +49,6 @@
 pub mod chrome;
 pub mod clock;
 pub mod counters;
-pub mod flight;
-pub mod serve;
 pub mod span;
 pub mod trace;
 
@@ -67,10 +56,6 @@ pub use clock::StageClock;
 pub use counters::{
     add_bytes_moved, add_flops, add_fft_calls, add_fft_plan_hit, add_fft_plan_miss,
     record_gemm_shape, record_kernel_dispatch, CounterSnapshot,
-};
-pub use serve::{
-    add_serve_breaker_open, add_serve_deadline_miss, add_serve_degraded, add_serve_group_unhealthy,
-    add_serve_retry, serve_counters, take_serve_counters, ServeCounters,
 };
 pub use span::{
     current_tenant, flush_thread, instant, set_rank, set_tenant, set_thread_label, span,

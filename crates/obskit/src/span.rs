@@ -11,13 +11,10 @@
 //! after their OS thread name (or `"thread-N"`), so exported traces no
 //! longer collapse every unranked thread into one polluted rank-0 lane.
 //!
-//! Span closes and instants are also mirrored into the always-on
-//! [`crate::flight`] ring so the last moments before a fault are available
-//! even with full tracing disabled, and every span — recording or not —
-//! ticks the thread's [`crate::StageClock`].
+//! Every span — recording or not — also ticks the thread's
+//! [`crate::StageClock`].
 
 use crate::clock::{SelfTime, StageNanos};
-use crate::flight::{self, FlightKind};
 use crate::{enabled, now_ns, Stage};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,8 +206,8 @@ pub(crate) fn drain_registry() -> Vec<Batch> {
 /// [`Span::arg`] — emitted on the closing event.
 ///
 /// The guard reads the clock once at open and once at close. Those two
-/// readings tick the thread's [`crate::StageClock`] and feed the
-/// [`crate::flight`] ring even when full tracing is disabled.
+/// readings tick the thread's [`crate::StageClock`] even when full tracing
+/// is disabled.
 #[must_use = "a span measures the scope it lives in; binding it to _ closes it immediately"]
 pub struct Span {
     live: bool,
@@ -238,18 +235,16 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let ts_ns = now_ns();
-        let aborted = std::thread::panicking();
-        let arg = self.args.first().map(|&(_, v)| v).unwrap_or(0.0);
-        let (rank, dur_ns) = STREAM.with(|s| {
+        STREAM.with(|s| {
             let mut st = s.borrow_mut();
-            let dur_ns = st.clock.close(ts_ns).map_or(0, |(dur, _)| dur);
+            st.clock.close(ts_ns);
             if self.live {
                 let mut args = std::mem::take(&mut self.args);
                 if let Some(t) = current_tenant() {
                     args.push(("tenant", t as f64));
                 }
                 st.events.push(Event {
-                    kind: EventKind::End { aborted },
+                    kind: EventKind::End { aborted: std::thread::panicking() },
                     name: self.name,
                     stage: self.stage,
                     ts_ns,
@@ -260,12 +255,7 @@ impl Drop for Span {
                     st.flush();
                 }
             }
-            (st.rank, dur_ns)
         });
-        if flight::flight_enabled() {
-            let kind = if aborted { FlightKind::AbortedSpan } else { FlightKind::Span };
-            flight::record(kind, self.stage, rank, self.name, ts_ns, dur_ns, arg);
-        }
     }
 }
 
@@ -288,22 +278,9 @@ pub fn span(stage: Stage, name: &'static str) -> Span {
 }
 
 /// Record a point-in-time event with a numeric payload, e.g. one solver
-/// iteration's residual norm. Disabled-mode cost: one atomic load plus the
-/// flight-ring mirror.
+/// iteration's residual norm. Disabled-mode cost: one atomic load.
 #[inline]
 pub fn instant(stage: Stage, name: &'static str, args: &[(&'static str, f64)]) {
-    if flight::flight_enabled() {
-        let arg = args.first().map(|&(_, v)| v).unwrap_or(0.0);
-        flight::record(
-            FlightKind::Instant,
-            stage,
-            thread_rank(),
-            name,
-            now_ns(),
-            0,
-            arg,
-        );
-    }
     if !enabled() {
         return;
     }
@@ -340,7 +317,6 @@ pub(crate) mod testutil {
         crate::disable();
         crate::flush_thread();
         let _ = crate::take_trace();
-        crate::flight::clear();
         g
     }
 }
@@ -362,24 +338,6 @@ mod tests {
         flush_thread();
         let t = take_trace();
         assert!(t.ranks.is_empty(), "disabled mode must not record");
-    }
-
-    #[test]
-    fn disabled_spans_still_feed_the_flight_ring() {
-        let _g = testutil::exclusive();
-        {
-            let _s = span(Stage::Gemm, "flight.only");
-        }
-        instant(Stage::Diag, "flight.instant", &[("x", 7.0)]);
-        let snap = crate::flight::snapshot();
-        let sp = snap
-            .iter()
-            .find(|e| e.name == "flight.only")
-            .expect("span mirrored to flight ring");
-        assert_eq!(sp.kind, FlightKind::Span);
-        let inst = snap.iter().find(|e| e.name == "flight.instant").unwrap();
-        assert_eq!(inst.kind, FlightKind::Instant);
-        assert_eq!(inst.arg, 7.0);
     }
 
     fn spin(ns: u64) {

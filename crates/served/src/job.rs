@@ -140,8 +140,7 @@ pub struct JobResult {
     /// same label appears in `Solution::recovery` on the direct path. A
     /// degraded result is never served from or inserted into the cache.
     pub degraded: Option<String>,
-    /// The job finished after its deadline (delivered anyway, counted in
-    /// `serve.deadline_miss`).
+    /// The job finished after its deadline (delivered anyway).
     pub deadline_missed: bool,
 }
 

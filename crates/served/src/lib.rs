@@ -54,16 +54,3 @@ pub use job::{
 };
 pub use resilience::ResilienceConfig;
 pub use service::{ServeConfig, Service};
-
-#[cfg(test)]
-pub(crate) mod testsync {
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The faultkit solve-error hook and the `serve.group_unhealthy`
-    /// counter are process-global; stall-detector tests serialize here.
-    static STALL: Mutex<()> = Mutex::new(());
-
-    pub fn stall_exclusive() -> MutexGuard<'static, ()> {
-        STALL.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}

@@ -1,12 +1,11 @@
-//! Service-level resilience policies: retry/backoff, per-tenant circuit
-//! breakers, and solver-group health tracking.
+//! Service-level resilience policies: retry/backoff and per-tenant circuit
+//! breakers.
 //!
 //! Everything here is deliberately deterministic-friendly: the retry jitter
 //! is seeded (SplitMix64 over `seed ^ tenant ^ attempt`, the same generator
-//! family faultkit and the K-Means seeding use), breaker transitions are
-//! driven by counted failures plus an explicit cooldown, and the stall
-//! detector compares a leader-owned heartbeat against a configured timeout —
-//! so a chaos campaign re-run under the same seed takes the same decisions.
+//! family faultkit and the K-Means seeding use) and breaker transitions are
+//! driven by counted failures plus an explicit cooldown — so a chaos
+//! campaign re-run under the same seed takes the same decisions.
 //!
 //! The deadline/backoff arithmetic mirrors [`parcomm`]'s `RetryPolicy`
 //! (bounded attempts, per-attempt backoff growing with the attempt index);
@@ -15,7 +14,6 @@
 
 use crate::job::TenantId;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -40,9 +38,6 @@ pub struct ResilienceConfig {
     /// budget remaining is downgraded (degradation ladder) instead of run
     /// at full cost.
     pub pressure_window: Duration,
-    /// Leader heartbeat staleness after which a busy group is marked
-    /// unhealthy.
-    pub stall_timeout: Duration,
 }
 
 impl Default for ResilienceConfig {
@@ -54,7 +49,6 @@ impl Default for ResilienceConfig {
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_millis(200),
             pressure_window: Duration::from_millis(50),
-            stall_timeout: Duration::from_secs(2),
         }
     }
 }
@@ -150,27 +144,23 @@ impl Breakers {
         }
     }
 
-    /// A job for `tenant` failed terminally. Returns `true` when this
-    /// failure opened (or re-opened) the breaker; the caller counts the
-    /// transition (`serve.breaker_open`).
-    pub fn record_failure(&self, tenant: TenantId) -> bool {
+    /// A job for `tenant` failed terminally: opens the breaker at the
+    /// threshold, and a failed half-open probe re-opens it immediately.
+    pub fn record_failure(&self, tenant: TenantId) {
         let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         let s = g.entry(tenant).or_insert(BreakerState {
             phase: BreakerPhase::Closed,
             consecutive_failures: 0,
         });
         s.consecutive_failures += 1;
-        match s.phase {
-            BreakerPhase::Closed if s.consecutive_failures >= self.threshold => {
-                s.phase = BreakerPhase::Open { since: Instant::now() };
-                true
-            }
-            // A failed half-open probe re-opens immediately.
-            BreakerPhase::HalfOpen => {
-                s.phase = BreakerPhase::Open { since: Instant::now() };
-                true
-            }
-            _ => false,
+        let opens = match s.phase {
+            BreakerPhase::Closed => s.consecutive_failures >= self.threshold,
+            BreakerPhase::HalfOpen => true,
+            // Already open: a late failure does not restart the cooldown.
+            BreakerPhase::Open { .. } => false,
+        };
+        if opens {
+            s.phase = BreakerPhase::Open { since: Instant::now() };
         }
     }
 
@@ -195,94 +185,6 @@ impl Breakers {
             g.get(&tenant).map(|s| &s.phase),
             Some(BreakerPhase::Open { .. } | BreakerPhase::HalfOpen)
         )
-    }
-}
-
-struct GroupState {
-    /// Nanoseconds since `epoch` of the leader's last heartbeat.
-    beat_ns: AtomicU64,
-    /// The leader is inside a batch (heartbeats while idle-blocking on the
-    /// queue are not required).
-    busy: AtomicBool,
-    healthy: AtomicBool,
-}
-
-/// Leader heartbeats plus the stall detector that consumes them. The leader
-/// of group `g` calls [`GroupHealth::beat`] at every dispatch-loop turn and
-/// brackets batch execution with [`GroupHealth::set_busy`]; a monitor thread
-/// calls [`GroupHealth::check`] periodically. A group that is busy with a
-/// stale heartbeat is marked unhealthy (counted in `serve.group_unhealthy`
-/// and raised through [`faultkit::notify_solve_error`] as
-/// [`faultkit::SolveError::GroupStalled`]); because every leader pulls from
-/// the one shared queue, a wedged group's queue share drains to the healthy
-/// survivors with no rebalancing step. A resumed heartbeat flips the group
-/// back to healthy.
-pub(crate) struct GroupHealth {
-    epoch: Instant,
-    stall_timeout: Duration,
-    groups: Vec<GroupState>,
-}
-
-impl GroupHealth {
-    pub fn new(groups: usize, cfg: &ResilienceConfig) -> Self {
-        let epoch = Instant::now();
-        GroupHealth {
-            epoch,
-            stall_timeout: cfg.stall_timeout,
-            groups: (0..groups)
-                .map(|_| GroupState {
-                    beat_ns: AtomicU64::new(0),
-                    busy: AtomicBool::new(false),
-                    healthy: AtomicBool::new(true),
-                })
-                .collect(),
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    pub fn beat(&self, group: usize) {
-        self.groups[group].beat_ns.store(self.now_ns(), Ordering::Relaxed);
-    }
-
-    pub fn set_busy(&self, group: usize, busy: bool) {
-        self.beat(group);
-        self.groups[group].busy.store(busy, Ordering::Relaxed);
-    }
-
-    #[cfg(test)]
-    pub fn healthy(&self, group: usize) -> bool {
-        self.groups[group].healthy.load(Ordering::Relaxed)
-    }
-
-    pub fn unhealthy_count(&self) -> usize {
-        self.groups.iter().filter(|g| !g.healthy.load(Ordering::Relaxed)).count()
-    }
-
-    /// One detector sweep. Marks busy groups with stale heartbeats
-    /// unhealthy (counting and raising each transition) and recovers groups
-    /// whose heartbeat resumed. Returns the groups newly marked unhealthy.
-    pub fn check(&self) -> Vec<usize> {
-        let now = self.now_ns();
-        let stall_ns = self.stall_timeout.as_nanos() as u64;
-        let mut newly_unhealthy = Vec::new();
-        for (i, s) in self.groups.iter().enumerate() {
-            let stale = now.saturating_sub(s.beat_ns.load(Ordering::Relaxed));
-            let wedged = s.busy.load(Ordering::Relaxed) && stale > stall_ns;
-            if wedged && s.healthy.swap(false, Ordering::Relaxed) {
-                obskit::add_serve_group_unhealthy();
-                faultkit::notify_solve_error(&faultkit::SolveError::GroupStalled {
-                    group: i,
-                    stalled: Duration::from_nanos(stale),
-                });
-                newly_unhealthy.push(i);
-            } else if !wedged {
-                s.healthy.store(true, Ordering::Relaxed);
-            }
-        }
-        newly_unhealthy
     }
 }
 
@@ -327,11 +229,12 @@ mod tests {
         };
         let b = Breakers::new(&c);
         assert_eq!(b.admit(1), Ok(Admit::Normal));
-        assert!(!b.record_failure(1));
-        assert!(!b.record_failure(1));
+        b.record_failure(1);
+        b.record_failure(1);
+        assert!(!b.is_open(1));
         assert_eq!(b.admit(1), Ok(Admit::Normal), "below threshold stays closed");
-        assert!(b.record_failure(1), "third consecutive failure opens");
-        assert!(b.is_open(1));
+        b.record_failure(1);
+        assert!(b.is_open(1), "third consecutive failure opens");
         assert_eq!(b.admit(1), Err(3), "open breaker sheds load");
         assert_eq!(b.admit(2), Ok(Admit::Normal), "other tenants unaffected");
 
@@ -351,11 +254,11 @@ mod tests {
             ..cfg()
         };
         let b = Breakers::new(&c);
-        assert!(b.record_failure(9));
+        b.record_failure(9);
         std::thread::sleep(Duration::from_millis(7));
         assert_eq!(b.admit(9), Ok(Admit::Probe));
-        assert!(b.record_failure(9), "failed probe re-opens (a counted transition)");
-        assert_eq!(b.admit(9), Err(2));
+        b.record_failure(9);
+        assert_eq!(b.admit(9), Err(2), "failed probe re-opens");
     }
 
     #[test]
@@ -366,7 +269,8 @@ mod tests {
             ..cfg()
         };
         let b = Breakers::new(&c);
-        assert!(b.record_failure(3));
+        b.record_failure(3);
+        assert!(b.is_open(3));
         std::thread::sleep(Duration::from_millis(7));
         assert_eq!(b.admit(3), Ok(Admit::Probe));
         b.abort_probe(3); // probe was shed at the queue, never ran
@@ -377,58 +281,11 @@ mod tests {
     fn success_resets_consecutive_failures() {
         let c = ResilienceConfig { breaker_threshold: 2, ..cfg() };
         let b = Breakers::new(&c);
-        assert!(!b.record_failure(4));
+        b.record_failure(4);
         b.record_success(4);
-        assert!(!b.record_failure(4), "streak restarted; one failure is below threshold");
-        assert!(b.record_failure(4));
-    }
-
-    #[test]
-    fn stall_detector_flags_busy_stale_groups_and_recovers() {
-        // The hook and the group_unhealthy counter are process-global;
-        // serialize with the service-level stall test.
-        let _x = crate::testsync::stall_exclusive();
-        let c = ResilienceConfig { stall_timeout: Duration::from_millis(20), ..cfg() };
-        let h = GroupHealth::new(2, &c);
-        h.beat(0);
-        h.beat(1);
-        assert_eq!(h.check(), Vec::<usize>::new(), "fresh heartbeats are healthy");
-
-        // Group 0 goes busy then silent; group 1 keeps beating.
-        h.set_busy(0, true);
-        std::thread::sleep(Duration::from_millis(30));
-        h.beat(1);
-        let before = obskit::serve_counters().group_unhealthy;
-        let seen = std::sync::Mutex::new(Vec::new());
-        // Hook observes the typed stall event.
-        struct HookGuard;
-        impl Drop for HookGuard {
-            fn drop(&mut self) {
-                faultkit::clear_solve_error_hook();
-            }
-        }
-        let _g = HookGuard;
-        // Leak a 'static reference for the hook's lifetime (test-only).
-        let seen_ref: &'static std::sync::Mutex<Vec<String>> = Box::leak(Box::new(seen));
-        faultkit::set_solve_error_hook(move |e| {
-            if matches!(e, faultkit::SolveError::GroupStalled { .. }) {
-                seen_ref.lock().unwrap().push(e.to_string());
-            }
-        });
-        assert_eq!(h.check(), vec![0]);
-        assert!(!h.healthy(0));
-        assert!(h.healthy(1));
-        assert_eq!(h.unhealthy_count(), 1);
-        assert_eq!(obskit::serve_counters().group_unhealthy, before + 1);
-        assert_eq!(h.check(), Vec::<usize>::new(), "already-unhealthy is not re-counted");
-        let events = seen_ref.lock().unwrap().clone();
-        assert_eq!(events.len(), 1, "stall raised exactly once: {events:?}");
-        assert!(events[0].contains("group 0"), "{events:?}");
-
-        // Heartbeat resumes (batch finished): recovered.
-        h.set_busy(0, false);
-        h.check();
-        assert!(h.healthy(0));
-        assert_eq!(h.unhealthy_count(), 0);
+        b.record_failure(4);
+        assert!(!b.is_open(4), "streak restarted; one failure is below threshold");
+        b.record_failure(4);
+        assert!(b.is_open(4));
     }
 }

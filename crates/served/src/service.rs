@@ -11,16 +11,15 @@
 //! followers wait on the slot, then the whole group executes the batch in
 //! lockstep (the solve's collectives are the synchronization).
 //!
-//! Resilience (PR 10): per-job deadlines are enforced at claim time by the
+//! Resilience: per-job deadlines are enforced at claim time by the
 //! scheduler; recoverable failures are re-queued as fresh solo jobs under a
 //! seeded exponential backoff until the attempt budget runs out; terminal
 //! failures feed per-tenant circuit breakers that shed load at admission;
-//! deadline-pressured jobs and breaker probes are downgraded the one rung of
-//! the degradation ladder ([`lrtddft::degrade`]: `direct-eig`) — always
-//! labeled, never silently; and a monitor thread runs
-//! the stall detector over leader heartbeats, marking wedged groups
-//! unhealthy (their queue share drains to the surviving groups because every
-//! leader pulls from the one shared queue).
+//! and deadline-pressured jobs and breaker probes are downgraded the one rung
+//! of the degradation ladder ([`lrtddft::degrade`]: `direct-eig`) — always
+//! labeled, never silently. A wedged group needs no handling of its own:
+//! every leader pulls from the one shared queue, so its share drains to the
+//! other groups.
 //!
 //! SPMD symmetry: all resilience *decisions* (deadline expiry, degradation,
 //! retry, breaker transitions) are taken by the leader **before** publishing
@@ -43,11 +42,11 @@
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobResult, JobSpec};
-use crate::resilience::{retry_delay, Admit, Breakers, GroupHealth, ResilienceConfig};
+use crate::resilience::{retry_delay, Admit, Breakers, ResilienceConfig};
 use crate::scheduler::SchedulerState;
 use lrtddft::{NumericalError, SolveError, Solver};
 use parcomm::{spmd, Comm};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -68,7 +67,7 @@ pub struct ServeConfig {
     pub cache_ttl: Duration,
     /// Result-cache entry cap (LRU eviction past this).
     pub cache_capacity: usize,
-    /// Retry/breaker/deadline/stall policy.
+    /// Retry/breaker/deadline policy.
     pub resilience: ResilienceConfig,
 }
 
@@ -137,12 +136,11 @@ impl GroupSlot {
     }
 }
 
-/// State shared by every rank of the pool plus the monitor thread.
+/// State shared by every rank of the pool.
 struct Shared {
     sched: Arc<SchedulerState>,
     cache: Arc<ResultCache>,
     breakers: Arc<Breakers>,
-    health: Arc<GroupHealth>,
     resilience: ResilienceConfig,
 }
 
@@ -154,10 +152,7 @@ pub struct Service {
     sched: Arc<SchedulerState>,
     cache: Arc<ResultCache>,
     breakers: Arc<Breakers>,
-    health: Arc<GroupHealth>,
     supervisor: Option<std::thread::JoinHandle<()>>,
-    monitor: Option<std::thread::JoinHandle<()>>,
-    monitor_stop: Arc<AtomicBool>,
 }
 
 impl Service {
@@ -180,13 +175,11 @@ impl Service {
         ));
         let cache = Arc::new(ResultCache::new(config.cache_ttl, config.cache_capacity));
         let breakers = Arc::new(Breakers::new(&config.resilience));
-        let health = Arc::new(GroupHealth::new(config.groups, &config.resilience));
         let supervisor = {
             let shared = Shared {
                 sched: Arc::clone(&sched),
                 cache: Arc::clone(&cache),
                 breakers: Arc::clone(&breakers),
-                health: Arc::clone(&health),
                 resilience: config.resilience,
             };
             std::thread::spawn(move || {
@@ -198,28 +191,7 @@ impl Service {
                 });
             })
         };
-        let monitor_stop = Arc::new(AtomicBool::new(false));
-        let monitor = {
-            let health = Arc::clone(&health);
-            let stop = Arc::clone(&monitor_stop);
-            let tick = (config.resilience.stall_timeout / 4).max(Duration::from_millis(5));
-            Some(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    health.check();
-                    std::thread::park_timeout(tick);
-                }
-            }))
-        };
-        Service {
-            config,
-            sched,
-            cache,
-            breakers,
-            health,
-            supervisor: Some(supervisor),
-            monitor,
-            monitor_stop,
-        }
+        Service { config, sched, cache, breakers, supervisor: Some(supervisor) }
     }
 
     /// Admit a job. The tenant's circuit breaker is consulted first (an
@@ -278,11 +250,6 @@ impl Service {
         if let Some(h) = self.supervisor.take() {
             h.join().expect("serving rank pool panicked");
         }
-        self.monitor_stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.monitor.take() {
-            h.thread().unpark();
-            h.join().expect("health monitor panicked");
-        }
     }
 
     /// Result-cache hit/miss/entry/eviction counters.
@@ -298,11 +265,6 @@ impl Service {
     /// Jobs currently queued for one tenant (counts against its quota).
     pub fn queued_for(&self, tenant: crate::job::TenantId) -> usize {
         self.sched.queued_for(tenant)
-    }
-
-    /// Solver groups currently flagged unhealthy by the stall detector.
-    pub fn unhealthy_groups(&self) -> usize {
-        self.health.unhealthy_count()
     }
 
     /// The active configuration.
@@ -334,7 +296,6 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
     let mut seen = 0u64;
     loop {
         let cmd = if leader {
-            shared.health.beat(color);
             let cmd = match shared.sched.next_batch() {
                 Some(batch) => SlotCmd::Run(prepare(batch)),
                 None => SlotCmd::Quit,
@@ -347,15 +308,7 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
             cmd
         };
         match cmd {
-            SlotCmd::Run(batch) => {
-                if leader {
-                    shared.health.set_busy(color, true);
-                }
-                execute_batch(&group, &batch, shared);
-                if leader {
-                    shared.health.set_busy(color, false);
-                }
-            }
+            SlotCmd::Run(batch) => execute_batch(&group, &batch, shared),
             SlotCmd::Quit => break,
         }
     }
@@ -447,12 +400,6 @@ fn finish_job(
     if values.iter().all(|v| v.is_finite()) {
         shared.breakers.record_success(tenant);
         let deadline_missed = core.deadline().is_some_and(|d| Instant::now() > d);
-        if deadline_missed {
-            obskit::add_serve_deadline_miss();
-        }
-        if job.solver.degraded.is_some() {
-            obskit::add_serve_degraded();
-        }
         // Only clean, full-cost results may populate the cache: the key
         // does not encode fault plans or the degradation ladder, and probes
         // must keep exercising real solves.
@@ -479,7 +426,6 @@ fn finish_job(
             deadline_missed,
         });
     } else if attempts < shared.resilience.retry_max_attempts.max(1) {
-        obskit::add_serve_retry();
         shared
             .sched
             .requeue(Arc::clone(core), retry_delay(&shared.resilience, tenant, attempts));
@@ -489,9 +435,7 @@ fn finish_job(
             index: 0,
         }
         .into();
-        if shared.breakers.record_failure(tenant) {
-            obskit::add_serve_breaker_open();
-        }
+        shared.breakers.record_failure(tenant);
         core.fail(err.to_string(), false);
     }
 }
@@ -657,7 +601,6 @@ mod tests {
         assert_eq!(res.values, solo, "healed result is bitwise solo-identical");
         assert!(!res.fault_events.is_empty(), "the injected fault is on the record");
         assert!(res.values.iter().all(|v| v.is_finite()));
-        assert!(obskit::serve_counters().retries >= 1);
         service.shutdown();
     }
 
@@ -733,7 +676,6 @@ mod tests {
         assert_eq!(res.degraded.as_deref(), Some("direct-eig"), "downgrade must be labeled");
         assert!(res.values.iter().all(|v| v.is_finite()));
         assert_eq!(res.batch_size, 1, "pressured jobs run solo");
-        assert!(obskit::serve_counters().degraded >= 1);
 
         // Degraded results never populate the cache: a repeat clean submit
         // at the same key must be a miss (fresh full-cost solve).
@@ -764,23 +706,12 @@ mod tests {
     }
 
     #[test]
-    fn wedged_group_is_flagged_unhealthy_while_survivors_keep_serving() {
-        let _x = crate::testsync::stall_exclusive();
+    fn survivors_keep_serving_while_one_group_is_stalled() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
-        let config = ServeConfig {
-            ranks: 4,
-            groups: 2,
-            resilience: ResilienceConfig {
-                stall_timeout: Duration::from_millis(40),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let before = obskit::serve_counters().group_unhealthy;
-        let service = Service::start(config);
-        // One job stalls its group inside the solve (comm delay well past
-        // the stall timeout); clean jobs from other tenants keep flowing
-        // through the surviving group via the shared queue.
+        let service = Service::start(ServeConfig { ranks: 4, groups: 2, ..Default::default() });
+        // One job stalls its group inside the solve (100 ms comm delays);
+        // clean jobs from other tenants keep flowing through the surviving
+        // group via the shared queue.
         let slow = JobSpec::new(1, Arc::clone(&problem)).with_fault_plan(
             FaultPlan::new(31)
                 .with("comm.ireduce", 0, FaultKind::CommDelay { micros: 100_000 })
@@ -799,14 +730,11 @@ mod tests {
             })
             .collect();
         for h in clean {
-            assert!(h.wait().is_some(), "survivor group drains the queue");
+            let res = h.wait().expect("survivor group drains the queue");
+            assert!(res.values.iter().all(|v| v.is_finite()));
         }
         let slow_res = slow_h.wait().expect("stalled job still finishes");
         assert!(slow_res.values.iter().all(|v| v.is_finite()));
         service.shutdown();
-        assert!(
-            obskit::serve_counters().group_unhealthy > before,
-            "stall detector must have flagged the wedged group"
-        );
     }
 }
