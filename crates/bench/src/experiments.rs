@@ -7,7 +7,7 @@ use crate::scaling::{CommPattern, ScalingStudy, Stage};
 use isdf::{kmeans_points, pair_weights, qrcp_points, KmeansOptions};
 use lrtddft::{
     build_isdf_hamiltonian,
-    parallel::distributed_dense_hamiltonian_with,
+    parallel::distributed_dense_hamiltonian,
     pipeline::{gram_allreduce, gram_pipelined_reduce},
     problem::{silicon_like_problem, CasidaProblem},
     IsdfRank, PointSelector, Solver, StageTimings, Version,
@@ -388,12 +388,12 @@ pub fn calibrate(scale: Scale) -> Calibration {
     let n_mu = IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
     // Single-rank distributed runs give the per-stage serial works.
     let naive_t =
-        spmd(1, |c| distributed_dense_hamiltonian_with(c, &problem, false).expect("dense build").1)
+        spmd(1, |c| distributed_dense_hamiltonian(c, &problem).expect("dense build").1)
             .pop()
             .unwrap();
     let clock = obskit::StageClock::now();
     let selector = Solver::builder().kmeans_selector();
-    build_isdf_hamiltonian(&Comm::solo(), &problem, selector, n_mu, false, &mut Vec::new())
+    build_isdf_hamiltonian(&Comm::solo(), &problem, selector, n_mu, &mut Vec::new())
         .expect("isdf build on clean benchmark input");
     let isdf_t = StageTimings::since(clock);
     // Diagonalization works measured via the versions API.
@@ -653,7 +653,6 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
                 &problem,
                 PointSelector::Kmeans(KmeansOptions { snap, ..Default::default() }),
                 n_mu,
-                false,
                 &mut Vec::new(),
             )
             .expect("isdf build on clean benchmark input");
@@ -692,7 +691,6 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
         &problem,
         PointSelector::Kmeans(KmeansOptions::default()),
         n_mu,
-        false,
         &mut Vec::new(),
     )
     .expect("isdf build on clean benchmark input");

@@ -27,11 +27,11 @@
 //! and a `served` job all run the build half [`Solver::hamiltonian`] and
 //! finish by the same version → (points, explicit or matrix-free `H`, SYEV
 //! or LOBPCG) mapping. Both builds — dense
-//! ([`parallel::distributed_dense_hamiltonian_with`]) and ISDF
+//! ([`parallel::distributed_dense_hamiltonian`]) and ISDF
 //! ([`build_isdf_hamiltonian`]) — are written once, against a communicator,
 //! and a serial solve is their one-rank case. [`parallel`] holds the paper's
-//! MPI pipeline (Algorithm 1) on the simulated-MPI runtime: `Alltoallv`
-//! redistributions and the pipelined GEMM+`Reduce` overlap of Figs. 4–5.
+//! MPI pipeline (Algorithm 1) on the simulated-MPI runtime; [`pipeline`]
+//! its contraction and, for `repro fig5`, the pipelined GEMM+`Reduce`.
 
 pub mod analysis;
 pub mod kernel;

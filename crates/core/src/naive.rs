@@ -6,17 +6,17 @@
 //! Complexity `O(N_v²N_c²N_r)` construction + `O(N_v³N_c³)` diagonalization
 //! (paper Table 2) — the baseline all speedups are measured against.
 
-use crate::parallel::distributed_dense_hamiltonian_with;
+use crate::parallel::distributed_dense_hamiltonian;
 use crate::problem::CasidaProblem;
 use faultkit::SolveError;
 use mathkit::Mat;
 use parcomm::Comm;
 
 /// Build the dense TDA Hamiltonian `H = D + 2 V_Hxc` (`N_cv × N_cv`): the
-/// one dense build ([`distributed_dense_hamiltonian_with`]) on a solo
+/// one dense build ([`distributed_dense_hamiltonian`]) on a solo
 /// communicator on this thread.
 pub fn build_dense_hamiltonian(problem: &CasidaProblem) -> Result<Mat, SolveError> {
-    distributed_dense_hamiltonian_with(&Comm::solo(), problem, false).map(|(h, _)| h)
+    distributed_dense_hamiltonian(&Comm::solo(), problem).map(|(h, _)| h)
 }
 
 #[cfg(test)]

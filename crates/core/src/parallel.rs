@@ -5,15 +5,15 @@
 //! products live in **row-block** layout for the face-splitting product and
 //! GEMM stages, are re-shuffled to **column-block** layout via `Alltoallv`
 //! for the FFT stage (each rank then owns whole grids of a column subset),
-//! and shuffled back. The `V_Hxc` contraction uses either the monolithic
-//! GEMM+`Allreduce` or the pipelined GEMM+`Reduce` of [`crate::pipeline`].
+//! and shuffled back. The `V_Hxc` contraction is the symmetric
+//! GEMM+`Allreduce` of [`crate::pipeline::gram_allreduce`].
 //!
 //! Every function here is SPMD-collective: all ranks call it with the same
 //! global problem; each rank works on its slab and the returned data is
 //! replicated (suitable for the replicated diagonalization step).
 
 use crate::kernel::HxcKernel;
-use crate::pipeline::gram_replicated;
+use crate::pipeline::gram_allreduce;
 use crate::problem::CasidaProblem;
 use crate::timers::StageTimings;
 use faultkit::SolveError;
@@ -51,13 +51,10 @@ pub fn distributed_kernel_apply(comm: &Comm, problem: &CasidaProblem, local_rows
 /// Naive Hamiltonian construction (Algorithm 1), SPMD-collective on `comm`;
 /// [`crate::build_dense_hamiltonian`] is its one-rank case. Returns the
 /// replicated dense `H = D + 2 V_Hxc` plus this rank's stage timings, or the
-/// typed failure of the input check ([`CasidaProblem::check_inputs`]) or of
-/// the reduction. `pipelined` selects the GEMM+`Reduce` overlap schedule for
-/// the `V_Hxc` contraction.
-pub fn distributed_dense_hamiltonian_with(
+/// typed failure of the input check ([`CasidaProblem::check_inputs`]).
+pub fn distributed_dense_hamiltonian(
     comm: &Comm,
     problem: &CasidaProblem,
-    pipelined: bool,
 ) -> Result<(Mat, StageTimings), SolveError> {
     problem.check_inputs()?;
     let clock = obskit::StageClock::now();
@@ -72,11 +69,11 @@ pub fn distributed_dense_hamiltonian_with(
     let fz_loc = distributed_kernel_apply(comm, problem, &z_loc);
 
     // V_Hxc = ΔV · P_vcᵀ (f_Hxc P_vc): local symmetric product + reduction
-    // (lines 7–8 / Figs. 4–5). The TDA singlet factor 2 (paper Eq. 2) and
+    // (lines 7–8). The TDA singlet factor 2 (paper Eq. 2) and
     // ΔV fold into the product's alpha — no scale pass.
     let sp = obskit::span(obskit::Stage::Gemm, "v_hxc.contract");
     let scale = 2.0 * problem.grid.dv();
-    let mut h = gram_replicated(comm, &z_loc, &fz_loc, scale, pipelined, &mut [])?;
+    let mut h = gram_allreduce(comm, &z_loc, &fz_loc, scale, &mut []).local;
     drop(sp);
 
     // H = D + 2 V_Hxc (line 10).
@@ -103,15 +100,8 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let serial = build_dense_hamiltonian(&p).unwrap();
         for ranks in [1usize, 2, 4] {
-            for pipelined in [false, true] {
-                let build = |c: &Comm| distributed_dense_hamiltonian_with(c, &p, pipelined);
-                let res = spmd(ranks, |c| build(c).unwrap().0);
-                for h in res {
-                    assert!(
-                        h.max_abs_diff(&serial) < 1e-9,
-                        "ranks={ranks} pipelined={pipelined}"
-                    );
-                }
+            for h in spmd(ranks, |c| distributed_dense_hamiltonian(c, &p).unwrap().0) {
+                assert!(h.max_abs_diff(&serial) < 1e-9, "ranks={ranks}");
             }
         }
     }
@@ -168,7 +158,7 @@ mod tests {
     #[test]
     fn timings_accumulate_mpi_for_multirank() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let res = spmd(4, |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().1);
+        let res = spmd(4, |c| distributed_dense_hamiltonian(c, &p).unwrap().1);
         for t in res {
             assert!(t.mpi > 0.0, "collectives must register comm time");
             assert!(t.fft > 0.0 && t.gemm > 0.0 && t.face_split > 0.0);

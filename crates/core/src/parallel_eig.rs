@@ -424,7 +424,7 @@ mod tests {
     fn test_ham() -> IsdfHamiltonian {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 3);
         let solo = Comm::solo();
-        build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, p.n_cv(), false, &mut Vec::new())
+        build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
             .expect("clean full-rank build")
     }
 

@@ -1,22 +1,27 @@
-//! The GEMM + reduction overlap optimization of paper Figs. 4–5.
+//! The symmetric GEMM + reduction of `V_Hxc` and `Ṽ_Hxc` (Algorithm 1
+//! lines 7–8), and the pipelined overlap of paper Figs. 4–5 as its
+//! reproduction.
 //!
-//! Baseline (Algorithm 1 lines 7–8): every rank GEMMs its full local
-//! contribution to `V_Hxc`, then one big `MPI_Allreduce` hands every rank the
-//! whole matrix — full memory on every rank, and the reduction cannot start
-//! until the whole GEMM is done.
+//! The solve path runs one schedule, [`gram_allreduce`]: every rank computes
+//! its full local contribution, then one `Allreduce` hands every rank the
+//! whole matrix, which the replicated eigensolve needs anyway.
 //!
-//! Optimized (Fig. 4 partitioning + Fig. 5 pipelining): the output columns
-//! are split into per-rank chunks; each chunk is GEMMed and its `ireduce` to
-//! the owning rank is issued **nonblocking**, and settled only after this
-//! rank has GEMMed chunk `q+1`. The in-flight window is bounded at one
-//! chunk, which preserves the `1/P` peak-memory property. (Ranks here are
-//! threads that complete a reduction inside its `wait`, so the window buys
-//! the paper's memory bound, not hidden communication time.)
+//! [`gram_pipelined_reduce`] is the paper's optimization, kept as the Fig. 5
+//! reproduction (`repro fig5`, `benches/pipeline.rs`) and not called by any
+//! solve: the output columns are split into per-rank chunks (Fig. 4); each
+//! chunk is GEMMed and its `ireduce` to the owning rank is issued
+//! **nonblocking**, and settled only after this rank has GEMMed chunk `q+1`
+//! (Fig. 5). The in-flight window is bounded at one chunk, which preserves
+//! the `1/P` peak-memory property. Ranks here are threads that complete a
+//! reduction inside its `wait`, so the window buys the paper's memory bound,
+//! not hidden communication time, and it ran slower than the allreduce
+//! (DESIGN §11).
 //!
-//! Both contractions this serves, `V_Hxc = P_vcᵀ(f_Hxc P_vc)` and
-//! `Ṽ = Wᵀ(f_Hxc W)`, are symmetric by construction (`f_Hxc` is), so every
-//! product here is [`symm_tn`]: the monolithic schedule computes half of
-//! it, and a column chunk takes each entry's fold from the same half.
+//! Both contractions, `V_Hxc = P_vcᵀ(f_Hxc P_vc)` and `Ṽ = Wᵀ(f_Hxc W)`, are
+//! symmetric by construction (`f_Hxc` is), so every product here is
+//! [`symm_tn`]: the monolithic schedule computes half of it, and a column
+//! chunk takes each entry's fold from the same half — the two schedules
+//! agree bit for bit.
 
 use faultkit::CommError;
 use mathkit::gemm::symm_tn;
@@ -117,37 +122,6 @@ pub fn gram_pipelined_reduce(
     Ok(GramResult { local: mine, col_range: my_range, peak_words })
 }
 
-/// The replicated symmetric product `scale · Aᵀ B` of row-distributed `A`
-/// and `B` by either schedule: [`gram_allreduce`], or (`pipelined`)
-/// [`gram_pipelined_reduce`] and a small allgather to re-replicate — the two
-/// agree bit for bit. `riders` as in [`gram_allreduce`]; pipelined, they
-/// ride the allgather.
-pub fn gram_replicated(
-    comm: &Comm,
-    a_local: &Mat,
-    b_local: &Mat,
-    scale: f64,
-    pipelined: bool,
-    riders: &mut [f64],
-) -> Result<Mat, CommError> {
-    if !pipelined {
-        return Ok(gram_allreduce(comm, a_local, b_local, scale, riders).local);
-    }
-    let n = b_local.ncols();
-    let mut mine = gram_pipelined_reduce(comm, a_local, b_local, scale)?.local.into_vec();
-    mine.extend_from_slice(riders);
-    let gathered = comm.allgatherv(&mine);
-    riders.fill(0.0);
-    let mut v = Vec::with_capacity(n * n);
-    for (rank, chunk) in block_ranges(n, comm.size()).into_iter().enumerate() {
-        let at = n * chunk.start + rank * riders.len();
-        let (cols, rest) = gathered[at..].split_at(n * chunk.len());
-        v.extend_from_slice(cols);
-        riders.iter_mut().zip(rest).for_each(|(sum, part)| *sum += part);
-    }
-    Ok(Mat::from_vec(n, n, v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,26 +182,29 @@ mod tests {
 
     #[test]
     fn pipelined_matches_allreduce_bitwise() {
-        // Same ring fold order per element on both paths ⇒ exact equality,
-        // of the replicated matrix and of the riders summed along with it.
+        // Each entry is folded from the same half and reduced in the same
+        // rank order on both schedules ⇒ each rank's pipelined column chunk
+        // is exactly those columns of the replicated matrix. The riders
+        // travel on the allreduce alone and come back summed.
         let (nr, n, p) = (32, 8, 4);
         let (a, b) = global_ab(nr, n);
         let res = spmd(p, |c| {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
             let bl = b.row_block(rr.start, rr.end);
-            [false, true].map(|pipelined| {
-                let mut riders = [0.1 * (c.rank() + 1) as f64, 1.0];
-                let v = gram_replicated(c, &al, &bl, 1.5, pipelined, &mut riders).expect("reduce");
-                (v, riders)
-            })
+            let mut riders = [0.1 * (c.rank() + 1) as f64, 1.0];
+            let mono = gram_allreduce(c, &al, &bl, 1.5, &mut riders);
+            let pipe = gram_pipelined_reduce(c, &al, &bl, 1.5).expect("pipelined reduce");
+            (mono, pipe, riders)
         });
-        for [(mono, mono_riders), (pipe, pipe_riders)] in res {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(mono.as_slice()), bits(pipe.as_slice()));
-            assert_eq!(bits(&mono_riders), bits(&pipe_riders));
-            assert_eq!(mono_riders[1], p as f64);
-            assert!((mono_riders[0] - 1.0).abs() < 1e-15);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rank, (mono, pipe, riders)) in res.iter().enumerate() {
+            assert_eq!(mono.col_range, 0..n);
+            assert_eq!(pipe.col_range, block_ranges(n, p)[rank]);
+            let cols = mono.local.col_block(pipe.col_range.start, pipe.col_range.end);
+            assert_eq!(bits(cols.as_slice()), bits(pipe.local.as_slice()), "rank {rank}");
+            assert_eq!(riders[1], p as f64);
+            assert!((riders[0] - 1.0).abs() < 1e-15);
         }
     }
 

@@ -24,7 +24,7 @@
 //! `parcomm::set_fusion_enabled`) that a solve reads and never writes.
 
 use crate::metrics::ComplexityEstimate;
-use crate::parallel::distributed_dense_hamiltonian_with;
+use crate::parallel::distributed_dense_hamiltonian;
 use crate::parallel_eig::{distributed_casida_lobpcg, DistributedEigResult};
 use crate::problem::CasidaProblem;
 use crate::rank::IsdfRank;
@@ -54,10 +54,6 @@ pub struct Solver {
     pub lobpcg: LobpcgOptions,
     /// RNG seed (K-Means init, LOBPCG guess dressing).
     pub seed: u64,
-    /// Use the pipelined GEMM+`Reduce` overlap schedule (paper Fig. 5) for
-    /// the distributed `V_Hxc` / `Ṽ_Hxc` contractions instead of the
-    /// monolithic GEMM+`Allreduce`. Bitwise-identical results either way.
-    pub pipelined: bool,
     /// Degradation marker. `Some(label)` means this configuration is a
     /// deliberate downgrade to a cheaper one — the one rung of
     /// [`crate::degrade`] (`direct-eig`), applied by the serving scheduler
@@ -68,7 +64,7 @@ pub struct Solver {
 }
 
 impl Default for Solver {
-    /// The paper's headline path, monolithic reductions.
+    /// The paper's headline path.
     fn default() -> Self {
         Solver {
             version: Version::ImplicitKmeansIsdfLobpcg,
@@ -76,7 +72,6 @@ impl Default for Solver {
             rank: IsdfRank::default(),
             lobpcg: LobpcgOptions { max_iter: 400, tol: 1e-8 },
             seed: 0xcafe,
-            pipelined: false,
             degraded: None,
         }
     }
@@ -134,12 +129,6 @@ impl Solver {
         self
     }
 
-    /// Toggle the pipelined GEMM+`Reduce` overlap schedule.
-    pub fn pipelined(mut self, on: bool) -> Self {
-        self.pipelined = on;
-        self
-    }
-
     /// Mark the configuration as a deliberate downgrade (see
     /// [`Solver::degraded`]).
     pub fn degraded(mut self, label: &'static str) -> Self {
@@ -168,8 +157,8 @@ impl Solver {
 
     /// The Table 4 row whose Hamiltonian build this solver runs: rows 3–5
     /// share the K-Means ISDF build, rows 1 and 2 have their own. Two solvers
-    /// equal in this, [`Solver::n_mu`], `seed` and `pipelined` build the same
-    /// Hamiltonian — what the serving scheduler batches on.
+    /// equal in this, [`Solver::n_mu`] and `seed` build the same Hamiltonian
+    /// — what the serving scheduler batches on.
     pub fn build_row(&self) -> Version {
         match self.plan().selector {
             None => Version::Naive,
@@ -206,12 +195,11 @@ impl Solver {
         recovery: &mut Vec<String>,
     ) -> Result<Hamiltonian, SolveError> {
         let Some(selector) = self.plan().selector else {
-            let (h, _) = distributed_dense_hamiltonian_with(comm, problem, self.pipelined)?;
+            let (h, _) = distributed_dense_hamiltonian(comm, problem)?;
             return Ok(Hamiltonian::Dense(h));
         };
         let n_mu = self.n_mu(problem);
-        build_isdf_hamiltonian(comm, problem, selector, n_mu, self.pipelined, recovery)
-            .map(Hamiltonian::Isdf)
+        build_isdf_hamiltonian(comm, problem, selector, n_mu, recovery).map(Hamiltonian::Isdf)
     }
 
     /// Finish half of the distributed doors: the lowest `n_states`
@@ -366,7 +354,7 @@ mod tests {
         let fresh = Solver::builder().build();
         assert_eq!(fresh.version, Version::ImplicitKmeansIsdfLobpcg);
         assert_eq!((fresh.n_states, fresh.seed, fresh.lobpcg.max_iter), (3, 0xcafe, 400));
-        assert!(!fresh.pipelined && fresh.degraded.is_none());
+        assert!(fresh.degraded.is_none());
 
         let s = Solver::builder()
             .version(Version::QrcpIsdf)
@@ -374,12 +362,10 @@ mod tests {
             .rank(IsdfRank::Fixed(12))
             .lobpcg(LobpcgOptions { max_iter: 10, tol: 1e-3 })
             .seed(42)
-            .pipelined(true)
             .degraded("direct-eig");
         assert_eq!((s.version, s.n_states, s.seed), (Version::QrcpIsdf, 7, 42));
         assert!(matches!(s.rank, IsdfRank::Fixed(12)));
         assert_eq!(s.lobpcg.max_iter, 10);
-        assert!(s.pipelined);
         assert_eq!(s.degraded, Some("direct-eig"));
     }
 
@@ -422,24 +408,6 @@ mod tests {
                     let rel =
                         (v - serial.energies[i]).abs() / serial.energies[i].abs().max(1e-12);
                     assert!(rel < 1e-10, "ranks={ranks} state {i}: {v} vs {}", serial.energies[i]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_solve_bitwise_matches_blocking() {
-        // The overlap schedule reorders nothing: every distributed solve must
-        // produce bitwise-identical eigenvalues either way.
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let base = Solver::builder().n_states(2).rank(IsdfRank::Fixed(p.n_cv())).seed(7);
-        for ranks in [2usize, 4] {
-            let blocking = spmd(ranks, |c| base.solve_distributed(c, &p).0);
-            let pipelined = spmd(ranks, |c| base.pipelined(true).solve_distributed(c, &p).0);
-            for (b, q) in blocking.iter().zip(&pipelined) {
-                assert_eq!(b.len(), q.len());
-                for (x, y) in b.iter().zip(q) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "ranks={ranks}: {x:e} vs {y:e}");
                 }
             }
         }

@@ -2,7 +2,7 @@
 
 use crate::metrics::ComplexityEstimate;
 use crate::parallel::distributed_kernel_apply;
-use crate::pipeline::gram_replicated;
+use crate::pipeline::gram_allreduce;
 use crate::problem::{check_finite, CasidaProblem, Slab};
 use crate::timers::StageTimings;
 use faultkit::{NumericalError, SolveError};
@@ -247,7 +247,6 @@ pub fn build_isdf_hamiltonian(
     problem: &CasidaProblem,
     selector: PointSelector,
     n_mu: usize,
-    pipelined: bool,
     recovery: &mut Vec<String>,
 ) -> Result<IsdfHamiltonian, SolveError> {
     problem.check_inputs()?;
@@ -313,7 +312,7 @@ pub fn build_isdf_hamiltonian(
         // the serial energies by 4.2e-10 on `silicon_like_problem(1, 12, 4)`.
         let _sp = obskit::span(Stage::Gemm, "v_tilde.contract");
         let (dv, mut sums) = (problem.grid.dv(), [num, den]);
-        let mut v_tilde = gram_replicated(comm, &w, &f_w, dv, pipelined, &mut sums)?;
+        let mut v_tilde = gram_allreduce(comm, &w, &f_w, dv, &mut sums).local;
         solve_right_in_place(&mut v_tilde, &l, Transpose::No);
         v_tilde.transpose_in_place();
         solve_right_in_place(&mut v_tilde, &l, Transpose::No);
@@ -395,7 +394,7 @@ mod tests {
     fn explicit_and_implicit_hamiltonians_identical() {
         let p = synthetic_problem([8, 8, 8], 7.0, 2, 3);
         let (solo, n_mu) = (Comm::solo(), p.n_cv());
-        let ham = build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, n_mu, false, &mut vec![])
+        let ham = build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, n_mu, &mut vec![])
             .expect("clean full-rank build");
         let dense = ham.to_dense();
         // Apply to random block and compare.
@@ -428,7 +427,7 @@ mod tests {
             let solo = Comm::solo();
             let mut log = Vec::new();
             let ham =
-                build_isdf_hamiltonian(&solo, &p, opts.kmeans_selector(), n_mu, false, &mut log)
+                build_isdf_hamiltonian(&solo, &p, opts.kmeans_selector(), n_mu, &mut log)
                     .expect("clean build");
             assert!(log.is_empty(), "{log:?}");
             assert_eq!(solo.stats().collective_calls, 0, "a solo collective is not a call");
@@ -466,7 +465,7 @@ mod tests {
             let solver = Solver::builder().n_states(5).build();
             let (solo, n_mu) = (Comm::solo(), solver.n_mu(p));
             let selector = solver.kmeans_selector();
-            let ham = build_isdf_hamiltonian(&solo, p, selector, n_mu, false, &mut vec![])
+            let ham = build_isdf_hamiltonian(&solo, p, selector, n_mu, &mut vec![])
                 .expect("clean build");
             let points = select_points(&solo, p, &p.slab(&solo), selector, n_mu, &mut vec![])
                 .expect("clean selection");

@@ -57,7 +57,6 @@ pub struct CommStats {
     /// Nonblocking (request-based) ops.
     pub ireduce: OpStats,
     pub iallreduce: OpStats,
-    pub ialltoallv_nb: OpStats,
     /// Fused flushes executed by the deferred-reduction scheduler
     /// ([`crate::batch`]): each flush is one collective that replaced
     /// `fused_fields / fused_flushes` small ones on average.
@@ -72,7 +71,7 @@ pub struct CommStats {
 impl CommStats {
     /// The per-operation breakdown as `(label, stats)` rows, in a stable
     /// report order.
-    pub fn per_op(&self) -> [(&'static str, OpStats); 7] {
+    pub fn per_op(&self) -> [(&'static str, OpStats); 6] {
         [
             ("allreduce", self.allreduce),
             ("allgatherv", self.allgatherv),
@@ -80,7 +79,6 @@ impl CommStats {
             ("barrier", self.barrier),
             ("ireduce", self.ireduce),
             ("iallreduce", self.iallreduce),
-            ("ialltoallv", self.ialltoallv_nb),
         ]
     }
 }
@@ -94,7 +92,6 @@ pub(crate) enum Op {
     Barrier,
     Ireduce,
     Iallreduce,
-    Ialltoallv,
 }
 
 impl Op {
@@ -106,7 +103,6 @@ impl Op {
             Op::Barrier => "mpi:barrier",
             Op::Ireduce => "mpi:ireduce",
             Op::Iallreduce => "mpi:iallreduce",
-            Op::Ialltoallv => "mpi:ialltoallv",
         }
     }
 
@@ -118,13 +114,12 @@ impl Op {
             Op::Barrier => &mut stats.barrier,
             Op::Ireduce => &mut stats.ireduce,
             Op::Iallreduce => &mut stats.iallreduce,
-            Op::Ialltoallv => &mut stats.ialltoallv_nb,
         }
     }
 
     /// Whether this is a request-API op (its waits are traced and charged).
     pub(crate) fn is_request(self) -> bool {
-        matches!(self, Op::Ireduce | Op::Iallreduce | Op::Ialltoallv)
+        matches!(self, Op::Ireduce | Op::Iallreduce)
     }
 
     /// Fault-hook site. Blocking ops all hook under `comm.blocking`, so a
@@ -134,7 +129,6 @@ impl Op {
         match self {
             Op::Ireduce => "comm.ireduce",
             Op::Iallreduce => "comm.iallreduce",
-            Op::Ialltoallv => "comm.ialltoallv",
             _ => "comm.blocking",
         }
     }
@@ -144,7 +138,6 @@ impl Op {
         match self {
             Op::Ireduce => "ireduce",
             Op::Iallreduce => "iallreduce",
-            Op::Ialltoallv => "ialltoallv",
             _ => "blocking",
         }
     }
@@ -564,7 +557,7 @@ mod tests {
             assert_eq!(s.iallreduce.calls, 1);
             assert_eq!(s.ireduce.calls, 1);
             assert_eq!(s.barrier.calls, 1);
-            let per: [(&str, OpStats); 7] = s.per_op();
+            let per: [(&str, OpStats); 6] = s.per_op();
             let calls: u64 = per.iter().map(|(_, o)| o.calls).sum();
             let bytes: u64 = per.iter().map(|(_, o)| o.bytes).sum();
             let secs: f64 = per.iter().map(|(_, o)| o.seconds).sum();
@@ -670,7 +663,6 @@ mod tests {
         assert_eq!(c.alltoallv(vec![vec![1.0, 2.0]]), vec![vec![1.0, 2.0]]);
         assert_eq!(c.iallreduce_sum(buf.clone()).wait(), vec![3.0]);
         assert_eq!(c.ireduce_sum(buf.clone(), 0).wait(), vec![3.0]);
-        assert_eq!(c.ialltoallv(vec![vec![1.0, 2.0]]).wait(), vec![vec![1.0, 2.0]]);
         assert_eq!(buf, vec![3.0]);
         assert_eq!(c.stats(), CommStats::default());
     }

@@ -6,8 +6,8 @@
 //! * [`spmd`] launches `P` ranks as OS threads executing the same closure
 //!   (SPMD), each holding a [`Comm`] handle;
 //! * [`Comm`] provides the collectives Algorithm 1 uses — `Alltoallv`,
-//!   `Allreduce`, `Allgatherv`, `Barrier` — plus the **request forms** the
-//!   pipelined paths use (`ireduce_sum`, `iallreduce_sum`, `ialltoallv`).
+//!   `Allreduce`, `Allgatherv`, `Barrier` — plus the **request forms**
+//!   `iallreduce_sum` (LOBPCG, [`batch`]) and `ireduce_sum` (Fig. 5).
 //!   Every collective runs on the rank thread that calls it: issue deposits
 //!   the rank's contribution and never blocks, and the waiting rank completes
 //!   the op itself ([`requests`]) — no helper threads;

@@ -36,12 +36,9 @@ pub fn row_to_col_blocks(
             chunk
         })
         .collect();
-    // Nonblocking exchange: allocate/zero the reassembly target while the
-    // tiles are in flight.
-    let rq = comm.ialltoallv(send);
+    let recv = comm.alltoallv(send);
     let my_cols = col_ranges[comm.rank()].len();
     let mut out = vec![0.0; n_rows * my_cols];
-    let recv = rq.wait();
     for (src, chunk) in recv.iter().enumerate() {
         let rr = &row_ranges[src];
         let rows_src = rr.len();
@@ -78,10 +75,9 @@ pub fn col_to_row_blocks(
             chunk
         })
         .collect();
-    let rq = comm.ialltoallv(send);
+    let recv = comm.alltoallv(send);
     let my_rows = row_ranges[comm.rank()].len();
     let mut out = vec![0.0; my_rows * n_cols];
-    let recv = rq.wait();
     for (src, chunk) in recv.iter().enumerate() {
         let cr = &col_ranges[src];
         assert_eq!(chunk.len(), my_rows * cr.len(), "tile size mismatch from {src}");

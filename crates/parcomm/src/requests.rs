@@ -3,10 +3,9 @@
 //! There is no progress engine: every collective runs on the thread that
 //! calls it, in two halves.
 //!
-//! * **Issue** ([`Comm::ireduce_sum`], [`Comm::iallreduce_sum`],
-//!   [`Comm::ialltoallv`], and inside every blocking call) deposits this
-//!   rank's contribution in the op's shared cell and returns a [`Request`].
-//!   It never blocks.
+//! * **Issue** ([`Comm::ireduce_sum`], [`Comm::iallreduce_sum`], and inside
+//!   every blocking call) deposits this rank's contribution in the op's
+//!   shared cell and returns a [`Request`]. It never blocks.
 //! * **Completion** happens inside [`Request::wait`] /
 //!   [`Request::wait_deadline`]: the waiting rank does the remaining work
 //!   itself. Reduction waiters claim unfolded 4096-word segments and sum each
@@ -423,18 +422,6 @@ impl Comm {
         let modeled = self.shared.model.ring_allreduce(self.size(), bytes, SEGMENT_WORDS * 8);
         let deposit = Deposit::Reduce { root: None, buf: data };
         self.issue_request(Op::Iallreduce, bytes, modeled, deposit, complete_vals)
-    }
-
-    /// Nonblocking variable all-to-all: `send[q]` goes to rank `q`;
-    /// `wait()` returns the received chunks indexed by source rank.
-    pub fn ialltoallv(&self, send: Vec<Vec<f64>>) -> Request<'_, Vec<Vec<f64>>> {
-        if self.size() == 1 {
-            return Request::ready(self, Op::Ialltoallv, send);
-        }
-        assert_eq!(send.len(), self.size(), "alltoallv needs one chunk per destination");
-        let bytes: usize = send.iter().map(|c| c.len() * 8).sum();
-        let modeled = self.shared.model.alltoallv(self.size(), bytes);
-        self.issue_request(Op::Ialltoallv, bytes, modeled, Deposit::Alltoall(send), complete_chunks)
     }
 
     /// Settle an already-issued request with bounded recovery: a request

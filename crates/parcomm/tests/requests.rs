@@ -67,11 +67,11 @@ proptest! {
         }
     }
 
-    /// `ialltoallv` with uneven per-destination slab lengths, including empty
+    /// `alltoallv` with uneven per-destination slab lengths, including empty
     /// slabs: rank `d` must receive exactly the slab rank `s` addressed to it,
     /// in source-rank order.
     #[test]
-    fn ialltoallv_uneven_and_empty_slabs(ranks in 1usize..6, seed in 0u64..u64::MAX) {
+    fn alltoallv_uneven_and_empty_slabs(ranks in 1usize..6, seed in 0u64..u64::MAX) {
         // Global slab-length table, same on every rank: len(s, d) in 0..7
         // with a deterministic scatter of zeros (empty slabs).
         let slab_len = |s: usize, d: usize| -> usize {
@@ -86,7 +86,7 @@ proptest! {
         let results = spmd(ranks, |c| {
             let me = c.rank();
             let send: Vec<Vec<f64>> = (0..ranks).map(|d| slab(me, d)).collect();
-            let recv = c.ialltoallv(send).wait();
+            let recv = c.alltoallv(send);
             prop_assert_eq!(recv.len(), ranks);
             for (s, got) in recv.iter().enumerate() {
                 let want = slab(s, me);
@@ -137,7 +137,8 @@ proptest! {
     }
 }
 
-/// Mixed op kinds issued together and waited in reverse issue order.
+/// Mixed op kinds issued together and waited in reverse issue order, with a
+/// blocking all-to-all completed while both requests are still outstanding.
 #[test]
 fn interleaved_op_kinds_waited_in_reverse_order() {
     let ranks = 4;
@@ -145,8 +146,7 @@ fn interleaved_op_kinds_waited_in_reverse_order() {
         let me = c.rank();
         let rq_red = c.ireduce_sum(rank_data(c, 3, 33), 2);
         let rq_all = c.iallreduce_sum(rank_data(c, 9, 100));
-        let rq_a2a = c.ialltoallv((0..ranks).map(|q| vec![me as f64, q as f64]).collect());
-        let a2a = rq_a2a.wait();
+        let a2a = c.alltoallv((0..ranks).map(|q| vec![me as f64, q as f64]).collect());
         let all = rq_all.wait();
         let red = rq_red.wait();
         (red, all, a2a)

@@ -385,7 +385,6 @@ pub struct BatchKey {
     /// build).
     pub n_mu: usize,
     pub seed: u64,
-    pub pipelined: bool,
 }
 
 pub(crate) fn batch_key(spec: &JobSpec) -> BatchKey {
@@ -395,7 +394,6 @@ pub(crate) fn batch_key(spec: &JobSpec) -> BatchKey {
         build: s.build_row(),
         n_mu: s.n_mu(&spec.problem),
         seed: s.seed,
-        pipelined: s.pipelined,
     }
 }
 

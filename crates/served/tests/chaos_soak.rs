@@ -50,10 +50,7 @@ fn fault_plan(slot: usize) -> FaultPlan {
     match slot % 3 {
         0 => plan.with("ham.v_tilde", 0, FaultKind::NanPoison),
         1 => plan.with("ham.v_tilde", 0, FaultKind::InfPoison),
-        _ => {
-            let delay = FaultKind::CommDelay { micros: 1500 };
-            plan.with("comm.ireduce", 0, delay).with("comm.iallreduce", 0, delay)
-        }
+        _ => plan.with("comm.iallreduce", 0, FaultKind::CommDelay { micros: 1500 }),
     }
 }
 

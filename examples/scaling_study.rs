@@ -6,7 +6,7 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use lrtddft::parallel::distributed_dense_hamiltonian_with;
+use lrtddft::parallel::distributed_dense_hamiltonian;
 use lrtddft::problem::silicon_like_problem;
 use lrtddft::{build_isdf_hamiltonian, CasidaProblem, Solver, StageTimings};
 use parcomm::{spmd, Comm};
@@ -15,7 +15,7 @@ use parcomm::{spmd, Comm};
 fn timed_isdf_build(comm: &Comm, problem: &CasidaProblem, n_mu: usize) -> StageTimings {
     let clock = obskit::StageClock::now();
     let selector = Solver::default().kmeans_selector();
-    build_isdf_hamiltonian(comm, problem, selector, n_mu, false, &mut Vec::new())
+    build_isdf_hamiltonian(comm, problem, selector, n_mu, &mut Vec::new())
         .expect("clean ISDF build");
     StageTimings::since(clock)
 }
@@ -35,8 +35,7 @@ fn main() {
     println!("{:>5} | {:>10} | {:>10} | {:>10} | {:>12}", "ranks", "face+theta", "fft (s)", "gemm (s)", "comm calls");
     for ranks in [1usize, 2, 4] {
         let naive = spmd(ranks, |c| {
-            let (_, t) =
-                distributed_dense_hamiltonian_with(c, &problem, true).expect("dense build");
+            let (_, t) = distributed_dense_hamiltonian(c, &problem).expect("dense build");
             (t, c.stats())
         });
         let isdf = spmd(ranks, |c| (timed_isdf_build(c, &problem, n_mu), c.stats()));

@@ -1,9 +1,9 @@
 //! Integration tests for the parallel pipeline: the simulated-MPI runs must
-//! reproduce the serial results across rank counts and both reduction
-//! strategies — the correctness contract behind the paper's Figs. 3–5.
+//! reproduce the serial results across rank counts — the correctness
+//! contract behind the paper's Fig. 3 distributions.
 
 use lrtddft::naive::build_dense_hamiltonian;
-use lrtddft::parallel::distributed_dense_hamiltonian_with;
+use lrtddft::parallel::distributed_dense_hamiltonian;
 use lrtddft::problem::{silicon_like_problem, CasidaProblem};
 use lrtddft::{build_isdf_hamiltonian, Solver};
 use mathkit::syev;
@@ -12,7 +12,7 @@ use parcomm::{spmd, spmd_with_model, Comm, CostModel};
 /// Spectrum of the K-Means-ISDF Hamiltonian built at rank `n_mu` on `comm`.
 fn isdf_spectrum(comm: &Comm, p: &CasidaProblem, n_mu: usize) -> Vec<f64> {
     let selector = Solver::builder().kmeans_selector();
-    let ham = build_isdf_hamiltonian(comm, p, selector, n_mu, false, &mut Vec::new())
+    let ham = build_isdf_hamiltonian(comm, p, selector, n_mu, &mut Vec::new())
         .expect("clean build");
     syev(&ham.to_dense()).values
 }
@@ -29,7 +29,7 @@ fn distributed_naive_invariant_across_rank_counts() {
     let p = silicon_like_problem(1, 8, 2);
     let serial = build_dense_hamiltonian(&p).unwrap();
     for ranks in [1usize, 2, 3, 5, 8] {
-        let res = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().0);
+        let res = spmd(ranks, |c| distributed_dense_hamiltonian(c, &p).unwrap().0);
         for h in &res {
             assert!(
                 h.max_abs_diff(&serial) < 1e-8,
@@ -37,16 +37,6 @@ fn distributed_naive_invariant_across_rank_counts() {
                 h.max_abs_diff(&serial)
             );
         }
-    }
-}
-
-#[test]
-fn pipelined_and_monolithic_reductions_agree() {
-    let p = silicon_like_problem(1, 8, 2);
-    for ranks in [2usize, 4] {
-        let mono = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().0);
-        let pipe = spmd(ranks, |c| distributed_dense_hamiltonian_with(c, &p, true).unwrap().0);
-        assert!(mono[0].max_abs_diff(&pipe[0]) < 1e-9);
     }
 }
 
@@ -78,12 +68,12 @@ fn comm_cost_model_does_not_change_results() {
     // The α-β model only affects *charged* time, never data.
     let p = silicon_like_problem(1, 8, 2);
     let free = spmd_with_model(2, CostModel::free(), |c| {
-        distributed_dense_hamiltonian_with(c, &p, false).unwrap().0
+        distributed_dense_hamiltonian(c, &p).unwrap().0
     });
     let expensive = spmd_with_model(
         2,
         CostModel { alpha: 1.0, beta: 1e-3 },
-        |c| distributed_dense_hamiltonian_with(c, &p, false).unwrap().0,
+        |c| distributed_dense_hamiltonian(c, &p).unwrap().0,
     );
     assert!(free[0].max_abs_diff(&expensive[0]) < 1e-14);
 }
@@ -92,7 +82,7 @@ fn comm_cost_model_does_not_change_results() {
 fn rank_timings_report_comm_share() {
     let p = silicon_like_problem(1, 8, 2);
     let res = spmd(4, |c| {
-        let (_, t) = distributed_dense_hamiltonian_with(c, &p, false).unwrap();
+        let (_, t) = distributed_dense_hamiltonian(c, &p).unwrap();
         (t, c.stats())
     });
     for (t, stats) in res {

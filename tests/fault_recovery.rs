@@ -107,18 +107,18 @@ fn every_serial_fault_fires_once_and_heals() {
     }
 }
 
-/// A dropped pipelined reduce, a delayed allreduce and a stall longer than
-/// one wait deadline fire on both ranks of a distributed solve, and the
-/// solve comes back with the fault-free energies bit for bit. The fault
+/// A dropped allreduce (re-issued by `Comm::settle`), a delayed one and a
+/// stall longer than one wait deadline fire on both ranks of a distributed
+/// solve, and the solve comes back with the fault-free energies bit for bit. The fault
 /// events repeat exactly when the campaign does.
 #[test]
 fn comm_faults_fire_on_every_rank_and_heal_bitwise() {
     let p = problem();
-    let solver = opts(p).version(Version::ImplicitKmeansIsdfLobpcg).pipelined(true);
+    let solver = opts(p).version(Version::ImplicitKmeansIsdfLobpcg);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let clean = bits(&parcomm::spmd(2, |c| solver.solve_distributed(c, p).0)[0]);
     let cases = [
-        ("comm.ireduce", 1, FaultKind::CommDrop),
+        ("comm.iallreduce", 1, FaultKind::CommDrop),
         ("comm.iallreduce", 0, FaultKind::CommDelay { micros: 2_000 }),
         ("comm.iallreduce", 0, FaultKind::CommStall { micros: 80_000 }),
     ];

@@ -16,7 +16,7 @@ fn calibrated_isdf_study_has_paper_shape() {
     let n_mu = 40.min(p.n_cv());
     let clock = obskit::StageClock::now();
     let selector = Solver::builder().kmeans_selector();
-    build_isdf_hamiltonian(&Comm::solo(), &p, selector, n_mu, false, &mut Vec::new())
+    build_isdf_hamiltonian(&Comm::solo(), &p, selector, n_mu, &mut Vec::new())
         .expect("clean build");
     let t = StageTimings::since(clock);
     let study = ScalingStudy::new(

@@ -29,16 +29,11 @@ fn exclusive() -> std::sync::MutexGuard<'static, ()> {
 
 /// One traced run of the full implicit ISDF-LOBPCG pipeline: the trace plus
 /// each rank's reported timings and its wall clock around the solve.
-fn traced_pipeline_run(ranks: usize, pipelined: bool) -> (obskit::Trace, Vec<(StageTimings, f64)>) {
+fn traced_pipeline_run(ranks: usize) -> (obskit::Trace, Vec<(StageTimings, f64)>) {
     let p = silicon_like_problem(1, 10, 3);
     let n_mu = p.n_cv().min(5 * (p.n_v() + p.n_c()));
     obskit::enable();
-    let solver = Solver::builder()
-        .rank(IsdfRank::Fixed(n_mu))
-        .n_states(3)
-        .seed(0xbeef)
-        .pipelined(pipelined)
-        .build();
+    let solver = Solver::builder().rank(IsdfRank::Fixed(n_mu)).n_states(3).seed(0xbeef).build();
     let per_rank = spmd(ranks, |c| {
         let t0 = Instant::now();
         let timings = solver.solve_distributed(c, &p).1;
@@ -62,21 +57,19 @@ fn assert_live_matches_rollup(what: &str, live: &StageTimings, rollup: &StageTim
 #[test]
 fn live_stage_clock_matches_trace_rollup_on_pipeline() {
     let _g = exclusive();
-    for pipelined in [false, true] {
-        let (trace, per_rank) = traced_pipeline_run(4, pipelined);
-        trace.validate().expect("valid span nesting");
-        for (rank, (live, wall)) in per_rank.iter().enumerate() {
-            let what = format!("pipelined={pipelined} rank {rank}");
-            assert_live_matches_rollup(&what, live, &StageTimings::from_trace(&trace, rank));
-            assert!(live.mpi > 0.0 && live.diag > 0.0, "{what}: clock did not tick: {live:?}");
-            // Self times of one thread's nested spans cannot sum past its
-            // wall clock, hidden collectives of the pipelined reduce included.
-            assert!(
-                live.total() <= *wall,
-                "{what}: stage total {:.6}s exceeds wall {wall:.6}s",
-                live.total()
-            );
-        }
+    let (trace, per_rank) = traced_pipeline_run(4);
+    trace.validate().expect("valid span nesting");
+    for (rank, (live, wall)) in per_rank.iter().enumerate() {
+        let what = format!("rank {rank}");
+        assert_live_matches_rollup(&what, live, &StageTimings::from_trace(&trace, rank));
+        assert!(live.mpi > 0.0 && live.diag > 0.0, "{what}: clock did not tick: {live:?}");
+        // Self times of one thread's nested spans cannot sum past its wall
+        // clock.
+        assert!(
+            live.total() <= *wall,
+            "{what}: stage total {:.6}s exceeds wall {wall:.6}s",
+            live.total()
+        );
     }
 }
 
@@ -128,7 +121,7 @@ fn recovered_solve_counts_both_build_attempts_once() {
 #[test]
 fn chrome_export_from_pipeline_run_is_schema_valid() {
     let _g = exclusive();
-    let (trace, _) = traced_pipeline_run(4, false);
+    let (trace, _) = traced_pipeline_run(4);
     trace.validate().expect("valid span nesting");
 
     let json = obskit::chrome::chrome_trace_json(&trace);
@@ -165,7 +158,7 @@ fn chrome_export_from_pipeline_run_is_schema_valid() {
 #[test]
 fn distributed_solve_records_one_lane_per_rank() {
     let _g = exclusive();
-    let (trace, _) = traced_pipeline_run(2, true);
+    let (trace, _) = traced_pipeline_run(2);
     let lanes: Vec<(usize, &str)> =
         trace.ranks.iter().map(|l| (l.rank, l.label.as_str())).collect();
     assert_eq!(lanes, [(0, "rank 0"), (1, "rank 1")]);
