@@ -10,38 +10,36 @@
 //!   faults are one-shot, so the retry runs pristine — before
 //!   [`SolveError::LadderExhausted`]. The serial solve runs it on a solo
 //!   communicator, the distributed solve on its group.
-//! * **eigensolver ladder** — LOBPCG breakdown → resume from the last-good
-//!   checkpointed iterate → clean restart (same seed) → block Davidson →
-//!   dense SYEV floor. The dense floor always succeeds, so versions 4–5
-//!   degrade gracefully to version 3 cost instead of panicking.
+//! * **eigensolver fallback** — LOBPCG, and on breakdown or non-convergence
+//!   the dense `lowest(·, k)` floor, which always succeeds: versions 4–5
+//!   degrade to version 3 cost instead of panicking. The distributed
+//!   finisher ([`crate::Solver::eigensolve`]) falls back the same way.
 //!
 //! Every rung taken is recorded in [`crate::Solution::recovery`] so campaigns
 //! (and users) can see *how* a solve healed, not just that it did.
 //!
-//! The fault-free path is bitwise-identical to the pre-ladder solver: rung 1
-//! performs exactly the operations the old code performed, and later rungs
-//! only engage after a failure.
+//! The fault-free path is bitwise-identical to the pre-ladder solver: the
+//! first attempt performs exactly the operations the old code performed, and
+//! the fallbacks only engage after a failure.
 
-use crate::lobpcg_driver::{casida_preconditioner, initial_guess, solve_casida_lobpcg};
+use crate::lobpcg_driver::solve_casida_lobpcg;
 use crate::problem::CasidaProblem;
 use crate::solver::Solver;
 use crate::versions::{Hamiltonian, Version};
 use faultkit::SolveError;
-use mathkit::davidson::{davidson, DavidsonOptions};
-use mathkit::lobpcg::{lobpcg, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT};
+use mathkit::lobpcg::{LobpcgOptions, LobpcgResult};
 use mathkit::{lowest, Mat};
 use parcomm::Comm;
 
 /// One rung down the graceful-degradation ladder: the next-cheaper
 /// configuration for `solver`, or `None` when the rung has been taken. This
-/// is what the serving scheduler walks under deadline pressure or for a
-/// circuit-breaker half-open probe; a direct caller can walk it too. The
-/// ladder is one rung:
+/// is what the serving scheduler walks under deadline pressure; a direct
+/// caller can walk it too. The ladder is one rung:
 ///
 /// * `direct-eig` — an LOBPCG row (4–5) → [`Version::KmeansIsdf`], the same
 ///   K-Means build finished by the direct dense SYEV: skips iterative work
-///   entirely and lands where the eig ladder (Davidson → dense SYEV) would
-///   bottom out, without burning the iterations first.
+///   entirely and lands where the eigensolver fallback would bottom out,
+///   without burning the iterations first.
 ///
 /// The rung moves `version`, which every door reads, and stamps
 /// [`Solver::degraded`], so the downgrade is recorded in
@@ -81,16 +79,10 @@ pub(crate) fn build_ladder(
     })
 }
 
-/// Eigensolver ladder for the LOBPCG versions:
-///
-/// 1. LOBPCG with the paper's guess/preconditioner (the historical path),
-/// 2. on breakdown: resume from the last-good checkpointed iterate,
-/// 3. on failure: clean restart from the seeded guess (faults are one-shot),
-/// 4. on honest non-convergence or repeated breakdown: block Davidson,
-/// 5. floor: dense SYEV of the materialized `H` — always succeeds.
-///
-/// Returns the first converged result; rungs taken are appended to
-/// `recovery`. Infallible by construction (the floor cannot fail).
+/// Eigensolver fallback for the LOBPCG versions: LOBPCG with the paper's
+/// guess and preconditioner, and on breakdown or honest non-convergence the
+/// dense `lowest(·, k)` of the materialized `H` — exact, version-3 cost, and
+/// unconditional. A fallback appends exactly one line to `recovery`.
 pub(crate) fn eig_ladder<FA, FD>(
     apply: FA,
     dense: FD,
@@ -104,77 +96,16 @@ where
     FA: Fn(&Mat) -> Mat,
     FD: FnOnce() -> Mat,
 {
-    // Stale checkpoints from an earlier solve on this thread must not leak
-    // into this ladder's resume rung.
-    faultkit::checkpoint_clear();
-
-    // Rung 1: the historical path. A clean run returns here, bit-for-bit.
+    // The historical path. A clean run returns here, bit-for-bit.
     match solve_casida_lobpcg(&apply, diag_d, k, opts, seed) {
         Ok(res) if res.converged => return res,
-        Ok(res) => {
-            recovery.push(format!(
-                "lobpcg: no convergence in {} iterations (residual {:.3e}), escalating to davidson",
-                res.iterations, res.residual
-            ));
-        }
-        Err(e) => {
-            recovery.push(format!("lobpcg: {e}"));
-
-            // Rung 2: resume from the last-good iterate deposited before the
-            // breakdown. The faulting occurrence was consumed, so the resumed
-            // run sees clean arithmetic.
-            let resumed = faultkit::checkpoint_take(LOBPCG_CHECKPOINT)
-                .filter(|cp| cp.rows == diag_d.len() && cp.cols == k)
-                .and_then(|cp| {
-                    let label = format!(
-                        "lobpcg: resumed from checkpoint at iteration {}",
-                        cp.iteration
-                    );
-                    let x0 = Mat::from_vec(cp.rows, cp.cols, cp.data);
-                    let pre = casida_preconditioner(diag_d, 1e-3);
-                    match lobpcg(&apply, pre, &x0, opts) {
-                        Ok(res) if res.converged => Some((label, res)),
-                        _ => None,
-                    }
-                });
-            if let Some((label, res)) = resumed {
-                recovery.push(label);
-                return res;
-            }
-
-            // Rung 3: clean restart from the seeded guess.
-            recovery.push("lobpcg: checkpoint resume unavailable or failed, clean restart".into());
-            match solve_casida_lobpcg(&apply, diag_d, k, opts, seed) {
-                Ok(res) if res.converged => {
-                    recovery.push("lobpcg: clean restart converged".into());
-                    return res;
-                }
-                Ok(res) => recovery.push(format!(
-                    "lobpcg: clean restart unconverged (residual {:.3e}), escalating to davidson",
-                    res.residual
-                )),
-                Err(e2) => recovery.push(format!("lobpcg: clean restart failed ({e2}), escalating to davidson")),
-            }
-        }
+        Ok(res) => recovery.push(format!(
+            "lobpcg: no convergence in {} iterations (residual {:.3e}); dense floor",
+            res.iterations, res.residual
+        )),
+        Err(e) => recovery.push(format!("lobpcg: {e}; dense floor")),
     }
-
-    // Rung 4: block Davidson — a different subspace method (paper §1 names
-    // both as viable), often converging where LOBPCG soft-locks.
-    let x0 = initial_guess(diag_d, k, seed);
-    let pre = casida_preconditioner(diag_d, 1e-3);
-    let dav = davidson(&apply, pre, &x0, DavidsonOptions { base: opts, max_space: 0 });
-    if dav.converged {
-        recovery.push(format!("davidson: converged in {} iterations", dav.iterations));
-        return dav;
-    }
-    recovery.push(format!(
-        "davidson: unconverged (residual {:.3e}), dense fallback",
-        dav.residual
-    ));
-
-    // Rung 5: dense floor. Version-3 cost, but exact and unconditional.
     let eig = lowest(&dense(), k);
-    recovery.push("dense: syev floor".into());
     LobpcgResult {
         values: eig.values,
         vectors: eig.vectors,
@@ -263,9 +194,9 @@ mod tests {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         let o = opts(&p);
         let baseline = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("baseline");
-        // Poison the LOBPCG search direction on the first iteration: rung 1
-        // breaks down, the ladder resumes from the checkpoint or restarts
-        // clean (the fault is one-shot, so the retry runs unpoisoned).
+        // Poison the LOBPCG search direction on the first iteration: LOBPCG
+        // breaks down and the dense floor (`H` formed from the factors)
+        // finishes.
         let campaign = arm(FaultPlan::new(11).with("lobpcg.w", 0, FaultKind::NanPoison));
         let healed = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("ladder heals");
         assert_eq!(campaign.fired(), 1);

@@ -57,9 +57,8 @@ pub struct Solver {
     /// Degradation marker. `Some(label)` means this configuration is a
     /// deliberate downgrade to a cheaper one — the one rung of
     /// [`crate::degrade`] (`direct-eig`), applied by the serving scheduler
-    /// under deadline pressure or for a circuit-breaker probe; the label is
-    /// the first entry of `Solution::recovery` so a degraded answer is never
-    /// silent. `None` (the default) leaves the clean path untouched.
+    /// under deadline pressure; the label is the first entry of
+    /// `Solution::recovery` so a degraded answer is never silent. `None` (the default) leaves the clean path untouched.
     pub degraded: Option<&'static str>,
 }
 
@@ -440,6 +439,25 @@ mod tests {
         for (f, d) in fell_back.iter().zip(&dense) {
             for (x, y) in f.iter().zip(d) {
                 assert_eq!(x.to_bits(), y.to_bits(), "fallback {x:e} vs syev {y:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn serial_lobpcg_falls_back_to_the_dense_floor_on_nonconvergence() {
+        // The serial twin of the test above: a starved LOBPCG on rows 4 and 5
+        // takes the dense floor directly, logs exactly that one line, and
+        // lands on row 3's energies bit for bit.
+        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
+        let base = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
+        let dense = base.version(Version::KmeansIsdf).solve(&p).unwrap().energies;
+        let starved = base.lobpcg(LobpcgOptions { max_iter: 1, tol: 1e-14 });
+        for v in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
+            let s = starved.version(v).solve(&p).unwrap();
+            assert_eq!(s.recovery.len(), 1, "{v:?}: {:?}", s.recovery);
+            assert!(s.recovery[0].ends_with("; dense floor"), "{v:?}: {:?}", s.recovery);
+            for (x, y) in s.energies.iter().zip(&dense) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{v:?}: fallback {x:e} vs syev {y:e}");
             }
         }
     }

@@ -186,7 +186,8 @@ impl Hamiltonian {
 /// Fit-residual guard for [`build_isdf_hamiltonian`]: a sampled relative
 /// fit residual at or above this means the low-rank basis carries essentially
 /// no signal (healthy fits — even aggressively rank-reduced ones — sit orders
-/// of magnitude below it), so the build escalates the rank and retries.
+/// of magnitude below it), so the build fails with the typed
+/// [`NumericalError::FitResidual`].
 pub const FIT_RESIDUAL_GUARD: f64 = 1.0;
 
 /// Interpolation points per the selector, replicated on every rank. QRCP is
@@ -237,11 +238,10 @@ fn select_points(
 /// The ISDF pipeline up to the replicated factors of `H = D + 2 Cᵀ Ṽ C`,
 /// SPMD-collective on `comm` — a serial solve passes [`Comm::solo`].
 /// Failures are typed and recovery is built in: empty-cluster reseed,
-/// point-starvation re-selection, a sampled fit-residual guard with one
-/// rank-escalation retry, the input check
-/// ([`CasidaProblem::check_inputs`]) going in and finiteness guards on `C` /
-/// `Ṽ` coming out. Each is decided on replicated data, so the ranks
-/// of a group take the same branch. Rungs taken are appended to `recovery`.
+/// point-starvation re-selection, a sampled fit-residual guard, the input
+/// check ([`CasidaProblem::check_inputs`]) going in and finiteness guards on
+/// `C` / `Ṽ` coming out. Each is decided on replicated data, so the ranks of
+/// a group take the same branch. Rungs taken are appended to `recovery`.
 pub fn build_isdf_hamiltonian(
     comm: &Comm,
     problem: &CasidaProblem,
@@ -252,10 +252,9 @@ pub fn build_isdf_hamiltonian(
     problem.check_inputs()?;
 
     let slab = problem.slab(comm);
-    // One pass of Algorithm 1 + §4 at a given rank: the replicated factors
-    // and the sampled relative fit residual.
-    type Pass = Result<(IsdfHamiltonian, f64), SolveError>;
-    let assemble = |n_mu: usize, recovery: &mut Vec<String>| -> Pass {
+    // Algorithm 1 + §4: the replicated factors and the sampled relative fit
+    // residual.
+    let (mut ham, residual) = {
         // Rank-starvation guard: a selector that comes back short (only via
         // injection — natural K-Means dedup shrinkage is accepted as the
         // effective rank) is re-run.
@@ -319,22 +318,12 @@ pub fn build_isdf_hamiltonian(
         v_tilde.symmetrize();
         let c = face_splitting_product(&psi_hat, &phi_hat);
         let fit_res = if sums[1] == 0.0 { 0.0 } else { (sums[0] / sums[1]).sqrt() };
-        Ok((IsdfHamiltonian { diag_d: problem.diag_d(), c, v_tilde }, fit_res))
+        (IsdfHamiltonian { diag_d: problem.diag_d(), c, v_tilde }, fit_res)
     };
-    let (mut ham, fit_res) = assemble(n_mu, recovery)?;
     // NaN residuals must trip the guard too, hence the is_nan arm.
-    let breached = |residual: f64| residual.is_nan() || residual >= FIT_RESIDUAL_GUARD;
-    if breached(fit_res) {
-        let n_esc = (n_mu + n_mu.div_ceil(2)).min(problem.n_cv());
-        recovery.push(format!(
-            "isdf.fit: residual {fit_res:.3e} breaches guard, escalating rank {n_mu} -> {n_esc}"
-        ));
-        let (escalated, residual) = assemble(n_esc, recovery)?;
-        if breached(residual) {
-            let tolerance = FIT_RESIDUAL_GUARD;
-            return Err(NumericalError::FitResidual { residual, tolerance }.into());
-        }
-        ham = escalated;
+    if residual.is_nan() || residual >= FIT_RESIDUAL_GUARD {
+        let tolerance = FIT_RESIDUAL_GUARD;
+        return Err(NumericalError::FitResidual { residual, tolerance }.into());
     }
 
     // Fault-injection hooks on the assembled factors, backed by real

@@ -180,10 +180,10 @@ mod tests {
     #[test]
     fn ladder_exhausted_names_rungs() {
         let e = SolveError::LadderExhausted {
-            stage: "eig",
-            attempts: vec!["resume".into(), "restart".into(), "davidson".into()],
+            stage: "isdf.build",
+            attempts: vec!["first build".into(), "clean rebuild".into()],
         };
         let s = e.to_string();
-        assert!(s.contains("resume -> restart -> davidson"), "{s}");
+        assert!(s.contains("first build -> clean rebuild"), "{s}");
     }
 }

@@ -1,10 +1,10 @@
-//! # faultkit — typed errors, deterministic fault injection, checkpoints
+//! # faultkit — typed errors and deterministic fault injection
 //!
 //! Robustness backbone for the LR-TDDFT reproduction. The paper's iterative
 //! low-rank machinery (K-Means ISDF + implicit LOBPCG) fails in ways a dense
 //! SYEVD never does — LOBPCG basis breakdown, K-Means empty clusters, ISDF
 //! fits whose residual blows up, collectives that stall on a late peer. This
-//! crate supplies the three pieces every other crate threads through:
+//! crate supplies the two pieces every other crate threads through:
 //!
 //! * **Error taxonomy** ([`error`]) — [`NumericalError`], [`CommError`],
 //!   [`SolveError`] with stage/iteration/residual context, so hot failure
@@ -16,20 +16,13 @@
 //!   occurrences, one-shot per rank, with all randomness derived from the
 //!   plan seed. Identical plans ⇒ identical fault sequences, so recovery
 //!   campaigns are reproducible and CI-able.
-//! * **Checkpoint/restart** ([`checkpoint`]) — thread-local last-good-iterate
-//!   stores that LOBPCG and SCF use to resume after a mid-run fault instead
-//!   of recomputing.
 //!
 //! Hook calls are no-ops (one thread-local read) when no plan is armed; the
 //! fault-free hot path is unaffected.
 
-pub mod checkpoint;
 pub mod error;
 pub mod plan;
 
-pub use checkpoint::{
-    checkpoint_clear, checkpoint_peek, checkpoint_save, checkpoint_take, Checkpoint,
-};
 pub use error::{CommError, NumericalError, SolveError};
 pub use plan::{
     arm, comm_fault, degenerate_seeding, handle, inject_slice, install, install_scoped, is_armed,

@@ -83,7 +83,7 @@ impl IsdfDecomposition {
 
     /// Cheap deterministic estimate of the relative fit residual
     /// `‖Z − ΘC‖ / ‖Z‖` over a strided sample of grid rows and orbital
-    /// pairs — the guard the rank-escalation ladder checks after a build.
+    /// pairs — the quantity the build's fit-residual guard checks.
     /// Unlike [`IsdfDecomposition::relative_error`] it never materializes
     /// `Z`: cost is `O(samples · N_μ)`.
     pub fn sampled_relative_error(&self, psi: &Mat, phi: &Mat) -> f64 {

@@ -30,7 +30,7 @@ pub mod simd;
 
 pub use chol::{cholesky, solve_lower, solve_lower_transpose, solve_spd};
 pub use davidson::{davidson, DavidsonOptions};
-pub use lobpcg::{lobpcg, no_precond, LobpcgOptions, LobpcgResult, LOBPCG_CHECKPOINT};
+pub use lobpcg::{lobpcg, no_precond, LobpcgOptions, LobpcgResult};
 pub use eigen::{lowest, syev, Eigen};
 pub use gemm::{
     gemm, gemm_tn, gemv, matmul, syrk_nt, syrk_nt_scaled, syrk_tn, syrk_tn_scaled, Transpose,

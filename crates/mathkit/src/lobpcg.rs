@@ -16,12 +16,7 @@ use crate::eigen::syev;
 use crate::gemm::{gemm, gemm_tn, Transpose};
 use crate::mat::Mat;
 use crate::ortho::{cholesky_qr, modified_gram_schmidt};
-use faultkit::{Checkpoint, SolveError};
-
-/// Checkpoint key under which the iterate block `X` is saved each outer
-/// iteration (only while a fault plan is armed); recovery ladders resume
-/// from it via [`faultkit::checkpoint_take`].
-pub const LOBPCG_CHECKPOINT: &str = "lobpcg.x";
+use faultkit::SolveError;
 
 /// Options controlling the iteration.
 #[derive(Clone, Copy, Debug)]
@@ -128,14 +123,6 @@ where
                 iteration: iterations,
                 reason: "non-finite residual norm".to_string(),
             });
-        }
-        // X and Θ are finite here; deposit them as the last-good iterate for
-        // checkpoint-resume (no-op unless a fault plan is armed).
-        if faultkit::is_armed() {
-            faultkit::checkpoint_save(
-                LOBPCG_CHECKPOINT,
-                Checkpoint { iteration: it, rows: n, cols: k, data: x.as_slice().to_vec() },
-            );
         }
         best_residual = best_residual.min(resid);
         obskit::instant(
@@ -383,12 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_w_breaks_down_with_checkpoint() {
+    fn poisoned_w_breaks_down_typed() {
         let n = 40;
         let d: Vec<f64> = (0..n).map(|i| (i as f64) * 0.9 + 1.0).collect();
         let mut rng = rand::thread_rng();
         let x0 = Mat::random(n, 3, &mut rng);
-        faultkit::checkpoint_clear();
         let campaign = faultkit::arm(
             faultkit::FaultPlan::new(21).with("lobpcg.w", 2, faultkit::FaultKind::NanPoison),
         );
@@ -402,17 +388,6 @@ mod tests {
             other => panic!("expected Breakdown, got {other:?}"),
         }
         assert_eq!(campaign.fired(), 1);
-        // The last-good iterate was checkpointed; resuming from it (fault
-        // consumed) converges to the same eigenvalues.
-        let cp = faultkit::checkpoint_take(LOBPCG_CHECKPOINT).expect("checkpoint saved");
-        assert_eq!((cp.rows, cp.cols), (n, 3));
-        let x1 = Mat::from_vec(cp.rows, cp.cols, cp.data);
-        let res = lobpcg(diag_op(&d), no_precond, &x1, LobpcgOptions::default())
-            .expect("resume runs clean");
-        assert!(res.converged);
-        for (i, v) in res.values.iter().enumerate() {
-            assert!((v - d[i]).abs() < 1e-6, "resumed λ_{i} = {v}");
-        }
     }
 
     #[test]

@@ -171,55 +171,21 @@ pub fn scf(grid: &Grid, structure: &Structure, opts: ScfOptions) -> GroundState 
         let h = KsHamiltonian::new(grid, v_eff.clone());
 
         // Band solve, warm-started. A breakdown (poisoned arithmetic, lost
-        // subspace) gets one clean retry from the same warm start — injected
-        // faults are one-shot, so the retry sees pristine arithmetic; a
-        // second failure is a genuine numerical problem and aborts the SCF
-        // with the typed error.
+        // subspace) panics with the typed error: the SCF has no recovery rung.
         let band_opts = LobpcgOptions { max_iter: opts.band_max_iter, tol: opts.band_tol };
         let res = lobpcg(|b| h.apply(b), |r, _| h.precondition(r), &x, band_opts)
-            .or_else(|first| {
-                obskit::instant(
-                    obskit::Stage::Other,
-                    "scf.band_retry",
-                    &[("iter", it as f64)],
-                );
-                lobpcg(|b| h.apply(b), |r, _| h.precondition(r), &x, band_opts)
-                    .map_err(|_| first)
-            })
-            .unwrap_or_else(|e| panic!("scf: band solve failed twice at iteration {it}: {e}"));
+            .unwrap_or_else(|e| panic!("scf: band solve failed at iteration {it}: {e}"));
         x = res.vectors;
         eps.copy_from_slice(&res.values);
 
         // New density from doubly-occupied valence bands. LOBPCG vectors are
         // unit-2-norm on the grid; grid-orthonormal orbitals carry 1/√ΔV.
-        let accumulate_density = |x: &Mat| {
-            let mut n_out = vec![0.0; grid.len()];
-            for b in 0..n_v {
-                let col = x.col(b);
-                for (ni, &v) in n_out.iter_mut().zip(col.iter()) {
-                    *ni += 2.0 * v * v / dv;
-                }
+        let mut n_out = vec![0.0; grid.len()];
+        for b in 0..n_v {
+            for (ni, &v) in n_out.iter_mut().zip(x.col(b)) {
+                *ni += 2.0 * v * v / dv;
             }
-            n_out
-        };
-        let mut n_out = accumulate_density(&x);
-        // Fault hook + finiteness guard: a corrupted density field is
-        // recomputed from the (finite) orbitals rather than propagated into
-        // the potentials of every later iteration.
-        faultkit::inject_slice("scf.density", &mut n_out);
-        if n_out.iter().any(|v| !v.is_finite()) {
-            n_out = accumulate_density(&x);
         }
-        // Last-good density for campaign-level restart (no-op unless armed).
-        faultkit::checkpoint_save(
-            "scf.density",
-            faultkit::Checkpoint {
-                iteration: it,
-                rows: grid.len(),
-                cols: 1,
-                data: n_out.clone(),
-            },
-        );
         residual = n_out
             .iter()
             .zip(density.iter())
@@ -380,25 +346,6 @@ mod tests {
         // Partially-converged densities give noisy band energies, so no
         // per-band comparison here; the residual and iteration contracts
         // above are the meaningful ones at this iteration budget.
-    }
-
-    #[test]
-    fn poisoned_density_heals_to_clean_result() {
-        let s = water_in_box(12.0);
-        let grid = Grid::new(s.cell, [12, 12, 12]);
-        let mut opts = quick_opts();
-        opts.max_iter = 5;
-        let clean = scf(&grid, &s, opts);
-        // Poison the density field on the second iteration: the finiteness
-        // guard recomputes it from the orbitals, so the run stays bitwise
-        // identical to the clean one.
-        let campaign = faultkit::arm(
-            faultkit::FaultPlan::new(13).with("scf.density", 1, faultkit::FaultKind::NanPoison),
-        );
-        let healed = scf(&grid, &s, opts);
-        assert_eq!(campaign.fired(), 1);
-        assert_eq!(clean.eps, healed.eps);
-        assert_eq!(clean.density, healed.density);
     }
 
     #[test]

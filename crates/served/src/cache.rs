@@ -5,9 +5,9 @@
 //! [`crate::job::CacheKey`]), so the job completes at submission without
 //! touching a solver group. Faulted jobs bypass the cache entirely, in both
 //! directions: they are never served from it and never populate it; the
-//! same holds for degraded results and breaker probes (the cache key does
-//! not encode the degradation ladder, so a degraded answer under a clean
-//! key would poison later full-cost lookups).
+//! same holds for degraded results (the cache key does not encode the
+//! degradation ladder, so a degraded answer under a clean key would poison
+//! later full-cost lookups).
 //!
 //! The cache is bounded two ways: entries older than the TTL are purged on
 //! every insert (a quiet cache cannot hoard dead entries), and a hard

@@ -72,10 +72,6 @@ pub enum AdmissionError {
     QueueFull { limit: usize },
     /// The service is shutting down.
     ShuttingDown,
-    /// The tenant's circuit breaker is open: `failures` consecutive jobs
-    /// failed terminally, so the tenant's load is shed at admission until
-    /// the cooldown elapses and a half-open probe succeeds.
-    CircuitOpen { tenant: TenantId, failures: u32 },
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -86,10 +82,6 @@ impl std::fmt::Display for AdmissionError {
             }
             AdmissionError::QueueFull { limit } => write!(f, "queue full ({limit} jobs)"),
             AdmissionError::ShuttingDown => write!(f, "service is shutting down"),
-            AdmissionError::CircuitOpen { tenant, failures } => write!(
-                f,
-                "tenant {tenant} circuit breaker open after {failures} consecutive failure(s)"
-            ),
         }
     }
 }
@@ -99,7 +91,7 @@ impl std::error::Error for AdmissionError {}
 /// Where a job is in its lifecycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Waiting in the admission queue (first attempt or a retry backoff).
+    /// Waiting in the admission queue (first attempt or a retry).
     Queued,
     /// Claimed by a solver group and executing.
     Running,
@@ -136,9 +128,9 @@ pub struct JobResult {
     /// the retry policy re-queued and healed a recoverable failure).
     pub attempts: u32,
     /// `Some(label)` when the scheduler downgraded this job to a cheaper
-    /// configuration (deadline pressure or a breaker half-open probe); the
-    /// same label appears in `Solution::recovery` on the direct path. A
-    /// degraded result is never served from or inserted into the cache.
+    /// configuration (deadline pressure); the same label appears in
+    /// `Solution::recovery` on the direct path. A degraded result is never
+    /// served from or inserted into the cache.
     pub degraded: Option<String>,
     /// The job finished after its deadline (delivered anyway).
     pub deadline_missed: bool,
@@ -188,14 +180,11 @@ pub(crate) struct JobCore {
     /// When the job entered the service (deadlines count from here).
     pub submitted: Instant,
     /// Run alone: set for re-queued retries (a fresh job must never rejoin
-    /// its old batch) and for breaker half-open probes.
+    /// its old batch).
     pub solo: AtomicBool,
     /// Claimed with its deadline budget under the pressure window — the
     /// executing group downgrades it (degradation ladder) to land in time.
     pub pressured: AtomicBool,
-    /// Half-open circuit-breaker probe: bypasses the result cache so the
-    /// probe exercises a real solve, and runs solo.
-    pub probe: AtomicBool,
 }
 
 impl JobCore {
@@ -214,7 +203,6 @@ impl JobCore {
             submitted: Instant::now(),
             solo: AtomicBool::new(false),
             pressured: AtomicBool::new(false),
-            probe: AtomicBool::new(false),
         })
     }
 
@@ -223,13 +211,12 @@ impl JobCore {
         self.spec.deadline.map(|d| self.submitted + d)
     }
 
-    /// May this job share a batch? Fault plans, retries, probes, and
-    /// pressured (to-be-degraded) jobs all run alone.
+    /// May this job share a batch? Fault plans, retries, and pressured
+    /// (to-be-degraded) jobs all run alone.
     pub fn batchable(&self) -> bool {
         self.spec.fault.is_none()
             && !self.solo.load(Ordering::Relaxed)
             && !self.pressured.load(Ordering::Relaxed)
-            && !self.probe.load(Ordering::Relaxed)
     }
 
     pub fn complete(&self, result: JobResult) {

@@ -8,9 +8,9 @@
 //! - **Admission control** — per-tenant quotas and a global queue cap,
 //!   surfaced as typed [`AdmissionError`]s at submit time.
 //! - **Same-shape batching** — queued jobs with the same [`BatchKey`]
-//!   (structure hash, build row of the version, resolved ISDF rank, seed,
-//!   schedule) share one distributed Hamiltonian build; each job keeps its
-//!   own eigensolve, so results stay bitwise identical to solo runs.
+//!   (structure hash, build row of the version, resolved ISDF rank, seed)
+//!   share one distributed Hamiltonian build; each job keeps its own
+//!   eigensolve, so results stay bitwise identical to solo runs.
 //! - **Result caching** — completed fault-free solves are cached by
 //!   structure hash + version + solve parameters with a TTL; repeat submissions
 //!   complete at admission without touching a solver group.
@@ -43,7 +43,6 @@
 
 mod cache;
 mod job;
-mod resilience;
 mod scheduler;
 mod service;
 
@@ -52,5 +51,4 @@ pub use job::{
     structure_hash, AdmissionError, BatchKey, CacheKey, JobHandle, JobOutcome, JobResult, JobSpec,
     JobStatus, TenantId,
 };
-pub use resilience::ResilienceConfig;
 pub use service::{ServeConfig, Service};

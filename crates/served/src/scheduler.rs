@@ -3,7 +3,7 @@
 //!
 //! One `SchedulerState` is shared by every solver-group leader: leaders
 //! block in [`SchedulerState::next_batch`], and whichever leader wins the
-//! lock claims the first *eligible* job plus up to `max_batch - 1` queued
+//! lock claims the head-of-line job plus up to `max_batch - 1` queued
 //! jobs with the same [`BatchKey`] — those share one distributed Hamiltonian
 //! build. Jobs carrying a fault plan are always claimed solo so an injected
 //! fault can never ride along with another tenant's work.
@@ -16,10 +16,10 @@
 //! - A job whose remaining budget is under `pressure_window` is flagged
 //!   *pressured* and claimed solo; the executing leader downgrades it on the
 //!   degradation ladder instead of running it at full cost.
-//! - Retried jobs re-enter via [`SchedulerState::requeue`] with a backoff
-//!   (`not_before`): already admitted, they bypass quotas/capacity/shutdown,
-//!   but they are marked solo so a *fresh* attempt can never rejoin (or
-//!   absorb into) the batch shape that just failed.
+//! - Retried jobs re-enter via [`SchedulerState::requeue`] at once: already
+//!   admitted, they bypass quotas/capacity/shutdown, but they are marked solo
+//!   so a *fresh* attempt can never rejoin (or absorb into) the batch shape
+//!   that just failed.
 
 use crate::job::{AdmissionError, JobCore, JobStatus, TenantId};
 use std::collections::VecDeque;
@@ -27,20 +27,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-struct Queued {
-    core: Arc<JobCore>,
-    /// Retry backoff: not claimable before this instant.
-    not_before: Option<Instant>,
-}
-
-impl Queued {
-    fn eligible(&self, now: Instant) -> bool {
-        self.not_before.is_none_or(|t| t <= now)
-    }
-}
-
 struct QueueInner {
-    queue: VecDeque<Queued>,
+    queue: VecDeque<Arc<JobCore>>,
     shutdown: bool,
 }
 
@@ -91,29 +79,27 @@ impl SchedulerState {
             return Err(AdmissionError::QueueFull { limit: self.queue_capacity });
         }
         let tenant = core.spec.tenant;
-        let queued = g.queue.iter().filter(|j| j.core.spec.tenant == tenant).count();
+        let queued = g.queue.iter().filter(|j| j.spec.tenant == tenant).count();
         if queued >= self.max_queued_per_tenant {
             return Err(AdmissionError::TenantQueueFull {
                 tenant,
                 limit: self.max_queued_per_tenant,
             });
         }
-        g.queue.push_back(Queued { core, not_before: None });
+        g.queue.push_back(core);
         drop(g);
         self.cv.notify_all();
         Ok(())
     }
 
-    /// Re-queue an already-admitted job for another attempt after `delay`.
-    /// Bypasses quotas, capacity, and the shutdown gate (graceful drain must
-    /// still finish admitted work); marks the job solo so the fresh attempt
-    /// can never rejoin its old batch.
-    pub fn requeue(&self, core: Arc<JobCore>, delay: Duration) {
+    /// Re-queue an already-admitted job for another attempt. Bypasses
+    /// quotas, capacity, and the shutdown gate (graceful drain must still
+    /// finish admitted work); marks the job solo so the fresh attempt can
+    /// never rejoin its old batch.
+    pub fn requeue(&self, core: Arc<JobCore>) {
         core.solo.store(true, Ordering::Relaxed);
         core.set_status(JobStatus::Queued);
-        let mut g = self.lock();
-        g.queue.push_back(Queued { core, not_before: Some(Instant::now() + delay) });
-        drop(g);
+        self.lock().queue.push_back(core);
         self.cv.notify_all();
     }
 
@@ -123,7 +109,7 @@ impl SchedulerState {
     /// cancel-vs-claim exactly-once: whichever side removes the entry wins.
     pub fn cancel(&self, core: &Arc<JobCore>) -> bool {
         let mut g = self.lock();
-        let Some(pos) = g.queue.iter().position(|j| Arc::ptr_eq(&j.core, core)) else {
+        let Some(pos) = g.queue.iter().position(|j| Arc::ptr_eq(j, core)) else {
             return false;
         };
         g.queue.remove(pos);
@@ -132,7 +118,7 @@ impl SchedulerState {
         true
     }
 
-    /// Block until work is available, then claim the first eligible job plus
+    /// Block until work is available, then claim the head-of-line job plus
     /// every queued same-key batchable twin (up to `max_batch`). Expired
     /// deadlines are failed in passing; pressured claims run solo. Returns
     /// `None` once the service is shut down *and* the queue is drained —
@@ -147,9 +133,9 @@ impl SchedulerState {
             let mut expired = Vec::new();
             let mut i = 0;
             while i < g.queue.len() {
-                let past = g.queue[i].core.deadline().is_some_and(|d| d <= now);
+                let past = g.queue[i].deadline().is_some_and(|d| d <= now);
                 if past {
-                    expired.push(g.queue.remove(i).expect("index in range").core);
+                    expired.push(g.queue.remove(i).expect("index in range"));
                 } else {
                     i += 1;
                 }
@@ -163,8 +149,7 @@ impl SchedulerState {
                 continue; // re-scan under a fresh lock
             }
 
-            if let Some(pos) = g.queue.iter().position(|j| j.eligible(now)) {
-                let head = g.queue.remove(pos).expect("index in range").core;
+            if let Some(head) = g.queue.pop_front() {
                 let pressured = head
                     .deadline()
                     .is_some_and(|d| d.saturating_duration_since(now) < self.pressure_window);
@@ -172,16 +157,16 @@ impl SchedulerState {
                     head.pressured.store(true, Ordering::Relaxed);
                 }
                 let mut batch = vec![head];
-                // A solo head (fault plan, retry, probe, pressured) runs
-                // alone; otherwise absorb queued batchable twins so the
-                // whole batch shares one Hamiltonian build.
+                // A solo head (fault plan, retry, pressured) runs alone;
+                // otherwise absorb queued batchable twins so the whole batch
+                // shares one Hamiltonian build.
                 if batch[0].batchable() && !pressured {
                     let key = batch[0].key;
                     let mut i = 0;
                     while i < g.queue.len() && batch.len() < self.max_batch {
                         let j = &g.queue[i];
-                        if j.core.key == key && j.core.batchable() && j.eligible(now) {
-                            batch.push(g.queue.remove(i).expect("index in range").core);
+                        if j.key == key && j.batchable() {
+                            batch.push(g.queue.remove(i).expect("index in range"));
                         } else {
                             i += 1;
                         }
@@ -194,28 +179,10 @@ impl SchedulerState {
                 return Some(batch);
             }
 
-            if g.queue.is_empty() && g.shutdown {
+            if g.shutdown {
                 return None;
             }
-            // Nothing eligible: sleep until the earliest backoff expires (or
-            // a submit/requeue/shutdown wakes us).
-            let next_ready = g
-                .queue
-                .iter()
-                .filter_map(|j| j.not_before)
-                .min()
-                .map(|t| t.saturating_duration_since(now));
-            match next_ready {
-                Some(wait) if !wait.is_zero() => {
-                    let (guard, _) = self
-                        .cv
-                        .wait_timeout(g, wait)
-                        .unwrap_or_else(|p| p.into_inner());
-                    g = guard;
-                }
-                Some(_) => {} // backoff just expired: loop re-scans
-                None => g = self.cv.wait(g).unwrap_or_else(|p| p.into_inner()),
-            }
+            g = self.cv.wait(g).unwrap_or_else(|p| p.into_inner());
         }
     }
 
@@ -233,7 +200,7 @@ impl SchedulerState {
 
     /// Jobs currently waiting for one tenant.
     pub fn queued_for(&self, tenant: TenantId) -> usize {
-        self.lock().queue.iter().filter(|j| j.core.spec.tenant == tenant).count()
+        self.lock().queue.iter().filter(|j| j.spec.tenant == tenant).count()
     }
 }
 
@@ -400,26 +367,24 @@ mod tests {
     }
 
     #[test]
-    fn requeued_job_waits_out_backoff_and_runs_solo() {
+    fn requeued_job_runs_solo() {
         let s = sched(8, 64, 8);
         let retry = JobCore::new(spec(1, 2));
         s.submit(retry.clone()).unwrap();
         assert_eq!(s.next_batch().unwrap().len(), 1);
-        s.requeue(retry.clone(), Duration::from_millis(30));
-        // A same-key twin submitted after the requeue is claimed first: the
-        // retry is still backing off, and when it runs it must be solo.
+        s.requeue(retry.clone());
+        // A same-key twin submitted after the requeue would batch with a
+        // fresh job; the retry must run alone and leave the twin queued.
         let twin = JobCore::new(spec(2, 2));
         s.submit(twin.clone()).unwrap();
         let first = s.next_batch().unwrap();
-        assert_eq!(first.len(), 1);
-        assert!(Arc::ptr_eq(&first[0], &twin), "backing-off retry is skipped");
-        let start = Instant::now();
-        let second = s.next_batch().unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(25), "waited out the backoff");
-        assert_eq!(second.len(), 1);
-        assert!(Arc::ptr_eq(&second[0], &retry));
+        assert_eq!(first.len(), 1, "retries are claimed solo");
+        assert!(Arc::ptr_eq(&first[0], &retry));
         assert_eq!(retry.attempts(), 2, "requeue + reclaim is a second attempt");
         assert!(!retry.batchable(), "retries stay solo");
+        let second = s.next_batch().unwrap();
+        assert_eq!(second.len(), 1, "no co-batched twin");
+        assert!(Arc::ptr_eq(&second[0], &twin));
     }
 
     #[test]
@@ -493,7 +458,7 @@ mod tests {
         s.submit(core.clone()).unwrap();
         assert_eq!(s.next_batch().unwrap().len(), 1);
         s.shutdown();
-        s.requeue(core.clone(), Duration::ZERO);
+        s.requeue(core.clone());
         let batch = s.next_batch().expect("admitted retry drains after shutdown");
         assert!(Arc::ptr_eq(&batch[0], &core));
         assert!(s.next_batch().is_none());

@@ -12,21 +12,18 @@
 //! lockstep (the solve's collectives are the synchronization).
 //!
 //! Resilience: per-job deadlines are enforced at claim time by the
-//! scheduler; recoverable failures are re-queued as fresh solo jobs under a
-//! seeded exponential backoff until the attempt budget runs out; terminal
-//! failures feed per-tenant circuit breakers that shed load at admission;
-//! and deadline-pressured jobs and breaker probes are downgraded the one rung
-//! of the degradation ladder ([`lrtddft::degrade`]: `direct-eig`) — always
-//! labeled, never silently. A wedged group needs no handling of its own:
-//! every leader pulls from the one shared queue, so its share drains to the
-//! other groups.
+//! scheduler; recoverable failures are re-queued at once as fresh solo jobs
+//! until the attempt budget runs out, then fail terminally; and
+//! deadline-pressured jobs are downgraded the one rung of the degradation
+//! ladder ([`lrtddft::degrade`]: `direct-eig`) — always labeled, never
+//! silently. A wedged group needs no handling of its own: every leader pulls
+//! from the one shared queue, so its share drains to the other groups.
 //!
 //! SPMD symmetry: all resilience *decisions* (deadline expiry, degradation,
-//! retry, breaker transitions) are taken by the leader **before** publishing
-//! a batch or after the batch's collectives complete — never divergently in
-//! the middle of a solve. The published [`RunJob`] carries the effective
-//! per-job options so every rank of the group executes the identical
-//! collective sequence.
+//! retry) are taken by the leader **before** publishing a batch or after the
+//! batch's collectives complete — never divergently in the middle of a
+//! solve. The published [`RunJob`] carries the effective per-job options so
+//! every rank of the group executes the identical collective sequence.
 //!
 //! Tenant isolation invariants (tested here and in `tests/serving.rs`):
 //!
@@ -35,14 +32,13 @@
 //!    executing it — a NaN poison or rank stall one tenant injects can never
 //!    fire inside another tenant's solve;
 //! 2. faulted jobs are never co-batched and never touch the result cache
-//!    (nor do degraded results or breaker probes);
+//!    (nor do degraded results);
 //! 3. fault-free full-cost results are bitwise identical to a solo
 //!    [`lrtddft::Solver::solve_distributed`] run at the same group size,
 //!    whatever batching, retries, or scheduling happened around them.
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobResult, JobSpec};
-use crate::resilience::{retry_delay, Admit, Breakers, ResilienceConfig};
 use crate::scheduler::SchedulerState;
 use lrtddft::{NumericalError, SolveError, Solver};
 use parcomm::{spmd, Comm};
@@ -67,8 +63,14 @@ pub struct ServeConfig {
     pub cache_ttl: Duration,
     /// Result-cache entry cap (LRU eviction past this).
     pub cache_capacity: usize,
-    /// Retry/breaker/deadline policy.
-    pub resilience: ResilienceConfig,
+    /// Total execution attempts per job (1 = no retries). A recoverable
+    /// failure with budget left re-queues the job solo; without budget it
+    /// fails terminally.
+    pub retry_max_attempts: u32,
+    /// Deadline pressure window: a job claimed with less than this much
+    /// budget remaining is downgraded (degradation ladder) instead of run
+    /// at full cost.
+    pub pressure_window: Duration,
 }
 
 impl Default for ServeConfig {
@@ -81,13 +83,14 @@ impl Default for ServeConfig {
             max_batch: 8,
             cache_ttl: Duration::from_secs(300),
             cache_capacity: 256,
-            resilience: ResilienceConfig::default(),
+            retry_max_attempts: 3,
+            pressure_window: Duration::from_millis(50),
         }
     }
 }
 
 /// One job as the leader published it: the core plus the *effective*
-/// solver every rank must use (degraded for pressured/probe claims, its
+/// solver every rank must use (degraded for pressured claims, its
 /// ladder label in `solver.degraded`). It rides in the slot so followers
 /// never re-derive — and thus never diverge from — the leader's decision.
 #[derive(Clone)]
@@ -140,8 +143,7 @@ impl GroupSlot {
 struct Shared {
     sched: Arc<SchedulerState>,
     cache: Arc<ResultCache>,
-    breakers: Arc<Breakers>,
-    resilience: ResilienceConfig,
+    retry_max_attempts: u32,
 }
 
 /// Multi-tenant solve service. Construct with [`Service::start`], submit
@@ -151,7 +153,6 @@ pub struct Service {
     config: ServeConfig,
     sched: Arc<SchedulerState>,
     cache: Arc<ResultCache>,
-    breakers: Arc<Breakers>,
     supervisor: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -171,16 +172,14 @@ impl Service {
             config.max_queued_per_tenant,
             config.queue_capacity,
             config.max_batch,
-            config.resilience.pressure_window,
+            config.pressure_window,
         ));
         let cache = Arc::new(ResultCache::new(config.cache_ttl, config.cache_capacity));
-        let breakers = Arc::new(Breakers::new(&config.resilience));
         let supervisor = {
             let shared = Shared {
                 sched: Arc::clone(&sched),
                 cache: Arc::clone(&cache),
-                breakers: Arc::clone(&breakers),
-                resilience: config.resilience,
+                retry_max_attempts: config.retry_max_attempts,
             };
             std::thread::spawn(move || {
                 let slots: Vec<GroupSlot> =
@@ -191,52 +190,32 @@ impl Service {
                 });
             })
         };
-        Service { config, sched, cache, breakers, supervisor: Some(supervisor) }
+        Service { config, sched, cache, supervisor: Some(supervisor) }
     }
 
-    /// Admit a job. The tenant's circuit breaker is consulted first (an
-    /// open breaker sheds the job with [`AdmissionError::CircuitOpen`]; a
-    /// half-open one admits it as the probe). Fault-free jobs whose results
-    /// are already cached complete immediately (`cache_hit`,
-    /// `batch_size == 0`); everything else is enqueued subject to the
-    /// tenant quota and queue capacity.
+    /// Admit a job. Fault-free jobs whose results are already cached
+    /// complete immediately (`cache_hit`, `batch_size == 0`); everything
+    /// else is enqueued subject to the tenant quota and queue capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
         let core = JobCore::new(spec);
         let handle = JobHandle { core: Arc::clone(&core), queue: Arc::clone(&self.sched) };
-        let tenant = core.spec.tenant;
-        match self.breakers.admit(tenant) {
-            Ok(Admit::Normal) => {
-                if core.spec.fault.is_none() {
-                    if let Some(values) = self.cache.get(&cache_key(&core.spec)) {
-                        core.complete(JobResult {
-                            values,
-                            timings: Default::default(),
-                            cache_hit: true,
-                            batch_size: 0,
-                            comm_calls: 0,
-                            fault_events: Vec::new(),
-                            attempts: 0,
-                            degraded: None,
-                            deadline_missed: false,
-                        });
-                        return Ok(handle);
-                    }
-                }
+        if core.spec.fault.is_none() {
+            if let Some(values) = self.cache.get(&cache_key(&core.spec)) {
+                core.complete(JobResult {
+                    values,
+                    timings: Default::default(),
+                    cache_hit: true,
+                    batch_size: 0,
+                    comm_calls: 0,
+                    fault_events: Vec::new(),
+                    attempts: 0,
+                    degraded: None,
+                    deadline_missed: false,
+                });
+                return Ok(handle);
             }
-            // Probes bypass the cache (a probe must exercise a real solve)
-            // and run solo.
-            Ok(Admit::Probe) => core.probe.store(true, Ordering::Relaxed),
-            Err(failures) => return Err(AdmissionError::CircuitOpen { tenant, failures }),
         }
-        if let Err(e) = self.sched.submit(Arc::clone(&core)) {
-            if core.probe.load(Ordering::Relaxed) {
-                // The probe never made it into the queue; rewind the breaker
-                // so the next admission attempt becomes the probe instead of
-                // shedding forever.
-                self.breakers.abort_probe(tenant);
-            }
-            return Err(e);
-        }
+        self.sched.submit(Arc::clone(&core))?;
         Ok(handle)
     }
 
@@ -315,7 +294,7 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
 }
 
 /// Leader-side batch preparation: freeze each job's effective solver.
-/// Pressured and probe jobs (always claimed solo) take the one rung of
+/// Pressured jobs (always claimed solo) take the one rung of
 /// [`lrtddft::degrade`] — it moves `version`, so the build and the finisher
 /// are what the label says; a job already at the ladder floor runs at full
 /// cost. Everything else runs its spec solver untouched — the clean path must
@@ -325,10 +304,8 @@ fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
         .into_iter()
         .map(|core| {
             let spec = core.spec.solver;
-            let cheaper = (core.pressured.load(Ordering::Relaxed)
-                || core.probe.load(Ordering::Relaxed))
-            .then(|| lrtddft::degrade(&spec))
-            .flatten();
+            let cheaper =
+                core.pressured.load(Ordering::Relaxed).then(|| lrtddft::degrade(&spec)).flatten();
             RunJob { core, solver: cheaper.unwrap_or(spec) }
         })
         .collect()
@@ -351,7 +328,7 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
     group.take_stats(); // discard idle-window stats; build gets a fresh window
     let clock = obskit::StageClock::now();
     // The build half, without the solver's rebuild ladder: this service's
-    // retry/breaker policy owns failures. A build error is decided on
+    // retry policy owns failures. A build error is decided on
     // replicated data, so all ranks agree to skip the eigensolve (dense
     // fallbacks on NaN do not terminate) and fail the job.
     let built = lead.solver.hamiltonian(group, &lead.core.spec.problem, &mut Vec::new());
@@ -375,16 +352,15 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
             finish_job(job, values, timings, batch.len(), comm_calls, shared);
         }
         // Followers only participate in the collectives; the leader owns
-        // completion, retry, breaker, and cache decisions.
+        // completion, retry, and cache decisions.
     }
     obskit::set_tenant(None);
 }
 
 /// Leader-only terminal/retry decision for one executed job. A non-finite
-/// result with attempt budget left re-queues the job as a fresh solo entry
-/// under seeded exponential backoff; without budget it fails terminally and
-/// feeds the tenant's breaker. A finite result completes the job — with its
-/// retry count, degrade label, and deadline verdict on the record.
+/// result with attempt budget left re-queues the job as a fresh solo entry;
+/// without budget it fails terminally. A finite result completes the job —
+/// with its retry count, degrade label, and deadline verdict on the record.
 fn finish_job(
     job: &RunJob,
     values: Vec<f64>,
@@ -395,18 +371,12 @@ fn finish_job(
 ) {
     let core = &job.core;
     let spec = &core.spec;
-    let tenant = spec.tenant;
     let attempts = core.attempts();
     if values.iter().all(|v| v.is_finite()) {
-        shared.breakers.record_success(tenant);
         let deadline_missed = core.deadline().is_some_and(|d| Instant::now() > d);
         // Only clean, full-cost results may populate the cache: the key
-        // does not encode fault plans or the degradation ladder, and probes
-        // must keep exercising real solves.
-        if spec.fault.is_none()
-            && job.solver.degraded.is_none()
-            && !core.probe.load(Ordering::Relaxed)
-        {
+        // does not encode fault plans or the degradation ladder.
+        if spec.fault.is_none() && job.solver.degraded.is_none() {
             shared.cache.put(cache_key(spec), values.clone());
         }
         let fault_events = spec
@@ -425,17 +395,14 @@ fn finish_job(
             degraded: job.solver.degraded.map(str::to_owned),
             deadline_missed,
         });
-    } else if attempts < shared.resilience.retry_max_attempts.max(1) {
-        shared
-            .sched
-            .requeue(Arc::clone(core), retry_delay(&shared.resilience, tenant, attempts));
+    } else if attempts < shared.retry_max_attempts.max(1) {
+        shared.sched.requeue(Arc::clone(core));
     } else {
         let err: SolveError = NumericalError::NonFinite {
             site: format!("serve.solve attempt {attempts}"),
             index: 0,
         }
         .into();
-        shared.breakers.record_failure(tenant);
         core.fail(err.to_string(), false);
     }
 }
@@ -605,17 +572,12 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_fail_terminally_and_trip_the_breaker() {
+    fn exhausted_retries_fail_terminally() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
         let config = ServeConfig {
             ranks: 2,
             groups: 1,
-            resilience: ResilienceConfig {
-                retry_max_attempts: 1, // first failure is terminal
-                breaker_threshold: 1,  // one terminal failure opens
-                breaker_cooldown: Duration::from_millis(40),
-                ..Default::default()
-            },
+            retry_max_attempts: 1, // first failure is terminal
             ..Default::default()
         };
         let service = Service::start(config);
@@ -631,26 +593,11 @@ mod tests {
         }
         assert_eq!(h.status(), JobStatus::Failed);
 
-        // Breaker is now open: clean submissions from tenant 8 are shed.
-        match service.submit(JobSpec::new(8, Arc::clone(&problem))) {
-            Err(AdmissionError::CircuitOpen { tenant, failures }) => {
-                assert_eq!((tenant, failures), (8, 1));
-            }
-            Err(other) => panic!("expected CircuitOpen, got {other:?}"),
-            Ok(_) => panic!("expected CircuitOpen, job was admitted"),
-        }
-        // Other tenants are unaffected.
-        assert!(service.submit(JobSpec::new(9, Arc::clone(&problem))).is_ok());
-
-        // After the cooldown one clean probe runs (degraded, solo, uncached)
-        // and closes the breaker.
-        std::thread::sleep(Duration::from_millis(50));
-        let probe = service.submit(JobSpec::new(8, Arc::clone(&problem))).unwrap();
-        let res = probe.wait().expect("probe solves");
-        assert!(!res.cache_hit, "probes bypass the cache");
+        // The failure is the job's, not the tenant's: its next clean job is
+        // admitted and solves.
+        let next = service.submit(JobSpec::new(8, Arc::clone(&problem))).unwrap();
+        let res = next.wait().expect("clean job solves");
         assert!(res.values.iter().all(|v| v.is_finite()));
-        let after = service.submit(JobSpec::new(8, Arc::clone(&problem))).unwrap();
-        assert!(after.wait().is_some(), "breaker closed after the probe");
         service.shutdown();
     }
 
@@ -660,12 +607,9 @@ mod tests {
         let config = ServeConfig {
             ranks: 2,
             groups: 1,
-            resilience: ResilienceConfig {
-                // Every deadline under 60s counts as pressure, so the job
-                // below is deterministically pressured but never expired.
-                pressure_window: Duration::from_secs(60),
-                ..Default::default()
-            },
+            // Every deadline under 60s counts as pressure, so the job below
+            // is deterministically pressured but never expired.
+            pressure_window: Duration::from_secs(60),
             ..Default::default()
         };
         let service = Service::start(config);

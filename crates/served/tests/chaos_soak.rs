@@ -14,7 +14,7 @@
 use faultkit::{FaultKind, FaultPlan};
 use lrtddft::{synthetic_problem, CasidaProblem, Solver};
 use parcomm::spmd;
-use served::{JobOutcome, JobSpec, ResilienceConfig, ServeConfig, Service};
+use served::{JobOutcome, JobSpec, ServeConfig, Service};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,10 +33,7 @@ fn config() -> ServeConfig {
     ServeConfig {
         ranks: 4,
         groups: 2,
-        resilience: ResilienceConfig {
-            pressure_window: Duration::from_secs(60),
-            ..Default::default()
-        },
+        pressure_window: Duration::from_secs(60),
         ..Default::default()
     }
 }
