@@ -10,9 +10,9 @@
 //!    application (`H·X`, `H·P` are carried forward as local linear
 //!    combinations of the previous `H·S`); its `C·W` partial-product
 //!    reduction is settled after the local diagonal term is computed;
-//! 2. one **fused** allreduce (a persistent [`ReducePlan`]) carrying
+//! 2. one **packed** allreduce ([`Comm::allreduce_packed`]) carrying
 //!    `SᵀS`, `SᵀHS`, *and* the residual-norm partials of the current
-//!    iterate in a single packed payload.
+//!    iterate in a single payload.
 //!
 //! Orthonormalization moved out of the collective schedule entirely: instead
 //! of a distributed Cholesky-QR per iteration, the Rayleigh–Ritz step solves
@@ -22,7 +22,7 @@
 //!
 //! The convergence test is **one-iteration-delayed**: residual-norm partials
 //! are summed locally when the residual is formed, but ride the *next*
-//! iteration's fused reduce. The test still grades exactly the iterate it
+//! iteration's packed reduce. The test still grades exactly the iterate it
 //! returns (the norms are that iterate's exact global norms — only the
 //! collective moved), so the converged answer is never changed; the delay
 //! costs at most one speculative `H·W` application.
@@ -41,7 +41,7 @@ use mathkit::gemm::{gemm, gemm_tn, syrk_tn, Transpose};
 use mathkit::lobpcg::LobpcgOptions;
 use mathkit::{syev, Mat};
 use parcomm::layout::block_ranges;
-use parcomm::{Comm, ReducePlan, RetryPolicy};
+use parcomm::Comm;
 use std::ops::Range;
 
 /// Result of the distributed eigensolve.
@@ -98,7 +98,7 @@ fn apply_distributed(
             dc[il] = ham.diag_d[i] * xc[il];
         }
     }
-    let data = comm.settle(rq, &RetryPolicy::default(), |c| c.iallreduce_sum(cx_vec.clone()))?;
+    let data = comm.settle(rq, |c| c.iallreduce_sum(cx_vec.clone()))?;
     let cx = Mat::from_vec(n_mu, m, data);
     let mut vcx = Mat::zeros(n_mu, m);
     gemm(1.0, &ham.v_tilde, Transpose::No, &cx, Transpose::No, 0.0, &mut vcx);
@@ -191,7 +191,7 @@ fn rr_step(g: &Mat, a: &Mat, k: usize) -> Option<(Vec<f64>, Mat)> {
 /// `Ok` with `converged == false` is honest non-convergence (see
 /// [`DistributedEigResult::into_converged`]); `Err` is an iteration breakdown
 /// or an exhausted communication retry. Breakdown guards test replicated
-/// quantities (fused-allreduced norms and Gram matrices), so every rank takes
+/// quantities (allreduced norms and Gram matrices), so every rank takes
 /// the same branch and the SPMD collective order never diverges.
 pub fn distributed_casida_lobpcg(
     comm: &Comm,
@@ -217,17 +217,13 @@ pub fn distributed_casida_lobpcg(
     // θ₀ from one small Gram (X orthonormal ⇒ diagonal = Rayleigh quotients).
     let g0 = dist_gram(comm, &x, &hx);
     let mut theta: Vec<f64> = (0..k).map(|i| g0[(i, i)]).collect();
-    // Current local residual; its norm partials ride the next fused reduce.
+    // Current local residual; its norm partials ride the next packed reduce.
     let mut r = residual(&x, &hx, &theta);
     let mut p_blk: Option<(Mat, Mat)> = None; // (P, H·P), carried locally
     let mut prev_norms: Option<Vec<f64>> = None; // previous global ‖r‖²
     let mut best_residual = f64::INFINITY;
     let mut iterations = 0;
     let mut converged = false;
-    // Persistent fused plan; rebuilt only when the subspace width changes
-    // (once when P first appears).
-    let mut plan: Option<ReducePlan> = None;
-    let mut plan_m = 0usize;
 
     for it in 0..opts.max_iter {
         iterations = it + 1;
@@ -270,39 +266,24 @@ pub fn distributed_casida_lobpcg(
             }
         }
 
-        // Collective 2 of 2: ONE fused reduce carrying SᵀS, SᵀHS, and the
-        // residual-norm partials of the current X — what the seed spent
-        // three separate latency-bound allreduces on.
-        let plan_ref = match &mut plan {
-            Some(pl) if plan_m == m => {
-                pl.clear();
-                pl
-            }
-            _ => {
-                plan = Some(ReducePlan::new(&[m * m, m * m, k]));
-                plan_m = m;
-                plan.as_mut().expect("plan just installed")
-            }
-        };
-        let g_loc = syrk_tn(&s);
-        let a_loc = gemm_tn(&s, &hs);
-        plan_ref.field_mut(0).copy_from_slice(g_loc.as_slice());
-        plan_ref.field_mut(1).copy_from_slice(a_loc.as_slice());
-        for j in 0..k {
-            plan_ref.field_mut(2)[j] = r.col(j).iter().map(|v| v * v).sum::<f64>();
-        }
-        plan_ref.execute(comm)?;
+        // Collective 2 of 2: ONE packed reduce of [SᵀS | SᵀHS | ‖r‖² of the
+        // current X] at offsets 0, m², 2m² — what the seed spent three
+        // separate latency-bound allreduces on.
+        let mut packed = syrk_tn(&s).into_vec();
+        packed.extend_from_slice(gemm_tn(&s, &hs).as_slice());
+        packed.extend((0..k).map(|j| r.col(j).iter().map(|v| v * v).sum::<f64>()));
+        comm.allreduce_packed(&mut packed)?;
 
         // Delayed convergence test: these are the exact global norms of the
         // residual of the *current* X/θ — the same quantity the seed tested,
         // one collective later. Passing it returns exactly this iterate.
-        let norms = plan_ref.field(2).to_vec();
+        let norms = packed.split_off(2 * m * m);
         let resid = norms
             .iter()
             .zip(theta.iter())
             .map(|(n2, th)| n2.sqrt() / th.abs().max(1.0))
             .fold(0.0f64, f64::max);
-        // Replicated (fused-allreduced) quantity: every rank sees the same
+        // Replicated (allreduced) quantity: every rank sees the same
         // value and errors out together.
         if !resid.is_finite() {
             return Err(SolveError::Breakdown {
@@ -326,8 +307,8 @@ pub fn distributed_casida_lobpcg(
             break;
         }
 
-        let g = Mat::from_vec(m, m, plan_ref.field(0).to_vec());
-        let a = Mat::from_vec(m, m, plan_ref.field(1).to_vec());
+        let a = Mat::from_vec(m, m, packed.split_off(m * m));
+        let g = Mat::from_vec(m, m, packed);
         // Also replicated — a poisoned subspace Gram would send syev into
         // NaN soup on every rank simultaneously; fail typed instead.
         if g.as_slice().iter().chain(a.as_slice().iter()).any(|v| !v.is_finite()) {
@@ -523,7 +504,7 @@ mod tests {
     #[test]
     fn two_collectives_per_iteration() {
         // The communication-avoiding schedule: after warmup, each iteration
-        // costs exactly one H·W reduction plus one fused Gram/norm reduce.
+        // costs exactly one H·W reduction plus one packed Gram/norm reduce.
         let ham = test_ham();
         let res = spmd(2, |c| {
             let short = distributed_casida_lobpcg(
@@ -534,8 +515,7 @@ mod tests {
                 11,
             )
             .expect("short run");
-            let calls_short = c.stats().collective_calls;
-            c.reset_stats();
+            let calls_short = c.take_stats().collective_calls;
             let long = distributed_casida_lobpcg(
                 c,
                 &ham,
@@ -546,16 +526,13 @@ mod tests {
             .expect("long run");
             (calls_short, c.stats().collective_calls, short.iterations, long.iterations)
         });
-        // Under `PARCOMM_NO_FUSE=1` the plan degrades to one collective per
-        // field (H·W apply + SᵀS + SᵀHS + norms = 4), same iteration count.
-        let per_iter = if parcomm::fusion_enabled() { 2 } else { 4 };
         for (calls_short, calls_long, it_short, it_long) in res {
             assert_eq!(it_short, 3);
             assert_eq!(it_long, 8);
             assert_eq!(
                 (calls_long - calls_short) as usize,
-                per_iter * (it_long - it_short),
-                "each extra iteration must cost exactly {per_iter} collectives"
+                2 * (it_long - it_short),
+                "each extra iteration must cost exactly 2 collectives"
             );
         }
     }

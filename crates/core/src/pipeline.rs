@@ -27,7 +27,7 @@ use faultkit::CommError;
 use mathkit::gemm::symm_tn;
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
-use parcomm::{Comm, Request, RetryPolicy};
+use parcomm::{Comm, Request};
 
 /// Result of a distributed Gram-matrix build.
 pub struct GramResult {
@@ -89,7 +89,6 @@ pub fn gram_pipelined_reduce(
     let my_range = ranges[comm.rank()].clone();
     let mut mine = Mat::zeros(n, my_range.len());
     let mut peak_words = 0usize;
-    let policy = RetryPolicy::default();
     // Window-2 pipeline: at most one chunk's reduce in flight while the
     // next chunk is computed. Bounding the window keeps peak memory at
     // ~2 chunks + my piece, still `O(1/P)` of the full matrix. The tuple
@@ -100,7 +99,7 @@ pub fn gram_pipelined_reduce(
     let settle =
         |slot: Option<(usize, usize, Vec<f64>, Request)>, mine: &mut Mat| -> Result<(), CommError> {
             if let Some((owner, cols, chunk, rq)) = slot {
-                let out = comm.settle(rq, &policy, |c| c.ireduce_sum(chunk.clone(), owner))?;
+                let out = comm.settle(rq, |c| c.ireduce_sum(chunk.clone(), owner))?;
                 if owner == comm.rank() {
                     *mine = Mat::from_vec(n, cols, out);
                 }

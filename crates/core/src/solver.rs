@@ -18,10 +18,9 @@
 //! mapping in their finish half, so a job submitted to the service and a
 //! direct call here compute the same thing.
 //!
-//! The scalar-kernel and unfused-reduction *reference* paths are not solver
-//! fields: they are process-wide switches (`MATHKIT_KERNEL`,
-//! `PARCOMM_NO_FUSE`, `mathkit::force_kernel`,
-//! `parcomm::set_fusion_enabled`) that a solve reads and never writes.
+//! The scalar-kernel *reference* path is not a solver field: it is a
+//! process-wide switch (`MATHKIT_KERNEL`, `mathkit::force_kernel`) that a
+//! solve reads and never writes.
 
 use crate::metrics::ComplexityEstimate;
 use crate::parallel::distributed_dense_hamiltonian;

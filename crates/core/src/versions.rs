@@ -15,7 +15,7 @@ use mathkit::chol::solve_right_in_place;
 use mathkit::gemm::{gemm, Transpose};
 use mathkit::{simd, Mat};
 use obskit::Stage;
-use parcomm::{Comm, ReduceBatch, ReducePlan};
+use parcomm::Comm;
 use std::borrow::Cow;
 
 /// Interpolation-point selector for the ISDF versions.
@@ -192,7 +192,7 @@ pub const FIT_RESIDUAL_GUARD: f64 = 1.0;
 
 /// Interpolation points per the selector, replicated on every rank. QRCP is
 /// the reference selector and runs replicated; K-Means classifies this
-/// rank's slab (paper §4.2), one fused reduction per sweep, and a run that
+/// rank's slab (paper §4.2), one packed reduction per sweep, and a run that
 /// had to reseed empty clusters is retried once cleanly (seeding faults are
 /// one-shot; `reseeded` comes from reduced sums, so every rank retries).
 fn select_points(
@@ -211,11 +211,10 @@ fn select_points(
     // Weights are gathered so that pruning, seeding and reseeding replicate.
     let w = comm.allgatherv(&pair_weights(&slab.psi_v, &slab.psi_c));
     let coords: Vec<[f64; 3]> = (0..problem.n_r()).map(|i| problem.grid.coords(i)).collect();
-    let mut plan: Option<ReducePlan> = None;
-    let mut lloyd = || {
+    let lloyd = || {
         let mut sweep = 0.0;
-        let reduce = |partials: &mut [f64], layout: &[usize]| -> Result<(), SolveError> {
-            plan.get_or_insert_with(|| ReducePlan::new(layout)).execute_packed(comm, partials)?;
+        let reduce = |partials: &mut [f64]| -> Result<(), SolveError> {
+            comm.allreduce_packed(partials)?;
             let args = [("sweep", sweep), ("objective", partials[partials.len() - 1])];
             obskit::instant(Stage::Kmeans, "kmeans.sweep", &args);
             sweep += 1.0;
@@ -266,20 +265,19 @@ pub fn build_isdf_hamiltonian(
         }
 
         // Sampled orbital rows, assembled by summation — each point's row
-        // lives on exactly one rank — both fields on ONE fused collective
-        // (the unfused fallback issues them per field, same fold).
+        // lives on exactly one rank — ψ̂ then φ̂ packed into ONE collective.
         let sp = obskit::span(Stage::Theta, "theta.sample_rows");
         let sample = |m: &Mat| {
             let mine = |mu: usize| slab.rows.contains(&points[mu]);
             let row = |mu, j| if mine(mu) { m[(points[mu], j)] } else { 0.0 };
             Mat::from_fn(points.len(), m.ncols(), row)
         };
-        let mut batch = ReduceBatch::new(comm);
-        let f_psi = batch.push(sample(&problem.psi_v).as_slice());
-        let f_phi = batch.push(sample(&problem.psi_c).as_slice());
-        let fused = batch.flush()?;
-        let psi_hat = Mat::from_vec(points.len(), problem.n_v(), fused.field(f_psi).to_vec());
-        let phi_hat = Mat::from_vec(points.len(), problem.n_c(), fused.field(f_phi).to_vec());
+        let mut rows = sample(&problem.psi_v).into_vec();
+        let n_psi = rows.len();
+        rows.extend_from_slice(sample(&problem.psi_c).as_slice());
+        comm.allreduce_packed(&mut rows)?;
+        let phi_hat = Mat::from_vec(points.len(), problem.n_c(), rows.split_off(n_psi));
+        let psi_hat = Mat::from_vec(points.len(), problem.n_v(), rows);
         drop(sp);
 
         // Half the Galerkin fit, in my slab's rows of B = ZCᵀ: with

@@ -99,7 +99,7 @@ pub fn kmeans_points(
     n_mu: usize,
     opts: KmeansOptions,
 ) -> KmeansOutcome {
-    let reduce = |_: &mut [f64], _: &[usize]| Ok::<(), NumericalError>(());
+    let reduce = |_: &mut [f64]| Ok::<(), NumericalError>(());
     match kmeans_points_checked(coords, w, n_mu, opts, 0..coords.len(), reduce, <[f64]>::to_vec) {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
@@ -112,9 +112,9 @@ pub fn kmeans_points(
 /// classifies only the active points of its `slab` of grid indices and meets
 /// the others through two closures:
 ///
-/// * `reduce(partials, layout)` sum-reduces the packed per-sweep partials in
-///   place — fields of `layout` lengths, side by side: `3·n_mu` weighted
-///   coordinate sums, `n_mu` cluster weights, the objective `Σ w·d²`;
+/// * `reduce(partials)` sum-reduces the packed per-sweep partials in place —
+///   side by side: `3·n_mu` weighted coordinate sums, `n_mu` cluster
+///   weights, the objective `Σ w·d²`;
 /// * `gather(mine)` concatenates every caller's `mine` in slab order: per
 ///   cluster its best snap candidate (`n_mu` scores, then `n_mu` grid
 ///   indices, `-1` for none), then its share of the final objective. Equal
@@ -130,7 +130,7 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
     n_mu: usize,
     opts: KmeansOptions,
     slab: std::ops::Range<usize>,
-    mut reduce: impl FnMut(&mut [f64], &[usize]) -> Result<(), E>,
+    mut reduce: impl FnMut(&mut [f64]) -> Result<(), E>,
     mut gather: impl FnMut(&[f64]) -> Vec<f64>,
 ) -> Result<KmeansOutcome, E> {
     assert!(n_mu >= 1);
@@ -164,7 +164,6 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
     let mut centroids = initialize(coords, w, &active, n_mu, opts);
 
     // Step 4: Lloyd iterations.
-    let layout = [3 * n_mu, n_mu, 1];
     let mut partials = vec![0.0f64; 4 * n_mu + 1];
     // (cluster, squared distance to its centroid) of each of `mine`.
     let mut assign = vec![(0usize, 0.0f64); mine.len()];
@@ -188,7 +187,7 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
             partials[3 * n_mu + a] += wi;
             partials[4 * n_mu] += wi * d2;
         }
-        reduce(&mut partials, &layout)?;
+        reduce(&mut partials)?;
         let (sums, wsum) = partials.split_at(3 * n_mu);
         let mut movement = 0.0;
         for k in 0..n_mu {
@@ -552,7 +551,7 @@ mod tests {
                 n_mu,
                 KmeansOptions::default(),
                 0..coords.len(),
-                |_: &mut [f64], _: &[usize]| Ok::<(), NumericalError>(()),
+                |_: &mut [f64]| Ok::<(), NumericalError>(()),
                 <[f64]>::to_vec,
             )
         };

@@ -29,12 +29,6 @@ pub struct OpStats {
     pub seconds: f64,
 }
 
-/// Payload threshold below which a collective call is **α-dominated**
-/// (latency-bound): at the default [`CostModel`] and 4 ranks, the allreduce
-/// latency and bandwidth terms cross at ~32 KiB — also the reduction's
-/// segment size, so anything under it is a single-segment (pure-latency) op.
-pub const ALPHA_SMALL_BYTES: u64 = 32 * 1024;
-
 /// Per-rank communication statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CommStats {
@@ -57,15 +51,6 @@ pub struct CommStats {
     /// Nonblocking (request-based) ops.
     pub ireduce: OpStats,
     pub iallreduce: OpStats,
-    /// Fused flushes executed by the deferred-reduction scheduler
-    /// ([`crate::batch`]): each flush is one collective that replaced
-    /// `fused_fields / fused_flushes` small ones on average.
-    pub fused_flushes: u64,
-    /// Total pending fields folded into those fused flushes.
-    pub fused_fields: u64,
-    /// Collective calls whose payload was ≤ [`ALPHA_SMALL_BYTES`] — the
-    /// latency-bound population the communication-avoiding path shrinks.
-    pub alpha_calls: u64,
 }
 
 impl CommStats {
@@ -223,12 +208,6 @@ impl Comm {
         self.stats.get()
     }
 
-    /// Reset the statistics counters (e.g. between timed phases): aggregate,
-    /// per-op, fused-flush and latency-bound counters clear together.
-    pub fn reset_stats(&self) {
-        self.stats.take();
-    }
-
     /// Snapshot **and** reset the statistics counters in one step — the
     /// per-job stats window of the serving scheduler: every recorded event
     /// lands in exactly one window.
@@ -261,9 +240,6 @@ impl Comm {
             s.collective_calls += 1;
             s.measured_seconds += seconds;
             s.modeled_seconds += modeled;
-            if bytes as u64 <= ALPHA_SMALL_BYTES {
-                s.alpha_calls += 1;
-            }
             let slot = op.slot(s);
             slot.calls += 1;
             slot.bytes += bytes as u64;
@@ -273,15 +249,6 @@ impl Comm {
         let mut span = span;
         span.arg("bytes", bytes as f64);
         span.arg("modeled_s", modeled);
-    }
-
-    /// Credit one fused flush of `fields` pending reductions to this rank
-    /// (called by the [`crate::batch`] scheduler).
-    pub(crate) fn note_fused(&self, fields: u64) {
-        self.charge(|s| {
-            s.fused_flushes += 1;
-            s.fused_fields += fields;
-        });
     }
 
     /// Per-rank monotone op id; SPMD issue order matches op `n` here with
@@ -595,46 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_aggregate_and_per_op_together() {
-        let res = spmd(2, |c| {
-            let mut buf = vec![1.0; 8];
-            c.allreduce_sum(&mut buf);
-            c.barrier();
-            c.reset_stats();
-            c.stats()
-        });
-        for s in res {
-            assert_eq!(s, CommStats::default(), "reset must clear every field");
-        }
-    }
-
-    #[test]
-    fn reset_clears_call_fused_and_alpha_counters() {
-        // Per-job stats windows in the serving scheduler rely on reset
-        // clearing *every* counter family, including call counts,
-        // fused-flush credits, and latency-bound call counts — none may
-        // bleed from one tenant's window into the next.
-        let res = spmd(2, |c| {
-            let mut small = vec![1.0; 4]; // under ALPHA_SMALL_BYTES
-            c.allreduce_sum(&mut small);
-            c.note_fused(3);
-            let before = c.stats();
-            assert!(before.collective_calls > 0);
-            assert!(before.alpha_calls >= 1);
-            assert_eq!(before.fused_flushes, 1);
-            assert_eq!(before.fused_fields, 3);
-            c.reset_stats();
-            c.stats()
-        });
-        for s in res {
-            assert_eq!(s.collective_calls, 0);
-            assert_eq!(s.alpha_calls, 0);
-            assert_eq!(s.fused_flushes, 0);
-            assert_eq!(s.fused_fields, 0);
-        }
-    }
-
-    #[test]
     fn take_stats_snapshots_and_clears_in_one_step() {
         let res = spmd(2, |c| {
             let mut buf = vec![1.0; 8];
@@ -646,7 +573,6 @@ mod tests {
         for (window, after) in res {
             assert_eq!(window.collective_calls, 2);
             assert_eq!(window.bytes_sent, 64);
-            assert!(window.alpha_calls > 0);
             assert_eq!(after, CommStats::default(), "take_stats must leave a fresh window");
         }
     }

@@ -36,30 +36,16 @@ fn cv_wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|p| p.into_inner())
 }
 
-/// Deadline/backoff budget for [`Request::wait_deadline`] and
-/// [`Comm::settle`]: attempt `k` waits `deadline + k·backoff`, and a request
-/// that never completes surfaces [`CommError::Stalled`] after
-/// `max_attempts` waits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    pub deadline: Duration,
-    pub max_attempts: u32,
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        // A wait completes as soon as every rank has issued; 60 ms + linear
-        // backoff tolerates CI scheduling hiccups while a genuinely stalled
-        // peer (or an injected `CommStall` larger than the whole budget) is
-        // surfaced within ~1 s.
-        RetryPolicy {
-            deadline: Duration::from_millis(60),
-            max_attempts: 5,
-            backoff: Duration::from_millis(60),
-        }
-    }
-}
+/// The retry budget of [`Request::wait_deadline`] and [`Comm::settle`]:
+/// attempt `k` waits `WAIT_DEADLINE + k·WAIT_BACKOFF`, and a request that
+/// never completes surfaces [`CommError::Stalled`] after `WAIT_ATTEMPTS`
+/// waits (≈ 0.9 s in all). A wait completes as soon as every rank has
+/// issued, so 60 ms plus linear backoff tolerates CI scheduling hiccups
+/// while a genuinely stalled peer (or an injected `CommStall` longer than
+/// the whole budget) surfaces within a second.
+const WAIT_DEADLINE: Duration = Duration::from_millis(60);
+const WAIT_ATTEMPTS: u32 = 5;
+const WAIT_BACKOFF: Duration = Duration::from_millis(60);
 
 /// One rank's contribution to a collective, handed over at issue.
 pub(crate) enum Deposit {
@@ -297,25 +283,24 @@ impl<'c, T> Request<'c, T> {
         v
     }
 
-    /// Wait with a deadline/backoff budget. Attempt `k` blocks for
-    /// `deadline + k·backoff`; once the budget is exhausted the request is
-    /// abandoned and [`CommError::Stalled`] surfaces. A request dropped by
-    /// fault injection returns [`CommError::Dropped`] immediately.
+    /// Wait under the fixed retry budget. Attempt `k` blocks for
+    /// `60 ms + k·60 ms`; after five attempts the request is abandoned and
+    /// [`CommError::Stalled`] surfaces. A request dropped by fault injection
+    /// returns [`CommError::Dropped`] immediately.
     ///
     /// Expired deadlines re-wait on the **same** request — they never
     /// re-issue, because a locally-timed re-issue would desynchronize the
     /// SPMD op-id matching across ranks. Only symmetrically-dropped requests
     /// are re-issued ([`Comm::settle`]).
-    pub fn wait_deadline(mut self, policy: &RetryPolicy) -> Result<T, CommError> {
+    pub fn wait_deadline(mut self) -> Result<T, CommError> {
         if self.is_dropped() {
             return Err(CommError::Dropped { op: self.op.label() });
         }
         let span = self.traced().then(|| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
         let t0 = Instant::now();
-        let attempts = policy.max_attempts.max(1);
         let mut waited = Duration::ZERO;
-        for attempt in 0..attempts {
-            let d = policy.deadline + policy.backoff * attempt;
+        for attempt in 0..WAIT_ATTEMPTS {
+            let d = WAIT_DEADLINE + WAIT_BACKOFF * attempt;
             if let Some(v) = self.complete(Some(Instant::now() + d)) {
                 self.charge_wait(t0);
                 drop(span);
@@ -324,7 +309,7 @@ impl<'c, T> Request<'c, T> {
             waited += d;
         }
         self.charge_wait(t0);
-        Err(CommError::Stalled { op: self.op.label(), waited, attempts })
+        Err(CommError::Stalled { op: self.op.label(), waited, attempts: WAIT_ATTEMPTS })
     }
 }
 
@@ -428,8 +413,8 @@ impl Comm {
     /// dropped by fault injection is re-issued via `reissue` (safe because
     /// the injection decision fired symmetrically on every rank, so every
     /// rank re-issues and op ids stay matched), and completion is awaited
-    /// under `policy`'s deadline/backoff budget before
-    /// [`CommError::Stalled`] surfaces.
+    /// under the fixed deadline/backoff budget of
+    /// [`Request::wait_deadline`] before [`CommError::Stalled`] surfaces.
     ///
     /// Taking the first request as an argument (rather than issuing it
     /// here) lets callers keep their issue-then-compute window: the
@@ -437,25 +422,47 @@ impl Comm {
     pub fn settle<'c, T>(
         &'c self,
         first: Request<'c, T>,
-        policy: &RetryPolicy,
         mut reissue: impl FnMut(&'c Comm) -> Request<'c, T>,
     ) -> Result<T, CommError> {
         let mut rq = first;
         let mut reissues = 0u32;
         while rq.is_dropped() {
-            if reissues >= policy.max_attempts.max(1) {
+            if reissues >= WAIT_ATTEMPTS {
                 return Err(CommError::Dropped { op: rq.op.label() });
             }
             reissues += 1;
             rq = reissue(self);
         }
-        rq.wait_deadline(policy)
+        rq.wait_deadline()
+    }
+
+    /// Sum-allreduce a caller-packed buffer in place: one `iallreduce` over
+    /// every field the caller laid side by side, settled with the recovery of
+    /// [`Comm::settle`]. The identity on a size-1 communicator. A dropped
+    /// request is re-issued from `buf` itself, which stays untouched until
+    /// the sum comes back, so the fault-free path copies nothing extra.
+    ///
+    /// Packing changes no bit: summation is element-wise, every element is
+    /// folded over the ranks in ascending order from `+0.0`, so fields side
+    /// by side change *which* elements ride in one collective but never the
+    /// fold order *within* an element — each field comes back bitwise equal
+    /// to its own [`Comm::allreduce_sum`] (`tests/fused.rs`). The paper's
+    /// K-Means sweep, the sampled ISDF rows and the LOBPCG Gram/norm
+    /// reduction each pay one latency this way instead of one per field.
+    pub fn allreduce_packed(&self, buf: &mut [f64]) -> Result<(), CommError> {
+        if self.size() == 1 {
+            return Ok(());
+        }
+        let rq = self.iallreduce_sum(buf.to_vec());
+        let out = self.settle(rq, |c| c.iallreduce_sum(buf.to_vec()))?;
+        buf.copy_from_slice(&out);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::{lock, spmd};
+    use crate::comm::{lock, spmd, Comm};
 
     #[test]
     fn dropped_requests_leave_nothing_behind() {
@@ -469,5 +476,31 @@ mod tests {
             lock(&c.shared.ops).len()
         });
         assert_eq!(left, vec![0, 0]);
+    }
+
+    #[test]
+    fn packed_reduce_sums_every_field() {
+        // Fields [rank, 1] | [] | [10] packed side by side (the empty one
+        // takes no room) come back summed over 4 ranks from one
+        // `iallreduce`.
+        let res = spmd(4, |c| {
+            let mut buf = vec![c.rank() as f64, 1.0, 10.0];
+            c.allreduce_packed(&mut buf).expect("packed reduce");
+            (buf, c.stats())
+        });
+        for (buf, s) in res {
+            assert_eq!(buf, vec![6.0, 4.0, 40.0]); // 0+1+2+3, 4·1, 4·10
+            assert_eq!(s.iallreduce.calls, 1, "three fields, one collective");
+            assert_eq!(s.collective_calls, 1);
+        }
+    }
+
+    #[test]
+    fn packed_reduce_on_one_rank_is_identity() {
+        let c = Comm::solo();
+        let mut buf = vec![5.0, 6.0];
+        c.allreduce_packed(&mut buf).expect("identity");
+        assert_eq!(buf, vec![5.0, 6.0]);
+        assert_eq!(c.stats(), crate::CommStats::default());
     }
 }

@@ -1,8 +1,9 @@
-//! Property tests for the communication-avoiding layer: fused batched
-//! reductions must be **bitwise identical** to sequential per-field
-//! allreduces at any rank count.
+//! Property tests for the communication-avoiding layer: a packed reduction
+//! ([`Comm::allreduce_packed`]) must be **bitwise identical** to one blocking
+//! allreduce per field at any rank count, and sub-communicators from
+//! [`Comm::split`] must reduce independently.
 
-use parcomm::{spmd, Comm, ReduceBatch, ReducePlan};
+use parcomm::{spmd, Comm};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random payload (same generator as tests/requests.rs).
@@ -22,84 +23,68 @@ fn rank_field(c: &Comm, seed: u64, field: usize, len: usize) -> Vec<f64> {
     fill(seed.wrapping_add(c.rank() as u64 * 1_000_003).wrapping_add(field as u64 * 7919), len)
 }
 
+/// The fields of `lens`, packed side by side, and each reduced on its own
+/// by the blocking allreduce — the reference the packed reduce must match.
+fn packed_and_per_field(c: &Comm, seed: u64, lens: &[usize]) -> (Vec<f64>, Vec<f64>) {
+    let mut packed = Vec::new();
+    let mut per_field = Vec::new();
+    for (f, &len) in lens.iter().enumerate() {
+        packed.extend(rank_field(c, seed, f, len));
+        let mut buf = rank_field(c, seed, f, len);
+        c.allreduce_sum(&mut buf);
+        per_field.extend(buf);
+    }
+    (packed, per_field)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Fused batch ≡ one blocking allreduce per field, bitwise, at 1–8 ranks
-    /// with uneven field sizes including empty fields.
+    /// One packed reduce ≡ one blocking allreduce per field, bitwise, at 1–8
+    /// ranks with uneven field sizes including empty fields — and it is one
+    /// `iallreduce` call (none on one rank).
     #[test]
-    fn fused_batch_matches_sequential_bitwise(
+    fn packed_reduce_matches_per_field_bitwise(
         ranks in 1usize..=8,
         lens in prop::collection::vec(0usize..200, 1..6),
         seed in 0u64..u64::MAX,
     ) {
-        let lens2 = lens.clone();
-        let res = spmd(ranks, move |c| {
-            // Fused path.
-            let mut batch = ReduceBatch::new(c);
-            for (f, &len) in lens2.iter().enumerate() {
-                batch.push(&rank_field(c, seed, f, len));
-            }
-            let fused = batch.flush().expect("flush");
-            // Reference path: one blocking collective per field.
-            let mut seq = Vec::new();
-            for (f, &len) in lens2.iter().enumerate() {
-                let mut buf = rank_field(c, seed, f, len);
-                c.allreduce_sum(&mut buf);
-                seq.push(buf);
-            }
-            let fused: Vec<Vec<f64>> = (0..fused.len()).map(|f| fused.field(f).to_vec()).collect();
-            (fused, seq)
+        let res = spmd(ranks, |c| {
+            let (mut packed, per_field) = packed_and_per_field(c, seed, &lens);
+            let before = c.stats().iallreduce.calls;
+            c.allreduce_packed(&mut packed).expect("packed reduce");
+            (packed, per_field, c.stats().iallreduce.calls - before)
         });
-        for (fused, seq) in res {
-            prop_assert_eq!(fused.len(), seq.len());
-            for (a, b) in fused.iter().zip(&seq) {
-                prop_assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{:e} vs {:e}", x, y);
-                }
-            }
+        for (packed, per_field, calls) in res {
+            prop_assert_eq!(bits(&packed), bits(&per_field));
+            prop_assert_eq!(calls, u64::from(ranks > 1));
         }
     }
 
-    /// A persistent plan executed repeatedly matches per-field blocking
-    /// allreduces bitwise on every execution.
+    /// Back-to-back packed reduces, interleaved with the blocking reference
+    /// ones, each match the per-field allreduces bitwise.
     #[test]
-    fn plan_matches_sequential_bitwise_across_rounds(
+    fn consecutive_packed_reduces_match_per_field_bitwise(
         ranks in 1usize..=6,
         lens in prop::collection::vec(1usize..120, 1..5),
         seed in 0u64..u64::MAX,
     ) {
-        let lens2 = lens.clone();
-        let res = spmd(ranks, move |c| {
-            let mut plan = ReducePlan::new(&lens2);
-            let mut out = Vec::new();
+        let res = spmd(ranks, |c| {
+            let mut rounds = Vec::new();
             for round in 0..3u64 {
-                plan.clear();
-                for (f, &len) in lens2.iter().enumerate() {
-                    plan.field_mut(f)
-                        .copy_from_slice(&rank_field(c, seed ^ round, f, len));
-                }
-                plan.execute(c).expect("execute");
-                let mut reference = Vec::new();
-                for (f, &len) in lens2.iter().enumerate() {
-                    let mut buf = rank_field(c, seed ^ round, f, len);
-                    c.allreduce_sum(&mut buf);
-                    reference.push(buf);
-                }
-                let got: Vec<Vec<f64>> =
-                    (0..plan.n_fields()).map(|f| plan.field(f).to_vec()).collect();
-                out.push((got, reference));
+                let (mut packed, per_field) = packed_and_per_field(c, seed ^ round, &lens);
+                c.allreduce_packed(&mut packed).expect("packed reduce");
+                rounds.push((packed, per_field));
             }
-            out
+            rounds
         });
         for rounds in res {
-            for (got, reference) in rounds {
-                for (a, b) in got.iter().zip(&reference) {
-                    for (x, y) in a.iter().zip(b) {
-                        prop_assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
+            for (got, want) in rounds {
+                prop_assert_eq!(bits(&got), bits(&want));
             }
         }
     }

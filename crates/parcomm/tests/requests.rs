@@ -220,21 +220,15 @@ fn late_peer_does_not_block_issue() {
 mod faults {
     use super::*;
     use faultkit::{FaultKind, FaultPlan};
-    use parcomm::RetryPolicy;
     use std::time::{Duration, Instant};
 
-    /// An injected engine stall longer than the first deadline: the
-    /// wait-with-deadline must fire at least once, the backoff retries must
-    /// then pick the payload up, and the sum must match the blocking path
-    /// bitwise.
+    /// An injected stall longer than the first 60 ms deadline: the
+    /// wait-with-deadline must fire at least once, the backoff retries
+    /// (60 + 120 ms by the second attempt) must then pick the payload up, and
+    /// the sum must match the blocking path bitwise.
     #[test]
     fn stall_fires_deadline_then_recovers() {
         let stall_ms = 150u64;
-        let policy = RetryPolicy {
-            deadline: Duration::from_millis(40),
-            max_attempts: 8,
-            backoff: Duration::from_millis(40),
-        };
         let campaign = faultkit::arm(
             FaultPlan::new(11).with("comm.iallreduce", 0, FaultKind::CommStall {
                 micros: stall_ms * 1000,
@@ -247,11 +241,12 @@ mod faults {
             c.allreduce_sum(&mut expect);
             let rq = c.iallreduce_sum(mine.clone());
             let got = c
-                .settle(rq, &policy, |c| c.iallreduce_sum(mine.clone()))
+                .settle(rq, |c| c.iallreduce_sum(mine.clone()))
                 .expect("stall within budget must recover");
             (expect, got)
         });
-        // The engine slept through at least one 40 ms deadline on each rank.
+        // The wait slept through at least the first 60 ms deadline on each
+        // rank.
         assert!(t0.elapsed() >= Duration::from_millis(stall_ms));
         for (expect, got) in results {
             assert_eq!(expect, got, "recovered sum must match blocking path bitwise");
@@ -261,29 +256,26 @@ mod faults {
         assert!(events.iter().all(|e| e.site == "comm.iallreduce"));
     }
 
-    /// A stall larger than the entire deadline/backoff budget must surface
-    /// `CommError::Stalled` (with the attempt count) instead of hanging.
+    /// A stall larger than the entire deadline/backoff budget (60 + 120 +
+    /// 180 + 240 + 300 ms = 0.9 s) must surface `CommError::Stalled` (with
+    /// the attempt count) instead of hanging.
     #[test]
     fn stall_beyond_budget_surfaces_stalled() {
-        let policy = RetryPolicy {
-            deadline: Duration::from_millis(5),
-            max_attempts: 3,
-            backoff: Duration::from_millis(5),
-        };
         let _campaign = faultkit::arm(
             FaultPlan::new(12).with("comm.iallreduce", 0, FaultKind::CommStall {
-                micros: 400_000,
+                micros: 1_200_000,
             }),
         );
         let results = spmd(2, |c| {
             let rq = c.iallreduce_sum(vec![c.rank() as f64; 16]);
-            rq.wait_deadline(&policy)
+            rq.wait_deadline()
         });
         for r in results {
             match r {
-                Err(faultkit::CommError::Stalled { op, attempts, .. }) => {
+                Err(faultkit::CommError::Stalled { op, waited, attempts }) => {
                     assert_eq!(op, "iallreduce");
-                    assert_eq!(attempts, 3);
+                    assert_eq!(waited, Duration::from_millis(900));
+                    assert_eq!(attempts, 5);
                 }
                 other => panic!("expected Stalled, got {other:?}"),
             }
@@ -303,7 +295,7 @@ mod faults {
             c.allreduce_sum(&mut expect);
             let rq = c.iallreduce_sum(mine.clone());
             let got = c
-                .settle(rq, &RetryPolicy::default(), |c| c.iallreduce_sum(mine.clone()))
+                .settle(rq, |c| c.iallreduce_sum(mine.clone()))
                 .expect("drop must recover by re-issue");
             (expect, got)
         });
@@ -313,6 +305,27 @@ mod faults {
         let events = campaign.events();
         assert_eq!(events.len(), 4, "drop decision must fire on all 4 ranks: {events:?}");
         assert!(events.iter().all(|e| e.kind == FaultKind::CommDrop));
+    }
+
+    /// A packed reduce whose request is dropped re-issues from the caller's
+    /// untouched buffer and still returns the blocking-path sum bitwise.
+    #[test]
+    fn dropped_packed_reduce_reissues_from_the_buffer() {
+        let campaign = faultkit::arm(
+            FaultPlan::new(15).with("comm.iallreduce", 0, FaultKind::CommDrop),
+        );
+        let results = spmd(3, |c| {
+            let mut got = rank_data(c, 8, 90);
+            let mut expect = got.clone();
+            c.allreduce_sum(&mut expect);
+            c.allreduce_packed(&mut got).expect("drop must recover by re-issue");
+            (expect, got, c.stats().iallreduce.calls)
+        });
+        for (expect, got, calls) in results {
+            assert_eq!(expect, got);
+            assert_eq!(calls, 2, "the dropped issue and its one re-issue");
+        }
+        assert_eq!(campaign.fired(), 3, "drop decision must fire on all 3 ranks");
     }
 
     /// Blocking collectives hook under a separate site, so request-API fault

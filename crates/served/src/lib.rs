@@ -37,9 +37,9 @@
 //! [`Solver::solve_distributed`](lrtddft::Solver::solve_distributed) — every
 //! field, `version` included, is honored per job, because a batch runs that
 //! call's two halves (`Solver::hamiltonian` once, `Solver::eigensolve` per
-//! job). The process-wide reference-path switches (`MATHKIT_KERNEL`,
-//! `PARCOMM_NO_FUSE`) are deliberately **not** flipped per job — they are
-//! shared by every tenant; set them once before `Service::start` if needed.
+//! job). The process-wide reference-path switch (`MATHKIT_KERNEL`) is
+//! deliberately **not** flipped per job — it is shared by every tenant; set
+//! it once before `Service::start` if needed.
 
 mod cache;
 mod job;
