@@ -34,9 +34,7 @@
 use crate::lobpcg_driver::initial_guess;
 use crate::versions::IsdfHamiltonian;
 use faultkit::SolveError;
-use mathkit::chol::{
-    cholesky, solve_lower, solve_lower_transpose, solve_right_lower_transpose, solve_spd,
-};
+use mathkit::chol::{cholesky, solve_lower, solve_lower_transpose, solve_right_lower_transpose};
 use mathkit::gemm::{gemm, gemm_tn, syrk_tn, Transpose};
 use mathkit::lobpcg::LobpcgOptions;
 use mathkit::{syev, Mat};
@@ -386,12 +384,6 @@ pub fn distributed_casida_lobpcg(
         residual: best_residual,
         converged,
     })
-}
-
-/// Distributed SPD solve helper kept for parity with ScaLAPACK-style flows
-/// (used in tests to validate replicated small solves).
-pub fn replicated_spd_solve(a: &Mat, b: &Mat) -> Mat {
-    solve_spd(a, b).expect("replicated SPD solve")
 }
 
 #[cfg(test)]

@@ -1,15 +1,16 @@
 //! Self-healing solver ladders behind the `Result`-returning solve.
 //!
 //! [`crate::Solver::solve`] executes the solve pipeline, reports failures as
-//! typed [`SolveError`]s, and heals transient ones along two ladders:
+//! typed [`SolveError`](faultkit::SolveError)s, and heals transient ones along two ladders:
 //!
-//! * **build ladder** — the ISDF Hamiltonian assembly
-//!   ([`crate::build_isdf_hamiltonian`]) already recovers point starvation
-//!   and fit-residual breaches internally; a typed failure that still escapes
-//!   (poisoned factors, non-SPD Gram) gets one clean rebuild — injected
+//! * **build ladder** — [`crate::Solver::hamiltonian`], the build half every
+//!   door calls (the serial solve on a solo communicator, the distributed
+//!   solve and a `served` batch on their group): the ISDF assembly
+//!   ([`crate::build_isdf_hamiltonian`]) reseeds a degenerate K-Means start
+//!   internally, and a typed failure that escapes (poisoned factors, a
+//!   fit-residual breach, a non-SPD Gram) gets one clean rebuild — injected
 //!   faults are one-shot, so the retry runs pristine — before
-//!   [`SolveError::LadderExhausted`]. The serial solve runs it on a solo
-//!   communicator, the distributed solve on its group.
+//!   [`SolveError::LadderExhausted`](faultkit::SolveError::LadderExhausted).
 //! * **eigensolver fallback** — LOBPCG, and on breakdown or non-convergence
 //!   the dense `lowest(·, k)` floor, which always succeeds: versions 4–5
 //!   degrade to version 3 cost instead of panicking. The distributed
@@ -23,13 +24,10 @@
 //! the fallbacks only engage after a failure.
 
 use crate::lobpcg_driver::solve_casida_lobpcg;
-use crate::problem::CasidaProblem;
 use crate::solver::Solver;
-use crate::versions::{Hamiltonian, Version};
-use faultkit::SolveError;
+use crate::versions::Version;
 use mathkit::lobpcg::{LobpcgOptions, LobpcgResult};
 use mathkit::{lowest, Mat};
-use parcomm::Comm;
 
 /// One rung down the graceful-degradation ladder: the next-cheaper
 /// configuration for `solver`, or `None` when the rung has been taken. This
@@ -49,34 +47,6 @@ use parcomm::Comm;
 /// paper's five versions do.
 pub fn degrade(solver: &Solver) -> Option<Solver> {
     solver.plan().lobpcg.then(|| solver.version(Version::KmeansIsdf).degraded("direct-eig"))
-}
-
-/// Build ladder around [`Solver::hamiltonian`], SPMD-collective on `comm`:
-/// one typed failure earns one clean rebuild (injected faults are one-shot,
-/// so the retry is pristine); a second failure is
-/// [`SolveError::LadderExhausted`]. A failure on input that fails
-/// [`CasidaProblem::check_inputs`] is returned as is. Build failures are
-/// decided on replicated data, so every rank of a group climbs together.
-pub(crate) fn build_ladder(
-    solver: &Solver,
-    comm: &Comm,
-    problem: &CasidaProblem,
-    recovery: &mut Vec<String>,
-) -> Result<Hamiltonian, SolveError> {
-    let build = |recovery: &mut Vec<String>| solver.hamiltonian(comm, problem, recovery);
-    let first = match build(recovery) {
-        Ok(ham) => return Ok(ham),
-        Err(e) => e,
-    };
-    // A defective input is not transient: no rebuild can heal it.
-    if problem.check_inputs().is_err() {
-        return Err(first);
-    }
-    recovery.push(format!("isdf.build: {first}; clean rebuild"));
-    build(recovery).map_err(|second| SolveError::LadderExhausted {
-        stage: "isdf.build",
-        attempts: vec![first.to_string(), second.to_string()],
-    })
 }
 
 /// Eigensolver fallback for the LOBPCG versions: LOBPCG with the paper's
@@ -118,9 +88,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::synthetic_problem;
+    use crate::problem::{synthetic_problem, CasidaProblem};
     use crate::rank::IsdfRank;
-    use faultkit::{arm, FaultKind, FaultPlan, NumericalError};
+    use faultkit::{arm, FaultKind, FaultPlan, NumericalError, SolveError};
 
     fn opts(p: &CasidaProblem) -> Solver {
         Solver::builder().rank(IsdfRank::Fixed(p.n_cv()))
@@ -207,24 +177,6 @@ mod tests {
                 "recovered {b} vs fault-free {a}; log {:?}",
                 healed.recovery
             );
-        }
-    }
-
-    #[test]
-    fn rank_starvation_recovers_at_full_rank() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p);
-        let baseline = o.version(Version::KmeansIsdf).solve(&p).expect("baseline");
-        let campaign = arm(FaultPlan::new(5).with("isdf.points", 0, FaultKind::RankStarvation));
-        let healed = o.version(Version::KmeansIsdf).solve(&p).expect("re-selection heals");
-        assert_eq!(campaign.fired(), 1);
-        assert!(
-            healed.recovery.iter().any(|r| r.contains("starved")),
-            "recovery log: {:?}",
-            healed.recovery
-        );
-        for (a, b) in baseline.energies.iter().zip(&healed.energies) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -27,7 +27,7 @@ use crate::parallel::distributed_dense_hamiltonian;
 use crate::parallel_eig::{distributed_casida_lobpcg, DistributedEigResult};
 use crate::problem::CasidaProblem;
 use crate::rank::IsdfRank;
-use crate::recover::{build_ladder, eig_ladder};
+use crate::recover::eig_ladder;
 use crate::timers::StageTimings;
 use crate::versions::{
     build_isdf_hamiltonian, Hamiltonian, PointSelector, Solution, Version,
@@ -184,9 +184,37 @@ impl Solver {
     /// passes [`Comm::solo`]): the replicated Hamiltonian `version` asks for
     /// — the dense `H` of Algorithm 1 (row 1) or the ISDF factors from
     /// [`build_isdf_hamiltonian`] with this row's point selector (rows 2–5).
-    /// One attempt, no rebuild ladder; rungs the build takes internally are
-    /// appended to `recovery`.
+    ///
+    /// The build ladder: one typed failure earns one clean rebuild (injected
+    /// faults are one-shot, so the retry is pristine) and its
+    /// `isdf.build: …; clean rebuild` line in `recovery`; a second failure is
+    /// [`SolveError::LadderExhausted`]. A failure on input that fails
+    /// [`CasidaProblem::check_inputs`] is returned as is — no rebuild can heal
+    /// it. Build failures are decided on replicated data, so every rank of a
+    /// group climbs together. Rungs the build takes internally are appended
+    /// to `recovery` too.
     pub fn hamiltonian(
+        &self,
+        comm: &Comm,
+        problem: &CasidaProblem,
+        recovery: &mut Vec<String>,
+    ) -> Result<Hamiltonian, SolveError> {
+        let first = match self.build_once(comm, problem, recovery) {
+            Ok(ham) => return Ok(ham),
+            Err(e) => e,
+        };
+        if problem.check_inputs().is_err() {
+            return Err(first);
+        }
+        recovery.push(format!("isdf.build: {first}; clean rebuild"));
+        self.build_once(comm, problem, recovery).map_err(|second| SolveError::LadderExhausted {
+            stage: "isdf.build",
+            attempts: vec![first.to_string(), second.to_string()],
+        })
+    }
+
+    /// One attempt at [`Solver::hamiltonian`]'s build.
+    fn build_once(
         &self,
         comm: &Comm,
         problem: &CasidaProblem,
@@ -225,9 +253,9 @@ impl Solver {
         }
     }
 
-    /// Serial solve through the recovery ladders: the build half on a solo
-    /// communicator on this thread (no rank thread, no `mpi:*` span, no comm
-    /// statistics) behind the one-rebuild ladder, then the finisher `version`
+    /// Serial solve through the recovery ladders: the build half (with its
+    /// one-rebuild ladder) on a solo communicator on this thread (no rank
+    /// thread, no `mpi:*` span, no comm statistics), then the finisher `version`
     /// names — the dense eigensolve of the lowest `k` ([`mathkit::lowest`],
     /// rows 1–3) or LOBPCG behind the eigensolver ladder on the materialized
     /// (row 4) or matrix-free (row 5) `H`. Failures are typed; rungs taken
@@ -241,7 +269,7 @@ impl Solver {
         let complexity = ComplexityEstimate::for_version(self.version, n_r, n_mu, n_v, n_c, k);
 
         let plan = self.plan();
-        let mut ham = build_ladder(self, &Comm::solo(), problem, &mut recovery)?;
+        let mut ham = self.hamiltonian(&Comm::solo(), problem, &mut recovery)?;
         let (energies, coefficients, lobpcg_iterations) = {
             let name = if plan.lobpcg { "diag.lobpcg" } else { "diag.syev" };
             let _sp = obskit::span(Stage::Diag, name);
@@ -287,7 +315,8 @@ impl Solver {
     ) -> (Vec<f64>, StageTimings) {
         let clock = obskit::StageClock::now();
         let mut recovery = self.recovery_log();
-        let ham = build_ladder(self, comm, problem, &mut recovery)
+        let ham = self
+            .hamiltonian(comm, problem, &mut recovery)
             .unwrap_or_else(|e| panic!("distributed build: {e} (recovery log: {recovery:?})"));
         (self.eigensolve(comm, &ham), StageTimings::since(clock))
     }

@@ -237,7 +237,7 @@ fn select_points(
 /// The ISDF pipeline up to the replicated factors of `H = D + 2 Cᵀ Ṽ C`,
 /// SPMD-collective on `comm` — a serial solve passes [`Comm::solo`].
 /// Failures are typed and recovery is built in: empty-cluster reseed,
-/// point-starvation re-selection, a sampled fit-residual guard, the input
+/// a sampled fit-residual guard, the input
 /// check ([`CasidaProblem::check_inputs`]) going in and finiteness guards on
 /// `C` / `Ṽ` coming out. Each is decided on replicated data, so the ranks of
 /// a group take the same branch. Rungs taken are appended to `recovery`.
@@ -254,15 +254,8 @@ pub fn build_isdf_hamiltonian(
     // Algorithm 1 + §4: the replicated factors and the sampled relative fit
     // residual.
     let (mut ham, residual) = {
-        // Rank-starvation guard: a selector that comes back short (only via
-        // injection — natural K-Means dedup shrinkage is accepted as the
-        // effective rank) is re-run.
-        let mut points = select_points(comm, problem, &slab, selector, n_mu, recovery)?;
-        if faultkit::starve_points("isdf.points", &mut points) {
-            let n = points.len();
-            recovery.push(format!("isdf.points: starved to {n} of {n_mu}, re-selecting"));
-            points = select_points(comm, problem, &slab, selector, n_mu, recovery)?;
-        }
+        // Natural K-Means dedup shrinkage is accepted as the effective rank.
+        let points = select_points(comm, problem, &slab, selector, n_mu, recovery)?;
 
         // Sampled orbital rows, assembled by summation — each point's row
         // lives on exactly one rank — ψ̂ then φ̂ packed into ONE collective.

@@ -11,8 +11,8 @@
 //!   paths return `Result` instead of panicking and recovery ladders can
 //!   dispatch on *why* a stage failed.
 //! * **Seeded fault injection** ([`plan`]) — a [`FaultPlan`] fires typed
-//!   faults (NaN/Inf poison of named buffers, ISDF rank starvation, K-Means
-//!   degenerate seeding, comm delay/stall/drop) at exact hook-site
+//!   faults (NaN/Inf poison of named buffers, K-Means degenerate seeding,
+//!   comm delay/stall/drop) at exact hook-site
 //!   occurrences, one-shot per rank, with all randomness derived from the
 //!   plan seed. Identical plans ⇒ identical fault sequences, so recovery
 //!   campaigns are reproducible and CI-able.
@@ -26,6 +26,6 @@ pub mod plan;
 pub use error::{CommError, NumericalError, SolveError};
 pub use plan::{
     arm, comm_fault, degenerate_seeding, handle, inject_slice, install, install_scoped, is_armed,
-    set_rank, starve_points, Campaign, CommFault, FaultEvent, FaultKind, FaultPlan, FaultSpec,
+    set_rank, Campaign, CommFault, FaultEvent, FaultKind, FaultPlan, FaultSpec,
     Handle, InstallGuard,
 };

@@ -26,8 +26,6 @@ pub enum FaultKind {
     NanPoison,
     /// Overwrite one seed-chosen element of the hooked buffer with +Inf.
     InfPoison,
-    /// Truncate a point-selection result to half the requested rank.
-    RankStarvation,
     /// Collapse every K-Means centroid onto a single grid point.
     DegenerateSeeding,
     /// Hold this rank's contribution to the collective back `micros` past issue.
@@ -44,7 +42,6 @@ impl FaultKind {
         match self {
             FaultKind::NanPoison => "nan-poison",
             FaultKind::InfPoison => "inf-poison",
-            FaultKind::RankStarvation => "rank-starvation",
             FaultKind::DegenerateSeeding => "degenerate-seeding",
             FaultKind::CommDelay { .. } => "comm-delay",
             FaultKind::CommStall { .. } => "comm-stall",
@@ -331,18 +328,6 @@ pub fn inject_slice(site: &str, buf: &mut [f64]) -> bool {
     true
 }
 
-/// Rank-starvation hook for point selections: truncates `points` to half the
-/// requested count. Returns `true` when a fault fired.
-pub fn starve_points(site: &str, points: &mut Vec<usize>) -> bool {
-    let Some((kind, occ, _)) = fire(site, |k| matches!(k, FaultKind::RankStarvation)) else {
-        return false;
-    };
-    let keep = (points.len() / 2).max(1);
-    points.truncate(keep);
-    record(site, occ, kind, keep as u64);
-    true
-}
-
 /// Degenerate-seeding hook: `true` means the K-Means initializer should
 /// collapse every centroid onto one grid point.
 pub fn degenerate_seeding(site: &str) -> bool {
@@ -382,9 +367,6 @@ mod tests {
         let mut buf = vec![1.0, 2.0];
         assert!(!inject_slice("x", &mut buf));
         assert_eq!(buf, vec![1.0, 2.0]);
-        let mut pts = vec![1, 2, 3];
-        assert!(!starve_points("x", &mut pts));
-        assert_eq!(pts.len(), 3);
         assert!(!degenerate_seeding("x"));
         assert!(comm_fault("x").is_none());
     }

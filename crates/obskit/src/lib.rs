@@ -58,8 +58,7 @@ pub use counters::{
     record_gemm_shape, record_kernel_dispatch, CounterSnapshot,
 };
 pub use span::{
-    current_tenant, flush_thread, instant, set_rank, set_tenant, set_thread_label, span,
-    thread_lane, thread_rank, Event, EventKind, Span,
+    flush_thread, instant, set_rank, set_thread_label, span, thread_rank, Event, EventKind, Span,
 };
 pub use trace::{take_trace, RankTrace, Trace};
 

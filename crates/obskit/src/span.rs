@@ -135,25 +135,6 @@ impl Drop for ThreadStream {
 
 thread_local! {
     static STREAM: RefCell<ThreadStream> = const { RefCell::new(ThreadStream::new()) };
-    /// Ambient tenant tag: while set, every span close and instant recorded
-    /// by this thread carries a `("tenant", id)` argument. Serving runtimes
-    /// set it around each job so one trace of a shared solver group can be
-    /// filtered per tenant.
-    static TENANT: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-}
-
-/// Tag (or untag, with `None`) this thread's subsequent events with a tenant
-/// id. The tag is ambient: it applies to every span that *closes* and every
-/// instant recorded while it is set, and costs one thread-local read per
-/// event. Multi-tenant schedulers set it for the duration of a job and clear
-/// it after, so co-scheduled tenants never inherit each other's tag.
-pub fn set_tenant(tenant: Option<u64>) {
-    TENANT.with(|t| t.set(tenant));
-}
-
-/// The tenant tag currently set on this thread, if any.
-pub fn current_tenant() -> Option<u64> {
-    TENANT.with(|t| t.get())
 }
 
 /// Tag this thread's event stream with a simulated-MPI rank id. Called by
@@ -178,11 +159,6 @@ pub fn set_thread_label(label: &str) {
 /// The rank this thread records as.
 pub fn thread_rank() -> usize {
     STREAM.with(|s| s.borrow().rank)
-}
-
-/// This thread's process-unique trace lane id (assigning one if needed).
-pub fn thread_lane() -> u64 {
-    STREAM.with(|s| s.borrow_mut().tid())
 }
 
 /// Push this thread's buffered events to the global registry. `parcomm`
@@ -239,16 +215,12 @@ impl Drop for Span {
             let mut st = s.borrow_mut();
             st.clock.close(ts_ns);
             if self.live {
-                let mut args = std::mem::take(&mut self.args);
-                if let Some(t) = current_tenant() {
-                    args.push(("tenant", t as f64));
-                }
                 st.events.push(Event {
                     kind: EventKind::End { aborted: std::thread::panicking() },
                     name: self.name,
                     stage: self.stage,
                     ts_ns,
-                    args,
+                    args: std::mem::take(&mut self.args),
                 });
                 st.depth = st.depth.saturating_sub(1);
                 if st.depth == 0 {
@@ -285,10 +257,6 @@ pub fn instant(stage: Stage, name: &'static str, args: &[(&'static str, f64)]) {
         return;
     }
     let ts_ns = now_ns();
-    let mut args = args.to_vec();
-    if let Some(t) = current_tenant() {
-        args.push(("tenant", t as f64));
-    }
     STREAM.with(|s| {
         let mut st = s.borrow_mut();
         st.events.push(Event {
@@ -296,7 +264,7 @@ pub fn instant(stage: Stage, name: &'static str, args: &[(&'static str, f64)]) {
             name,
             stage,
             ts_ns,
-            args,
+            args: args.to_vec(),
         });
         if st.depth == 0 {
             st.flush();
@@ -495,48 +463,6 @@ mod tests {
         let mut ranks: Vec<usize> = t.ranks.iter().map(|r| r.rank).collect();
         ranks.sort_unstable();
         assert_eq!(ranks, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn tenant_tag_scopes_to_the_window_it_is_set_in() {
-        let _g = testutil::exclusive();
-        enable();
-        {
-            let _s = span(Stage::Diag, "untagged.before");
-        }
-        set_tenant(Some(7));
-        {
-            let mut s = span(Stage::Diag, "tagged");
-            s.arg("bytes", 1.0);
-        }
-        instant(Stage::Other, "tagged.instant", &[]);
-        set_tenant(None);
-        {
-            let _s = span(Stage::Diag, "untagged.after");
-        }
-        disable();
-        flush_thread();
-        let t = take_trace();
-        let events: Vec<&Event> =
-            t.ranks.iter().flat_map(|r| r.events.iter()).collect();
-        let tenant_of = |name: &str| {
-            events
-                .iter()
-                .filter(|e| e.name == name && e.kind != EventKind::Begin)
-                .flat_map(|e| e.args.iter())
-                .find(|(k, _)| *k == "tenant")
-                .map(|&(_, v)| v)
-        };
-        assert_eq!(tenant_of("untagged.before"), None);
-        assert_eq!(tenant_of("tagged"), Some(7.0));
-        assert_eq!(tenant_of("tagged.instant"), Some(7.0));
-        assert_eq!(tenant_of("untagged.after"), None, "tag must not leak past clear");
-        // Explicit args survive alongside the tag.
-        let tagged_close = events
-            .iter()
-            .find(|e| e.name == "tagged" && matches!(e.kind, EventKind::End { .. }))
-            .unwrap();
-        assert!(tagged_close.args.contains(&("bytes", 1.0)));
     }
 
     #[test]

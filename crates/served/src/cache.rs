@@ -15,7 +15,6 @@
 
 use crate::job::CacheKey;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -37,19 +36,6 @@ pub(crate) struct ResultCache {
     /// Max live entries; inserting into a full cache evicts the LRU entry.
     capacity: usize,
     inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Cache counters, snapshot via [`crate::Service::cache_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub entries: usize,
-    /// Entries removed to make room (LRU) or purged past their TTL.
-    pub evictions: u64,
 }
 
 impl ResultCache {
@@ -58,14 +44,11 @@ impl ResultCache {
             ttl,
             capacity: capacity.max(1),
             inner: Mutex::new(CacheInner { map: HashMap::new(), tick: 0 }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
     /// Look `key` up; a hit refreshes its LRU position. Expired entries
-    /// count as misses and are evicted.
+    /// miss and are evicted.
     pub fn get(&self, key: &CacheKey) -> Option<Vec<f64>> {
         let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         g.tick += 1;
@@ -73,13 +56,10 @@ impl ResultCache {
         if let Some(e) = g.map.get_mut(key) {
             if e.inserted.elapsed() <= self.ttl {
                 e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(e.values.clone());
             }
             g.map.remove(key);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
@@ -92,12 +72,7 @@ impl ResultCache {
         g.tick += 1;
         let tick = g.tick;
 
-        let before = g.map.len();
         g.map.retain(|_, e| e.inserted.elapsed() <= self.ttl);
-        let purged = before - g.map.len();
-        if purged > 0 {
-            self.evictions.fetch_add(purged as u64, Ordering::Relaxed);
-        }
 
         if g.map.len() >= self.capacity && !g.map.contains_key(&key) {
             // O(n) scan is fine at serving-cache sizes (hundreds).
@@ -108,20 +83,9 @@ impl ResultCache {
                 .map(|(k, _)| *k)
             {
                 g.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         g.map.insert(key, Entry { values, inserted: Instant::now(), last_used: tick });
-    }
-
-    pub fn stats(&self) -> CacheStats {
-        let entries = self.inner.lock().unwrap_or_else(|p| p.into_inner()).map.len();
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -140,14 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_and_stats() {
+    fn round_trip() {
         let cache = ResultCache::new(Duration::from_secs(60), 16);
         let key = key_for(3);
         assert!(cache.get(&key).is_none());
         cache.put(key, vec![0.1, 0.2]);
         assert_eq!(cache.get(&key), Some(vec![0.1, 0.2]));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.evictions), (1, 1, 1, 0));
+        assert!(cache.get(&key_for(4)).is_none(), "other eigensolve knobs miss");
     }
 
     #[test]
@@ -157,9 +120,6 @@ mod tests {
         cache.put(key, vec![1.0]);
         std::thread::sleep(Duration::from_millis(2));
         assert!(cache.get(&key).is_none(), "zero TTL expires immediately");
-        let s = cache.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.evictions, 1);
     }
 
     #[test]
@@ -171,11 +131,9 @@ mod tests {
         // Touch `a` so `b` becomes LRU, then overflow.
         assert!(cache.get(&a).is_some());
         cache.put(c, vec![3.0]);
-        assert_eq!(cache.stats().entries, 2);
+        assert!(cache.get(&b).is_none(), "LRU entry evicted");
         assert!(cache.get(&a).is_some(), "recently-used entry survives");
         assert!(cache.get(&c).is_some(), "new entry present");
-        assert!(cache.get(&b).is_none(), "LRU entry evicted");
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -188,8 +146,7 @@ mod tests {
         cache.put(c, vec![3.0]); // fits without touching live `b`
         assert!(cache.get(&b).is_some(), "live entry kept: expired one made room");
         assert!(cache.get(&c).is_some());
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.stats().evictions, 1, "only the expired entry was dropped");
+        assert!(cache.get(&a).is_none());
     }
 
     #[test]
@@ -198,9 +155,8 @@ mod tests {
         let (a, b) = (key_for(1), key_for(2));
         cache.put(a, vec![1.0]);
         cache.put(b, vec![2.0]);
-        cache.put(a, vec![1.0]); // refresh in place at capacity
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.stats().evictions, 0);
-        assert!(cache.get(&b).is_some());
+        cache.put(a, vec![1.5]); // refresh in place at capacity
+        assert_eq!(cache.get(&a), Some(vec![1.5]), "later writer wins");
+        assert_eq!(cache.get(&b), Some(vec![2.0]), "refresh evicted nothing");
     }
 }

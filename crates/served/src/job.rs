@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tenant identifier. Tenants are accounting + isolation domains: quotas,
-/// trace tags, and fault scopes are all keyed by this.
+/// Tenant identifier. Tenants are accounting + isolation domains: quotas
+/// and fault scopes are keyed by this.
 pub type TenantId = u64;
 
 /// One unit of work: solve `problem` with `solver` on behalf of `tenant`.
@@ -88,24 +88,6 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Where a job is in its lifecycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Waiting in the admission queue (first attempt or a retry).
-    Queued,
-    /// Claimed by a solver group and executing.
-    Running,
-    /// Finished; results available via [`JobHandle::wait`].
-    Completed,
-    /// Failed terminally: the retry budget is exhausted or the deadline
-    /// expired. Details via [`JobHandle::outcome`].
-    Failed,
-    /// Cancelled before a group claimed it.
-    Cancelled,
-    /// The service shut down before the job ran.
-    Aborted,
-}
-
 /// What a completed job hands back.
 #[derive(Clone, Debug)]
 pub struct JobResult {
@@ -121,11 +103,12 @@ pub struct JobResult {
     /// Collective calls this job's eigensolve issued on the group
     /// communicator (leader rank's stats window; 0 for cache hits).
     pub comm_calls: u64,
-    /// Faults that fired during this job (accumulated across retry
-    /// attempts; empty unless the job carried a fault plan).
+    /// Faults that fired during this job (empty unless the job carried a
+    /// fault plan).
     pub fault_events: Vec<String>,
-    /// Execution attempts this result took (1 = solved first try; >1 means
-    /// the retry policy re-queued and healed a recoverable failure).
+    /// Hamiltonian builds this job's batch ran: 1 for a clean build, 2 when
+    /// [`lrtddft::Solver::hamiltonian`]'s clean rebuild healed a failed one,
+    /// 0 for a cache hit.
     pub attempts: u32,
     /// `Some(label)` when the scheduler downgraded this job to a cheaper
     /// configuration (deadline pressure); the same label appears in
@@ -138,50 +121,29 @@ pub struct JobResult {
 
 /// Terminal state of a job, from [`JobHandle::outcome`]. Richer than
 /// [`JobHandle::wait`] (which only yields results): failures carry their
-/// typed error rendering and attempt count, deadline expiries how long the
-/// job waited.
+/// typed error rendering, deadline expiries how long the job waited.
 #[derive(Clone, Debug)]
 pub enum JobOutcome {
-    /// Solved (possibly degraded or after retries — see the fields of
+    /// Solved (possibly degraded or rebuilt — see the fields of
     /// [`JobResult`]).
     Completed(JobResult),
-    /// The retry budget is exhausted; `error` is the last
-    /// [`faultkit::SolveError`] rendering.
-    Failed { error: String, attempts: u32 },
+    /// The batch's build failed past its one clean rebuild (or on defective
+    /// input); `error` is the [`faultkit::SolveError`] rendering.
+    Failed { error: String },
     /// The deadline expired before a solver group could run the job.
     DeadlineExceeded { waited: Duration },
-    /// Cancelled via [`JobHandle::cancel`] while queued.
-    Cancelled,
-    /// The service shut down before the job ran.
-    Aborted,
 }
 
-pub(crate) struct JobFailure {
-    pub error: String,
-    pub deadline_exceeded: bool,
-    pub waited: Duration,
-}
-
-pub(crate) struct JobInner {
-    pub status: JobStatus,
-    pub result: Option<JobResult>,
-    pub failure: Option<JobFailure>,
-    /// Times a solver group claimed this job (bumped by `set_running`).
-    pub attempts: u32,
-}
-
-/// Shared core of a job: spec + status + completion signalling.
+/// Shared core of a job: spec + terminal outcome + completion signalling.
 pub(crate) struct JobCore {
     pub spec: JobSpec,
-    pub inner: Mutex<JobInner>,
-    pub cv: Condvar,
+    /// `None` until the job reaches its terminal state.
+    outcome: Mutex<Option<JobOutcome>>,
+    cv: Condvar,
     /// Key the scheduler batches and caches by (see [`batch_key`]).
     pub key: BatchKey,
     /// When the job entered the service (deadlines count from here).
     pub submitted: Instant,
-    /// Run alone: set for re-queued retries (a fresh job must never rejoin
-    /// its old batch).
-    pub solo: AtomicBool,
     /// Claimed with its deadline budget under the pressure window — the
     /// executing group downgrades it (degradation ladder) to land in time.
     pub pressured: AtomicBool,
@@ -192,16 +154,10 @@ impl JobCore {
         let key = batch_key(&spec);
         Arc::new(JobCore {
             spec,
-            inner: Mutex::new(JobInner {
-                status: JobStatus::Queued,
-                result: None,
-                failure: None,
-                attempts: 0,
-            }),
+            outcome: Mutex::new(None),
             cv: Condvar::new(),
             key,
             submitted: Instant::now(),
-            solo: AtomicBool::new(false),
             pressured: AtomicBool::new(false),
         })
     }
@@ -211,129 +167,47 @@ impl JobCore {
         self.spec.deadline.map(|d| self.submitted + d)
     }
 
-    /// May this job share a batch? Fault plans, retries, and pressured
-    /// (to-be-degraded) jobs all run alone.
+    /// May this job share a batch? Fault plans and pressured (to-be-degraded)
+    /// jobs run alone.
     pub fn batchable(&self) -> bool {
-        self.spec.fault.is_none()
-            && !self.solo.load(Ordering::Relaxed)
-            && !self.pressured.load(Ordering::Relaxed)
+        self.spec.fault.is_none() && !self.pressured.load(Ordering::Relaxed)
     }
 
-    pub fn complete(&self, result: JobResult) {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.status = JobStatus::Completed;
-        g.result = Some(result);
-        self.cv.notify_all();
-    }
-
-    /// Terminal failure: retry budget exhausted (`deadline_exceeded` false)
-    /// or expired in the queue (`deadline_exceeded` true).
-    pub fn fail(&self, error: String, deadline_exceeded: bool) {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.status = JobStatus::Failed;
-        g.failure = Some(JobFailure {
-            error,
-            deadline_exceeded,
-            waited: self.submitted.elapsed(),
-        });
-        self.cv.notify_all();
-    }
-
-    /// Mark claimed-and-executing; returns the attempt number (1-based).
-    pub fn set_running(&self) -> u32 {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.status = JobStatus::Running;
-        g.attempts += 1;
-        let attempts = g.attempts;
-        self.cv.notify_all();
-        attempts
-    }
-
-    pub fn attempts(&self) -> u32 {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner()).attempts
-    }
-
-    pub fn set_status(&self, status: JobStatus) {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.status = status;
+    /// Record the terminal outcome and wake every waiter.
+    pub fn finish(&self, outcome: JobOutcome) {
+        *self.outcome.lock().unwrap_or_else(|p| p.into_inner()) = Some(outcome);
         self.cv.notify_all();
     }
 }
 
-/// Typed handle to a submitted job: poll status, cancel while queued, or
-/// block for the result. Cloneable; all clones observe the same job.
+/// Typed handle to a submitted job: block for its result or its terminal
+/// outcome. Cloneable; all clones observe the same job.
 #[derive(Clone)]
 pub struct JobHandle {
     pub(crate) core: Arc<JobCore>,
-    pub(crate) queue: Arc<crate::scheduler::SchedulerState>,
 }
 
 impl JobHandle {
-    /// Current lifecycle state.
-    pub fn status(&self) -> JobStatus {
-        self.core.inner.lock().unwrap_or_else(|p| p.into_inner()).status.clone()
-    }
-
-    /// The tenant this job belongs to.
-    pub fn tenant(&self) -> TenantId {
-        self.core.spec.tenant
-    }
-
-    /// Cancel the job if it is still queued. Returns `true` on success;
-    /// `false` if a group already claimed it (running jobs execute
-    /// collectives in lockstep across ranks and cannot be interrupted).
-    pub fn cancel(&self) -> bool {
-        self.queue.cancel(&self.core)
-    }
-
     /// Block until the job reaches a terminal state. Returns the result for
-    /// completed jobs, `None` for failed/cancelled/aborted ones (use
+    /// completed jobs, `None` for failed or expired ones (use
     /// [`JobHandle::outcome`] for the typed terminal state).
     pub fn wait(&self) -> Option<JobResult> {
-        let mut g = self.core.inner.lock().unwrap_or_else(|p| p.into_inner());
-        while matches!(g.status, JobStatus::Queued | JobStatus::Running) {
-            g = self.core.cv.wait(g).unwrap_or_else(|p| p.into_inner());
+        match self.outcome() {
+            JobOutcome::Completed(result) => Some(result),
+            _ => None,
         }
-        g.result.clone()
     }
 
     /// Block until the job reaches a terminal state and return it, typed.
     pub fn outcome(&self) -> JobOutcome {
-        let mut g = self.core.inner.lock().unwrap_or_else(|p| p.into_inner());
-        while matches!(g.status, JobStatus::Queued | JobStatus::Running) {
-            g = self.core.cv.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
-        match g.status {
-            JobStatus::Completed => {
-                JobOutcome::Completed(g.result.clone().expect("completed jobs carry a result"))
+        let core = &self.core;
+        let mut g = core.outcome.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            if let Some(outcome) = g.as_ref() {
+                return outcome.clone();
             }
-            JobStatus::Failed => {
-                let f = g.failure.as_ref().expect("failed jobs carry a failure record");
-                if f.deadline_exceeded {
-                    JobOutcome::DeadlineExceeded { waited: f.waited }
-                } else {
-                    JobOutcome::Failed { error: f.error.clone(), attempts: g.attempts }
-                }
-            }
-            JobStatus::Cancelled => JobOutcome::Cancelled,
-            JobStatus::Aborted => JobOutcome::Aborted,
-            JobStatus::Queued | JobStatus::Running => unreachable!("loop exits on terminal"),
+            g = core.cv.wait(g).unwrap_or_else(|p| p.into_inner());
         }
-    }
-
-    /// Like [`JobHandle::wait`] with a deadline. `None` means still pending.
-    pub fn wait_timeout(&self, dur: Duration) -> Option<JobResult> {
-        let deadline = std::time::Instant::now() + dur;
-        let mut g = self.core.inner.lock().unwrap_or_else(|p| p.into_inner());
-        while matches!(g.status, JobStatus::Queued | JobStatus::Running) {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _) = self.core.cv.wait_timeout(g, left).unwrap_or_else(|p| p.into_inner());
-            g = guard;
-        }
-        g.result.clone()
     }
 }
 

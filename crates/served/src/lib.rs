@@ -14,10 +14,13 @@
 //! - **Result caching** — completed fault-free solves are cached by
 //!   structure hash + version + solve parameters with a TTL; repeat submissions
 //!   complete at admission without touching a solver group.
-//! - **Tenant isolation** — every job runs under its tenant's obskit trace
-//!   scope, and a tenant's injected fault plan ([`JobSpec::with_fault_plan`])
-//!   is armed only around that job's own execution window on the ranks that
-//!   run it. Faulted jobs are never co-batched and bypass the cache.
+//! - **Tenant isolation** — a tenant's injected fault plan
+//!   ([`JobSpec::with_fault_plan`]) is armed only around that job's own
+//!   execution window on the ranks that run it. Faulted jobs are never
+//!   co-batched and bypass the cache.
+//! - **One build ladder** — a batch's build is
+//!   [`Solver::hamiltonian`](lrtddft::Solver::hamiltonian), whose one clean
+//!   rebuild heals a failed build on the group that ran it.
 //!
 //! ```no_run
 //! use served::{JobSpec, ServeConfig, Service};
@@ -46,9 +49,8 @@ mod job;
 mod scheduler;
 mod service;
 
-pub use cache::CacheStats;
 pub use job::{
     structure_hash, AdmissionError, BatchKey, CacheKey, JobHandle, JobOutcome, JobResult, JobSpec,
-    JobStatus, TenantId,
+    TenantId,
 };
 pub use service::{ServeConfig, Service};

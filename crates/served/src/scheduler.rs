@@ -1,5 +1,5 @@
 //! Admission-controlled job queue with per-tenant quotas, same-shape
-//! batching, deadline enforcement, and retry re-queueing.
+//! batching and deadline enforcement.
 //!
 //! One `SchedulerState` is shared by every solver-group leader: leaders
 //! block in [`SchedulerState::next_batch`], and whichever leader wins the
@@ -10,18 +10,17 @@
 //!
 //! Resilience hooks at claim time:
 //!
-//! - A job whose deadline already passed is failed terminally
-//!   ([`JobStatus::Failed`], surfaced as `JobOutcome::DeadlineExceeded`)
-//!   without occupying a solver group.
+//! - A job whose deadline already passed ends as
+//!   [`JobOutcome::DeadlineExceeded`] without occupying a solver group.
 //! - A job whose remaining budget is under `pressure_window` is flagged
 //!   *pressured* and claimed solo; the executing leader downgrades it on the
 //!   degradation ladder instead of running it at full cost.
-//! - Retried jobs re-enter via [`SchedulerState::requeue`] at once: already
-//!   admitted, they bypass quotas/capacity/shutdown, but they are marked solo
-//!   so a *fresh* attempt can never rejoin (or absorb into) the batch shape
-//!   that just failed.
+//!
+//! A claimed batch is finished by the group that claimed it: a failed build
+//! is healed there by the one clean rebuild of
+//! [`lrtddft::Solver::hamiltonian`], so a job never re-enters the queue.
 
-use crate::job::{AdmissionError, JobCore, JobStatus, TenantId};
+use crate::job::{AdmissionError, JobCore, JobOutcome};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -92,32 +91,6 @@ impl SchedulerState {
         Ok(())
     }
 
-    /// Re-queue an already-admitted job for another attempt. Bypasses
-    /// quotas, capacity, and the shutdown gate (graceful drain must still
-    /// finish admitted work); marks the job solo so the fresh attempt can
-    /// never rejoin its old batch.
-    pub fn requeue(&self, core: Arc<JobCore>) {
-        core.solo.store(true, Ordering::Relaxed);
-        core.set_status(JobStatus::Queued);
-        self.lock().queue.push_back(core);
-        self.cv.notify_all();
-    }
-
-    /// Remove `core` from the queue if it is still waiting. Running jobs
-    /// cannot be cancelled: their group executes collectives in lockstep
-    /// and pulling one rank out would wedge the others. The queue lock makes
-    /// cancel-vs-claim exactly-once: whichever side removes the entry wins.
-    pub fn cancel(&self, core: &Arc<JobCore>) -> bool {
-        let mut g = self.lock();
-        let Some(pos) = g.queue.iter().position(|j| Arc::ptr_eq(j, core)) else {
-            return false;
-        };
-        g.queue.remove(pos);
-        drop(g);
-        core.set_status(JobStatus::Cancelled);
-        true
-    }
-
     /// Block until work is available, then claim the head-of-line job plus
     /// every queued same-key batchable twin (up to `max_batch`). Expired
     /// deadlines are failed in passing; pressured claims run solo. Returns
@@ -143,7 +116,8 @@ impl SchedulerState {
             if !expired.is_empty() {
                 drop(g);
                 for core in expired {
-                    core.fail("deadline expired while queued".into(), true);
+                    let waited = core.submitted.elapsed();
+                    core.finish(JobOutcome::DeadlineExceeded { waited });
                 }
                 g = self.lock();
                 continue; // re-scan under a fresh lock
@@ -157,7 +131,7 @@ impl SchedulerState {
                     head.pressured.store(true, Ordering::Relaxed);
                 }
                 let mut batch = vec![head];
-                // A solo head (fault plan, retry, pressured) runs alone;
+                // A solo head (fault plan, pressured) runs alone;
                 // otherwise absorb queued batchable twins so the whole batch
                 // shares one Hamiltonian build.
                 if batch[0].batchable() && !pressured {
@@ -171,10 +145,6 @@ impl SchedulerState {
                             i += 1;
                         }
                     }
-                }
-                drop(g);
-                for job in &batch {
-                    job.set_running();
                 }
                 return Some(batch);
             }
@@ -192,22 +162,12 @@ impl SchedulerState {
         self.lock().shutdown = true;
         self.cv.notify_all();
     }
-
-    /// Jobs currently waiting (all tenants).
-    pub fn queued_len(&self) -> usize {
-        self.lock().queue.len()
-    }
-
-    /// Jobs currently waiting for one tenant.
-    pub fn queued_for(&self, tenant: TenantId) -> usize {
-        self.lock().queue.iter().filter(|j| j.spec.tenant == tenant).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobOutcome, JobSpec};
+    use crate::job::{JobHandle, JobSpec, TenantId};
     use lrtddft::synthetic_problem;
 
     fn sched(max_per_tenant: usize, capacity: usize, max_batch: usize) -> SchedulerState {
@@ -216,21 +176,6 @@ mod tests {
 
     fn spec(tenant: TenantId, n_c: usize) -> JobSpec {
         JobSpec::new(tenant, Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, n_c)))
-    }
-
-    fn outcome_of(core: &Arc<JobCore>) -> JobOutcome {
-        let g = core.inner.lock().unwrap();
-        match g.status {
-            JobStatus::Failed => {
-                let f = g.failure.as_ref().unwrap();
-                if f.deadline_exceeded {
-                    JobOutcome::DeadlineExceeded { waited: f.waited }
-                } else {
-                    JobOutcome::Failed { error: f.error.clone(), attempts: g.attempts }
-                }
-            }
-            ref s => panic!("not failed: {s:?}"),
-        }
     }
 
     #[test]
@@ -247,8 +192,8 @@ mod tests {
             s.submit(JobCore::new(spec(3, 2))),
             Err(AdmissionError::QueueFull { limit: 3 })
         );
-        assert_eq!(s.queued_len(), 3);
-        assert_eq!(s.queued_for(1), 2);
+        // Exactly the three admitted jobs are queued (one key, one claim).
+        assert_eq!(s.next_batch().unwrap().len(), 3);
     }
 
     #[test]
@@ -262,7 +207,6 @@ mod tests {
         assert_eq!(batch[0].spec.tenant, 1);
         assert_eq!(batch[1].spec.tenant, 3);
         assert!(batch.iter().all(|j| j.key == batch[0].key));
-        assert!(batch.iter().all(|j| j.attempts() == 1), "claim counts an attempt");
         // The mismatched job is untouched and next in line.
         let rest = s.next_batch().unwrap();
         assert_eq!(rest.len(), 1);
@@ -309,23 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_only_works_while_queued() {
-        let s = sched(8, 64, 8);
-        let core = JobCore::new(spec(1, 2));
-        s.submit(core.clone()).unwrap();
-        let claimed = s.next_batch().unwrap();
-        assert!(Arc::ptr_eq(&claimed[0], &core));
-        assert!(!s.cancel(&core), "claimed job is not cancellable");
-
-        let core2 = JobCore::new(spec(1, 2));
-        s.submit(core2.clone()).unwrap();
-        assert!(s.cancel(&core2));
-        assert_eq!(s.queued_len(), 0);
-        let g = core2.inner.lock().unwrap();
-        assert_eq!(g.status, JobStatus::Cancelled);
-    }
-
-    #[test]
     fn shutdown_drains_then_returns_none() {
         let s = sched(8, 64, 8);
         s.submit(JobCore::new(spec(1, 2))).unwrap();
@@ -345,7 +272,7 @@ mod tests {
         let batch = s.next_batch().unwrap();
         assert_eq!(batch.len(), 1);
         assert!(Arc::ptr_eq(&batch[0], &live), "expired job never reaches a group");
-        match outcome_of(&dead) {
+        match (JobHandle { core: dead }).outcome() {
             JobOutcome::DeadlineExceeded { .. } => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
@@ -364,27 +291,6 @@ mod tests {
         assert!(Arc::ptr_eq(&batch[0], &tight));
         assert!(tight.pressured.load(Ordering::Relaxed));
         assert!(!twin.pressured.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn requeued_job_runs_solo() {
-        let s = sched(8, 64, 8);
-        let retry = JobCore::new(spec(1, 2));
-        s.submit(retry.clone()).unwrap();
-        assert_eq!(s.next_batch().unwrap().len(), 1);
-        s.requeue(retry.clone());
-        // A same-key twin submitted after the requeue would batch with a
-        // fresh job; the retry must run alone and leave the twin queued.
-        let twin = JobCore::new(spec(2, 2));
-        s.submit(twin.clone()).unwrap();
-        let first = s.next_batch().unwrap();
-        assert_eq!(first.len(), 1, "retries are claimed solo");
-        assert!(Arc::ptr_eq(&first[0], &retry));
-        assert_eq!(retry.attempts(), 2, "requeue + reclaim is a second attempt");
-        assert!(!retry.batchable(), "retries stay solo");
-        let second = s.next_batch().unwrap();
-        assert_eq!(second.len(), 1, "no co-batched twin");
-        assert!(Arc::ptr_eq(&second[0], &twin));
     }
 
     #[test]
@@ -421,46 +327,5 @@ mod tests {
             }
             assert_eq!(claimed, accepted.load(Ordering::Relaxed));
         }
-    }
-
-    #[test]
-    fn cancel_racing_claim_is_exactly_once() {
-        for _ in 0..50 {
-            let s = Arc::new(sched(8, 64, 8));
-            let core = JobCore::new(spec(1, 2));
-            s.submit(core.clone()).unwrap();
-            // Shutdown first so the claimer returns None instead of blocking
-            // when cancel wins the race.
-            s.shutdown();
-            let claimer = {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || s.next_batch().is_some())
-            };
-            let cancelled = s.cancel(&core);
-            let claimed = claimer.join().unwrap();
-            assert!(
-                cancelled ^ claimed,
-                "exactly one side must win (cancelled={cancelled}, claimed={claimed})"
-            );
-            let status = core.inner.lock().unwrap().status.clone();
-            if cancelled {
-                assert_eq!(status, JobStatus::Cancelled);
-            } else {
-                assert_eq!(status, JobStatus::Running);
-            }
-        }
-    }
-
-    #[test]
-    fn requeue_bypasses_shutdown_gate_for_graceful_drain() {
-        let s = sched(8, 64, 8);
-        let core = JobCore::new(spec(1, 2));
-        s.submit(core.clone()).unwrap();
-        assert_eq!(s.next_batch().unwrap().len(), 1);
-        s.shutdown();
-        s.requeue(core.clone());
-        let batch = s.next_batch().expect("admitted retry drains after shutdown");
-        assert!(Arc::ptr_eq(&batch[0], &core));
-        assert!(s.next_batch().is_none());
     }
 }

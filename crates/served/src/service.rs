@@ -12,18 +12,20 @@
 //! lockstep (the solve's collectives are the synchronization).
 //!
 //! Resilience: per-job deadlines are enforced at claim time by the
-//! scheduler; recoverable failures are re-queued at once as fresh solo jobs
-//! until the attempt budget runs out, then fail terminally; and
-//! deadline-pressured jobs are downgraded the one rung of the degradation
-//! ladder ([`lrtddft::degrade`]: `direct-eig`) — always labeled, never
-//! silently. A wedged group needs no handling of its own: every leader pulls
-//! from the one shared queue, so its share drains to the other groups.
+//! scheduler; a failed build is healed by the one clean rebuild of
+//! [`lrtddft::Solver::hamiltonian`] — the same build ladder the serial and
+//! distributed solves run — and a build that fails past it fails every job
+//! of its batch with the typed error; deadline-pressured jobs are downgraded
+//! the one rung of the degradation ladder ([`lrtddft::degrade`]:
+//! `direct-eig`) — always labeled, never silently. A wedged group needs no
+//! handling of its own: every leader pulls from the one shared queue, so its
+//! share drains to the other groups.
 //!
-//! SPMD symmetry: all resilience *decisions* (deadline expiry, degradation,
-//! retry) are taken by the leader **before** publishing a batch or after the
-//! batch's collectives complete — never divergently in the middle of a
-//! solve. The published [`RunJob`] carries the effective per-job options so
-//! every rank of the group executes the identical collective sequence.
+//! SPMD symmetry: the leader takes the scheduling decisions (deadline
+//! expiry, degradation) **before** publishing a batch, and the build ladder
+//! decides on replicated data, so every rank of the group climbs it together.
+//! The published [`RunJob`] carries the effective per-job options so every
+//! rank of the group executes the identical collective sequence.
 //!
 //! Tenant isolation invariants (tested here and in `tests/serving.rs`):
 //!
@@ -35,12 +37,12 @@
 //!    (nor do degraded results);
 //! 3. fault-free full-cost results are bitwise identical to a solo
 //!    [`lrtddft::Solver::solve_distributed`] run at the same group size,
-//!    whatever batching, retries, or scheduling happened around them.
+//!    whatever batching, rebuilds, or scheduling happened around them.
 
-use crate::cache::{CacheStats, ResultCache};
-use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobResult, JobSpec};
+use crate::cache::ResultCache;
+use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobOutcome, JobResult, JobSpec};
 use crate::scheduler::SchedulerState;
-use lrtddft::{NumericalError, SolveError, Solver};
+use lrtddft::Solver;
 use parcomm::{spmd, Comm};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,10 +65,6 @@ pub struct ServeConfig {
     pub cache_ttl: Duration,
     /// Result-cache entry cap (LRU eviction past this).
     pub cache_capacity: usize,
-    /// Total execution attempts per job (1 = no retries). A recoverable
-    /// failure with budget left re-queues the job solo; without budget it
-    /// fails terminally.
-    pub retry_max_attempts: u32,
     /// Deadline pressure window: a job claimed with less than this much
     /// budget remaining is downgraded (degradation ladder) instead of run
     /// at full cost.
@@ -83,7 +81,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             cache_ttl: Duration::from_secs(300),
             cache_capacity: 256,
-            retry_max_attempts: 3,
             pressure_window: Duration::from_millis(50),
         }
     }
@@ -143,14 +140,12 @@ impl GroupSlot {
 struct Shared {
     sched: Arc<SchedulerState>,
     cache: Arc<ResultCache>,
-    retry_max_attempts: u32,
 }
 
 /// Multi-tenant solve service. Construct with [`Service::start`], submit
 /// work with [`Service::submit`], stop with [`Service::shutdown`] (or just
 /// drop it — queued jobs still drain).
 pub struct Service {
-    config: ServeConfig,
     sched: Arc<SchedulerState>,
     cache: Arc<ResultCache>,
     supervisor: Option<std::thread::JoinHandle<()>>,
@@ -176,11 +171,7 @@ impl Service {
         ));
         let cache = Arc::new(ResultCache::new(config.cache_ttl, config.cache_capacity));
         let supervisor = {
-            let shared = Shared {
-                sched: Arc::clone(&sched),
-                cache: Arc::clone(&cache),
-                retry_max_attempts: config.retry_max_attempts,
-            };
+            let shared = Shared { sched: Arc::clone(&sched), cache: Arc::clone(&cache) };
             std::thread::spawn(move || {
                 let slots: Vec<GroupSlot> =
                     (0..config.groups).map(|_| GroupSlot::new()).collect();
@@ -190,7 +181,7 @@ impl Service {
                 });
             })
         };
-        Service { config, sched, cache, supervisor: Some(supervisor) }
+        Service { sched, cache, supervisor: Some(supervisor) }
     }
 
     /// Admit a job. Fault-free jobs whose results are already cached
@@ -198,10 +189,10 @@ impl Service {
     /// else is enqueued subject to the tenant quota and queue capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
         let core = JobCore::new(spec);
-        let handle = JobHandle { core: Arc::clone(&core), queue: Arc::clone(&self.sched) };
+        let handle = JobHandle { core: Arc::clone(&core) };
         if core.spec.fault.is_none() {
             if let Some(values) = self.cache.get(&cache_key(&core.spec)) {
-                core.complete(JobResult {
+                core.finish(JobOutcome::Completed(JobResult {
                     values,
                     timings: Default::default(),
                     cache_hit: true,
@@ -211,7 +202,7 @@ impl Service {
                     attempts: 0,
                     degraded: None,
                     deadline_missed: false,
-                });
+                }));
                 return Ok(handle);
             }
         }
@@ -229,31 +220,6 @@ impl Service {
         if let Some(h) = self.supervisor.take() {
             h.join().expect("serving rank pool panicked");
         }
-    }
-
-    /// Result-cache hit/miss/entry/eviction counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Jobs currently queued (all tenants).
-    pub fn queued_len(&self) -> usize {
-        self.sched.queued_len()
-    }
-
-    /// Jobs currently queued for one tenant (counts against its quota).
-    pub fn queued_for(&self, tenant: crate::job::TenantId) -> usize {
-        self.sched.queued_for(tenant)
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// Ranks per solver group.
-    pub fn group_size(&self) -> usize {
-        self.config.ranks / self.config.groups
     }
 }
 
@@ -316,64 +282,50 @@ fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
 /// build, then one [`Solver::eigensolve`] per job. Results are bitwise
 /// identical to per-job solo runs because the build is deterministic in the
 /// batch key and the eigensolve path is untouched (pinned by
-/// `shared_build_eigensolve_bitwise_matches_solo_solve` in `lrtddft`).
+/// `shared_build_eigensolve_bitwise_matches_solo_solve` in `lrtddft`). The
+/// leader owns completion and the cache; followers only join the
+/// collectives.
 fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
     let lead = &batch[0];
+    let leader = group.rank() == 0;
     // Solo faulted job (the scheduler never co-batches fault plans): arm the
     // tenant's plan on this rank for exactly this batch. For clean batches
     // this *clears* any ambient plan — belt and braces for isolation.
     let _fault_window = faultkit::install_scoped(lead.core.spec.fault.clone());
-    obskit::set_tenant(Some(lead.core.spec.tenant));
 
     group.take_stats(); // discard idle-window stats; build gets a fresh window
     let clock = obskit::StageClock::now();
-    // The build half, without the solver's rebuild ladder: this service's
-    // retry policy owns failures. A build error is decided on
-    // replicated data, so all ranks agree to skip the eigensolve (dense
-    // fallbacks on NaN do not terminate) and fail the job.
-    let built = lead.solver.hamiltonian(group, &lead.core.spec.problem, &mut Vec::new());
+    // The build ladder's one clean rebuild is the only build retry: a
+    // failure past it is decided on replicated data, so every rank skips the
+    // eigensolves together and the batch fails with the typed error.
+    let mut recovery = Vec::new();
+    let ham = match lead.solver.hamiltonian(group, &lead.core.spec.problem, &mut recovery) {
+        Ok(ham) => ham,
+        Err(e) => {
+            if leader {
+                for job in batch {
+                    job.core.finish(JobOutcome::Failed { error: e.to_string() });
+                }
+            }
+            return;
+        }
+    };
+    // The ladder logs its rebuild as the one `isdf.build:` line.
+    let builds = 1 + recovery.iter().filter(|r| r.starts_with("isdf.build:")).count() as u32;
     let build_timings = lrtddft::StageTimings::since(clock);
     let build_stats = group.take_stats();
 
     for job in batch {
-        let spec = &job.core.spec;
-        obskit::set_tenant(Some(spec.tenant));
         let clock = obskit::StageClock::now();
-        let values = match &built {
-            Ok(ham) => job.solver.eigensolve(group, ham),
-            Err(_) => vec![f64::NAN; job.solver.n_states.min(spec.problem.n_cv())],
-        };
+        let values = job.solver.eigensolve(group, &ham);
         // The shared build plus this job's own eigensolve.
         let mut timings = build_timings;
         timings.merge(&lrtddft::StageTimings::since(clock));
         let eig_stats = group.take_stats();
-        if group.rank() == 0 {
-            let comm_calls = build_stats.collective_calls + eig_stats.collective_calls;
-            finish_job(job, values, timings, batch.len(), comm_calls, shared);
+        if !leader {
+            continue;
         }
-        // Followers only participate in the collectives; the leader owns
-        // completion, retry, and cache decisions.
-    }
-    obskit::set_tenant(None);
-}
-
-/// Leader-only terminal/retry decision for one executed job. A non-finite
-/// result with attempt budget left re-queues the job as a fresh solo entry;
-/// without budget it fails terminally. A finite result completes the job —
-/// with its retry count, degrade label, and deadline verdict on the record.
-fn finish_job(
-    job: &RunJob,
-    values: Vec<f64>,
-    timings: lrtddft::StageTimings,
-    batch_size: usize,
-    comm_calls: u64,
-    shared: &Shared,
-) {
-    let core = &job.core;
-    let spec = &core.spec;
-    let attempts = core.attempts();
-    if values.iter().all(|v| v.is_finite()) {
-        let deadline_missed = core.deadline().is_some_and(|d| Instant::now() > d);
+        let spec = &job.core.spec;
         // Only clean, full-cost results may populate the cache: the key
         // does not encode fault plans or the degradation ladder.
         if spec.fault.is_none() && job.solver.degraded.is_none() {
@@ -384,33 +336,23 @@ fn finish_job(
             .as_ref()
             .map(|h| h.events().iter().map(|e| e.render()).collect())
             .unwrap_or_default();
-        core.complete(JobResult {
+        job.core.finish(JobOutcome::Completed(JobResult {
             values,
             timings,
             cache_hit: false,
-            batch_size,
-            comm_calls,
+            batch_size: batch.len(),
+            comm_calls: build_stats.collective_calls + eig_stats.collective_calls,
             fault_events,
-            attempts,
+            attempts: builds,
             degraded: job.solver.degraded.map(str::to_owned),
-            deadline_missed,
-        });
-    } else if attempts < shared.retry_max_attempts.max(1) {
-        shared.sched.requeue(Arc::clone(core));
-    } else {
-        let err: SolveError = NumericalError::NonFinite {
-            site: format!("serve.solve attempt {attempts}"),
-            index: 0,
-        }
-        .into();
-        core.fail(err.to_string(), false);
+            deadline_missed: job.core.deadline().is_some_and(|d| Instant::now() > d),
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobOutcome, JobStatus};
     use faultkit::{FaultKind, FaultPlan};
     use lrtddft::{synthetic_problem, CasidaProblem, Solver};
 
@@ -454,13 +396,10 @@ mod tests {
         assert!(!cold.cache_hit);
 
         let second = service.submit(JobSpec::new(2, Arc::clone(&problem))).unwrap();
-        assert_eq!(second.status(), JobStatus::Completed, "hit completes at submit");
         let warm = second.wait().expect("cache hit carries a result");
         assert!(warm.cache_hit);
         assert_eq!(warm.values, cold.values);
-        assert_eq!(warm.batch_size, 0);
-        let stats = service.cache_stats();
-        assert!(stats.hits >= 1 && stats.entries >= 1);
+        assert_eq!((warm.batch_size, warm.attempts), (0, 0), "a hit runs no build");
         service.shutdown();
     }
 
@@ -532,7 +471,7 @@ mod tests {
             .collect();
         service.shutdown();
         for h in handles {
-            assert_eq!(h.status(), JobStatus::Completed);
+            assert!(matches!(h.outcome(), JobOutcome::Completed(_)));
         }
     }
 
@@ -540,7 +479,6 @@ mod tests {
     fn two_groups_serve_disjoint_jobs() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
         let service = Service::start(ServeConfig { ranks: 4, groups: 2, ..Default::default() });
-        assert_eq!(service.group_size(), 2);
         let solver_a = Solver::builder().seed(1).build();
         let solver_b = Solver::builder().seed(2).build();
         let a = service.submit(JobSpec::new(1, Arc::clone(&problem)).with_solver(solver_a));
@@ -554,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_job_is_retried_and_heals_to_bitwise_clean_values() {
+    fn poisoned_job_is_rebuilt_and_heals_to_bitwise_clean_values() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
         let solver = Solver::builder().n_states(2).seed(5).build();
         let solo = solo_oracle(&problem, &solver, 2);
@@ -563,8 +501,8 @@ mod tests {
         let spec = JobSpec::new(3, Arc::clone(&problem))
             .with_solver(solver)
             .with_fault_plan(FaultPlan::new(17).with("ham.v_tilde", 0, FaultKind::NanPoison));
-        let res = service.submit(spec).unwrap().wait().expect("retried then solved");
-        assert_eq!(res.attempts, 2, "poisoned first attempt, clean second");
+        let res = service.submit(spec).unwrap().wait().expect("rebuilt then solved");
+        assert_eq!(res.attempts, 2, "poisoned first build, clean rebuild");
         assert_eq!(res.values, solo, "healed result is bitwise solo-identical");
         assert!(!res.fault_events.is_empty(), "the injected fault is on the record");
         assert!(res.values.iter().all(|v| v.is_finite()));
@@ -574,30 +512,27 @@ mod tests {
     #[test]
     fn exhausted_retries_fail_terminally() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
-        let config = ServeConfig {
-            ranks: 2,
-            groups: 1,
-            retry_max_attempts: 1, // first failure is terminal
-            ..Default::default()
-        };
-        let service = Service::start(config);
-        let poisoned = JobSpec::new(8, Arc::clone(&problem))
-            .with_fault_plan(FaultPlan::new(23).with("ham.v_tilde", 0, FaultKind::NanPoison));
-        let h = service.submit(poisoned).unwrap();
-        match h.outcome() {
-            JobOutcome::Failed { error, attempts } => {
-                assert_eq!(attempts, 1);
-                assert!(error.contains("non-finite"), "typed error rendering: {error}");
+        let service = Service::start(small_config());
+        // The build and its one clean rebuild are both poisoned.
+        let plan = FaultPlan::new(23)
+            .with("ham.v_tilde", 0, FaultKind::NanPoison)
+            .with("ham.v_tilde", 1, FaultKind::NanPoison);
+        let poisoned = JobSpec::new(8, Arc::clone(&problem)).with_fault_plan(plan);
+        match service.submit(poisoned).unwrap().outcome() {
+            JobOutcome::Failed { error } => {
+                // `SolveError::LadderExhausted`, rendered.
+                assert!(error.contains("recovery ladder exhausted"), "typed error: {error}");
+                assert!(error.contains("non-finite"), "both attempts named: {error}");
             }
             other => panic!("expected terminal failure, got {other:?}"),
         }
-        assert_eq!(h.status(), JobStatus::Failed);
 
         // The failure is the job's, not the tenant's: its next clean job is
         // admitted and solves.
         let next = service.submit(JobSpec::new(8, Arc::clone(&problem))).unwrap();
         let res = next.wait().expect("clean job solves");
         assert!(res.values.iter().all(|v| v.is_finite()));
+        assert_eq!(res.attempts, 1);
         service.shutdown();
     }
 

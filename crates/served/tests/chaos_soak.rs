@@ -6,10 +6,11 @@
 //!
 //! What is asserted is what does not depend on the schedule: every job ends
 //! in its scripted outcome, clean and healed values equal the fault-free
-//! solo oracle bit for bit, a degraded job always carries its label, and the
-//! same-seed soak repeats job for job. Retry counts, cache hits, batch sizes
-//! and latencies depend on which group claims what first, so none of them is
-//! asserted.
+//! solo oracle bit for bit, a degraded job always carries its label, every
+//! job ran the builds its script implies (a poisoned job 2, a solved one 1,
+//! a cache hit 0), and the same-seed soak repeats job for job. Cache hits,
+//! batch sizes and latencies depend on which group claims what first, so
+//! none of them is asserted.
 
 use faultkit::{FaultKind, FaultPlan};
 use lrtddft::{synthetic_problem, CasidaProblem, Solver};
@@ -59,6 +60,18 @@ struct Record {
     outcome: &'static str,
     value_bits: Vec<u64>,
     degraded: Option<String>,
+    /// Builds run, with a cache hit counted as the one build it stands for.
+    builds: u32,
+}
+
+/// The builds a completed job's script implies: the poison slots of
+/// [`fault_plan`] fail their first build and heal on the clean rebuild.
+fn scripted_builds(tenant: u64, index: usize) -> u32 {
+    if tenant == T_FAULT && index % 3 < 2 {
+        2
+    } else {
+        1
+    }
 }
 
 /// The soak's job list, interleaved by index so every tenant genuinely
@@ -93,18 +106,20 @@ fn soak(jobs: Vec<(u64, usize, JobSpec)>) -> Vec<Record> {
                 let service = &service;
                 s.spawn(move || {
                     let outcome = service.submit(spec).expect("soak fits the quotas").outcome();
-                    let (outcome, value_bits, degraded) = match outcome {
-                        JobOutcome::Completed(r) => (
-                            "completed",
-                            r.values.iter().map(|v| v.to_bits()).collect(),
-                            r.degraded,
-                        ),
-                        JobOutcome::DeadlineExceeded { .. } => ("deadline-exceeded", vec![], None),
-                        JobOutcome::Failed { .. } => ("failed", vec![], None),
-                        JobOutcome::Cancelled => ("cancelled", vec![], None),
-                        JobOutcome::Aborted => ("aborted", vec![], None),
+                    let (outcome, value_bits, degraded, builds) = match outcome {
+                        JobOutcome::Completed(r) => {
+                            // A hit reads 0 and runs no build; it stands for
+                            // its key's one clean build.
+                            assert_eq!(r.cache_hit, r.attempts == 0, "tenant {tenant} job {index}");
+                            let bits = r.values.iter().map(|v| v.to_bits()).collect();
+                            ("completed", bits, r.degraded, r.attempts.max(1))
+                        }
+                        JobOutcome::DeadlineExceeded { .. } => {
+                            ("deadline-exceeded", vec![], None, 0)
+                        }
+                        JobOutcome::Failed { .. } => ("failed", vec![], None, 0),
                     };
-                    Record { tenant, index, outcome, value_bits, degraded }
+                    Record { tenant, index, outcome, value_bits, degraded, builds }
                 })
             })
             .collect();
@@ -128,7 +143,7 @@ fn chaos_soak_keeps_every_tenant_on_script_and_repeats_job_for_job() {
         .collect();
     let oracle = |r: &Record| match r.tenant {
         T_CLEAN => Some(&oracles[r.index % CLEAN_SEEDS]),
-        // Poison heals on a retry and a delay never touches the arithmetic.
+        // Poison heals on the rebuild and a delay never touches the arithmetic.
         T_FAULT => Some(&oracles[0]),
         _ => None,
     };
@@ -136,12 +151,17 @@ fn chaos_soak_keeps_every_tenant_on_script_and_repeats_job_for_job() {
     for r in soak(plan_jobs(&problem, false)) {
         assert_eq!(r.outcome, "completed", "control job {} ended {}", r.index, r.outcome);
         assert_eq!(Some(&r.value_bits), oracle(&r), "control job {} left the oracle", r.index);
+        assert_eq!(r.builds, 1, "control job {}", r.index);
     }
 
     let first = soak(plan_jobs(&problem, true));
     for r in &first {
         let scripted = if r.tenant == T_DEAD { "deadline-exceeded" } else { "completed" };
         assert_eq!(r.outcome, scripted, "tenant {} job {}", r.tenant, r.index);
+        if r.outcome == "completed" {
+            let want = scripted_builds(r.tenant, r.index);
+            assert_eq!(r.builds, want, "tenant {} job {} builds", r.tenant, r.index);
+        }
         if let Some(want) = oracle(r) {
             assert_eq!(&r.value_bits, want, "tenant {} job {} was contaminated", r.tenant, r.index);
         }

@@ -22,11 +22,10 @@ fn opts(p: &CasidaProblem) -> Solver {
 
 /// The serial injection sites, each with the fault kind that makes sense
 /// there and the pipeline version that reaches the site.
-const SITES: [(&str, FaultKind, Version); 5] = [
+const SITES: [(&str, FaultKind, Version); 4] = [
     ("ham.c", FaultKind::NanPoison, Version::KmeansIsdf),
     ("ham.v_tilde", FaultKind::InfPoison, Version::KmeansIsdf),
     ("lobpcg.w", FaultKind::NanPoison, Version::ImplicitKmeansIsdfLobpcg),
-    ("isdf.points", FaultKind::RankStarvation, Version::KmeansIsdf),
     ("kmeans.init", FaultKind::DegenerateSeeding, Version::KmeansIsdf),
 ];
 
