@@ -48,7 +48,7 @@ pub fn reference_gemm(
     let b_data = b.as_slice();
     let (a_rows, b_rows) = (a.nrows(), b.nrows());
 
-    c.par_cols_mut().enumerate().for_each(|(j, c_col)| {
+    c.par_for_each_col(|j, c_col| {
         if beta == 0.0 {
             c_col.fill(0.0);
         } else if beta != 1.0 {

@@ -51,7 +51,7 @@ impl HxcKernel {
         let nr = fields.nrows();
         assert_eq!(nr, self.fxc.len());
         assert_eq!(out.shape(), fields.shape(), "apply_into shape mismatch");
-        out.par_cols_mut().enumerate().for_each(|(j, out_col)| {
+        out.par_for_each_col(|j, out_col| {
             // `out = f_xc ∘ x`: elementwise product through the dispatched
             // SIMD kernel (bitwise identical to the scalar loop).
             mathkit::simd::pointwise_mul(out_col, self.fxc.as_slice(), fields.col(j));

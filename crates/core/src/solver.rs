@@ -21,6 +21,12 @@
 //! The scalar-kernel *reference* path is not a solver field: it is a
 //! process-wide switch (`MATHKIT_KERNEL`, `mathkit::force_kernel`) that a
 //! solve reads and never writes.
+//!
+//! Nor is the kernel thread count: both halves run their kernels on the
+//! calling thread's share of its cores among the ranks of its world
+//! (`kernel_pool`), so a one-rank solve uses every core and the ranks of
+//! a two-rank world on two cores run one kernel thread each. The bits do
+//! not depend on the count.
 
 use crate::metrics::ComplexityEstimate;
 use crate::parallel::distributed_dense_hamiltonian;
@@ -199,17 +205,21 @@ impl Solver {
         problem: &CasidaProblem,
         recovery: &mut Vec<String>,
     ) -> Result<Hamiltonian, SolveError> {
-        let first = match self.build_once(comm, problem, recovery) {
-            Ok(ham) => return Ok(ham),
-            Err(e) => e,
-        };
-        if problem.check_inputs().is_err() {
-            return Err(first);
-        }
-        recovery.push(format!("isdf.build: {first}; clean rebuild"));
-        self.build_once(comm, problem, recovery).map_err(|second| SolveError::LadderExhausted {
-            stage: "isdf.build",
-            attempts: vec![first.to_string(), second.to_string()],
+        kernel_pool(comm).install(|| {
+            let first = match self.build_once(comm, problem, recovery) {
+                Ok(ham) => return Ok(ham),
+                Err(e) => e,
+            };
+            if problem.check_inputs().is_err() {
+                return Err(first);
+            }
+            recovery.push(format!("isdf.build: {first}; clean rebuild"));
+            self.build_once(comm, problem, recovery).map_err(|second| {
+                SolveError::LadderExhausted {
+                    stage: "isdf.build",
+                    attempts: vec![first.to_string(), second.to_string()],
+                }
+            })
         })
     }
 
@@ -243,14 +253,14 @@ impl Solver {
             let _sp = obskit::span(Stage::Diag, name);
             lowest(&ham.dense(), k).values
         };
-        match ham {
+        kernel_pool(comm).install(|| match ham {
             Hamiltonian::Isdf(factors) if self.plan().lobpcg => {
                 distributed_casida_lobpcg(comm, factors, k, self.lobpcg, self.seed)
                     .and_then(DistributedEigResult::into_converged)
                     .map_or_else(|_| dense("diag.syev.fallback"), |res| res.values)
             }
             _ => dense("diag.syev.replicated"),
-        }
+        })
     }
 
     /// Serial solve through the recovery ladders: the build half (with its
@@ -320,6 +330,14 @@ impl Solver {
             .unwrap_or_else(|e| panic!("distributed build: {e} (recovery log: {recovery:?})"));
         (self.eigensolve(comm, &ham), StageTimings::since(clock))
     }
+}
+
+/// The kernel threads of a rank of `comm`'s world: this thread's count
+/// ([`rayon::current_num_threads`], every core unless a caller installed
+/// fewer) shared evenly among the world's ranks.
+fn kernel_pool(comm: &Comm) -> rayon::ThreadPool {
+    let cores = rayon::current_num_threads();
+    rayon::ThreadPool::new(parcomm::threads_per_rank(cores, comm.world_size()))
 }
 
 #[cfg(test)]

@@ -127,6 +127,15 @@ impl Plan1d {
         }
     }
 
+    /// Length of the work buffer [`Plan1d::lanes`] needs on `lanes` lanes.
+    pub(crate) fn work_len(&self, lanes: usize) -> usize {
+        match &self.kind {
+            Kind::Stockham(_) => self.n * lanes,
+            Kind::Bluestein { inner, .. } => inner.n * lanes.min(LANE_BLOCK),
+            _ => 0,
+        }
+    }
+
     /// The lane driver every transform goes through: `x` is an `[n][lanes]`
     /// panel (element `e` of line `l` at `e·lanes + l`), transformed in place
     /// along `n` with no normalization in either direction. `work` is grown,
@@ -140,11 +149,7 @@ impl Plan1d {
         work: &mut Vec<Complex>,
     ) {
         assert_eq!(x.len(), self.n * lanes, "panel must hold n × lanes elements");
-        let need = match &self.kind {
-            Kind::Stockham(_) => x.len(),
-            Kind::Bluestein { inner, .. } => inner.n * lanes.min(LANE_BLOCK),
-            _ => 0,
-        };
+        let need = self.work_len(lanes);
         if work.len() < need {
             work.resize(need, Complex::ZERO);
         }

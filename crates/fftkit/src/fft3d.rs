@@ -13,11 +13,12 @@
 //! transpose of the plane into the worker's scratch and back. No line is
 //! gathered or scattered and no trig runs inside a transform.
 //!
-//! One grid is transformed on the calling thread; batches are Rayon-parallel
-//! over grids — the paper's column-block distribution, where every MPI task
-//! FFTs its own orbitals independently. Each call (each worker of a batch)
-//! allocates one scratch set and reuses it for every grid it touches; nothing
-//! is allocated per grid, per pass or per line.
+//! One grid is transformed on the calling thread; batches are parallel over
+//! grids — the paper's column-block distribution, where every MPI task FFTs
+//! its own orbitals independently. Each call allocates one scratch set per
+//! part of the batch, on the calling thread and sized for every pass, and a
+//! part reuses it for every grid it touches; nothing is allocated per grid,
+//! per pass or per line, and nothing on a worker.
 //!
 //! For *real* fields (Γ-point orbital pair products, densities, potentials)
 //! the engine additionally offers a two-for-one path: two real fields `a, b`
@@ -33,6 +34,10 @@ use crate::fft1d::Plan1d;
 use rayon::prelude::*;
 use std::sync::Arc;
 
+/// Grid points a part of a parallel batch must transform (≈ 0.1–0.3 ms):
+/// a smaller batch is not worth a thread's 40–46 µs spawn and join.
+const PAR_POINTS: usize = 1 << 15;
+
 /// A reusable 3-D FFT plan: grid dimensions plus per-axis 1-D plans
 /// (radix-2, Stockham or Bluestein tables by axis length). Cloning shares the
 /// tables via `Arc`.
@@ -46,13 +51,22 @@ pub struct Fft3 {
     ax3: Arc<Plan1d>,
 }
 
-/// Per-worker scratch: the transposed plane of the axis-1 pass and the lane
+/// Per-part scratch: the transposed plane of the axis-1 pass and the lane
 /// driver's work buffer — at most one grid (the Stockham ping-pong of the
 /// axis-3 pass) plus one plane.
 #[derive(Default)]
 struct Scratch {
     plane: Vec<Complex>,
     work: Vec<Complex>,
+}
+
+impl Scratch {
+    /// Scratch sized for every pass of `plan`, so a transform never grows it.
+    fn for_plan(plan: &Fft3) -> Scratch {
+        let (n1, n2) = (plan.n1, plan.n2);
+        let work = plan.ax1.work_len(n2).max(plan.ax2.work_len(n1)).max(plan.ax3.work_len(n1 * n2));
+        Scratch { plane: vec![Complex::ZERO; n1 * n2], work: vec![Complex::ZERO; work] }
+    }
 }
 
 impl Fft3 {
@@ -115,8 +129,8 @@ impl Fft3 {
     }
 
     /// Forward transform of a batch of grids stored back to back
-    /// (`batch.len()` must be a multiple of [`Fft3::len`]). Grids are
-    /// distributed over Rayon workers, each owning one scratch set.
+    /// (`batch.len()` must be a multiple of [`Fft3::len`]). Grids are split
+    /// into contiguous parts, each owning one scratch set.
     pub fn forward_many(&self, batch: &mut [Complex]) {
         self.many(batch, false);
     }
@@ -134,7 +148,11 @@ impl Fft3 {
         let scale = if inverse { 1.0 / len as f64 } else { 1.0 };
         batch
             .par_chunks_mut(len)
-            .for_each_init(Scratch::default, |s, grid| self.transform(grid, inverse, scale, s));
+            .with_min_len(PAR_POINTS.div_ceil(len))
+            .for_each_init(
+                || Scratch::for_plan(self),
+                |s, grid| self.transform(grid, inverse, scale, s),
+            );
     }
 
     /// Forward transform of a real field into a freshly allocated complex grid.
@@ -201,8 +219,9 @@ impl Fft3 {
         let k = fields.len() / len;
         let inv_n = 1.0 / len as f64;
         obskit::add_fft_calls(2 * k.div_ceil(2) as u64);
-        out.par_chunks_mut(2 * len).enumerate().for_each_init(
-            || (vec![Complex::ZERO; len], Scratch::default()),
+        let pairs = out.par_chunks_mut(2 * len).enumerate();
+        pairs.with_min_len(PAR_POINTS.div_ceil(2 * len)).for_each_init(
+            || (vec![Complex::ZERO; len], Scratch::for_plan(self)),
             |(z, s), (p, out_pair)| {
                 let f = &fields[2 * p * len..2 * p * len + out_pair.len()];
                 if out_pair.len() == 2 * len {

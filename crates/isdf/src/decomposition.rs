@@ -14,7 +14,7 @@ pub fn face_splitting_product(psi: &Mat, phi: &Mat) -> Mat {
     let (m, n) = (psi.ncols(), phi.ncols());
     let mut z = Mat::zeros(nr, m * n);
     // Parallel over output columns; column (i,j) contiguous.
-    z.par_cols_mut().enumerate().for_each(|(p, col)| {
+    z.par_for_each_col(|p, col| {
         let (i, j) = (p / n, p % n);
         let a = psi.col(i);
         let b = phi.col(j);

@@ -19,6 +19,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
+/// Point-to-centroid distances a part of the parallel classification must
+/// evaluate (≈ 2 Mflop): a smaller sweep runs inline on the calling thread.
+const PAR_DISTANCES: usize = 1 << 18;
+
 /// Centroid initialization strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KmeansInit {
@@ -174,8 +178,13 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
     let mut weight_order: Option<Vec<usize>> = None;
     for it in 0..opts.max_iter {
         iterations = it + 1;
-        // Classification (parallel over this slab's active points).
-        assign = mine.par_iter().map(|&gi| nearest(&centroids, coords[gi])).collect();
+        // Classification (parallel over this slab's active points), into
+        // the one buffer allocated above.
+        assign
+            .par_iter_mut()
+            .enumerate()
+            .with_min_len(PAR_DISTANCES.div_ceil(n_mu))
+            .for_each(|(i, a)| *a = nearest(&centroids, coords[mine[i]]));
 
         // Weighted centroid update (Eq. 13) from the group-wide sums.
         partials.fill(0.0);

@@ -13,6 +13,7 @@
 use crate::gemm::{gemm_ld, Transpose, View};
 use crate::mat::Mat;
 use crate::simd;
+use rayon::prelude::*;
 
 /// Width at which both recursions stop. A triangle this narrow is solved
 /// (and factored) by exactly the historical per-element fold, so every
@@ -23,6 +24,10 @@ const LEAF: usize = 64;
 /// Rows the leaf sweeps at a time: `LEAF` columns of `CHUNK` rows stay
 /// L2-resident while each target column segment stays in L1.
 const CHUNK: usize = 256;
+/// Flops (`CHUNK·n²` per row block) a part of the parallel leaf must hold.
+/// The axpy-bound leaf runs at a few Gflop/s, so this is ~150 µs — three
+/// times a thread's spawn and join; a full-width block alone clears it.
+const PAR_LEAF_FLOPS: usize = 1 << 20;
 
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
@@ -123,28 +128,45 @@ fn trsm_right(x: &mut [f64], ldx: usize, m: usize, l: &[f64], ldl: usize, n: usi
 
 /// Column-at-a-time substitution: per element, `s = b; s -= x_k·l_k` over
 /// the already-solved columns in increasing `k`, then `s / l_jj` — one
-/// multiply and one subtract per term, zero coefficients skipped.
+/// multiply and one subtract per term, zero coefficients skipped. Every row
+/// is an independent right-hand side, so the `CHUNK`-row blocks are solved
+/// in parallel, each on its own segments of the `n` columns.
 fn trsm_leaf(x: &mut [f64], ldx: usize, m: usize, l: &[f64], ldl: usize, n: usize, tl: Transpose) {
-    let forward = tl == Transpose::Yes;
-    for r0 in (0..m).step_by(CHUNK) {
-        let rows = CHUNK.min(m - r0);
-        for step in 0..n {
-            let j = if forward { step } else { n - 1 - step };
-            for k in if forward { 0..j } else { j + 1..n } {
-                let coef = if forward { l[j + k * ldl] } else { l[k + j * ldl] };
-                if coef == 0.0 {
-                    continue;
-                }
-                // Columns j and k of this row chunk, split where they part.
-                let (lo, hi) = x.split_at_mut(j.max(k) * ldx);
-                let (lo, hi) = (&mut lo[j.min(k) * ldx + r0..][..rows], &mut hi[r0..r0 + rows]);
-                let (xj, xk) = if forward { (hi, lo) } else { (lo, hi) };
-                simd::axpy(-coef, xk, xj);
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Segment `c·n + j` is rows `[c·CHUNK, (c+1)·CHUNK)` of column `j`.
+    let mut cols: Vec<_> =
+        x.chunks_mut(ldx).take(n).map(|col| col[..m].chunks_mut(CHUNK)).collect();
+    let mut segs = Vec::with_capacity(m.div_ceil(CHUNK) * n);
+    for _ in 0..m.div_ceil(CHUNK) {
+        segs.extend(cols.iter_mut().map(|col| col.next().expect("one segment per row block")));
+    }
+    segs.par_chunks_mut(n)
+        .with_min_len(PAR_LEAF_FLOPS.div_ceil(CHUNK * n * n))
+        .for_each(|block| trsm_rows(block, l, ldl, tl));
+}
+
+/// [`trsm_leaf`] on one row block: `x[j]` is the block's segment of column
+/// `j`.
+fn trsm_rows(x: &mut [&mut [f64]], l: &[f64], ldl: usize, tl: Transpose) {
+    let (n, forward) = (x.len(), tl == Transpose::Yes);
+    for step in 0..n {
+        let j = if forward { step } else { n - 1 - step };
+        for k in if forward { 0..j } else { j + 1..n } {
+            let coef = if forward { l[j + k * ldl] } else { l[k + j * ldl] };
+            if coef == 0.0 {
+                continue;
             }
-            let ljj = l[j * (ldl + 1)];
-            for v in &mut x[j * ldx + r0..][..rows] {
-                *v /= ljj;
-            }
+            // Columns j and k, split where they part.
+            let (lo, hi) = x.split_at_mut(j.max(k));
+            let (lo, hi) = (&mut *lo[j.min(k)], &mut *hi[0]);
+            let (xj, xk) = if forward { (hi, lo) } else { (lo, hi) };
+            simd::axpy(-coef, xk, xj);
+        }
+        let ljj = l[j * (ldl + 1)];
+        for v in x[j].iter_mut() {
+            *v /= ljj;
         }
     }
 }
@@ -370,6 +392,11 @@ mod tests {
             let x = solve_spd(&a, &b).unwrap();
             assert!(x.max_abs_diff(&x_true) < 1e-8);
         }
+        // No right-hand sides: nothing to solve, nothing to split.
+        let l = cholesky(&spd(LEAF + 2, &mut rng)).unwrap();
+        let mut empty = Mat::zeros(0, LEAF + 2);
+        solve_right_in_place(&mut empty, &l, Transpose::Yes);
+        assert_eq!(empty.shape(), (0, LEAF + 2));
     }
 
     mod proptests {

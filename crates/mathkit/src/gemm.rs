@@ -62,6 +62,12 @@ const NC: usize = 256;
 const KC: usize = 512;
 /// Flop count (2·m·n·k) below which packing overhead beats the blocked path.
 const SMALL_FLOPS: usize = 1 << 17;
+/// Flops a part of a parallel region must hold: a scoped spawn plus join
+/// costs 40–46 µs, and this is a few hundred µs of kernel time, so a region
+/// smaller than two of these runs inline on the calling thread.
+const PAR_FLOPS: usize = 1 << 22;
+/// Doubles a part of a parallel packing region must copy (≈ 512 KiB).
+const PAR_PACK: usize = 1 << 16;
 /// Panel budget (in doubles, ≈1 MiB) for the direct skinny-axpy path: the
 /// strip sweep reads one cache line per A column at stride `lda`, so without
 /// blocking a tall-`k` sweep touches a new page per load (no prefetch, TLB
@@ -244,16 +250,23 @@ pub fn gemv(alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f64]) {
             simd::axpy(axl, col, yc);
         }
     };
-    // Chunk rows so each Rayon worker owns a contiguous slab of y and streams
-    // the matching slab of every A column.
+    // Chunk rows so each worker owns a contiguous slab of y and streams the
+    // matching slab of every A column.
     const GEMV_CHUNK: usize = 2048;
     if nrows * a.ncols() < SMALL_FLOPS || nrows <= GEMV_CHUNK {
         body(0, y);
     } else {
         y.par_chunks_mut(GEMV_CHUNK)
             .enumerate()
+            .with_min_len(par_floor(2 * GEMV_CHUNK * a.ncols()))
             .for_each(|(ci, yc)| body(ci * GEMV_CHUNK, yc));
     }
+}
+
+/// Items per part for a region whose items cost `flops` each.
+#[inline]
+fn par_floor(flops: usize) -> usize {
+    PAR_FLOPS.div_ceil(flops.max(1))
 }
 
 /// Shape of `op(X)`.
@@ -277,15 +290,16 @@ fn scale_slice(s: &mut [f64], beta: f64) {
 }
 
 /// `s *= beta` on the `m`-row columns of a window with column stride `ldc`
-/// (the slice ends with the last column's `m`-th element).
+/// (the slice ends with the last column's `m`-th element), parallel over
+/// columns: on a fresh output this pass is the first touch of its pages, so
+/// the page faults split over the threads as well.
 fn scale_cols(c: &mut [f64], ldc: usize, m: usize, beta: f64) {
-    if ldc == m {
-        scale_slice(c, beta);
-    } else {
-        for col in c.chunks_mut(ldc) {
-            scale_slice(&mut col[..m], beta);
-        }
+    if beta == 1.0 {
+        return;
     }
+    c.par_chunks_mut(ldc)
+        .with_min_len(PAR_PACK.div_ceil(m.max(1)))
+        .for_each(|col| scale_slice(&mut col[..m], beta));
 }
 
 /// A transpose-aware read-only window of a column-major operand: stored
@@ -401,7 +415,7 @@ fn gemm_skinny(
     k: usize,
 ) {
     debug_assert_eq!(c.len(), (n - 1) * ldc + m);
-    c.par_chunks_mut(ldc).enumerate().for_each(|(j, col)| {
+    c.par_chunks_mut(ldc).enumerate().with_min_len(par_floor(2 * m * k)).for_each(|(j, col)| {
         let boff = match bv.trans {
             Transpose::No => j * bv.ld,
             Transpose::Yes => j,
@@ -449,9 +463,8 @@ fn gemm_skinny_packed(
     let strips = m.div_ceil(MR);
     let dot_fold = av.trans == Transpose::Yes;
     // Reuse pack scratch across calls: a fresh zeroed Vec costs more than the
-    // whole tile sweep at these skinny shapes (page zeroing dominates).
-    // `take`/`set` instead of borrowing keeps re-entrant calls on the same
-    // thread (Rayon work-stealing) safe — they just allocate fresh.
+    // whole tile sweep at these skinny shapes (page zeroing dominates). It
+    // belongs to the calling thread; workers only fill and read it.
     let (mut apack, mut bpack) = SKINNY_SCRATCH.take();
     let a_need = if dot_fold { strips * MR * k } else { 0 };
     if apack.len() < a_need {
@@ -464,6 +477,7 @@ fn gemm_skinny_packed(
     apack[..a_need]
         .par_chunks_mut(MR * k)
         .enumerate()
+        .with_min_len(PAR_PACK.div_ceil(MR * k))
         .for_each(|(s, buf)| pack_a_strip(av, s * MR, m, 0, k, buf));
     for j in 0..n {
         for (l, d) in bpack[j * k..(j + 1) * k].iter_mut().enumerate() {
@@ -475,14 +489,14 @@ fn gemm_skinny_packed(
     let lda = av.ld;
     let bp = &bpack[..b_need];
     if dot_fold {
-        (0..strips).into_par_iter().for_each(|s| {
+        (0..strips).into_par_iter().with_min_len(par_floor(2 * MR * n * k)).for_each(|s| {
             let it = s * MR;
             let mr_eff = MR.min(m - it);
             let ap = &apack[s * MR * k..(s + 1) * MR * k];
             // SAFETY: strips own disjoint row ranges `[it, it + mr_eff)` of
             // every C column; the tile kernels only touch those rows.
             unsafe {
-                let cbase = cptr.0.add(it);
+                let cbase = cptr.get().add(it);
                 simd::skinny_dot_tile(kernel, k, ap, bp, n, mr_eff, alpha, cbase, ldc);
             }
         });
@@ -491,39 +505,45 @@ fn gemm_skinny_packed(
         // DIRECT_PANEL). C accumulates panel by panel in increasing `l`, so
         // the per-element fold order — and hence bitwise identity with the
         // serial kernels — is unchanged; the register tile is simply stored
-        // and reloaded between panels (exact round trips).
+        // and reloaded between panels (exact round trips). Each part sweeps
+        // its own run of strips panel by panel, so a panel stays cached
+        // across that run.
         let kc = (DIRECT_PANEL / lda).max(MR).min(k);
-        let mut l0 = 0;
-        while l0 < k {
-            let kc_eff = kc.min(k - l0);
-            (0..strips).into_par_iter().for_each(|s| {
-                let it = s * MR;
-                let mr_eff = MR.min(m - it);
-                // Direct window into A: rows [it, it + mr_eff) of columns
-                // [l0, l0 + kc_eff), stride lda. The slice ends exactly at
-                // the window's last element, so full-MR vector loads stay
-                // in bounds.
-                let ap = &av.data[l0 * lda + it..(l0 + kc_eff - 1) * lda + it + mr_eff];
-                // SAFETY: same disjoint-strip ownership of C rows as above.
-                unsafe {
-                    let cbase = cptr.0.add(it);
-                    simd::skinny_axpy_tile(
-                        kernel,
-                        kc_eff,
-                        ap,
-                        lda,
-                        &bp[l0..],
-                        k,
-                        n,
-                        mr_eff,
-                        alpha,
-                        cbase,
-                        ldc,
-                    );
+        let parts = rayon::current_num_threads().min(2 * m * n * k / PAR_FLOPS).max(1);
+        let run = strips.div_ceil(parts);
+        (0..strips.div_ceil(run)).into_par_iter().for_each(|r| {
+            let mut l0 = 0;
+            while l0 < k {
+                let kc_eff = kc.min(k - l0);
+                for s in r * run..strips.min((r + 1) * run) {
+                    let it = s * MR;
+                    let mr_eff = MR.min(m - it);
+                    // Direct window into A: rows [it, it + mr_eff) of columns
+                    // [l0, l0 + kc_eff), stride lda. The slice ends exactly
+                    // at the window's last element, so full-MR vector loads
+                    // stay in bounds.
+                    let ap = &av.data[l0 * lda + it..(l0 + kc_eff - 1) * lda + it + mr_eff];
+                    // SAFETY: same disjoint-strip ownership of C rows as above.
+                    unsafe {
+                        let cbase = cptr.get().add(it);
+                        simd::skinny_axpy_tile(
+                            kernel,
+                            kc_eff,
+                            ap,
+                            lda,
+                            &bp[l0..],
+                            k,
+                            n,
+                            mr_eff,
+                            alpha,
+                            cbase,
+                            ldc,
+                        );
+                    }
                 }
-            });
-            l0 += kc_eff;
-        }
+                l0 += kc_eff;
+            }
+        });
     }
     SKINNY_SCRATCH.set((apack, bpack));
 }
@@ -535,11 +555,22 @@ std::thread_local! {
         const { std::cell::Cell::new((Vec::new(), Vec::new())) };
 }
 
-/// Raw pointer into C, shareable across Rayon workers writing disjoint tiles.
+/// Raw pointer into C, shareable across workers writing disjoint tiles.
 #[derive(Clone, Copy)]
 struct CPtr(*mut f64);
+// SAFETY: the pointer is only written through inside the tile kernels, and
+// the tasks of one region own disjoint elements of C, so the threads of a
+// region never touch the same element.
 unsafe impl Send for CPtr {}
 unsafe impl Sync for CPtr {}
+
+impl CPtr {
+    /// The pointer, read through a method so a closure captures the whole
+    /// `Sync` wrapper rather than its raw field.
+    fn get(self) -> *mut f64 {
+        self.0
+    }
+}
 
 /// Packed/tiled path: pre-pack every (pc, ic) block of `op(A)` and every
 /// (pc, jc) block of `op(B)`, then drive the microkernel over disjoint
@@ -564,31 +595,13 @@ fn gemm_blocked(
     let n_jc = n.div_ceil(NC);
     let n_pc = k.div_ceil(KC);
 
-    // Packing is itself parallel (one block per task). Blocks are stored as
-    // independent buffers so edge blocks carry no padding waste beyond the
-    // MR/NR round-up inside the panel.
-    let packed_a: Vec<Vec<f64>> = (0..n_pc * n_ic)
-        .into_par_iter()
-        .map(|idx| {
-            let (pc, ic) = (idx / n_ic, idx % n_ic);
-            let p0 = pc * KC;
-            let i0 = ic * MC;
-            pack_a(av, i0, MC.min(m - i0), p0, KC.min(k - p0))
-        })
-        .collect();
-    let packed_b: Vec<Vec<f64>> = (0..n_pc * n_jc)
-        .into_par_iter()
-        .map(|idx| {
-            let (pc, jc) = (idx / n_jc, idx % n_jc);
-            let p0 = pc * KC;
-            let j0 = jc * NC;
-            pack_b(bv, p0, KC.min(k - p0), j0, NC.min(n - j0), nr)
-        })
-        .collect();
+    let packed_a = pack_a_blocks(av, 0..m, MC, k);
+    let packed_b = pack_b_blocks(bv, 0..n, NC, k, nr);
 
     let cptr = CPtr(c.as_mut_ptr());
-    (0..n_ic * n_jc).into_par_iter().for_each(|t| {
-        let (jc, ic) = (t / n_ic, t % n_ic);
+    let tile_flops = 2 * MC.min(m) * NC.min(n) * k;
+    (0..n_ic * n_jc).into_par_iter().with_min_len(par_floor(tile_flops)).for_each(|t| {
+        let (ic, jc) = (t / n_jc, t % n_jc);
         let i0 = ic * MC;
         let j0 = jc * NC;
         let mc = MC.min(m - i0);
@@ -637,23 +650,80 @@ fn pack_a_strip(av: &View, ib: usize, i_max: usize, p0: usize, kc: usize, buf: &
     }
 }
 
+/// Pack `count` blocks in parallel: block `i` has `len(i)` doubles and
+/// `fill(i, block)` writes it into its zeroed buffer. The buffers are
+/// allocated here, on the calling thread, and the workers only fill them: a
+/// worker that allocated would grow a malloc arena of its own. One buffer
+/// per block, not one for all: blocks this size reuse the memory the heap
+/// already holds, where one buffer past the mmap threshold would add fresh
+/// pages to the peak.
+fn pack_blocks(
+    count: usize,
+    len: impl Fn(usize) -> usize,
+    fill: impl Fn(usize, &mut [f64]) + Sync,
+) -> Vec<Vec<f64>> {
+    let mut blocks: Vec<Vec<f64>> = (0..count).map(|i| vec![0.0; len(i)]).collect();
+    let per_block = blocks.first().map_or(1, Vec::len).max(1);
+    blocks
+        .par_iter_mut()
+        .enumerate()
+        .with_min_len(PAR_PACK.div_ceil(per_block))
+        .for_each(|(i, block)| fill(i, block));
+    blocks
+}
+
+/// Every `(pc, ic)` block of `op(A)` rows `rows` — `blk` rows by KC
+/// columns, packed by [`pack_a`] — as block `pc·⌈rows/blk⌉ + ic`.
+fn pack_a_blocks(av: &View, rows: Range<usize>, blk: usize, k: usize) -> Vec<Vec<f64>> {
+    let n_i = rows.len().div_ceil(blk);
+    let shape = |idx: usize| {
+        let (p0, i0) = (idx / n_i * KC, rows.start + idx % n_i * blk);
+        (i0, blk.min(rows.end - i0), p0, KC.min(k - p0))
+    };
+    let len = |idx| {
+        let (_, mc, _, kc) = shape(idx);
+        mc.next_multiple_of(MR) * kc
+    };
+    pack_blocks(n_i * k.div_ceil(KC), len, |idx, buf| {
+        let (i0, mc, p0, kc) = shape(idx);
+        pack_a(av, i0, mc, p0, kc, buf);
+    })
+}
+
+/// Every `(pc, jc)` block of `op(B)` columns `cols` — KC rows by `blk`
+/// columns, packed by [`pack_b`] into `nr`-wide strips — as block
+/// `pc·⌈cols/blk⌉ + jc`.
+fn pack_b_blocks(bv: &View, cols: Range<usize>, blk: usize, k: usize, nr: usize) -> Vec<Vec<f64>> {
+    let n_j = cols.len().div_ceil(blk);
+    let shape = |idx: usize| {
+        let (p0, j0) = (idx / n_j * KC, cols.start + idx % n_j * blk);
+        (p0, KC.min(k - p0), j0, blk.min(cols.end - j0))
+    };
+    let len = |idx| {
+        let (_, kc, _, nc) = shape(idx);
+        nc.next_multiple_of(nr) * kc
+    };
+    pack_blocks(n_j * k.div_ceil(KC), len, |idx, buf| {
+        let (p0, kc, j0, nc) = shape(idx);
+        pack_b(bv, p0, kc, j0, nc, nr, buf);
+    })
+}
+
 /// Pack rows `[i0, i0+mc)` × cols `[p0, p0+kc)` of `op(A)` into MR-row
-/// micropanels: element `(i, l)` of strip `s` lands at `s·MR·kc + l·MR + i`.
-/// Partial strips are zero-padded so the microkernel never branches.
-fn pack_a(av: &View, i0: usize, mc: usize, p0: usize, kc: usize) -> Vec<f64> {
-    let strips = mc.div_ceil(MR);
-    let mut buf = vec![0.0; strips * MR * kc];
+/// micropanels of the zeroed `buf`: element `(i, l)` of strip `s` lands at
+/// `s·MR·kc + l·MR + i`. Partial strips are zero-padded so the microkernel
+/// never branches.
+fn pack_a(av: &View, i0: usize, mc: usize, p0: usize, kc: usize, buf: &mut [f64]) {
     for (s, strip) in buf.chunks_mut(MR * kc).enumerate() {
         pack_a_strip(av, i0 + s * MR, i0 + mc, p0, kc, strip);
     }
-    buf
 }
 
 /// Pack rows `[p0, p0+kc)` × cols `[j0, j0+nc)` of `op(B)` into `nr`-column
-/// micropanels: element `(l, j)` of strip `s` lands at `s·nr·kc + l·nr + j`.
-fn pack_b(bv: &View, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize) -> Vec<f64> {
+/// micropanels of the zeroed `buf`: element `(l, j)` of strip `s` lands at
+/// `s·nr·kc + l·nr + j`.
+fn pack_b(bv: &View, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize, buf: &mut [f64]) {
     let strips = nc.div_ceil(nr);
-    let mut buf = vec![0.0; strips * nr * kc];
     for s in 0..strips {
         let base = s * nr * kc;
         let jb = j0 + s * nr;
@@ -677,7 +747,6 @@ fn pack_b(bv: &View, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize) -> V
             }
         }
     }
-    buf
 }
 
 /// One MC×NC tile of C updated from a packed A panel and packed B panel:
@@ -799,22 +868,8 @@ fn lower_part(
     let blk = MC.min(NC);
     let (m_blk, n_blk) = (rows.len().div_ceil(blk), cols.len().div_ceil(blk));
     let n_pc = k.div_ceil(KC);
-    let packed_a: Vec<Vec<f64>> = (0..n_pc * m_blk)
-        .into_par_iter()
-        .map(|idx| {
-            let (pc, ic) = (idx / m_blk, idx % m_blk);
-            let (p0, i0) = (pc * KC, rows.start + ic * blk);
-            pack_a(av, i0, blk.min(rows.end - i0), p0, KC.min(k - p0))
-        })
-        .collect();
-    let packed_b: Vec<Vec<f64>> = (0..n_pc * n_blk)
-        .into_par_iter()
-        .map(|idx| {
-            let (pc, jc) = (idx / n_blk, idx % n_blk);
-            let (p0, j0) = (pc * KC, cols.start + jc * blk);
-            pack_b(bv, p0, KC.min(k - p0), j0, blk.min(cols.end - j0), nr)
-        })
-        .collect();
+    let packed_a = pack_a_blocks(av, rows.clone(), blk, k);
+    let packed_b = pack_b_blocks(bv, cols.clone(), blk, k, nr);
 
     // Tiles holding at least one entry on or below the diagonal, as
     // (row offset, column offset, rows, columns) within `out`.
@@ -824,7 +879,8 @@ fn lower_part(
         .filter(|&(i0, j0, mc, _)| rows.start + i0 + mc > cols.start + j0)
         .collect();
     let cptr = CPtr(out.as_mut_ptr());
-    tiles.par_iter().for_each(|&(i0, j0, mc, nc)| {
+    (0..tiles.len()).into_par_iter().with_min_len(par_floor(2 * blk * blk * k)).for_each(|t| {
+        let (i0, j0, mc, nc) = tiles[t];
         let (ic, jc) = (i0 / blk, j0 / blk);
         for pc in 0..n_pc {
             let kc = KC.min(k - pc * KC);

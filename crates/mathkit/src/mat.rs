@@ -107,10 +107,16 @@ impl Mat {
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Split into disjoint mutable column slices (for parallel writers).
-    pub fn par_cols_mut(&mut self) -> impl rayon::iter::IndexedParallelIterator<Item = &mut [f64]> {
+    /// Run `f(j, column j)` for every column, the columns split into
+    /// contiguous parts over the pool's threads. A part holds at least
+    /// `PAR_ELEMS` elements, the floor below which a per-element column
+    /// sweep does not pay for a thread.
+    pub fn par_for_each_col(&mut self, f: impl Fn(usize, &mut [f64]) + Sync) {
         use rayon::prelude::*;
-        self.data.par_chunks_mut(self.nrows)
+        const PAR_ELEMS: usize = 1 << 17;
+        let floor = PAR_ELEMS.div_ceil(self.nrows.max(1));
+        let cols = self.data.par_chunks_mut(self.nrows).enumerate();
+        cols.with_min_len(floor).for_each(|(j, col)| f(j, col));
     }
 
     /// Copy of row `i`.

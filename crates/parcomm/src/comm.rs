@@ -130,6 +130,9 @@ impl Op {
 
 pub(crate) struct Shared {
     pub(crate) size: usize,
+    /// Ranks of the [`spmd`] world this group was split from (its own size
+    /// for a world); ranks share the host's cores by it.
+    world_size: usize,
     pub(crate) barrier: Barrier,
     pub(crate) model: CostModel,
     /// Collectives in flight, by op id. A cell leaves once every rank has
@@ -142,9 +145,10 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(size: usize, model: CostModel) -> Arc<Shared> {
+    fn new(size: usize, world_size: usize, model: CostModel) -> Arc<Shared> {
         Arc::new(Shared {
             size,
+            world_size,
             barrier: Barrier::new(size),
             model,
             ops: Mutex::new(HashMap::new()),
@@ -190,7 +194,7 @@ impl Comm {
     /// before it opens an `mpi:*` span or touches [`CommStats`]. This is what
     /// makes a serial solve the one-rank case of the distributed one.
     pub fn solo() -> Comm {
-        Comm::new(0, Shared::new(1, CostModel::default()))
+        Comm::new(0, Shared::new(1, 1, CostModel::default()))
     }
 
     #[inline]
@@ -201,6 +205,14 @@ impl Comm {
     #[inline]
     pub fn size(&self) -> usize {
         self.shared.size
+    }
+
+    /// Size of the [`spmd`] world this communicator comes from: [`Comm::split`]
+    /// keeps it, and [`Comm::solo`] is a world of one. The rank threads of a
+    /// world share the host's cores ([`threads_per_rank`]).
+    #[inline]
+    pub fn world_size(&self) -> usize {
+        self.shared.world_size
     }
 
     /// Statistics accumulated by this rank so far.
@@ -352,7 +364,7 @@ impl Comm {
         let shared = {
             let mut splits = lock(&self.shared.splits);
             let entry = splits.entry((seq, color as u64)).or_insert_with(|| SplitEntry {
-                shared: Shared::new(group_size, self.shared.model),
+                shared: Shared::new(group_size, self.shared.world_size, self.shared.model),
                 taken: 0,
             });
             entry.taken += 1;
@@ -364,6 +376,14 @@ impl Comm {
         };
         Comm::new(group_rank, shared)
     }
+}
+
+/// Kernel threads each rank of a `world_size`-rank world may run when the
+/// ranks share `cores` cores: an even share, at least one. This is gpaw's
+/// `distribute_cpus` applied one level down, to the threads inside a rank,
+/// so ranks and their kernel threads never oversubscribe the host.
+pub fn threads_per_rank(cores: usize, world_size: usize) -> usize {
+    (cores / world_size.max(1)).max(1)
 }
 
 /// Run `f` as an SPMD program on `size` thread-ranks with the default cost
@@ -383,7 +403,7 @@ where
     F: Fn(&Comm) -> T + Sync,
 {
     assert!(size > 0, "need at least one rank");
-    let shared = Shared::new(size, model);
+    let shared = Shared::new(size, size, model);
     let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
     // An armed fault plan on the launching thread extends to every rank:
     // rank threads install the same handle, so per-rank occurrence counters
@@ -419,6 +439,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_groups_keep_the_world_size() {
+        let sizes = spmd(4, |world| {
+            let group = world.split(world.rank() / 2, world.rank());
+            (group.size(), group.world_size(), world.world_size())
+        });
+        assert_eq!(sizes, [(2, 4, 4); 4]);
+        assert_eq!(Comm::solo().world_size(), 1);
+    }
+
+    #[test]
+    fn ranks_share_the_cores() {
+        assert_eq!(threads_per_rank(2, 2), 1);
+        assert_eq!(threads_per_rank(2, 1), 2);
+        assert_eq!(threads_per_rank(2, 4), 1);
+        assert_eq!(threads_per_rank(8, 3), 2);
+    }
 
     #[test]
     fn allreduce_sums_across_ranks() {

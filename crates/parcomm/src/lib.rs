@@ -29,7 +29,7 @@ pub mod layout;
 pub mod redist;
 pub mod requests;
 
-pub use comm::{spmd, spmd_with_model, Comm, CommStats, OpStats};
+pub use comm::{spmd, spmd_with_model, threads_per_rank, Comm, CommStats, OpStats};
 pub use cost::CostModel;
 pub use layout::block_ranges;
 pub use redist::{col_to_row_blocks, row_to_col_blocks};

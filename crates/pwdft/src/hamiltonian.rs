@@ -49,7 +49,7 @@ impl<'g> KsHamiltonian<'g> {
         let plan = self.grid.plan();
         plan.apply_real_diagonal_batch(&self.half_g2, psi.as_slice(), out.as_mut_slice(), false);
         let v = &self.v_eff;
-        out.par_cols_mut().enumerate().for_each(|(j, out_col)| {
+        out.par_for_each_col(|j, out_col| {
             // `out += V_eff ∘ ψ`: elementwise multiply-add through the
             // dispatched SIMD kernel (bitwise identical to the scalar loop).
             mathkit::simd::pointwise_muladd(out_col, v.as_slice(), psi.col(j));
