@@ -618,9 +618,9 @@ pub fn weak_scaling(scale: Scale) -> ExperimentRecord {
 ///     Davidson alternative the paper cites.
 pub fn ablation(scale: Scale) -> ExperimentRecord {
     use isdf::KmeansInit;
-    use lrtddft::lobpcg_driver::{casida_preconditioner, initial_guess};
+    use lrtddft::parallel_eig::{distributed_casida_lobpcg, initial_guess, precondition};
     use mathkit::davidson::{davidson, DavidsonOptions};
-    use mathkit::lobpcg::{lobpcg, LobpcgOptions};
+    use mathkit::lobpcg::LobpcgOptions;
 
     let problem = match scale {
         Scale::Quick => silicon_like_problem(1, 12, 4),
@@ -695,17 +695,16 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
     )
     .expect("isdf build on clean benchmark input");
     let k = 4;
-    let x0 = initial_guess(&ham.diag_d, k, 3);
     let opts = LobpcgOptions { max_iter: 400, tol: 1e-8 };
     let t0 = Instant::now();
-    let lob = lobpcg(|x| ham.apply(x), casida_preconditioner(&ham.diag_d, 1e-3), &x0, opts)
+    let lob = distributed_casida_lobpcg(&Comm::solo(), &ham, k, opts, 3)
         .expect("lobpcg breakdown on clean benchmark input");
     let t_lob = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let dav = davidson(
         |x| ham.apply(x),
-        casida_preconditioner(&ham.diag_d, 1e-3),
-        &x0,
+        |r, theta| precondition(r, &ham.diag_d, theta),
+        &initial_guess(&ham.diag_d, k, 3),
         DavidsonOptions { base: opts, max_space: 6 * k },
     );
     let t_dav = t0.elapsed().as_secs_f64();

@@ -24,18 +24,18 @@
 //!
 //! [`Solver`] is the one configuration type; its `version` alone picks the
 //! algorithms, on every door: [`Solver::solve`], [`Solver::solve_distributed`]
-//! and a `served` job all run the build half [`Solver::hamiltonian`] and
-//! finish by the same version → (points, explicit or matrix-free `H`, SYEV
-//! or LOBPCG) mapping. Both builds — dense
+//! and a `served` job all run the build half [`Solver::hamiltonian`] and the
+//! finish half [`Solver::eigensolve`], by the same version → (points,
+//! explicit or matrix-free `H`, SYEV or LOBPCG) mapping. Both builds — dense
 //! ([`parallel::distributed_dense_hamiltonian`]) and ISDF
-//! ([`build_isdf_hamiltonian`]) — are written once, against a communicator,
-//! and a serial solve is their one-rank case. [`parallel`] holds the paper's
+//! ([`build_isdf_hamiltonian`]) — and the one Casida LOBPCG
+//! ([`parallel_eig`]) are written once, against a communicator, and a serial
+//! solve is their one-rank case. [`parallel`] holds the paper's
 //! MPI pipeline (Algorithm 1) on the simulated-MPI runtime; [`pipeline`]
 //! its contraction and, for `repro fig5`, the pipelined GEMM+`Reduce`.
 
 pub mod analysis;
 pub mod kernel;
-pub mod lobpcg_driver;
 pub mod metrics;
 pub mod naive;
 pub mod parallel;

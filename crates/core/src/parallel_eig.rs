@@ -1,385 +1,361 @@
-//! Distributed implicit LOBPCG: the eigensolver side of the paper's parallel
-//! design, restructured for **communication avoidance**.
+//! The one Casida eigensolver: the implicit, preconditioned LOBPCG of paper
+//! §4.3 (Eq. 16/17) over a communicator, the same code at every rank count.
+//! A serial solve runs it on [`Comm::solo`]; the distributed doors and a
+//! `served` batch on their group. Row 4 hands it the materialized `H` on one
+//! rank ([`CasidaOp::Dense`]), row 5 the ISDF factors over every rank's pair
+//! rows ([`CasidaOp::Factors`]).
 //!
-//! The excitation-vector block `X` (`N_cv × k`) is distributed by **pair
-//! rows** across ranks. The seed schedule issued five latency-bound
-//! collectives per iteration (Gram, residual norms, Cholesky-QR Gram, one
-//! inside `H·S`, subspace Gram); this version issues **two**:
+//! The excitation-vector block `X` (`N_cv × b`) is distributed by **pair
+//! rows**. It is `b = min(k + GUARD, N_cv)` wide: the guard vectors beyond
+//! the `k` asked for keep the `k`-th Ritz value from stalling against the
+//! `k+1`-th (Duersch–Shao–Yang–Gu, SIAM J. Sci. Comput. 2018, the paper's
+//! ref. \[11\]), and convergence is tested on the lowest `k` only. Each
+//! iteration issues **two** collectives:
 //!
-//! 1. `H·W` — only the preconditioned-residual block pays an operator
-//!    application (`H·X`, `H·P` are carried forward as local linear
-//!    combinations of the previous `H·S`); its `C·W` partial-product
-//!    reduction is settled after the local diagonal term is computed;
-//! 2. one **packed** allreduce ([`Comm::allreduce_packed`]) carrying
-//!    `SᵀS`, `SᵀHS`, *and* the residual-norm partials of the current
-//!    iterate in a single payload.
+//! 1. one packed reduce of `[SᵀS | ‖r‖²]` for the trial space
+//!    `S = [X W P]` and the residual norms of the current `X`. Locally, a
+//!    Cholesky of `SᵀS` that drops nearly dependent columns gives the
+//!    orthonormal basis `Q = S·B`;
+//! 2. one packed reduce of `[C_loc·Q_loc | Q_locᵀ(D∘Q_loc)]`, from which
+//!    `H·Q_loc = D∘Q_loc + 2C_locᵀṼ(CQ)` and the replicated
+//!    `QᵀHQ = Qᵀ(D∘Q) + 2(CQ)ᵀṼ(CQ)` are both formed locally. `H` is applied
+//!    to all of `Q`, fresh, every iteration: nothing carries `H·X` or `H·P`
+//!    forward, so no drift accumulates.
 //!
-//! Orthonormalization moved out of the collective schedule entirely: instead
-//! of a distributed Cholesky-QR per iteration, the Rayleigh–Ritz step solves
-//! the *generalized* problem `(SᵀHS) y = λ (SᵀS) y` from the already-reduced
-//! Grams (`G = LLᵀ`, `M = L⁻¹(SᵀHS)L⁻ᵀ`, replicated and tiny), so the new
-//! `X = S·(L⁻ᵀY)` is orthonormal by construction.
+//! Both collectives carry `O(N_μ·m)` or `O(m²)` doubles, never the
+//! `O(N_cv²)` Hamiltonian — which is why the implicit form scales.
 //!
-//! The convergence test is **one-iteration-delayed**: residual-norm partials
-//! are summed locally when the residual is formed, but ride the *next*
-//! iteration's packed reduce. The test still grades exactly the iterate it
-//! returns (the norms are that iterate's exact global norms — only the
-//! collective moved), so the converged answer is never changed; the delay
-//! costs at most one speculative `H·W` application.
-//!
-//! This is exactly why the implicit form scales: every collective carries
-//! `O(N_μ·m)` or `O(m²)` doubles, never the `O(N_cv²)` Hamiltonian — and now
-//! each iteration pays two latencies instead of five.
+//! The convergence test is one collective late: the residual norms of an
+//! iterate ride the next iteration's first reduce. It still grades exactly
+//! the iterate it returns. Breakdown guards test replicated quantities (the
+//! reduced Gram and norms), so every rank takes the same branch and the
+//! collective order never diverges.
 
-use crate::lobpcg_driver::initial_guess;
 use crate::versions::IsdfHamiltonian;
 use faultkit::SolveError;
-use mathkit::chol::{cholesky, solve_lower, solve_lower_transpose, solve_right_lower_transpose};
+use mathkit::chol::{solve_lower_transpose, solve_right_lower_transpose};
 use mathkit::gemm::{gemm, gemm_tn, syrk_tn, Transpose};
 use mathkit::lobpcg::LobpcgOptions;
-use mathkit::{syev, Mat};
+use mathkit::{lowest, Mat};
 use parcomm::layout::block_ranges;
 use parcomm::Comm;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::ops::Range;
 
-/// Result of the distributed eigensolve.
-pub struct DistributedEigResult {
+/// Guard vectors iterated beyond the `k` eigenpairs asked for.
+const GUARD: usize = 2;
+
+/// A column of `[X W P]` whose part outside the span of the columns before
+/// it is below this fraction of its own squared norm is dropped from the
+/// basis.
+const DROP_TOL: f64 = 1e-10;
+
+/// Floor on `|D_i − θ|` in the Eq. 17 preconditioner, so near-resonant Ritz
+/// values cannot blow `W` up.
+const PRECOND_FLOOR: f64 = 1e-3;
+
+/// What the eigensolver applies.
+pub enum CasidaOp<'a> {
+    /// ISDF factors, applied matrix-free over this rank's pair rows (row 5).
+    Factors(&'a IsdfHamiltonian),
+    /// The materialized `H` and its bare diagonal `D`; one rank holds all
+    /// rows (row 4).
+    Dense { h: &'a Mat, diag_d: &'a [f64] },
+}
+
+impl<'a> From<&'a IsdfHamiltonian> for CasidaOp<'a> {
+    fn from(ham: &'a IsdfHamiltonian) -> Self {
+        CasidaOp::Factors(ham)
+    }
+}
+
+impl CasidaOp<'_> {
+    fn diag_d(&self) -> &[f64] {
+        match self {
+            CasidaOp::Factors(ham) => &ham.diag_d,
+            CasidaOp::Dense { diag_d, .. } => diag_d,
+        }
+    }
+}
+
+/// Lowest eigenpairs of the Casida `H`.
+pub struct Eigenpairs {
+    /// The lowest `k` eigenvalues, ascending, replicated.
     pub values: Vec<f64>,
-    /// This rank's row block of the eigenvectors (`my_rows × k`).
+    /// This rank's row block of the eigenvectors (`my_rows × k`; all `N_cv`
+    /// rows on one rank).
     pub local_vectors: Mat,
+    /// LOBPCG iterations (0 for a dense solve).
     pub iterations: usize,
+    /// Max relative residual `‖Hx − θx‖ / max(1, |θ|)` over the lowest `k`
+    /// (the best seen when not converged; 0 for a dense solve).
     pub residual: f64,
+    /// Whether `residual` met the tolerance (a dense solve always does).
     pub converged: bool,
 }
 
-impl DistributedEigResult {
-    /// Convert honest non-convergence into the typed error, for callers that
-    /// require a converged result.
-    pub fn into_converged(self) -> Result<Self, SolveError> {
-        if self.converged {
-            Ok(self)
-        } else {
-            Err(SolveError::NotConverged {
-                stage: "dist_lobpcg",
-                residual: self.residual,
-                iterations: self.iterations,
-            })
+/// The paper's initial block: for each of the `k` lowest entries of `diag_d`,
+/// a coordinate vector with small random dressing to decouple degeneracies.
+pub fn initial_guess(diag_d: &[f64], k: usize, seed: u64) -> Mat {
+    let n = diag_d.len();
+    let k = k.min(n);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| diag_d[a].partial_cmp(&diag_d[b]).unwrap());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut x0 = Mat::from_fn(n, k, |_, _| 1e-3 * rng.gen_range(-1.0..1.0));
+    for (j, &idx) in order.iter().take(k).enumerate() {
+        x0[(idx, j)] = 1.0;
+    }
+    x0
+}
+
+/// The Eq. 17 preconditioner `W = K⁻¹R`, `K_i = D_i − θ_j` for column `j`,
+/// on a row block whose bare diagonal is `diag_d`.
+pub fn precondition(r: &Mat, diag_d: &[f64], theta: &[f64]) -> Mat {
+    let mut w = r.clone();
+    for (j, &th) in theta.iter().enumerate().take(w.ncols()) {
+        for (v, &d) in w.col_mut(j).iter_mut().zip(diag_d) {
+            let den = d - th;
+            *v /= if den.abs() < PRECOND_FLOOR { PRECOND_FLOOR.copysign(den) } else { den };
         }
     }
+    w
 }
 
-/// Apply the implicit Hamiltonian to a row-distributed block:
-/// `out_loc = D_loc ∘ X_loc + 2 C_locᵀ (Ṽ (ΣC_loc X_loc))`.
-fn apply_distributed(
-    comm: &Comm,
-    ham: &IsdfHamiltonian,
-    rows: &Range<usize>,
-    x_loc: &Mat,
-) -> Result<Mat, SolveError> {
-    let n_mu = ham.c.nrows();
-    let m = x_loc.ncols();
-    // C restricted to my pair columns.
-    let c_loc = ham.c.col_block(rows.start, rows.end);
-    let mut cx = Mat::zeros(n_mu, m);
-    gemm(1.0, &c_loc, Transpose::No, x_loc, Transpose::No, 0.0, &mut cx);
-    // The CX reduction is issued before the diagonal term (independent of
-    // CX) is computed and settled after it. The partial product is retained
-    // so a dropped request can be re-issued (drop faults fire symmetrically
-    // across ranks, so the re-issue stays collective).
-    let cx_vec = cx.into_vec();
-    let rq = comm.iallreduce_sum(cx_vec.clone());
-    let mut diag_term = Mat::zeros(rows.len(), m);
-    for j in 0..m {
-        let xc = x_loc.col(j);
-        let dc = diag_term.col_mut(j);
-        for (il, i) in rows.clone().enumerate() {
-            dc[il] = ham.diag_d[i] * xc[il];
-        }
-    }
-    let data = comm.settle(rq, |c| c.iallreduce_sum(cx_vec.clone()))?;
-    let cx = Mat::from_vec(n_mu, m, data);
-    let mut vcx = Mat::zeros(n_mu, m);
-    gemm(1.0, &ham.v_tilde, Transpose::No, &cx, Transpose::No, 0.0, &mut vcx);
-    let mut out = Mat::zeros(rows.len(), m);
-    gemm(2.0, &c_loc, Transpose::Yes, &vcx, Transpose::No, 0.0, &mut out);
-    for j in 0..m {
-        let dc = diag_term.col(j);
-        let oc = out.col_mut(j);
-        for (o, d) in oc.iter_mut().zip(dc) {
-            *o += d;
-        }
-    }
-    Ok(out)
+/// `H` on this rank's rows, ready to apply.
+struct Local<'a> {
+    /// `D` on my rows.
+    d: &'a [f64],
+    form: Form<'a>,
 }
 
-/// Distributed Gram matrix `AᵀB` of row-distributed blocks (replicated result).
-fn dist_gram(comm: &Comm, a_loc: &Mat, b_loc: &Mat) -> Mat {
-    let mut g = gemm_tn(a_loc, b_loc);
-    comm.allreduce_sum(g.as_mut_slice());
-    g
+enum Form<'a> {
+    /// `C` restricted to my pair columns, and `Ṽ`.
+    Factors { c: Cow<'a, Mat>, v_tilde: &'a Mat },
+    Dense(&'a Mat),
 }
 
-/// Cholesky-QR of a row-distributed block; `None` if the Gram matrix
-/// degenerates. Returns the orthonormalized local block. Used once on the
-/// initial guess — the iteration itself orthonormalizes through the
-/// generalized Rayleigh–Ritz step and needs no per-iteration collective.
-fn dist_cholesky_qr(comm: &Comm, s_loc: &Mat) -> Option<Mat> {
-    // SᵀS is a symmetric Gram — the packed rank-k engine computes only the
-    // lower triangle and mirrors it; one small Allreduce replicates it.
-    let mut g = syrk_tn(s_loc);
-    comm.allreduce_sum(g.as_mut_slice());
-    match cholesky(&g) {
-        Ok(l) => Some(solve_right_lower_transpose(s_loc, &l)),
-        Err(_) => None,
-    }
-}
-
-/// Local residual block `R = HX − X·diag(θ)`.
-fn residual(x: &Mat, hx: &Mat, theta: &[f64]) -> Mat {
-    let mut r = hx.clone();
-    for (j, &th) in theta.iter().enumerate() {
-        let xc = x.col(j);
-        for (rv, xv) in r.col_mut(j).iter_mut().zip(xc.iter()) {
-            *rv -= th * xv;
-        }
-    }
-    r
-}
-
-/// Diagonal preconditioner (paper Eq. 17), in place on the local block.
-fn precondition(w: &mut Mat, rows: &Range<usize>, diag_d: &[f64], theta: &[f64]) {
-    for (j, &th) in theta.iter().enumerate() {
-        let col = w.col_mut(j);
-        for (il, i) in rows.clone().enumerate() {
-            let mut den = diag_d[i] - th;
-            if den.abs() < 1e-3 {
-                den = 1e-3f64.copysign(if den == 0.0 { 1.0 } else { den });
+impl<'a> Local<'a> {
+    fn new(op: &CasidaOp<'a>, comm: &Comm, rows: &Range<usize>) -> Self {
+        match *op {
+            CasidaOp::Factors(ham) => {
+                let c = if rows.len() == ham.c.ncols() {
+                    Cow::Borrowed(&ham.c)
+                } else {
+                    Cow::Owned(ham.c.col_block(rows.start, rows.end))
+                };
+                let form = Form::Factors { c, v_tilde: &ham.v_tilde };
+                Local { d: &ham.diag_d[rows.clone()], form }
             }
-            col[il] /= den;
+            CasidaOp::Dense { h, diag_d } => {
+                assert_eq!(comm.size(), 1, "a dense H iterates on one rank");
+                Local { d: diag_d, form: Form::Dense(h) }
+            }
         }
+    }
+
+    /// Collective 2: `H·Q` on my rows and the replicated `QᵀHQ`.
+    fn apply(&self, comm: &Comm, q: &Mat) -> Result<(Mat, Mat), SolveError> {
+        let (hq, mut qhq) = match &self.form {
+            Form::Dense(h) => {
+                let mut hq = Mat::zeros(h.nrows(), q.ncols());
+                gemm(1.0, h, Transpose::No, q, Transpose::No, 0.0, &mut hq);
+                let qhq = gemm_tn(q, &hq);
+                (hq, qhq)
+            }
+            Form::Factors { c, v_tilde } => {
+                let (n_mu, m) = (v_tilde.nrows(), q.ncols());
+                let mut cq = Mat::zeros(n_mu, m);
+                gemm(1.0, c, Transpose::No, q, Transpose::No, 0.0, &mut cq);
+                let mut dq = q.clone();
+                for j in 0..m {
+                    for (v, d) in dq.col_mut(j).iter_mut().zip(self.d) {
+                        *v *= d;
+                    }
+                }
+                let mut packed = cq.into_vec();
+                packed.extend_from_slice(gemm_tn(q, &dq).as_slice());
+                comm.allreduce_packed(&mut packed)?;
+                let mut qhq = Mat::from_vec(m, m, packed.split_off(n_mu * m));
+                let cq = Mat::from_vec(n_mu, m, packed);
+                let mut vcq = Mat::zeros(n_mu, m);
+                gemm(1.0, v_tilde, Transpose::No, &cq, Transpose::No, 0.0, &mut vcq);
+                gemm(2.0, c, Transpose::Yes, &vcq, Transpose::No, 1.0, &mut dq);
+                gemm(2.0, &cq, Transpose::Yes, &vcq, Transpose::No, 1.0, &mut qhq);
+                (dq, qhq)
+            }
+        };
+        qhq.symmetrize();
+        Ok((hq, qhq))
     }
 }
 
-/// Leading `n × n` principal submatrix (replicated, tiny).
-fn principal(a: &Mat, n: usize) -> Mat {
-    Mat::from_fn(n, n, |i, j| a[(i, j)])
+/// Cholesky of the reduced Gram `G = SᵀS` with a drop tolerance: walking the
+/// columns in order, one whose pivot is below [`DROP_TOL`] of its own
+/// squared norm (or beyond `n_max`, the dimension of the space) is left out.
+/// Returns the kept columns and the Cholesky factor `L` of their Gram, so
+/// that `Q = S[:, keep]·L⁻ᵀ` is orthonormal.
+fn gram_basis(g: &Mat, n_max: usize) -> (Vec<usize>, Mat) {
+    let mut keep: Vec<usize> = Vec::new();
+    let mut l_rows: Vec<Vec<f64>> = Vec::new();
+    for j in 0..g.nrows() {
+        if keep.len() == n_max {
+            break;
+        }
+        let mut row: Vec<f64> = Vec::with_capacity(keep.len() + 1);
+        for (i, &ki) in keep.iter().enumerate() {
+            let dot: f64 = l_rows[i][..i].iter().zip(&row).map(|(a, b)| a * b).sum();
+            row.push((g[(ki, j)] - dot) / l_rows[i][i]);
+        }
+        let pivot = g[(j, j)] - row.iter().map(|v| v * v).sum::<f64>();
+        if pivot > DROP_TOL * g[(j, j)] {
+            row.push(pivot.sqrt());
+            keep.push(j);
+            l_rows.push(row);
+        }
+    }
+    let n = keep.len();
+    let l = Mat::from_fn(n, n, |i, j| if j <= i { l_rows[i][j] } else { 0.0 });
+    (keep, l)
 }
 
-/// Generalized Rayleigh–Ritz from the already-reduced replicated Grams
-/// `G = SᵀS`, `A = SᵀHS`: factor `G = LLᵀ`, diagonalize `M = L⁻¹AL⁻ᵀ`, and
-/// return the `k` lowest Ritz values with basis coefficients `C = L⁻ᵀY`
-/// (so `CᵀGC = I` — the updated block is orthonormal with **no** extra
-/// collective). `None` when `G` has lost positive definiteness.
-fn rr_step(g: &Mat, a: &Mat, k: usize) -> Option<(Vec<f64>, Mat)> {
-    let l = cholesky(g).ok()?;
-    let half = solve_lower(&l, a);
-    let mut m = solve_right_lower_transpose(&half, &l);
-    m.symmetrize();
-    let eig = syev(&m);
-    let cols: Vec<usize> = (0..k).collect();
-    let y = eig.vectors.select_cols(&cols);
-    let c = solve_lower_transpose(&l, &y);
-    Some((eig.values[..k].to_vec(), c))
+/// Columns of the blocks side by side.
+fn hcat(blocks: &[&Mat]) -> Mat {
+    let rows = blocks[0].nrows();
+    let mut s = Mat::zeros(rows, blocks.iter().map(|b| b.ncols()).sum());
+    let mut j = 0;
+    for b in blocks {
+        for bj in 0..b.ncols() {
+            s.col_mut(j).copy_from_slice(b.col(bj));
+            j += 1;
+        }
+    }
+    s
 }
 
-/// Distributed implicit LOBPCG for the lowest `k` eigenpairs of the
-/// (replicated) factored Hamiltonian. SPMD-collective; every rank gets the
-/// same eigenvalues and its own row block of eigenvectors.
+fn breakdown(iteration: usize, reason: &str) -> SolveError {
+    SolveError::Breakdown { stage: "lobpcg", iteration, reason: reason.to_string() }
+}
+
+/// LOBPCG for the lowest `k` eigenpairs of the Casida `H`, SPMD-collective
+/// on `comm`: every rank gets the same eigenvalues and its own row block of
+/// eigenvectors.
 ///
-/// `Ok` with `converged == false` is honest non-convergence (see
-/// [`DistributedEigResult::into_converged`]); `Err` is an iteration breakdown
-/// or an exhausted communication retry. Breakdown guards test replicated
-/// quantities (allreduced norms and Gram matrices), so every rank takes
-/// the same branch and the SPMD collective order never diverges.
-pub fn distributed_casida_lobpcg(
+/// `Ok` with `converged == false` is honest non-convergence; `Err` is a
+/// breakdown (a non-finite reduced Gram or residual norm, a collapsed
+/// subspace) or an exhausted communication retry. Either way the caller
+/// ([`crate::Solver::eigensolve`]) answers from the dense floor.
+pub fn distributed_casida_lobpcg<'a>(
     comm: &Comm,
-    ham: &IsdfHamiltonian,
+    op: impl Into<CasidaOp<'a>>,
     k: usize,
     opts: LobpcgOptions,
     seed: u64,
-) -> Result<DistributedEigResult, SolveError> {
-    let ncv = ham.diag_d.len();
-    let k = k.min(ncv);
-    let rows = block_ranges(ncv, comm.size())[comm.rank()].clone();
-    // One span over the whole solve: the nested mpi:* spans from the
-    // collectives subtract out of its self time, so diag = elapsed − comm.
-    let _sp = obskit::span(obskit::Stage::Diag, "diag.lobpcg.dist");
+) -> Result<Eigenpairs, SolveError> {
+    let op = op.into();
+    let diag_d = op.diag_d();
+    let n = diag_d.len();
+    let k = k.min(n);
+    let b = (k + GUARD).min(n);
+    let rows = block_ranges(n, comm.size())[comm.rank()].clone();
+    let local = Local::new(&op, comm, &rows);
 
-    // Replicated deterministic guess, then slice my rows.
-    let x0 = initial_guess(&ham.diag_d, k, seed);
-    let mut x = x0.row_block(rows.start, rows.end);
-    if let Some(q) = dist_cholesky_qr(comm, &x) {
-        x = q;
-    }
-    let mut hx = apply_distributed(comm, ham, &rows, &x)?;
-    // θ₀ from one small Gram (X orthonormal ⇒ diagonal = Rayleigh quotients).
-    let g0 = dist_gram(comm, &x, &hx);
-    let mut theta: Vec<f64> = (0..k).map(|i| g0[(i, i)]).collect();
-    // Current local residual; its norm partials ride the next packed reduce.
-    let mut r = residual(&x, &hx, &theta);
-    let mut p_blk: Option<(Mat, Mat)> = None; // (P, H·P), carried locally
-    let mut prev_norms: Option<Vec<f64>> = None; // previous global ‖r‖²
+    // The first pass Rayleigh–Ritzes the guess alone (S = X); every later
+    // one the full [X W P] after testing the current X.
+    let mut x = initial_guess(diag_d, b, seed).row_block(rows.start, rows.end);
+    let mut theta: Vec<f64> = Vec::new();
+    let mut r: Option<Mat> = None;
+    let mut p: Option<Mat> = None;
     let mut best_residual = f64::INFINITY;
     let mut iterations = 0;
     let mut converged = false;
 
-    for it in 0..opts.max_iter {
-        iterations = it + 1;
-        // W = preconditioned residual. Columns are scaled by the previous
-        // iteration's global residual norms — replicated, already paid for,
-        // and within a convergence factor of the current norms — to keep the
-        // subspace Gram well-conditioned without a fresh collective.
-        let mut w = r.clone();
-        precondition(&mut w, &rows, &ham.diag_d, &theta);
-        if let Some(n2) = &prev_norms {
-            for (j, n2j) in n2.iter().enumerate().take(k) {
-                let s = n2j.sqrt();
-                if s > 1e-300 {
-                    let inv = 1.0 / s;
-                    for v in w.col_mut(j) {
-                        *v *= inv;
-                    }
-                }
-            }
-        }
-        // Collective 1 of 2: H·W (the only operator application — H·X and
-        // H·P are linear combinations of the previous H·S, formed locally).
-        let hw = apply_distributed(comm, ham, &rows, &w)?;
+    for it in 0..=opts.max_iter {
+        let w = r.as_ref().map(|r| {
+            let mut w = precondition(r, local.d, &theta);
+            faultkit::inject_slice("lobpcg.w", w.as_mut_slice());
+            w
+        });
+        let s = hcat(&[Some(&x), w.as_ref(), p.as_ref()].into_iter().flatten().collect::<Vec<_>>());
+        let m = s.ncols();
 
-        // S = [X, W, P], HS = [HX, HW, HP].
-        let pn = p_blk.as_ref().map_or(0, |(pm, _)| pm.ncols());
-        let m = 2 * k + pn;
-        let mut s = Mat::zeros(rows.len(), m);
-        let mut hs = Mat::zeros(rows.len(), m);
-        for j in 0..k {
-            s.col_mut(j).copy_from_slice(x.col(j));
-            s.col_mut(k + j).copy_from_slice(w.col(j));
-            hs.col_mut(j).copy_from_slice(hx.col(j));
-            hs.col_mut(k + j).copy_from_slice(hw.col(j));
-        }
-        if let Some((pm, hpm)) = &p_blk {
-            for j in 0..pn {
-                s.col_mut(2 * k + j).copy_from_slice(pm.col(j));
-                hs.col_mut(2 * k + j).copy_from_slice(hpm.col(j));
-            }
-        }
-
-        // Collective 2 of 2: ONE packed reduce of [SᵀS | SᵀHS | ‖r‖² of the
-        // current X] at offsets 0, m², 2m² — what the seed spent three
-        // separate latency-bound allreduces on.
+        // Collective 1 of 2: [SᵀS | ‖r‖² of the current X].
         let mut packed = syrk_tn(&s).into_vec();
-        packed.extend_from_slice(gemm_tn(&s, &hs).as_slice());
-        packed.extend((0..k).map(|j| r.col(j).iter().map(|v| v * v).sum::<f64>()));
+        if let Some(r) = &r {
+            packed.extend((0..k).map(|j| r.col(j).iter().map(|v| v * v).sum::<f64>()));
+        }
         comm.allreduce_packed(&mut packed)?;
-
-        // Delayed convergence test: these are the exact global norms of the
-        // residual of the *current* X/θ — the same quantity the seed tested,
-        // one collective later. Passing it returns exactly this iterate.
-        let norms = packed.split_off(2 * m * m);
-        let resid = norms
-            .iter()
-            .zip(theta.iter())
-            .map(|(n2, th)| n2.sqrt() / th.abs().max(1.0))
-            .fold(0.0f64, f64::max);
-        // Replicated (allreduced) quantity: every rank sees the same
-        // value and errors out together.
-        if !resid.is_finite() {
-            return Err(SolveError::Breakdown {
-                stage: "dist_lobpcg",
-                iteration: iterations,
-                reason: "non-finite residual norm".to_string(),
-            });
+        if packed.iter().any(|v| !v.is_finite()) {
+            return Err(breakdown(it, "non-finite subspace Gram matrix or residual norm"));
         }
-        best_residual = best_residual.min(resid);
-        obskit::instant(
-            obskit::Stage::Diag,
-            "lobpcg.iter",
-            &[
-                ("iter", it as f64),
-                ("resid", resid),
-                ("theta_min", theta.iter().cloned().fold(f64::INFINITY, f64::min)),
-            ],
-        );
-        if resid < opts.tol {
-            converged = true;
-            break;
-        }
-
-        let a = Mat::from_vec(m, m, packed.split_off(m * m));
+        let norms = packed.split_off(m * m);
         let g = Mat::from_vec(m, m, packed);
-        // Also replicated — a poisoned subspace Gram would send syev into
-        // NaN soup on every rank simultaneously; fail typed instead.
-        if g.as_slice().iter().chain(a.as_slice().iter()).any(|v| !v.is_finite()) {
-            return Err(SolveError::Breakdown {
-                stage: "dist_lobpcg",
-                iteration: iterations,
-                reason: "non-finite subspace Gram matrix".to_string(),
-            });
-        }
-        // Generalized Rayleigh–Ritz; on Cholesky breakdown drop the P block
-        // (the leading 2k×2k principal blocks of the *already-reduced* Grams
-        // — recovery costs no collective), else bail with best known.
-        let (msub, step) = match rr_step(&g, &a, k) {
-            Some(st) => (m, st),
-            None => match rr_step(&principal(&g, 2 * k), &principal(&a, 2 * k), k) {
-                Some(st) => (2 * k, st),
-                None => break,
-            },
-        };
-        let (theta_new, coef) = step;
-        let s_use = if msub == m { s } else { s.col_block(0, msub) };
-        let hs_use = if msub == m { hs } else { hs.col_block(0, msub) };
 
-        let mut x_new = Mat::zeros(rows.len(), k);
-        gemm(1.0, &s_use, Transpose::No, &coef, Transpose::No, 0.0, &mut x_new);
-        let mut hx_new = Mat::zeros(rows.len(), k);
-        gemm(1.0, &hs_use, Transpose::No, &coef, Transpose::No, 0.0, &mut hx_new);
-
-        // P = S·C_p with the X-block rows of C zeroed (the classic LOBPCG
-        // direction), column-normalized through the replicated Gram:
-        // ‖P_j‖² = (C_pᵀ G C_p)_jj — again no collective.
-        let mut c_p = coef.clone();
-        for j in 0..k {
-            for i in 0..k {
-                c_p[(i, j)] = 0.0;
+        if it > 0 {
+            iterations = it;
+            let resid = norms
+                .iter()
+                .zip(&theta)
+                .map(|(n2, th)| n2.sqrt() / th.abs().max(1.0))
+                .fold(0.0f64, f64::max);
+            best_residual = best_residual.min(resid);
+            obskit::instant(
+                obskit::Stage::Diag,
+                "lobpcg.iter",
+                &[("iter", (it - 1) as f64), ("resid", resid), ("theta_min", theta[0])],
+            );
+            if resid < opts.tol {
+                converged = true;
+                break;
+            }
+            if it == opts.max_iter {
+                break;
             }
         }
-        let g_use = if msub == m { g } else { principal(&g, msub) };
-        let mut gc_p = Mat::zeros(msub, k);
-        gemm(1.0, &g_use, Transpose::No, &c_p, Transpose::No, 0.0, &mut gc_p);
-        for j in 0..k {
-            let n2: f64 = c_p.col(j).iter().zip(gc_p.col(j)).map(|(a, b)| a * b).sum();
-            if n2 > 1e-300 {
-                let inv = 1.0 / n2.sqrt();
-                for v in c_p.col_mut(j) {
-                    *v *= inv;
-                }
+
+        let (keep, l) = gram_basis(&g, n);
+        if keep.len() < b {
+            return Err(breakdown(it, "trial subspace collapsed below the block size"));
+        }
+        let q = solve_right_lower_transpose(&s.select_cols(&keep), &l);
+
+        // Collective 2 of 2: H·Q and QᵀHQ, then Rayleigh–Ritz.
+        let (hq, qhq) = local.apply(comm, &q)?;
+        if qhq.as_slice().iter().any(|v| !v.is_finite()) {
+            return Err(breakdown(it, "non-finite projected Hamiltonian"));
+        }
+        let eig = lowest(&qhq, b);
+        let mut x_new = Mat::zeros(rows.len(), b);
+        gemm(1.0, &q, Transpose::No, &eig.vectors, Transpose::No, 0.0, &mut x_new);
+        let mut res = Mat::zeros(rows.len(), b);
+        gemm(1.0, &hq, Transpose::No, &eig.vectors, Transpose::No, 0.0, &mut res);
+        for (j, &th) in eig.values.iter().enumerate() {
+            for (rv, xv) in res.col_mut(j).iter_mut().zip(x_new.col(j)) {
+                *rv -= th * xv;
             }
         }
-        let mut p_new = Mat::zeros(rows.len(), k);
-        gemm(1.0, &s_use, Transpose::No, &c_p, Transpose::No, 0.0, &mut p_new);
-        let mut hp_new = Mat::zeros(rows.len(), k);
-        gemm(1.0, &hs_use, Transpose::No, &c_p, Transpose::No, 0.0, &mut hp_new);
 
+        // P = (I − X Xᵀ)·X_new, the part of the new iterate outside the old
+        // one; Xᵀ·X_new = G[X, keep]·L⁻ᵀ·Y comes from the reduced Gram.
+        if it > 0 {
+            let coef = solve_lower_transpose(&l, &eig.vectors);
+            let g_x = Mat::from_fn(b, keep.len(), |i, j| g[(i, keep[j])]);
+            let mut xtx = Mat::zeros(b, b);
+            gemm(1.0, &g_x, Transpose::No, &coef, Transpose::No, 0.0, &mut xtx);
+            let mut p_new = x_new.clone();
+            gemm(-1.0, &x, Transpose::No, &xtx, Transpose::No, 1.0, &mut p_new);
+            p = Some(p_new);
+        }
         x = x_new;
-        hx = hx_new;
-        p_blk = Some((p_new, hp_new));
-        theta = theta_new;
-        r = residual(&x, &hx, &theta);
-        prev_norms = Some(norms);
+        r = Some(res);
+        theta = eig.values;
     }
 
-    // θ are exact Ritz values of the returned X already (CᵀGC = I in the
-    // generalized step; θ₀ came from the explicit Gram) — the seed's
-    // post-loop Gram collective is gone. Sort ascending (replicated).
-    let mut order: Vec<usize> = (0..k).collect();
-    order.sort_by(|&a, &b| theta[a].partial_cmp(&theta[b]).unwrap());
-    let values: Vec<f64> = order.iter().map(|&i| theta[i]).collect();
-    let local_vectors = x.select_cols(&order);
-
-    Ok(DistributedEigResult {
-        values,
-        local_vectors,
+    Ok(Eigenpairs {
+        values: theta[..k].to_vec(),
+        local_vectors: x.col_block(0, k),
         iterations,
         residual: best_residual,
         converged,
@@ -389,9 +365,9 @@ pub fn distributed_casida_lobpcg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lobpcg_driver::solve_casida_lobpcg;
     use crate::problem::synthetic_problem;
     use crate::versions::{build_isdf_hamiltonian, PointSelector};
+    use mathkit::syev;
     use parcomm::spmd;
 
     fn test_ham() -> IsdfHamiltonian {
@@ -402,17 +378,29 @@ mod tests {
     }
 
     #[test]
+    fn guess_hits_lowest_transitions() {
+        let d = vec![5.0, 1.0, 3.0, 0.5];
+        let x0 = initial_guess(&d, 2, 1);
+        assert_eq!(x0.shape(), (4, 2));
+        // first column peaks at index 3 (smallest D), second at index 1
+        assert!((x0[(3, 0)] - 1.0).abs() < 1e-12);
+        assert!((x0[(1, 1)] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn preconditioner_divides_by_the_shifted_diagonal_with_a_floor() {
+        let r = Mat::from_rows(&[&[1.0], &[1.0], &[1.0]]);
+        let w = precondition(&r, &[2.0, 4.0, 1.0], &[1.0]);
+        assert!((w[(0, 0)] - 1.0).abs() < 1e-12); // 1/(2-1)
+        assert!((w[(1, 0)] - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(w[(2, 0)], 1.0 / PRECOND_FLOOR, "resonant: D − θ = 0");
+    }
+
+    #[test]
     fn distributed_matches_serial_eigenvalues() {
         let ham = test_ham();
         let k = 3;
-        let serial = solve_casida_lobpcg(
-            |x| ham.apply(x),
-            &ham.diag_d,
-            k,
-            LobpcgOptions { max_iter: 300, tol: 1e-9 },
-            42,
-        )
-        .expect("serial solve");
+        let dense = lowest(&ham.to_dense(), k);
         for ranks in [1usize, 2, 4] {
             let res = spmd(ranks, |c| {
                 distributed_casida_lobpcg(
@@ -422,23 +410,13 @@ mod tests {
                     LobpcgOptions { max_iter: 300, tol: 1e-9 },
                     42,
                 )
-                .and_then(DistributedEigResult::into_converged)
-                .map(|r| r.values)
             });
             for r in &res {
-                let vals = match r {
-                    Ok(vals) => vals,
-                    Err(e) => panic!("ranks={ranks}: {e}"),
-                };
-                for (i, v) in vals.iter().enumerate().take(k) {
-                    let rel =
-                        (v - serial.values[i]).abs() / serial.values[i].abs().max(1e-12);
-                    assert!(
-                        rel < 1e-6,
-                        "ranks={ranks} state {i}: {} vs {}",
-                        v,
-                        serial.values[i]
-                    );
+                let r = r.as_ref().unwrap_or_else(|e| panic!("ranks={ranks}: {e}"));
+                assert!(r.converged, "ranks={ranks}: residual {}", r.residual);
+                for (i, (v, want)) in r.values.iter().zip(&dense.values).enumerate() {
+                    let rel = (v - want).abs() / want.abs().max(1e-12);
+                    assert!(rel < 1e-10, "ranks={ranks} state {i}: {v} vs dense {want}");
                 }
             }
         }
@@ -496,7 +474,7 @@ mod tests {
     #[test]
     fn two_collectives_per_iteration() {
         // The communication-avoiding schedule: after warmup, each iteration
-        // costs exactly one H·W reduction plus one packed Gram/norm reduce.
+        // costs exactly one packed Gram/norm reduce plus one H·Q reduction.
         let ham = test_ham();
         let res = spmd(2, |c| {
             let short = distributed_casida_lobpcg(
@@ -527,5 +505,60 @@ mod tests {
                 "each extra iteration must cost exactly 2 collectives"
             );
         }
+    }
+
+    /// Casida-like `H`: positive diagonal `D` plus a small symmetric
+    /// coupling.
+    fn random_casida(n: usize, rng: &mut StdRng) -> (Mat, Vec<f64>) {
+        let d: Vec<f64> = (0..n).map(|_| rng.gen_range(0.3..1.5)).collect();
+        let mut h = Mat::from_fn(n, n, |_, _| 0.1 * rng.gen_range(-1.0..1.0));
+        h.symmetrize();
+        for (i, di) in d.iter().enumerate() {
+            h[(i, i)] += di;
+        }
+        (h, d)
+    }
+
+    #[test]
+    fn spaces_smaller_than_the_trial_block_return_the_dense_spectrum() {
+        // With 3b > n the trial space [X W P] cannot hold its columns: the
+        // drop-tolerance Cholesky keeps at most n of them. 200 seeds per
+        // order; every run converges to the dense spectrum.
+        let solo = Comm::solo();
+        for n in [3usize, 4, 5, 6, 8] {
+            for seed in 0..200u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let k = rng.gen_range(n / 3 + 1..=n);
+                let (h, d) = random_casida(n, &mut rng);
+                let dense = syev(&h);
+                let op = CasidaOp::Dense { h: &h, diag_d: &d };
+                let case = format!("n={n} k={k} seed={seed}");
+                let res = distributed_casida_lobpcg(&solo, op, k, LobpcgOptions::default(), seed)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert!(res.converged, "{case}: residual {}", res.residual);
+                for (i, v) in res.values.iter().enumerate() {
+                    let want = dense.values[i];
+                    assert!((v - want).abs() < 1e-6, "{case} λ_{i}: {v} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn poisoned_w_breaks_down_on_every_rank() {
+        let ham = test_ham();
+        let campaign = faultkit::arm(
+            faultkit::FaultPlan::new(21).with("lobpcg.w", 1, faultkit::FaultKind::NanPoison),
+        );
+        let res = spmd(2, |c| {
+            distributed_casida_lobpcg(c, &ham, 2, LobpcgOptions::default(), 3).err()
+        });
+        for err in res {
+            match err {
+                Some(SolveError::Breakdown { stage: "lobpcg", iteration: 2, .. }) => {}
+                other => panic!("expected a breakdown at iteration 2, got {other:?}"),
+            }
+        }
+        assert_eq!(campaign.fired(), 2, "one poison per rank");
     }
 }

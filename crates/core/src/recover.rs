@@ -11,10 +11,12 @@
 //!   fit-residual breach, a non-SPD Gram) gets one clean rebuild — injected
 //!   faults are one-shot, so the retry runs pristine — before
 //!   [`SolveError::LadderExhausted`](faultkit::SolveError::LadderExhausted).
-//! * **eigensolver fallback** — LOBPCG, and on breakdown or non-convergence
-//!   the dense `lowest(·, k)` floor, which always succeeds: versions 4–5
-//!   degrade to version 3 cost instead of panicking. The distributed
-//!   finisher ([`crate::Solver::eigensolve`]) falls back the same way.
+//! * **eigensolver fallback** — [`crate::Solver::eigensolve`], the finish
+//!   half of every door: the one Casida LOBPCG
+//!   ([`crate::parallel_eig::distributed_casida_lobpcg`]), and on breakdown
+//!   or non-convergence the dense `lowest(·, k)` floor, which always
+//!   succeeds: versions 4–5 degrade to version 3 cost instead of panicking,
+//!   and the floor leaves one `…; dense floor` line.
 //!
 //! Every rung taken is recorded in [`crate::Solution::recovery`] so campaigns
 //! (and users) can see *how* a solve healed, not just that it did.
@@ -23,11 +25,8 @@
 //! first attempt performs exactly the operations the old code performed, and
 //! the fallbacks only engage after a failure.
 
-use crate::lobpcg_driver::solve_casida_lobpcg;
 use crate::solver::Solver;
 use crate::versions::Version;
-use mathkit::lobpcg::{LobpcgOptions, LobpcgResult};
-use mathkit::{lowest, Mat};
 
 /// One rung down the graceful-degradation ladder: the next-cheaper
 /// configuration for `solver`, or `None` when the rung has been taken. This
@@ -47,42 +46,6 @@ use mathkit::{lowest, Mat};
 /// paper's five versions do.
 pub fn degrade(solver: &Solver) -> Option<Solver> {
     solver.plan().lobpcg.then(|| solver.version(Version::KmeansIsdf).degraded("direct-eig"))
-}
-
-/// Eigensolver fallback for the LOBPCG versions: LOBPCG with the paper's
-/// guess and preconditioner, and on breakdown or honest non-convergence the
-/// dense `lowest(·, k)` of the materialized `H` — exact, version-3 cost, and
-/// unconditional. A fallback appends exactly one line to `recovery`.
-pub(crate) fn eig_ladder<FA, FD>(
-    apply: FA,
-    dense: FD,
-    diag_d: &[f64],
-    k: usize,
-    opts: LobpcgOptions,
-    seed: u64,
-    recovery: &mut Vec<String>,
-) -> LobpcgResult
-where
-    FA: Fn(&Mat) -> Mat,
-    FD: FnOnce() -> Mat,
-{
-    // The historical path. A clean run returns here, bit-for-bit.
-    match solve_casida_lobpcg(&apply, diag_d, k, opts, seed) {
-        Ok(res) if res.converged => return res,
-        Ok(res) => recovery.push(format!(
-            "lobpcg: no convergence in {} iterations (residual {:.3e}); dense floor",
-            res.iterations, res.residual
-        )),
-        Err(e) => recovery.push(format!("lobpcg: {e}; dense floor")),
-    }
-    let eig = lowest(&dense(), k);
-    LobpcgResult {
-        values: eig.values,
-        vectors: eig.vectors,
-        iterations: 0,
-        residual: 0.0,
-        converged: true,
-    }
 }
 
 #[cfg(test)]

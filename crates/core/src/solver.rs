@@ -30,19 +30,19 @@
 
 use crate::metrics::ComplexityEstimate;
 use crate::parallel::distributed_dense_hamiltonian;
-use crate::parallel_eig::{distributed_casida_lobpcg, DistributedEigResult};
+use crate::parallel_eig::{distributed_casida_lobpcg, CasidaOp, Eigenpairs};
 use crate::problem::CasidaProblem;
 use crate::rank::IsdfRank;
-use crate::recover::eig_ladder;
 use crate::timers::StageTimings;
 use crate::versions::{
     build_isdf_hamiltonian, Hamiltonian, PointSelector, Solution, Version,
 };
 use faultkit::SolveError;
 use mathkit::lobpcg::LobpcgOptions;
-use mathkit::lowest;
+use mathkit::{lowest, Mat};
 use obskit::Stage;
-use parcomm::Comm;
+use parcomm::{block_ranges, Comm};
+use std::borrow::Cow;
 
 /// A fully-configured solve. Plain data, cheap to copy: write the fields or
 /// chain the consuming setters of the same names.
@@ -238,86 +238,104 @@ impl Solver {
         build_isdf_hamiltonian(comm, problem, selector, n_mu, recovery).map(Hamiltonian::Isdf)
     }
 
-    /// Finish half of the distributed doors: the lowest `n_states`
-    /// eigenvalues of a replicated `ham`, replicated. Rows 1–3 run the same
-    /// dense eigensolve of the lowest `k` ([`mathkit::lowest`]) on every
-    /// rank; rows 4–5 the distributed matrix-free LOBPCG, falling back to
-    /// the dense solve if it breaks down or does not converge — every guard
-    /// there tests replicated quantities, so all ranks fall back together.
-    /// Split from the build so the serving scheduler can share one build
-    /// across a batch and keep each job's result bitwise identical to a solo
-    /// [`Solver::solve_distributed`].
-    pub fn eigensolve(&self, comm: &Comm, ham: &Hamiltonian) -> Vec<f64> {
+    /// Finish half of every door: the lowest `n_states` eigenpairs of a
+    /// replicated `ham`, with this rank's row block of the vectors (all rows
+    /// on one rank). Rows 1–3 run the dense eigensolve of the lowest `k`
+    /// ([`mathkit::lowest`]) on every rank. Rows 4–5 run the one Casida
+    /// LOBPCG ([`distributed_casida_lobpcg`]): row 5 on the ISDF factors
+    /// over `comm`'s ranks, row 4 on the materialized `H`, replicated (one
+    /// rank's run on every rank, as rows 1–3). If it breaks down or does not
+    /// converge, the dense `lowest(·, k)` answers and one `…; dense floor`
+    /// line lands in `recovery`; every guard there tests replicated
+    /// quantities, so all ranks fall back together. Split from the build so
+    /// the serving scheduler can share one build across a batch and keep each
+    /// job's result bitwise identical to a solo [`Solver::solve_distributed`].
+    pub fn eigensolve(
+        &self,
+        comm: &Comm,
+        ham: &Hamiltonian,
+        recovery: &mut Vec<String>,
+    ) -> Eigenpairs {
         let k = self.n_states.min(ham.n_cv());
-        let dense = |name| {
+        let rows = block_ranges(ham.n_cv(), comm.size())[comm.rank()].clone();
+        // A replicated solve's vectors, cut to this rank's rows.
+        let mine = |v: Mat| if comm.size() == 1 { v } else { v.row_block(rows.start, rows.end) };
+        let dense = |h: &Mat, name| {
             let _sp = obskit::span(Stage::Diag, name);
-            lowest(&ham.dense(), k).values
-        };
-        kernel_pool(comm).install(|| match ham {
-            Hamiltonian::Isdf(factors) if self.plan().lobpcg => {
-                distributed_casida_lobpcg(comm, factors, k, self.lobpcg, self.seed)
-                    .and_then(DistributedEigResult::into_converged)
-                    .map_or_else(|_| dense("diag.syev.fallback"), |res| res.values)
+            let eig = lowest(h, k);
+            Eigenpairs {
+                values: eig.values,
+                local_vectors: mine(eig.vectors),
+                iterations: 0,
+                residual: 0.0,
+                converged: true,
             }
-            _ => dense("diag.syev.replicated"),
+        };
+        kernel_pool(comm).install(|| {
+            let plan = self.plan();
+            let factors = match ham {
+                Hamiltonian::Isdf(factors) if plan.lobpcg => factors,
+                _ => return dense(&ham.dense(), "diag.syev"),
+            };
+            let sp = obskit::span(Stage::Diag, "diag.lobpcg");
+            let h = plan.explicit.then(|| factors.to_dense());
+            let solo = Comm::solo();
+            let (on, op) = match &h {
+                Some(h) => (&solo, CasidaOp::Dense { h, diag_d: &factors.diag_d }),
+                None => (comm, CasidaOp::Factors(factors)),
+            };
+            match distributed_casida_lobpcg(on, op, k, self.lobpcg, self.seed) {
+                Ok(res) if res.converged => {
+                    let local_vectors = if h.is_some() {
+                        mine(res.local_vectors)
+                    } else {
+                        res.local_vectors
+                    };
+                    return Eigenpairs { local_vectors, ..res };
+                }
+                Ok(res) => recovery.push(format!(
+                    "lobpcg: no convergence in {} iterations (residual {:.3e}); dense floor",
+                    res.iterations, res.residual
+                )),
+                Err(e) => recovery.push(format!("lobpcg: {e}; dense floor")),
+            }
+            drop(sp);
+            let h = h.map_or_else(|| ham.dense(), Cow::Owned);
+            dense(&h, "diag.syev.fallback")
         })
     }
 
-    /// Serial solve through the recovery ladders: the build half (with its
-    /// one-rebuild ladder) on a solo communicator on this thread (no rank
-    /// thread, no `mpi:*` span, no comm statistics), then the finisher `version`
-    /// names — the dense eigensolve of the lowest `k` ([`mathkit::lowest`],
-    /// rows 1–3) or LOBPCG behind the eigensolver ladder on the materialized
-    /// (row 4) or matrix-free (row 5) `H`. Failures are typed; rungs taken
-    /// are listed in [`Solution::recovery`], and a clean run takes none.
+    /// Serial solve: the build half (with its one-rebuild ladder) and the
+    /// finish half [`Solver::eigensolve`] on [`Comm::solo`], on this thread
+    /// (no rank thread, no `mpi:*` span, no comm statistics) — the one-rank
+    /// case of [`Solver::solve_distributed`], to the bit. Failures are typed;
+    /// rungs taken are listed in [`Solution::recovery`], and a clean run takes
+    /// none.
     pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
         let clock = obskit::StageClock::now();
         let mut recovery = self.recovery_log();
-        let k = self.n_states.min(problem.n_cv());
+        let solo = Comm::solo();
+        let ham = self.hamiltonian(&solo, problem, &mut recovery)?;
+        let eig = self.eigensolve(&solo, &ham, &mut recovery);
         let (n_r, n_v, n_c) = (problem.n_r(), problem.n_v(), problem.n_c());
         let n_mu = self.n_mu(problem);
-        let complexity = ComplexityEstimate::for_version(self.version, n_r, n_mu, n_v, n_c, k);
-
-        let plan = self.plan();
-        let mut ham = self.hamiltonian(&Comm::solo(), problem, &mut recovery)?;
-        let (energies, coefficients, lobpcg_iterations) = {
-            let name = if plan.lobpcg { "diag.lobpcg" } else { "diag.syev" };
-            let _sp = obskit::span(Stage::Diag, name);
-            // Rows 1–4 hand the eigensolver a matrix; row 5 never forms it
-            // unless the ladder bottoms out at the dense floor.
-            if plan.explicit {
-                ham.materialize();
-            }
-            if plan.lobpcg {
-                let (diag_d, opts, seed) = (problem.diag_d(), self.lobpcg, self.seed);
-                let floor = || ham.dense().into_owned();
-                let res =
-                    eig_ladder(|x| ham.apply(x), floor, &diag_d, k, opts, seed, &mut recovery);
-                (res.values, res.vectors, Some(res.iterations))
-            } else {
-                let eig = lowest(&ham.dense(), k);
-                (eig.values, eig.vectors, None)
-            }
-        };
+        let k = eig.values.len();
         Ok(Solution {
-            energies,
-            coefficients,
+            energies: eig.values,
+            coefficients: eig.local_vectors,
             timings: StageTimings::since(clock),
             n_mu,
-            lobpcg_iterations,
-            complexity,
+            lobpcg_iterations: self.plan().lobpcg.then_some(eig.iterations),
+            complexity: ComplexityEstimate::for_version(self.version, n_r, n_mu, n_v, n_c, k),
             recovery,
         })
     }
 
-    /// Distributed solve on an SPMD communicator: the same build as
-    /// [`Solver::solve`] — same `version`, same points, same typed failures
-    /// behind the same one-rebuild ladder — on `comm`'s ranks, then
-    /// [`Solver::eigensolve`]. Rows 4 and 5 share the distributed
-    /// matrix-free LOBPCG (there is no distributed explicit-`H` iteration),
-    /// so they return the same numbers here. Returns replicated eigenvalues
-    /// plus this rank's stage timings; a build the ladder cannot heal panics
-    /// with the typed error and the recovery log.
+    /// Distributed solve on an SPMD communicator: [`Solver::solve`]'s two
+    /// halves — same `version`, same points, same typed failures behind the
+    /// same one-rebuild ladder — on `comm`'s ranks. Returns replicated
+    /// eigenvalues plus this rank's stage timings; a build the ladder cannot
+    /// heal panics with the typed error and the recovery log.
     pub fn solve_distributed(
         &self,
         comm: &Comm,
@@ -328,7 +346,8 @@ impl Solver {
         let ham = self
             .hamiltonian(comm, problem, &mut recovery)
             .unwrap_or_else(|e| panic!("distributed build: {e} (recovery log: {recovery:?})"));
-        (self.eigensolve(comm, &ham), StageTimings::since(clock))
+        let values = self.eigensolve(comm, &ham, &mut recovery).values;
+        (values, StageTimings::since(clock))
     }
 }
 
@@ -475,36 +494,40 @@ mod tests {
     #[test]
     fn lobpcg_fallback_to_dense_on_nonconvergence() {
         // One iteration at an impossible tolerance cannot converge, so the
-        // LOBPCG rows must fall back to the replicated dense solve — which is
-        // exactly what row 3 runs, hence bitwise equality.
+        // LOBPCG rows fall back to the dense floor on every rank count: one
+        // `…; dense floor` line, and row 3's energies on as many ranks, bit
+        // for bit.
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
         let base = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
         let starved = base.lobpcg(LobpcgOptions { max_iter: 1, tol: 1e-14 });
-        let fell_back = spmd(2, |c| starved.solve_distributed(c, &p).0);
-        let dense = spmd(2, |c| base.version(Version::KmeansIsdf).solve_distributed(c, &p).0);
-        for (f, d) in fell_back.iter().zip(&dense) {
-            for (x, y) in f.iter().zip(d) {
-                assert_eq!(x.to_bits(), y.to_bits(), "fallback {x:e} vs syev {y:e}");
+        for ranks in [1usize, 2] {
+            let row3 = base.version(Version::KmeansIsdf);
+            let dense = bits(&spmd(ranks, |c| row3.solve_distributed(c, &p).0)[0]);
+            for v in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
+                let solver = starved.version(v);
+                for (values, log) in spmd(ranks, |c| {
+                    let ham = solver.hamiltonian(c, &p, &mut vec![]).expect("clean build");
+                    let mut log = vec![];
+                    (solver.eigensolve(c, &ham, &mut log).values, log)
+                }) {
+                    assert_eq!(log.len(), 1, "{v:?} on {ranks} ranks: {log:?}");
+                    assert!(log[0].ends_with("; dense floor"), "{v:?} on {ranks} ranks: {log:?}");
+                    assert_eq!(bits(&values), dense, "{v:?} on {ranks} ranks");
+                }
             }
         }
     }
 
     #[test]
-    fn serial_lobpcg_falls_back_to_the_dense_floor_on_nonconvergence() {
-        // The serial twin of the test above: a starved LOBPCG on rows 4 and 5
-        // takes the dense floor directly, logs exactly that one line, and
-        // lands on row 3's energies bit for bit.
+    fn solve_is_the_one_rank_distributed_solve_to_the_bit() {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
         let base = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
-        let dense = base.version(Version::KmeansIsdf).solve(&p).unwrap().energies;
-        let starved = base.lobpcg(LobpcgOptions { max_iter: 1, tol: 1e-14 });
-        for v in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
-            let s = starved.version(v).solve(&p).unwrap();
-            assert_eq!(s.recovery.len(), 1, "{v:?}: {:?}", s.recovery);
-            assert!(s.recovery[0].ends_with("; dense floor"), "{v:?}: {:?}", s.recovery);
-            for (x, y) in s.energies.iter().zip(&dense) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{v:?}: fallback {x:e} vs syev {y:e}");
-            }
+        for v in Version::all() {
+            let solver = base.version(v);
+            let serial = solver.solve(&p).unwrap();
+            assert!(serial.recovery.is_empty(), "{v:?}: {:?}", serial.recovery);
+            let one_rank = spmd(1, |c| solver.solve_distributed(c, &p).0).remove(0);
+            assert_eq!(bits(&serial.energies), bits(&one_rank), "{v:?}");
         }
     }
 
@@ -522,7 +545,8 @@ mod tests {
         let solo_b = spmd(2, |c| job_b.solve_distributed(c, &p).0);
         let batched = spmd(2, |c| {
             let ham = job_a.hamiltonian(c, &p, &mut vec![]).expect("clean build");
-            (job_a.eigensolve(c, &ham), job_b.eigensolve(c, &ham))
+            let eigensolve = |job: Solver| job.eigensolve(c, &ham, &mut vec![]).values;
+            (eigensolve(job_a), eigensolve(job_b))
         });
         for (rank, (a, b)) in batched.iter().enumerate() {
             for (x, y) in a.iter().zip(&solo_a[rank]) {

@@ -161,26 +161,6 @@ impl Hamiltonian {
             Hamiltonian::Isdf(factors) => Cow::Owned(factors.to_dense()),
         }
     }
-
-    /// Replace ISDF factors by the dense `H` they stand for.
-    pub fn materialize(&mut self) {
-        if let Hamiltonian::Isdf(factors) = self {
-            *self = Hamiltonian::Dense(factors.to_dense());
-        }
-    }
-
-    /// `H·X`: one GEMM on the dense form, [`IsdfHamiltonian::apply`] on the
-    /// factors.
-    pub fn apply(&self, x: &Mat) -> Mat {
-        match self {
-            Hamiltonian::Dense(h) => {
-                let mut y = Mat::zeros(h.nrows(), x.ncols());
-                gemm(1.0, h, Transpose::No, x, Transpose::No, 0.0, &mut y);
-                y
-            }
-            Hamiltonian::Isdf(factors) => factors.apply(x),
-        }
-    }
 }
 
 /// Fit-residual guard for [`build_isdf_hamiltonian`]: a sampled relative

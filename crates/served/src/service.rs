@@ -317,7 +317,7 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
 
     for job in batch {
         let clock = obskit::StageClock::now();
-        let values = job.solver.eigensolve(group, &ham);
+        let values = job.solver.eigensolve(group, &ham, &mut recovery).values;
         // The shared build plus this job's own eigensolve.
         let mut timings = build_timings;
         timings.merge(&lrtddft::StageTimings::since(clock));
