@@ -38,7 +38,7 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     let (solo, n_mu) = (parcomm::Comm::solo(), problem.n_cv() / 2);
-    let ham = build_isdf_hamiltonian(&solo, &problem, PointSelector::Qrcp, n_mu, &mut vec![])
+    let ham = build_isdf_hamiltonian(&solo, &problem, PointSelector::Qrcp, n_mu)
         .expect("isdf build on clean benchmark input");
     let x = Mat::from_fn(problem.n_cv(), 4, |i, j| ((i + 3 * j) % 7) as f64 * 0.1);
     group.bench_function("implicit_hamiltonian_apply", |b| {

@@ -319,7 +319,7 @@ pub fn fig5(scale: Scale) -> ExperimentRecord {
             let t_mono = t0.elapsed().as_secs_f64();
             c.barrier();
             let t0 = Instant::now();
-            let pipe = gram_pipelined_reduce(c, &al, &al, 1.0).expect("pipelined reduce");
+            let pipe = gram_pipelined_reduce(c, &al, &al, 1.0);
             let t_pipe = t0.elapsed().as_secs_f64();
             (t_mono, t_pipe, mono.peak_words, pipe.peak_words, c.stats())
         });
@@ -393,7 +393,7 @@ pub fn calibrate(scale: Scale) -> Calibration {
             .unwrap();
     let clock = obskit::StageClock::now();
     let selector = Solver::builder().kmeans_selector();
-    build_isdf_hamiltonian(&Comm::solo(), &problem, selector, n_mu, &mut Vec::new())
+    build_isdf_hamiltonian(&Comm::solo(), &problem, selector, n_mu)
         .expect("isdf build on clean benchmark input");
     let isdf_t = StageTimings::since(clock);
     // Diagonalization works measured via the versions API.
@@ -653,7 +653,6 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
                 &problem,
                 PointSelector::Kmeans(KmeansOptions { snap, ..Default::default() }),
                 n_mu,
-                &mut Vec::new(),
             )
             .expect("isdf build on clean benchmark input");
             let eig = mathkit::syev(&ham.to_dense());
@@ -691,7 +690,6 @@ pub fn ablation(scale: Scale) -> ExperimentRecord {
         &problem,
         PointSelector::Kmeans(KmeansOptions::default()),
         n_mu,
-        &mut Vec::new(),
     )
     .expect("isdf build on clean benchmark input");
     let k = 4;

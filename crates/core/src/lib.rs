@@ -63,4 +63,4 @@ pub use versions::{
     build_isdf_hamiltonian, Hamiltonian, IsdfHamiltonian, PointSelector, Solution, Version,
     FIT_RESIDUAL_GUARD,
 };
-pub use faultkit::{CommError, NumericalError, SolveError};
+pub use faultkit::{NumericalError, SolveError};

@@ -157,7 +157,7 @@ impl<'a> Local<'a> {
     }
 
     /// Collective 2: `H·Q` on my rows and the replicated `QᵀHQ`.
-    fn apply(&self, comm: &Comm, q: &Mat) -> Result<(Mat, Mat), SolveError> {
+    fn apply(&self, comm: &Comm, q: &Mat) -> (Mat, Mat) {
         let (hq, mut qhq) = match &self.form {
             Form::Dense(h) => {
                 let mut hq = Mat::zeros(h.nrows(), q.ncols());
@@ -177,7 +177,7 @@ impl<'a> Local<'a> {
                 }
                 let mut packed = cq.into_vec();
                 packed.extend_from_slice(gemm_tn(q, &dq).as_slice());
-                comm.allreduce_packed(&mut packed)?;
+                comm.allreduce_sum(&mut packed);
                 let mut qhq = Mat::from_vec(m, m, packed.split_off(n_mu * m));
                 let cq = Mat::from_vec(n_mu, m, packed);
                 let mut vcq = Mat::zeros(n_mu, m);
@@ -188,7 +188,7 @@ impl<'a> Local<'a> {
             }
         };
         qhq.symmetrize();
-        Ok((hq, qhq))
+        (hq, qhq)
     }
 }
 
@@ -245,7 +245,7 @@ fn breakdown(iteration: usize, reason: &str) -> SolveError {
 ///
 /// `Ok` with `converged == false` is honest non-convergence; `Err` is a
 /// breakdown (a non-finite reduced Gram or residual norm, a collapsed
-/// subspace) or an exhausted communication retry. Either way the caller
+/// subspace). Either way the caller
 /// ([`crate::Solver::eigensolve`]) answers from the dense floor.
 pub fn distributed_casida_lobpcg<'a>(
     comm: &Comm,
@@ -286,7 +286,7 @@ pub fn distributed_casida_lobpcg<'a>(
         if let Some(r) = &r {
             packed.extend((0..k).map(|j| r.col(j).iter().map(|v| v * v).sum::<f64>()));
         }
-        comm.allreduce_packed(&mut packed)?;
+        comm.allreduce_sum(&mut packed);
         if packed.iter().any(|v| !v.is_finite()) {
             return Err(breakdown(it, "non-finite subspace Gram matrix or residual norm"));
         }
@@ -322,7 +322,7 @@ pub fn distributed_casida_lobpcg<'a>(
         let q = solve_right_lower_transpose(&s.select_cols(&keep), &l);
 
         // Collective 2 of 2: H·Q and QᵀHQ, then Rayleigh–Ritz.
-        let (hq, qhq) = local.apply(comm, &q)?;
+        let (hq, qhq) = local.apply(comm, &q);
         if qhq.as_slice().iter().any(|v| !v.is_finite()) {
             return Err(breakdown(it, "non-finite projected Hamiltonian"));
         }
@@ -373,7 +373,7 @@ mod tests {
     fn test_ham() -> IsdfHamiltonian {
         let p = synthetic_problem([8, 8, 8], 6.0, 3, 3);
         let solo = Comm::solo();
-        build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, p.n_cv(), &mut Vec::new())
+        build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, p.n_cv())
             .expect("clean full-rank build")
     }
 

@@ -10,8 +10,8 @@
 //! reproduction (`repro fig5`, `benches/pipeline.rs`) and not called by any
 //! solve: the output columns are split into per-rank chunks (Fig. 4); each
 //! chunk is GEMMed and its `ireduce` to the owning rank is issued
-//! **nonblocking**, and settled only after this rank has GEMMed chunk `q+1`
-//! (Fig. 5). The in-flight window is bounded at one chunk, which preserves
+//! **nonblocking**, and waited on only after this rank has GEMMed chunk
+//! `q+1` (Fig. 5). The in-flight window is bounded at one chunk, which preserves
 //! the `1/P` peak-memory property. Ranks here are threads that complete a
 //! reduction inside its `wait`, so the window buys the paper's memory bound,
 //! not hidden communication time, and it ran slower than the allreduce
@@ -23,7 +23,6 @@
 //! chunk takes each entry's fold from the same half — the two schedules
 //! agree bit for bit.
 
-use faultkit::CommError;
 use mathkit::gemm::symm_tn;
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
@@ -71,18 +70,7 @@ pub fn gram_allreduce(
 /// product, each computed and then `ireduce`d to its owner while the *next*
 /// chunk is computed (Fig. 5). Rank `r` returns only columns
 /// `block_ranges(n, P)[r]`.
-///
-/// Each in-flight reduce is settled with a deadline/backoff wait; a request
-/// dropped by fault injection is re-issued from the retained chunk (drop
-/// decisions fire symmetrically across ranks, so the re-issue stays
-/// collective). An exhausted retry budget surfaces [`CommError::Stalled`]
-/// or [`CommError::Dropped`].
-pub fn gram_pipelined_reduce(
-    comm: &Comm,
-    a_local: &Mat,
-    b_local: &Mat,
-    scale: f64,
-) -> Result<GramResult, CommError> {
+pub fn gram_pipelined_reduce(comm: &Comm, a_local: &Mat, b_local: &Mat, scale: f64) -> GramResult {
     let p = comm.size();
     let n = b_local.ncols();
     let ranges = block_ranges(n, p);
@@ -91,34 +79,28 @@ pub fn gram_pipelined_reduce(
     let mut peak_words = 0usize;
     // Window-2 pipeline: at most one chunk's reduce in flight while the
     // next chunk is computed. Bounding the window keeps peak memory at
-    // ~2 chunks + my piece, still `O(1/P)` of the full matrix. The tuple
-    // retains the chunk data for drop re-issue — only while a fault plan is
-    // armed (drops cannot occur otherwise), so the fault-free hot path pays
-    // no copy.
-    let mut in_flight: Option<(usize, usize, Vec<f64>, Request)> = None;
-    let settle =
-        |slot: Option<(usize, usize, Vec<f64>, Request)>, mine: &mut Mat| -> Result<(), CommError> {
-            if let Some((owner, cols, chunk, rq)) = slot {
-                let out = comm.settle(rq, |c| c.ireduce_sum(chunk.clone(), owner))?;
-                if owner == comm.rank() {
-                    *mine = Mat::from_vec(n, cols, out);
-                }
+    // ~2 chunks + my piece, still `O(1/P)` of the full matrix.
+    let mut in_flight: Option<(usize, usize, Request)> = None;
+    let finish = |slot: Option<(usize, usize, Request)>, mine: &mut Mat| {
+        if let Some((owner, cols, rq)) = slot {
+            let out = rq.wait();
+            if owner == comm.rank() {
+                *mine = Mat::from_vec(n, cols, out);
             }
-            Ok(())
-        };
+        }
+    };
     for (owner, range) in ranges.iter().enumerate() {
         // Compute only this chunk of output columns while the previous
         // chunk's reduce is in flight. A zero-length chunk's ireduce keeps
         // the op-id schedule aligned.
         let v_chunk = symm_tn(scale, a_local, b_local, range.clone()).into_vec();
-        let prev_words = in_flight.as_ref().map_or(0, |(_, len, _, _)| n * *len);
+        let prev_words = in_flight.as_ref().map_or(0, |(_, len, _)| n * *len);
         peak_words = peak_words.max(v_chunk.len() + prev_words + mine.as_slice().len());
-        settle(in_flight.take(), &mut mine)?;
-        let retained = if faultkit::is_armed() { v_chunk.clone() } else { Vec::new() };
-        in_flight = Some((owner, range.len(), retained, comm.ireduce_sum(v_chunk, owner)));
+        finish(in_flight.take(), &mut mine);
+        in_flight = Some((owner, range.len(), comm.ireduce_sum(v_chunk, owner)));
     }
-    settle(in_flight.take(), &mut mine)?;
-    Ok(GramResult { local: mine, col_range: my_range, peak_words })
+    finish(in_flight.take(), &mut mine);
+    GramResult { local: mine, col_range: my_range, peak_words }
 }
 
 #[cfg(test)]
@@ -165,7 +147,7 @@ mod tests {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
             let bl = b.row_block(rr.start, rr.end);
-            gram_pipelined_reduce(c, &al, &bl, 1.0).expect("pipelined reduce")
+            gram_pipelined_reduce(c, &al, &bl, 1.0)
         });
         for (rank, r) in res.iter().enumerate() {
             let cr = block_ranges(n, p)[rank].clone();
@@ -193,7 +175,7 @@ mod tests {
             let bl = b.row_block(rr.start, rr.end);
             let mut riders = [0.1 * (c.rank() + 1) as f64, 1.0];
             let mono = gram_allreduce(c, &al, &bl, 1.5, &mut riders);
-            let pipe = gram_pipelined_reduce(c, &al, &bl, 1.5).expect("pipelined reduce");
+            let pipe = gram_pipelined_reduce(c, &al, &bl, 1.5);
             (mono, pipe, riders)
         });
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -216,7 +198,7 @@ mod tests {
             let al = a.row_block(rr.start, rr.end);
             let bl = b.row_block(rr.start, rr.end);
             let mono = gram_allreduce(c, &al, &bl, 1.0, &mut []);
-            let pipe = gram_pipelined_reduce(c, &al, &bl, 1.0).expect("pipelined reduce");
+            let pipe = gram_pipelined_reduce(c, &al, &bl, 1.0);
             (mono.peak_words, pipe.peak_words)
         });
         for (mono, pipe) in res {
@@ -233,7 +215,7 @@ mod tests {
             let rr = block_ranges(nr, p)[c.rank()].clone();
             let al = a.row_block(rr.start, rr.end);
             let bl = b.row_block(rr.start, rr.end);
-            gram_pipelined_reduce(c, &al, &bl, 1.0).expect("pipelined reduce")
+            gram_pipelined_reduce(c, &al, &bl, 1.0)
         });
         // ranks 2..5 own nothing; ranks 0,1 own one column each
         let mut recovered = Mat::zeros(n, n);
@@ -246,39 +228,5 @@ mod tests {
             }
         }
         assert!(recovered.max_abs_diff(&expect) < 1e-10);
-    }
-
-    #[test]
-    fn dropped_reduce_heals_by_reissue_bitwise() {
-        // Every rank arms the same plan, so the injected drop fires
-        // symmetrically and the re-issue stays a collective. The healed run
-        // must match the clean run bit-for-bit (same ring fold order).
-        let (nr, n, p) = (24, 6, 3);
-        let (a, b) = global_ab(nr, n);
-        let run = |with_fault: bool| {
-            spmd(p, |c| {
-                let campaign = with_fault.then(|| {
-                    faultkit::arm(
-                        faultkit::FaultPlan::new(17)
-                            .with("comm.ireduce", 1, faultkit::FaultKind::CommDrop),
-                    )
-                });
-                let rr = block_ranges(nr, p)[c.rank()].clone();
-                let al = a.row_block(rr.start, rr.end);
-                let bl = b.row_block(rr.start, rr.end);
-                let r = gram_pipelined_reduce(c, &al, &bl, 1.0).expect("drop must heal");
-                if let Some(campaign) = campaign {
-                    assert_eq!(campaign.fired(), 1, "rank {} drop did not fire", c.rank());
-                }
-                r.local
-            })
-        };
-        let clean = run(false);
-        let healed = run(true);
-        for (c, h) in clean.iter().zip(&healed) {
-            for (x, y) in c.as_slice().iter().zip(h.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 }

@@ -5,9 +5,8 @@
 //!
 //! * **build ladder** — [`crate::Solver::hamiltonian`], the build half every
 //!   door calls (the serial solve on a solo communicator, the distributed
-//!   solve and a `served` batch on their group): the ISDF assembly
-//!   ([`crate::build_isdf_hamiltonian`]) reseeds a degenerate K-Means start
-//!   internally, and a typed failure that escapes (poisoned factors, a
+//!   solve and a `served` batch on their group): a typed failure of the
+//!   ISDF assembly ([`crate::build_isdf_hamiltonian`]: poisoned factors, a
 //!   fit-residual breach, a non-SPD Gram) gets one clean rebuild — injected
 //!   faults are one-shot, so the retry runs pristine — before
 //!   [`SolveError::LadderExhausted`](faultkit::SolveError::LadderExhausted).

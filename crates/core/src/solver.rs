@@ -197,8 +197,7 @@ impl Solver {
     /// [`SolveError::LadderExhausted`]. A failure on input that fails
     /// [`CasidaProblem::check_inputs`] is returned as is — no rebuild can heal
     /// it. Build failures are decided on replicated data, so every rank of a
-    /// group climbs together. Rungs the build takes internally are appended
-    /// to `recovery` too.
+    /// group climbs together.
     pub fn hamiltonian(
         &self,
         comm: &Comm,
@@ -206,7 +205,7 @@ impl Solver {
         recovery: &mut Vec<String>,
     ) -> Result<Hamiltonian, SolveError> {
         kernel_pool(comm).install(|| {
-            let first = match self.build_once(comm, problem, recovery) {
+            let first = match self.build_once(comm, problem) {
                 Ok(ham) => return Ok(ham),
                 Err(e) => e,
             };
@@ -214,7 +213,7 @@ impl Solver {
                 return Err(first);
             }
             recovery.push(format!("isdf.build: {first}; clean rebuild"));
-            self.build_once(comm, problem, recovery).map_err(|second| {
+            self.build_once(comm, problem).map_err(|second| {
                 SolveError::LadderExhausted {
                     stage: "isdf.build",
                     attempts: vec![first.to_string(), second.to_string()],
@@ -224,18 +223,13 @@ impl Solver {
     }
 
     /// One attempt at [`Solver::hamiltonian`]'s build.
-    fn build_once(
-        &self,
-        comm: &Comm,
-        problem: &CasidaProblem,
-        recovery: &mut Vec<String>,
-    ) -> Result<Hamiltonian, SolveError> {
+    fn build_once(&self, comm: &Comm, problem: &CasidaProblem) -> Result<Hamiltonian, SolveError> {
         let Some(selector) = self.plan().selector else {
             let (h, _) = distributed_dense_hamiltonian(comm, problem)?;
             return Ok(Hamiltonian::Dense(h));
         };
         let n_mu = self.n_mu(problem);
-        build_isdf_hamiltonian(comm, problem, selector, n_mu, recovery).map(Hamiltonian::Isdf)
+        build_isdf_hamiltonian(comm, problem, selector, n_mu).map(Hamiltonian::Isdf)
     }
 
     /// Finish half of every door: the lowest `n_states` eigenpairs of a

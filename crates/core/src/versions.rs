@@ -172,61 +172,45 @@ pub const FIT_RESIDUAL_GUARD: f64 = 1.0;
 
 /// Interpolation points per the selector, replicated on every rank. QRCP is
 /// the reference selector and runs replicated; K-Means classifies this
-/// rank's slab (paper §4.2), one packed reduction per sweep, and a run that
-/// had to reseed empty clusters is retried once cleanly (seeding faults are
-/// one-shot; `reseeded` comes from reduced sums, so every rank retries).
+/// rank's slab (paper §4.2), one packed reduction per sweep.
 fn select_points(
     comm: &Comm,
     problem: &CasidaProblem,
     slab: &Slab,
     selector: PointSelector,
     n_mu: usize,
-    recovery: &mut Vec<String>,
-) -> Result<Vec<usize>, SolveError> {
+) -> Result<Vec<usize>, NumericalError> {
     let PointSelector::Kmeans(opts) = selector else {
         let _sp = obskit::span(Stage::Qrcp, "isdf.qrcp_points");
         return Ok(qrcp_points(&problem.psi_v, &problem.psi_c, n_mu));
     };
     let _sp = obskit::span(Stage::Kmeans, "kmeans.points");
-    // Weights are gathered so that pruning, seeding and reseeding replicate.
+    // Weights are gathered so that pruning and seeding replicate.
     let w = comm.allgatherv(&pair_weights(&slab.psi_v, &slab.psi_c));
     let coords: Vec<[f64; 3]> = (0..problem.n_r()).map(|i| problem.grid.coords(i)).collect();
-    let lloyd = || {
-        let mut sweep = 0.0;
-        let reduce = |partials: &mut [f64]| -> Result<(), SolveError> {
-            comm.allreduce_packed(partials)?;
-            let args = [("sweep", sweep), ("objective", partials[partials.len() - 1])];
-            obskit::instant(Stage::Kmeans, "kmeans.sweep", &args);
-            sweep += 1.0;
-            Ok(())
-        };
-        let gather = |candidates: &[f64]| comm.allgatherv(candidates);
-        kmeans_points_checked(&coords, &w, n_mu, opts, slab.rows.clone(), reduce, gather)
+    let mut sweep = 0.0;
+    let reduce = |partials: &mut [f64]| {
+        comm.allreduce_sum(partials);
+        let args = [("sweep", sweep), ("objective", partials[partials.len() - 1])];
+        obskit::instant(Stage::Kmeans, "kmeans.sweep", &args);
+        sweep += 1.0;
     };
-    let mut out = lloyd()?;
-    if out.reseeded > 0 {
-        recovery.push(format!(
-            "kmeans: {} empty cluster(s) reseeded — degenerate start, clean retry",
-            out.reseeded
-        ));
-        out = lloyd()?;
-    }
+    let gather = |candidates: &[f64]| comm.allgatherv(candidates);
+    let out = kmeans_points_checked(&coords, &w, n_mu, opts, slab.rows.clone(), reduce, gather)?;
     Ok(out.points)
 }
 
 /// The ISDF pipeline up to the replicated factors of `H = D + 2 Cᵀ Ṽ C`,
 /// SPMD-collective on `comm` — a serial solve passes [`Comm::solo`].
-/// Failures are typed and recovery is built in: empty-cluster reseed,
-/// a sampled fit-residual guard, the input
-/// check ([`CasidaProblem::check_inputs`]) going in and finiteness guards on
+/// Failures are typed: a sampled fit-residual guard, the input check
+/// ([`CasidaProblem::check_inputs`]) going in and finiteness guards on
 /// `C` / `Ṽ` coming out. Each is decided on replicated data, so the ranks of
-/// a group take the same branch. Rungs taken are appended to `recovery`.
+/// a group fail together, and [`crate::Solver::hamiltonian`] rebuilds once.
 pub fn build_isdf_hamiltonian(
     comm: &Comm,
     problem: &CasidaProblem,
     selector: PointSelector,
     n_mu: usize,
-    recovery: &mut Vec<String>,
 ) -> Result<IsdfHamiltonian, SolveError> {
     problem.check_inputs()?;
 
@@ -235,7 +219,7 @@ pub fn build_isdf_hamiltonian(
     // residual.
     let (mut ham, residual) = {
         // Natural K-Means dedup shrinkage is accepted as the effective rank.
-        let points = select_points(comm, problem, &slab, selector, n_mu, recovery)?;
+        let points = select_points(comm, problem, &slab, selector, n_mu)?;
 
         // Sampled orbital rows, assembled by summation — each point's row
         // lives on exactly one rank — ψ̂ then φ̂ packed into ONE collective.
@@ -248,7 +232,7 @@ pub fn build_isdf_hamiltonian(
         let mut rows = sample(&problem.psi_v).into_vec();
         let n_psi = rows.len();
         rows.extend_from_slice(sample(&problem.psi_c).as_slice());
-        comm.allreduce_packed(&mut rows)?;
+        comm.allreduce_sum(&mut rows);
         let phi_hat = Mat::from_vec(points.len(), problem.n_c(), rows.split_off(n_psi));
         let psi_hat = Mat::from_vec(points.len(), problem.n_v(), rows);
         drop(sp);
@@ -354,7 +338,7 @@ mod tests {
     fn explicit_and_implicit_hamiltonians_identical() {
         let p = synthetic_problem([8, 8, 8], 7.0, 2, 3);
         let (solo, n_mu) = (Comm::solo(), p.n_cv());
-        let ham = build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, n_mu, &mut vec![])
+        let ham = build_isdf_hamiltonian(&solo, &p, PointSelector::Qrcp, n_mu)
             .expect("clean full-rank build");
         let dense = ham.to_dense();
         // Apply to random block and compare.
@@ -385,11 +369,8 @@ mod tests {
         for rank in [IsdfRank::Fixed(p.n_cv()), opts.rank] {
             let n_mu = rank.resolve(p.n_r(), p.n_v(), p.n_c());
             let solo = Comm::solo();
-            let mut log = Vec::new();
-            let ham =
-                build_isdf_hamiltonian(&solo, &p, opts.kmeans_selector(), n_mu, &mut log)
-                    .expect("clean build");
-            assert!(log.is_empty(), "{log:?}");
+            let ham = build_isdf_hamiltonian(&solo, &p, opts.kmeans_selector(), n_mu)
+                .expect("clean build");
             assert_eq!(solo.stats().collective_calls, 0, "a solo collective is not a call");
 
             let points = kmeans_points(&coords, &weights, n_mu, km).points;
@@ -425,9 +406,8 @@ mod tests {
             let solver = Solver::builder().n_states(5).build();
             let (solo, n_mu) = (Comm::solo(), solver.n_mu(p));
             let selector = solver.kmeans_selector();
-            let ham = build_isdf_hamiltonian(&solo, p, selector, n_mu, &mut vec![])
-                .expect("clean build");
-            let points = select_points(&solo, p, &p.slab(&solo), selector, n_mu, &mut vec![])
+            let ham = build_isdf_hamiltonian(&solo, p, selector, n_mu).expect("clean build");
+            let points = select_points(&solo, p, &p.slab(&solo), selector, n_mu)
                 .expect("clean selection");
             let fit = IsdfDecomposition::build(&p.psi_v, &p.psi_c, &points);
             let f_theta = HxcKernel::for_problem(p).apply(&fit.theta);
@@ -468,7 +448,7 @@ mod tests {
             let n_mu = solver.n_mu(p);
             let points = |c: &Comm| {
                 let slab = p.slab(c);
-                select_points(c, p, &slab, solver.kmeans_selector(), n_mu, &mut vec![]).unwrap()
+                select_points(c, p, &slab, solver.kmeans_selector(), n_mu).unwrap()
             };
             let serial_points = points(&Comm::solo());
             let serial = solver.solve(p).unwrap().energies;

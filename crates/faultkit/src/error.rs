@@ -1,21 +1,20 @@
 //! The typed error taxonomy shared by every crate in the workspace.
 //!
-//! Three layers, matching where failures originate:
+//! Two layers, matching where failures originate:
 //!
 //! * [`NumericalError`] — a kernel produced something unusable: a non-finite
 //!   entry, a Gram matrix that lost positive-definiteness, an ISDF fit whose
 //!   residual blew past its guard, a point selector that came back with too
 //!   few points.
-//! * [`CommError`] — a collective did not complete within its retry budget
-//!   (stall) or the request was dropped by fault injection and must be
-//!   re-issued.
 //! * [`SolveError`] — the solver-facing roll-up: iterative breakdown, honest
 //!   non-convergence with the final residual attached, or a recovery ladder
-//!   that ran out of rungs. Carries `From` impls for the two layers below so
-//!   `?` composes across crate boundaries.
+//!   that ran out of rungs. Carries a `From` impl for the layer below so `?`
+//!   composes across crate boundaries.
+//!
+//! A collective has no error: like an MPI collective, it completes once
+//! every rank of its communicator has issued it.
 
 use std::fmt;
-use std::time::Duration;
 
 /// A kernel-level numerical failure, with enough context to pick a ladder
 /// rung (which buffer, which pivot, how far off the guard was).
@@ -30,8 +29,6 @@ pub enum NumericalError {
     FitResidual { residual: f64, tolerance: f64 },
     /// A point selector returned fewer points than the requested rank.
     RankDeficient { requested: usize, got: usize },
-    /// K-Means ended with this many empty clusters it could not reseed.
-    EmptyClusters { clusters: usize },
     /// The orbital-pair weight vector is identically zero.
     AllZeroWeights,
     /// Operand shapes disagree (dimension bookkeeping, not roundoff).
@@ -55,9 +52,6 @@ impl fmt::Display for NumericalError {
             NumericalError::RankDeficient { requested, got } => {
                 write!(f, "rank-deficient selection: requested {requested} points, got {got}")
             }
-            NumericalError::EmptyClusters { clusters } => {
-                write!(f, "K-Means left {clusters} empty cluster(s) after reseeding")
-            }
             NumericalError::AllZeroWeights => write!(f, "all-zero weights"),
             NumericalError::ShapeMismatch { stage, expected, got } => write!(
                 f,
@@ -69,33 +63,6 @@ impl fmt::Display for NumericalError {
 }
 
 impl std::error::Error for NumericalError {}
-
-/// A collective that did not complete cleanly.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CommError {
-    /// The request did not complete within the deadline even after bounded
-    /// retry/backoff.
-    Stalled { op: &'static str, waited: Duration, attempts: u32 },
-    /// The request was dropped (by fault injection) before submission; the
-    /// caller should re-issue.
-    Dropped { op: &'static str },
-}
-
-impl fmt::Display for CommError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CommError::Stalled { op, waited, attempts } => write!(
-                f,
-                "collective `{op}` stalled: no completion after {attempts} attempt(s) \
-                 ({:.1} ms waited)",
-                waited.as_secs_f64() * 1e3
-            ),
-            CommError::Dropped { op } => write!(f, "collective `{op}` request dropped"),
-        }
-    }
-}
-
-impl std::error::Error for CommError {}
 
 /// Solver-facing error: what the eigensolver / pipeline returns when a stage
 /// cannot produce a usable answer.
@@ -109,8 +76,6 @@ pub enum SolveError {
     Breakdown { stage: &'static str, iteration: usize, reason: String },
     /// A kernel-level numerical failure bubbled up.
     Numerical(NumericalError),
-    /// A communication failure bubbled up.
-    Comm(CommError),
     /// Every rung of the recovery ladder was tried and failed; `attempts`
     /// names each rung in order.
     LadderExhausted { stage: &'static str, attempts: Vec<String> },
@@ -127,7 +92,6 @@ impl fmt::Display for SolveError {
                 write!(f, "{stage} broke down at iteration {iteration}: {reason}")
             }
             SolveError::Numerical(e) => write!(f, "numerical failure: {e}"),
-            SolveError::Comm(e) => write!(f, "communication failure: {e}"),
             SolveError::LadderExhausted { stage, attempts } => write!(
                 f,
                 "{stage}: recovery ladder exhausted after [{}]",
@@ -145,12 +109,6 @@ impl From<NumericalError> for SolveError {
     }
 }
 
-impl From<CommError> for SolveError {
-    fn from(e: CommError) -> Self {
-        SolveError::Comm(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,14 +122,6 @@ mod tests {
         let e: SolveError =
             NumericalError::NonFinite { site: "ham.v_tilde".into(), index: 4 }.into();
         assert!(e.to_string().contains("ham.v_tilde"));
-
-        let e: SolveError = CommError::Stalled {
-            op: "iallreduce",
-            waited: Duration::from_millis(12),
-            attempts: 3,
-        }
-        .into();
-        assert!(e.to_string().contains("iallreduce"));
 
         let zero = NumericalError::AllZeroWeights;
         assert!(zero.to_string().contains("all-zero weights"));

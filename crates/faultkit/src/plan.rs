@@ -26,15 +26,9 @@ pub enum FaultKind {
     NanPoison,
     /// Overwrite one seed-chosen element of the hooked buffer with +Inf.
     InfPoison,
-    /// Collapse every K-Means centroid onto a single grid point.
-    DegenerateSeeding,
-    /// Hold this rank's contribution to the collective back `micros` past issue.
+    /// Hold this rank's contribution to the collective back `micros` past
+    /// issue: a slow peer, which every rank of the collective waits out.
     CommDelay { micros: u64 },
-    /// Like `CommDelay` but sized to exceed a wait deadline, so the
-    /// wait-with-deadline + retry path is exercised.
-    CommStall { micros: u64 },
-    /// Drop the request before submission; the issuing rank must re-issue.
-    CommDrop,
 }
 
 impl FaultKind {
@@ -42,10 +36,7 @@ impl FaultKind {
         match self {
             FaultKind::NanPoison => "nan-poison",
             FaultKind::InfPoison => "inf-poison",
-            FaultKind::DegenerateSeeding => "degenerate-seeding",
             FaultKind::CommDelay { .. } => "comm-delay",
-            FaultKind::CommStall { .. } => "comm-stall",
-            FaultKind::CommDrop => "comm-drop",
         }
     }
 }
@@ -102,15 +93,6 @@ impl FaultEvent {
             self.detail
         )
     }
-}
-
-/// Comm-level fault decision returned by [`comm_fault`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommFault {
-    /// Make this rank's contribution visible only this long after issue.
-    Delay(Duration),
-    /// Drop the request before submission.
-    Drop,
 }
 
 struct ArmedState {
@@ -245,11 +227,6 @@ pub fn set_rank(rank: usize) {
     RANK.with(|r| r.set(rank));
 }
 
-/// Whether a plan is armed on this thread. Hooks are no-ops when not.
-pub fn is_armed() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// SplitMix64 — the deterministic element-picker for poison faults.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -328,34 +305,15 @@ pub fn inject_slice(site: &str, buf: &mut [f64]) -> bool {
     true
 }
 
-/// Degenerate-seeding hook: `true` means the K-Means initializer should
-/// collapse every centroid onto one grid point.
-pub fn degenerate_seeding(site: &str) -> bool {
-    let Some((kind, occ, _)) = fire(site, |k| matches!(k, FaultKind::DegenerateSeeding)) else {
-        return false;
-    };
-    record(site, occ, kind, 0);
-    true
-}
-
-/// Comm hook, called when a rank issues a collective. Because rank
+/// Comm hook, called when a rank issues a collective: how long past issue
+/// this rank's contribution stays invisible to its peers. Because rank
 /// counters advance in lockstep across an SPMD region, the same decision
 /// fires on every rank of the same collective.
-pub fn comm_fault(site: &str) -> Option<CommFault> {
-    let (kind, occ, _) = fire(site, |k| {
-        matches!(k, FaultKind::CommDelay { .. } | FaultKind::CommStall { .. } | FaultKind::CommDrop)
-    })?;
-    let fault = match kind {
-        FaultKind::CommDelay { micros } | FaultKind::CommStall { micros } => {
-            record(site, occ, kind, micros);
-            CommFault::Delay(Duration::from_micros(micros))
-        }
-        _ => {
-            record(site, occ, kind, 0);
-            CommFault::Drop
-        }
-    };
-    Some(fault)
+pub fn comm_fault(site: &str) -> Option<Duration> {
+    let (kind, occ, _) = fire(site, |k| matches!(k, FaultKind::CommDelay { .. }))?;
+    let FaultKind::CommDelay { micros } = kind else { unreachable!("filtered to delays") };
+    record(site, occ, kind, micros);
+    Some(Duration::from_micros(micros))
 }
 
 #[cfg(test)]
@@ -367,7 +325,6 @@ mod tests {
         let mut buf = vec![1.0, 2.0];
         assert!(!inject_slice("x", &mut buf));
         assert_eq!(buf, vec![1.0, 2.0]);
-        assert!(!degenerate_seeding("x"));
         assert!(comm_fault("x").is_none());
     }
 
@@ -410,22 +367,22 @@ mod tests {
     #[test]
     fn disarm_on_drop() {
         {
-            let _c = arm(FaultPlan::new(1).with("s", 0, FaultKind::DegenerateSeeding));
-            assert!(is_armed());
+            let _c = arm(FaultPlan::new(1).with("s", 0, FaultKind::NanPoison));
+            assert!(handle().is_some());
         }
-        assert!(!is_armed());
-        assert!(!degenerate_seeding("s"));
+        assert!(handle().is_none());
+        assert!(!inject_slice("s", &mut [1.0]));
     }
 
     #[test]
     fn handle_propagates_to_other_threads() {
-        let c = arm(FaultPlan::new(3).with("cross", 0, FaultKind::DegenerateSeeding));
+        let c = arm(FaultPlan::new(3).with("cross", 0, FaultKind::NanPoison));
         let h = handle();
         std::thread::scope(|s| {
             s.spawn(|| {
                 install(h.clone());
                 set_rank(1);
-                assert!(degenerate_seeding("cross"));
+                assert!(inject_slice("cross", &mut [1.0]));
             });
         });
         let ev = c.events();
@@ -436,7 +393,7 @@ mod tests {
     #[test]
     fn detached_handle_does_not_arm_the_creating_thread() {
         let h = Handle::armed(FaultPlan::new(11).with("d", 0, FaultKind::NanPoison));
-        assert!(!is_armed(), "Handle::armed must not touch thread state");
+        assert!(handle().is_none(), "Handle::armed must not touch thread state");
         let mut buf = vec![1.0; 4];
         assert!(!inject_slice("d", &mut buf));
         install(Some(h.clone()));
@@ -448,38 +405,34 @@ mod tests {
 
     #[test]
     fn install_scoped_restores_previous_plan() {
-        let outer = arm(FaultPlan::new(1).with("outer", 0, FaultKind::DegenerateSeeding));
-        let tenant = Handle::armed(FaultPlan::new(2).with("inner", 0, FaultKind::DegenerateSeeding));
+        let outer = arm(FaultPlan::new(1).with("outer", 0, FaultKind::NanPoison));
+        let tenant = Handle::armed(FaultPlan::new(2).with("inner", 0, FaultKind::NanPoison));
         {
             let _g = install_scoped(Some(tenant.clone()));
-            assert!(degenerate_seeding("inner")); // tenant plan active
-            assert!(!degenerate_seeding("outer")); // outer plan shadowed
+            assert!(inject_slice("inner", &mut [1.0])); // tenant plan active
+            assert!(!inject_slice("outer", &mut [1.0])); // outer plan shadowed
         }
         // Guard dropped: outer plan is back and untouched by the inner window.
-        assert!(degenerate_seeding("outer"));
+        assert!(inject_slice("outer", &mut [1.0]));
         assert_eq!(outer.fired(), 1);
         assert_eq!(tenant.fired(), 1);
     }
 
     #[test]
     fn install_scoped_none_clears_within_window() {
-        let _c = arm(FaultPlan::new(1).with("s", 0, FaultKind::DegenerateSeeding));
+        let _c = arm(FaultPlan::new(1).with("s", 0, FaultKind::NanPoison));
         {
             let _g = install_scoped(None);
-            assert!(!is_armed());
+            assert!(handle().is_none());
         }
-        assert!(is_armed());
+        assert!(handle().is_some());
     }
 
     #[test]
-    fn comm_kinds_map_to_decisions() {
-        let _c = arm(
-            FaultPlan::new(9)
-                .with("op", 0, FaultKind::CommDrop)
-                .with("op", 1, FaultKind::CommDelay { micros: 250 }),
-        );
-        assert_eq!(comm_fault("op"), Some(CommFault::Drop));
-        assert_eq!(comm_fault("op"), Some(CommFault::Delay(Duration::from_micros(250))));
+    fn comm_delay_fires_at_its_occurrence() {
+        let _c = arm(FaultPlan::new(9).with("op", 1, FaultKind::CommDelay { micros: 250 }));
+        assert_eq!(comm_fault("op"), None);
+        assert_eq!(comm_fault("op"), Some(Duration::from_micros(250)));
         assert_eq!(comm_fault("op"), None);
     }
 

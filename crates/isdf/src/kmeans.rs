@@ -8,10 +8,11 @@
 //! 3. initialize `N_μ` centroids from the surviving points, guided by the
 //!    weights (the paper initializes at points "whose weight functions are
 //!    rather large"),
-//! 4. Lloyd iterations with *weighted* centroid updates (Eq. 13); the
-//!    classification step is embarrassingly parallel — each rank classifies
-//!    its own grid slab, as in the paper, and the ranks meet through the two
-//!    closures of [`kmeans_points_checked`],
+//! 4. Lloyd iterations with *weighted* centroid updates (Eq. 13); a cluster
+//!    that empties keeps its centroid (Lloyd's rule). The classification
+//!    step is embarrassingly parallel — each rank classifies its own grid
+//!    slab, as in the paper, and the ranks meet through the two closures of
+//!    [`kmeans_points_checked`],
 //! 5. return, per cluster, the member grid point closest to the centroid.
 
 use faultkit::NumericalError;
@@ -88,10 +89,6 @@ pub struct KmeansOutcome {
     pub active_points: usize,
     /// Final weighted within-cluster sum of squares (the Eq. 11 objective).
     pub objective: f64,
-    /// Empty clusters re-seeded during Lloyd iterations. Nonzero signals a
-    /// degenerate start (e.g. injected via `kmeans.init`); callers that need
-    /// a pristine run can retry with a different seed.
-    pub reseeded: usize,
 }
 
 /// Select `n_mu` interpolation points from grid `coords` (one `[x,y,z]` per
@@ -103,8 +100,7 @@ pub fn kmeans_points(
     n_mu: usize,
     opts: KmeansOptions,
 ) -> KmeansOutcome {
-    let reduce = |_: &mut [f64]| Ok::<(), NumericalError>(());
-    match kmeans_points_checked(coords, w, n_mu, opts, 0..coords.len(), reduce, <[f64]>::to_vec) {
+    match kmeans_points_checked(coords, w, n_mu, opts, 0..coords.len(), |_| {}, <[f64]>::to_vec) {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
@@ -128,29 +124,28 @@ pub fn kmeans_points(
 /// algorithm ([`kmeans_points`]), operation for operation. Degenerate inputs
 /// are typed errors: all-zero weights, a coords/weights length mismatch, or
 /// pruning that leaves fewer than `n_mu` candidates.
-pub fn kmeans_points_checked<E: From<NumericalError>>(
+pub fn kmeans_points_checked(
     coords: &[[f64; 3]],
     w: &[f64],
     n_mu: usize,
     opts: KmeansOptions,
     slab: std::ops::Range<usize>,
-    mut reduce: impl FnMut(&mut [f64]) -> Result<(), E>,
+    mut reduce: impl FnMut(&mut [f64]),
     mut gather: impl FnMut(&[f64]) -> Vec<f64>,
-) -> Result<KmeansOutcome, E> {
+) -> Result<KmeansOutcome, NumericalError> {
     assert!(n_mu >= 1);
     if coords.len() != w.len() {
         return Err(NumericalError::ShapeMismatch {
             stage: "kmeans",
             expected: (coords.len(), 1),
             got: (w.len(), 1),
-        }
-        .into());
+        });
     }
     // `f64::max` against the 0.0 seed discards NaN entries, so a weight
     // vector of all NaNs also lands here rather than seeding centroids.
     let wmax = w.iter().cloned().fold(0.0f64, f64::max);
     if wmax <= 0.0 {
-        return Err(NumericalError::AllZeroWeights.into());
+        return Err(NumericalError::AllZeroWeights);
     }
 
     // Step 2: prune.
@@ -158,7 +153,7 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
     let active: Vec<usize> = (0..coords.len()).filter(|&i| w[i] > cutoff).collect();
     let n_active = active.len();
     if n_active < n_mu {
-        return Err(NumericalError::RankDeficient { requested: n_mu, got: n_active }.into());
+        return Err(NumericalError::RankDeficient { requested: n_mu, got: n_active });
     }
     // `active` ascends, so the slab's share of it is one contiguous run.
     let mine = &active[active.partition_point(|&gi| gi < slab.start)
@@ -172,10 +167,6 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
     // (cluster, squared distance to its centroid) of each of `mine`.
     let mut assign = vec![(0usize, 0.0f64); mine.len()];
     let mut iterations = 0;
-    let mut reseeded = 0usize;
-    // Weight-descending candidate order for empty-cluster reseeding,
-    // computed lazily on the first empty cluster.
-    let mut weight_order: Option<Vec<usize>> = None;
     for it in 0..opts.max_iter {
         iterations = it + 1;
         // Classification (parallel over this slab's active points), into
@@ -196,33 +187,14 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
             partials[3 * n_mu + a] += wi;
             partials[4 * n_mu] += wi * d2;
         }
-        reduce(&mut partials)?;
+        reduce(&mut partials);
         let (sums, wsum) = partials.split_at(3 * n_mu);
         let mut movement = 0.0;
-        for k in 0..n_mu {
-            let new = if wsum[k] > 0.0 {
-                [sums[3 * k] / wsum[k], sums[3 * k + 1] / wsum[k], sums[3 * k + 2] / wsum[k]]
-            } else {
-                // Empty cluster: re-seed deterministically at the
-                // highest-weight active point no other centroid sits on, so
-                // the cluster lands where the orbital-pair density actually
-                // is (and identical inputs reproduce identical selections).
-                reseeded += 1;
-                let order = weight_order.get_or_insert_with(|| {
-                    let mut o = active.clone();
-                    o.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(a.cmp(&b)));
-                    o
-                });
-                let pick = order.iter().copied().find(|&gi| {
-                    centroids
-                        .iter()
-                        .enumerate()
-                        .all(|(j, &c)| j == k || c != coords[gi])
-                });
-                coords[pick.unwrap_or(order[0])]
-            };
-            movement += dist2(centroids[k], new);
-            centroids[k] = new;
+        // An emptied cluster (no weight) keeps its centroid: Lloyd's rule.
+        for (k, c) in centroids.iter_mut().enumerate().filter(|&(k, _)| wsum[k] > 0.0) {
+            let new = [sums[3 * k] / wsum[k], sums[3 * k + 1] / wsum[k], sums[3 * k + 2] / wsum[k]];
+            movement += dist2(*c, new);
+            *c = new;
         }
         if movement < opts.tol {
             break;
@@ -283,7 +255,7 @@ pub fn kmeans_points_checked<E: From<NumericalError>>(
     points.dedup();
     let objective: f64 = shares().map(|share| share[2 * n_mu]).sum();
 
-    Ok(KmeansOutcome { points, iterations, active_points: n_active, objective, reseeded })
+    Ok(KmeansOutcome { points, iterations, active_points: n_active, objective })
 }
 
 fn initialize(
@@ -293,12 +265,6 @@ fn initialize(
     n_mu: usize,
     opts: KmeansOptions,
 ) -> Vec<[f64; 3]> {
-    if faultkit::degenerate_seeding("kmeans.init") {
-        // Injected degenerate start: every centroid on the same point — the
-        // pathological initialization the paper warns "may yield a terrible
-        // convergence problem". Recovery is the empty-cluster reseed path.
-        return vec![coords[active[0]]; n_mu];
-    }
     let mut rng = StdRng::seed_from_u64(opts.seed);
     match opts.init {
         KmeansInit::Random => {
@@ -560,7 +526,7 @@ mod tests {
                 n_mu,
                 KmeansOptions::default(),
                 0..coords.len(),
-                |_: &mut [f64]| Ok::<(), NumericalError>(()),
+                |_| {},
                 <[f64]>::to_vec,
             )
         };
@@ -583,43 +549,13 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_seeding_reseeds_from_heaviest_unclaimed() {
-        use faultkit::{FaultKind, FaultPlan};
-        let (coords, w) = two_blob_fixture();
-        let run = || {
-            let campaign = faultkit::arm(
-                FaultPlan::new(7).with("kmeans.init", 0, FaultKind::DegenerateSeeding),
-            );
-            let out = kmeans_points(&coords, &w, 2, KmeansOptions::default());
-            assert_eq!(campaign.fired(), 1, "the seeding fault must trigger");
-            out
-        };
-        let a = run();
-        let b = run();
-        assert!(a.reseeded > 0, "degenerate start must exercise the reseed path");
-        assert_eq!(a.points, b.points, "reseeding must be deterministic");
-        // The reseed steers the empty cluster onto the heaviest blob, so the
-        // fit still resolves both blobs.
-        assert_eq!(a.points.len(), 2);
-        let near = |p: [f64; 3], c: [f64; 3]| dist2(p, c) < 0.5;
-        let p0 = coords[a.points[0]];
-        let p1 = coords[a.points[1]];
-        assert!(
-            (near(p0, [1.05, 1.0, 1.0]) && near(p1, [5.05, 5.0, 5.0]))
-                || (near(p1, [1.05, 1.0, 1.0]) && near(p0, [5.05, 5.0, 5.0])),
-            "{p0:?} {p1:?}"
-        );
-    }
-
-    #[test]
     fn coincident_points_reseed_without_panic() {
         // Pathological distribution: every surviving point at the same
-        // coordinate. Initialization degenerates, clusters empty out, and
-        // the deterministic reseed must neither panic nor loop.
+        // coordinate. Initialization degenerates, clusters empty out and
+        // keep their centroids, and the run must neither panic nor loop.
         let coords = vec![[0.0, 0.0, 0.0]; 3];
         let w = vec![1.0, 2.0, 3.0];
         let out = kmeans_points(&coords, &w, 2, KmeansOptions::default());
-        assert!(out.reseeded >= 1, "coincident points must trigger a reseed");
         assert!(!out.points.is_empty());
         assert!(out.points.iter().all(|&p| p < 3));
     }

@@ -3,11 +3,10 @@
 //! Every collective — blocking or not — runs on the thread that calls it:
 //! the blocking API below is *issue, then wait* over the request machinery
 //! in [`crate::requests`], so the two paths are one implementation and stay
-//! bitwise-identical by construction. Blocking calls account under their own
-//! op labels (`allreduce`, `allgatherv`, …), request calls under their `i*`
-//! labels.
+//! bitwise-identical by construction, and every wait ends the same way: when
+//! every peer has issued. Blocking calls account under their own op labels
+//! (`allreduce`, `allgatherv`, …), `ireduce_sum` under `ireduce`.
 
-use crate::cost::CostModel;
 use crate::requests::{complete_chunks, complete_vals, Deposit, OpCell};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -40,30 +39,26 @@ pub struct CommStats {
     /// the whole call for the blocking API, issue + `wait()` time for the
     /// request API.
     pub measured_seconds: f64,
-    /// Seconds the α–β model charges for the same collectives.
-    pub modeled_seconds: f64,
     /// Per-operation breakdowns; their `calls`/`bytes`/`seconds` sum to the
     /// aggregate fields above.
     pub allreduce: OpStats,
     pub allgatherv: OpStats,
     pub alltoallv: OpStats,
     pub barrier: OpStats,
-    /// Nonblocking (request-based) ops.
+    /// The nonblocking reduce-to-root ([`Comm::ireduce_sum`]).
     pub ireduce: OpStats,
-    pub iallreduce: OpStats,
 }
 
 impl CommStats {
     /// The per-operation breakdown as `(label, stats)` rows, in a stable
     /// report order.
-    pub fn per_op(&self) -> [(&'static str, OpStats); 6] {
+    pub fn per_op(&self) -> [(&'static str, OpStats); 5] {
         [
             ("allreduce", self.allreduce),
             ("allgatherv", self.allgatherv),
             ("alltoallv", self.alltoallv),
             ("barrier", self.barrier),
             ("ireduce", self.ireduce),
-            ("iallreduce", self.iallreduce),
         ]
     }
 }
@@ -76,7 +71,6 @@ pub(crate) enum Op {
     Alltoallv,
     Barrier,
     Ireduce,
-    Iallreduce,
 }
 
 impl Op {
@@ -87,7 +81,6 @@ impl Op {
             Op::Alltoallv => "mpi:alltoallv",
             Op::Barrier => "mpi:barrier",
             Op::Ireduce => "mpi:ireduce",
-            Op::Iallreduce => "mpi:iallreduce",
         }
     }
 
@@ -98,32 +91,23 @@ impl Op {
             Op::Alltoallv => &mut stats.alltoallv,
             Op::Barrier => &mut stats.barrier,
             Op::Ireduce => &mut stats.ireduce,
-            Op::Iallreduce => &mut stats.iallreduce,
         }
     }
 
     /// Whether this is a request-API op (its waits are traced and charged).
     pub(crate) fn is_request(self) -> bool {
-        matches!(self, Op::Ireduce | Op::Iallreduce)
+        self == Op::Ireduce
     }
 
-    /// Fault-hook site. Blocking ops all hook under `comm.blocking`, so a
-    /// `FaultPlan` can target the request API without perturbing blocking
-    /// call sites (whose plain `wait` has no drop recovery).
+    /// Fault-hook site of an op that deposits (every op but the barrier),
+    /// named after the op.
     pub(crate) fn fault_site(self) -> &'static str {
         match self {
+            Op::Allreduce => "comm.allreduce",
+            Op::Allgatherv => "comm.allgatherv",
+            Op::Alltoallv => "comm.alltoallv",
             Op::Ireduce => "comm.ireduce",
-            Op::Iallreduce => "comm.iallreduce",
-            _ => "comm.blocking",
-        }
-    }
-
-    /// Label carried by [`faultkit::CommError`].
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            Op::Ireduce => "ireduce",
-            Op::Iallreduce => "iallreduce",
-            _ => "blocking",
+            Op::Barrier => unreachable!("a barrier deposits nothing"),
         }
     }
 }
@@ -134,7 +118,6 @@ pub(crate) struct Shared {
     /// for a world); ranks share the host's cores by it.
     world_size: usize,
     pub(crate) barrier: Barrier,
-    pub(crate) model: CostModel,
     /// Collectives in flight, by op id. A cell leaves once every rank has
     /// waited on or dropped its request for it.
     pub(crate) ops: Mutex<HashMap<u64, Arc<OpCell>>>,
@@ -145,12 +128,11 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(size: usize, world_size: usize, model: CostModel) -> Arc<Shared> {
+    fn new(size: usize, world_size: usize) -> Arc<Shared> {
         Arc::new(Shared {
             size,
             world_size,
             barrier: Barrier::new(size),
-            model,
             ops: Mutex::new(HashMap::new()),
             splits: Mutex::new(HashMap::new()),
         })
@@ -194,7 +176,7 @@ impl Comm {
     /// before it opens an `mpi:*` span or touches [`CommStats`]. This is what
     /// makes a serial solve the one-rank case of the distributed one.
     pub fn solo() -> Comm {
-        Comm::new(0, Shared::new(1, 1, CostModel::default()))
+        Comm::new(0, Shared::new(1, 1))
     }
 
     #[inline]
@@ -241,17 +223,16 @@ impl Comm {
         });
     }
 
-    /// Charge one collective call: its bytes, its modeled time and the wall
-    /// time since `t0`. `span` was opened at the op's entry, so span-derived
-    /// stage timings match `measured_seconds`; it gets its args here and
-    /// closes on drop.
-    pub(crate) fn account(&self, op: Op, bytes: usize, t0: Instant, modeled: f64, span: obskit::Span) {
+    /// Charge one collective call: its bytes and the wall time since `t0`.
+    /// `span` was opened at the op's entry, so span-derived stage timings
+    /// match `measured_seconds`; it gets its `bytes` arg here and closes on
+    /// drop.
+    pub(crate) fn account(&self, op: Op, bytes: usize, t0: Instant, span: obskit::Span) {
         let seconds = t0.elapsed().as_secs_f64();
         self.charge(|s| {
             s.bytes_sent += bytes as u64;
             s.collective_calls += 1;
             s.measured_seconds += seconds;
-            s.modeled_seconds += modeled;
             let slot = op.slot(s);
             slot.calls += 1;
             slot.bytes += bytes as u64;
@@ -260,7 +241,6 @@ impl Comm {
         obskit::add_bytes_moved(bytes as u64);
         let mut span = span;
         span.arg("bytes", bytes as f64);
-        span.arg("modeled_s", modeled);
     }
 
     /// Per-rank monotone op id; SPMD issue order matches op `n` here with
@@ -280,12 +260,20 @@ impl Comm {
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
         self.shared.barrier.wait();
-        let m = self.shared.model.barrier(self.size());
-        self.account(op, 0, t0, m, sp);
+        self.account(op, 0, t0, sp);
     }
 
     /// In-place sum-allreduce of `buf` across all ranks: every element is
-    /// summed over the ranks in ascending rank order from `+0.0`.
+    /// summed over the ranks in ascending rank order from `+0.0`. Returns
+    /// once every rank has issued it, however late a peer comes.
+    ///
+    /// This is the one allreduce, and callers pack every field a step needs
+    /// side by side into one buffer for it: summation is element-wise, so
+    /// packing changes *which* elements ride in one collective but never the
+    /// fold order *within* an element — each field comes back bitwise equal
+    /// to its own call (`tests/fused.rs`). The paper's K-Means sweep, the
+    /// sampled ISDF rows and the LOBPCG Gram/norm reduction each pay one
+    /// latency this way instead of one per field.
     pub fn allreduce_sum(&self, buf: &mut [f64]) {
         let p = self.size();
         if p == 1 {
@@ -297,9 +285,7 @@ impl Comm {
         let deposit = Deposit::Reduce { root: None, buf: buf.to_vec() };
         let out = self.issue(op, deposit, complete_vals).wait();
         buf.copy_from_slice(&out);
-        let bytes = buf.len() * 8;
-        let m = self.shared.model.allreduce(p, bytes);
-        self.account(op, bytes, t0, m, sp);
+        self.account(op, buf.len() * 8, t0, sp);
     }
 
     /// Variable all-gather: every rank contributes `mine`, receives the
@@ -313,8 +299,7 @@ impl Comm {
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
         let t0 = Instant::now();
         let out = self.issue(op, Deposit::Gather(mine.to_vec()), complete_vals).wait();
-        let m = self.shared.model.allgatherv(p, out.len() * 8);
-        self.account(op, mine.len() * 8, t0, m, sp);
+        self.account(op, mine.len() * 8, t0, sp);
         out
     }
 
@@ -331,8 +316,7 @@ impl Comm {
         let t0 = Instant::now();
         let sent_bytes: usize = send.iter().map(|c| c.len() * 8).sum();
         let recv = self.issue(op, Deposit::Alltoall(send), complete_chunks).wait();
-        let m = self.shared.model.alltoallv(p, sent_bytes);
-        self.account(op, sent_bytes, t0, m, sp);
+        self.account(op, sent_bytes, t0, sp);
         recv
     }
 
@@ -364,7 +348,7 @@ impl Comm {
         let shared = {
             let mut splits = lock(&self.shared.splits);
             let entry = splits.entry((seq, color as u64)).or_insert_with(|| SplitEntry {
-                shared: Shared::new(group_size, self.shared.world_size, self.shared.model),
+                shared: Shared::new(group_size, self.shared.world_size),
                 taken: 0,
             });
             entry.taken += 1;
@@ -386,24 +370,15 @@ pub fn threads_per_rank(cores: usize, world_size: usize) -> usize {
     (cores / world_size.max(1)).max(1)
 }
 
-/// Run `f` as an SPMD program on `size` thread-ranks with the default cost
-/// model; returns the per-rank results in rank order.
+/// Run `f` as an SPMD program on `size` thread-ranks; returns the per-rank
+/// results in rank order.
 pub fn spmd<T, F>(size: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
 {
-    spmd_with_model(size, CostModel::default(), f)
-}
-
-/// [`spmd`] with an explicit communication cost model.
-pub fn spmd_with_model<T, F>(size: usize, model: CostModel, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Comm) -> T + Sync,
-{
     assert!(size > 0, "need at least one rank");
-    let shared = Shared::new(size, size, model);
+    let shared = Shared::new(size, size);
     let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
     // An armed fault plan on the launching thread extends to every rank:
     // rank threads install the same handle, so per-rank occurrence counters
@@ -539,7 +514,6 @@ mod tests {
         for s in res {
             assert_eq!(s.collective_calls, 2);
             assert_eq!(s.bytes_sent, 800);
-            assert!(s.modeled_seconds > 0.0);
         }
     }
 
@@ -550,7 +524,6 @@ mod tests {
             c.allreduce_sum(&mut buf);
             let _ = c.allgatherv(&buf);
             let _ = c.alltoallv(vec![vec![1.0], vec![2.0]]);
-            let _ = c.iallreduce_sum(buf.clone()).wait();
             let _ = c.ireduce_sum(buf.clone(), 0).wait();
             c.barrier();
             c.stats()
@@ -559,10 +532,9 @@ mod tests {
             assert_eq!(s.allreduce.calls, 1);
             assert_eq!(s.allgatherv.calls, 1);
             assert_eq!(s.alltoallv.calls, 1);
-            assert_eq!(s.iallreduce.calls, 1);
             assert_eq!(s.ireduce.calls, 1);
             assert_eq!(s.barrier.calls, 1);
-            let per: [(&str, OpStats); 6] = s.per_op();
+            let per: [(&str, OpStats); 5] = s.per_op();
             let calls: u64 = per.iter().map(|(_, o)| o.calls).sum();
             let bytes: u64 = per.iter().map(|(_, o)| o.bytes).sum();
             let secs: f64 = per.iter().map(|(_, o)| o.seconds).sum();
@@ -625,7 +597,6 @@ mod tests {
         c.allreduce_sum(&mut buf);
         assert_eq!(c.allgatherv(&buf), vec![3.0]);
         assert_eq!(c.alltoallv(vec![vec![1.0, 2.0]]), vec![vec![1.0, 2.0]]);
-        assert_eq!(c.iallreduce_sum(buf.clone()).wait(), vec![3.0]);
         assert_eq!(c.ireduce_sum(buf.clone(), 0).wait(), vec![3.0]);
         assert_eq!(buf, vec![3.0]);
         assert_eq!(c.stats(), CommStats::default());

@@ -5,7 +5,6 @@
 //!
 //! | collective  | modeled time                                   |
 //! |-------------|------------------------------------------------|
-//! | barrier     | `α · log₂(p)`                                  |
 //! | bcast       | `log₂(p) · (α + β·n)`                          |
 //! | reduce      | `log₂(p) · (α + β·n)`                          |
 //! | allreduce   | `2·log₂(p)·α + 2·β·n·(p−1)/p` (Rabenseifner)   |
@@ -41,14 +40,6 @@ impl CostModel {
     #[inline]
     fn log2p(p: usize) -> f64 {
         (p.max(1) as f64).log2().max(1.0)
-    }
-
-    pub fn barrier(&self, p: usize) -> f64 {
-        if p <= 1 {
-            0.0
-        } else {
-            self.alpha * Self::log2p(p)
-        }
     }
 
     pub fn bcast(&self, p: usize, bytes: usize) -> f64 {
@@ -88,35 +79,6 @@ impl CostModel {
             (p as f64 - 1.0) * self.alpha + self.beta * sent_bytes as f64
         }
     }
-
-    #[inline]
-    fn segments(bytes: usize, seg_bytes: usize) -> f64 {
-        bytes.div_ceil(seg_bytes.max(1)).max(1) as f64
-    }
-
-    /// Pipelined ring allreduce over fixed-size segments: the chain fills in
-    /// `2(p−1)` steps and then streams one segment per step, so latency is
-    /// `α · (2(p−1) + s − 1)` with the usual `2n(p−1)/p` bandwidth term.
-    pub fn ring_allreduce(&self, p: usize, bytes: usize, seg_bytes: usize) -> f64 {
-        if p <= 1 {
-            0.0
-        } else {
-            let s = Self::segments(bytes, seg_bytes);
-            self.alpha * (2.0 * (p as f64 - 1.0) + s - 1.0)
-                + 2.0 * self.beta * bytes as f64 * (p as f64 - 1.0) / p as f64
-        }
-    }
-
-    /// Pipelined (segmented) binomial-tree reduce: `log₂(p)` rounds to fill,
-    /// then one segment per step; each byte crosses the wire once.
-    pub fn segmented_reduce(&self, p: usize, bytes: usize, seg_bytes: usize) -> f64 {
-        if p <= 1 {
-            0.0
-        } else {
-            let s = Self::segments(bytes, seg_bytes);
-            self.alpha * (Self::log2p(p) + s - 1.0) + self.beta * bytes as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +88,6 @@ mod tests {
     #[test]
     fn single_rank_is_free() {
         let m = CostModel::default();
-        assert_eq!(m.barrier(1), 0.0);
         assert_eq!(m.allreduce(1, 1 << 20), 0.0);
         assert_eq!(m.alltoallv(1, 1 << 20), 0.0);
     }

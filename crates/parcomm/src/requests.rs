@@ -3,16 +3,18 @@
 //! There is no progress engine: every collective runs on the thread that
 //! calls it, in two halves.
 //!
-//! * **Issue** ([`Comm::ireduce_sum`], [`Comm::iallreduce_sum`], and inside
-//!   every blocking call) deposits this rank's contribution in the op's
-//!   shared cell and returns a [`Request`]. It never blocks.
-//! * **Completion** happens inside [`Request::wait`] /
-//!   [`Request::wait_deadline`]: the waiting rank does the remaining work
-//!   itself. Reduction waiters claim unfolded 4096-word segments and sum each
-//!   over every rank's deposit in ascending rank order from `+0.0` — the
-//!   per-element order of the blocking sum, so results are bitwise identical
-//!   however the segments were shared out, and one waiter can finish the
-//!   whole op alone. A gather or all-to-all waiter copies or takes its parts.
+//! * **Issue** ([`Comm::ireduce_sum`], and inside every blocking call)
+//!   deposits this rank's contribution in the op's shared cell and returns a
+//!   [`Request`]. It never blocks.
+//! * **Completion** happens inside [`Request::wait`], which blocks until
+//!   every peer's deposit is visible — an MPI collective's rule: there is no
+//!   deadline, and no rank gives up while its peers go on. The waiting rank
+//!   then does the remaining work itself. Reduction waiters claim unfolded
+//!   4096-word segments and sum each over every rank's deposit in ascending
+//!   rank order from `+0.0` — the per-element order of the blocking sum, so
+//!   results are bitwise identical however the segments were shared out,
+//!   and one waiter can finish the whole op alone. A gather or all-to-all
+//!   waiter copies or takes its parts.
 //!
 //! A wait depends only on the other ranks having *issued*, never on them
 //! having waited, so waits in any order cannot deadlock — opposite orders on
@@ -22,9 +24,8 @@
 //! rank has waited on or dropped its request.
 
 use crate::comm::{lock, Comm, Op};
-use faultkit::{CommError, CommFault};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Words (f64) per reduction segment, the unit one waiter claims: 32 KiB,
 /// so a large reduction is shared out among its waiters and a
@@ -36,17 +37,6 @@ fn cv_wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|p| p.into_inner())
 }
 
-/// The retry budget of [`Request::wait_deadline`] and [`Comm::settle`]:
-/// attempt `k` waits `WAIT_DEADLINE + k·WAIT_BACKOFF`, and a request that
-/// never completes surfaces [`CommError::Stalled`] after `WAIT_ATTEMPTS`
-/// waits (≈ 0.9 s in all). A wait completes as soon as every rank has
-/// issued, so 60 ms plus linear backoff tolerates CI scheduling hiccups
-/// while a genuinely stalled peer (or an injected `CommStall` longer than
-/// the whole budget) surfaces within a second.
-const WAIT_DEADLINE: Duration = Duration::from_millis(60);
-const WAIT_ATTEMPTS: u32 = 5;
-const WAIT_BACKOFF: Duration = Duration::from_millis(60);
-
 /// One rank's contribution to a collective, handed over at issue.
 pub(crate) enum Deposit {
     /// Sum-reduce `buf` to `root`, or to every rank when `root` is `None`.
@@ -57,9 +47,8 @@ pub(crate) enum Deposit {
     Alltoall(Vec<Vec<f64>>),
 }
 
-/// Finishes a request on the waiting rank: `None` when `deadline` passed
-/// before every rank's deposit was visible.
-pub(crate) type Complete<T> = fn(&OpCell, usize, Option<Instant>) -> Option<T>;
+/// Finishes a request on the waiting rank.
+pub(crate) type Complete<T> = fn(&OpCell, usize) -> T;
 
 /// One collective in flight, shared by the ranks through the op table.
 pub(crate) struct OpCell {
@@ -71,7 +60,7 @@ pub(crate) struct OpCell {
 
 struct OpState {
     /// When each rank's deposit becomes visible; `None` until it issues. A
-    /// `CommDelay`/`CommStall` fault pushes this past the issue instant.
+    /// `CommDelay` fault pushes this past the issue instant.
     visible_at: Vec<Option<Instant>>,
     parts: Parts,
     /// Ranks that have waited on or dropped their request.
@@ -119,24 +108,17 @@ impl OpCell {
         OpCell { root, st: Mutex::new(st), cv: Condvar::new() }
     }
 
-    /// Lock the cell once every rank's deposit is visible, or `None` once
-    /// `deadline` passes first. Nobody signals a delayed deposit turning
-    /// visible, so the wait times out at that instant.
-    fn all_visible(&self, deadline: Option<Instant>) -> Option<MutexGuard<'_, OpState>> {
+    /// Lock the cell once every rank's deposit is visible. Nobody signals a
+    /// delayed deposit turning visible, so the wait times out at that instant.
+    fn all_visible(&self) -> MutexGuard<'_, OpState> {
         let mut g = lock(&self.st);
         loop {
             let now = Instant::now();
             // When the last deposit shows; `None` while a rank has not issued.
-            let last = g.visible_at.iter().try_fold(now, |t, v| v.map(|v| t.max(v)));
-            if last == Some(now) {
-                return Some(g);
-            }
-            if deadline.is_some_and(|d| d <= now) {
-                return None;
-            }
-            g = match last.into_iter().chain(deadline).min() {
-                Some(until) => {
-                    self.cv.wait_timeout(g, until - now).unwrap_or_else(|p| p.into_inner()).0
+            g = match g.visible_at.iter().try_fold(now, |t, v| v.map(|v| t.max(v))) {
+                Some(last) if last == now => return g,
+                Some(last) => {
+                    self.cv.wait_timeout(g, last - now).unwrap_or_else(|p| p.into_inner()).0
                 }
                 None => cv_wait(&self.cv, g),
             };
@@ -189,30 +171,22 @@ impl OpCell {
 
 /// Completion of reductions and gathers. A non-root rank of a
 /// reduce-to-root owes nothing past its deposit and returns at once.
-pub(crate) fn complete_vals(
-    cell: &OpCell,
-    rank: usize,
-    deadline: Option<Instant>,
-) -> Option<Vec<f64>> {
+pub(crate) fn complete_vals(cell: &OpCell, rank: usize) -> Vec<f64> {
     if cell.root.is_some_and(|root| root != rank) {
-        return Some(Vec::new());
+        return Vec::new();
     }
-    let g = cell.all_visible(deadline)?;
+    let g = cell.all_visible();
     if let Parts::Gather(parts) = &g.parts {
-        return Some(parts.concat());
+        return parts.concat();
     }
-    Some(cell.fold(g, rank))
+    cell.fold(g, rank)
 }
 
 /// Completion of all-to-all: take the chunk every rank sent this one.
-pub(crate) fn complete_chunks(
-    cell: &OpCell,
-    rank: usize,
-    deadline: Option<Instant>,
-) -> Option<Vec<Vec<f64>>> {
-    let mut g = cell.all_visible(deadline)?;
+pub(crate) fn complete_chunks(cell: &OpCell, rank: usize) -> Vec<Vec<f64>> {
+    let mut g = cell.all_visible();
     let Parts::Alltoall(boxes) = &mut g.parts else { unreachable!("chunks of a non-all-to-all") };
-    Some(boxes.iter_mut().map(|sent| std::mem::take(&mut sent[rank])).collect())
+    boxes.iter_mut().map(|sent| std::mem::take(&mut sent[rank])).collect()
 }
 
 /// Handle to an issued collective. The payload type depends on the op:
@@ -231,18 +205,11 @@ enum State<T> {
     Ready(Option<T>),
     /// Deposited in op `id`'s cell; `complete` finishes it on this rank.
     Issued { id: u64, cell: Arc<OpCell>, complete: Complete<T> },
-    /// Fault injection dropped it before an op id was taken; the issuing
-    /// rank must re-issue ([`Comm::settle`] does).
-    Dropped,
 }
 
 impl<'c, T> Request<'c, T> {
     fn ready(comm: &'c Comm, op: Op, v: T) -> Self {
         Request { comm, op, state: State::Ready(Some(v)) }
-    }
-
-    fn is_dropped(&self) -> bool {
-        matches!(self.state, State::Dropped)
     }
 
     /// Request-API waits on a real group are traced and charged; blocking
@@ -251,65 +218,21 @@ impl<'c, T> Request<'c, T> {
         self.op.is_request() && matches!(self.state, State::Issued { .. })
     }
 
-    fn complete(&mut self, deadline: Option<Instant>) -> Option<T> {
-        match &mut self.state {
-            State::Ready(v) => v.take(),
-            State::Issued { cell, complete, .. } => complete(cell, self.comm.rank, deadline),
-            State::Dropped => None,
-        }
-    }
-
-    fn charge_wait(&self, t0: Instant) {
+    /// Block until every peer's deposit is visible, complete the op on this
+    /// rank and hand back the payload. The time is charged to its
+    /// [`CommStats`](crate::CommStats).
+    pub fn wait(mut self) -> T {
+        let span = self.traced().then(|| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
+        let t0 = Instant::now();
+        let v = match &mut self.state {
+            State::Ready(v) => v.take().expect("a request is waited on once"),
+            State::Issued { cell, complete, .. } => complete(cell, self.comm.rank),
+        };
         if self.traced() {
             self.comm.charge_wait(self.op, t0.elapsed().as_secs_f64());
         }
-    }
-
-    /// Block until completion and hand back the payload. The waiting rank
-    /// finishes the op itself; the time is charged to its
-    /// [`CommStats`](crate::CommStats).
-    pub fn wait(mut self) -> T {
-        assert!(
-            !self.is_dropped(),
-            "wait() on a request dropped by fault injection (op `{}`); \
-             use wait_deadline/Comm::settle on fault-injected paths",
-            self.op.label()
-        );
-        let span = self.traced().then(|| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
-        let t0 = Instant::now();
-        let v = self.complete(None).expect("a wait without a deadline completes");
-        self.charge_wait(t0);
         drop(span);
         v
-    }
-
-    /// Wait under the fixed retry budget. Attempt `k` blocks for
-    /// `60 ms + k·60 ms`; after five attempts the request is abandoned and
-    /// [`CommError::Stalled`] surfaces. A request dropped by fault injection
-    /// returns [`CommError::Dropped`] immediately.
-    ///
-    /// Expired deadlines re-wait on the **same** request — they never
-    /// re-issue, because a locally-timed re-issue would desynchronize the
-    /// SPMD op-id matching across ranks. Only symmetrically-dropped requests
-    /// are re-issued ([`Comm::settle`]).
-    pub fn wait_deadline(mut self) -> Result<T, CommError> {
-        if self.is_dropped() {
-            return Err(CommError::Dropped { op: self.op.label() });
-        }
-        let span = self.traced().then(|| obskit::span(obskit::Stage::Mpi, "mpi:wait"));
-        let t0 = Instant::now();
-        let mut waited = Duration::ZERO;
-        for attempt in 0..WAIT_ATTEMPTS {
-            let d = WAIT_DEADLINE + WAIT_BACKOFF * attempt;
-            if let Some(v) = self.complete(Some(Instant::now() + d)) {
-                self.charge_wait(t0);
-                drop(span);
-                return Ok(v);
-            }
-            waited += d;
-        }
-        self.charge_wait(t0);
-        Err(CommError::Stalled { op: self.op.label(), waited, attempts: WAIT_ATTEMPTS })
     }
 }
 
@@ -332,15 +255,10 @@ impl<T> Drop for Request<'_, T> {
 
 impl Comm {
     /// Deposit this rank's part of a collective and return its request;
-    /// never blocks. A `CommDrop` fault returns a dropped request before an
-    /// op id is taken; a `CommDelay`/`CommStall` of `d` makes the deposit
-    /// visible only at issue + `d`, so every rank's wait sees the same stall.
+    /// never blocks. A `CommDelay` of `d` makes the deposit visible only at
+    /// issue + `d`, so every peer's wait waits it out.
     pub(crate) fn issue<T>(&self, op: Op, dep: Deposit, complete: Complete<T>) -> Request<'_, T> {
-        let visible_at = match faultkit::comm_fault(op.fault_site()) {
-            Some(CommFault::Drop) => return Request { comm: self, op, state: State::Dropped },
-            Some(CommFault::Delay(d)) => Instant::now() + d,
-            None => Instant::now(),
-        };
+        let visible_at = Instant::now() + faultkit::comm_fault(op.fault_site()).unwrap_or_default();
         let id = self.next_op_id();
         let cell = Arc::clone(
             lock(&self.shared.ops)
@@ -367,102 +285,28 @@ impl Comm {
         Request { comm: self, op, state: State::Issued { id, cell, complete } }
     }
 
-    /// Issue a request-API op under its `mpi:*` span and charge the issue
-    /// side: one call, its bytes and modeled time, the issue latency.
-    fn issue_request<T>(
-        &self,
-        op: Op,
-        bytes: usize,
-        modeled: f64,
-        deposit: Deposit,
-        complete: Complete<T>,
-    ) -> Request<'_, T> {
-        let span = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
-        let rq = self.issue(op, deposit, complete);
-        self.account(op, bytes, t0, modeled, span);
-        rq
-    }
-
     /// Nonblocking sum-reduce of `data` to `root`. On `root`, `wait()`
     /// returns the reduced buffer; on other ranks it returns an empty vector
-    /// at once — the deposit is all a non-root rank owes.
+    /// at once — the deposit is all a non-root rank owes. The issue is
+    /// charged here (one call, its bytes, the issue latency), the wait by
+    /// [`Request::wait`].
     pub fn ireduce_sum(&self, data: Vec<f64>, root: usize) -> Request<'_> {
+        let op = Op::Ireduce;
         if self.size() == 1 {
-            return Request::ready(self, Op::Ireduce, data);
+            return Request::ready(self, op, data);
         }
         let bytes = data.len() * 8;
-        let modeled = self.shared.model.segmented_reduce(self.size(), bytes, SEGMENT_WORDS * 8);
-        let deposit = Deposit::Reduce { root: Some(root), buf: data };
-        self.issue_request(Op::Ireduce, bytes, modeled, deposit, complete_vals)
-    }
-
-    /// Nonblocking in-place sum-allreduce: `wait()` returns the fully
-    /// reduced buffer on every rank.
-    pub fn iallreduce_sum(&self, data: Vec<f64>) -> Request<'_> {
-        if self.size() == 1 {
-            return Request::ready(self, Op::Iallreduce, data);
-        }
-        let bytes = data.len() * 8;
-        let modeled = self.shared.model.ring_allreduce(self.size(), bytes, SEGMENT_WORDS * 8);
-        let deposit = Deposit::Reduce { root: None, buf: data };
-        self.issue_request(Op::Iallreduce, bytes, modeled, deposit, complete_vals)
-    }
-
-    /// Settle an already-issued request with bounded recovery: a request
-    /// dropped by fault injection is re-issued via `reissue` (safe because
-    /// the injection decision fired symmetrically on every rank, so every
-    /// rank re-issues and op ids stay matched), and completion is awaited
-    /// under the fixed deadline/backoff budget of
-    /// [`Request::wait_deadline`] before [`CommError::Stalled`] surfaces.
-    ///
-    /// Taking the first request as an argument (rather than issuing it
-    /// here) lets callers keep their issue-then-compute window: the
-    /// recovery path only engages after that compute is done.
-    pub fn settle<'c, T>(
-        &'c self,
-        first: Request<'c, T>,
-        mut reissue: impl FnMut(&'c Comm) -> Request<'c, T>,
-    ) -> Result<T, CommError> {
-        let mut rq = first;
-        let mut reissues = 0u32;
-        while rq.is_dropped() {
-            if reissues >= WAIT_ATTEMPTS {
-                return Err(CommError::Dropped { op: rq.op.label() });
-            }
-            reissues += 1;
-            rq = reissue(self);
-        }
-        rq.wait_deadline()
-    }
-
-    /// Sum-allreduce a caller-packed buffer in place: one `iallreduce` over
-    /// every field the caller laid side by side, settled with the recovery of
-    /// [`Comm::settle`]. The identity on a size-1 communicator. A dropped
-    /// request is re-issued from `buf` itself, which stays untouched until
-    /// the sum comes back, so the fault-free path copies nothing extra.
-    ///
-    /// Packing changes no bit: summation is element-wise, every element is
-    /// folded over the ranks in ascending order from `+0.0`, so fields side
-    /// by side change *which* elements ride in one collective but never the
-    /// fold order *within* an element — each field comes back bitwise equal
-    /// to its own [`Comm::allreduce_sum`] (`tests/fused.rs`). The paper's
-    /// K-Means sweep, the sampled ISDF rows and the LOBPCG Gram/norm
-    /// reduction each pay one latency this way instead of one per field.
-    pub fn allreduce_packed(&self, buf: &mut [f64]) -> Result<(), CommError> {
-        if self.size() == 1 {
-            return Ok(());
-        }
-        let rq = self.iallreduce_sum(buf.to_vec());
-        let out = self.settle(rq, |c| c.iallreduce_sum(buf.to_vec()))?;
-        buf.copy_from_slice(&out);
-        Ok(())
+        let span = obskit::span(obskit::Stage::Mpi, op.span_name());
+        let t0 = Instant::now();
+        let rq = self.issue(op, Deposit::Reduce { root: Some(root), buf: data }, complete_vals);
+        self.account(op, bytes, t0, span);
+        rq
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::{lock, spmd, Comm};
+    use crate::comm::{lock, spmd};
 
     #[test]
     fn dropped_requests_leave_nothing_behind() {
@@ -470,37 +314,11 @@ mod tests {
         // has dropped its side, the cell leaves the table.
         let left = spmd(2, |c| {
             for i in 0..1000 {
-                drop(c.iallreduce_sum(vec![i as f64; 3]));
+                drop(c.ireduce_sum(vec![i as f64; 3], i % 2));
             }
             c.barrier();
             lock(&c.shared.ops).len()
         });
         assert_eq!(left, vec![0, 0]);
-    }
-
-    #[test]
-    fn packed_reduce_sums_every_field() {
-        // Fields [rank, 1] | [] | [10] packed side by side (the empty one
-        // takes no room) come back summed over 4 ranks from one
-        // `iallreduce`.
-        let res = spmd(4, |c| {
-            let mut buf = vec![c.rank() as f64, 1.0, 10.0];
-            c.allreduce_packed(&mut buf).expect("packed reduce");
-            (buf, c.stats())
-        });
-        for (buf, s) in res {
-            assert_eq!(buf, vec![6.0, 4.0, 40.0]); // 0+1+2+3, 4·1, 4·10
-            assert_eq!(s.iallreduce.calls, 1, "three fields, one collective");
-            assert_eq!(s.collective_calls, 1);
-        }
-    }
-
-    #[test]
-    fn packed_reduce_on_one_rank_is_identity() {
-        let c = Comm::solo();
-        let mut buf = vec![5.0, 6.0];
-        c.allreduce_packed(&mut buf).expect("identity");
-        assert_eq!(buf, vec![5.0, 6.0]);
-        assert_eq!(c.stats(), crate::CommStats::default());
     }
 }

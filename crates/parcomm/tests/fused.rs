@@ -1,7 +1,7 @@
-//! Property tests for the communication-avoiding layer: a packed reduction
-//! ([`Comm::allreduce_packed`]) must be **bitwise identical** to one blocking
-//! allreduce per field at any rank count, and sub-communicators from
-//! [`Comm::split`] must reduce independently.
+//! Property tests for the communication-avoiding layer: one
+//! [`Comm::allreduce_sum`] over fields packed side by side must be **bitwise
+//! identical** to one `allreduce_sum` per field at any rank count, and
+//! sub-communicators from [`Comm::split`] must reduce independently.
 
 use parcomm::{spmd, Comm};
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ fn rank_field(c: &Comm, seed: u64, field: usize, len: usize) -> Vec<f64> {
 }
 
 /// The fields of `lens`, packed side by side, and each reduced on its own
-/// by the blocking allreduce — the reference the packed reduce must match.
+/// by its own allreduce — the reference the packed reduce must match.
 fn packed_and_per_field(c: &Comm, seed: u64, lens: &[usize]) -> (Vec<f64>, Vec<f64>) {
     let mut packed = Vec::new();
     let mut per_field = Vec::new();
@@ -44,9 +44,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// One packed reduce ≡ one blocking allreduce per field, bitwise, at 1–8
-    /// ranks with uneven field sizes including empty fields — and it is one
-    /// `iallreduce` call (none on one rank).
+    /// One packed reduce ≡ one allreduce per field, bitwise, at 1–8 ranks
+    /// with uneven field sizes including empty fields — and it is one
+    /// `allreduce` call (none on one rank).
     #[test]
     fn packed_reduce_matches_per_field_bitwise(
         ranks in 1usize..=8,
@@ -55,9 +55,9 @@ proptest! {
     ) {
         let res = spmd(ranks, |c| {
             let (mut packed, per_field) = packed_and_per_field(c, seed, &lens);
-            let before = c.stats().iallreduce.calls;
-            c.allreduce_packed(&mut packed).expect("packed reduce");
-            (packed, per_field, c.stats().iallreduce.calls - before)
+            let before = c.stats().allreduce.calls;
+            c.allreduce_sum(&mut packed);
+            (packed, per_field, c.stats().allreduce.calls - before)
         });
         for (packed, per_field, calls) in res {
             prop_assert_eq!(bits(&packed), bits(&per_field));
@@ -65,7 +65,7 @@ proptest! {
         }
     }
 
-    /// Back-to-back packed reduces, interleaved with the blocking reference
+    /// Back-to-back packed reduces, interleaved with the per-field reference
     /// ones, each match the per-field allreduces bitwise.
     #[test]
     fn consecutive_packed_reduces_match_per_field_bitwise(
@@ -77,7 +77,7 @@ proptest! {
             let mut rounds = Vec::new();
             for round in 0..3u64 {
                 let (mut packed, per_field) = packed_and_per_field(c, seed ^ round, &lens);
-                c.allreduce_packed(&mut packed).expect("packed reduce");
+                c.allreduce_sum(&mut packed);
                 rounds.push((packed, per_field));
             }
             rounds

@@ -1,6 +1,7 @@
-//! Tests for the request API: waits in any order on any rank complete,
-//! issue never blocks on a peer, uneven/empty all-to-all slabs route, and
-//! the request forms agree bitwise with the blocking collectives.
+//! Tests for the request API and the one wait rule: waits in any order on
+//! any rank complete, issue never blocks on a peer, a wait outlasts any late
+//! peer, uneven/empty all-to-all slabs route, and the request form agrees
+//! bitwise with the blocking collectives.
 
 use parcomm::{spmd, Comm};
 use proptest::prelude::*;
@@ -28,9 +29,10 @@ fn rank_data(c: &Comm, seed: u64, len: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Several requests issued back-to-back, then waited in *reverse* issue
-    /// order: a wait needs only the peers' deposits, so this must not
-    /// deadlock and every payload must match its blocking counterpart.
+    /// Several reduces (to rotating roots) issued back-to-back, then waited
+    /// in *reverse* issue order: a wait needs only the peers' deposits, so
+    /// this must not deadlock and every root's payload must match its
+    /// blocking counterpart.
     #[test]
     fn out_of_order_waits_complete(ranks in 1usize..6, len in 1usize..300, seed in 0u64..u64::MAX) {
         let n_reqs = 4usize;
@@ -46,14 +48,19 @@ proptest! {
                 })
                 .collect();
 
+            let root = |i: usize| i % ranks;
             let mut reqs: Vec<_> =
-                inputs.into_iter().map(|v| c.iallreduce_sum(v)).collect();
+                inputs.into_iter().enumerate().map(|(i, v)| c.ireduce_sum(v, root(i))).collect();
             // Collect payloads last-issued-first.
             let mut got: Vec<(usize, Vec<f64>)> = Vec::new();
             while let Some(rq) = reqs.pop() {
                 got.push((reqs.len(), rq.wait()));
             }
             for (i, nb) in got {
+                if root(i) != c.rank() {
+                    prop_assert!(nb.is_empty());
+                    continue;
+                }
                 let want = &expected[i];
                 prop_assert_eq!(nb.len(), want.len());
                 for (a, b) in nb.iter().zip(want.iter()) {
@@ -104,7 +111,7 @@ proptest! {
 
     /// Every reduction folds each element over the ranks in ascending order
     /// from `+0.0`, however its segments were shared out among the waiters,
-    /// so `iallreduce_sum` and `ireduce_sum` must agree *bitwise* with the
+    /// so `ireduce_sum` to every root in turn must agree *bitwise* with the
     /// blocking allreduce for 1..=8 ranks and lengths spanning segments.
     #[test]
     fn ring_matches_blocking_bitwise(ranks in 1usize..=8, len in 1usize..5000, seed in 0u64..u64::MAX) {
@@ -113,21 +120,17 @@ proptest! {
 
             let mut blocking = mine.clone();
             c.allreduce_sum(&mut blocking);
-            let nb_all = c.iallreduce_sum(mine.clone()).wait();
-
-            let root = ranks - 1;
-            let nb_red = c.ireduce_sum(mine, root).wait();
-
-            for (a, b) in nb_all.iter().zip(blocking.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            if c.rank() == root {
-                prop_assert_eq!(nb_red.len(), blocking.len());
-                for (a, b) in nb_red.iter().zip(blocking.iter()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
+            let reqs: Vec<_> = (0..ranks).map(|root| c.ireduce_sum(mine.clone(), root)).collect();
+            for (root, rq) in reqs.into_iter().enumerate() {
+                let nb_red = rq.wait();
+                if c.rank() == root {
+                    prop_assert_eq!(nb_red.len(), blocking.len());
+                    for (a, b) in nb_red.iter().zip(blocking.iter()) {
+                        prop_assert_eq!(a.to_bits(), b.to_bits());
+                    }
+                } else {
+                    prop_assert!(nb_red.is_empty());
                 }
-            } else {
-                prop_assert!(nb_red.is_empty());
             }
             Ok(())
         });
@@ -145,11 +148,11 @@ fn interleaved_op_kinds_waited_in_reverse_order() {
     let results = spmd(ranks, |c| {
         let me = c.rank();
         let rq_red = c.ireduce_sum(rank_data(c, 3, 33), 2);
-        let rq_all = c.iallreduce_sum(rank_data(c, 9, 100));
+        let rq_zero = c.ireduce_sum(rank_data(c, 9, 100), 0);
         let a2a = c.alltoallv((0..ranks).map(|q| vec![me as f64, q as f64]).collect());
-        let all = rq_all.wait();
+        let zero = rq_zero.wait();
         let red = rq_red.wait();
-        (red, all, a2a)
+        (red, zero, a2a)
     });
     let sum_of = |seed: u64, len: usize| {
         let mut acc = vec![0.0; len];
@@ -159,19 +162,20 @@ fn interleaved_op_kinds_waited_in_reverse_order() {
         }
         acc
     };
-    let (want_red, want_all) = (sum_of(3, 33), sum_of(9, 100));
-    for (me, (red, all, a2a)) in results.iter().enumerate() {
+    let (want_red, want_zero) = (sum_of(3, 33), sum_of(9, 100));
+    for (me, (red, zero, a2a)) in results.iter().enumerate() {
         assert_eq!(red, if me == 2 { &want_red[..] } else { &[] });
-        assert_eq!(all, &want_all);
+        assert_eq!(zero, if me == 0 { &want_zero[..] } else { &[] });
         for (src, chunk) in a2a.iter().enumerate() {
             assert_eq!(chunk, &vec![src as f64, me as f64]);
         }
     }
 }
 
-/// Two outstanding allreduces waited in *opposite* orders on the two ranks:
-/// a wait depends only on the peer having issued, so neither rank waits on
-/// the other's wait, and both sums are the blocking ones bit for bit.
+/// Two fields, each reduced to both ranks, waited in *opposite* orders on
+/// the two ranks: a wait depends only on the peer having issued, so neither
+/// rank waits on the other's wait, and both sums are the blocking ones bit
+/// for bit.
 #[test]
 fn opposite_wait_orders_complete_bitwise() {
     let results = spmd(2, |c| {
@@ -179,13 +183,21 @@ fn opposite_wait_orders_complete_bitwise() {
         let mut want = (a.clone(), b.clone());
         c.allreduce_sum(&mut want.0);
         c.allreduce_sum(&mut want.1);
-        let (rq_a, rq_b) = (c.iallreduce_sum(a), c.iallreduce_sum(b));
-        let got = if c.rank() == 0 {
-            let a = rq_a.wait();
-            (a, rq_b.wait())
+        let me = c.rank();
+        // This rank's own sums are `rq_a[me]` and `rq_b[me]`.
+        let mut rq_a: Vec<_> = (0..2).map(|root| Some(c.ireduce_sum(a.clone(), root))).collect();
+        let mut rq_b: Vec<_> = (0..2).map(|root| Some(c.ireduce_sum(b.clone(), root))).collect();
+        let wait = |rqs: &mut Vec<Option<parcomm::Request>>| {
+            let mine = rqs[me].take().expect("issued").wait();
+            rqs[1 - me].take().expect("issued").wait();
+            mine
+        };
+        let got = if me == 0 {
+            let a = wait(&mut rq_a);
+            (a, wait(&mut rq_b))
         } else {
-            let b = rq_b.wait();
-            (rq_a.wait(), b)
+            let b = wait(&mut rq_b);
+            (wait(&mut rq_a), b)
         };
         (got, want)
     });
@@ -205,142 +217,66 @@ fn late_peer_does_not_block_issue() {
             std::thread::sleep(Duration::from_millis(50));
         }
         let t0 = Instant::now();
-        let rq = c.iallreduce_sum(vec![c.rank() as f64 + 1.0; 4]);
+        let rq = c.ireduce_sum(vec![c.rank() as f64 + 1.0; 4], 0);
         let issue = t0.elapsed();
         (issue, rq.wait())
     });
     assert!(results[0].0 < Duration::from_millis(5), "issue took {:?}", results[0].0);
-    for (_, sum) in results {
-        assert_eq!(sum, vec![3.0; 4]);
-    }
+    assert_eq!(results[0].1, vec![3.0; 4]);
+    assert!(results[1].1.is_empty());
 }
 
-// ------------------------------------------------- fault-injection recovery
+/// A collective completes when every rank has issued it, however late: rank
+/// 1 reaches `allreduce_sum` 1.2 s after rank 0 — longer than any wait that
+/// gives up would allow — and both ranks still get the same sum, bit for
+/// bit.
+#[test]
+fn late_peer_allreduce_gives_every_rank_the_same_bits() {
+    let results = spmd(2, |c| {
+        if c.rank() == 1 {
+            std::thread::sleep(Duration::from_millis(1200));
+        }
+        let mut buf = rank_data(c, 31, 40);
+        c.allreduce_sum(&mut buf);
+        buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    });
+    let mut want = vec![0.0; 40];
+    for r in 0..2u64 {
+        let v = fill(31u64.wrapping_add(r * 1_000_003), 40);
+        want.iter_mut().zip(v).for_each(|(a, x)| *a += x);
+    }
+    let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(results, vec![want.clone(), want]);
+}
 
-mod faults {
-    use super::*;
+// ------------------------------------------------------------- fault sites
+
+/// Fault sites are named after their op: a delay planned for
+/// `comm.allgatherv` leaves an `allreduce_sum` alone and fires on the next
+/// `allgatherv`, on every rank, which then waits it out.
+#[test]
+fn fault_sites_are_named_after_their_op() {
     use faultkit::{FaultKind, FaultPlan};
-    use std::time::{Duration, Instant};
-
-    /// An injected stall longer than the first 60 ms deadline: the
-    /// wait-with-deadline must fire at least once, the backoff retries
-    /// (60 + 120 ms by the second attempt) must then pick the payload up, and
-    /// the sum must match the blocking path bitwise.
-    #[test]
-    fn stall_fires_deadline_then_recovers() {
-        let stall_ms = 150u64;
-        let campaign = faultkit::arm(
-            FaultPlan::new(11).with("comm.iallreduce", 0, FaultKind::CommStall {
-                micros: stall_ms * 1000,
-            }),
-        );
+    let campaign = faultkit::arm(
+        FaultPlan::new(14).with("comm.allgatherv", 0, FaultKind::CommDelay { micros: 20_000 }),
+    );
+    let results = spmd(2, |c| {
+        let mut buf = vec![1.0; 8];
+        c.allreduce_sum(&mut buf);
+        let mine = |e: &faultkit::FaultEvent| e.rank == c.rank();
+        let fired_before_gather =
+            faultkit::handle().expect("armed").events().iter().filter(|e| mine(e)).count();
         let t0 = Instant::now();
-        let results = spmd(2, |c| {
-            let mine = rank_data(c, 77, 300);
-            let mut expect = mine.clone();
-            c.allreduce_sum(&mut expect);
-            let rq = c.iallreduce_sum(mine.clone());
-            let got = c
-                .settle(rq, |c| c.iallreduce_sum(mine.clone()))
-                .expect("stall within budget must recover");
-            (expect, got)
-        });
-        // The wait slept through at least the first 60 ms deadline on each
-        // rank.
-        assert!(t0.elapsed() >= Duration::from_millis(stall_ms));
-        for (expect, got) in results {
-            assert_eq!(expect, got, "recovered sum must match blocking path bitwise");
-        }
-        let events = campaign.events();
-        assert_eq!(events.len(), 2, "stall fires once per rank: {events:?}");
-        assert!(events.iter().all(|e| e.site == "comm.iallreduce"));
+        let gathered = c.allgatherv(&[c.rank() as f64]);
+        (buf[0], fired_before_gather, gathered, t0.elapsed())
+    });
+    for (sum, fired, gathered, waited) in results {
+        assert_eq!(sum, 2.0);
+        assert_eq!(fired, 0, "the allreduce must not see an allgatherv fault");
+        assert_eq!(gathered, vec![0.0, 1.0]);
+        assert!(waited >= Duration::from_millis(20), "the delay was not waited out: {waited:?}");
     }
-
-    /// A stall larger than the entire deadline/backoff budget (60 + 120 +
-    /// 180 + 240 + 300 ms = 0.9 s) must surface `CommError::Stalled` (with
-    /// the attempt count) instead of hanging.
-    #[test]
-    fn stall_beyond_budget_surfaces_stalled() {
-        let _campaign = faultkit::arm(
-            FaultPlan::new(12).with("comm.iallreduce", 0, FaultKind::CommStall {
-                micros: 1_200_000,
-            }),
-        );
-        let results = spmd(2, |c| {
-            let rq = c.iallreduce_sum(vec![c.rank() as f64; 16]);
-            rq.wait_deadline()
-        });
-        for r in results {
-            match r {
-                Err(faultkit::CommError::Stalled { op, waited, attempts }) => {
-                    assert_eq!(op, "iallreduce");
-                    assert_eq!(waited, Duration::from_millis(900));
-                    assert_eq!(attempts, 5);
-                }
-                other => panic!("expected Stalled, got {other:?}"),
-            }
-        }
-    }
-
-    /// A dropped request is re-issued symmetrically on every rank and the
-    /// retry completes with the exact blocking-path sum.
-    #[test]
-    fn dropped_request_reissues_and_recovers() {
-        let campaign = faultkit::arm(
-            FaultPlan::new(13).with("comm.iallreduce", 0, FaultKind::CommDrop),
-        );
-        let results = spmd(4, |c| {
-            let mine = rank_data(c, 5, 120);
-            let mut expect = mine.clone();
-            c.allreduce_sum(&mut expect);
-            let rq = c.iallreduce_sum(mine.clone());
-            let got = c
-                .settle(rq, |c| c.iallreduce_sum(mine.clone()))
-                .expect("drop must recover by re-issue");
-            (expect, got)
-        });
-        for (expect, got) in results {
-            assert_eq!(expect, got);
-        }
-        let events = campaign.events();
-        assert_eq!(events.len(), 4, "drop decision must fire on all 4 ranks: {events:?}");
-        assert!(events.iter().all(|e| e.kind == FaultKind::CommDrop));
-    }
-
-    /// A packed reduce whose request is dropped re-issues from the caller's
-    /// untouched buffer and still returns the blocking-path sum bitwise.
-    #[test]
-    fn dropped_packed_reduce_reissues_from_the_buffer() {
-        let campaign = faultkit::arm(
-            FaultPlan::new(15).with("comm.iallreduce", 0, FaultKind::CommDrop),
-        );
-        let results = spmd(3, |c| {
-            let mut got = rank_data(c, 8, 90);
-            let mut expect = got.clone();
-            c.allreduce_sum(&mut expect);
-            c.allreduce_packed(&mut got).expect("drop must recover by re-issue");
-            (expect, got, c.stats().iallreduce.calls)
-        });
-        for (expect, got, calls) in results {
-            assert_eq!(expect, got);
-            assert_eq!(calls, 2, "the dropped issue and its one re-issue");
-        }
-        assert_eq!(campaign.fired(), 3, "drop decision must fire on all 3 ranks");
-    }
-
-    /// Blocking collectives hook under a separate site, so request-API fault
-    /// plans leave them untouched.
-    #[test]
-    fn blocking_site_is_isolated_from_request_site() {
-        let campaign = faultkit::arm(
-            FaultPlan::new(14).with("comm.iallreduce", 0, FaultKind::CommDrop),
-        );
-        let results = spmd(2, |c| {
-            let mut buf = vec![1.0; 8];
-            c.allreduce_sum(&mut buf); // must not see the drop
-            buf[0]
-        });
-        assert_eq!(results, vec![2.0, 2.0]);
-        assert_eq!(campaign.fired(), 0);
-    }
+    let events = campaign.events();
+    assert_eq!(events.len(), 2, "one delay per rank: {events:?}");
+    assert!(events.iter().all(|e| e.site == "comm.allgatherv"));
 }

@@ -31,8 +31,8 @@
 //!
 //! 1. a job's fault plan is installed via [`faultkit::install_scoped`] only
 //!    for the duration of its own batch, on exactly the ranks of the group
-//!    executing it — a NaN poison or rank stall one tenant injects can never
-//!    fire inside another tenant's solve;
+//!    executing it — a NaN poison or slow-peer comm delay one tenant injects
+//!    can never fire inside another tenant's solve;
 //! 2. faulted jobs are never co-batched and never touch the result cache
 //!    (nor do degraded results);
 //! 3. fault-free full-cost results are bitwise identical to a solo
@@ -588,11 +588,11 @@ mod tests {
     fn survivors_keep_serving_while_one_group_is_stalled() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
         let service = Service::start(ServeConfig { ranks: 4, groups: 2, ..Default::default() });
-        // One job stalls its group inside the solve (100 ms comm delays);
+        // One job slows its group inside the solve (a 100 ms comm delay);
         // clean jobs from other tenants keep flowing through the surviving
         // group via the shared queue.
         let slow = JobSpec::new(1, Arc::clone(&problem)).with_fault_plan(
-            FaultPlan::new(31).with("comm.iallreduce", 0, FaultKind::CommDelay { micros: 100_000 }),
+            FaultPlan::new(31).with("comm.allreduce", 0, FaultKind::CommDelay { micros: 100_000 }),
         );
         let slow_h = service.submit(slow).unwrap();
         let clean: Vec<_> = (0..4u64)

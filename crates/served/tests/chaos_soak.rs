@@ -48,7 +48,7 @@ fn fault_plan(slot: usize) -> FaultPlan {
     match slot % 3 {
         0 => plan.with("ham.v_tilde", 0, FaultKind::NanPoison),
         1 => plan.with("ham.v_tilde", 0, FaultKind::InfPoison),
-        _ => plan.with("comm.iallreduce", 0, FaultKind::CommDelay { micros: 1500 }),
+        _ => plan.with("comm.allreduce", 0, FaultKind::CommDelay { micros: 1500 }),
     }
 }
 

@@ -15,8 +15,7 @@ use parcomm::{spmd, Comm};
 fn timed_isdf_build(comm: &Comm, problem: &CasidaProblem, n_mu: usize) -> StageTimings {
     let clock = obskit::StageClock::now();
     let selector = Solver::default().kmeans_selector();
-    build_isdf_hamiltonian(comm, problem, selector, n_mu, &mut Vec::new())
-        .expect("clean ISDF build");
+    build_isdf_hamiltonian(comm, problem, selector, n_mu).expect("clean ISDF build");
     StageTimings::since(clock)
 }
 

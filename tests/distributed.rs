@@ -7,13 +7,12 @@ use lrtddft::parallel::distributed_dense_hamiltonian;
 use lrtddft::problem::{silicon_like_problem, CasidaProblem};
 use lrtddft::{build_isdf_hamiltonian, Solver};
 use mathkit::syev;
-use parcomm::{spmd, spmd_with_model, Comm, CostModel};
+use parcomm::{spmd, Comm};
 
 /// Spectrum of the K-Means-ISDF Hamiltonian built at rank `n_mu` on `comm`.
 fn isdf_spectrum(comm: &Comm, p: &CasidaProblem, n_mu: usize) -> Vec<f64> {
     let selector = Solver::builder().kmeans_selector();
-    let ham = build_isdf_hamiltonian(comm, p, selector, n_mu, &mut Vec::new())
-        .expect("clean build");
+    let ham = build_isdf_hamiltonian(comm, p, selector, n_mu).expect("clean build");
     syev(&ham.to_dense()).values
 }
 
@@ -64,21 +63,6 @@ fn distributed_isdf_matches_serial_isdf_spectrum() {
 }
 
 #[test]
-fn comm_cost_model_does_not_change_results() {
-    // The α-β model only affects *charged* time, never data.
-    let p = silicon_like_problem(1, 8, 2);
-    let free = spmd_with_model(2, CostModel::free(), |c| {
-        distributed_dense_hamiltonian(c, &p).unwrap().0
-    });
-    let expensive = spmd_with_model(
-        2,
-        CostModel { alpha: 1.0, beta: 1e-3 },
-        |c| distributed_dense_hamiltonian(c, &p).unwrap().0,
-    );
-    assert!(free[0].max_abs_diff(&expensive[0]) < 1e-14);
-}
-
-#[test]
 fn rank_timings_report_comm_share() {
     let p = silicon_like_problem(1, 8, 2);
     let res = spmd(4, |c| {
@@ -89,6 +73,5 @@ fn rank_timings_report_comm_share() {
         assert!(t.mpi >= 0.0);
         assert!(stats.collective_calls >= 3, "expected alltoall x2 + allreduce");
         assert!(stats.bytes_sent > 0);
-        assert!(stats.modeled_seconds > 0.0);
     }
 }

@@ -22,11 +22,10 @@ fn opts(p: &CasidaProblem) -> Solver {
 
 /// The serial injection sites, each with the fault kind that makes sense
 /// there and the pipeline version that reaches the site.
-const SITES: [(&str, FaultKind, Version); 4] = [
+const SITES: [(&str, FaultKind, Version); 3] = [
     ("ham.c", FaultKind::NanPoison, Version::KmeansIsdf),
     ("ham.v_tilde", FaultKind::InfPoison, Version::KmeansIsdf),
     ("lobpcg.w", FaultKind::NanPoison, Version::ImplicitKmeansIsdfLobpcg),
-    ("kmeans.init", FaultKind::DegenerateSeeding, Version::KmeansIsdf),
 ];
 
 /// Fault-free eigenvalues per version, computed once.
@@ -106,20 +105,20 @@ fn every_serial_fault_fires_once_and_heals() {
     }
 }
 
-/// A dropped allreduce (re-issued by `Comm::settle`), a delayed one and a
-/// stall longer than one wait deadline fire on both ranks of a distributed
-/// solve, and the solve comes back with the fault-free energies bit for bit. The fault
-/// events repeat exactly when the campaign does.
+/// A delay at each collective of the solve path fires on both ranks of a
+/// distributed solve, and the solve comes back with the fault-free energies
+/// bit for bit. The fault events repeat exactly when the campaign does.
 #[test]
 fn comm_faults_fire_on_every_rank_and_heal_bitwise() {
     let p = problem();
     let solver = opts(p).version(Version::ImplicitKmeansIsdfLobpcg);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let clean = bits(&parcomm::spmd(2, |c| solver.solve_distributed(c, p).0)[0]);
+    let delay = FaultKind::CommDelay { micros: 2_000 };
     let cases = [
-        ("comm.iallreduce", 1, FaultKind::CommDrop),
-        ("comm.iallreduce", 0, FaultKind::CommDelay { micros: 2_000 }),
-        ("comm.iallreduce", 0, FaultKind::CommStall { micros: 80_000 }),
+        ("comm.allreduce", 1, delay),
+        ("comm.allgatherv", 0, delay),
+        ("comm.alltoallv", 0, delay),
     ];
     for (site, occurrence, kind) in cases {
         let run = || {
@@ -135,6 +134,37 @@ fn comm_faults_fire_on_every_rank_and_heal_bitwise() {
         }
         assert_eq!(run().1, events, "{kind:?} at {site}: the campaign did not repeat");
     }
+}
+
+/// A peer 1.2 s late to the first K-Means sweep's allreduce — longer than
+/// any wait that gives up would allow — only delays the build: through
+/// `Solver::hamiltonian` + `eigensolve` on 2 ranks, the energies are the
+/// fault-free ones bit for bit and no recovery rung is taken.
+#[test]
+fn late_peer_delays_a_distributed_solve_without_a_recovery_rung() {
+    let p = problem();
+    let solver = opts(p).version(Version::ImplicitKmeansIsdfLobpcg);
+    let run = || {
+        parcomm::spmd(2, |c| {
+            let mut recovery = Vec::new();
+            let ham = solver.hamiltonian(c, p, &mut recovery).expect("build");
+            let values = solver.eigensolve(c, &ham, &mut recovery).values;
+            (values, recovery)
+        })
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let clean = run();
+    let late = FaultKind::CommDelay { micros: 1_200_000 };
+    let campaign = arm(FaultPlan::new(5).with("comm.allreduce", 0, late));
+    let t0 = std::time::Instant::now();
+    let delayed = run();
+    let waited = t0.elapsed();
+    assert_eq!(campaign.fired(), 2, "the delay fires once per rank");
+    for ((values, recovery), (clean_values, _)) in delayed.iter().zip(&clean) {
+        assert!(recovery.is_empty(), "a late peer took a recovery rung: {recovery:?}");
+        assert_eq!(bits(values), bits(clean_values));
+    }
+    assert!(waited.as_secs_f64() >= 1.2, "the delay was not waited out: {waited:?}");
 }
 
 proptest! {

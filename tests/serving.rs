@@ -127,8 +127,9 @@ fn poisoned_tenant_never_contaminates_coscheduled_victim() {
     }
 }
 
-/// A rank stall (comm-delay) injected by one tenant slows only that tenant's
-/// own solve window; the co-scheduled victim still matches the solo oracle.
+/// A slow peer (a comm delay) injected by one tenant slows only that
+/// tenant's own solve window; the co-scheduled victim still matches the solo
+/// oracle.
 #[test]
 fn stalled_tenant_never_contaminates_coscheduled_victim() {
     let problem = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
@@ -137,7 +138,7 @@ fn stalled_tenant_never_contaminates_coscheduled_victim() {
 
     let service = Service::start(four_rank_config());
     let stalled = JobSpec::new(0xa, Arc::clone(&problem)).with_solver(solver).with_fault_plan(
-        FaultPlan::new(0xbad).with("comm.iallreduce", 0, FaultKind::CommDelay { micros: 1500 }),
+        FaultPlan::new(0xbad).with("comm.allreduce", 0, FaultKind::CommDelay { micros: 1500 }),
     );
     let clean = JobSpec::new(0xb, Arc::clone(&problem)).with_solver(solver);
     let ha = service.submit(stalled).expect("attacker admitted");
@@ -146,7 +147,7 @@ fn stalled_tenant_never_contaminates_coscheduled_victim() {
     let rb = hb.wait().expect("victim completes");
     service.shutdown();
 
-    assert!(!ra.fault_events.is_empty(), "the stall must actually fire");
+    assert!(!ra.fault_events.is_empty(), "the delay must actually fire");
     // A delay changes timing, not arithmetic: even the attacker's values
     // stay correct, and the victim matches the oracle bitwise.
     assert!(ra.values.iter().zip(&solo).all(|(a, b)| a.to_bits() == b.to_bits()));
