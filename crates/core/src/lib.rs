@@ -43,7 +43,6 @@ pub mod parallel_eig;
 pub mod pipeline;
 pub mod problem;
 pub mod rank;
-pub mod recover;
 pub mod solver;
 pub mod spectrum;
 pub mod timers;
@@ -55,7 +54,6 @@ pub use metrics::ComplexityEstimate;
 pub use naive::build_dense_hamiltonian;
 pub use problem::{silicon_like_problem, synthetic_problem, CasidaProblem, KernelKind};
 pub use rank::IsdfRank;
-pub use recover::degrade;
 pub use solver::Solver;
 pub use spectrum::{absorption_spectrum, oscillator_strengths, transition_dipoles};
 pub use timers::StageTimings;

@@ -18,6 +18,12 @@
 //! mapping in their finish half, so a job submitted to the service and a
 //! direct call here compute the same thing.
 //!
+//! Each half has one recovery rung, so every door heals alike: the build
+//! rebuilds once after a typed failure ([`Solver::hamiltonian`]), and the
+//! LOBPCG finisher falls to the dense `lowest(·, k)` floor on breakdown or
+//! non-convergence ([`Solver::eigensolve`]). Every rung taken is one line of
+//! [`Solution::recovery`]; a clean run takes none and its log starts empty.
+//!
 //! The scalar-kernel *reference* path is not a solver field: it is a
 //! process-wide switch (`MATHKIT_KERNEL`, `mathkit::force_kernel`) that a
 //! solve reads and never writes.
@@ -59,12 +65,6 @@ pub struct Solver {
     pub lobpcg: LobpcgOptions,
     /// RNG seed (K-Means init, LOBPCG guess dressing).
     pub seed: u64,
-    /// Degradation marker. `Some(label)` means this configuration is a
-    /// deliberate downgrade to a cheaper one — the one rung of
-    /// [`crate::degrade`] (`direct-eig`), applied by the serving scheduler
-    /// under deadline pressure; the label is the first entry of
-    /// `Solution::recovery` so a degraded answer is never silent. `None` (the default) leaves the clean path untouched.
-    pub degraded: Option<&'static str>,
 }
 
 impl Default for Solver {
@@ -76,7 +76,6 @@ impl Default for Solver {
             rank: IsdfRank::default(),
             lobpcg: LobpcgOptions { max_iter: 400, tol: 1e-8 },
             seed: 0xcafe,
-            degraded: None,
         }
     }
 }
@@ -133,13 +132,6 @@ impl Solver {
         self
     }
 
-    /// Mark the configuration as a deliberate downgrade (see
-    /// [`Solver::degraded`]).
-    pub fn degraded(mut self, label: &'static str) -> Self {
-        self.degraded = Some(label);
-        self
-    }
-
     /// The K-Means point selector of this solver: default clustering knobs,
     /// seeded by [`Solver::seed`].
     pub fn kmeans_selector(&self) -> PointSelector {
@@ -177,13 +169,6 @@ impl Solver {
             None => 0,
             Some(_) => self.rank.resolve(problem.n_r(), problem.n_v(), problem.n_c()),
         }
-    }
-
-    /// A fresh recovery log. A degraded configuration must never produce a
-    /// silently-degraded answer: its marker is the first entry, before
-    /// anything runs.
-    fn recovery_log(&self) -> Vec<String> {
-        self.degraded.iter().map(|label| format!("degraded: {label}")).collect()
     }
 
     /// Build half of every door, SPMD-collective on `comm` (a serial solve
@@ -307,7 +292,7 @@ impl Solver {
     /// none.
     pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
         let clock = obskit::StageClock::now();
-        let mut recovery = self.recovery_log();
+        let mut recovery = Vec::new();
         let solo = Comm::solo();
         let ham = self.hamiltonian(&solo, problem, &mut recovery)?;
         let eig = self.eigensolve(&solo, &ham, &mut recovery);
@@ -336,7 +321,7 @@ impl Solver {
         problem: &CasidaProblem,
     ) -> (Vec<f64>, StageTimings) {
         let clock = obskit::StageClock::now();
-        let mut recovery = self.recovery_log();
+        let mut recovery = Vec::new();
         let ham = self
             .hamiltonian(comm, problem, &mut recovery)
             .unwrap_or_else(|e| panic!("distributed build: {e} (recovery log: {recovery:?})"));
@@ -357,12 +342,16 @@ fn kernel_pool(comm: &Comm) -> rayon::ThreadPool {
 mod tests {
     use super::*;
     use crate::problem::{silicon_like_problem, synthetic_problem};
-    use faultkit::NumericalError;
+    use faultkit::{arm, FaultKind, FaultPlan, NumericalError};
     use mathkit::syev;
     use parcomm::spmd;
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn opts(p: &CasidaProblem) -> Solver {
+        Solver::builder().rank(IsdfRank::Fixed(p.n_cv()))
     }
 
     #[test]
@@ -412,19 +401,16 @@ mod tests {
         let fresh = Solver::builder().build();
         assert_eq!(fresh.version, Version::ImplicitKmeansIsdfLobpcg);
         assert_eq!((fresh.n_states, fresh.seed, fresh.lobpcg.max_iter), (3, 0xcafe, 400));
-        assert!(fresh.degraded.is_none());
 
         let s = Solver::builder()
             .version(Version::QrcpIsdf)
             .n_states(7)
             .rank(IsdfRank::Fixed(12))
             .lobpcg(LobpcgOptions { max_iter: 10, tol: 1e-3 })
-            .seed(42)
-            .degraded("direct-eig");
+            .seed(42);
         assert_eq!((s.version, s.n_states, s.seed), (Version::QrcpIsdf, 7, 42));
         assert!(matches!(s.rank, IsdfRank::Fixed(12)));
         assert_eq!(s.lobpcg.max_iter, 10);
-        assert_eq!(s.degraded, Some("direct-eig"));
     }
 
     #[test]
@@ -550,5 +536,86 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "job B diverged under batching");
             }
         }
+    }
+
+    #[test]
+    fn clean_run_has_empty_recovery_log() {
+        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        for v in Version::all() {
+            let s = opts(&p).version(v).solve(&p).expect("clean run");
+            assert!(s.recovery.is_empty(), "{v:?}: {:?}", s.recovery);
+        }
+    }
+
+    #[test]
+    fn poisoned_v_tilde_heals_via_clean_rebuild() {
+        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        let o = opts(&p);
+        let baseline = o.version(Version::KmeansIsdf).solve(&p).expect("baseline");
+        let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
+        let healed = o.version(Version::KmeansIsdf).solve(&p).expect("ladder heals poison");
+        assert_eq!(campaign.fired(), 1);
+        assert!(
+            healed.recovery.iter().any(|r| r.contains("clean rebuild")),
+            "recovery log: {:?}",
+            healed.recovery
+        );
+        for (a, b) in baseline.energies.iter().zip(&healed.energies) {
+            assert_eq!(a.to_bits(), b.to_bits(), "recovered energies must match fault-free run");
+        }
+    }
+
+    #[test]
+    fn lobpcg_breakdown_heals_through_ladder() {
+        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        let o = opts(&p);
+        let baseline = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("baseline");
+        // Poison the LOBPCG search direction on the first iteration: LOBPCG
+        // breaks down and the dense floor (`H` formed from the factors)
+        // finishes.
+        let campaign = arm(FaultPlan::new(11).with("lobpcg.w", 0, FaultKind::NanPoison));
+        let healed = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("ladder heals");
+        assert_eq!(campaign.fired(), 1);
+        assert!(!healed.recovery.is_empty());
+        for (a, b) in baseline.energies.iter().zip(&healed.energies) {
+            assert!(
+                (a - b).abs() < 1e-8,
+                "recovered {b} vs fault-free {a}; log {:?}",
+                healed.recovery
+            );
+        }
+    }
+
+    #[test]
+    fn unrecoverable_double_fault_surfaces_ladder_exhausted() {
+        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        let o = opts(&p);
+        // Two poisonings of the same site: the clean rebuild eats the second
+        // occurrence too, so the build ladder runs out of rungs.
+        let _campaign = arm(
+            FaultPlan::new(9)
+                .with("ham.c", 0, FaultKind::NanPoison)
+                .with("ham.c", 1, FaultKind::NanPoison),
+        );
+        let err = match o.version(Version::KmeansIsdf).solve(&p) {
+            Err(e) => e,
+            Ok(_) => panic!("double fault must exhaust the build ladder"),
+        };
+        match err {
+            SolveError::LadderExhausted { stage, attempts } => {
+                assert_eq!(stage, "isdf.build");
+                assert_eq!(attempts.len(), 2);
+            }
+            other => panic!("expected LadderExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fit_residual_guard_rejects_meaningless_basis() {
+        // Direct check of the FitResidual error type through the ladder: a
+        // poisoned fit that somehow survives as garbage must not pass the
+        // sampled-residual guard. Exercised here via the error Display.
+        let e = SolveError::from(NumericalError::FitResidual { residual: 2.0, tolerance: 1.0 });
+        assert!(e.to_string().contains("fit residual"));
     }
 }

@@ -4,10 +4,9 @@
 //! (same structure, same build inputs, same eigensolve knobs — see
 //! [`crate::job::CacheKey`]), so the job completes at submission without
 //! touching a solver group. Faulted jobs bypass the cache entirely, in both
-//! directions: they are never served from it and never populate it; the
-//! same holds for degraded results (the cache key does not encode the
-//! degradation ladder, so a degraded answer under a clean key would poison
-//! later full-cost lookups).
+//! directions: they are never served from it and never populate it (the key
+//! does not encode a fault plan). Every other job ran its own solver, so its
+//! values are what any job with its key would compute.
 //!
 //! The cache is bounded two ways: entries older than the TTL are purged on
 //! every insert (a quiet cache cannot hoard dead entries), and a hard

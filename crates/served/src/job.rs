@@ -1,9 +1,7 @@
 //! Jobs, handles, and the hashing that drives batching and result caching.
 
 use lrtddft::{CasidaProblem, Solver, StageTimings, Version};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Tenant identifier. Tenants are accounting + isolation domains: quotas
 /// and fault scopes are keyed by this.
@@ -21,14 +19,6 @@ pub struct JobSpec {
     /// tenants. Jobs carrying a plan are never batched with others and
     /// bypass the result cache entirely.
     pub fault: Option<faultkit::Handle>,
-    /// Optional deadline, measured from submission. An expired job is
-    /// completed as [`JobOutcome::DeadlineExceeded`] at claim time instead
-    /// of occupying a solver group; a job finishing after its deadline is
-    /// still delivered, marked [`JobResult::deadline_missed`]. A job whose
-    /// remaining budget at claim time is below the configured pressure
-    /// window may be downgraded to a cheaper configuration (labeled in
-    /// [`JobResult::degraded`] — never silently).
-    pub deadline: Option<Duration>,
 }
 
 impl JobSpec {
@@ -38,7 +28,6 @@ impl JobSpec {
             problem,
             solver: Solver::builder().build(),
             fault: None,
-            deadline: None,
         }
     }
 
@@ -52,13 +41,6 @@ impl JobSpec {
     /// Arm `plan` for this job only (see [`JobSpec::fault`]).
     pub fn with_fault_plan(mut self, plan: faultkit::FaultPlan) -> Self {
         self.fault = Some(faultkit::Handle::armed(plan));
-        self
-    }
-
-    /// Give this job `budget` from submission to delivery (see
-    /// [`JobSpec::deadline`]).
-    pub fn with_deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(budget);
         self
     }
 }
@@ -110,28 +92,24 @@ pub struct JobResult {
     /// [`lrtddft::Solver::hamiltonian`]'s clean rebuild healed a failed one,
     /// 0 for a cache hit.
     pub attempts: u32,
-    /// `Some(label)` when the scheduler downgraded this job to a cheaper
-    /// configuration (deadline pressure); the same label appears in
-    /// `Solution::recovery` on the direct path. A degraded result is never
-    /// served from or inserted into the cache.
+    /// Always `None`: a job runs the solver it was given. Kept only because
+    /// the frozen ruler under `benchmark/` reads it.
     pub degraded: Option<String>,
-    /// The job finished after its deadline (delivered anyway).
+    /// Always `false`: a job carries no deadline. Kept only because the
+    /// frozen ruler under `benchmark/` reads it.
     pub deadline_missed: bool,
 }
 
 /// Terminal state of a job, from [`JobHandle::outcome`]. Richer than
-/// [`JobHandle::wait`] (which only yields results): failures carry their
-/// typed error rendering, deadline expiries how long the job waited.
+/// [`JobHandle::wait`] (which only yields results): a failure carries its
+/// typed error rendering.
 #[derive(Clone, Debug)]
 pub enum JobOutcome {
-    /// Solved (possibly degraded or rebuilt — see the fields of
-    /// [`JobResult`]).
+    /// Solved (possibly after a rebuild — see [`JobResult::attempts`]).
     Completed(JobResult),
     /// The batch's build failed past its one clean rebuild (or on defective
     /// input); `error` is the [`faultkit::SolveError`] rendering.
     Failed { error: String },
-    /// The deadline expired before a solver group could run the job.
-    DeadlineExceeded { waited: Duration },
 }
 
 /// Shared core of a job: spec + terminal outcome + completion signalling.
@@ -142,11 +120,6 @@ pub(crate) struct JobCore {
     cv: Condvar,
     /// Key the scheduler batches and caches by (see [`batch_key`]).
     pub key: BatchKey,
-    /// When the job entered the service (deadlines count from here).
-    pub submitted: Instant,
-    /// Claimed with its deadline budget under the pressure window — the
-    /// executing group downgrades it (degradation ladder) to land in time.
-    pub pressured: AtomicBool,
 }
 
 impl JobCore {
@@ -157,20 +130,12 @@ impl JobCore {
             outcome: Mutex::new(None),
             cv: Condvar::new(),
             key,
-            submitted: Instant::now(),
-            pressured: AtomicBool::new(false),
         })
     }
 
-    /// Absolute deadline, if the spec carries a budget.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.spec.deadline.map(|d| self.submitted + d)
-    }
-
-    /// May this job share a batch? Fault plans and pressured (to-be-degraded)
-    /// jobs run alone.
+    /// May this job share a batch? A job with a fault plan runs alone.
     pub fn batchable(&self) -> bool {
-        self.spec.fault.is_none() && !self.pressured.load(Ordering::Relaxed)
+        self.spec.fault.is_none()
     }
 
     /// Record the terminal outcome and wake every waiter.
@@ -189,8 +154,8 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// Block until the job reaches a terminal state. Returns the result for
-    /// completed jobs, `None` for failed or expired ones (use
-    /// [`JobHandle::outcome`] for the typed terminal state).
+    /// a completed job, `None` for a failed one (use [`JobHandle::outcome`]
+    /// for its typed error).
     pub fn wait(&self) -> Option<JobResult> {
         match self.outcome() {
             JobOutcome::Completed(result) => Some(result),

@@ -20,7 +20,8 @@
 //!   co-batched and bypass the cache.
 //! - **One build ladder** — a batch's build is
 //!   [`Solver::hamiltonian`](lrtddft::Solver::hamiltonian), whose one clean
-//!   rebuild heals a failed build on the group that ran it.
+//!   rebuild heals a failed build on the group that ran it. It is the
+//!   service's only recovery: a job always runs its own solver.
 //!
 //! ```no_run
 //! use served::{JobSpec, ServeConfig, Service};
@@ -38,9 +39,9 @@
 //!
 //! Scope: a job's [`Solver`](lrtddft::Solver) means what it means on
 //! [`Solver::solve_distributed`](lrtddft::Solver::solve_distributed) — every
-//! field, `version` included, is honored per job, because a batch runs that
-//! call's two halves (`Solver::hamiltonian` once, `Solver::eigensolve` per
-//! job). The process-wide reference-path switch (`MATHKIT_KERNEL`) is
+//! field, `version` included, is honored per job and never changed by the
+//! service, because a batch runs that call's two halves
+//! (`Solver::hamiltonian` once, `Solver::eigensolve` per job). The process-wide reference-path switch (`MATHKIT_KERNEL`) is
 //! deliberately **not** flipped per job — it is shared by every tenant; set
 //! it once before `Service::start` if needed.
 

@@ -1,30 +1,21 @@
-//! Admission-controlled job queue with per-tenant quotas, same-shape
-//! batching and deadline enforcement.
+//! Admission-controlled job queue with per-tenant quotas and same-shape
+//! batching.
 //!
 //! One `SchedulerState` is shared by every solver-group leader: leaders
 //! block in [`SchedulerState::next_batch`], and whichever leader wins the
 //! lock claims the head-of-line job plus up to `max_batch - 1` queued
 //! jobs with the same [`BatchKey`] — those share one distributed Hamiltonian
 //! build. Jobs carrying a fault plan are always claimed solo so an injected
-//! fault can never ride along with another tenant's work.
-//!
-//! Resilience hooks at claim time:
-//!
-//! - A job whose deadline already passed ends as
-//!   [`JobOutcome::DeadlineExceeded`] without occupying a solver group.
-//! - A job whose remaining budget is under `pressure_window` is flagged
-//!   *pressured* and claimed solo; the executing leader downgrades it on the
-//!   degradation ladder instead of running it at full cost.
+//! fault can never ride along with another tenant's work. A claim changes
+//! no job: every job of a batch runs the solver its spec carries.
 //!
 //! A claimed batch is finished by the group that claimed it: a failed build
 //! is healed there by the one clean rebuild of
 //! [`lrtddft::Solver::hamiltonian`], so a job never re-enters the queue.
 
-use crate::job::{AdmissionError, JobCore, JobOutcome};
+use crate::job::{AdmissionError, JobCore};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 struct QueueInner {
     queue: VecDeque<Arc<JobCore>>,
@@ -41,25 +32,16 @@ pub(crate) struct SchedulerState {
     pub queue_capacity: usize,
     /// Max same-shape jobs per shared-build batch.
     pub max_batch: usize,
-    /// Jobs claimed with less than this much deadline budget left are
-    /// flagged pressured (degraded by the executing group).
-    pub pressure_window: Duration,
 }
 
 impl SchedulerState {
-    pub fn new(
-        max_queued_per_tenant: usize,
-        queue_capacity: usize,
-        max_batch: usize,
-        pressure_window: Duration,
-    ) -> Self {
+    pub fn new(max_queued_per_tenant: usize, queue_capacity: usize, max_batch: usize) -> Self {
         SchedulerState {
             inner: Mutex::new(QueueInner { queue: VecDeque::new(), shutdown: false }),
             cv: Condvar::new(),
             max_queued_per_tenant,
             queue_capacity,
             max_batch: max_batch.max(1),
-            pressure_window,
         }
     }
 
@@ -92,49 +74,18 @@ impl SchedulerState {
     }
 
     /// Block until work is available, then claim the head-of-line job plus
-    /// every queued same-key batchable twin (up to `max_batch`). Expired
-    /// deadlines are failed in passing; pressured claims run solo. Returns
+    /// every queued same-key batchable twin (up to `max_batch`). Returns
     /// `None` once the service is shut down *and* the queue is drained —
     /// shutdown is graceful; admitted jobs still run.
     pub fn next_batch(&self) -> Option<Vec<Arc<JobCore>>> {
         let mut g = self.lock();
         loop {
-            let now = Instant::now();
-
-            // Deadline sweep: fail every queued job whose deadline already
-            // passed. Collect first, fail outside the queue scan.
-            let mut expired = Vec::new();
-            let mut i = 0;
-            while i < g.queue.len() {
-                let past = g.queue[i].deadline().is_some_and(|d| d <= now);
-                if past {
-                    expired.push(g.queue.remove(i).expect("index in range"));
-                } else {
-                    i += 1;
-                }
-            }
-            if !expired.is_empty() {
-                drop(g);
-                for core in expired {
-                    let waited = core.submitted.elapsed();
-                    core.finish(JobOutcome::DeadlineExceeded { waited });
-                }
-                g = self.lock();
-                continue; // re-scan under a fresh lock
-            }
-
             if let Some(head) = g.queue.pop_front() {
-                let pressured = head
-                    .deadline()
-                    .is_some_and(|d| d.saturating_duration_since(now) < self.pressure_window);
-                if pressured {
-                    head.pressured.store(true, Ordering::Relaxed);
-                }
                 let mut batch = vec![head];
-                // A solo head (fault plan, pressured) runs alone;
-                // otherwise absorb queued batchable twins so the whole batch
-                // shares one Hamiltonian build.
-                if batch[0].batchable() && !pressured {
+                // A head with a fault plan runs alone; otherwise absorb
+                // queued batchable twins so the whole batch shares one
+                // Hamiltonian build.
+                if batch[0].batchable() {
                     let key = batch[0].key;
                     let mut i = 0;
                     while i < g.queue.len() && batch.len() < self.max_batch {
@@ -167,11 +118,12 @@ impl SchedulerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobHandle, JobSpec, TenantId};
+    use crate::job::{JobSpec, TenantId};
     use lrtddft::synthetic_problem;
+    use std::sync::atomic::Ordering;
 
     fn sched(max_per_tenant: usize, capacity: usize, max_batch: usize) -> SchedulerState {
-        SchedulerState::new(max_per_tenant, capacity, max_batch, Duration::from_millis(50))
+        SchedulerState::new(max_per_tenant, capacity, max_batch)
     }
 
     fn spec(tenant: TenantId, n_c: usize) -> JobSpec {
@@ -260,37 +212,6 @@ mod tests {
         assert_eq!(s.submit(JobCore::new(spec(2, 2))), Err(AdmissionError::ShuttingDown));
         assert!(s.next_batch().is_some(), "queued work survives shutdown");
         assert!(s.next_batch().is_none());
-    }
-
-    #[test]
-    fn expired_deadline_fails_at_claim_time_without_occupying_a_group() {
-        let s = sched(8, 64, 8);
-        let dead = JobCore::new(spec(1, 2).with_deadline(Duration::ZERO));
-        let live = JobCore::new(spec(2, 3));
-        s.submit(dead.clone()).unwrap();
-        s.submit(live.clone()).unwrap();
-        let batch = s.next_batch().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert!(Arc::ptr_eq(&batch[0], &live), "expired job never reaches a group");
-        match (JobHandle { core: dead }).outcome() {
-            JobOutcome::DeadlineExceeded { .. } => {}
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pressured_claim_runs_solo_and_is_flagged() {
-        let s = sched(8, 64, 8);
-        // 20ms of budget < the 50ms pressure window, but not yet expired.
-        let tight = JobCore::new(spec(1, 2).with_deadline(Duration::from_millis(20)));
-        let twin = JobCore::new(spec(2, 2)); // same key, would normally batch
-        s.submit(tight.clone()).unwrap();
-        s.submit(twin.clone()).unwrap();
-        let batch = s.next_batch().unwrap();
-        assert_eq!(batch.len(), 1, "pressured job must not drag twins into a degrade");
-        assert!(Arc::ptr_eq(&batch[0], &tight));
-        assert!(tight.pressured.load(Ordering::Relaxed));
-        assert!(!twin.pressured.load(Ordering::Relaxed));
     }
 
     #[test]

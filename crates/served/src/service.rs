@@ -11,21 +11,17 @@
 //! followers wait on the slot, then the whole group executes the batch in
 //! lockstep (the solve's collectives are the synchronization).
 //!
-//! Resilience: per-job deadlines are enforced at claim time by the
-//! scheduler; a failed build is healed by the one clean rebuild of
+//! Resilience: a failed build is healed by the one clean rebuild of
 //! [`lrtddft::Solver::hamiltonian`] — the same build ladder the serial and
 //! distributed solves run — and a build that fails past it fails every job
-//! of its batch with the typed error; deadline-pressured jobs are downgraded
-//! the one rung of the degradation ladder ([`lrtddft::degrade`]:
-//! `direct-eig`) — always labeled, never silently. A wedged group needs no
-//! handling of its own: every leader pulls from the one shared queue, so its
-//! share drains to the other groups.
+//! of its batch with the typed error. A wedged group needs no handling of
+//! its own: every leader pulls from the one shared queue, so its share
+//! drains to the other groups.
 //!
-//! SPMD symmetry: the leader takes the scheduling decisions (deadline
-//! expiry, degradation) **before** publishing a batch, and the build ladder
-//! decides on replicated data, so every rank of the group climbs it together.
-//! The published [`RunJob`] carries the effective per-job options so every
-//! rank of the group executes the identical collective sequence.
+//! SPMD symmetry: the leader publishes the claimed jobs unchanged, every
+//! rank of the group runs each job's own `spec.solver`, and the build ladder
+//! decides on replicated data, so every rank executes the identical
+//! collective sequence and climbs the ladder together.
 //!
 //! Tenant isolation invariants (tested here and in `tests/serving.rs`):
 //!
@@ -33,20 +29,17 @@
 //!    for the duration of its own batch, on exactly the ranks of the group
 //!    executing it — a NaN poison or slow-peer comm delay one tenant injects
 //!    can never fire inside another tenant's solve;
-//! 2. faulted jobs are never co-batched and never touch the result cache
-//!    (nor do degraded results);
-//! 3. fault-free full-cost results are bitwise identical to a solo
+//! 2. faulted jobs are never co-batched and never touch the result cache;
+//! 3. fault-free results are bitwise identical to a solo
 //!    [`lrtddft::Solver::solve_distributed`] run at the same group size,
 //!    whatever batching, rebuilds, or scheduling happened around them.
 
 use crate::cache::ResultCache;
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobOutcome, JobResult, JobSpec};
 use crate::scheduler::SchedulerState;
-use lrtddft::Solver;
 use parcomm::{spmd, Comm};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Service topology and policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -65,10 +58,6 @@ pub struct ServeConfig {
     pub cache_ttl: Duration,
     /// Result-cache entry cap (LRU eviction past this).
     pub cache_capacity: usize,
-    /// Deadline pressure window: a job claimed with less than this much
-    /// budget remaining is downgraded (degradation ladder) instead of run
-    /// at full cost.
-    pub pressure_window: Duration,
 }
 
 impl Default for ServeConfig {
@@ -81,25 +70,14 @@ impl Default for ServeConfig {
             max_batch: 8,
             cache_ttl: Duration::from_secs(300),
             cache_capacity: 256,
-            pressure_window: Duration::from_millis(50),
         }
     }
-}
-
-/// One job as the leader published it: the core plus the *effective*
-/// solver every rank must use (degraded for pressured claims, its
-/// ladder label in `solver.degraded`). It rides in the slot so followers
-/// never re-derive — and thus never diverge from — the leader's decision.
-#[derive(Clone)]
-struct RunJob {
-    core: Arc<JobCore>,
-    solver: Solver,
 }
 
 /// What a group leader publishes to its followers.
 #[derive(Clone)]
 enum SlotCmd {
-    Run(Vec<RunJob>),
+    Run(Vec<Arc<JobCore>>),
     Quit,
 }
 
@@ -167,7 +145,6 @@ impl Service {
             config.max_queued_per_tenant,
             config.queue_capacity,
             config.max_batch,
-            config.pressure_window,
         ));
         let cache = Arc::new(ResultCache::new(config.cache_ttl, config.cache_capacity));
         let supervisor = {
@@ -242,7 +219,7 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
     loop {
         let cmd = if leader {
             let cmd = match shared.sched.next_batch() {
-                Some(batch) => SlotCmd::Run(prepare(batch)),
+                Some(batch) => SlotCmd::Run(batch),
                 None => SlotCmd::Quit,
             };
             seen = slot.publish(cmd.clone());
@@ -259,39 +236,22 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
     }
 }
 
-/// Leader-side batch preparation: freeze each job's effective solver.
-/// Pressured jobs (always claimed solo) take the one rung of
-/// [`lrtddft::degrade`] — it moves `version`, so the build and the finisher
-/// are what the label says; a job already at the ladder floor runs at full
-/// cost. Everything else runs its spec solver untouched — the clean path must
-/// stay bitwise identical.
-fn prepare(batch: Vec<Arc<JobCore>>) -> Vec<RunJob> {
-    batch
-        .into_iter()
-        .map(|core| {
-            let spec = core.spec.solver;
-            let cheaper =
-                core.pressured.load(Ordering::Relaxed).then(|| lrtddft::degrade(&spec)).flatten();
-            RunJob { core, solver: cheaper.unwrap_or(spec) }
-        })
-        .collect()
-}
-
 /// Run one batch on every rank of a group: the two halves of
-/// [`Solver::solve_distributed`] — a single shared [`Solver::hamiltonian`]
-/// build, then one [`Solver::eigensolve`] per job. Results are bitwise
+/// [`lrtddft::Solver::solve_distributed`] with each job's `spec.solver` — a
+/// single shared [`lrtddft::Solver::hamiltonian`] build, then one
+/// [`lrtddft::Solver::eigensolve`] per job. Results are bitwise
 /// identical to per-job solo runs because the build is deterministic in the
 /// batch key and the eigensolve path is untouched (pinned by
 /// `shared_build_eigensolve_bitwise_matches_solo_solve` in `lrtddft`). The
 /// leader owns completion and the cache; followers only join the
 /// collectives.
-fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
-    let lead = &batch[0];
+fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
+    let lead = &batch[0].spec;
     let leader = group.rank() == 0;
     // Solo faulted job (the scheduler never co-batches fault plans): arm the
     // tenant's plan on this rank for exactly this batch. For clean batches
     // this *clears* any ambient plan — belt and braces for isolation.
-    let _fault_window = faultkit::install_scoped(lead.core.spec.fault.clone());
+    let _fault_window = faultkit::install_scoped(lead.fault.clone());
 
     group.take_stats(); // discard idle-window stats; build gets a fresh window
     let clock = obskit::StageClock::now();
@@ -299,12 +259,12 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
     // failure past it is decided on replicated data, so every rank skips the
     // eigensolves together and the batch fails with the typed error.
     let mut recovery = Vec::new();
-    let ham = match lead.solver.hamiltonian(group, &lead.core.spec.problem, &mut recovery) {
+    let ham = match lead.solver.hamiltonian(group, &lead.problem, &mut recovery) {
         Ok(ham) => ham,
         Err(e) => {
             if leader {
                 for job in batch {
-                    job.core.finish(JobOutcome::Failed { error: e.to_string() });
+                    job.finish(JobOutcome::Failed { error: e.to_string() });
                 }
             }
             return;
@@ -317,7 +277,8 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
 
     for job in batch {
         let clock = obskit::StageClock::now();
-        let values = job.solver.eigensolve(group, &ham, &mut recovery).values;
+        let spec = &job.spec;
+        let values = spec.solver.eigensolve(group, &ham, &mut recovery).values;
         // The shared build plus this job's own eigensolve.
         let mut timings = build_timings;
         timings.merge(&lrtddft::StageTimings::since(clock));
@@ -325,10 +286,9 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
         if !leader {
             continue;
         }
-        let spec = &job.core.spec;
-        // Only clean, full-cost results may populate the cache: the key
-        // does not encode fault plans or the degradation ladder.
-        if spec.fault.is_none() && job.solver.degraded.is_none() {
+        // Only clean results may populate the cache: the key does not
+        // encode fault plans.
+        if spec.fault.is_none() {
             shared.cache.put(cache_key(spec), values.clone());
         }
         let fault_events = spec
@@ -336,7 +296,7 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
             .as_ref()
             .map(|h| h.events().iter().map(|e| e.render()).collect())
             .unwrap_or_default();
-        job.core.finish(JobOutcome::Completed(JobResult {
+        job.finish(JobOutcome::Completed(JobResult {
             values,
             timings,
             cache_hit: false,
@@ -344,8 +304,8 @@ fn execute_batch(group: &Comm, batch: &[RunJob], shared: &Shared) {
             comm_calls: build_stats.collective_calls + eig_stats.collective_calls,
             fault_events,
             attempts: builds,
-            degraded: job.solver.degraded.map(str::to_owned),
-            deadline_missed: job.core.deadline().is_some_and(|d| Instant::now() > d),
+            degraded: None,
+            deadline_missed: false,
         }));
     }
 }
@@ -400,6 +360,8 @@ mod tests {
         assert!(warm.cache_hit);
         assert_eq!(warm.values, cold.values);
         assert_eq!((warm.batch_size, warm.attempts), (0, 0), "a hit runs no build");
+        assert_eq!(warm.degraded, None);
+        assert!(!warm.deadline_missed);
         service.shutdown();
     }
 
@@ -503,6 +465,8 @@ mod tests {
             .with_fault_plan(FaultPlan::new(17).with("ham.v_tilde", 0, FaultKind::NanPoison));
         let res = service.submit(spec).unwrap().wait().expect("rebuilt then solved");
         assert_eq!(res.attempts, 2, "poisoned first build, clean rebuild");
+        assert_eq!(res.degraded, None);
+        assert!(!res.deadline_missed);
         assert_eq!(res.values, solo, "healed result is bitwise solo-identical");
         assert!(!res.fault_events.is_empty(), "the injected fault is on the record");
         assert!(res.values.iter().all(|v| v.is_finite()));
@@ -533,54 +497,6 @@ mod tests {
         let res = next.wait().expect("clean job solves");
         assert!(res.values.iter().all(|v| v.is_finite()));
         assert_eq!(res.attempts, 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn deadline_pressure_degrades_with_a_label_never_silently() {
-        let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
-        let config = ServeConfig {
-            ranks: 2,
-            groups: 1,
-            // Every deadline under 60s counts as pressure, so the job below
-            // is deterministically pressured but never expired.
-            pressure_window: Duration::from_secs(60),
-            ..Default::default()
-        };
-        let service = Service::start(config);
-        let spec = JobSpec::new(4, Arc::clone(&problem))
-            .with_solver(Solver::builder().n_states(2).build())
-            .with_deadline(Duration::from_secs(30));
-        let res = service.submit(spec).unwrap().wait().expect("degraded job completes");
-        assert_eq!(res.degraded.as_deref(), Some("direct-eig"), "downgrade must be labeled");
-        assert!(res.values.iter().all(|v| v.is_finite()));
-        assert_eq!(res.batch_size, 1, "pressured jobs run solo");
-
-        // Degraded results never populate the cache: a repeat clean submit
-        // at the same key must be a miss (fresh full-cost solve).
-        let clean = JobSpec::new(5, Arc::clone(&problem))
-            .with_solver(Solver::builder().n_states(2).build());
-        let clean_res = service.submit(clean).unwrap().wait().expect("clean job");
-        assert!(!clean_res.cache_hit, "degraded result must not have seeded the cache");
-        assert_eq!(clean_res.degraded, None);
-        service.shutdown();
-    }
-
-    #[test]
-    fn expired_deadline_yields_typed_outcome_through_the_service() {
-        let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
-        let service = Service::start(small_config());
-        let h = service
-            .submit(
-                JobSpec::new(6, Arc::clone(&problem))
-                    .with_solver(Solver::builder().seed(777).build())
-                    .with_deadline(Duration::ZERO),
-            )
-            .unwrap();
-        match h.outcome() {
-            JobOutcome::DeadlineExceeded { .. } => {}
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
         service.shutdown();
     }
 
