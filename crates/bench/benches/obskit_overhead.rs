@@ -76,7 +76,7 @@ fn bench_obskit_overhead(c: &mut Criterion) {
         });
     });
     group.bench_function("record_kernel_dispatch", |bch| {
-        bch.iter(|| obskit::record_kernel_dispatch("gemm.blocked.8x8.avx2"));
+        bch.iter(|| obskit::record_kernel_dispatch("gemm.blocked.8x8"));
     });
     group.finish();
 }

@@ -52,8 +52,7 @@ impl HxcKernel {
         assert_eq!(nr, self.fxc.len());
         assert_eq!(out.shape(), fields.shape(), "apply_into shape mismatch");
         out.par_for_each_col(|j, out_col| {
-            // `out = f_xc ∘ x`: elementwise product through the dispatched
-            // SIMD kernel (bitwise identical to the scalar loop).
+            // `out = f_xc ∘ x`, elementwise.
             mathkit::simd::pointwise_mul(out_col, self.fxc.as_slice(), fields.col(j));
         });
         if self.with_hartree {

@@ -24,11 +24,7 @@
 //! non-convergence ([`Solver::eigensolve`]). Every rung taken is one line of
 //! [`Solution::recovery`]; a clean run takes none and its log starts empty.
 //!
-//! The scalar-kernel *reference* path is not a solver field: it is a
-//! process-wide switch (`MATHKIT_KERNEL`, `mathkit::force_kernel`) that a
-//! solve reads and never writes.
-//!
-//! Nor is the kernel thread count: both halves run their kernels on the
+//! The kernel thread count is not a solver field: both halves run their kernels on the
 //! calling thread's share of its cores among the ranks of its world
 //! (`kernel_pool`), so a one-rank solve uses every core and the ranks of
 //! a two-rank world on two cores run one kernel thread each. The bits do

@@ -442,36 +442,6 @@ mod tests {
                 let bound = 8.0 * n as f64 * f64::EPSILON * x.norm_fro() * l.norm_fro();
                 prop_assert!(resid.norm_fro() <= bound, "residual {} > {bound}", resid.norm_fro());
             }
-
-            /// AVX2 and the scalar fallback take the same fold per element —
-            /// in the leaf's axpy and in the GEMM updates above it.
-            #[test]
-            fn engine_is_bitwise_across_kernels(
-                n in prop_oneof![Just(LEAF - 1), Just(LEAF + 1), Just(200usize)],
-                m in prop_oneof![Just(13usize), Just(CHUNK + 37)],
-                case in 0usize..4,
-                seed in 0u64..u64::MAX,
-            ) {
-                prop_assume!(crate::simd::avx2_available());
-                use rand::SeedableRng;
-                let (side_left, trans) = (case & 1 != 0, case & 2 != 0);
-                let _g = crate::simd::testutil::dispatch_lock();
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let a = spd(n, &mut rng);
-                let b = if side_left {
-                    Mat::random(n, m, &mut rng)
-                } else {
-                    Mat::random(m, n, &mut rng)
-                };
-                let run = |kern| {
-                    crate::simd::testutil::with_kernel(kern, || {
-                        let l = cholesky(&a).unwrap();
-                        let x = solve_case(&l, &b, side_left, trans).0;
-                        (bits(&l), bits(&x))
-                    })
-                };
-                prop_assert_eq!(run(simd::Kernel::Avx2), run(simd::Kernel::Scalar));
-            }
         }
     }
 }

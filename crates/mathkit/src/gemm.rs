@@ -20,12 +20,11 @@
 //!
 //! Packing absorbs all four transpose cases up front, so the microkernel
 //! always sees two contiguous streams regardless of `op(A)`/`op(B)` — and
-//! the register tile is computed by the explicit AVX2 microkernels in
-//! [`crate::simd`] (8×4 and a wider 8×8 variant, selected by output width),
-//! with a bit-compatible scalar fallback chosen by one-time runtime CPU
-//! dispatch. The pc/ic/jc loops are flattened into a Rayon parallel iterator
-//! over disjoint `MC × NC` tiles of `C`, so both the M and N dimensions are
-//! partitioned (not just single columns).
+//! the register tile is computed by the microkernel in [`crate::simd`]
+//! (8×4 and a wider 8×8 variant, selected by output width). The pc/ic/jc
+//! loops are flattened into a Rayon parallel iterator over disjoint
+//! `MC × NC` tiles of `C`, so both the M and N dimensions are partitioned
+//! (not just single columns).
 //!
 //! Skinny outputs (`n ≤ MR`, the implicit-Hamiltonian `H·X` shape with a
 //! handful of excitation states) take a dedicated strip-tiled path: the C
@@ -40,7 +39,7 @@
 //! entirely through a serial small-size fast path.
 
 use crate::mat::Mat;
-use crate::simd::{self, Kernel};
+use crate::simd;
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -125,7 +124,6 @@ pub fn gemm_ld(
     }
     assert!(av.spans(m, k) && bv.spans(k, n), "operand window out of bounds");
 
-    let (ta, kernel) = (av.trans, simd::active_kernel());
     if 2 * m * n * k < SMALL_FLOPS {
         obskit::record_kernel_dispatch("gemm.small");
         gemm_small(alpha, &av, &bv, beta, c, ldc, m, n, k);
@@ -137,13 +135,11 @@ pub fn gemm_ld(
         // ("packed") so the dot fold can vectorize across rows. At large k
         // these shapes are DRAM-bound, and skipping the A pack is what keeps
         // the single-stream traffic at parity with the reference loop.
-        obskit::record_kernel_dispatch(match (ta, kernel) {
-            (Transpose::No, Kernel::Avx2) => "gemm.skinny_direct.avx2",
-            (Transpose::No, Kernel::Scalar) => "gemm.skinny_direct.scalar",
-            (Transpose::Yes, Kernel::Avx2) => "gemm.skinny_packed.avx2",
-            (Transpose::Yes, Kernel::Scalar) => "gemm.skinny_packed.scalar",
+        obskit::record_kernel_dispatch(match av.trans {
+            Transpose::No => "gemm.skinny_direct",
+            Transpose::Yes => "gemm.skinny_packed",
         });
-        gemm_skinny_packed(kernel, alpha, &av, &bv, beta, c, ldc, m, n, k);
+        gemm_skinny_packed(alpha, &av, &bv, beta, c, ldc, m, n, k);
     } else if n < 3 * NR || m < 3 * MR {
         // Skinny output: every packed element would be reused fewer than ~3
         // times, so packing overhead beats the microkernel win. Column-
@@ -152,11 +148,9 @@ pub fn gemm_ld(
         obskit::record_kernel_dispatch("gemm.skinny_cols");
         gemm_skinny(alpha, &av, &bv, beta, c, ldc, m, n, k);
     } else {
-        obskit::record_kernel_dispatch(match (blocked_nr(n), kernel) {
-            (NR8, Kernel::Avx2) => "gemm.blocked.8x8.avx2",
-            (NR8, Kernel::Scalar) => "gemm.blocked.8x8.scalar",
-            (_, Kernel::Avx2) => "gemm.blocked.8x4.avx2",
-            (_, Kernel::Scalar) => "gemm.blocked.8x4.scalar",
+        obskit::record_kernel_dispatch(match blocked_nr(n) {
+            NR8 => "gemm.blocked.8x8",
+            _ => "gemm.blocked.8x4",
         });
         gemm_blocked(alpha, &av, &bv, beta, c, ldc, m, n, k);
     }
@@ -232,10 +226,7 @@ pub fn gemv(alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(a.nrows(), y.len());
     let nrows = a.nrows();
     let a_data = a.as_slice();
-    obskit::record_kernel_dispatch(match simd::active_kernel() {
-        Kernel::Avx2 => "gemv.avx2",
-        Kernel::Scalar => "gemv.scalar",
-    });
+    obskit::record_kernel_dispatch("gemv");
     let body = |i0: usize, yc: &mut [f64]| {
         scale_slice(yc, beta);
         if alpha == 0.0 {
@@ -448,7 +439,6 @@ fn gemm_skinny(
 /// fallback used to re-read A once per column.
 #[allow(clippy::too_many_arguments)]
 fn gemm_skinny_packed(
-    kernel: Kernel,
     alpha: f64,
     av: &View,
     bv: &View,
@@ -497,7 +487,7 @@ fn gemm_skinny_packed(
             // every C column; the tile kernels only touch those rows.
             unsafe {
                 let cbase = cptr.get().add(it);
-                simd::skinny_dot_tile(kernel, k, ap, bp, n, mr_eff, alpha, cbase, ldc);
+                simd::skinny_dot_tile(k, ap, bp, n, mr_eff, alpha, cbase, ldc);
             }
         });
     } else {
@@ -519,15 +509,13 @@ fn gemm_skinny_packed(
                     let it = s * MR;
                     let mr_eff = MR.min(m - it);
                     // Direct window into A: rows [it, it + mr_eff) of columns
-                    // [l0, l0 + kc_eff), stride lda. The slice ends exactly
-                    // at the window's last element, so full-MR vector loads
-                    // stay in bounds.
+                    // [l0, l0 + kc_eff), stride lda, ending exactly at the
+                    // window's last element.
                     let ap = &av.data[l0 * lda + it..(l0 + kc_eff - 1) * lda + it + mr_eff];
                     // SAFETY: same disjoint-strip ownership of C rows as above.
                     unsafe {
                         let cbase = cptr.get().add(it);
                         simd::skinny_axpy_tile(
-                            kernel,
                             kc_eff,
                             ap,
                             lda,
@@ -589,7 +577,6 @@ fn gemm_blocked(
 ) {
     scale_cols(c, ldc, m, beta);
 
-    let kernel = simd::active_kernel();
     let nr = blocked_nr(n);
     let n_ic = m.div_ceil(MC);
     let n_jc = n.div_ceil(NC);
@@ -611,7 +598,7 @@ fn gemm_blocked(
             let ap = &packed_a[pc * n_ic + ic];
             let bp = &packed_b[pc * n_jc + jc];
             // SAFETY: tiles (i0..i0+mc, j0..j0+nc) are disjoint across tasks.
-            unsafe { macro_tile(kernel, nr, alpha, ap, bp, kc, mc, nc, cptr, ldc, i0, j0) };
+            unsafe { macro_tile(nr, alpha, ap, bp, kc, mc, nc, cptr, ldc, i0, j0) };
         }
     });
 }
@@ -751,7 +738,7 @@ fn pack_b(bv: &View, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize, buf:
 
 /// One MC×NC tile of C updated from a packed A panel and packed B panel:
 /// `C[i0.., j0..] += alpha · op(A)_panel · op(B)_panel`. The register tile
-/// itself is computed by the dispatched microkernel in [`crate::simd`]
+/// itself is computed by the microkernel in [`crate::simd`]
 /// (`nr` ∈ {4, 8} selects the 8×4 or 8×8 variant; both packed panels must
 /// have been laid out with the same `nr`).
 ///
@@ -760,7 +747,6 @@ fn pack_b(bv: &View, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize, buf:
 /// `(i0..i0+mc) × (j0..j0+nc)` of the `ldc`-row column-major buffer `c`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn macro_tile(
-    kernel: Kernel,
     nr: usize,
     alpha: f64,
     ap: &[f64],
@@ -784,7 +770,7 @@ unsafe fn macro_tile(
             let astrip = &ap[is * MR * kc..(is + 1) * MR * kc];
             let it = is * MR;
             let mr_eff = MR.min(mc - it);
-            simd::microkernel_f64(kernel, nr, kc, astrip, bstrip, &mut acc);
+            simd::microkernel_f64(nr, kc, astrip, bstrip, &mut acc);
             for (j, accj) in acc.chunks_exact(MR).enumerate().take(nr_eff) {
                 let base = c.0.add((j0 + jt + j) * ldc + i0 + it);
                 for (i, &v) in accj.iter().enumerate().take(mr_eff) {
@@ -863,7 +849,6 @@ fn lower_part(
 
     // The tile kernels write `out` through raw pointers: the window must fit.
     assert!(ldo >= rows.len() && out.len() >= (cols.len() - 1) * ldo + rows.len());
-    let kernel = simd::active_kernel();
     let nr = blocked_nr(cols.len());
     let blk = MC.min(NC);
     let (m_blk, n_blk) = (rows.len().div_ceil(blk), cols.len().div_ceil(blk));
@@ -888,7 +873,7 @@ fn lower_part(
             let bp = &packed_b[pc * n_blk + jc];
             // SAFETY: each tile is visited by exactly one task, and the
             // caller's `out` holds `cols.len()` columns of `ldo ≥ rows.len()`.
-            unsafe { macro_tile(kernel, nr, alpha, ap, bp, kc, mc, nc, cptr, ldo, i0, j0) };
+            unsafe { macro_tile(nr, alpha, ap, bp, kc, mc, nc, cptr, ldo, i0, j0) };
         }
     });
     tiles.iter().map(|&(_, _, mc, nc)| 2 * (mc * nc * k) as u64).sum()
@@ -1140,18 +1125,7 @@ mod tests {
                 let mut c = Mat::from_fn(m, n, |i, j| (i + 2 * j) as f64 * 0.01);
                 let mut expect = c.clone();
                 gemm_small(1.7, &av, &bv, -0.3, expect.as_mut_slice(), m, m, n, k);
-                gemm_skinny_packed(
-                    simd::active_kernel(),
-                    1.7,
-                    &av,
-                    &bv,
-                    -0.3,
-                    c.as_mut_slice(),
-                    m,
-                    m,
-                    n,
-                    k,
-                );
+                gemm_skinny_packed(1.7, &av, &bv, -0.3, c.as_mut_slice(), m, m, n, k);
                 // Same fold per element as the serial kernels → exact match.
                 for (got, want) in c.as_slice().iter().zip(expect.as_slice().iter()) {
                     assert_eq!(got.to_bits(), want.to_bits(), "({ta:?},{tb:?}) m={m} n={n} k={k}");
@@ -1162,7 +1136,6 @@ mod tests {
 
     #[test]
     fn implicit_hx_shape_routes_to_skinny_tiles() {
-        let _g = crate::simd::testutil::dispatch_lock();
         let mut rng = test_rng();
         // The previously-regressed BENCH_gemm shape family, scaled down:
         // tall A, 8 states. Untransposed A must take the direct (pack-free)
@@ -1176,38 +1149,9 @@ mod tests {
         gemm(1.0, &at, Transpose::Yes, &b, Transpose::No, 0.0, &mut c);
         obskit::disable();
         let dispatch = obskit::take_trace().counters.kernel_dispatch;
-        for prefix in ["gemm.skinny_direct.", "gemm.skinny_packed."] {
-            let hit = dispatch.iter().any(|(l, _)| l.starts_with(prefix));
-            assert!(hit, "missing {prefix}* in dispatch counters: {dispatch:?}");
-        }
-    }
-
-    #[test]
-    fn forced_scalar_fallback_matches_dispatched_kernel() {
-        let _g = crate::simd::testutil::dispatch_lock();
-        let mut rng = test_rng();
-        // One shape per dispatch family: small, skinny_packed, skinny_cols
-        // (m < 3·MR), blocked 8×4 (n < 16), blocked 8×8.
-        for (m, n, k) in [(12, 5, 4), (300, 6, 128), (20, 40, 100), (150, 13, 70), (150, 120, 70)]
-        {
-            let a = Mat::random(m, k, &mut rng);
-            let b = Mat::random(k, n, &mut rng);
-            let c0 = Mat::random(m, n, &mut rng);
-            let run = |kern| {
-                crate::simd::testutil::with_kernel(kern, || {
-                    let mut c = c0.clone();
-                    gemm(1.3, &a, Transpose::No, &b, Transpose::No, 0.4, &mut c);
-                    c
-                })
-            };
-            let cs = run(simd::Kernel::Scalar);
-            if !crate::simd::avx2_available() {
-                continue;
-            }
-            let ca = run(simd::Kernel::Avx2);
-            for (x, y) in ca.as_slice().iter().zip(cs.as_slice().iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "shape ({m},{n},{k})");
-            }
+        for label in ["gemm.skinny_direct", "gemm.skinny_packed"] {
+            let hit = dispatch.iter().any(|(l, _)| l == label);
+            assert!(hit, "missing {label} in dispatch counters: {dispatch:?}");
         }
     }
 
@@ -1293,84 +1237,46 @@ mod tests {
                 }
             }
 
-            /// The SIMD microkernels must agree with the scalar fallback
-            /// BITWISE — same mul/add per element in the same order — across
-            /// edge tiles: partial MR/NR strips, kc ∈ {0, 1}, and beta
-            /// accumulation onto pre-filled C (the aliased-update path).
+            /// The skinny strip tiles reproduce the serial kernels bitwise
+            /// (same fold per element, grouped columns): every column count
+            /// up to MR, partial strips, both folds, beta accumulation onto
+            /// a pre-filled C, and B columns holding exact zeros (the axpy
+            /// fold's skip).
             #[test]
-            fn simd_and_scalar_paths_agree_bitwise(
+            fn skinny_tiles_match_serial_kernels_bitwise(
                 m in prop_oneof![Just(1usize), Just(7), Just(8), Just(9), Just(25), 1usize..70],
-                n in prop_oneof![Just(1usize), Just(4), Just(8), Just(9), Just(17), 1usize..40],
-                k in prop_oneof![Just(0usize), Just(1), Just(2), 1usize..90],
+                n in 1usize..=MR,
+                k in prop_oneof![Just(1usize), Just(2), 1usize..90],
                 ta in transpose_strategy(),
                 tb in transpose_strategy(),
                 alpha in -2.0f64..2.0,
                 beta in prop_oneof![Just(0.0f64), Just(1.0), -1.5f64..1.5],
+                zero_every in prop_oneof![Just(0usize), 1usize..4],
                 seed in 0u64..u64::MAX,
             ) {
-                prop_assume!(crate::simd::avx2_available());
                 use rand::SeedableRng;
-                let _g = crate::simd::testutil::dispatch_lock();
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let a = match ta {
                     Transpose::No => Mat::random(m, k, &mut rng),
                     Transpose::Yes => Mat::random(k, m, &mut rng),
                 };
-                let b = match tb {
+                let mut b = match tb {
                     Transpose::No => Mat::random(k, n, &mut rng),
                     Transpose::Yes => Mat::random(n, k, &mut rng),
                 };
-                let c0 = Mat::random(m, n, &mut rng);
-                let bits = |c: &Mat| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-
-                // Dispatched entry point under both forced kernels.
-                let run = |kern: simd::Kernel| {
-                    crate::simd::testutil::with_kernel(kern, || {
-                        let mut c = c0.clone();
-                        gemm(alpha, &a, ta, &b, tb, beta, &mut c);
-                        c
-                    })
-                };
-                prop_assert_eq!(bits(&run(simd::Kernel::Avx2)), bits(&run(simd::Kernel::Scalar)));
-
-                // Forced internal paths (the dispatcher would route small
-                // shapes away from them otherwise).
-                if m > 0 && n > 0 && k > 0 && alpha != 0.0 {
-                    let av = View::of(&a, ta);
-                    let bv = View::of(&b, tb);
-                    let run_blocked = |kern: simd::Kernel| {
-                        crate::simd::testutil::with_kernel(kern, || {
-                            let mut c = c0.clone();
-                            gemm_blocked(alpha, &av, &bv, beta, c.as_mut_slice(), m, m, n, k);
-                            c
-                        })
-                    };
-                    prop_assert_eq!(
-                        bits(&run_blocked(simd::Kernel::Avx2)),
-                        bits(&run_blocked(simd::Kernel::Scalar))
-                    );
-                    if n <= MR {
-                        let run_skinny = |kern: simd::Kernel| {
-                            crate::simd::testutil::with_kernel(kern, || {
-                                let mut c = c0.clone();
-                                gemm_skinny_packed(
-                                    kern, alpha, &av, &bv, beta, c.as_mut_slice(), m, m, n, k,
-                                );
-                                c
-                            })
-                        };
-                        let skinny_avx = run_skinny(simd::Kernel::Avx2);
-                        prop_assert_eq!(
-                            bits(&skinny_avx),
-                            bits(&run_skinny(simd::Kernel::Scalar))
-                        );
-                        // And the packed skinny path must reproduce the
-                        // serial kernels bitwise (same fold, new layout).
-                        let mut serial = c0.clone();
-                        gemm_small(alpha, &av, &bv, beta, serial.as_mut_slice(), m, m, n, k);
-                        prop_assert_eq!(bits(&skinny_avx), bits(&serial));
+                if zero_every > 0 {
+                    for v in b.as_mut_slice().iter_mut().step_by(zero_every) {
+                        *v = 0.0;
                     }
                 }
+                let c0 = Mat::random(m, n, &mut rng);
+                let bits = |c: &Mat| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let (av, bv) = (View::of(&a, ta), View::of(&b, tb));
+                let mut skinny = c0.clone();
+                gemm_skinny_packed(alpha, &av, &bv, beta, skinny.as_mut_slice(), m, m, n, k);
+                let mut serial = c0.clone();
+                gemm_small(alpha, &av, &bv, beta, serial.as_mut_slice(), m, m, n, k);
+                prop_assert_eq!(bits(&skinny), bits(&serial));
             }
 
             #[test]

@@ -38,4 +38,4 @@ pub use gemm::{
 pub use mat::Mat;
 pub use ortho::{cholesky_qr, modified_gram_schmidt};
 pub use qr::{qr_householder, qrcp, qrcp_select, randomized_qrcp_select};
-pub use simd::{active_kernel, force_kernel, Kernel};
+pub use simd::{active_kernel, Kernel};

@@ -1,151 +1,60 @@
-//! Explicit SIMD microkernels with one-time runtime dispatch.
+//! The vector kernels: one plain loop per kernel, which the committed
+//! `-C target-cpu=native` (`.cargo/config.toml`) lets LLVM vectorise over
+//! the row index for the host's ISA. No runtime dispatch, no second copy.
 //!
-//! The packed GEMM engine in [`crate::gemm`] used to rely on `#[inline(never)]`
-//! coaxing LLVM into auto-vectorizing the register tile. This module replaces
-//! that hope with explicit `std::arch` AVX2 kernels selected once per process
-//! by [`active_kernel`], plus a bit-compatible scalar fallback.
-//!
-//! ## Bit-compatibility contract
-//!
-//! Every f64 kernel here performs, per output element, the *same sequence of
-//! IEEE-754 operations* as its scalar twin: separate multiply and add (never
-//! a fused multiply-add), with the reduction over the shared dimension folded
-//! in ascending order into one accumulator per element. Vectorizing over the
-//! *row* index only changes which elements are computed together, not the
-//! per-element operation stream — so `Avx2` and `Scalar` produce bitwise
-//! identical results, and the solver pipeline's results are independent of
-//! the host CPU. The dispatch override (`MATHKIT_KERNEL`, [`force_kernel`])
-//! exists so tests and CI can prove that property rather than assume it.
-//!
-//! [`dot`] uses a 4-lane split reduction (documented at the function) and is
-//! intended for new code where the fold order is free; the solver paths keep
-//! their historical sequential folds.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! The bits are fixed by the source. Every f64 kernel performs, per output
+//! element, one fixed sequence of IEEE-754 operations: a separate multiply
+//! and add, with the reduction over the shared dimension folded in
+//! ascending order into one accumulator per element. Rust never contracts
+//! a multiply and an add into a fused multiply-add, and vectorising only
+//! changes which elements are computed together, so the results are the
+//! same on every host and at every vector width.
 
 /// Microkernel row height (matches `gemm::MR`).
 pub(crate) const MR: usize = 8;
 
-/// Which kernel family [`active_kernel`] resolved to.
+/// The vector ISA the build targets, as a name: `"avx512"`, `"avx2"`,
+/// `"neon"` or `"baseline"`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// Explicit AVX2 `std::arch` code.
-    Avx2,
-    /// Portable scalar loops, bitwise identical to the AVX2 kernels.
-    Scalar,
-}
+pub struct Kernel(&'static str);
 
 impl Kernel {
-    /// Short name used in dispatch counters and reports.
     pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Avx2 => "avx2",
-            Kernel::Scalar => "scalar",
-        }
+        self.0
     }
 }
 
-/// 0 = undecided, 1 = Avx2, 2 = Scalar.
-static KERNEL_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Resolve the kernel family for this process (cached after the first call).
-///
-/// Order: `MATHKIT_KERNEL` env override (`auto` / `avx2` / `scalar`), then
-/// runtime CPU feature detection (`avx2` *and* `fma` required — every AVX2
-/// part of interest has both).
-#[inline]
+/// The vector ISA the build targets, read from the compile-time target
+/// features: no detection, no override. Kept because the end-to-end
+/// benchmark (`benchmark/`) prints it in every report.
 pub fn active_kernel() -> Kernel {
-    match KERNEL_STATE.load(Ordering::Relaxed) {
-        1 => Kernel::Avx2,
-        2 => Kernel::Scalar,
-        _ => {
-            let k = detect();
-            KERNEL_STATE.store(if k == Kernel::Avx2 { 1 } else { 2 }, Ordering::Relaxed);
-            k
-        }
-    }
+    Kernel(match () {
+        _ if cfg!(target_feature = "avx512f") => "avx512",
+        _ if cfg!(target_feature = "avx2") => "avx2",
+        _ if cfg!(target_feature = "neon") => "neon",
+        _ => "baseline",
+    })
 }
 
-/// Test/CI hook: pin the dispatcher to one kernel (`Some`) or reset it to
-/// re-detect on next use (`None`). Safe at any time — both kernels produce
-/// bitwise identical results, so racing callers only affects performance.
-pub fn force_kernel(k: Option<Kernel>) {
-    let code = match k {
-        Some(Kernel::Avx2) => {
-            assert!(avx2_available(), "force_kernel(Avx2) on a CPU without avx2+fma");
-            1
-        }
-        Some(Kernel::Scalar) => 2,
-        None => 0,
-    };
-    KERNEL_STATE.store(code, Ordering::Relaxed);
-}
-
-/// Whether the host CPU can run the AVX2 kernels.
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-fn detect() -> Kernel {
-    match std::env::var("MATHKIT_KERNEL").as_deref() {
-        Ok("scalar") => return Kernel::Scalar,
-        Ok("avx2") => {
-            assert!(avx2_available(), "MATHKIT_KERNEL=avx2 but the CPU lacks avx2+fma");
-            return Kernel::Avx2;
-        }
-        Ok("") | Ok("auto") | Err(_) => {}
-        Ok(other) => panic!("MATHKIT_KERNEL must be auto|avx2|scalar, got {other:?}"),
-    }
-    if avx2_available() {
-        Kernel::Avx2
-    } else {
-        Kernel::Scalar
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Blocked-path microkernels: rank-kc update of an MR × NR register tile from
-// packed micropanels (`ap`: kc steps of MR values, `bp`: kc steps of NR
-// values). `acc[j * MR + i] = Σ_l ap[l * MR + i] · bp[l * NR + j]`.
-// ---------------------------------------------------------------------------
-
-/// Dispatching microkernel entry. `nr` must be 4 or 8; `acc` holds at least
-/// `nr * MR` elements and is fully overwritten.
-pub(crate) fn microkernel_f64(kernel: Kernel, nr: usize, kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
+/// Blocked-path microkernel: the rank-`kc` update of an `MR × nr` register
+/// tile (`nr` 4 or 8) from packed micropanels, `ap` holding `kc` steps of
+/// `MR` values and `bp` `kc` steps of `nr`. Overwrites
+/// `acc[j·MR + i] = Σ_l ap[l·MR + i] · bp[l·nr + j]`.
+pub(crate) fn microkernel_f64(nr: usize, kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
     debug_assert!(nr == 4 || nr == 8);
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * nr && acc.len() >= nr * MR);
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe {
-            if nr == 8 {
-                mk8x8_avx2(kc, ap, bp, acc);
-            } else {
-                mk8x4_avx2(kc, ap, bp, acc);
-            }
-        },
-        _ => {
-            if nr == 8 {
-                mk_scalar::<8>(kc, ap, bp, acc);
-            } else {
-                mk_scalar::<4>(kc, ap, bp, acc);
-            }
-        }
+    match nr {
+        8 => microkernel::<8>(kc, ap, bp, acc),
+        _ => microkernel::<4>(kc, ap, bp, acc),
     }
 }
 
-/// Scalar twin of the AVX2 microkernels — the historical auto-vectorized
-/// fold: per element, ascending-`l` multiply-then-add into one accumulator.
+/// The whole `MR × NR` tile stays in vector registers.
 #[inline(never)]
-fn mk_scalar<const NR: usize>(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64]) {
+fn microkernel<const NR: usize>(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64]) {
     let mut acc = [[0.0f64; MR]; NR];
-    for (a, b) in ap.chunks_exact(MR).take(kc).zip(bp.chunks_exact(NR)) {
+    // Exact-length panels make the zip one counted loop.
+    let (ap, bp) = (&ap[..kc * MR], &bp[..kc * NR]);
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         for j in 0..NR {
             let bj = b[j];
             for i in 0..MR {
@@ -158,90 +67,28 @@ fn mk_scalar<const NR: usize>(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64]
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mk8x4_avx2(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_pd(); 8]; // [2j] = rows 0..4, [2j+1] = rows 4..8
-    let mut a = ap.as_ptr();
-    let mut b = bp.as_ptr();
-    for _ in 0..kc {
-        let a0 = _mm256_loadu_pd(a);
-        let a1 = _mm256_loadu_pd(a.add(4));
-        for j in 0..4 {
-            let bj = _mm256_set1_pd(*b.add(j));
-            acc[2 * j] = _mm256_add_pd(acc[2 * j], _mm256_mul_pd(a0, bj));
-            acc[2 * j + 1] = _mm256_add_pd(acc[2 * j + 1], _mm256_mul_pd(a1, bj));
-        }
-        a = a.add(MR);
-        b = b.add(4);
-    }
-    for j in 0..4 {
-        _mm256_storeu_pd(out.as_mut_ptr().add(j * MR), acc[2 * j]);
-        _mm256_storeu_pd(out.as_mut_ptr().add(j * MR + 4), acc[2 * j + 1]);
-    }
-}
+// Skinny-shape tiles: one MR-row strip of op(A), swept over the full shared
+// dimension, against a k × n column-major B with n ≤ MR. Each pass takes up
+// to GROUP columns of C, so one load of an A row feeds all of them; the
+// fold of each element over l is the column-at-a-time one.
 
-/// Wider 8×8 variant: 16 ymm accumulators — the whole tile stays in the
-/// register file, halving the B-broadcast traffic per flop vs 8×4.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mk8x8_avx2(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_pd(); 16];
-    let mut a = ap.as_ptr();
-    let mut b = bp.as_ptr();
-    for _ in 0..kc {
-        let a0 = _mm256_loadu_pd(a);
-        let a1 = _mm256_loadu_pd(a.add(4));
-        for j in 0..8 {
-            let bj = _mm256_set1_pd(*b.add(j));
-            acc[2 * j] = _mm256_add_pd(acc[2 * j], _mm256_mul_pd(a0, bj));
-            acc[2 * j + 1] = _mm256_add_pd(acc[2 * j + 1], _mm256_mul_pd(a1, bj));
-        }
-        a = a.add(MR);
-        b = b.add(8);
-    }
-    for j in 0..8 {
-        _mm256_storeu_pd(out.as_mut_ptr().add(j * MR), acc[2 * j]);
-        _mm256_storeu_pd(out.as_mut_ptr().add(j * MR + 4), acc[2 * j + 1]);
-    }
-}
+/// C columns per pass of a skinny tile: four `[f64; MR]` accumulators, the
+/// A row and the broadcast fit the 16-register AVX2 file.
+const GROUP: usize = 4;
 
-// ---------------------------------------------------------------------------
-// Skinny-shape tile kernels: one MR-row strip of op(A), packed once over the
-// FULL shared dimension (no KC split), against a k × n column-major B buffer
-// with n ≤ MR. Two fold variants mirroring the serial kernels exactly:
-//
-//  * axpy fold (op(A) untransposed): C tile pre-scaled by beta lives in the
-//    accumulator registers; per l, `c += (alpha·b[l,j]) · a[:,l]` with the
-//    historical `alpha·b == 0` skip.
-//  * dot fold (op(A) transposed): zero-initialized accumulators collect
-//    `Σ_l a·b`, then `c += alpha · acc` once at the end.
-//
-// Partial strips (`mr_eff < MR`) always take the scalar twin — loading or
-// storing a full ymm row there would touch out-of-bounds C memory — so the
-// Avx2/Scalar choice never changes results there either.
-// ---------------------------------------------------------------------------
-
-/// Axpy-fold skinny tile. `ap` holds the strip's rows of untransposed A with
-/// column stride `astride`: either one zero-padded packed `MR × k` strip
-/// (`astride == MR`) or a window straight into column-major A itself
-/// (`astride == lda`) — the MR rows of one strip are contiguous within each
-/// A column, so no pack is needed and the large-`k` shapes skip the pack
-/// traffic entirely. `b` is a `k × n` window of a column-major staging
-/// buffer with column stride `ldb ≥ k` (panel callers window the full
-/// staged B), `c` points at element `(strip_row_0, 0)` of an `ldc`-row
+/// Axpy-fold skinny tile (op(A) untransposed): per `l`,
+/// `c += (alpha·b[l, j]) · a[:, l]`, skipping a column whose `alpha·b[l, j]`
+/// is zero. `ap` holds the strip's rows of A with column stride `astride` —
+/// a window straight into column-major A, whose strip rows are contiguous
+/// in every column, so no pack is needed. `b` is `k × n` with column stride
+/// `ldb ≥ k`; `c` points at element `(strip row 0, 0)` of an `ldc`-row
 /// column-major C whose tile was already scaled by beta.
 ///
 /// # Safety
 /// Caller guarantees exclusive access to rows `[0, mr_eff)` of all `n`
-/// columns of `c` (stride `ldc`), `mr_eff ≤ MR`, `n ≤ MR`, and that
-/// `ap[l * astride .. l * astride + mr_eff]` is in bounds for every
-/// `l < k` — plus a full `MR` elements per column when `mr_eff == MR`.
+/// columns of `c` (stride `ldc`), `mr_eff ≤ MR` and `n ≤ MR`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn skinny_axpy_tile(
-    kernel: Kernel,
     k: usize,
     ap: &[f64],
     astride: usize,
@@ -254,117 +101,99 @@ pub(crate) unsafe fn skinny_axpy_tile(
     ldc: usize,
 ) {
     debug_assert!((1..=MR).contains(&n) && mr_eff <= MR && astride >= mr_eff && ldb >= k);
-    debug_assert!(
-        k >= 1 && ap.len() >= (k - 1) * astride + mr_eff && b.len() >= (n - 1) * ldb + k
-    );
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 && mr_eff == MR {
-        // ≤ 4 columns per microkernel pass: 8 accumulator ymm plus the two
-        // A-row registers and the broadcast stay inside the 16-register
-        // file (8 columns spill accumulators every iteration). The strip is
-        // L2-resident, so the second pass re-reads it cheaply, and the
-        // per-element fold over l is unchanged — still bitwise identical to
-        // the column-at-a-time scalar twin.
-        let mut j0 = 0;
-        while j0 < n {
-            let nb = (n - j0).min(4);
-            let bj = &b[j0 * ldb..];
-            let cj = c.add(j0 * ldc);
-            match nb {
-                1 => skinny_axpy_avx2::<1>(k, ap, astride, bj, ldb, alpha, cj, ldc),
-                2 => skinny_axpy_avx2::<2>(k, ap, astride, bj, ldb, alpha, cj, ldc),
-                3 => skinny_axpy_avx2::<3>(k, ap, astride, bj, ldb, alpha, cj, ldc),
-                _ => skinny_axpy_avx2::<4>(k, ap, astride, bj, ldb, alpha, cj, ldc),
-            }
-            j0 += nb;
-        }
-        return;
-    }
-    let _ = kernel;
-    skinny_axpy_scalar(k, ap, astride, b, ldb, n, mr_eff, alpha, c, ldc);
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn skinny_axpy_scalar(
-    k: usize,
-    ap: &[f64],
-    astride: usize,
-    b: &[f64],
-    ldb: usize,
-    n: usize,
-    mr_eff: usize,
-    alpha: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    for j in 0..n {
-        let cc = std::slice::from_raw_parts_mut(c.add(j * ldc), mr_eff);
-        for l in 0..k {
-            let blj = alpha * b[l + j * ldb];
-            if blj == 0.0 {
-                continue;
-            }
-            let a = &ap[l * astride..l * astride + mr_eff];
-            for (cv, &av) in cc.iter_mut().zip(a.iter()) {
-                *cv += blj * av;
-            }
+    debug_assert!(k >= 1 && ap.len() >= (k - 1) * astride + mr_eff);
+    debug_assert!(b.len() >= (n - 1) * ldb + k);
+    let mut cols = strip_columns(c, ldc, n, mr_eff);
+    for (g, cg) in cols[..n].chunks_mut(GROUP).enumerate() {
+        let bg = &b[g * GROUP * ldb..];
+        match cg.len() {
+            1 => axpy_group::<1>(k, ap, astride, bg, ldb, alpha, cg),
+            2 => axpy_group::<2>(k, ap, astride, bg, ldb, alpha, cg),
+            3 => axpy_group::<3>(k, ap, astride, bg, ldb, alpha, cg),
+            _ => axpy_group::<4>(k, ap, astride, bg, ldb, alpha, cg),
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-unsafe fn skinny_axpy_avx2<const N: usize>(
-    k: usize,
-    ap: &[f64],
-    astride: usize,
-    b: &[f64],
-    ldb: usize,
-    alpha: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    use std::arch::x86_64::*;
-    let mut lo = [_mm256_setzero_pd(); N];
-    let mut hi = [_mm256_setzero_pd(); N];
-    for j in 0..N {
-        lo[j] = _mm256_loadu_pd(c.add(j * ldc));
-        hi[j] = _mm256_loadu_pd(c.add(j * ldc + 4));
-    }
-    let mut a = ap.as_ptr();
-    for l in 0..k {
-        let a0 = _mm256_loadu_pd(a);
-        let a1 = _mm256_loadu_pd(a.add(4));
-        for j in 0..N {
-            let blj = alpha * *b.get_unchecked(l + j * ldb);
-            if blj != 0.0 {
-                let bv = _mm256_set1_pd(blj);
-                lo[j] = _mm256_add_pd(lo[j], _mm256_mul_pd(bv, a0));
-                hi[j] = _mm256_add_pd(hi[j], _mm256_mul_pd(bv, a1));
-            }
-        }
-        a = a.add(astride);
-    }
-    for j in 0..N {
-        _mm256_storeu_pd(c.add(j * ldc), lo[j]);
-        _mm256_storeu_pd(c.add(j * ldc + 4), hi[j]);
-    }
-}
-
-/// Dot-fold skinny tile (op(A) transposed case). `ap` is one zero-padded
-/// packed `MR × k` strip (stride `MR` — the row-interleaved layout is what
-/// lets the vector load gather one `l` slice across the 8 rows, so unlike
-/// the axpy fold this path cannot read transposed A in place); otherwise
-/// the same C-tile contract as [`skinny_axpy_tile`]; C receives
-/// `c += alpha · Σ_l a·b`.
+/// Rows `[0, rows)` of the first `n` columns (stride `ldc`) of the C tile
+/// at `c`; the rest are empty.
 ///
 /// # Safety
-/// Same C-tile exclusivity as [`skinny_axpy_tile`], with
-/// `ap.len() ≥ k · MR`.
+/// The tile functions' contract: exclusive access to those rows.
+unsafe fn strip_columns<'a>(c: *mut f64, ldc: usize, n: usize, rows: usize) -> [&'a mut [f64]; MR] {
+    std::array::from_fn(|j| {
+        if j < n {
+            std::slice::from_raw_parts_mut(c.add(j * ldc), rows)
+        } else {
+            &mut []
+        }
+    })
+}
+
+/// `N` columns of an axpy tile. A full strip gets its own copy of the body,
+/// with a constant row count the compiler turns into whole vector registers.
+/// Kept out of line: inlined into the tile, the four widths share one
+/// register allocation and the narrow ones lose their vector form.
+#[inline(never)]
+fn axpy_group<const N: usize>(
+    k: usize,
+    ap: &[f64],
+    astride: usize,
+    b: &[f64],
+    ldb: usize,
+    alpha: f64,
+    c: &mut [&mut [f64]],
+) {
+    let b: [&[f64]; N] = std::array::from_fn(|j| &b[j * ldb..j * ldb + k]);
+    match c[0].len() {
+        MR => axpy_rows(MR, k, ap, astride, &b, alpha, c),
+        rows => axpy_rows(rows, k, ap, astride, &b, alpha, c),
+    }
+}
+
+/// Load `rows` rows of the C columns, fold every `l`, store them back.
+#[inline(always)]
+fn axpy_rows<const N: usize>(
+    rows: usize,
+    k: usize,
+    ap: &[f64],
+    astride: usize,
+    b: &[&[f64]; N],
+    alpha: f64,
+    c: &mut [&mut [f64]],
+) {
+    let mut acc = [[0.0f64; MR]; N];
+    for (s, cj) in acc.iter_mut().zip(c.iter()) {
+        s[..rows].copy_from_slice(&cj[..rows]);
+    }
+    for l in 0..k {
+        let a = &ap[l * astride..][..rows];
+        let bl: [f64; N] = std::array::from_fn(|j| alpha * b[j][l]);
+        // One test for the common step, so it runs without a branch per
+        // column.
+        let all = bl.iter().all(|&v| v != 0.0);
+        for (s, &blj) in acc.iter_mut().zip(&bl) {
+            if all || blj != 0.0 {
+                for (sv, &av) in s.iter_mut().zip(a) {
+                    *sv += blj * av;
+                }
+            }
+        }
+    }
+    for (s, cj) in acc.iter().zip(c.iter_mut()) {
+        cj[..rows].copy_from_slice(&s[..rows]);
+    }
+}
+
+/// Dot-fold skinny tile (op(A) transposed): `c += alpha · Σ_l a·b`. `ap` is
+/// one zero-padded packed `MR × k` strip (the row-interleaved layout puts one
+/// `l` slice of the 8 rows in one vector, which transposed A cannot give in
+/// place); `b` is `k × n` column-major; `c` as for [`skinny_axpy_tile`].
+///
+/// # Safety
+/// Same C-tile exclusivity as [`skinny_axpy_tile`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn skinny_dot_tile(
-    kernel: Kernel,
     k: usize,
     ap: &[f64],
     b: &[f64],
@@ -376,400 +205,222 @@ pub(crate) unsafe fn skinny_dot_tile(
 ) {
     debug_assert!((1..=MR).contains(&n) && mr_eff <= MR);
     debug_assert!(ap.len() >= k * MR && b.len() >= k * n);
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 && mr_eff == MR {
-        // Same ≤ 4-column grouping as the axpy tile (register pressure);
-        // per-element accumulation order over l is unaffected.
-        let mut j0 = 0;
-        while j0 < n {
-            let nb = (n - j0).min(4);
-            let bj = &b[j0 * k..];
-            let cj = c.add(j0 * ldc);
-            match nb {
-                1 => skinny_dot_avx2::<1>(k, ap, bj, alpha, cj, ldc),
-                2 => skinny_dot_avx2::<2>(k, ap, bj, alpha, cj, ldc),
-                3 => skinny_dot_avx2::<3>(k, ap, bj, alpha, cj, ldc),
-                _ => skinny_dot_avx2::<4>(k, ap, bj, alpha, cj, ldc),
-            }
-            j0 += nb;
-        }
-        return;
-    }
-    let _ = kernel;
-    skinny_dot_scalar(k, ap, b, n, mr_eff, alpha, c, ldc);
-}
-
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn skinny_dot_scalar(
-    k: usize,
-    ap: &[f64],
-    b: &[f64],
-    n: usize,
-    mr_eff: usize,
-    alpha: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    let mut acc = [[0.0f64; MR]; MR];
-    for l in 0..k {
-        let a = &ap[l * MR..l * MR + mr_eff];
-        for j in 0..n {
-            let blj = b[l + j * k];
-            for (av, accv) in a.iter().zip(acc[j].iter_mut()) {
-                *accv += *av * blj;
-            }
-        }
-    }
-    for j in 0..n {
-        let cc = std::slice::from_raw_parts_mut(c.add(j * ldc), mr_eff);
-        for (cv, &accv) in cc.iter_mut().zip(acc[j].iter()) {
-            *cv += alpha * accv;
+    let mut cols = strip_columns(c, ldc, n, mr_eff);
+    for (g, cg) in cols[..n].chunks_mut(GROUP).enumerate() {
+        let bg = &b[g * GROUP * k..];
+        match cg.len() {
+            1 => dot_group::<1>(k, ap, bg, alpha, cg),
+            2 => dot_group::<2>(k, ap, bg, alpha, cg),
+            3 => dot_group::<3>(k, ap, bg, alpha, cg),
+            _ => dot_group::<4>(k, ap, bg, alpha, cg),
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::needless_range_loop)]
-unsafe fn skinny_dot_avx2<const N: usize>(
+/// `N` columns of a dot tile. The padding rows of a partial strip are zero
+/// in `ap`, so the fold always runs on whole `[f64; MR]` rows and only the
+/// C update is clipped; a full strip gets its own copy of that update, with
+/// a constant row count. Kept out of line, as [`axpy_group`] is.
+#[inline(never)]
+fn dot_group<const N: usize>(k: usize, ap: &[f64], b: &[f64], alpha: f64, c: &mut [&mut [f64]]) {
+    match c[0].len() {
+        MR => dot_rows::<N>(MR, k, ap, b, alpha, c),
+        rows => dot_rows::<N>(rows, k, ap, b, alpha, c),
+    }
+}
+
+#[inline(always)]
+fn dot_rows<const N: usize>(
+    rows: usize,
     k: usize,
     ap: &[f64],
     b: &[f64],
     alpha: f64,
-    c: *mut f64,
-    ldc: usize,
+    c: &mut [&mut [f64]],
 ) {
-    use std::arch::x86_64::*;
-    let mut lo = [_mm256_setzero_pd(); N];
-    let mut hi = [_mm256_setzero_pd(); N];
-    let mut a = ap.as_ptr();
+    let ap = &ap[..k * MR];
+    let b: [&[f64]; N] = std::array::from_fn(|j| &b[j * k..(j + 1) * k]);
+    let mut acc = [[0.0f64; MR]; N];
     for l in 0..k {
-        let a0 = _mm256_loadu_pd(a);
-        let a1 = _mm256_loadu_pd(a.add(4));
-        for j in 0..N {
-            let bv = _mm256_set1_pd(*b.get_unchecked(l + j * k));
-            lo[j] = _mm256_add_pd(lo[j], _mm256_mul_pd(a0, bv));
-            hi[j] = _mm256_add_pd(hi[j], _mm256_mul_pd(a1, bv));
+        let a: &[f64; MR] = ap[l * MR..(l + 1) * MR].try_into().unwrap();
+        let bl: [f64; N] = std::array::from_fn(|j| b[j][l]);
+        for (s, &blj) in acc.iter_mut().zip(&bl) {
+            for (sv, &av) in s.iter_mut().zip(a) {
+                *sv += av * blj;
+            }
         }
-        a = a.add(MR);
     }
-    let av = _mm256_set1_pd(alpha);
-    for j in 0..N {
-        let clo = _mm256_loadu_pd(c.add(j * ldc));
-        let chi = _mm256_loadu_pd(c.add(j * ldc + 4));
-        _mm256_storeu_pd(c.add(j * ldc), _mm256_add_pd(clo, _mm256_mul_pd(av, lo[j])));
-        _mm256_storeu_pd(c.add(j * ldc + 4), _mm256_add_pd(chi, _mm256_mul_pd(av, hi[j])));
+    for (s, cj) in acc.iter().zip(c.iter_mut()) {
+        for (cv, &sv) in cj[..rows].iter_mut().zip(s) {
+            *cv += alpha * sv;
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Vectorized level-1 helpers. All elementwise ones are bit-identical to their
-// obvious scalar loops (independent elements, one mul + one add each).
-// ---------------------------------------------------------------------------
-
-/// `y += alpha · x` (elementwise; bitwise identical across kernels).
+/// `y += alpha · x` (elementwise).
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { axpy_avx2(alpha, x, y) },
-        _ => {
-            for (yv, &xv) in y.iter_mut().zip(x.iter()) {
-                *yv += alpha * xv;
-            }
-        }
+    for (yv, &xv) in y.iter_mut().zip(x) {
+        *yv += alpha * xv;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let n = x.len();
-    let av = _mm256_set1_pd(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let yv = _mm256_loadu_pd(yp.add(i));
-        let xv = _mm256_loadu_pd(xp.add(i));
-        _mm256_storeu_pd(yp.add(i), _mm256_add_pd(yv, _mm256_mul_pd(av, xv)));
-        i += 4;
-    }
-    while i < n {
-        *yp.add(i) += alpha * *xp.add(i);
-        i += 1;
-    }
-}
-
-/// `out[i] = a[i] · b[i]` (bitwise identical across kernels).
+/// `out[i] = a[i] · b[i]`.
 pub fn pointwise_mul(out: &mut [f64], a: &[f64], b: &[f64]) {
     assert!(out.len() == a.len() && out.len() == b.len());
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { pointwise_mul_avx2(out, a, b) },
-        _ => {
-            for ((o, &av), &bv) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-                *o = av * bv;
-            }
-        }
+    for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
+        *o = av * bv;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pointwise_mul_avx2(out: &mut [f64], a: &[f64], b: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    let mut i = 0;
-    while i + 4 <= n {
-        let prod = _mm256_mul_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)));
-        _mm256_storeu_pd(op.add(i), prod);
-        i += 4;
-    }
-    while i < n {
-        *op.add(i) = *ap.add(i) * *bp.add(i);
-        i += 1;
-    }
-}
-
-/// `out[i] += a[i] · b[i]` (separate mul + add; bitwise identical across
-/// kernels).
+/// `out[i] += a[i] · b[i]` (separate multiply and add).
 pub fn pointwise_muladd(out: &mut [f64], a: &[f64], b: &[f64]) {
     assert!(out.len() == a.len() && out.len() == b.len());
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { pointwise_muladd_avx2(out, a, b) },
-        _ => {
-            for ((o, &av), &bv) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-                *o += av * bv;
-            }
-        }
+    for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
+        *o += av * bv;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pointwise_muladd_avx2(out: &mut [f64], a: &[f64], b: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    let mut i = 0;
-    while i + 4 <= n {
-        let prod = _mm256_mul_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)));
-        _mm256_storeu_pd(op.add(i), _mm256_add_pd(_mm256_loadu_pd(op.add(i)), prod));
-        i += 4;
-    }
-    while i < n {
-        *op.add(i) += *ap.add(i) * *bp.add(i);
-        i += 1;
-    }
-}
-
-/// `acc[i] += x[i]²` (bitwise identical across kernels; used by the ISDF
-/// pair-weight accumulation).
+/// `acc[i] += x[i]²` (the ISDF pair-weight accumulation).
 pub fn add_squares(acc: &mut [f64], x: &[f64]) {
     assert_eq!(acc.len(), x.len());
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { add_squares_avx2(acc, x) },
-        _ => {
-            for (a, &v) in acc.iter_mut().zip(x.iter()) {
-                *a += v * v;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn add_squares_avx2(acc: &mut [f64], x: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = acc.len();
-    let (ap, xp) = (acc.as_mut_ptr(), x.as_ptr());
-    let mut i = 0;
-    while i + 4 <= n {
-        let xv = _mm256_loadu_pd(xp.add(i));
-        let av = _mm256_loadu_pd(ap.add(i));
-        _mm256_storeu_pd(ap.add(i), _mm256_add_pd(av, _mm256_mul_pd(xv, xv)));
-        i += 4;
-    }
-    while i < n {
-        let v = *xp.add(i);
-        *ap.add(i) += v * v;
-        i += 1;
-    }
-}
-
-/// Dot product with a fixed 4-lane split reduction: element `i` folds into
-/// lane `i mod 4`, lanes reduce as `(l0 + l1) + (l2 + l3)` at the end. Both
-/// kernels implement exactly this fold, so the result is bitwise identical
-/// across them (but NOT identical to a plain sequential fold — use this only
-/// where the reduction order is free, e.g. reports and new code).
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { dot_avx2(x, y) },
-        _ => dot_scalar(x, y),
-    }
-}
-
-fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    for (i, (&xv, &yv)) in x.iter().zip(y.iter()).enumerate() {
-        lanes[i % 4] += xv * yv;
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2(x: &[f64], y: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let n = x.len();
-    let (xp, yp) = (x.as_ptr(), y.as_ptr());
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let prod = _mm256_mul_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-        acc = _mm256_add_pd(acc, prod);
-        i += 4;
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    // Tail elements continue the `i mod 4` lane assignment (i - n4 == i % 4
-    // because the vector loop consumed a multiple of 4).
-    let mut lane = 0;
-    while i < n {
-        lanes[lane] += *xp.add(i) * *yp.add(i);
-        lane += 1;
-        i += 1;
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-}
-
-/// Test support: serialize tests that pin the global dispatcher, and run a
-/// closure under a forced kernel. Compiled only for tests.
-#[cfg(test)]
-pub(crate) mod testutil {
-    use super::{force_kernel, Kernel};
-
-    /// Serialize tests that pin the global dispatcher.
-    pub(crate) fn dispatch_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Run `f` with the dispatcher pinned to `k`, restoring auto-detection.
-    pub(crate) fn with_kernel<T>(k: Kernel, f: impl FnOnce() -> T) -> T {
-        force_kernel(Some(k));
-        let out = f();
-        force_kernel(None);
-        out
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a += v * v;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{dispatch_lock, with_kernel};
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn detection_resolves_and_is_cached() {
-        let _g = dispatch_lock();
-        force_kernel(None);
-        let k = active_kernel();
-        assert_eq!(k, active_kernel());
-        // An explicit env override (the CI scalar-fallback job sets
-        // MATHKIT_KERNEL=scalar) wins over CPU detection.
-        match std::env::var("MATHKIT_KERNEL").as_deref() {
-            Ok("scalar") => assert_eq!(k.name(), "scalar"),
-            Ok("avx2") => assert_eq!(k.name(), "avx2"),
-            _ => {
-                if avx2_available() {
-                    assert_eq!(k.name(), "avx2");
-                } else {
-                    assert_eq!(k.name(), "scalar");
+    /// Reference axpy fold: one C column at a time, re-reading the A strip
+    /// for each column.
+    #[allow(clippy::too_many_arguments)]
+    fn skinny_axpy_ref(
+        k: usize,
+        ap: &[f64],
+        astride: usize,
+        b: &[f64],
+        ldb: usize,
+        n: usize,
+        mr_eff: usize,
+        alpha: f64,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        for j in 0..n {
+            let cc = &mut c[j * ldc..j * ldc + mr_eff];
+            for l in 0..k {
+                let blj = alpha * b[l + j * ldb];
+                if blj == 0.0 {
+                    continue;
                 }
-            }
-        }
-        force_kernel(None);
-    }
-
-    #[test]
-    fn force_kernel_overrides_detection() {
-        let _g = dispatch_lock();
-        force_kernel(Some(Kernel::Scalar));
-        assert_eq!(active_kernel(), Kernel::Scalar);
-        force_kernel(None);
-    }
-
-    #[test]
-    fn microkernel_kernels_agree_bitwise() {
-        let _g = dispatch_lock();
-        if !avx2_available() {
-            return;
-        }
-        for nr in [4usize, 8] {
-            for kc in [0usize, 1, 3, 17, 64] {
-                let ap: Vec<f64> =
-                    (0..kc * MR).map(|i| ((i * 37 % 19) as f64 - 9.0) * 0.13).collect();
-                let bp: Vec<f64> =
-                    (0..kc * nr).map(|i| ((i * 23 % 17) as f64 - 8.0) * 0.07).collect();
-                let mut acc_a = vec![f64::NAN; nr * MR];
-                let mut acc_s = vec![f64::NAN; nr * MR];
-                microkernel_f64(Kernel::Avx2, nr, kc, &ap, &bp, &mut acc_a);
-                microkernel_f64(Kernel::Scalar, nr, kc, &ap, &bp, &mut acc_s);
-                for (a, s) in acc_a.iter().zip(acc_s.iter()) {
-                    assert_eq!(a.to_bits(), s.to_bits(), "nr={nr} kc={kc}");
+                let a = &ap[l * astride..l * astride + mr_eff];
+                for (cv, &av) in cc.iter_mut().zip(a.iter()) {
+                    *cv += blj * av;
                 }
             }
         }
     }
 
-    #[test]
-    fn level1_helpers_agree_bitwise_across_kernels() {
-        let _g = dispatch_lock();
-        if !avx2_available() {
-            return;
+    /// Reference dot fold: one C column at a time.
+    #[allow(clippy::too_many_arguments)]
+    fn skinny_dot_ref(
+        k: usize,
+        ap: &[f64],
+        b: &[f64],
+        n: usize,
+        mr_eff: usize,
+        alpha: f64,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        for j in 0..n {
+            let mut acc = [0.0f64; MR];
+            for l in 0..k {
+                let blj = b[l + j * k];
+                for (av, accv) in ap[l * MR..l * MR + mr_eff].iter().zip(acc.iter_mut()) {
+                    *accv += *av * blj;
+                }
+            }
+            for (cv, &accv) in c[j * ldc..j * ldc + mr_eff].iter_mut().zip(acc.iter()) {
+                *cv += alpha * accv;
+            }
         }
-        // Lengths straddling the 4-wide vector body and its scalar tail.
-        for n in [0usize, 1, 3, 4, 5, 8, 31] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() * 3.0).collect();
-            let y0: Vec<f64> = (0..n).map(|i| (i as f64 * 1.17).cos() - 0.4).collect();
+    }
 
-            let mut ya = y0.clone();
-            let mut ys = y0.clone();
-            with_kernel(Kernel::Avx2, || axpy(0.37, &x, &mut ya));
-            with_kernel(Kernel::Scalar, || axpy(0.37, &x, &mut ys));
-            assert_eq!(
-                ya.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
-            let mut oa = y0.clone();
-            let mut os = y0.clone();
-            with_kernel(Kernel::Avx2, || pointwise_muladd(&mut oa, &x, &y0));
-            with_kernel(Kernel::Scalar, || pointwise_muladd(&mut os, &x, &y0));
-            assert_eq!(oa.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), os.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    /// Deterministic values in [-1, 1), with every `zero_every`-th one an
+    /// exact zero (0 = none).
+    fn fill(len: usize, salt: u64, zero_every: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                if zero_every > 0 && i % zero_every == 0 {
+                    return 0.0;
+                }
+                let h = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
+                (h >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
+    }
 
-            let mut ma = vec![0.0; n];
-            let mut ms = vec![0.0; n];
-            with_kernel(Kernel::Avx2, || pointwise_mul(&mut ma, &x, &y0));
-            with_kernel(Kernel::Scalar, || pointwise_mul(&mut ms, &x, &y0));
-            assert_eq!(ma, ms);
+    #[test]
+    fn active_kernel_names_the_targeted_isa() {
+        let name = active_kernel().name();
+        assert!(["avx512", "avx2", "neon", "baseline"].contains(&name), "{name}");
+        let avx2_only = cfg!(target_feature = "avx2") && !cfg!(target_feature = "avx512f");
+        assert_eq!(name == "avx2", avx2_only);
+    }
 
-            let mut sa = y0.clone();
-            let mut ss = y0.clone();
-            with_kernel(Kernel::Avx2, || add_squares(&mut sa, &x));
-            with_kernel(Kernel::Scalar, || add_squares(&mut ss, &x));
-            assert_eq!(sa.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), ss.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-            let da = with_kernel(Kernel::Avx2, || dot(&x, &y0));
-            let ds = with_kernel(Kernel::Scalar, || dot(&x, &y0));
-            assert_eq!(da.to_bits(), ds.to_bits(), "dot n={n}");
+        /// The grouped skinny tiles reproduce the column-at-a-time
+        /// reference bitwise: every column count, full and partial strips,
+        /// both folds, both A strides, and B columns holding exact zeros
+        /// (the axpy fold's skip).
+        #[test]
+        fn skinny_tiles_match_column_reference_bitwise(
+            n in 1usize..=MR,
+            mr_eff in prop_oneof![Just(MR), 1usize..MR],
+            k in prop_oneof![Just(1usize), 2usize..70],
+            direct in prop_oneof![Just(false), Just(true)],
+            zero_every in prop_oneof![Just(0usize), 1usize..5],
+            alpha in prop_oneof![Just(1.0f64), -2.0f64..2.0],
+            seed in 0u64..u64::MAX,
+        ) {
+            let ldc = mr_eff + 3;
+            let c0 = fill(ldc * n, seed ^ 3, 0);
+            let b = fill(k * n, seed ^ 2, zero_every);
+
+            // Axpy fold: a packed strip (stride MR) or a window of a
+            // column-major A (stride lda) that ends at its last element.
+            let astride = if direct { mr_eff + 5 } else { MR };
+            let a_axpy = fill((k - 1) * astride + mr_eff, seed ^ 1, 0);
+            let mut want_axpy = c0.clone();
+            skinny_axpy_ref(k, &a_axpy, astride, &b, k, n, mr_eff, alpha, &mut want_axpy, ldc);
+            // Dot fold: a packed strip, zero-padded past mr_eff.
+            let mut a_dot = fill(k * MR, seed ^ 4, 0);
+            for row in a_dot.chunks_exact_mut(MR) {
+                row[mr_eff..].fill(0.0);
+            }
+            let mut want_dot = c0.clone();
+            skinny_dot_ref(k, &a_dot, &b, n, mr_eff, alpha, &mut want_dot, ldc);
+
+            let (mut got_axpy, mut got_dot) = (c0.clone(), c0.clone());
+            // SAFETY: each C buffer holds n columns of ldc ≥ mr_eff rows.
+            unsafe {
+                let c = got_axpy.as_mut_ptr();
+                skinny_axpy_tile(k, &a_axpy, astride, &b, k, n, mr_eff, alpha, c, ldc);
+                skinny_dot_tile(k, &a_dot, &b, n, mr_eff, alpha, got_dot.as_mut_ptr(), ldc);
+            }
+            let case = format!("n={n} mr_eff={mr_eff} k={k}");
+            prop_assert_eq!(bits(&got_axpy), bits(&want_axpy), "axpy {}", case);
+            prop_assert_eq!(bits(&got_dot), bits(&want_dot), "dot {}", case);
         }
     }
 }

@@ -84,9 +84,8 @@ pub fn record_gemm_shape(m: usize, n: usize, k: usize) {
 }
 
 /// Record which compute-kernel path a dense-kernel call dispatched to
-/// (e.g. `"gemm.blocked.8x8.avx2"`, `"gemm.skinny_packed.scalar"`,
-/// `"gemv.avx2"`). Labels must be static — the runtime dispatch decision set
-/// is finite and known at compile time.
+/// (e.g. `"gemm.blocked.8x8"`, `"gemm.skinny_packed"`, `"gemv"`). Labels
+/// must be static — the set of routes is finite and known at compile time.
 #[inline]
 pub fn record_kernel_dispatch(label: &'static str) {
     if !enabled() {
@@ -119,7 +118,7 @@ pub struct CounterSnapshot {
     /// GEMM shape histogram, sorted by descending call count.
     pub gemm_shapes: Vec<GemmBucket>,
     /// Kernel dispatch decisions `(label, calls)`, sorted by descending call
-    /// count then label (e.g. which GEMM path and SIMD family ran).
+    /// count then label (e.g. which GEMM route ran).
     pub kernel_dispatch: Vec<(String, u64)>,
 }
 
@@ -177,14 +176,14 @@ mod tests {
     fn kernel_dispatch_histogram_accumulates() {
         let _g = testutil::exclusive();
         enable();
-        record_kernel_dispatch("gemm.blocked.8x8.avx2");
-        record_kernel_dispatch("gemm.blocked.8x8.avx2");
+        record_kernel_dispatch("gemm.blocked.8x8");
+        record_kernel_dispatch("gemm.blocked.8x8");
         record_kernel_dispatch("gemm.small");
         disable();
         let snap = take_counters();
         assert_eq!(
             snap.kernel_dispatch,
-            vec![("gemm.blocked.8x8.avx2".to_string(), 2), ("gemm.small".to_string(), 1)]
+            vec![("gemm.blocked.8x8".to_string(), 2), ("gemm.small".to_string(), 1)]
         );
         assert_eq!(take_counters().kernel_dispatch, Vec::new());
     }

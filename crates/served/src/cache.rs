@@ -1,4 +1,4 @@
-//! Bounded TTL result cache keyed by structure hash + solve parameters.
+//! Bounded LRU result cache keyed by structure hash + solve parameters.
 //!
 //! A hit means some tenant already paid for a bitwise-identical solve
 //! (same structure, same build inputs, same eigensolve knobs — see
@@ -8,18 +8,16 @@
 //! does not encode a fault plan). Every other job ran its own solver, so its
 //! values are what any job with its key would compute.
 //!
-//! The cache is bounded two ways: entries older than the TTL are purged on
-//! every insert (a quiet cache cannot hoard dead entries), and a hard
-//! capacity evicts the least-recently-used live entry once full.
+//! A cached value is a pure function of its key, so it never goes stale and
+//! an entry has no lifetime: the capacity alone bounds the memory, evicting
+//! the least-recently-used entry once full.
 
 use crate::job::CacheKey;
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 struct Entry {
     values: Vec<f64>,
-    inserted: Instant,
     /// Logical timestamp of the last hit (or the insert); smallest = LRU.
     last_used: u64,
 }
@@ -31,48 +29,36 @@ struct CacheInner {
 }
 
 pub(crate) struct ResultCache {
-    ttl: Duration,
     /// Max live entries; inserting into a full cache evicts the LRU entry.
     capacity: usize,
     inner: Mutex<CacheInner>,
 }
 
 impl ResultCache {
-    pub fn new(ttl: Duration, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         ResultCache {
-            ttl,
             capacity: capacity.max(1),
             inner: Mutex::new(CacheInner { map: HashMap::new(), tick: 0 }),
         }
     }
 
-    /// Look `key` up; a hit refreshes its LRU position. Expired entries
-    /// miss and are evicted.
+    /// Look `key` up; a hit refreshes its LRU position.
     pub fn get(&self, key: &CacheKey) -> Option<Vec<f64>> {
         let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         g.tick += 1;
         let tick = g.tick;
-        if let Some(e) = g.map.get_mut(key) {
-            if e.inserted.elapsed() <= self.ttl {
-                e.last_used = tick;
-                return Some(e.values.clone());
-            }
-            g.map.remove(key);
-        }
-        None
+        let e = g.map.get_mut(key)?;
+        e.last_used = tick;
+        Some(e.values.clone())
     }
 
     /// Insert (or refresh) `key`. Later writers win; values for one key are
-    /// bitwise identical by construction, so the race is benign. Every
-    /// insert first purges expired entries, then — if still at capacity —
-    /// evicts the least-recently-used live entry.
+    /// bitwise identical by construction, so the race is benign. A new key
+    /// inserted at capacity evicts the least-recently-used entry.
     pub fn put(&self, key: CacheKey, values: Vec<f64>) {
         let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         g.tick += 1;
         let tick = g.tick;
-
-        g.map.retain(|_, e| e.inserted.elapsed() <= self.ttl);
-
         if g.map.len() >= self.capacity && !g.map.contains_key(&key) {
             // O(n) scan is fine at serving-cache sizes (hundreds).
             if let Some(lru) = g
@@ -84,7 +70,7 @@ impl ResultCache {
                 g.map.remove(&lru);
             }
         }
-        g.map.insert(key, Entry { values, inserted: Instant::now(), last_used: tick });
+        g.map.insert(key, Entry { values, last_used: tick });
     }
 }
 
@@ -104,7 +90,7 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let cache = ResultCache::new(Duration::from_secs(60), 16);
+        let cache = ResultCache::new(16);
         let key = key_for(3);
         assert!(cache.get(&key).is_none());
         cache.put(key, vec![0.1, 0.2]);
@@ -113,17 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn expired_entries_are_evicted() {
-        let cache = ResultCache::new(Duration::ZERO, 16);
-        let key = key_for(3);
-        cache.put(key, vec![1.0]);
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(cache.get(&key).is_none(), "zero TTL expires immediately");
-    }
-
-    #[test]
     fn capacity_evicts_least_recently_used() {
-        let cache = ResultCache::new(Duration::from_secs(60), 2);
+        let cache = ResultCache::new(2);
         let (a, b, c) = (key_for(1), key_for(2), key_for(3));
         cache.put(a, vec![1.0]);
         cache.put(b, vec![2.0]);
@@ -136,21 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_purges_expired_before_evicting_live() {
-        let cache = ResultCache::new(Duration::from_millis(10), 2);
-        let (a, b, c) = (key_for(1), key_for(2), key_for(3));
-        cache.put(a, vec![1.0]);
-        std::thread::sleep(Duration::from_millis(15));
-        cache.put(b, vec![2.0]); // purges expired `a` in passing
-        cache.put(c, vec![3.0]); // fits without touching live `b`
-        assert!(cache.get(&b).is_some(), "live entry kept: expired one made room");
-        assert!(cache.get(&c).is_some());
-        assert!(cache.get(&a).is_none());
-    }
-
-    #[test]
     fn refreshing_existing_key_does_not_evict() {
-        let cache = ResultCache::new(Duration::from_secs(60), 2);
+        let cache = ResultCache::new(2);
         let (a, b) = (key_for(1), key_for(2));
         cache.put(a, vec![1.0]);
         cache.put(b, vec![2.0]);

@@ -92,6 +92,11 @@ pub struct JobResult {
     /// [`lrtddft::Solver::hamiltonian`]'s clean rebuild healed a failed one,
     /// 0 for a cache hit.
     pub attempts: u32,
+    /// Recovery rungs this job's solve took, as in
+    /// [`lrtddft::Solution::recovery`]: the shared build's lines (its clean
+    /// rebuild), then this job's own eigensolve lines (its dense floor).
+    /// Empty for a clean solve and for a cache hit.
+    pub recovery: Vec<String>,
     /// Always `None`: a job runs the solver it was given. Kept only because
     /// the frozen ruler under `benchmark/` reads it.
     pub degraded: Option<String>,

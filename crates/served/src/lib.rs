@@ -12,8 +12,8 @@
 //!   share one distributed Hamiltonian build; each job keeps its own
 //!   eigensolve, so results stay bitwise identical to solo runs.
 //! - **Result caching** — completed fault-free solves are cached by
-//!   structure hash + version + solve parameters with a TTL; repeat submissions
-//!   complete at admission without touching a solver group.
+//!   structure hash + version + solve parameters in a bounded LRU; repeat
+//!   submissions complete at admission without touching a solver group.
 //! - **Tenant isolation** — a tenant's injected fault plan
 //!   ([`JobSpec::with_fault_plan`]) is armed only around that job's own
 //!   execution window on the ranks that run it. Faulted jobs are never
@@ -21,7 +21,8 @@
 //! - **One build ladder** — a batch's build is
 //!   [`Solver::hamiltonian`](lrtddft::Solver::hamiltonian), whose one clean
 //!   rebuild heals a failed build on the group that ran it. It is the
-//!   service's only recovery: a job always runs its own solver.
+//!   service's only recovery: a job always runs its own solver, and its
+//!   [`JobResult::recovery`] lists the rungs its own solve took.
 //!
 //! ```no_run
 //! use served::{JobSpec, ServeConfig, Service};
@@ -41,9 +42,7 @@
 //! [`Solver::solve_distributed`](lrtddft::Solver::solve_distributed) — every
 //! field, `version` included, is honored per job and never changed by the
 //! service, because a batch runs that call's two halves
-//! (`Solver::hamiltonian` once, `Solver::eigensolve` per job). The process-wide reference-path switch (`MATHKIT_KERNEL`) is
-//! deliberately **not** flipped per job — it is shared by every tenant; set
-//! it once before `Service::start` if needed.
+//! (`Solver::hamiltonian` once, `Solver::eigensolve` per job).
 
 mod cache;
 mod job;

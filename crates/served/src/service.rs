@@ -39,7 +39,6 @@ use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobOutcome, JobR
 use crate::scheduler::SchedulerState;
 use parcomm::{spmd, Comm};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Service topology and policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -54,8 +53,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Max same-shape jobs sharing one Hamiltonian build.
     pub max_batch: usize,
-    /// Result-cache entry lifetime.
-    pub cache_ttl: Duration,
     /// Result-cache entry cap (LRU eviction past this).
     pub cache_capacity: usize,
 }
@@ -68,7 +65,6 @@ impl Default for ServeConfig {
             max_queued_per_tenant: 16,
             queue_capacity: 256,
             max_batch: 8,
-            cache_ttl: Duration::from_secs(300),
             cache_capacity: 256,
         }
     }
@@ -146,7 +142,7 @@ impl Service {
             config.queue_capacity,
             config.max_batch,
         ));
-        let cache = Arc::new(ResultCache::new(config.cache_ttl, config.cache_capacity));
+        let cache = Arc::new(ResultCache::new(config.cache_capacity));
         let supervisor = {
             let shared = Shared { sched: Arc::clone(&sched), cache: Arc::clone(&cache) };
             std::thread::spawn(move || {
@@ -177,6 +173,7 @@ impl Service {
                     comm_calls: 0,
                     fault_events: Vec::new(),
                     attempts: 0,
+                    recovery: Vec::new(),
                     degraded: None,
                     deadline_missed: false,
                 }));
@@ -258,8 +255,8 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
     // The build ladder's one clean rebuild is the only build retry: a
     // failure past it is decided on replicated data, so every rank skips the
     // eigensolves together and the batch fails with the typed error.
-    let mut recovery = Vec::new();
-    let ham = match lead.solver.hamiltonian(group, &lead.problem, &mut recovery) {
+    let mut build_log = Vec::new();
+    let ham = match lead.solver.hamiltonian(group, &lead.problem, &mut build_log) {
         Ok(ham) => ham,
         Err(e) => {
             if leader {
@@ -271,13 +268,16 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
         }
     };
     // The ladder logs its rebuild as the one `isdf.build:` line.
-    let builds = 1 + recovery.iter().filter(|r| r.starts_with("isdf.build:")).count() as u32;
+    let builds = 1 + build_log.iter().filter(|r| r.starts_with("isdf.build:")).count() as u32;
     let build_timings = lrtddft::StageTimings::since(clock);
     let build_stats = group.take_stats();
 
     for job in batch {
         let clock = obskit::StageClock::now();
         let spec = &job.spec;
+        // Each job's log starts from the shared build's and adds only its
+        // own eigensolve's lines.
+        let mut recovery = build_log.clone();
         let values = spec.solver.eigensolve(group, &ham, &mut recovery).values;
         // The shared build plus this job's own eigensolve.
         let mut timings = build_timings;
@@ -304,6 +304,7 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
             comm_calls: build_stats.collective_calls + eig_stats.collective_calls,
             fault_events,
             attempts: builds,
+            recovery,
             degraded: None,
             deadline_missed: false,
         }));
@@ -341,10 +342,40 @@ mod tests {
         assert!(!res.cache_hit);
         assert_eq!(res.batch_size, 1);
         assert_eq!(res.attempts, 1);
+        assert!(res.recovery.is_empty());
         assert_eq!(res.degraded, None);
         assert!(!res.deadline_missed);
         assert!(res.comm_calls > 0, "eigensolve window should record collectives");
         service.shutdown();
+    }
+
+    #[test]
+    fn each_job_of_a_batch_carries_its_own_recovery_log() {
+        // Two jobs with one batch key: the first cannot converge, so its
+        // eigensolve falls to the dense floor; its mate must not see that.
+        let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
+        let clean = Solver::builder().n_states(2).seed(4).build();
+        let stuck = Solver { lobpcg: mathkit::LobpcgOptions { max_iter: 1, tol: 0.0 }, ..clean };
+        let batch: Vec<_> = [stuck, clean]
+            .into_iter()
+            .map(|s| JobCore::new(JobSpec::new(1, Arc::clone(&problem)).with_solver(s)))
+            .collect();
+        assert_eq!(batch[0].key, batch[1].key, "one shared build");
+        let shared = Shared {
+            sched: Arc::new(SchedulerState::new(4, 4, 4)),
+            cache: Arc::new(ResultCache::new(4)),
+        };
+        spmd(2, |group| execute_batch(group, &batch, &shared));
+
+        let result = |i: usize| {
+            JobHandle { core: Arc::clone(&batch[i]) }.wait().expect("job completed")
+        };
+        let (floored, mate) = (result(0), result(1));
+        assert_eq!(floored.recovery.len(), 1, "{:?}", floored.recovery);
+        assert!(floored.recovery[0].ends_with("; dense floor"), "{:?}", floored.recovery);
+        assert!(mate.recovery.is_empty(), "the floor line leaked: {:?}", mate.recovery);
+        assert_eq!(floored.values, solo_oracle(&problem, &stuck, 2));
+        assert_eq!(mate.values, solo_oracle(&problem, &clean, 2));
     }
 
     #[test]
@@ -465,6 +496,7 @@ mod tests {
             .with_fault_plan(FaultPlan::new(17).with("ham.v_tilde", 0, FaultKind::NanPoison));
         let res = service.submit(spec).unwrap().wait().expect("rebuilt then solved");
         assert_eq!(res.attempts, 2, "poisoned first build, clean rebuild");
+        assert_eq!(res.recovery.len(), 1, "the build's one rebuild line: {:?}", res.recovery);
         assert_eq!(res.degraded, None);
         assert!(!res.deadline_missed);
         assert_eq!(res.values, solo, "healed result is bitwise solo-identical");
