@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md data.
 
 use crate::report::{print_table, ExperimentRecord};
-use crate::scaling::{CommPattern, ScalingStudy, Stage};
+use crate::scaling::{isdf_construct_stages, CommPattern, ScalingStudy, Stage};
 use isdf::{kmeans_points, pair_weights, qrcp_points, KmeansOptions};
 use lrtddft::{
     build_isdf_hamiltonian,
@@ -443,7 +443,7 @@ impl Calibration {
 
     /// Strong-scaling study for Kmeans-ISDF with dense diagonalization.
     pub fn isdf_study(&self) -> ScalingStudy {
-        let mut stages = self.isdf_construct_stages();
+        let mut stages = isdf_construct_stages(&self.isdf_t, self.n_r, self.n_v, self.n_c, self.n_mu);
         stages.push(Stage::new("diag", self.t_syev, vec![CommPattern::ScalapackDiag { n: self.n_cv() }]));
         ScalingStudy::new(stages, CostModel::default())
     }
@@ -451,7 +451,7 @@ impl Calibration {
     /// Strong-scaling study for the implicit ISDF-LOBPCG version.
     pub fn isdf_lobpcg_study(&self) -> ScalingStudy {
         let k = 8usize;
-        let mut stages = self.isdf_construct_stages();
+        let mut stages = isdf_construct_stages(&self.isdf_t, self.n_r, self.n_v, self.n_c, self.n_mu);
         stages.push(Stage::new(
             "diag",
             self.t_lobpcg,
@@ -461,37 +461,6 @@ impl Calibration {
             }],
         ));
         ScalingStudy::new(stages, CostModel::default())
-    }
-
-    /// The Hamiltonian-construction stages shared by the ISDF studies
-    /// (paper Fig. 8 scope: K-Means / FFT / MPI / GEMM+Allreduce).
-    pub fn isdf_construct_stages(&self) -> Vec<Stage> {
-        let nmu = self.n_mu;
-        vec![
-            Stage::new(
-                "kmeans",
-                self.isdf_t.kmeans,
-                vec![
-                    CommPattern::Allgather { total_bytes: self.n_r * 8, times: 1 },
-                    CommPattern::Allreduce { bytes: 4 * nmu * 8, times: 30 },
-                ],
-            ),
-            Stage::new(
-                "theta",
-                self.isdf_t.theta,
-                vec![CommPattern::Allreduce { bytes: nmu * (self.n_v + self.n_c) * 8, times: 2 }],
-            ),
-            Stage::new(
-                "fft",
-                self.isdf_t.fft,
-                vec![CommPattern::Alltoall { global_bytes: self.n_r * nmu * 8, times: 2 }],
-            ),
-            Stage::new(
-                "gemm",
-                self.isdf_t.gemm,
-                vec![CommPattern::Allreduce { bytes: nmu * nmu * 8, times: 1 }],
-            ),
-        ]
     }
 }
 
@@ -534,7 +503,10 @@ pub fn fig7(scale: Scale) -> ExperimentRecord {
 /// Paper Fig. 8: per-stage strong scaling of Hamiltonian construction.
 pub fn fig8(scale: Scale) -> ExperimentRecord {
     let cal = calibrate(scale);
-    let study = ScalingStudy::new(cal.isdf_construct_stages(), CostModel::default());
+    let study = ScalingStudy::new(
+        isdf_construct_stages(&cal.isdf_t, cal.n_r, cal.n_v, cal.n_c, cal.n_mu),
+        CostModel::default(),
+    );
     let ranks = [128usize, 256, 512, 1024, 2048];
     let mut rows = Vec::new();
     for row in study.strong_scaling(&ranks) {

@@ -140,6 +140,45 @@ impl ScalingStudy {
     }
 }
 
+/// The Hamiltonian-construction stages of one K-Means ISDF build (paper
+/// Fig. 8 scope: K-Means / Θ / FFT / GEMM+Allreduce), from the build's serial
+/// stage seconds `t` on `n_r` grid points, `n_v` valence and `n_c`
+/// conduction states, at rank `n_mu`. Every ISDF study, `repro fig8` and the
+/// `scaling_study` example charge the build through this one model.
+pub fn isdf_construct_stages(
+    t: &lrtddft::StageTimings,
+    n_r: usize,
+    n_v: usize,
+    n_c: usize,
+    n_mu: usize,
+) -> Vec<Stage> {
+    vec![
+        Stage::new(
+            "kmeans",
+            t.kmeans,
+            vec![
+                CommPattern::Allgather { total_bytes: n_r * 8, times: 1 },
+                CommPattern::Allreduce { bytes: 4 * n_mu * 8, times: 30 },
+            ],
+        ),
+        Stage::new(
+            "theta",
+            t.theta,
+            vec![CommPattern::Allreduce { bytes: n_mu * (n_v + n_c) * 8, times: 2 }],
+        ),
+        Stage::new(
+            "fft",
+            t.fft,
+            vec![CommPattern::Alltoall { global_bytes: n_r * n_mu * 8, times: 2 }],
+        ),
+        Stage::new(
+            "gemm",
+            t.gemm,
+            vec![CommPattern::Allreduce { bytes: n_mu * n_mu * 8, times: 1 }],
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

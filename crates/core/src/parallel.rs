@@ -134,7 +134,7 @@ mod tests {
         let naive = syev(&build_dense_hamiltonian(&p).unwrap());
         let solver = Solver::builder().version(Version::KmeansIsdf).rank(IsdfRank::Fixed(p.n_cv()));
         let build = |c: &Comm| -> Mat {
-            let ham = solver.hamiltonian(c, &p, &mut vec![]).expect("clean build");
+            let ham = solver.hamiltonian(c, &p).expect("clean build");
             assert!(matches!(ham, Hamiltonian::Isdf(_)));
             ham.dense().into_owned()
         };

@@ -18,11 +18,14 @@
 //! mapping in their finish half, so a job submitted to the service and a
 //! direct call here compute the same thing.
 //!
-//! Each half has one recovery rung, so every door heals alike: the build
-//! rebuilds once after a typed failure ([`Solver::hamiltonian`]), and the
-//! LOBPCG finisher falls to the dense `lowest(·, k)` floor on breakdown or
-//! non-convergence ([`Solver::eigensolve`]). Every rung taken is one line of
-//! [`Solution::recovery`]; a clean run takes none and its log starts empty.
+//! A failed build fails once: [`Solver::hamiltonian`] runs the build one
+//! time and returns its typed error. Every input to it is fixed — the
+//! K-Means seed, the reduction order, and kernels whose bits do not depend
+//! on the thread count — so a second run would repeat the first one's
+//! arithmetic. The one recovery rung is the
+//! finish half's: the LOBPCG finisher falls to the dense `lowest(·, k)` floor
+//! on breakdown or non-convergence ([`Solver::eigensolve`]), and logs it as
+//! the one line of [`Solution::recovery`]; a clean run's log is empty.
 //!
 //! The kernel thread count is not a solver field: both halves run their kernels on the
 //! calling thread's share of its cores among the ranks of its world
@@ -172,45 +175,24 @@ impl Solver {
     /// — the dense `H` of Algorithm 1 (row 1) or the ISDF factors from
     /// [`build_isdf_hamiltonian`] with this row's point selector (rows 2–5).
     ///
-    /// The build ladder: one typed failure earns one clean rebuild (injected
-    /// faults are one-shot, so the retry is pristine) and its
-    /// `isdf.build: …; clean rebuild` line in `recovery`; a second failure is
-    /// [`SolveError::LadderExhausted`]. A failure on input that fails
-    /// [`CasidaProblem::check_inputs`] is returned as is — no rebuild can heal
-    /// it. Build failures are decided on replicated data, so every rank of a
-    /// group climbs together.
+    /// The build runs once, and a failure is returned as its typed error:
+    /// `NonFinite` for defective input or a non-finite factor, `FitResidual`,
+    /// `GramNotSpd` or `RankDeficient` for a fit that the rank `N_μ` cannot
+    /// make. Each is decided on replicated data, so every rank of a group
+    /// returns the same error.
     pub fn hamiltonian(
         &self,
         comm: &Comm,
         problem: &CasidaProblem,
-        recovery: &mut Vec<String>,
     ) -> Result<Hamiltonian, SolveError> {
         kernel_pool(comm).install(|| {
-            let first = match self.build_once(comm, problem) {
-                Ok(ham) => return Ok(ham),
-                Err(e) => e,
+            let Some(selector) = self.plan().selector else {
+                let (h, _) = distributed_dense_hamiltonian(comm, problem)?;
+                return Ok(Hamiltonian::Dense(h));
             };
-            if problem.check_inputs().is_err() {
-                return Err(first);
-            }
-            recovery.push(format!("isdf.build: {first}; clean rebuild"));
-            self.build_once(comm, problem).map_err(|second| {
-                SolveError::LadderExhausted {
-                    stage: "isdf.build",
-                    attempts: vec![first.to_string(), second.to_string()],
-                }
-            })
+            let n_mu = self.n_mu(problem);
+            build_isdf_hamiltonian(comm, problem, selector, n_mu).map(Hamiltonian::Isdf)
         })
-    }
-
-    /// One attempt at [`Solver::hamiltonian`]'s build.
-    fn build_once(&self, comm: &Comm, problem: &CasidaProblem) -> Result<Hamiltonian, SolveError> {
-        let Some(selector) = self.plan().selector else {
-            let (h, _) = distributed_dense_hamiltonian(comm, problem)?;
-            return Ok(Hamiltonian::Dense(h));
-        };
-        let n_mu = self.n_mu(problem);
-        build_isdf_hamiltonian(comm, problem, selector, n_mu).map(Hamiltonian::Isdf)
     }
 
     /// Finish half of every door: the lowest `n_states` eigenpairs of a
@@ -280,17 +262,17 @@ impl Solver {
         })
     }
 
-    /// Serial solve: the build half (with its one-rebuild ladder) and the
-    /// finish half [`Solver::eigensolve`] on [`Comm::solo`], on this thread
-    /// (no rank thread, no `mpi:*` span, no comm statistics) — the one-rank
-    /// case of [`Solver::solve_distributed`], to the bit. Failures are typed;
-    /// rungs taken are listed in [`Solution::recovery`], and a clean run takes
-    /// none.
+    /// Serial solve: the build half [`Solver::hamiltonian`] and the finish
+    /// half [`Solver::eigensolve`] on [`Comm::solo`], on this thread (no rank
+    /// thread, no `mpi:*` span, no comm statistics) — the one-rank case of
+    /// [`Solver::solve_distributed`], to the bit. A failed build is its typed
+    /// error; the eigensolver's dense floor, if taken, is the one line of
+    /// [`Solution::recovery`].
     pub fn solve(&self, problem: &CasidaProblem) -> Result<Solution, SolveError> {
         let clock = obskit::StageClock::now();
-        let mut recovery = Vec::new();
         let solo = Comm::solo();
-        let ham = self.hamiltonian(&solo, problem, &mut recovery)?;
+        let ham = self.hamiltonian(&solo, problem)?;
+        let mut recovery = Vec::new();
         let eig = self.eigensolve(&solo, &ham, &mut recovery);
         let (n_r, n_v, n_c) = (problem.n_r(), problem.n_v(), problem.n_c());
         let n_mu = self.n_mu(problem);
@@ -307,21 +289,19 @@ impl Solver {
     }
 
     /// Distributed solve on an SPMD communicator: [`Solver::solve`]'s two
-    /// halves — same `version`, same points, same typed failures behind the
-    /// same one-rebuild ladder — on `comm`'s ranks. Returns replicated
-    /// eigenvalues plus this rank's stage timings; a build the ladder cannot
-    /// heal panics with the typed error and the recovery log.
+    /// halves — same `version`, same points, same typed failures — on
+    /// `comm`'s ranks. Returns replicated eigenvalues plus this rank's stage
+    /// timings; a failed build panics with its typed error.
     pub fn solve_distributed(
         &self,
         comm: &Comm,
         problem: &CasidaProblem,
     ) -> (Vec<f64>, StageTimings) {
         let clock = obskit::StageClock::now();
-        let mut recovery = Vec::new();
         let ham = self
-            .hamiltonian(comm, problem, &mut recovery)
-            .unwrap_or_else(|e| panic!("distributed build: {e} (recovery log: {recovery:?})"));
-        let values = self.eigensolve(comm, &ham, &mut recovery).values;
+            .hamiltonian(comm, problem)
+            .unwrap_or_else(|e| panic!("distributed build: {e}"));
+        let values = self.eigensolve(comm, &ham, &mut Vec::new()).values;
         (values, StageTimings::since(clock))
     }
 }
@@ -380,7 +360,7 @@ mod tests {
         let p = silicon_like_problem(1, 12, 4);
         for v in [Version::Naive, Version::QrcpIsdf, Version::KmeansIsdf] {
             let solver = Solver::default().version(v).n_states(8);
-            let ham = solver.hamiltonian(&Comm::solo(), &p, &mut vec![]).expect("clean build");
+            let ham = solver.hamiltonian(&Comm::solo(), &p).expect("clean build");
             let full = syev(&ham.dense());
             let solution = solver.solve(&p).expect("clean solve");
             assert_eq!(bits(&solution.energies), bits(&full.values[..8]), "{v:?}");
@@ -482,7 +462,7 @@ mod tests {
             for v in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
                 let solver = starved.version(v);
                 for (values, log) in spmd(ranks, |c| {
-                    let ham = solver.hamiltonian(c, &p, &mut vec![]).expect("clean build");
+                    let ham = solver.hamiltonian(c, &p).expect("clean build");
                     let mut log = vec![];
                     (solver.eigensolve(c, &ham, &mut log).values, log)
                 }) {
@@ -520,7 +500,7 @@ mod tests {
         let solo_a = spmd(2, |c| job_a.solve_distributed(c, &p).0);
         let solo_b = spmd(2, |c| job_b.solve_distributed(c, &p).0);
         let batched = spmd(2, |c| {
-            let ham = job_a.hamiltonian(c, &p, &mut vec![]).expect("clean build");
+            let ham = job_a.hamiltonian(c, &p).expect("clean build");
             let eigensolve = |job: Solver| job.eigensolve(c, &ham, &mut vec![]).values;
             (eigensolve(job_a), eigensolve(job_b))
         });
@@ -544,21 +524,17 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_v_tilde_heals_via_clean_rebuild() {
+    fn poisoned_v_tilde_fails_the_build_once() {
         let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p);
-        let baseline = o.version(Version::KmeansIsdf).solve(&p).expect("baseline");
         let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
-        let healed = o.version(Version::KmeansIsdf).solve(&p).expect("ladder heals poison");
-        assert_eq!(campaign.fired(), 1);
-        assert!(
-            healed.recovery.iter().any(|r| r.contains("clean rebuild")),
-            "recovery log: {:?}",
-            healed.recovery
-        );
-        for (a, b) in baseline.energies.iter().zip(&healed.energies) {
-            assert_eq!(a.to_bits(), b.to_bits(), "recovered energies must match fault-free run");
+        match opts(&p).version(Version::KmeansIsdf).solve(&p) {
+            Err(SolveError::Numerical(NumericalError::NonFinite { site, .. })) => {
+                assert_eq!(site, "ham.v_tilde");
+            }
+            Err(other) => panic!("expected NonFinite at ham.v_tilde, got {other}"),
+            Ok(_) => panic!("a poisoned Ṽ solved"),
         }
+        assert_eq!(campaign.fired(), 1);
     }
 
     #[test]
@@ -583,35 +559,33 @@ mod tests {
     }
 
     #[test]
-    fn unrecoverable_double_fault_surfaces_ladder_exhausted() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p);
-        // Two poisonings of the same site: the clean rebuild eats the second
-        // occurrence too, so the build ladder runs out of rungs.
-        let _campaign = arm(
-            FaultPlan::new(9)
-                .with("ham.c", 0, FaultKind::NanPoison)
-                .with("ham.c", 1, FaultKind::NanPoison),
-        );
-        let err = match o.version(Version::KmeansIsdf).solve(&p) {
-            Err(e) => e,
-            Ok(_) => panic!("double fault must exhaust the build ladder"),
-        };
-        match err {
-            SolveError::LadderExhausted { stage, attempts } => {
-                assert_eq!(stage, "isdf.build");
-                assert_eq!(attempts.len(), 2);
-            }
-            other => panic!("expected LadderExhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn fit_residual_guard_rejects_meaningless_basis() {
-        // Direct check of the FitResidual error type through the ladder: a
-        // poisoned fit that somehow survives as garbage must not pass the
-        // sampled-residual guard. Exercised here via the error Display.
-        let e = SolveError::from(NumericalError::FitResidual { residual: 2.0, tolerance: 1.0 });
-        assert!(e.to_string().contains("fit residual"));
+        // 16 points for N_cv = 256 pair functions: no interpolation basis of
+        // that size fits, so the sampled-residual guard refuses the build
+        // after one Θ solve (`repro ablation` (b) at its lowest rank). Other
+        // tests may record while tracing is on, so only this thread's lane
+        // is counted.
+        let p = silicon_like_problem(1, 16, 8);
+        let solver = Solver::default().rank(IsdfRank::Fixed(16));
+        obskit::set_thread_label("fit-residual-guard");
+        obskit::enable();
+        let result = solver.solve(&p);
+        obskit::disable();
+        let trace = obskit::take_trace();
+        match result {
+            Err(SolveError::Numerical(NumericalError::FitResidual { residual, tolerance })) => {
+                assert!(residual > 1.0, "residual {residual} under tolerance {tolerance}");
+            }
+            Err(other) => panic!("expected FitResidual, got {other}"),
+            Ok(s) => panic!("a 16-point basis passed the guard: {:?}", s.energies),
+        }
+        let theta_solves = trace
+            .ranks
+            .iter()
+            .filter(|lane| lane.label == "fit-residual-guard")
+            .flat_map(|lane| &lane.events)
+            .filter(|e| e.kind == obskit::EventKind::Begin && e.name == "theta.solve")
+            .count();
+        assert_eq!(theta_solves, 1, "the build runs once");
     }
 }

@@ -83,8 +83,8 @@ pub struct Solution {
     pub lobpcg_iterations: Option<usize>,
     /// Analytic complexity estimate at these dimensions (paper Table 4).
     pub complexity: ComplexityEstimate,
-    /// Recovery-ladder rungs taken during this solve, in order — empty on a
-    /// clean run. Each entry names what failed and how it was healed.
+    /// Recovery rungs taken during this solve — empty on a clean run, else
+    /// the eigensolver's one `…; dense floor` line naming why LOBPCG failed.
     pub recovery: Vec<String>,
 }
 
@@ -205,7 +205,7 @@ fn select_points(
 /// Failures are typed: a sampled fit-residual guard, the input check
 /// ([`CasidaProblem::check_inputs`]) going in and finiteness guards on
 /// `C` / `Ṽ` coming out. Each is decided on replicated data, so the ranks of
-/// a group fail together, and [`crate::Solver::hamiltonian`] rebuilds once.
+/// a group fail together.
 pub fn build_isdf_hamiltonian(
     comm: &Comm,
     problem: &CasidaProblem,

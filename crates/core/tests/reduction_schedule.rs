@@ -22,9 +22,7 @@ fn kmeans_isdf_build_issues_one_allreduce_per_sweep_plus_two() {
     let serial = kmeans_points(&coords, &w, n_mu, opts);
 
     let calls = spmd(4, |c| {
-        let mut recovery = Vec::new();
-        solver.hamiltonian(c, &problem, &mut recovery).expect("K-Means ISDF build");
-        assert!(recovery.is_empty(), "a clean build takes no recovery rung: {recovery:?}");
+        solver.hamiltonian(c, &problem).expect("K-Means ISDF build");
         c.stats().allreduce.calls
     });
     let want = serial.iterations as u64 + 2;

@@ -6,18 +6,19 @@
 //!   entry, a Gram matrix that lost positive-definiteness, an ISDF fit whose
 //!   residual blew past its guard, a point selector that came back with too
 //!   few points.
-//! * [`SolveError`] — the solver-facing roll-up: iterative breakdown, honest
-//!   non-convergence with the final residual attached, or a recovery ladder
-//!   that ran out of rungs. Carries a `From` impl for the layer below so `?`
-//!   composes across crate boundaries.
+//! * [`SolveError`] — the solver-facing roll-up: an iterative breakdown, or
+//!   a numerical failure from the layer below, which a `From` impl wraps so
+//!   `?` composes across crate boundaries. A failed build is returned once,
+//!   as its typed error: its inputs are fixed, so running it again would
+//!   repeat the same arithmetic.
 //!
 //! A collective has no error: like an MPI collective, it completes once
 //! every rank of its communicator has issued it.
 
 use std::fmt;
 
-/// A kernel-level numerical failure, with enough context to pick a ladder
-/// rung (which buffer, which pivot, how far off the guard was).
+/// A kernel-level numerical failure, with enough context to tell what went
+/// wrong (which buffer, which pivot, how far off the guard was).
 #[derive(Clone, Debug, PartialEq)]
 pub enum NumericalError {
     /// A named buffer contains NaN/Inf; `index` is the first bad element.
@@ -68,35 +69,20 @@ impl std::error::Error for NumericalError {}
 /// cannot produce a usable answer.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolveError {
-    /// The iteration ran out of budget; the best residual reached and the
-    /// iteration count are attached so callers can decide whether to ladder.
-    NotConverged { stage: &'static str, residual: f64, iterations: usize },
     /// The iteration broke down (lost its subspace, produced non-finite
     /// quantities) and cannot meaningfully continue.
     Breakdown { stage: &'static str, iteration: usize, reason: String },
     /// A kernel-level numerical failure bubbled up.
     Numerical(NumericalError),
-    /// Every rung of the recovery ladder was tried and failed; `attempts`
-    /// names each rung in order.
-    LadderExhausted { stage: &'static str, attempts: Vec<String> },
 }
 
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveError::NotConverged { stage, residual, iterations } => write!(
-                f,
-                "{stage} did not converge: residual {residual:.3e} after {iterations} iteration(s)"
-            ),
             SolveError::Breakdown { stage, iteration, reason } => {
                 write!(f, "{stage} broke down at iteration {iteration}: {reason}")
             }
             SolveError::Numerical(e) => write!(f, "numerical failure: {e}"),
-            SolveError::LadderExhausted { stage, attempts } => write!(
-                f,
-                "{stage}: recovery ladder exhausted after [{}]",
-                attempts.join(" -> ")
-            ),
         }
     }
 }
@@ -115,7 +101,7 @@ mod tests {
 
     #[test]
     fn display_carries_context() {
-        let e = SolveError::NotConverged { stage: "lobpcg", residual: 3.2e-5, iterations: 17 };
+        let e = SolveError::Breakdown { stage: "lobpcg", iteration: 17, reason: "rank".into() };
         let s = e.to_string();
         assert!(s.contains("lobpcg") && s.contains("17"), "{s}");
 
@@ -125,15 +111,5 @@ mod tests {
 
         let zero = NumericalError::AllZeroWeights;
         assert!(zero.to_string().contains("all-zero weights"));
-    }
-
-    #[test]
-    fn ladder_exhausted_names_rungs() {
-        let e = SolveError::LadderExhausted {
-            stage: "isdf.build",
-            attempts: vec!["first build".into(), "clean rebuild".into()],
-        };
-        let s = e.to_string();
-        assert!(s.contains("first build -> clean rebuild"), "{s}");
     }
 }

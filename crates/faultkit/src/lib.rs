@@ -8,14 +8,14 @@
 //!
 //! * **Error taxonomy** ([`error`]) — [`NumericalError`] and [`SolveError`]
 //!   with stage/iteration/residual context, so hot failure paths return
-//!   `Result` instead of panicking and recovery ladders can dispatch on
-//!   *why* a stage failed. A collective has no error: it waits for its
+//!   `Result` instead of panicking and a caller can tell *why* a stage
+//!   failed. A collective has no error: it waits for its
 //!   peers, as an MPI collective does.
 //! * **Seeded fault injection** ([`plan`]) — a [`FaultPlan`] fires typed
 //!   faults (NaN/Inf poison of named buffers, a slow peer's comm delay) at
 //!   exact hook-site occurrences, one-shot per rank, with all randomness
 //!   derived from the plan seed. Identical plans ⇒ identical fault
-//!   sequences, so recovery campaigns are reproducible and CI-able.
+//!   sequences, so fault campaigns are reproducible and CI-able.
 //!
 //! Hook calls are no-ops (one thread-local read) when no plan is armed; the
 //! fault-free hot path is unaffected.

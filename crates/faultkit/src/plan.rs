@@ -7,15 +7,15 @@
 //! every rank sees the same plan and per-rank occurrence counters advance in
 //! lockstep — which makes collective faults fire symmetrically.
 //!
-//! Every fault is **one-shot per rank**: once spec `i` fires on rank `r` it
-//! is consumed there, so a recovery retry of the same code path runs clean.
-//! All randomness (which element of a buffer gets poisoned) derives from the
-//! plan seed via SplitMix64, so identical plans produce identical fault
-//! sequences — the determinism gate the campaign runner and the proptest
-//! both rely on.
+//! Every fault is **one-shot per rank**: a spec names one occurrence, and a
+//! rank's occurrence counter for a site only grows, so a spec fires at most
+//! once on each rank. All randomness (which element of a buffer gets
+//! poisoned) derives from the plan seed via SplitMix64, so identical plans
+//! produce identical fault sequences — the determinism gate the campaign
+//! runner and the proptest both rely on.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -99,8 +99,6 @@ struct ArmedState {
     plan: FaultPlan,
     /// Occurrences seen so far, per (site, rank).
     counters: Mutex<HashMap<(String, usize), u64>>,
-    /// Specs already fired, per (spec index, rank) — one-shot consumption.
-    consumed: Mutex<HashSet<(usize, usize)>>,
     events: Mutex<Vec<FaultEvent>>,
 }
 
@@ -113,20 +111,19 @@ impl Handle {
     /// thread's armed state. The serving scheduler builds one of these per
     /// faulted tenant job and installs it only around that job's execution
     /// window ([`install_scoped`]), so co-scheduled tenants never see it.
+    /// [`arm`] builds its campaign's armed state here too.
     pub fn armed(plan: FaultPlan) -> Handle {
         Handle(Arc::new(ArmedState {
             plan,
             counters: Mutex::new(HashMap::new()),
-            consumed: Mutex::new(HashSet::new()),
             events: Mutex::new(Vec::new()),
         }))
     }
 
     /// Every fault fired so far, across all ranks, in a stable order
-    /// (rank-major, then firing order). Same contract as
-    /// [`Campaign::events`], but usable from a detached handle.
+    /// (rank-major, then firing order).
     pub fn events(&self) -> Vec<FaultEvent> {
-        let mut ev = lock_events(&self.0);
+        let mut ev = self.lock_events();
         ev.sort_by(|a, b| {
             (a.rank, &a.site, a.occurrence).cmp(&(b.rank, &b.site, b.occurrence))
         });
@@ -135,7 +132,11 @@ impl Handle {
 
     /// Number of faults fired so far.
     pub fn fired(&self) -> usize {
-        lock_events(&self.0).len()
+        self.lock_events().len()
+    }
+
+    fn lock_events(&self) -> Vec<FaultEvent> {
+        self.0.events.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 }
 
@@ -145,29 +146,17 @@ thread_local! {
 }
 
 /// RAII guard for an armed plan; dropping it disarms the current thread.
+/// It derefs to its [`Handle`] for the fired events.
 pub struct Campaign {
-    state: Arc<ArmedState>,
+    handle: Handle,
 }
 
-impl Campaign {
-    /// Every fault fired so far, across all ranks, in a stable order
-    /// (rank-major, then firing order).
-    pub fn events(&self) -> Vec<FaultEvent> {
-        let mut ev = lock_events(&self.state);
-        ev.sort_by(|a, b| {
-            (a.rank, &a.site, a.occurrence).cmp(&(b.rank, &b.site, b.occurrence))
-        });
-        ev
-    }
+impl std::ops::Deref for Campaign {
+    type Target = Handle;
 
-    /// Number of faults fired so far.
-    pub fn fired(&self) -> usize {
-        lock_events(&self.state).len()
+    fn deref(&self) -> &Handle {
+        &self.handle
     }
-}
-
-fn lock_events(state: &ArmedState) -> Vec<FaultEvent> {
-    state.events.lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
 impl Drop for Campaign {
@@ -178,14 +167,9 @@ impl Drop for Campaign {
 
 /// Arm `plan` on the current thread and return the campaign guard.
 pub fn arm(plan: FaultPlan) -> Campaign {
-    let state = Arc::new(ArmedState {
-        plan,
-        counters: Mutex::new(HashMap::new()),
-        consumed: Mutex::new(HashSet::new()),
-        events: Mutex::new(Vec::new()),
-    });
-    CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&state)));
-    Campaign { state }
+    let handle = Handle::armed(plan);
+    install(Some(handle.clone()));
+    Campaign { handle }
 }
 
 /// The current thread's armed plan, if any — pass to [`install`] in spawned
@@ -246,8 +230,8 @@ fn site_hash(site: &str) -> u64 {
     h
 }
 
-/// Core matcher: bump the (site, rank) counter and return the first armed,
-/// unconsumed spec whose `nth` matches, filtered by `accepts`.
+/// Core matcher: bump the (site, rank) counter and return the first armed
+/// spec whose `nth` matches, filtered by `accepts`.
 fn fire(site: &str, accepts: impl Fn(FaultKind) -> bool) -> Option<(FaultKind, u64, u64)> {
     let state = CURRENT.with(|c| c.borrow().as_ref().map(Arc::clone))?;
     let rank = RANK.with(|r| r.get());
@@ -258,23 +242,12 @@ fn fire(site: &str, accepts: impl Fn(FaultKind) -> bool) -> Option<(FaultKind, u
         *slot += 1;
         occ
     };
-    let mut hit = None;
-    {
-        let mut consumed = state.consumed.lock().unwrap_or_else(|p| p.into_inner());
-        for (i, spec) in state.plan.faults.iter().enumerate() {
-            if spec.site == site
-                && spec.nth == occurrence
-                && accepts(spec.kind)
-                && !consumed.contains(&(i, rank))
-            {
-                consumed.insert((i, rank));
-                hit = Some(spec.kind);
-                break;
-            }
-        }
-    }
-    let kind = hit?;
-    Some((kind, occurrence, state.plan.seed))
+    let spec = state
+        .plan
+        .faults
+        .iter()
+        .find(|spec| spec.site == site && spec.nth == occurrence && accepts(spec.kind))?;
+    Some((spec.kind, occurrence, state.plan.seed))
 }
 
 fn record(site: &str, occurrence: u64, kind: FaultKind, detail: u64) {
@@ -336,7 +309,7 @@ mod tests {
         assert!(inject_slice("buf", &mut buf)); // occurrence 1 fires
         assert_eq!(buf.iter().filter(|v| v.is_nan()).count(), 1);
         let mut buf2 = vec![1.0; 8];
-        assert!(!inject_slice("buf", &mut buf2)); // consumed: retry runs clean
+        assert!(!inject_slice("buf", &mut buf2)); // occurrence 2: past the spec
         assert_eq!(c.fired(), 1);
     }
 

@@ -88,14 +88,13 @@ pub struct JobResult {
     /// Faults that fired during this job (empty unless the job carried a
     /// fault plan).
     pub fault_events: Vec<String>,
-    /// Hamiltonian builds this job's batch ran: 1 for a clean build, 2 when
-    /// [`lrtddft::Solver::hamiltonian`]'s clean rebuild healed a failed one,
-    /// 0 for a cache hit.
+    /// Always 1 for a solved job and 0 for a cache hit: a batch runs its
+    /// build once. Kept only because the frozen ruler under `benchmark/`
+    /// reads it.
     pub attempts: u32,
-    /// Recovery rungs this job's solve took, as in
-    /// [`lrtddft::Solution::recovery`]: the shared build's lines (its clean
-    /// rebuild), then this job's own eigensolve lines (its dense floor).
-    /// Empty for a clean solve and for a cache hit.
+    /// Recovery rungs this job's own eigensolve took, as in
+    /// [`lrtddft::Solution::recovery`] (its dense floor). Empty for a clean
+    /// solve and for a cache hit.
     pub recovery: Vec<String>,
     /// Always `None`: a job runs the solver it was given. Kept only because
     /// the frozen ruler under `benchmark/` reads it.
@@ -110,10 +109,11 @@ pub struct JobResult {
 /// typed error rendering.
 #[derive(Clone, Debug)]
 pub enum JobOutcome {
-    /// Solved (possibly after a rebuild — see [`JobResult::attempts`]).
+    /// Solved.
     Completed(JobResult),
-    /// The batch's build failed past its one clean rebuild (or on defective
-    /// input); `error` is the [`faultkit::SolveError`] rendering.
+    /// The batch's build failed (defective input, a non-finite factor or a
+    /// fit the rank cannot make); `error` is the [`faultkit::SolveError`]
+    /// rendering.
     Failed { error: String },
 }
 

@@ -18,11 +18,11 @@
 //!   ([`JobSpec::with_fault_plan`]) is armed only around that job's own
 //!   execution window on the ranks that run it. Faulted jobs are never
 //!   co-batched and bypass the cache.
-//! - **One build ladder** — a batch's build is
-//!   [`Solver::hamiltonian`](lrtddft::Solver::hamiltonian), whose one clean
-//!   rebuild heals a failed build on the group that ran it. It is the
-//!   service's only recovery: a job always runs its own solver, and its
-//!   [`JobResult::recovery`] lists the rungs its own solve took.
+//! - **One build per batch** — a batch's build is
+//!   [`Solver::hamiltonian`](lrtddft::Solver::hamiltonian), run once; a
+//!   failed build fails every job of the batch with its typed error. The
+//!   service has no recovery of its own: a job always runs its own solver,
+//!   and its [`JobResult::recovery`] lists the rungs its own eigensolve took.
 //!
 //! ```no_run
 //! use served::{JobSpec, ServeConfig, Service};

@@ -9,9 +9,8 @@
 //! fault can never ride along with another tenant's work. A claim changes
 //! no job: every job of a batch runs the solver its spec carries.
 //!
-//! A claimed batch is finished by the group that claimed it: a failed build
-//! is healed there by the one clean rebuild of
-//! [`lrtddft::Solver::hamiltonian`], so a job never re-enters the queue.
+//! A claimed batch is finished by the group that claimed it, and a failed
+//! build fails its jobs there, so a job never re-enters the queue.
 
 use crate::job::{AdmissionError, JobCore};
 use std::collections::VecDeque;

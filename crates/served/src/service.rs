@@ -11,17 +11,16 @@
 //! followers wait on the slot, then the whole group executes the batch in
 //! lockstep (the solve's collectives are the synchronization).
 //!
-//! Resilience: a failed build is healed by the one clean rebuild of
-//! [`lrtddft::Solver::hamiltonian`] — the same build ladder the serial and
-//! distributed solves run — and a build that fails past it fails every job
-//! of its batch with the typed error. A wedged group needs no handling of
-//! its own: every leader pulls from the one shared queue, so its share
+//! Failures: a batch's build is [`lrtddft::Solver::hamiltonian`], run once
+//! as on the serial and distributed doors, and a failed build fails every
+//! job of its batch with its typed error. A wedged group needs no handling
+//! of its own: every leader pulls from the one shared queue, so its share
 //! drains to the other groups.
 //!
 //! SPMD symmetry: the leader publishes the claimed jobs unchanged, every
-//! rank of the group runs each job's own `spec.solver`, and the build ladder
-//! decides on replicated data, so every rank executes the identical
-//! collective sequence and climbs the ladder together.
+//! rank of the group runs each job's own `spec.solver`, and a build fails
+//! on replicated data, so every rank executes the identical collective
+//! sequence and every rank of a failed build skips the eigensolves.
 //!
 //! Tenant isolation invariants (tested here and in `tests/serving.rs`):
 //!
@@ -32,7 +31,7 @@
 //! 2. faulted jobs are never co-batched and never touch the result cache;
 //! 3. fault-free results are bitwise identical to a solo
 //!    [`lrtddft::Solver::solve_distributed`] run at the same group size,
-//!    whatever batching, rebuilds, or scheduling happened around them.
+//!    whatever batching or scheduling happened around them.
 
 use crate::cache::ResultCache;
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobOutcome, JobResult, JobSpec};
@@ -252,11 +251,9 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
 
     group.take_stats(); // discard idle-window stats; build gets a fresh window
     let clock = obskit::StageClock::now();
-    // The build ladder's one clean rebuild is the only build retry: a
-    // failure past it is decided on replicated data, so every rank skips the
+    // A failed build is decided on replicated data, so every rank skips the
     // eigensolves together and the batch fails with the typed error.
-    let mut build_log = Vec::new();
-    let ham = match lead.solver.hamiltonian(group, &lead.problem, &mut build_log) {
+    let ham = match lead.solver.hamiltonian(group, &lead.problem) {
         Ok(ham) => ham,
         Err(e) => {
             if leader {
@@ -267,17 +264,13 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
             return;
         }
     };
-    // The ladder logs its rebuild as the one `isdf.build:` line.
-    let builds = 1 + build_log.iter().filter(|r| r.starts_with("isdf.build:")).count() as u32;
     let build_timings = lrtddft::StageTimings::since(clock);
     let build_stats = group.take_stats();
 
     for job in batch {
         let clock = obskit::StageClock::now();
         let spec = &job.spec;
-        // Each job's log starts from the shared build's and adds only its
-        // own eigensolve's lines.
-        let mut recovery = build_log.clone();
+        let mut recovery = Vec::new();
         let values = spec.solver.eigensolve(group, &ham, &mut recovery).values;
         // The shared build plus this job's own eigensolve.
         let mut timings = build_timings;
@@ -303,7 +296,7 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
             batch_size: batch.len(),
             comm_calls: build_stats.collective_calls + eig_stats.collective_calls,
             fault_events,
-            attempts: builds,
+            attempts: 1,
             recovery,
             degraded: None,
             deadline_missed: false,
@@ -485,42 +478,16 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_job_is_rebuilt_and_heals_to_bitwise_clean_values() {
-        let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
-        let solver = Solver::builder().n_states(2).seed(5).build();
-        let solo = solo_oracle(&problem, &solver, 2);
-
-        let service = Service::start(small_config());
-        let spec = JobSpec::new(3, Arc::clone(&problem))
-            .with_solver(solver)
-            .with_fault_plan(FaultPlan::new(17).with("ham.v_tilde", 0, FaultKind::NanPoison));
-        let res = service.submit(spec).unwrap().wait().expect("rebuilt then solved");
-        assert_eq!(res.attempts, 2, "poisoned first build, clean rebuild");
-        assert_eq!(res.recovery.len(), 1, "the build's one rebuild line: {:?}", res.recovery);
-        assert_eq!(res.degraded, None);
-        assert!(!res.deadline_missed);
-        assert_eq!(res.values, solo, "healed result is bitwise solo-identical");
-        assert!(!res.fault_events.is_empty(), "the injected fault is on the record");
-        assert!(res.values.iter().all(|v| v.is_finite()));
-        service.shutdown();
-    }
-
-    #[test]
-    fn exhausted_retries_fail_terminally() {
+    fn poisoned_job_fails_with_its_typed_error() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
         let service = Service::start(small_config());
-        // The build and its one clean rebuild are both poisoned.
-        let plan = FaultPlan::new(23)
-            .with("ham.v_tilde", 0, FaultKind::NanPoison)
-            .with("ham.v_tilde", 1, FaultKind::NanPoison);
+        let plan = FaultPlan::new(23).with("ham.v_tilde", 0, FaultKind::NanPoison);
         let poisoned = JobSpec::new(8, Arc::clone(&problem)).with_fault_plan(plan);
         match service.submit(poisoned).unwrap().outcome() {
             JobOutcome::Failed { error } => {
-                // `SolveError::LadderExhausted`, rendered.
-                assert!(error.contains("recovery ladder exhausted"), "typed error: {error}");
-                assert!(error.contains("non-finite"), "both attempts named: {error}");
+                assert!(error.contains("non-finite value in `ham.v_tilde`"), "{error}");
             }
-            other => panic!("expected terminal failure, got {other:?}"),
+            other => panic!("expected a typed failure, got {other:?}"),
         }
 
         // The failure is the job's, not the tenant's: its next clean job is

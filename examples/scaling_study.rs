@@ -66,31 +66,15 @@ fn main() {
     println!("\nFull tables: cargo run --release -p bench --bin repro -- fig7");
 }
 
-/// Minimal inline calibration (the bench crate has the full version).
+/// The ISDF build's scaling study, calibrated by one serial build here.
 fn bench_calibration(
     problem: &lrtddft::CasidaProblem,
     n_mu: usize,
 ) -> bench::scaling::ScalingStudy {
-    use bench::scaling::{CommPattern, ScalingStudy, Stage};
     let t = timed_isdf_build(&Comm::solo(), problem, n_mu);
-    ScalingStudy::new(
-        vec![
-            Stage::new(
-                "kmeans",
-                t.kmeans,
-                vec![CommPattern::Allreduce { bytes: 4 * n_mu * 8, times: 30 }],
-            ),
-            Stage::new(
-                "fft",
-                t.fft,
-                vec![CommPattern::Alltoall { global_bytes: problem.n_r() * n_mu * 8, times: 2 }],
-            ),
-            Stage::new(
-                "gemm",
-                t.gemm,
-                vec![CommPattern::Allreduce { bytes: n_mu * n_mu * 8, times: 1 }],
-            ),
-        ],
+    let (n_r, n_v, n_c) = (problem.n_r(), problem.n_v(), problem.n_c());
+    bench::scaling::ScalingStudy::new(
+        bench::scaling::isdf_construct_stages(&t, n_r, n_v, n_c, n_mu),
         parcomm::CostModel::default(),
     )
 }

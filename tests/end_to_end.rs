@@ -64,7 +64,7 @@ fn lobpcg_convergence_matrix() {
         for &k in *ks {
             for v in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
                 let solver = Solver::builder().version(v).n_states(k);
-                let ham = solver.hamiltonian(&Comm::solo(), p, &mut vec![]).expect("clean build");
+                let ham = solver.hamiltonian(&Comm::solo(), p).expect("clean build");
                 let dense = mathkit::lowest(&ham.dense(), k).values;
                 let mut one_rank: Option<Vec<f64>> = None;
                 for ranks in 1..=3 {

@@ -1,10 +1,12 @@
-//! Determinism and recovery properties of the fault-injection subsystem:
-//! identical `FaultPlan` seeds must produce identical fault-event sequences
-//! AND bitwise-identical recovered outputs, for arbitrary seeds and any of
-//! the named injection sites; the recovered eigenvalues must always agree
-//! with a fault-free run to 1e-8 (the ladder acceptance tolerance).
+//! Determinism and outcome of the fault-injection subsystem: identical
+//! `FaultPlan` seeds must produce identical fault-event sequences AND
+//! bitwise-identical outcomes, for arbitrary seeds and any of the named
+//! injection sites. A poisoned build factor (`ham.*`) fails the build once,
+//! with `NonFinite` naming the site; a poisoned LOBPCG direction
+//! (`lobpcg.w`) is healed by the dense floor and agrees with a fault-free
+//! run to 1e-8.
 
-use faultkit::{arm, FaultKind, FaultPlan};
+use faultkit::{arm, FaultKind, FaultPlan, NumericalError, SolveError};
 use lrtddft::problem::{synthetic_problem, CasidaProblem};
 use lrtddft::{IsdfRank, Solver, Version};
 use proptest::prelude::*;
@@ -46,44 +48,77 @@ fn baseline(version: Version) -> Vec<f64> {
     }
 }
 
-/// One armed run: recovered energies, recovery log, rendered fault events.
-fn armed_run(
-    plan: &FaultPlan,
-    version: Version,
-) -> (Vec<f64>, Vec<String>, Vec<String>) {
+/// What an armed serial solve ends in: its energies and recovery log, or
+/// its typed error.
+type Outcome = Result<(Vec<f64>, Vec<String>), SolveError>;
+
+/// One armed run: the outcome and the rendered fault events.
+fn armed_run(plan: &FaultPlan, version: Version) -> (Outcome, Vec<String>) {
     let p = problem();
     let campaign = arm(plan.clone());
-    let sol = opts(p)
-        .version(version)
-        .solve(p)
-        .expect("single injected fault must heal");
+    let outcome = opts(p).version(version).solve(p).map(|s| (s.energies, s.recovery));
     let events = campaign.events().iter().map(|e| e.render()).collect();
-    (sol.energies, sol.recovery, events)
+    (outcome, events)
 }
 
-/// The distributed solve runs the same build behind the same ladder: a
-/// poisoned `Ṽ` is a typed error on every rank (the factors are replicated),
-/// both rebuild, and the healed energies are the clean ones, bit for bit.
-#[test]
-fn poisoned_v_tilde_heals_on_every_rank_of_a_distributed_solve() {
-    let p = problem();
-    let solver = opts(p);
-    let clean = parcomm::spmd(2, |c| solver.solve_distributed(c, p).0);
-    let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
-    let healed = parcomm::spmd(2, |c| solver.solve_distributed(c, p).0);
-    assert_eq!(campaign.fired(), 2, "one poison per rank");
-    for (h, c) in healed.iter().zip(&clean) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(h), bits(c));
+/// The outcome a fault at `site` must end in: a fired `ham.*` poison fails
+/// the one build with `NonFinite` naming the site; a fired `lobpcg.w` poison
+/// is healed by the dense floor, with its log line; and every solve that
+/// returns (healed, or its spec never fired) has the fault-free `clean`
+/// energies to 1e-8.
+fn check_outcome(
+    site: &str,
+    fired: bool,
+    outcome: &Outcome,
+    clean: &[f64],
+) -> Result<(), String> {
+    let build_fault = fired && site.starts_with("ham.");
+    match outcome {
+        Err(SolveError::Numerical(NumericalError::NonFinite { site: got, .. }))
+            if build_fault && got == site =>
+        {
+            Ok(())
+        }
+        Err(e) => Err(format!("{site}: unexpected failure: {e}")),
+        Ok(_) if build_fault => Err(format!("{site}: a poisoned build solved")),
+        Ok((_, recovery)) if fired && recovery.is_empty() => {
+            Err(format!("{site}: healed without a log line"))
+        }
+        Ok((energies, _)) if energies.len() != clean.len() => {
+            Err(format!("{site}: {} energies, fault-free {}", energies.len(), clean.len()))
+        }
+        Ok((energies, _)) if energies.iter().zip(clean).all(|(h, c)| (h - c).abs() < 1e-8) => {
+            Ok(())
+        }
+        Ok((energies, _)) => Err(format!("{site}: {energies:?} vs fault-free {clean:?}")),
     }
 }
 
-/// Every serial site, plus the LOBPCG and `Ṽ` faults on the versions that
-/// reach them by another road: the planned fault fires exactly once, the
-/// ladder logs what it did, and the healed energies are the fault-free ones
-/// to 1e-8.
+/// The distributed door runs the same build: a poisoned `Ṽ` fires once per
+/// rank, and every rank's `hamiltonian` returns the same `NonFinite` (the
+/// factors are replicated, so the guard trips alike everywhere).
 #[test]
-fn every_serial_fault_fires_once_and_heals() {
+fn poisoned_v_tilde_fails_alike_on_every_rank_of_a_distributed_solve() {
+    let p = problem();
+    let solver = opts(p);
+    let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
+    let errors = parcomm::spmd(2, |c| solver.hamiltonian(c, p).map(|_| ()));
+    assert_eq!(campaign.fired(), 2, "one poison per rank");
+    match &errors[0] {
+        Err(SolveError::Numerical(NumericalError::NonFinite { site, .. })) => {
+            assert_eq!(site, "ham.v_tilde");
+        }
+        other => panic!("expected NonFinite at ham.v_tilde, got {other:?}"),
+    }
+    assert_eq!(errors[1], errors[0], "the ranks disagree");
+}
+
+/// Every serial site, plus the LOBPCG and `Ṽ` faults on the versions that
+/// reach them by another road: the planned fault fires exactly once, a
+/// build fault fails typed and a LOBPCG fault heals to the fault-free
+/// energies ([`check_outcome`]).
+#[test]
+fn every_serial_fault_fires_once_and_fails_typed_or_heals() {
     let extra = [
         ("lobpcg.w", FaultKind::NanPoison, Version::KmeansIsdfLobpcg),
         ("ham.v_tilde", FaultKind::NanPoison, Version::ImplicitKmeansIsdfLobpcg),
@@ -91,17 +126,10 @@ fn every_serial_fault_fires_once_and_heals() {
     let p = problem();
     for (site, kind, version) in SITES.into_iter().chain(extra) {
         let clean = opts(p).version(version).solve(p).expect("fault-free solve").energies;
-        let plan = FaultPlan::new(42).with(site, 0, kind);
-        let campaign = arm(plan);
-        let healed = opts(p).version(version).solve(p);
-        assert_eq!(campaign.fired(), 1, "{site} on {version:?} did not fire once");
-        drop(campaign);
-        let healed = healed.unwrap_or_else(|e| panic!("{site} on {version:?} did not heal: {e}"));
-        assert!(!healed.recovery.is_empty(), "{site} on {version:?} healed without a log line");
-        assert_eq!(healed.energies.len(), clean.len());
-        for (h, c) in healed.energies.iter().zip(&clean) {
-            assert!((h - c).abs() < 1e-8, "{site} on {version:?}: {h} vs fault-free {c}");
-        }
+        let (outcome, events) = armed_run(&FaultPlan::new(42).with(site, 0, kind), version);
+        assert_eq!(events.len(), 1, "{site} on {version:?} did not fire once");
+        check_outcome(site, true, &outcome, &clean)
+            .unwrap_or_else(|e| panic!("{version:?}: {e}"));
     }
 }
 
@@ -146,8 +174,8 @@ fn late_peer_delays_a_distributed_solve_without_a_recovery_rung() {
     let solver = opts(p).version(Version::ImplicitKmeansIsdfLobpcg);
     let run = || {
         parcomm::spmd(2, |c| {
+            let ham = solver.hamiltonian(c, p).expect("build");
             let mut recovery = Vec::new();
-            let ham = solver.hamiltonian(c, p, &mut recovery).expect("build");
             let values = solver.eigensolve(c, &ham, &mut recovery).values;
             (values, recovery)
         })
@@ -170,8 +198,8 @@ fn late_peer_delays_a_distributed_solve_without_a_recovery_rung() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Same seed ⇒ same fault sequence ⇒ same bits out; and the healed
-    /// result stays within the acceptance tolerance of the fault-free run.
+    /// Same seed ⇒ same fault sequence ⇒ same outcome, to the bit; and the
+    /// outcome is the one [`check_outcome`] demands of the site.
     #[test]
     fn same_seed_campaigns_are_bit_reproducible(
         seed in 0u64..u64::MAX,
@@ -181,24 +209,16 @@ proptest! {
         let (site, kind, version) = SITES[site_ix];
         let plan = FaultPlan::new(seed).with(site, occurrence, kind);
 
-        let (e1, r1, ev1) = armed_run(&plan, version);
-        let (e2, r2, ev2) = armed_run(&plan, version);
+        let (o1, ev1) = armed_run(&plan, version);
+        let (o2, ev2) = armed_run(&plan, version);
 
         prop_assert_eq!(&ev1, &ev2, "fault-event sequences diverged");
-        prop_assert_eq!(&r1, &r2, "recovery logs diverged");
-        prop_assert_eq!(e1.len(), e2.len());
-        for (a, b) in e1.iter().zip(&e2) {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "recovered output not bitwise stable");
-        }
-
-        let base = baseline(version);
-        prop_assert_eq!(e1.len(), base.len());
-        for (a, b) in base.iter().zip(&e1) {
-            prop_assert!(
-                (a - b).abs() < 1e-8,
-                "healed eigenvalue {} vs fault-free {} (events {:?})", b, a, ev1
-            );
-        }
+        let bits = |o: &Outcome| {
+            o.clone().map(|(e, r)| (e.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), r))
+        };
+        prop_assert_eq!(bits(&o1), bits(&o2), "outcome not bitwise stable");
+        let checked = check_outcome(site, !ev1.is_empty(), &o1, &baseline(version));
+        prop_assert!(checked.is_ok(), "{} (events {:?})", checked.unwrap_err(), ev1);
     }
 
     /// Different seeds may pick different poison elements, but the event
@@ -208,8 +228,8 @@ proptest! {
         let (site, kind, version) = SITES[0];
         let pa = FaultPlan::new(seed_a).with(site, 0, kind);
         let pb = FaultPlan::new(seed_b).with(site, 0, kind);
-        let (_, _, ev_a) = armed_run(&pa, version);
-        let (_, _, ev_b) = armed_run(&pb, version);
+        let (_, ev_a) = armed_run(&pa, version);
+        let (_, ev_b) = armed_run(&pb, version);
         prop_assert_eq!(ev_a.len(), 1);
         prop_assert_eq!(ev_b.len(), 1);
         prop_assert!(ev_a[0].contains("ham.c") && ev_b[0].contains("ham.c"));

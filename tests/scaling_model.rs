@@ -2,7 +2,7 @@
 //! feed the α–β extrapolation (the Fig. 7/8 methodology), and the redistri-
 //! bution layer holds under randomized shapes.
 
-use bench::scaling::{CommPattern, ScalingStudy, Stage};
+use bench::scaling::{isdf_construct_stages, CommPattern, ScalingStudy, Stage};
 use lrtddft::problem::silicon_like_problem;
 use lrtddft::{build_isdf_hamiltonian, Solver, StageTimings};
 use parcomm::{block_ranges, spmd, Comm, CostModel};
@@ -18,26 +18,8 @@ fn calibrated_isdf_study_has_paper_shape() {
     let selector = Solver::builder().kmeans_selector();
     build_isdf_hamiltonian(&Comm::solo(), &p, selector, n_mu).expect("clean build");
     let t = StageTimings::since(clock);
-    let study = ScalingStudy::new(
-        vec![
-            Stage::new(
-                "kmeans",
-                t.kmeans,
-                vec![CommPattern::Allreduce { bytes: 4 * n_mu * 8, times: 30 }],
-            ),
-            Stage::new(
-                "fft",
-                t.fft,
-                vec![CommPattern::Alltoall { global_bytes: p.n_r() * n_mu * 8, times: 2 }],
-            ),
-            Stage::new(
-                "gemm",
-                t.gemm,
-                vec![CommPattern::Allreduce { bytes: n_mu * n_mu * 8, times: 1 }],
-            ),
-        ],
-        CostModel::default(),
-    );
+    let stages = isdf_construct_stages(&t, p.n_r(), p.n_v(), p.n_c(), n_mu);
+    let study = ScalingStudy::new(stages, CostModel::default());
     let rows = study.strong_scaling(&[128, 256, 512, 1024, 2048]);
     assert!((rows[0].parallel_efficiency - 1.0).abs() < 1e-12);
     for w in rows.windows(2) {

@@ -9,7 +9,7 @@
 use faultkit::{FaultKind, FaultPlan};
 use lrtddft::{synthetic_problem, Solver};
 use parcomm::spmd;
-use served::{JobSpec, ServeConfig, Service};
+use served::{JobOutcome, JobSpec, ServeConfig, Service};
 use std::sync::{Arc, Mutex};
 
 static OBSKIT_LOCK: Mutex<()> = Mutex::new(());
@@ -79,10 +79,9 @@ fn concurrent_same_shape_solves_share_fft_plan_cache() {
 /// Tenant A carries a NaN- or Inf-poison plan against the distributed
 /// Hamiltonian build; tenant B submits the same structure clean,
 /// co-scheduled on the same service. B's eigenvalues must be bitwise
-/// identical to a fault-free solo run at the group size; A is healed by the
-/// build ladder (the one-shot fault fires on the first build, the clean
-/// rebuild on the same group runs pristine) and must observe its own fault in
-/// its event log — and nothing else.
+/// identical to a fault-free solo run at the group size; A's one build fails
+/// its finiteness guard, so A ends with the typed error naming the poisoned
+/// site.
 #[test]
 fn poisoned_tenant_never_contaminates_coscheduled_victim() {
     let problem = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
@@ -97,23 +96,17 @@ fn poisoned_tenant_never_contaminates_coscheduled_victim() {
         let clean = JobSpec::new(0xb, Arc::clone(&problem)).with_solver(solver);
         let ha = service.submit(poisoned).expect("attacker admitted");
         let hb = service.submit(clean).expect("victim admitted");
-        let ra = ha.wait().expect("attacker completes");
+        let ra = ha.outcome();
         let rb = hb.wait().expect("victim completes");
         service.shutdown();
 
-        // The rebuild runs on the ranks whose one-shot fault already fired.
-        assert_eq!(ra.attempts, 2, "{kind:?}: poisoned first build, clean rebuild");
-        assert!(
-            ra.values.iter().zip(&solo).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{kind:?}: rebuilt attacker converges to the clean result: {:?}",
-            ra.values
-        );
-        assert!(!ra.fault_events.is_empty(), "injected fault must be logged on the attacker");
-        assert!(
-            ra.fault_events.iter().all(|e| e.contains("ham.v_tilde")),
-            "events name the poisoned site: {:?}",
-            ra.fault_events
-        );
+        match ra {
+            JobOutcome::Failed { error } => assert!(
+                error.contains("non-finite value in `ham.v_tilde`"),
+                "{kind:?}: the typed error names the poisoned site: {error}"
+            ),
+            other => panic!("{kind:?}: a poisoned build must fail the attacker, got {other:?}"),
+        }
 
         assert_eq!(rb.values.len(), solo.len());
         assert!(

@@ -74,30 +74,36 @@ fn live_stage_clock_matches_trace_rollup_on_pipeline() {
 }
 
 #[test]
-fn recovered_solve_counts_both_build_attempts_once() {
+fn poisoned_solve_opens_each_build_span_once_and_closes_all() {
     let _g = exclusive();
     let p = lrtddft::synthetic_problem([8, 8, 8], 6.0, 2, 2);
     let solver = lrtddft::Solver::builder()
         .version(lrtddft::Version::KmeansIsdf)
         .rank(IsdfRank::Fixed(p.n_cv()))
         .build();
-    let clean = solver.solve(&p).expect("clean solve");
 
-    // Poisoned `C` factor: the first build fails its finiteness guard after
-    // the K-Means, Θ, FFT and GEMM stages ran; the clean rebuild runs them
-    // all again.
+    // Poisoned `C` factor: the build fails its finiteness guard after the
+    // K-Means, Θ, FFT and GEMM stages ran, and is not run again.
     let campaign = faultkit::arm(
         faultkit::FaultPlan::new(3).with("ham.c", 0, faultkit::FaultKind::NanPoison),
     );
     obskit::enable();
     let t0 = Instant::now();
-    let healed = solver.solve(&p).expect("build ladder heals the poison");
+    let clock = obskit::StageClock::now();
+    let failed = solver.solve(&p);
+    let live = StageTimings::since(clock);
     let wall = t0.elapsed().as_secs_f64();
     obskit::disable();
     let trace = obskit::take_trace();
     assert_eq!(campaign.fired(), 1);
-    assert!(healed.recovery.iter().any(|r| r.contains("clean rebuild")), "{:?}", healed.recovery);
-    assert_eq!(healed.energies, clean.energies);
+    match failed {
+        Err(faultkit::SolveError::Numerical(faultkit::NumericalError::NonFinite {
+            site, ..
+        })) => assert_eq!(site, "ham.c"),
+        Err(other) => panic!("expected NonFinite at ham.c, got {other}"),
+        Ok(_) => panic!("a poisoned C solved"),
+    }
+    trace.validate().expect("every span of the failed build closes");
 
     let builds = |name: &str| {
         trace
@@ -107,15 +113,15 @@ fn recovered_solve_counts_both_build_attempts_once() {
             .filter(|e| e.kind == obskit::EventKind::Begin && e.name == name)
             .count()
     };
-    assert_eq!(builds("theta.solve"), 2, "failed attempt + rebuild");
-    assert_eq!(builds("v_tilde.contract"), 2);
+    assert_eq!(builds("theta.solve"), 1, "one build, no rerun");
+    assert_eq!(builds("v_tilde.contract"), 1);
     // The serial solve is the one-rank case on a solo communicator, whose
     // collectives return before they open a span.
     let events = trace.ranks.iter().flat_map(|r| r.events.iter());
     assert_eq!(events.filter(|e| e.name.starts_with("mpi:")).count(), 0);
     let rollup = StageTimings::from_trace(&trace, obskit::thread_rank());
-    assert_live_matches_rollup("recovered solve", &healed.timings, &rollup);
-    assert!(healed.timings.theta > 0.0 && healed.timings.total() <= wall);
+    assert_live_matches_rollup("failed solve", &live, &rollup);
+    assert!(live.theta > 0.0 && live.total() <= wall);
 }
 
 #[test]
