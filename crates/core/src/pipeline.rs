@@ -9,12 +9,12 @@
 //! [`gram_pipelined_reduce`] is the paper's optimization, kept as the Fig. 5
 //! reproduction (`repro fig5`, `benches/pipeline.rs`) and not called by any
 //! solve: the output columns are split into per-rank chunks (Fig. 4); each
-//! chunk is GEMMed and its `ireduce` to the owning rank is issued
-//! **nonblocking**, and waited on only after this rank has GEMMed chunk
-//! `q+1` (Fig. 5). The in-flight window is bounded at one chunk, which preserves
-//! the `1/P` peak-memory property. Ranks here are threads that complete a
-//! reduction inside its `wait`, so the window buys the paper's memory bound,
-//! not hidden communication time, and it ran slower than the allreduce
+//! chunk is GEMMed, then `reduce_sum`'d to its owning rank (Fig. 5). A
+//! non-root rank returns from a reduce at its deposit and goes on to GEMM
+//! the next chunk, so a rank holds one chunk plus its own piece: the `1/P`
+//! peak-memory property. Ranks here are threads whose root completes the
+//! reduction itself, so the schedule buys the paper's memory bound, not
+//! hidden communication time, and it ran slower than the allreduce
 //! (DESIGN §11).
 //!
 //! Both contractions, `V_Hxc = P_vcᵀ(f_Hxc P_vc)` and `Ṽ = Wᵀ(f_Hxc W)`, are
@@ -26,7 +26,7 @@
 use mathkit::gemm::symm_tn;
 use mathkit::Mat;
 use parcomm::layout::block_ranges;
-use parcomm::{Comm, Request};
+use parcomm::Comm;
 
 /// Result of a distributed Gram-matrix build.
 pub struct GramResult {
@@ -67,9 +67,8 @@ pub fn gram_allreduce(
 }
 
 /// Pipelined path: per-destination column chunks of the same symmetric
-/// product, each computed and then `ireduce`d to its owner while the *next*
-/// chunk is computed (Fig. 5). Rank `r` returns only columns
-/// `block_ranges(n, P)[r]`.
+/// product, each computed and then reduced to its owner (Fig. 5). Rank `r`
+/// returns only columns `block_ranges(n, P)[r]`.
 pub fn gram_pipelined_reduce(comm: &Comm, a_local: &Mat, b_local: &Mat, scale: f64) -> GramResult {
     let p = comm.size();
     let n = b_local.ncols();
@@ -77,29 +76,15 @@ pub fn gram_pipelined_reduce(comm: &Comm, a_local: &Mat, b_local: &Mat, scale: f
     let my_range = ranges[comm.rank()].clone();
     let mut mine = Mat::zeros(n, my_range.len());
     let mut peak_words = 0usize;
-    // Window-2 pipeline: at most one chunk's reduce in flight while the
-    // next chunk is computed. Bounding the window keeps peak memory at
-    // ~2 chunks + my piece, still `O(1/P)` of the full matrix.
-    let mut in_flight: Option<(usize, usize, Request)> = None;
-    let finish = |slot: Option<(usize, usize, Request)>, mine: &mut Mat| {
-        if let Some((owner, cols, rq)) = slot {
-            let out = rq.wait();
-            if owner == comm.rank() {
-                *mine = Mat::from_vec(n, cols, out);
-            }
-        }
-    };
     for (owner, range) in ranges.iter().enumerate() {
-        // Compute only this chunk of output columns while the previous
-        // chunk's reduce is in flight. A zero-length chunk's ireduce keeps
-        // the op-id schedule aligned.
+        // A zero-length chunk's reduce keeps the op ids aligned.
         let v_chunk = symm_tn(scale, a_local, b_local, range.clone()).into_vec();
-        let prev_words = in_flight.as_ref().map_or(0, |(_, len, _)| n * *len);
-        peak_words = peak_words.max(v_chunk.len() + prev_words + mine.as_slice().len());
-        finish(in_flight.take(), &mut mine);
-        in_flight = Some((owner, range.len(), comm.ireduce_sum(v_chunk, owner)));
+        peak_words = peak_words.max(v_chunk.len() + mine.as_slice().len());
+        let out = comm.reduce_sum(v_chunk, owner);
+        if owner == comm.rank() {
+            mine = Mat::from_vec(n, range.len(), out);
+        }
     }
-    finish(in_flight.take(), &mut mine);
     GramResult { local: mine, col_range: my_range, peak_words }
 }
 

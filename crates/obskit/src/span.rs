@@ -206,14 +206,23 @@ impl Span {
     pub fn is_recording(&self) -> bool {
         self.live
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
+    /// Close the span now and return its duration in seconds: the same two
+    /// clock readings the stage clock charges, so a caller that accounts
+    /// this duration agrees with the stage clock exactly.
+    pub fn close(mut self) -> f64 {
+        let ns = self.end();
+        // `end` has taken the args, so forgetting the guard leaks nothing.
+        std::mem::forget(self);
+        ns as f64 * 1e-9
+    }
+
+    /// Record the close; returns the span's duration in nanoseconds.
+    fn end(&mut self) -> u64 {
         let ts_ns = now_ns();
         STREAM.with(|s| {
             let mut st = s.borrow_mut();
-            st.clock.close(ts_ns);
+            let dur = st.clock.close(ts_ns).map_or(0, |(dur, _)| dur);
             if self.live {
                 st.events.push(Event {
                     kind: EventKind::End { aborted: std::thread::panicking() },
@@ -227,7 +236,14 @@ impl Drop for Span {
                     st.flush();
                 }
             }
-        });
+            dur
+        })
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.end();
     }
 }
 

@@ -1,17 +1,16 @@
-//! The SPMD runtime: thread ranks and the blocking collectives.
+//! The SPMD runtime: thread ranks and the collectives.
 //!
-//! Every collective — blocking or not — runs on the thread that calls it:
-//! the blocking API below is *issue, then wait* over the request machinery
-//! in [`crate::requests`], so the two paths are one implementation and stay
-//! bitwise-identical by construction, and every wait ends the same way: when
-//! every peer has issued. Blocking calls account under their own op labels
-//! (`allreduce`, `allgatherv`, …), `ireduce_sum` under `ireduce`.
+//! Every collective is one blocking call on the thread that calls it: the
+//! rank deposits, completes the op once every peer has deposited and
+//! releases the op's cell (`cell.rs`), all inside one private method
+//! that `allreduce_sum`, `allgatherv`, `alltoallv` and `reduce_sum` call.
+//! So every collective ends the same way — when every peer has deposited —
+//! and opens one `mpi:*` span and makes one stats charge for its whole call.
 
-use crate::requests::{complete_chunks, complete_vals, Deposit, OpCell};
+use crate::cell::{Deposit, OpCell};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// `lock()` with poison-recovery: a panicked rank already aborts the SPMD
 /// scope, so recovering the data here never observes a torn slot.
@@ -35,9 +34,8 @@ pub struct CommStats {
     pub bytes_sent: u64,
     /// Number of collective calls.
     pub collective_calls: u64,
-    /// Wall-clock seconds actually spent inside collectives (measured):
-    /// the whole call for the blocking API, issue + `wait()` time for the
-    /// request API.
+    /// Wall-clock seconds actually spent inside collectives (measured), each
+    /// call charged whole.
     pub measured_seconds: f64,
     /// Per-operation breakdowns; their `calls`/`bytes`/`seconds` sum to the
     /// aggregate fields above.
@@ -45,8 +43,8 @@ pub struct CommStats {
     pub allgatherv: OpStats,
     pub alltoallv: OpStats,
     pub barrier: OpStats,
-    /// The nonblocking reduce-to-root ([`Comm::ireduce_sum`]).
-    pub ireduce: OpStats,
+    /// The reduce-to-root ([`Comm::reduce_sum`]).
+    pub reduce: OpStats,
 }
 
 impl CommStats {
@@ -58,29 +56,29 @@ impl CommStats {
             ("allgatherv", self.allgatherv),
             ("alltoallv", self.alltoallv),
             ("barrier", self.barrier),
-            ("ireduce", self.ireduce),
+            ("reduce", self.reduce),
         ]
     }
 }
 
 /// Which collective an accounting entry, span and fault site belong to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Op {
+enum Op {
     Allreduce,
     Allgatherv,
     Alltoallv,
     Barrier,
-    Ireduce,
+    Reduce,
 }
 
 impl Op {
-    pub(crate) fn span_name(self) -> &'static str {
+    fn span_name(self) -> &'static str {
         match self {
             Op::Allreduce => "mpi:allreduce",
             Op::Allgatherv => "mpi:allgatherv",
             Op::Alltoallv => "mpi:alltoallv",
             Op::Barrier => "mpi:barrier",
-            Op::Ireduce => "mpi:ireduce",
+            Op::Reduce => "mpi:reduce",
         }
     }
 
@@ -90,23 +88,18 @@ impl Op {
             Op::Allgatherv => &mut stats.allgatherv,
             Op::Alltoallv => &mut stats.alltoallv,
             Op::Barrier => &mut stats.barrier,
-            Op::Ireduce => &mut stats.ireduce,
+            Op::Reduce => &mut stats.reduce,
         }
-    }
-
-    /// Whether this is a request-API op (its waits are traced and charged).
-    pub(crate) fn is_request(self) -> bool {
-        self == Op::Ireduce
     }
 
     /// Fault-hook site of an op that deposits (every op but the barrier),
     /// named after the op.
-    pub(crate) fn fault_site(self) -> &'static str {
+    fn fault_site(self) -> &'static str {
         match self {
             Op::Allreduce => "comm.allreduce",
             Op::Allgatherv => "comm.allgatherv",
             Op::Alltoallv => "comm.alltoallv",
-            Op::Ireduce => "comm.ireduce",
+            Op::Reduce => "comm.reduce",
             Op::Barrier => unreachable!("a barrier deposits nothing"),
         }
     }
@@ -119,7 +112,7 @@ pub(crate) struct Shared {
     world_size: usize,
     pub(crate) barrier: Barrier,
     /// Collectives in flight, by op id. A cell leaves once every rank has
-    /// waited on or dropped its request for it.
+    /// released it.
     pub(crate) ops: Mutex<HashMap<u64, Arc<OpCell>>>,
     /// Sub-communicator rendezvous for [`Comm::split`], keyed by
     /// `(split sequence number, color)`. The entry is removed once every
@@ -152,8 +145,8 @@ pub struct Comm {
     pub(crate) rank: usize,
     pub(crate) shared: Arc<Shared>,
     stats: Cell<CommStats>,
-    /// Per-rank issue counter; SPMD issue order pairs op `n` here with op
-    /// `n` on every other rank.
+    /// Per-rank op counter; SPMD call order pairs op `n` here with op `n`
+    /// on every other rank.
     next_op: Cell<u64>,
     /// Per-rank [`Comm::split`] counter; splits pair up across ranks by call
     /// order exactly like collectives pair by op id.
@@ -215,20 +208,13 @@ impl Comm {
         self.stats.set(s);
     }
 
-    /// Charge `dt` seconds a request waited to its op.
-    pub(crate) fn charge_wait(&self, op: Op, dt: f64) {
-        self.charge(|s| {
-            s.measured_seconds += dt;
-            op.slot(s).seconds += dt;
-        });
-    }
-
-    /// Charge one collective call: its bytes and the wall time since `t0`.
-    /// `span` was opened at the op's entry, so span-derived stage timings
-    /// match `measured_seconds`; it gets its `bytes` arg here and closes on
-    /// drop.
-    pub(crate) fn account(&self, op: Op, bytes: usize, t0: Instant, span: obskit::Span) {
-        let seconds = t0.elapsed().as_secs_f64();
+    /// Charge one collective call: its bytes and the duration of `span`,
+    /// which was opened at the op's entry and closes here — so span-derived
+    /// stage timings are `measured_seconds`.
+    fn account(&self, op: Op, bytes: usize, mut span: obskit::Span) {
+        span.arg("bytes", bytes as f64);
+        obskit::add_bytes_moved(bytes as u64);
+        let seconds = span.close();
         self.charge(|s| {
             s.bytes_sent += bytes as u64;
             s.collective_calls += 1;
@@ -238,17 +224,38 @@ impl Comm {
             slot.bytes += bytes as u64;
             slot.seconds += seconds;
         });
-        obskit::add_bytes_moved(bytes as u64);
-        let mut span = span;
-        span.arg("bytes", bytes as f64);
     }
 
-    /// Per-rank monotone op id; SPMD issue order matches op `n` here with
-    /// op `n` on every other rank.
-    pub(crate) fn next_op_id(&self) -> u64 {
+    /// Run one collective on this rank, charged whole to `op`: a `CommDelay`
+    /// at its fault site makes this rank late (it sleeps before it
+    /// deposits); then it deposits `dep`, completes the op with `complete`
+    /// once every peer has deposited, and releases the op's cell — the last
+    /// rank out retires it from the op table.
+    fn collective<T>(
+        &self,
+        op: Op,
+        bytes: usize,
+        dep: Deposit,
+        complete: fn(&OpCell, usize) -> T,
+    ) -> T {
+        let span = obskit::span(obskit::Stage::Mpi, op.span_name());
+        if let Some(delay) = faultkit::comm_fault(op.fault_site()) {
+            std::thread::sleep(delay);
+        }
         let id = self.next_op.get();
         self.next_op.set(id + 1);
-        id
+        let cell = Arc::clone(
+            lock(&self.shared.ops)
+                .entry(id)
+                .or_insert_with(|| Arc::new(OpCell::new(self.size(), &dep))),
+        );
+        cell.deposit(id, self.rank, dep);
+        let out = complete(&cell, self.rank);
+        if cell.release() {
+            lock(&self.shared.ops).remove(&id);
+        }
+        self.account(op, bytes, span);
+        out
     }
 
     /// Synchronize all ranks.
@@ -258,14 +265,13 @@ impl Comm {
         }
         let op = Op::Barrier;
         let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
         self.shared.barrier.wait();
-        self.account(op, 0, t0, sp);
+        self.account(op, 0, sp);
     }
 
     /// In-place sum-allreduce of `buf` across all ranks: every element is
     /// summed over the ranks in ascending rank order from `+0.0`. Returns
-    /// once every rank has issued it, however late a peer comes.
+    /// once every rank has deposited, however late a peer comes.
     ///
     /// This is the one allreduce, and callers pack every field a step needs
     /// side by side into one buffer for it: summation is element-wise, so
@@ -279,13 +285,22 @@ impl Comm {
         if p == 1 {
             return;
         }
-        let op = Op::Allreduce;
-        let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
         let deposit = Deposit::Reduce { root: None, buf: buf.to_vec() };
-        let out = self.issue(op, deposit, complete_vals).wait();
+        let out = self.collective(Op::Allreduce, buf.len() * 8, deposit, OpCell::vals);
         buf.copy_from_slice(&out);
-        self.account(op, buf.len() * 8, t0, sp);
+    }
+
+    /// Sum-reduce `data` to `root`, the `MPI_Reduce` of the paper's Fig. 5.
+    /// On `root` it returns the ascending-rank fold, bitwise equal to
+    /// [`Comm::allreduce_sum`]; every other rank returns an empty vector at
+    /// its deposit, which is all a non-root rank owes.
+    pub fn reduce_sum(&self, data: Vec<f64>, root: usize) -> Vec<f64> {
+        if self.size() == 1 {
+            return data;
+        }
+        let bytes = data.len() * 8;
+        let deposit = Deposit::Reduce { root: Some(root), buf: data };
+        self.collective(Op::Reduce, bytes, deposit, OpCell::vals)
     }
 
     /// Variable all-gather: every rank contributes `mine`, receives the
@@ -295,12 +310,8 @@ impl Comm {
         if p == 1 {
             return mine.to_vec();
         }
-        let op = Op::Allgatherv;
-        let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
-        let out = self.issue(op, Deposit::Gather(mine.to_vec()), complete_vals).wait();
-        self.account(op, mine.len() * 8, t0, sp);
-        out
+        let deposit = Deposit::Gather(mine.to_vec());
+        self.collective(Op::Allgatherv, mine.len() * 8, deposit, OpCell::vals)
     }
 
     /// Variable all-to-all: `send[q]` goes to rank `q`; returns what every
@@ -311,13 +322,8 @@ impl Comm {
         if p == 1 {
             return send;
         }
-        let op = Op::Alltoallv;
-        let sp = obskit::span(obskit::Stage::Mpi, op.span_name());
-        let t0 = Instant::now();
         let sent_bytes: usize = send.iter().map(|c| c.len() * 8).sum();
-        let recv = self.issue(op, Deposit::Alltoall(send), complete_chunks).wait();
-        self.account(op, sent_bytes, t0, sp);
-        recv
+        self.collective(Op::Alltoallv, sent_bytes, Deposit::Alltoall(send), OpCell::chunks)
     }
 
     /// Split this communicator into disjoint sub-communicators: ranks with
@@ -524,7 +530,7 @@ mod tests {
             c.allreduce_sum(&mut buf);
             let _ = c.allgatherv(&buf);
             let _ = c.alltoallv(vec![vec![1.0], vec![2.0]]);
-            let _ = c.ireduce_sum(buf.clone(), 0).wait();
+            let _ = c.reduce_sum(buf.clone(), 0);
             c.barrier();
             c.stats()
         });
@@ -532,7 +538,7 @@ mod tests {
             assert_eq!(s.allreduce.calls, 1);
             assert_eq!(s.allgatherv.calls, 1);
             assert_eq!(s.alltoallv.calls, 1);
-            assert_eq!(s.ireduce.calls, 1);
+            assert_eq!(s.reduce.calls, 1);
             assert_eq!(s.barrier.calls, 1);
             let per: [(&str, OpStats); 5] = s.per_op();
             let calls: u64 = per.iter().map(|(_, o)| o.calls).sum();
@@ -590,14 +596,14 @@ mod tests {
     #[test]
     fn single_rank_everything_is_identity() {
         // The solo communicator lives on the calling thread; its collectives
-        // — blocking and request-based — are identities that account nothing.
+        // are identities that account nothing.
         let c = Comm::solo();
         let mut buf = vec![3.0];
         c.barrier();
         c.allreduce_sum(&mut buf);
         assert_eq!(c.allgatherv(&buf), vec![3.0]);
         assert_eq!(c.alltoallv(vec![vec![1.0, 2.0]]), vec![vec![1.0, 2.0]]);
-        assert_eq!(c.ireduce_sum(buf.clone(), 0).wait(), vec![3.0]);
+        assert_eq!(c.reduce_sum(buf.clone(), 0), vec![3.0]);
         assert_eq!(buf, vec![3.0]);
         assert_eq!(c.stats(), CommStats::default());
     }

@@ -6,7 +6,7 @@
 use parcomm::{spmd, Comm};
 use proptest::prelude::*;
 
-/// Deterministic pseudo-random payload (same generator as tests/requests.rs).
+/// Deterministic pseudo-random payload (same generator as tests/collectives.rs).
 fn fill(seed: u64, len: usize) -> Vec<f64> {
     let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(0x2545f491);
     (0..len)

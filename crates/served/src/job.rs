@@ -113,8 +113,9 @@ pub enum JobOutcome {
     Completed(JobResult),
     /// The batch's build failed (defective input, a non-finite factor or a
     /// fit the rank cannot make); `error` is the [`faultkit::SolveError`]
-    /// rendering.
-    Failed { error: String },
+    /// rendering and `fault_events` the faults that fired, as in
+    /// [`JobResult::fault_events`].
+    Failed { error: String, fault_events: Vec<String> },
 }
 
 /// Shared core of a job: spec + terminal outcome + completion signalling.

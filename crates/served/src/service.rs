@@ -256,9 +256,12 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
     let ham = match lead.solver.hamiltonian(group, &lead.problem) {
         Ok(ham) => ham,
         Err(e) => {
+            // Every rank has recorded its faults once the group has met.
+            group.barrier();
             if leader {
                 for job in batch {
-                    job.finish(JobOutcome::Failed { error: e.to_string() });
+                    let fault_events = fault_events(&job.spec);
+                    job.finish(JobOutcome::Failed { error: e.to_string(), fault_events });
                 }
             }
             return;
@@ -284,11 +287,7 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
         if spec.fault.is_none() {
             shared.cache.put(cache_key(spec), values.clone());
         }
-        let fault_events = spec
-            .fault
-            .as_ref()
-            .map(|h| h.events().iter().map(|e| e.render()).collect())
-            .unwrap_or_default();
+        let fault_events = fault_events(spec);
         job.finish(JobOutcome::Completed(JobResult {
             values,
             timings,
@@ -302,6 +301,11 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
             deadline_missed: false,
         }));
     }
+}
+
+/// The rendered faults that fired during a job (empty without a plan).
+fn fault_events(spec: &JobSpec) -> Vec<String> {
+    spec.fault.as_ref().map(|h| h.events().iter().map(|e| e.render()).collect()).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -484,7 +488,7 @@ mod tests {
         let plan = FaultPlan::new(23).with("ham.v_tilde", 0, FaultKind::NanPoison);
         let poisoned = JobSpec::new(8, Arc::clone(&problem)).with_fault_plan(plan);
         match service.submit(poisoned).unwrap().outcome() {
-            JobOutcome::Failed { error } => {
+            JobOutcome::Failed { error, .. } => {
                 assert!(error.contains("non-finite value in `ham.v_tilde`"), "{error}");
             }
             other => panic!("expected a typed failure, got {other:?}"),

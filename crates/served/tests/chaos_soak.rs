@@ -89,7 +89,7 @@ fn soak(jobs: Vec<(u64, usize, JobSpec)>) -> Vec<Record> {
                             assert_eq!(r.attempts, builds, "tenant {tenant} job {index}");
                             ("completed", r.values.iter().map(|v| v.to_bits()).collect())
                         }
-                        JobOutcome::Failed { error } => {
+                        JobOutcome::Failed { error, .. } => {
                             let job = format!("tenant {tenant} job {index}");
                             assert!(error.contains("non-finite"), "{job}: {error}");
                             ("failed", vec![])

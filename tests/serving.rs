@@ -81,7 +81,7 @@ fn concurrent_same_shape_solves_share_fft_plan_cache() {
 /// co-scheduled on the same service. B's eigenvalues must be bitwise
 /// identical to a fault-free solo run at the group size; A's one build fails
 /// its finiteness guard, so A ends with the typed error naming the poisoned
-/// site.
+/// site and the poison's event on each rank of its group.
 #[test]
 fn poisoned_tenant_never_contaminates_coscheduled_victim() {
     let problem = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
@@ -101,10 +101,17 @@ fn poisoned_tenant_never_contaminates_coscheduled_victim() {
         service.shutdown();
 
         match ra {
-            JobOutcome::Failed { error } => assert!(
-                error.contains("non-finite value in `ham.v_tilde`"),
-                "{kind:?}: the typed error names the poisoned site: {error}"
-            ),
+            JobOutcome::Failed { error, fault_events: events } => {
+                assert!(
+                    error.contains("non-finite value in `ham.v_tilde`"),
+                    "{kind:?}: the typed error names the poisoned site: {error}"
+                );
+                // One poison per rank of the attacker's 2-rank group.
+                assert_eq!(events.len(), 2, "{kind:?}: {events:?}");
+                assert!(events.iter().all(|e| e.contains("@ham.v_tilde#")), "{events:?}");
+                let rank_of = |e: &String| e.split_whitespace().nth(1).map(str::to_owned);
+                assert_ne!(rank_of(&events[0]), rank_of(&events[1]), "{events:?}");
+            }
             other => panic!("{kind:?}: a poisoned build must fail the attacker, got {other:?}"),
         }
 

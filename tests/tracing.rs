@@ -73,6 +73,48 @@ fn live_stage_clock_matches_trace_rollup_on_pipeline() {
     }
 }
 
+/// Every collective charges its whole call under its one `mpi:*` span: on
+/// the Fig. 5 pipelined reduce each rank's `mpi` stage time is its measured
+/// comm seconds, and no separate wait is traced or charged.
+#[test]
+fn pipelined_reduce_charges_each_call_once() {
+    let _g = exclusive();
+    let (nr, n, p) = (256, 64, 4);
+    let a = Mat::from_fn(nr, n, |i, j| ((i * 7 + j * 3) % 13) as f64 * 0.1 - 0.5);
+    obskit::enable();
+    let per_rank = spmd(p, |c| {
+        let rows = parcomm::block_ranges(nr, p)[c.rank()].clone();
+        let a_local = a.row_block(rows.start, rows.end);
+        let clock = obskit::StageClock::now();
+        lrtddft::pipeline::gram_pipelined_reduce(c, &a_local, &a_local, 1.0);
+        (StageTimings::since(clock), c.stats())
+    });
+    obskit::disable();
+    let trace = obskit::take_trace();
+    for (rank, (live, stats)) in per_rank.iter().enumerate() {
+        assert_eq!(stats.reduce.calls, p as u64, "rank {rank}: one reduce per chunk");
+        assert!(
+            (live.mpi - stats.measured_seconds).abs() <= 1e-6,
+            "rank {rank}: mpi stage {:.9}s vs measured {:.9}s",
+            live.mpi,
+            stats.measured_seconds
+        );
+    }
+    // Each rank's lane holds one span per call and no other `mpi:*`
+    // span: a collective has no separate wait.
+    for rank in 0..p {
+        let mpi: Vec<&str> = trace
+            .ranks
+            .iter()
+            .filter(|r| r.rank == rank)
+            .flat_map(|r| &r.events)
+            .filter(|e| e.kind == obskit::EventKind::Begin && e.name.starts_with("mpi:"))
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(mpi, vec!["mpi:reduce"; p], "rank {rank}");
+    }
+}
+
 #[test]
 fn poisoned_solve_opens_each_build_span_once_and_closes_all() {
     let _g = exclusive();
