@@ -11,11 +11,13 @@
 //!   `Result` instead of panicking and a caller can tell *why* a stage
 //!   failed. A collective has no error: it waits for its
 //!   peers, as an MPI collective does.
-//! * **Seeded fault injection** ([`plan`]) — a [`FaultPlan`] fires typed
-//!   faults (NaN/Inf poison of named buffers, a slow peer's comm delay) at
-//!   exact hook-site occurrences, one-shot per rank, with all randomness
-//!   derived from the plan seed. Identical plans ⇒ identical fault
-//!   sequences, so fault campaigns are reproducible and CI-able.
+//! * **Seeded fault injection** ([`plan`]) — a [`FaultPlan`] armed on a
+//!   test's thread ([`arm`], carried to its rank threads by
+//!   `parcomm::spmd`) poisons named buffers with NaN or +Inf at exact
+//!   hook-site occurrences, one-shot per rank, with all randomness derived
+//!   from the plan seed. Identical plans ⇒ identical fault sequences, so
+//!   fault campaigns are reproducible and CI-able. A late rank needs no
+//!   fault: a test makes it late with a `sleep`.
 //!
 //! Hook calls are no-ops (one thread-local read) when no plan is armed; the
 //! fault-free hot path is unaffected.
@@ -25,6 +27,6 @@ pub mod plan;
 
 pub use error::{NumericalError, SolveError};
 pub use plan::{
-    arm, comm_fault, handle, inject_slice, install, install_scoped, set_rank, Campaign,
-    FaultEvent, FaultKind, FaultPlan, FaultSpec, Handle, InstallGuard,
+    arm, handle, inject_slice, install, set_rank, Campaign, FaultEvent, FaultKind, FaultPlan,
+    FaultSpec, Handle,
 };

@@ -5,7 +5,7 @@
 //! a plan ([`arm`]) installs it in the current thread; SPMD runtimes
 //! propagate the armed handle into rank threads ([`handle`]/[`install`]) so
 //! every rank sees the same plan and per-rank occurrence counters advance in
-//! lockstep — which makes collective faults fire symmetrically.
+//! lockstep — which makes a poison of a replicated buffer fire on every rank.
 //!
 //! Every fault is **one-shot per rank**: a spec names one occurrence, and a
 //! rank's occurrence counter for a site only grows, so a spec fires at most
@@ -17,7 +17,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// What to inject when a spec fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,9 +25,6 @@ pub enum FaultKind {
     NanPoison,
     /// Overwrite one seed-chosen element of the hooked buffer with +Inf.
     InfPoison,
-    /// Hold this rank's contribution to the collective back `micros` past
-    /// issue: a slow peer, which every rank of the collective waits out.
-    CommDelay { micros: u64 },
 }
 
 impl FaultKind {
@@ -36,7 +32,6 @@ impl FaultKind {
         match self {
             FaultKind::NanPoison => "nan-poison",
             FaultKind::InfPoison => "inf-poison",
-            FaultKind::CommDelay { .. } => "comm-delay",
         }
     }
 }
@@ -76,7 +71,7 @@ pub struct FaultEvent {
     pub rank: usize,
     pub occurrence: u64,
     pub kind: FaultKind,
-    /// Kind-specific detail: poisoned element index, points kept, etc.
+    /// The poisoned element's index.
     pub detail: u64,
 }
 
@@ -107,19 +102,6 @@ struct ArmedState {
 pub struct Handle(Arc<ArmedState>);
 
 impl Handle {
-    /// Arm `plan` into a detached handle **without** touching the current
-    /// thread's armed state. The serving scheduler builds one of these per
-    /// faulted tenant job and installs it only around that job's execution
-    /// window ([`install_scoped`]), so co-scheduled tenants never see it.
-    /// [`arm`] builds its campaign's armed state here too.
-    pub fn armed(plan: FaultPlan) -> Handle {
-        Handle(Arc::new(ArmedState {
-            plan,
-            counters: Mutex::new(HashMap::new()),
-            events: Mutex::new(Vec::new()),
-        }))
-    }
-
     /// Every fault fired so far, across all ranks, in a stable order
     /// (rank-major, then firing order).
     pub fn events(&self) -> Vec<FaultEvent> {
@@ -167,7 +149,11 @@ impl Drop for Campaign {
 
 /// Arm `plan` on the current thread and return the campaign guard.
 pub fn arm(plan: FaultPlan) -> Campaign {
-    let handle = Handle::armed(plan);
+    let handle = Handle(Arc::new(ArmedState {
+        plan,
+        counters: Mutex::new(HashMap::new()),
+        events: Mutex::new(Vec::new()),
+    }));
     install(Some(handle.clone()));
     Campaign { handle }
 }
@@ -181,29 +167,6 @@ pub fn handle() -> Option<Handle> {
 /// Install (or clear) an armed plan on the current thread.
 pub fn install(h: Option<Handle>) {
     CURRENT.with(|c| *c.borrow_mut() = h.map(|h| h.0));
-}
-
-/// RAII guard restoring the thread's previously armed plan on drop —
-/// returned by [`install_scoped`].
-pub struct InstallGuard {
-    previous: Option<Arc<ArmedState>>,
-}
-
-impl Drop for InstallGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.previous.take());
-    }
-}
-
-/// Install `h` for the lifetime of the returned guard, then restore whatever
-/// was armed before. This is the tenant-isolation primitive: a rank thread
-/// executing a faulted tenant's job scopes that tenant's plan to exactly the
-/// job window, so neighbouring jobs on the same rank run with their own (or
-/// no) plan.
-#[must_use = "dropping the guard immediately restores the previous plan"]
-pub fn install_scoped(h: Option<Handle>) -> InstallGuard {
-    let previous = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), h.map(|h| h.0)));
-    InstallGuard { previous }
 }
 
 /// Tag this thread with its SPMD rank (rank 0 outside SPMD regions).
@@ -231,8 +194,8 @@ fn site_hash(site: &str) -> u64 {
 }
 
 /// Core matcher: bump the (site, rank) counter and return the first armed
-/// spec whose `nth` matches, filtered by `accepts`.
-fn fire(site: &str, accepts: impl Fn(FaultKind) -> bool) -> Option<(FaultKind, u64, u64)> {
+/// spec whose `nth` matches.
+fn fire(site: &str) -> Option<(FaultKind, u64, u64)> {
     let state = CURRENT.with(|c| c.borrow().as_ref().map(Arc::clone))?;
     let rank = RANK.with(|r| r.get());
     let occurrence = {
@@ -246,7 +209,7 @@ fn fire(site: &str, accepts: impl Fn(FaultKind) -> bool) -> Option<(FaultKind, u
         .plan
         .faults
         .iter()
-        .find(|spec| spec.site == site && spec.nth == occurrence && accepts(spec.kind))?;
+        .find(|spec| spec.site == site && spec.nth == occurrence)?;
     Some((spec.kind, occurrence, state.plan.seed))
 }
 
@@ -261,9 +224,7 @@ fn record(site: &str, occurrence: u64, kind: FaultKind, detail: u64) {
 /// Poison hook for named buffers. Returns `true` when a fault fired (one
 /// seed-chosen element of `buf` is now NaN or +Inf).
 pub fn inject_slice(site: &str, buf: &mut [f64]) -> bool {
-    let Some((kind, occ, seed)) =
-        fire(site, |k| matches!(k, FaultKind::NanPoison | FaultKind::InfPoison))
-    else {
+    let Some((kind, occ, seed)) = fire(site) else {
         return false;
     };
     if buf.is_empty() {
@@ -271,22 +232,11 @@ pub fn inject_slice(site: &str, buf: &mut [f64]) -> bool {
     }
     let idx = (splitmix64(seed ^ site_hash(site) ^ occ) % buf.len() as u64) as usize;
     buf[idx] = match kind {
+        FaultKind::NanPoison => f64::NAN,
         FaultKind::InfPoison => f64::INFINITY,
-        _ => f64::NAN,
     };
     record(site, occ, kind, idx as u64);
     true
-}
-
-/// Comm hook, called when a rank issues a collective: how long past issue
-/// this rank's contribution stays invisible to its peers. Because rank
-/// counters advance in lockstep across an SPMD region, the same decision
-/// fires on every rank of the same collective.
-pub fn comm_fault(site: &str) -> Option<Duration> {
-    let (kind, occ, _) = fire(site, |k| matches!(k, FaultKind::CommDelay { .. }))?;
-    let FaultKind::CommDelay { micros } = kind else { unreachable!("filtered to delays") };
-    record(site, occ, kind, micros);
-    Some(Duration::from_micros(micros))
 }
 
 #[cfg(test)]
@@ -298,7 +248,6 @@ mod tests {
         let mut buf = vec![1.0, 2.0];
         assert!(!inject_slice("x", &mut buf));
         assert_eq!(buf, vec![1.0, 2.0]);
-        assert!(comm_fault("x").is_none());
     }
 
     #[test]
@@ -361,52 +310,6 @@ mod tests {
         let ev = c.events();
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].rank, 1);
-    }
-
-    #[test]
-    fn detached_handle_does_not_arm_the_creating_thread() {
-        let h = Handle::armed(FaultPlan::new(11).with("d", 0, FaultKind::NanPoison));
-        assert!(handle().is_none(), "Handle::armed must not touch thread state");
-        let mut buf = vec![1.0; 4];
-        assert!(!inject_slice("d", &mut buf));
-        install(Some(h.clone()));
-        assert!(inject_slice("d", &mut buf));
-        install(None);
-        assert_eq!(h.fired(), 1);
-        assert_eq!(h.events()[0].site, "d");
-    }
-
-    #[test]
-    fn install_scoped_restores_previous_plan() {
-        let outer = arm(FaultPlan::new(1).with("outer", 0, FaultKind::NanPoison));
-        let tenant = Handle::armed(FaultPlan::new(2).with("inner", 0, FaultKind::NanPoison));
-        {
-            let _g = install_scoped(Some(tenant.clone()));
-            assert!(inject_slice("inner", &mut [1.0])); // tenant plan active
-            assert!(!inject_slice("outer", &mut [1.0])); // outer plan shadowed
-        }
-        // Guard dropped: outer plan is back and untouched by the inner window.
-        assert!(inject_slice("outer", &mut [1.0]));
-        assert_eq!(outer.fired(), 1);
-        assert_eq!(tenant.fired(), 1);
-    }
-
-    #[test]
-    fn install_scoped_none_clears_within_window() {
-        let _c = arm(FaultPlan::new(1).with("s", 0, FaultKind::NanPoison));
-        {
-            let _g = install_scoped(None);
-            assert!(handle().is_none());
-        }
-        assert!(handle().is_some());
-    }
-
-    #[test]
-    fn comm_delay_fires_at_its_occurrence() {
-        let _c = arm(FaultPlan::new(9).with("op", 1, FaultKind::CommDelay { micros: 250 }));
-        assert_eq!(comm_fault("op"), None);
-        assert_eq!(comm_fault("op"), Some(Duration::from_micros(250)));
-        assert_eq!(comm_fault("op"), None);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl CommStats {
     }
 }
 
-/// Which collective an accounting entry, span and fault site belong to.
+/// Which collective an accounting entry and span belong to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Op {
     Allreduce,
@@ -89,18 +89,6 @@ impl Op {
             Op::Alltoallv => &mut stats.alltoallv,
             Op::Barrier => &mut stats.barrier,
             Op::Reduce => &mut stats.reduce,
-        }
-    }
-
-    /// Fault-hook site of an op that deposits (every op but the barrier),
-    /// named after the op.
-    fn fault_site(self) -> &'static str {
-        match self {
-            Op::Allreduce => "comm.allreduce",
-            Op::Allgatherv => "comm.allgatherv",
-            Op::Alltoallv => "comm.alltoallv",
-            Op::Reduce => "comm.reduce",
-            Op::Barrier => unreachable!("a barrier deposits nothing"),
         }
     }
 }
@@ -226,11 +214,10 @@ impl Comm {
         });
     }
 
-    /// Run one collective on this rank, charged whole to `op`: a `CommDelay`
-    /// at its fault site makes this rank late (it sleeps before it
-    /// deposits); then it deposits `dep`, completes the op with `complete`
-    /// once every peer has deposited, and releases the op's cell — the last
-    /// rank out retires it from the op table.
+    /// Run one collective on this rank, charged whole to `op`: deposit
+    /// `dep`, complete the op with `complete` once every peer has deposited,
+    /// and release the op's cell — the last rank out retires it from the op
+    /// table.
     fn collective<T>(
         &self,
         op: Op,
@@ -239,9 +226,6 @@ impl Comm {
         complete: fn(&OpCell, usize) -> T,
     ) -> T {
         let span = obskit::span(obskit::Stage::Mpi, op.span_name());
-        if let Some(delay) = faultkit::comm_fault(op.fault_site()) {
-            std::thread::sleep(delay);
-        }
         let id = self.next_op.get();
         self.next_op.set(id + 1);
         let cell = Arc::clone(
@@ -388,7 +372,8 @@ where
     let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
     // An armed fault plan on the launching thread extends to every rank:
     // rank threads install the same handle, so per-rank occurrence counters
-    // advance in lockstep and collective faults fire symmetrically.
+    // advance in lockstep and a poison of replicated data fires on every
+    // rank alike.
     let faults = faultkit::handle();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(size);

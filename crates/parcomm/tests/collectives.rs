@@ -1,8 +1,7 @@
 //! Tests for the one call form of the collectives: a collective completes
 //! once every peer has deposited however late it comes, a non-root rank of
-//! a reduce returns at its deposit, uneven/empty all-to-all slabs route, the
-//! reduce-to-root agrees bitwise with the allreduce, and a `CommDelay` fires
-//! at the site named after its op.
+//! a reduce returns at its deposit, uneven/empty all-to-all slabs route, and
+//! the reduce-to-root agrees bitwise with the allreduce.
 
 use parcomm::{spmd, Comm};
 use proptest::prelude::*;
@@ -115,56 +114,51 @@ fn non_root_reduce_returns_before_a_late_root() {
 }
 
 /// A collective completes when every rank has deposited, however late: rank
-/// 1 reaches `allreduce_sum` 1.2 s after rank 0 — longer than any wait that
-/// gives up would allow — and both ranks still get the same sum, bit for
-/// bit.
+/// 1 reaches each collective 1.2 s after rank 0 — longer than any wait that
+/// gives up would allow — and every rank still gets the bits of a prompt
+/// run: the ascending-rank sum from `allreduce_sum` and on the root of
+/// `reduce_sum`, the rank-ordered concatenation from `allgatherv`, and the
+/// slab each source addressed to it from `alltoallv`. The four ops run side
+/// by side, each in its own two-rank world.
 #[test]
 fn late_peer_allreduce_gives_every_rank_the_same_bits() {
-    let results = spmd(2, |c| {
-        if c.rank() == 1 {
-            std::thread::sleep(Duration::from_millis(1200));
+    type Collective = fn(&Comm, Vec<f64>) -> Vec<f64>;
+    let ops: [(&str, Collective); 4] = [
+        ("allreduce_sum", |c, mut buf| {
+            c.allreduce_sum(&mut buf);
+            buf
+        }),
+        ("allgatherv", |c, buf| c.allgatherv(&buf)),
+        ("alltoallv", |c, buf| {
+            let half = buf.len() / 2;
+            c.alltoallv(vec![buf[..half].to_vec(), buf[half..].to_vec()]).concat()
+        }),
+        ("reduce_sum", |c, buf| c.reduce_sum(buf, 0)),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let run = |op: Collective, late: bool| {
+        spmd(2, |c| {
+            if late && c.rank() == 1 {
+                std::thread::sleep(Duration::from_millis(1200));
+            }
+            bits(&op(c, rank_data(c, 31, 40)))
+        })
+    };
+    std::thread::scope(|s| {
+        let runs: Vec<_> = ops
+            .iter()
+            .map(|&(name, op)| (name, op, s.spawn(move || run(op, true))))
+            .collect();
+        for (name, op, handle) in runs {
+            let late = handle.join().expect("late run");
+            assert_eq!(late, run(op, false), "{name}: a late peer changed the bits");
         }
-        let mut buf = rank_data(c, 31, 40);
-        c.allreduce_sum(&mut buf);
-        buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
     });
+    // The prompt allreduce is the ascending-rank sum.
     let mut want = vec![0.0; 40];
     for r in 0..2u64 {
         let v = fill(31u64.wrapping_add(r * 1_000_003), 40);
         want.iter_mut().zip(v).for_each(|(a, x)| *a += x);
     }
-    let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(results, vec![want.clone(), want]);
-}
-
-// ------------------------------------------------------------- fault sites
-
-/// Fault sites are named after their op: a delay planned for
-/// `comm.allgatherv` leaves an `allreduce_sum` alone and fires on the next
-/// `allgatherv`, on every rank, which is that much late to it.
-#[test]
-fn fault_sites_are_named_after_their_op() {
-    use faultkit::{FaultKind, FaultPlan};
-    let campaign = faultkit::arm(
-        FaultPlan::new(14).with("comm.allgatherv", 0, FaultKind::CommDelay { micros: 20_000 }),
-    );
-    let results = spmd(2, |c| {
-        let mut buf = vec![1.0; 8];
-        c.allreduce_sum(&mut buf);
-        let mine = |e: &faultkit::FaultEvent| e.rank == c.rank();
-        let fired_before_gather =
-            faultkit::handle().expect("armed").events().iter().filter(|e| mine(e)).count();
-        let t0 = Instant::now();
-        let gathered = c.allgatherv(&[c.rank() as f64]);
-        (buf[0], fired_before_gather, gathered, t0.elapsed())
-    });
-    for (sum, fired, gathered, waited) in results {
-        assert_eq!(sum, 2.0);
-        assert_eq!(fired, 0, "the allreduce must not see an allgatherv fault");
-        assert_eq!(gathered, vec![0.0, 1.0]);
-        assert!(waited >= Duration::from_millis(20), "the delay did not make it late: {waited:?}");
-    }
-    let events = campaign.events();
-    assert_eq!(events.len(), 2, "one delay per rank: {events:?}");
-    assert!(events.iter().all(|e| e.site == "comm.allgatherv"));
+    assert_eq!(run(ops[0].1, false), vec![bits(&want), bits(&want)]);
 }

@@ -3,10 +3,9 @@
 //! A hit means some tenant already paid for a bitwise-identical solve
 //! (same structure, same build inputs, same eigensolve knobs — see
 //! [`crate::job::CacheKey`]), so the job completes at submission without
-//! touching a solver group. Faulted jobs bypass the cache entirely, in both
-//! directions: they are never served from it and never populate it (the key
-//! does not encode a fault plan). Every other job ran its own solver, so its
-//! values are what any job with its key would compute.
+//! touching a solver group. Only completed jobs populate it, and every job
+//! runs its own solver, so its values are what any job with its key would
+//! compute.
 //!
 //! A cached value is a pure function of its key, so it never goes stale and
 //! an entry has no lifetime: the capacity alone bounds the memory, evicting

@@ -3,8 +3,7 @@
 use lrtddft::{CasidaProblem, Solver, StageTimings, Version};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Tenant identifier. Tenants are accounting + isolation domains: quotas
-/// and fault scopes are keyed by this.
+/// Tenant identifier: admission quotas are keyed by this.
 pub type TenantId = u64;
 
 /// One unit of work: solve `problem` with `solver` on behalf of `tenant`.
@@ -14,33 +13,17 @@ pub struct JobSpec {
     pub tenant: TenantId,
     pub problem: Arc<CasidaProblem>,
     pub solver: Solver,
-    /// Optional fault plan, armed only around this job's execution window
-    /// on every rank of the executing group — never visible to co-scheduled
-    /// tenants. Jobs carrying a plan are never batched with others and
-    /// bypass the result cache entirely.
-    pub fault: Option<faultkit::Handle>,
 }
 
 impl JobSpec {
     pub fn new(tenant: TenantId, problem: Arc<CasidaProblem>) -> Self {
-        JobSpec {
-            tenant,
-            problem,
-            solver: Solver::builder().build(),
-            fault: None,
-        }
+        JobSpec { tenant, problem, solver: Solver::builder().build() }
     }
 
     /// Use this [`Solver`]: its `version` picks the build and the finisher
     /// exactly as on [`Solver::solve_distributed`].
     pub fn with_solver(mut self, solver: Solver) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Arm `plan` for this job only (see [`JobSpec::fault`]).
-    pub fn with_fault_plan(mut self, plan: faultkit::FaultPlan) -> Self {
-        self.fault = Some(faultkit::Handle::armed(plan));
         self
     }
 }
@@ -85,9 +68,6 @@ pub struct JobResult {
     /// Collective calls this job's eigensolve issued on the group
     /// communicator (leader rank's stats window; 0 for cache hits).
     pub comm_calls: u64,
-    /// Faults that fired during this job (empty unless the job carried a
-    /// fault plan).
-    pub fault_events: Vec<String>,
     /// Always 1 for a solved job and 0 for a cache hit: a batch runs its
     /// build once. Kept only because the frozen ruler under `benchmark/`
     /// reads it.
@@ -113,9 +93,8 @@ pub enum JobOutcome {
     Completed(JobResult),
     /// The batch's build failed (defective input, a non-finite factor or a
     /// fit the rank cannot make); `error` is the [`faultkit::SolveError`]
-    /// rendering and `fault_events` the faults that fired, as in
-    /// [`JobResult::fault_events`].
-    Failed { error: String, fault_events: Vec<String> },
+    /// rendering.
+    Failed { error: String },
 }
 
 /// Shared core of a job: spec + terminal outcome + completion signalling.
@@ -137,11 +116,6 @@ impl JobCore {
             cv: Condvar::new(),
             key,
         })
-    }
-
-    /// May this job share a batch? A job with a fault plan runs alone.
-    pub fn batchable(&self) -> bool {
-        self.spec.fault.is_none()
     }
 
     /// Record the terminal outcome and wake every waiter.
@@ -183,8 +157,9 @@ impl JobHandle {
 }
 
 /// FNV-1a over the problem's defining bytes: dimensions, orbital data,
-/// energies, kernel samples, grid shape, and spin channel. Two problems
-/// with equal hashes are treated as the same structure by batching and the
+/// energies, kernel samples, grid shape, cell lengths (they set the volume
+/// element and the Coulomb kernel), and spin channel. Two problems with
+/// equal hashes are treated as the same structure by batching and the
 /// result cache.
 pub fn structure_hash(p: &CasidaProblem) -> u64 {
     let mut h = Fnv::new();
@@ -194,6 +169,7 @@ pub fn structure_hash(p: &CasidaProblem) -> u64 {
     for d in p.grid.n {
         h.usize(d);
     }
+    h.f64s(&p.grid.cell.lengths);
     h.u64(p.kernel_kind as u64);
     h.f64s(p.psi_v.as_slice());
     h.f64s(p.psi_c.as_slice());
@@ -203,8 +179,8 @@ pub fn structure_hash(p: &CasidaProblem) -> u64 {
     h.finish()
 }
 
-/// Everything the Hamiltonian build depends on. Jobs with equal keys (and
-/// no fault plan) can share one distributed build; results stay bitwise
+/// Everything the Hamiltonian build depends on. Jobs with equal keys share
+/// one distributed build; results stay bitwise
 /// identical because the per-job eigensolve is unchanged (property-tested in
 /// `lrtddft::solver`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

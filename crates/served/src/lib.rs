@@ -11,13 +11,13 @@
 //!   (structure hash, build row of the version, resolved ISDF rank, seed)
 //!   share one distributed Hamiltonian build; each job keeps its own
 //!   eigensolve, so results stay bitwise identical to solo runs.
-//! - **Result caching** — completed fault-free solves are cached by
-//!   structure hash + version + solve parameters in a bounded LRU; repeat
-//!   submissions complete at admission without touching a solver group.
-//! - **Tenant isolation** — a tenant's injected fault plan
-//!   ([`JobSpec::with_fault_plan`]) is armed only around that job's own
-//!   execution window on the ranks that run it. Faulted jobs are never
-//!   co-batched and bypass the cache.
+//! - **Result caching** — completed solves are cached by structure hash +
+//!   version + solve parameters in a bounded LRU; repeat submissions
+//!   complete at admission without touching a solver group.
+//! - **Tenant isolation** — a completed job's values are bitwise those of
+//!   a solo distributed solve, whatever ran beside it; a tenant's bad input
+//!   (a non-finite orbital, say) hashes to its own structure and fails its
+//!   own build with the typed input-check error.
 //! - **One build per batch** — a batch's build is
 //!   [`Solver::hamiltonian`](lrtddft::Solver::hamiltonian), run once; a
 //!   failed build fails every job of the batch with its typed error. The

@@ -5,9 +5,8 @@
 //! block in [`SchedulerState::next_batch`], and whichever leader wins the
 //! lock claims the head-of-line job plus up to `max_batch - 1` queued
 //! jobs with the same [`BatchKey`] — those share one distributed Hamiltonian
-//! build. Jobs carrying a fault plan are always claimed solo so an injected
-//! fault can never ride along with another tenant's work. A claim changes
-//! no job: every job of a batch runs the solver its spec carries.
+//! build. A claim changes no job: every job of a batch runs the solver its
+//! spec carries.
 //!
 //! A claimed batch is finished by the group that claimed it, and a failed
 //! build fails its jobs there, so a job never re-enters the queue.
@@ -73,27 +72,22 @@ impl SchedulerState {
     }
 
     /// Block until work is available, then claim the head-of-line job plus
-    /// every queued same-key batchable twin (up to `max_batch`). Returns
+    /// every queued same-key twin (up to `max_batch`), so the whole batch
+    /// shares one Hamiltonian build. Returns
     /// `None` once the service is shut down *and* the queue is drained —
     /// shutdown is graceful; admitted jobs still run.
     pub fn next_batch(&self) -> Option<Vec<Arc<JobCore>>> {
         let mut g = self.lock();
         loop {
             if let Some(head) = g.queue.pop_front() {
+                let key = head.key;
                 let mut batch = vec![head];
-                // A head with a fault plan runs alone; otherwise absorb
-                // queued batchable twins so the whole batch shares one
-                // Hamiltonian build.
-                if batch[0].batchable() {
-                    let key = batch[0].key;
-                    let mut i = 0;
-                    while i < g.queue.len() && batch.len() < self.max_batch {
-                        let j = &g.queue[i];
-                        if j.key == key && j.batchable() {
-                            batch.push(g.queue.remove(i).expect("index in range"));
-                        } else {
-                            i += 1;
-                        }
+                let mut i = 0;
+                while i < g.queue.len() && batch.len() < self.max_batch {
+                    if g.queue[i].key == key {
+                        batch.push(g.queue.remove(i).expect("index in range"));
+                    } else {
+                        i += 1;
                     }
                 }
                 return Some(batch);
@@ -172,35 +166,6 @@ mod tests {
         }
         assert_eq!(s.next_batch().unwrap().len(), 2);
         assert_eq!(s.next_batch().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn faulted_jobs_never_share_a_batch() {
-        let s = sched(8, 64, 8);
-        let faulted = spec(1, 2).with_fault_plan(
-            faultkit::FaultPlan::new(7).with("ham.v_tilde", 0, faultkit::FaultKind::NanPoison),
-        );
-        s.submit(JobCore::new(faulted)).unwrap();
-        s.submit(JobCore::new(spec(2, 2))).unwrap(); // same structure, clean
-        let first = s.next_batch().unwrap();
-        assert_eq!(first.len(), 1, "faulted head must run solo");
-        let second = s.next_batch().unwrap();
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].spec.tenant, 2);
-    }
-
-    #[test]
-    fn clean_head_skips_queued_faulted_twin() {
-        let s = sched(8, 64, 8);
-        s.submit(JobCore::new(spec(1, 2))).unwrap();
-        let faulted = spec(2, 2).with_fault_plan(
-            faultkit::FaultPlan::new(7).with("ham.v_tilde", 0, faultkit::FaultKind::NanPoison),
-        );
-        s.submit(JobCore::new(faulted)).unwrap();
-        s.submit(JobCore::new(spec(3, 2))).unwrap();
-        let batch = s.next_batch().unwrap();
-        assert_eq!(batch.len(), 2, "clean twins batch around the faulted job");
-        assert_eq!(batch[1].spec.tenant, 3);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The serving runtime: split communicator groups, group-leader batch
-//! dispatch, per-job tenant scoping, and the public [`Service`] front door.
+//! dispatch, and the public [`Service`] front door.
 //!
 //! Topology: `Service::start` launches one supervisor thread that runs the
 //! whole rank pool as an SPMD program. Every rank computes its group color
@@ -22,16 +22,14 @@
 //! on replicated data, so every rank executes the identical collective
 //! sequence and every rank of a failed build skips the eigensolves.
 //!
-//! Tenant isolation invariants (tested here and in `tests/serving.rs`):
-//!
-//! 1. a job's fault plan is installed via [`faultkit::install_scoped`] only
-//!    for the duration of its own batch, on exactly the ranks of the group
-//!    executing it — a NaN poison or slow-peer comm delay one tenant injects
-//!    can never fire inside another tenant's solve;
-//! 2. faulted jobs are never co-batched and never touch the result cache;
-//! 3. fault-free results are bitwise identical to a solo
-//!    [`lrtddft::Solver::solve_distributed`] run at the same group size,
-//!    whatever batching or scheduling happened around them.
+//! Tenant isolation (tested here and in `tests/serving.rs`): a completed
+//! job's values are bitwise identical to a solo
+//! [`lrtddft::Solver::solve_distributed`] run at the same group size,
+//! whatever batching or scheduling happened around them. A tenant's bad
+//! input (a NaN or +Inf in its orbitals, say) is another structure, so it
+//! shares neither a batch nor a cache entry with a clean job, and its own
+//! build fails it with the typed error of
+//! [`lrtddft::CasidaProblem::check_inputs`].
 
 use crate::cache::ResultCache;
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobOutcome, JobResult, JobSpec};
@@ -156,28 +154,25 @@ impl Service {
         Service { sched, cache, supervisor: Some(supervisor) }
     }
 
-    /// Admit a job. Fault-free jobs whose results are already cached
-    /// complete immediately (`cache_hit`, `batch_size == 0`); everything
-    /// else is enqueued subject to the tenant quota and queue capacity.
+    /// Admit a job. Jobs whose results are already cached complete
+    /// immediately (`cache_hit`, `batch_size == 0`); everything else is
+    /// enqueued subject to the tenant quota and queue capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
         let core = JobCore::new(spec);
         let handle = JobHandle { core: Arc::clone(&core) };
-        if core.spec.fault.is_none() {
-            if let Some(values) = self.cache.get(&cache_key(&core.spec)) {
-                core.finish(JobOutcome::Completed(JobResult {
-                    values,
-                    timings: Default::default(),
-                    cache_hit: true,
-                    batch_size: 0,
-                    comm_calls: 0,
-                    fault_events: Vec::new(),
-                    attempts: 0,
-                    recovery: Vec::new(),
-                    degraded: None,
-                    deadline_missed: false,
-                }));
-                return Ok(handle);
-            }
+        if let Some(values) = self.cache.get(&cache_key(&core.spec)) {
+            core.finish(JobOutcome::Completed(JobResult {
+                values,
+                timings: Default::default(),
+                cache_hit: true,
+                batch_size: 0,
+                comm_calls: 0,
+                attempts: 0,
+                recovery: Vec::new(),
+                degraded: None,
+                deadline_missed: false,
+            }));
+            return Ok(handle);
         }
         self.sched.submit(Arc::clone(&core))?;
         Ok(handle)
@@ -244,11 +239,6 @@ fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared)
 fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
     let lead = &batch[0].spec;
     let leader = group.rank() == 0;
-    // Solo faulted job (the scheduler never co-batches fault plans): arm the
-    // tenant's plan on this rank for exactly this batch. For clean batches
-    // this *clears* any ambient plan — belt and braces for isolation.
-    let _fault_window = faultkit::install_scoped(lead.fault.clone());
-
     group.take_stats(); // discard idle-window stats; build gets a fresh window
     let clock = obskit::StageClock::now();
     // A failed build is decided on replicated data, so every rank skips the
@@ -256,12 +246,9 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
     let ham = match lead.solver.hamiltonian(group, &lead.problem) {
         Ok(ham) => ham,
         Err(e) => {
-            // Every rank has recorded its faults once the group has met.
-            group.barrier();
             if leader {
                 for job in batch {
-                    let fault_events = fault_events(&job.spec);
-                    job.finish(JobOutcome::Failed { error: e.to_string(), fault_events });
+                    job.finish(JobOutcome::Failed { error: e.to_string() });
                 }
             }
             return;
@@ -282,19 +269,13 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
         if !leader {
             continue;
         }
-        // Only clean results may populate the cache: the key does not
-        // encode fault plans.
-        if spec.fault.is_none() {
-            shared.cache.put(cache_key(spec), values.clone());
-        }
-        let fault_events = fault_events(spec);
+        shared.cache.put(cache_key(spec), values.clone());
         job.finish(JobOutcome::Completed(JobResult {
             values,
             timings,
             cache_hit: false,
             batch_size: batch.len(),
             comm_calls: build_stats.collective_calls + eig_stats.collective_calls,
-            fault_events,
             attempts: 1,
             recovery,
             degraded: None,
@@ -303,15 +284,9 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
     }
 }
 
-/// The rendered faults that fired during a job (empty without a plan).
-fn fault_events(spec: &JobSpec) -> Vec<String> {
-    spec.fault.as_ref().map(|h| h.events().iter().map(|e| e.render()).collect()).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultkit::{FaultKind, FaultPlan};
     use lrtddft::{synthetic_problem, CasidaProblem, Solver};
 
     fn small_config() -> ServeConfig {
@@ -416,6 +391,30 @@ mod tests {
     }
 
     #[test]
+    fn a_problem_in_another_cell_is_solved_not_served_from_its_entry() {
+        // The same orbitals, energies and kernel samples on a wider cell:
+        // the volume element and the Coulomb kernel change, so do the
+        // energies, and a key that forgot the cell would hand back the
+        // narrow cell's numbers.
+        let narrow = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
+        let mut wide = synthetic_problem([6, 6, 6], 6.0, 2, 2);
+        wide.grid = pwdft::Grid::new(pwdft::Cell::cubic(9.0), [6, 6, 6]);
+        let wide = Arc::new(wide);
+        let solver = Solver::builder().n_states(2).build();
+        let service = Service::start(small_config());
+        let submit = |problem: &Arc<CasidaProblem>| {
+            let spec = JobSpec::new(1, Arc::clone(problem)).with_solver(solver);
+            service.submit(spec).unwrap().wait().expect("job completes")
+        };
+        let first = submit(&narrow);
+        let second = submit(&wide);
+        assert!(!second.cache_hit, "the wide cell must not hit the narrow cell's entry");
+        assert_eq!(second.values, solo_oracle(&wide, &solver, 2));
+        assert!((second.values[0] - first.values[0]).abs() > 1e-3);
+        service.shutdown();
+    }
+
+    #[test]
     fn quota_violations_surface_at_submit() {
         let config = ServeConfig {
             ranks: 2,
@@ -484,12 +483,14 @@ mod tests {
     #[test]
     fn poisoned_job_fails_with_its_typed_error() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
+        let mut poisoned = synthetic_problem([6, 6, 6], 6.0, 2, 2);
+        poisoned.psi_v.as_mut_slice()[5] = f64::NAN;
         let service = Service::start(small_config());
-        let plan = FaultPlan::new(23).with("ham.v_tilde", 0, FaultKind::NanPoison);
-        let poisoned = JobSpec::new(8, Arc::clone(&problem)).with_fault_plan(plan);
+        let poisoned = JobSpec::new(8, Arc::new(poisoned));
         match service.submit(poisoned).unwrap().outcome() {
-            JobOutcome::Failed { error, .. } => {
-                assert!(error.contains("non-finite value in `ham.v_tilde`"), "{error}");
+            JobOutcome::Failed { error } => {
+                let want = "non-finite value in `problem.psi_v` at element 5";
+                assert!(error.contains(want), "{error}");
             }
             other => panic!("expected a typed failure, got {other:?}"),
         }
@@ -507,12 +508,12 @@ mod tests {
     fn survivors_keep_serving_while_one_group_is_stalled() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
         let service = Service::start(ServeConfig { ranks: 4, groups: 2, ..Default::default() });
-        // One job slows its group inside the solve (a 100 ms comm delay);
-        // clean jobs from other tenants keep flowing through the surviving
-        // group via the shared queue.
-        let slow = JobSpec::new(1, Arc::clone(&problem)).with_fault_plan(
-            FaultPlan::new(31).with("comm.allreduce", 0, FaultKind::CommDelay { micros: 100_000 }),
-        );
+        // One larger job (the dense build on 1728 grid points) holds its
+        // group; small jobs from other tenants keep flowing through the
+        // other group via the shared queue.
+        let large = Arc::new(synthetic_problem([12, 12, 12], 8.0, 4, 4));
+        let slow = JobSpec::new(1, large)
+            .with_solver(Solver::builder().version(lrtddft::Version::Naive).build());
         let slow_h = service.submit(slow).unwrap();
         let clean: Vec<_> = (0..4u64)
             .map(|i| {

@@ -1,6 +1,6 @@
 //! Chaos soak of the resilience layer on a 4-rank / 2-group service: a
-//! clean tenant shares the service with a tenant whose jobs carry NaN-,
-//! Inf-poison and comm-delay plans.
+//! clean tenant shares the service with a tenant whose jobs cycle through a
+//! NaN-poisoned, an Inf-poisoned and the clean problem.
 //!
 //! What is asserted is what does not depend on the schedule: every job ends
 //! in its scripted outcome (a poisoned build fails, everything else
@@ -9,7 +9,6 @@
 //! and latencies depend on which group claims what first, so none of them
 //! is asserted.
 
-use faultkit::{FaultKind, FaultPlan};
 use lrtddft::{synthetic_problem, CasidaProblem, Solver};
 use parcomm::spmd;
 use served::{JobOutcome, JobSpec, ServeConfig, Service};
@@ -29,13 +28,17 @@ fn clean_solver(seed: u64) -> Solver {
     Solver::builder().n_states(2).seed(0xc1ea + seed).build()
 }
 
-fn fault_plan(slot: usize) -> FaultPlan {
-    let plan = FaultPlan::new(0xbad);
-    match slot % 3 {
-        0 => plan.with("ham.v_tilde", 0, FaultKind::NanPoison),
-        1 => plan.with("ham.v_tilde", 0, FaultKind::InfPoison),
-        _ => plan.with("comm.allreduce", 0, FaultKind::CommDelay { micros: 1500 }),
-    }
+/// The faulty tenant's problem for job `slot`: one NaN (slot 0 mod 3) or
+/// +Inf (slot 1) orbital value, else the clean problem.
+fn fault_problem(clean: &Arc<CasidaProblem>, slot: usize) -> Arc<CasidaProblem> {
+    let poison = match slot % 3 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        _ => return Arc::clone(clean),
+    };
+    let mut p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+    p.psi_v.as_mut_slice()[7] = poison;
+    Arc::new(p)
 }
 
 /// The deterministic part of one job's result.
@@ -47,8 +50,8 @@ struct Record {
     value_bits: Vec<u64>,
 }
 
-/// The outcome a job's script implies: the poison slots of [`fault_plan`]
-/// fail their one build, every other job completes.
+/// The outcome a job's script implies: the poisoned slots of
+/// [`fault_problem`] fail their one build, every other job completes.
 fn scripted_outcome(tenant: u64, index: usize) -> &'static str {
     if tenant == T_FAULT && index % 3 < 2 {
         "failed"
@@ -61,11 +64,12 @@ fn scripted_outcome(tenant: u64, index: usize) -> &'static str {
 /// shares the service.
 fn plan_jobs(problem: &Arc<CasidaProblem>, chaos: bool) -> Vec<(u64, usize, JobSpec)> {
     let spec =
-        |tenant, seed| JobSpec::new(tenant, Arc::clone(problem)).with_solver(clean_solver(seed));
-    let mut jobs: Vec<_> =
-        (0..16).map(|i| (T_CLEAN, i, spec(T_CLEAN, (i % CLEAN_SEEDS) as u64))).collect();
+        |tenant, problem, seed| JobSpec::new(tenant, problem).with_solver(clean_solver(seed));
+    let mut jobs: Vec<_> = (0..16)
+        .map(|i| (T_CLEAN, i, spec(T_CLEAN, Arc::clone(problem), (i % CLEAN_SEEDS) as u64)))
+        .collect();
     if chaos {
-        jobs.extend((0..6).map(|i| (T_FAULT, i, spec(T_FAULT, 0).with_fault_plan(fault_plan(i)))));
+        jobs.extend((0..6).map(|i| (T_FAULT, i, spec(T_FAULT, fault_problem(problem, i), 0))));
         jobs.sort_by_key(|(tenant, index, _)| (*index, *tenant));
     }
     jobs
@@ -89,9 +93,10 @@ fn soak(jobs: Vec<(u64, usize, JobSpec)>) -> Vec<Record> {
                             assert_eq!(r.attempts, builds, "tenant {tenant} job {index}");
                             ("completed", r.values.iter().map(|v| v.to_bits()).collect())
                         }
-                        JobOutcome::Failed { error, .. } => {
+                        JobOutcome::Failed { error } => {
                             let job = format!("tenant {tenant} job {index}");
-                            assert!(error.contains("non-finite"), "{job}: {error}");
+                            let want = "non-finite value in `problem.psi_v`";
+                            assert!(error.contains(want), "{job}: {error}");
                             ("failed", vec![])
                         }
                     };
@@ -119,7 +124,7 @@ fn chaos_soak_keeps_every_tenant_on_script_and_repeats_job_for_job() {
         .collect();
     let oracle = |r: &Record| match r.tenant {
         T_CLEAN => &oracles[r.index % CLEAN_SEEDS],
-        // A delay never touches the arithmetic.
+        // The faulty tenant's clean slots solve the clean problem.
         _ => &oracles[0],
     };
 
