@@ -59,7 +59,7 @@ pub fn table3(scale: Scale) -> ExperimentRecord {
     let mut rows = Vec::new();
     for &n_mu in &n_mus {
         let t0 = Instant::now();
-        let q = qrcp_points(&problem.psi_v, &problem.psi_c, n_mu);
+        let q = qrcp_points(&problem.psi_v, &problem.psi_c, n_mu).expect("finite orbitals");
         let t_qrcp = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let k = kmeans_points(&coords, &w, n_mu, KmeansOptions::default());

@@ -14,7 +14,7 @@
 
 use crate::kernel::HxcKernel;
 use crate::pipeline::gram_allreduce;
-use crate::problem::CasidaProblem;
+use crate::problem::{check_finite, CasidaProblem};
 use crate::timers::StageTimings;
 use faultkit::SolveError;
 use isdf::face_splitting_product;
@@ -50,8 +50,10 @@ pub fn distributed_kernel_apply(comm: &Comm, problem: &CasidaProblem, local_rows
 
 /// Naive Hamiltonian construction (Algorithm 1), SPMD-collective on `comm`;
 /// [`crate::build_dense_hamiltonian`] is its one-rank case. Returns the
-/// replicated dense `H = D + 2 V_Hxc` plus this rank's stage timings, or the
-/// typed failure of the input check ([`CasidaProblem::check_inputs`]).
+/// replicated dense `H = D + 2 V_Hxc` plus this rank's stage timings, or a
+/// typed failure: of the input check ([`CasidaProblem::check_inputs`]), or
+/// `NonFinite` at `ham.h` when a finite input overflowed `H`, which the dense
+/// eigensolve could not survive.
 pub fn distributed_dense_hamiltonian(
     comm: &Comm,
     problem: &CasidaProblem,
@@ -81,6 +83,7 @@ pub fn distributed_dense_hamiltonian(
         h[(i, i)] += d;
     }
     h.symmetrize();
+    check_finite("ham.h", h.as_slice())?;
     Ok((h, StageTimings::since(clock)))
 }
 

@@ -273,11 +273,7 @@ pub fn distributed_casida_lobpcg<'a>(
     let mut converged = false;
 
     for it in 0..=opts.max_iter {
-        let w = r.as_ref().map(|r| {
-            let mut w = precondition(r, local.d, &theta);
-            faultkit::inject_slice("lobpcg.w", w.as_mut_slice());
-            w
-        });
+        let w = r.as_ref().map(|r| precondition(r, local.d, &theta));
         let s = hcat(&[Some(&x), w.as_ref(), p.as_ref()].into_iter().flatten().collect::<Vec<_>>());
         let m = s.ncols();
 
@@ -545,20 +541,24 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_w_breaks_down_on_every_rank() {
-        let ham = test_ham();
-        let campaign = faultkit::arm(
-            faultkit::FaultPlan::new(21).with("lobpcg.w", 1, faultkit::FaultKind::NanPoison),
-        );
-        let res = spmd(2, |c| {
-            distributed_casida_lobpcg(c, &ham, 2, LobpcgOptions::default(), 3).err()
-        });
-        for err in res {
-            match err {
-                Some(SolveError::Breakdown { stage: "lobpcg", iteration: 2, .. }) => {}
-                other => panic!("expected a breakdown at iteration 2, got {other:?}"),
+    fn overflowed_gram_breaks_down_on_every_rank() {
+        // One `f_xc` entry at f64::MAX: the factors are finite, but the
+        // first iteration's subspace Gram [X W]ᵀ[X W] overflows. The check
+        // reads the reduced (replicated) Gram, so every rank breaks down.
+        let mut p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        p.fxc[100] = f64::MAX;
+        let selector = PointSelector::Kmeans(Default::default());
+        let ham = build_isdf_hamiltonian(&Comm::solo(), &p, selector, p.n_cv()).expect("finite");
+        for ranks in [1, 2] {
+            let res = spmd(ranks, |c| {
+                distributed_casida_lobpcg(c, &ham, 2, LobpcgOptions::default(), 3).err()
+            });
+            for err in res {
+                match err {
+                    Some(SolveError::Breakdown { stage: "lobpcg", iteration: 1, .. }) => {}
+                    other => panic!("{ranks} ranks: expected a breakdown, got {other:?}"),
+                }
             }
         }
-        assert_eq!(campaign.fired(), 2, "one poison per rank");
     }
 }

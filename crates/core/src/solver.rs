@@ -318,7 +318,7 @@ fn kernel_pool(comm: &Comm) -> rayon::ThreadPool {
 mod tests {
     use super::*;
     use crate::problem::{silicon_like_problem, synthetic_problem};
-    use faultkit::{arm, FaultKind, FaultPlan, NumericalError};
+    use faultkit::NumericalError;
     use mathkit::syev;
     use parcomm::spmd;
 
@@ -351,6 +351,27 @@ mod tests {
                     Err(other) => panic!("{v:?} with NaN in {site}: {other}"),
                     Ok(_) => panic!("{v:?} solved with NaN in {site}"),
                 }
+            }
+        }
+        // Finite inputs that pass the check and overflow later: `psi_v`
+        // ×1e160 on every 7th entry, whose squares overflow (row 1's `H`,
+        // row 2's QRCP column norms, and K-Means prunes every point of +Inf
+        // weight), and one `f_xc` entry at f64::MAX on a 0.1-bohr box, which
+        // overflows `H` and Ṽ. Every row fails typed; none may panic.
+        let mut scaled = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        scaled.psi_v.as_mut_slice().iter_mut().step_by(7).for_each(|x| *x *= 1e160);
+        let mut tiny = synthetic_problem([8, 8, 8], 0.1, 2, 2);
+        tiny.fxc[100] = f64::MAX;
+        let at = |site: &str| NumericalError::NonFinite { site: site.into(), index: 0 };
+        for (case, p) in [("scaled psi_v", &scaled), ("tiny box", &tiny)] {
+            for v in Version::all() {
+                let want = match (case, v) {
+                    (_, Version::Naive) => at("ham.h"),
+                    ("scaled psi_v", Version::QrcpIsdf) => at("qrcp.column_norms"),
+                    ("scaled psi_v", _) => NumericalError::RankDeficient { requested: 4, got: 0 },
+                    _ => at("ham.v_tilde"),
+                };
+                assert_eq!(opts(p).version(v).solve(p).err(), Some(want.into()), "{case}, {v:?}");
             }
         }
     }
@@ -447,31 +468,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lobpcg_fallback_to_dense_on_nonconvergence() {
-        // One iteration at an impossible tolerance cannot converge, so the
-        // LOBPCG rows fall back to the dense floor on every rank count: one
-        // `…; dense floor` line, and row 3's energies on as many ranks, bit
-        // for bit.
-        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
-        let base = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
-        let starved = base.lobpcg(LobpcgOptions { max_iter: 1, tol: 1e-14 });
+    /// The dense floor on 1 and 2 ranks: rows 4 and 5 of `lobpcg` on `p`
+    /// each log one line that contains `reason` and ends in `; dense floor`,
+    /// and answer with row 3's energies of `base` on as many ranks, bit for
+    /// bit.
+    fn assert_dense_floor(p: &CasidaProblem, base: Solver, lobpcg: Solver, reason: &str) {
         for ranks in [1usize, 2] {
             let row3 = base.version(Version::KmeansIsdf);
-            let dense = bits(&spmd(ranks, |c| row3.solve_distributed(c, &p).0)[0]);
+            let dense = bits(&spmd(ranks, |c| row3.solve_distributed(c, p).0)[0]);
             for v in [Version::KmeansIsdfLobpcg, Version::ImplicitKmeansIsdfLobpcg] {
-                let solver = starved.version(v);
+                let solver = lobpcg.version(v);
                 for (values, log) in spmd(ranks, |c| {
-                    let ham = solver.hamiltonian(c, &p).expect("clean build");
+                    let ham = solver.hamiltonian(c, p).expect("finite build");
                     let mut log = vec![];
                     (solver.eigensolve(c, &ham, &mut log).values, log)
                 }) {
                     assert_eq!(log.len(), 1, "{v:?} on {ranks} ranks: {log:?}");
+                    assert!(log[0].contains(reason), "{v:?} on {ranks} ranks: {log:?}");
                     assert!(log[0].ends_with("; dense floor"), "{v:?} on {ranks} ranks: {log:?}");
                     assert_eq!(bits(&values), dense, "{v:?} on {ranks} ranks");
                 }
             }
         }
+    }
+
+    #[test]
+    fn lobpcg_fallback_to_dense_on_nonconvergence() {
+        // One iteration at an impossible tolerance cannot converge.
+        let p = synthetic_problem([8, 8, 8], 6.0, 3, 2);
+        let base = Solver::builder().n_states(3).rank(IsdfRank::Fixed(p.n_cv()));
+        let starved = base.lobpcg(LobpcgOptions { max_iter: 1, tol: 1e-14 });
+        assert_dense_floor(&p, base, starved, "no convergence in 1 iterations");
+    }
+
+    #[test]
+    fn lobpcg_breakdown_falls_back_to_dense() {
+        // One `f_xc` entry at f64::MAX leaves the factors and the dense `H`
+        // finite, but the first LOBPCG iteration's subspace Gram overflows.
+        let mut p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        p.fxc[100] = f64::MAX;
+        let reason = "broke down at iteration 1: non-finite subspace Gram matrix";
+        assert_dense_floor(&p, opts(&p), opts(&p), reason);
     }
 
     #[test]
@@ -525,36 +562,16 @@ mod tests {
 
     #[test]
     fn poisoned_v_tilde_fails_the_build_once() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let campaign = arm(FaultPlan::new(3).with("ham.v_tilde", 0, FaultKind::NanPoison));
+        // Every `f_xc` entry at f64::MAX passes the input check; the Hxc
+        // kernel then overflows Ṽ, and its guard fails the one build.
+        let mut p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+        p.fxc.fill(f64::MAX);
         match opts(&p).version(Version::KmeansIsdf).solve(&p) {
-            Err(SolveError::Numerical(NumericalError::NonFinite { site, .. })) => {
-                assert_eq!(site, "ham.v_tilde");
+            Err(SolveError::Numerical(NumericalError::NonFinite { site, index })) => {
+                assert_eq!((site.as_str(), index), ("ham.v_tilde", 0));
             }
             Err(other) => panic!("expected NonFinite at ham.v_tilde, got {other}"),
-            Ok(_) => panic!("a poisoned Ṽ solved"),
-        }
-        assert_eq!(campaign.fired(), 1);
-    }
-
-    #[test]
-    fn lobpcg_breakdown_heals_through_ladder() {
-        let p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
-        let o = opts(&p);
-        let baseline = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("baseline");
-        // Poison the LOBPCG search direction on the first iteration: LOBPCG
-        // breaks down and the dense floor (`H` formed from the factors)
-        // finishes.
-        let campaign = arm(FaultPlan::new(11).with("lobpcg.w", 0, FaultKind::NanPoison));
-        let healed = o.version(Version::ImplicitKmeansIsdfLobpcg).solve(&p).expect("ladder heals");
-        assert_eq!(campaign.fired(), 1);
-        assert!(!healed.recovery.is_empty());
-        for (a, b) in baseline.energies.iter().zip(&healed.energies) {
-            assert!(
-                (a - b).abs() < 1e-8,
-                "recovered {b} vs fault-free {a}; log {:?}",
-                healed.recovery
-            );
+            Ok(s) => panic!("an overflowed Ṽ solved: {:?}", s.energies),
         }
     }
 

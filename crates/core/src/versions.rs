@@ -182,7 +182,7 @@ fn select_points(
 ) -> Result<Vec<usize>, NumericalError> {
     let PointSelector::Kmeans(opts) = selector else {
         let _sp = obskit::span(Stage::Qrcp, "isdf.qrcp_points");
-        return Ok(qrcp_points(&problem.psi_v, &problem.psi_c, n_mu));
+        return qrcp_points(&problem.psi_v, &problem.psi_c, n_mu);
     };
     let _sp = obskit::span(Stage::Kmeans, "kmeans.points");
     // Weights are gathered so that pruning and seeding replicate.
@@ -203,9 +203,9 @@ fn select_points(
 /// The ISDF pipeline up to the replicated factors of `H = D + 2 Cᵀ Ṽ C`,
 /// SPMD-collective on `comm` — a serial solve passes [`Comm::solo`].
 /// Failures are typed: a sampled fit-residual guard, the input check
-/// ([`CasidaProblem::check_inputs`]) going in and finiteness guards on
-/// `C` / `Ṽ` coming out. Each is decided on replicated data, so the ranks of
-/// a group fail together.
+/// ([`CasidaProblem::check_inputs`]) going in and a finiteness guard on `Ṽ`
+/// coming out. Each is decided on replicated data, so the ranks of a group
+/// fail together.
 pub fn build_isdf_hamiltonian(
     comm: &Comm,
     problem: &CasidaProblem,
@@ -217,7 +217,7 @@ pub fn build_isdf_hamiltonian(
     let slab = problem.slab(comm);
     // Algorithm 1 + §4: the replicated factors and the sampled relative fit
     // residual.
-    let (mut ham, residual) = {
+    let (ham, residual) = {
         // Natural K-Means dedup shrinkage is accepted as the effective rank.
         let points = select_points(comm, problem, &slab, selector, n_mu)?;
 
@@ -281,14 +281,12 @@ pub fn build_isdf_hamiltonian(
         return Err(NumericalError::FitResidual { residual, tolerance }.into());
     }
 
-    // Fault-injection hooks on the assembled factors, backed by real
-    // finiteness guards — corruption here (from whatever source) must become
-    // a typed error, not NaN excitation energies. A poison lands on the same
-    // element of every rank's replicated copy.
-    faultkit::inject_slice("ham.v_tilde", ham.v_tilde.as_mut_slice());
-    faultkit::inject_slice("ham.c", ham.c.as_mut_slice());
+    // A finite input can still overflow Ṽ (an `f_xc` entry near `f64::MAX`
+    // times a pair density): a typed error, not NaN excitation energies. `C`
+    // needs no guard: an entry ψ̂ᵢ·φ̂ⱼ that overflows makes ψ̂ᵢ² or φ̂ⱼ², so
+    // CCᵀ's diagonal entry (Σψ̂²)(Σφ̂²), non-finite, and `floored_cholesky`
+    // has already failed at `isdf.cc_t`.
     check_finite("ham.v_tilde", ham.v_tilde.as_slice())?;
-    check_finite("ham.c", ham.c.as_slice())?;
     Ok(ham)
 }
 

@@ -201,7 +201,7 @@ mod tests {
         let (nr, nb) = (60, 3);
         let psi = smooth_orbitals(nr, nb, 0.0);
         let phi = smooth_orbitals(nr, nb, 0.7);
-        let pts = qrcp_points(&psi, &phi, 9); // = full pair count
+        let pts = qrcp_points(&psi, &phi, 9).unwrap(); // = full pair count
         let isdf = IsdfDecomposition::build(&psi, &phi, &pts);
         let err = isdf.relative_error(&psi, &phi);
         assert!(err < 1e-8, "relative error {err}");
@@ -214,7 +214,7 @@ mod tests {
         let phi = smooth_orbitals(nr, nb, 1.3);
         let mut last = f64::INFINITY;
         for &n_mu in &[2usize, 4, 8, 16] {
-            let pts = qrcp_points(&psi, &phi, n_mu);
+            let pts = qrcp_points(&psi, &phi, n_mu).unwrap();
             let isdf = IsdfDecomposition::build(&psi, &phi, &pts);
             let err = isdf.relative_error(&psi, &phi);
             assert!(err <= last + 1e-9, "error should not grow: {err} after {last}");
@@ -231,7 +231,7 @@ mod tests {
         let psi = smooth_orbitals(nr, nb, 0.0);
         let phi = smooth_orbitals(nr, nb, 0.5);
         let n_mu = 12;
-        let q_pts = qrcp_points(&psi, &phi, n_mu);
+        let q_pts = qrcp_points(&psi, &phi, n_mu).unwrap();
         let w = pair_weights(&psi, &phi);
         let coords: Vec<[f64; 3]> = (0..nr).map(|i| [i as f64, 0.0, 0.0]).collect();
         let k_out = kmeans_points(&coords, &w, n_mu, KmeansOptions::default());
@@ -248,10 +248,10 @@ mod tests {
         let psi = smooth_orbitals(nr, nb, 0.1);
         let phi = smooth_orbitals(nr, nb, 0.6);
         // Accurate fit: both estimates tiny.
-        let good = IsdfDecomposition::build(&psi, &phi, &qrcp_points(&psi, &phi, 9));
+        let good = IsdfDecomposition::build(&psi, &phi, &qrcp_points(&psi, &phi, 9).unwrap());
         assert!(good.sampled_relative_error(&psi, &phi) < 1e-6);
         // Starved fit: sampled estimate must flag it as bad too.
-        let bad = IsdfDecomposition::build(&psi, &phi, &qrcp_points(&psi, &phi, 2));
+        let bad = IsdfDecomposition::build(&psi, &phi, &qrcp_points(&psi, &phi, 2).unwrap());
         let full = bad.relative_error(&psi, &phi);
         let sampled = bad.sampled_relative_error(&psi, &phi);
         assert!(full > 1e-3, "starved fit should be inaccurate: {full}");
@@ -263,7 +263,7 @@ mod tests {
         let (nr, nb) = (40, 2);
         let psi = smooth_orbitals(nr, nb, 0.2);
         let phi = smooth_orbitals(nr, nb, 0.9);
-        let pts = qrcp_points(&psi, &phi, 4);
+        let pts = qrcp_points(&psi, &phi, 4).unwrap();
         let isdf = IsdfDecomposition::build(&psi, &phi, &pts);
         let rec = isdf.reconstruct_pair(1, 0);
         let z = face_splitting_product(&psi, &phi);
@@ -285,7 +285,7 @@ mod tests {
         let (nr, nb) = (50, 3);
         let psi = smooth_orbitals(nr, nb, 0.4);
         let phi = smooth_orbitals(nr, nb, 1.1);
-        let pts = qrcp_points(&psi, &phi, 9);
+        let pts = qrcp_points(&psi, &phi, 9).unwrap();
         let isdf = IsdfDecomposition::build(&psi, &phi, &pts);
         let z = face_splitting_product(&psi, &phi);
         let c = isdf.coefficients();

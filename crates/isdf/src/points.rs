@@ -1,6 +1,7 @@
 //! QRCP-based interpolation point selection (paper §4.1.1) and the
 //! orbital-pair weight function (Eq. 14).
 
+use faultkit::NumericalError;
 use mathkit::qr::{qrcp_select, randomized_qrcp_select};
 use mathkit::Mat;
 use rand::rngs::StdRng;
@@ -28,15 +29,21 @@ pub fn pair_weights(psi: &Mat, phi: &Mat) -> Vec<f64> {
 
 /// Traditional QRCP interpolation points: pivoted QR on `Zᵀ` where
 /// `Z = face_splitting_product(psi, phi)`. Cost `O(N_r·(N_vN_c)²)`-ish — the
-/// expensive path the paper replaces (its Table 3 baseline).
-pub fn qrcp_points(psi: &Mat, phi: &Mat, n_mu: usize) -> Vec<usize> {
+/// expensive path the paper replaces (its Table 3 baseline). An orbital
+/// product whose square overflows is [`mathkit::qrcp`]'s typed error.
+pub fn qrcp_points(psi: &Mat, phi: &Mat, n_mu: usize) -> Result<Vec<usize>, NumericalError> {
     let z = face_splitting_product(psi, phi);
     qrcp_select(&z, n_mu)
 }
 
 /// Randomized-sketch QRCP (the "randomized sampling QRCP" the paper cites):
 /// project the pair columns with a Gaussian sketch before pivoting.
-pub fn randomized_qrcp_points(psi: &Mat, phi: &Mat, n_mu: usize, seed: u64) -> Vec<usize> {
+pub fn randomized_qrcp_points(
+    psi: &Mat,
+    phi: &Mat,
+    n_mu: usize,
+    seed: u64,
+) -> Result<Vec<usize>, NumericalError> {
     let z = face_splitting_product(psi, phi);
     let mut rng = StdRng::seed_from_u64(seed);
     let oversample = (n_mu / 4).clamp(4, 32);
@@ -93,7 +100,7 @@ mod tests {
                 phi[(i, j)] = ((i + 3 * j) as f64).cos();
             }
         }
-        let pts = qrcp_points(&psi, &phi, 4);
+        let pts = qrcp_points(&psi, &phi, 4).unwrap();
         assert_eq!(pts.len(), 4);
         assert!(pts.iter().all(|&p| (10..20).contains(&p)), "{pts:?}");
     }
@@ -102,8 +109,8 @@ mod tests {
     fn randomized_agrees_with_plain_on_small_problem() {
         let psi = orbitals(30, 3, 7);
         let phi = orbitals(30, 3, 8);
-        let plain = qrcp_points(&psi, &phi, 6);
-        let rnd = randomized_qrcp_points(&psi, &phi, 6, 42);
+        let plain = qrcp_points(&psi, &phi, 6).unwrap();
+        let rnd = randomized_qrcp_points(&psi, &phi, 6, 42).unwrap();
         // Randomized selection need not be identical but must overlap heavily
         // for a well-conditioned problem.
         let overlap = plain.iter().filter(|p| rnd.contains(p)).count();

@@ -9,6 +9,7 @@
 use crate::gemm::{gemm, Transpose};
 use crate::mat::Mat;
 use crate::simd;
+use faultkit::NumericalError;
 use rand::Rng;
 
 /// Plain (unpivoted) Householder QR: returns `(Q, R)` with `A = Q R`,
@@ -86,8 +87,10 @@ pub struct Qrcp {
 
 /// Householder QRCP of `a` (LAPACK `dgeqp3`-style with classic column-norm
 /// downdates), stopping after `max_steps` pivots or when the next pivot's
-/// column norm drops below `tol * (first pivot norm)`.
-pub fn qrcp(a: &Mat, max_steps: usize, tol: f64) -> Qrcp {
+/// column norm drops below `tol * (first pivot norm)`. A residual column
+/// norm that is not finite (a finite entry whose square overflows) has no
+/// pivot order: `NonFinite` at `qrcp.column_norms`, `index` that column.
+pub fn qrcp(a: &Mat, max_steps: usize, tol: f64) -> Result<Qrcp, NumericalError> {
     let (m, n) = a.shape();
     let kmax = max_steps.min(m).min(n);
     let mut r = a.clone();
@@ -97,6 +100,10 @@ pub fn qrcp(a: &Mat, max_steps: usize, tol: f64) -> Qrcp {
     let mut first_norm = 0.0f64;
 
     for j in 0..kmax {
+        if let Some(bad) = norms2[j..].iter().position(|v| !v.is_finite()) {
+            let index = perm[j + bad];
+            return Err(NumericalError::NonFinite { site: "qrcp.column_norms".into(), index });
+        }
         // Select the remaining column with the largest residual norm.
         let (piv, &pnorm2) = norms2[j..]
             .iter()
@@ -109,7 +116,7 @@ pub fn qrcp(a: &Mat, max_steps: usize, tol: f64) -> Qrcp {
             first_norm = pnorm;
         }
         if pnorm <= tol * first_norm {
-            return Qrcp { perm, rdiag, rank: j };
+            return Ok(Qrcp { perm, rdiag, rank: j });
         }
         if piv != j {
             // Swap columns j and piv (and bookkeeping).
@@ -144,18 +151,18 @@ pub fn qrcp(a: &Mat, max_steps: usize, tol: f64) -> Qrcp {
         }
         rdiag.push(r[(j, j)].abs());
     }
-    Qrcp { perm, rdiag, rank: kmax }
+    Ok(Qrcp { perm, rdiag, rank: kmax })
 }
 
 /// Select `n_mu` interpolation rows of the tall matrix `z` (`N_r × N_cv`)
 /// by running QRCP on `zᵀ` — the paper's traditional ISDF point selector.
-/// Returns sorted row indices.
-pub fn qrcp_select(z: &Mat, n_mu: usize) -> Vec<usize> {
+/// Returns sorted row indices, or [`qrcp`]'s typed error.
+pub fn qrcp_select(z: &Mat, n_mu: usize) -> Result<Vec<usize>, NumericalError> {
     let zt = z.transpose();
-    let fac = qrcp(&zt, n_mu, 0.0);
+    let fac = qrcp(&zt, n_mu, 0.0)?;
     let mut pts: Vec<usize> = fac.perm[..fac.rank].to_vec();
     pts.sort_unstable();
-    pts
+    Ok(pts)
 }
 
 /// Randomized QRCP point selection (paper §4.1.1 "randomized sampling QRCP"):
@@ -166,7 +173,7 @@ pub fn randomized_qrcp_select(
     n_mu: usize,
     oversample: usize,
     rng: &mut impl Rng,
-) -> Vec<usize> {
+) -> Result<Vec<usize>, NumericalError> {
     let (nr, ncv) = z.shape();
     let p = (n_mu + oversample).min(nr);
     // Y = Gᵀ? We want sketch rows: Y (p × nr) = G (p × ncv) · zᵀ (ncv × nr).
@@ -182,10 +189,10 @@ pub fn randomized_qrcp_select(
     let mut yt = Mat::zeros(nr, p);
     gemm(1.0, z, Transpose::No, &g, Transpose::No, 0.0, &mut yt);
     let y = yt.transpose(); // p × nr
-    let fac = qrcp(&y, n_mu, 0.0);
+    let fac = qrcp(&y, n_mu, 0.0)?;
     let mut pts: Vec<usize> = fac.perm[..fac.rank].to_vec();
     pts.sort_unstable();
-    pts
+    Ok(pts)
 }
 
 #[cfg(test)]
@@ -290,12 +297,12 @@ mod tests {
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (i, (a, steps, tol)) in cases.iter().enumerate() {
-            let (got, want) = (qrcp(a, *steps, *tol), reference::qrcp(a, *steps, *tol));
+            let (got, want) = (qrcp(a, *steps, *tol).unwrap(), reference::qrcp(a, *steps, *tol));
             assert_eq!(got.perm, want.perm, "case {i}");
             assert_eq!(bits(&got.rdiag), bits(&want.rdiag), "case {i}");
             assert_eq!(got.rank, want.rank, "case {i}");
         }
-        let past_rank = qrcp(&cases[5].0, 6, -1.0);
+        let past_rank = qrcp(&cases[5].0, 6, -1.0).unwrap();
         assert_eq!((past_rank.rank, &past_rank.rdiag[3..]), (6, &[0.0; 3][..]));
     }
 
@@ -336,7 +343,7 @@ mod tests {
     fn qrcp_pivots_decreasing() {
         let mut rng = rand::thread_rng();
         let a = Mat::random(20, 15, &mut rng);
-        let fac = qrcp(&a, 15, 0.0);
+        let fac = qrcp(&a, 15, 0.0).unwrap();
         for w in fac.rdiag.windows(2) {
             assert!(w[0] >= w[1] - 1e-10, "rdiag not non-increasing: {:?}", fac.rdiag);
         }
@@ -352,7 +359,7 @@ mod tests {
             a[(i, 3)] *= 100.0;
             a[(i, 7)] *= 100.0;
         }
-        let fac = qrcp(&a, 2, 0.0);
+        let fac = qrcp(&a, 2, 0.0).unwrap();
         let mut first_two = fac.perm[..2].to_vec();
         first_two.sort_unstable();
         assert_eq!(first_two, vec![3, 7]);
@@ -364,7 +371,7 @@ mod tests {
         let u = Mat::from_fn(12, 2, |i, j| if j == 0 { (i + 1) as f64 / 10.0 } else { ((i * i) as f64).sin() });
         let v = Mat::from_fn(2, 9, |i, j| ((i + 2) as f64).powi(j as i32 % 3 + 1) / 5.0);
         let a = matmul(&u, &v);
-        let fac = qrcp(&a, 9, 1e-8);
+        let fac = qrcp(&a, 9, 1e-8).unwrap();
         assert!(fac.rank <= 3, "rank {} too high for rank-2 input", fac.rank);
         assert!(fac.rank >= 2);
     }
@@ -377,7 +384,7 @@ mod tests {
         let u = Mat::random(30, 3, &mut rng);
         let v = Mat::random(3, 8, &mut rng);
         let z = matmul(&u, &v);
-        let pts = qrcp_select(&z, 3);
+        let pts = qrcp_select(&z, 3).unwrap();
         assert_eq!(pts.len(), 3);
         for w in pts.windows(2) {
             assert!(w[0] < w[1]);
@@ -394,9 +401,24 @@ mod tests {
             z[(5, j)] *= 500.0;
             z[(17, j)] *= 300.0;
         }
-        let plain = qrcp_select(&z, 2);
-        let randomized = randomized_qrcp_select(&z, 2, 4, &mut rng);
+        let plain = qrcp_select(&z, 2).unwrap();
+        let randomized = randomized_qrcp_select(&z, 2, 4, &mut rng).unwrap();
         assert_eq!(plain, vec![5, 17]);
         assert_eq!(randomized, vec![5, 17]);
+    }
+
+    #[test]
+    fn overflowing_column_norm_is_a_typed_error() {
+        // 1e160 is finite, its square is not: column 2 has no norm to pivot
+        // on, and the pivot search must not compare it.
+        let mut a = Mat::from_fn(4, 3, |i, j| (i + j) as f64 + 1.0);
+        a[(1, 2)] = 1e160;
+        match qrcp(&a, 3, 0.0) {
+            Err(NumericalError::NonFinite { site, index }) => {
+                assert_eq!((site.as_str(), index), ("qrcp.column_norms", 2));
+            }
+            Err(other) => panic!("expected NonFinite, got {other}"),
+            Ok(fac) => panic!("pivoted an overflowed column: {:?}", fac.perm),
+        }
     }
 }

@@ -370,25 +370,17 @@ where
     assert!(size > 0, "need at least one rank");
     let shared = Shared::new(size, size);
     let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
-    // An armed fault plan on the launching thread extends to every rank:
-    // rank threads install the same handle, so per-rank occurrence counters
-    // advance in lockstep and a poison of replicated data fires on every
-    // rank alike.
-    let faults = faultkit::handle();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(size);
         for rank in 0..size {
             let shared = Arc::clone(&shared);
             let f = &f;
-            let faults = faults.clone();
             handles.push(scope.spawn(move || {
                 // Tag this rank thread's trace stream (lane label "rank N")
                 // and deliver whatever it recorded when the rank function
                 // returns (or panics — the thread-local backstop flushes on
                 // unwind).
                 obskit::set_rank(rank);
-                faultkit::install(faults);
-                faultkit::set_rank(rank);
                 let comm = Comm::new(rank, shared);
                 let out = f(&comm);
                 obskit::flush_thread();

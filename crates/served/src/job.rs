@@ -227,7 +227,7 @@ pub(crate) fn cache_key(spec: &JobSpec) -> CacheKey {
     }
 }
 
-/// Minimal FNV-1a accumulator (same constants as faultkit's site hash).
+/// Minimal 64-bit FNV-1a accumulator.
 struct Fnv(u64);
 
 impl Fnv {

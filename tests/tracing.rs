@@ -118,17 +118,16 @@ fn pipelined_reduce_charges_each_call_once() {
 #[test]
 fn poisoned_solve_opens_each_build_span_once_and_closes_all() {
     let _g = exclusive();
-    let p = lrtddft::synthetic_problem([8, 8, 8], 6.0, 2, 2);
+    let mut p = lrtddft::synthetic_problem([8, 8, 8], 6.0, 2, 2);
     let solver = lrtddft::Solver::builder()
         .version(lrtddft::Version::KmeansIsdf)
         .rank(IsdfRank::Fixed(p.n_cv()))
         .build();
 
-    // Poisoned `C` factor: the build fails its finiteness guard after the
-    // K-Means, Θ, FFT and GEMM stages ran, and is not run again.
-    let campaign = faultkit::arm(
-        faultkit::FaultPlan::new(3).with("ham.c", 0, faultkit::FaultKind::NanPoison),
-    );
+    // Every `f_xc` entry at f64::MAX overflows `Ṽ`: the build fails its
+    // finiteness guard after the K-Means, Θ, FFT and GEMM stages ran, and is
+    // not run again.
+    p.fxc.fill(f64::MAX);
     obskit::enable();
     let t0 = Instant::now();
     let clock = obskit::StageClock::now();
@@ -137,13 +136,12 @@ fn poisoned_solve_opens_each_build_span_once_and_closes_all() {
     let wall = t0.elapsed().as_secs_f64();
     obskit::disable();
     let trace = obskit::take_trace();
-    assert_eq!(campaign.fired(), 1);
     match failed {
         Err(faultkit::SolveError::Numerical(faultkit::NumericalError::NonFinite {
             site, ..
-        })) => assert_eq!(site, "ham.c"),
-        Err(other) => panic!("expected NonFinite at ham.c, got {other}"),
-        Ok(_) => panic!("a poisoned C solved"),
+        })) => assert_eq!(site, "ham.v_tilde"),
+        Err(other) => panic!("expected NonFinite at ham.v_tilde, got {other}"),
+        Ok(_) => panic!("an overflowed Ṽ solved"),
     }
     trace.validate().expect("every span of the failed build closes");
 
