@@ -355,9 +355,9 @@ mod tests {
         }
         // Finite inputs that pass the check and overflow later: `psi_v`
         // ×1e160 on every 7th entry, whose squares overflow (row 1's `H`,
-        // row 2's QRCP column norms, and K-Means prunes every point of +Inf
-        // weight), and one `f_xc` entry at f64::MAX on a 0.1-bohr box, which
-        // overflows `H` and Ṽ. Every row fails typed; none may panic.
+        // row 2's QRCP column norms, rows 3–5's K-Means pair weights), and
+        // one `f_xc` entry at f64::MAX on a 0.1-bohr box, which overflows
+        // `H` and Ṽ. Every row fails typed; none may panic.
         let mut scaled = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         scaled.psi_v.as_mut_slice().iter_mut().step_by(7).for_each(|x| *x *= 1e160);
         let mut tiny = synthetic_problem([8, 8, 8], 0.1, 2, 2);
@@ -368,7 +368,7 @@ mod tests {
                 let want = match (case, v) {
                     (_, Version::Naive) => at("ham.h"),
                     ("scaled psi_v", Version::QrcpIsdf) => at("qrcp.column_norms"),
-                    ("scaled psi_v", _) => NumericalError::RankDeficient { requested: 4, got: 0 },
+                    ("scaled psi_v", _) => at("kmeans.pair_weights"),
                     _ => at("ham.v_tilde"),
                 };
                 assert_eq!(opts(p).version(v).solve(p).err(), Some(want.into()), "{case}, {v:?}");

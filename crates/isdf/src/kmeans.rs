@@ -122,8 +122,9 @@ pub fn kmeans_points(
 ///
 /// With the whole grid as `slab` and identity closures this is the serial
 /// algorithm ([`kmeans_points`]), operation for operation. Degenerate inputs
-/// are typed errors: all-zero weights, a coords/weights length mismatch, or
-/// pruning that leaves fewer than `n_mu` candidates.
+/// are typed errors: a coords/weights length mismatch, a non-finite weight
+/// (`NonFinite` at `kmeans.pair_weights`, the first such index), all-zero
+/// weights, or pruning that leaves fewer than `n_mu` candidates.
 pub fn kmeans_points_checked(
     coords: &[[f64; 3]],
     w: &[f64],
@@ -141,8 +142,11 @@ pub fn kmeans_points_checked(
             got: (w.len(), 1),
         });
     }
-    // `f64::max` against the 0.0 seed discards NaN entries, so a weight
-    // vector of all NaNs also lands here rather than seeding centroids.
+    // An overflowed weight would make the prune cutoff +Inf (or NaN) and
+    // pass no point. `w` is replicated, so every caller stops here alike.
+    if let Some(index) = w.iter().position(|x| !x.is_finite()) {
+        return Err(NumericalError::NonFinite { site: "kmeans.pair_weights".into(), index });
+    }
     let wmax = w.iter().cloned().fold(0.0f64, f64::max);
     if wmax <= 0.0 {
         return Err(NumericalError::AllZeroWeights);
@@ -539,6 +543,13 @@ mod tests {
             alone(&coords, &[1.0; 2], 1).unwrap_err(),
             NumericalError::ShapeMismatch { stage: "kmeans", expected: (3, 1), got: (2, 1) }
         );
+        // An overflowed weight names itself, not the rank it would prune.
+        for bad in [f64::INFINITY, f64::NAN] {
+            assert_eq!(
+                alone(&coords, &[1.0, bad, bad], 1).unwrap_err(),
+                NumericalError::NonFinite { site: "kmeans.pair_weights".into(), index: 1 }
+            );
+        }
         // One heavy point drowns the rest below the prune cutoff.
         let mut w = vec![1e-12; 3];
         w[0] = 1.0;

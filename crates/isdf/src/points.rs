@@ -27,17 +27,32 @@ pub fn pair_weights(psi: &Mat, phi: &Mat) -> Vec<f64> {
     w
 }
 
-/// Traditional QRCP interpolation points: pivoted QR on `Zᵀ` where
-/// `Z = face_splitting_product(psi, phi)`. Cost `O(N_r·(N_vN_c)²)`-ish — the
-/// expensive path the paper replaces (its Table 3 baseline). An orbital
-/// product whose square overflows is [`mathkit::qrcp`]'s typed error.
+/// Traditional QRCP interpolation points: pivoted QR on `Zᵀ`, the paper's
+/// Table 3 baseline that K-Means replaces. `Zᵀ` (`N_vN_c × N_r`) is formed
+/// here once, one grid point's pair products `ψ_i(r)·φ_j(r)` per column
+/// (the transpose of [`face_splitting_product`]), and [`mathkit::qrcp`]
+/// factors that one copy in place. An orbital product whose square
+/// overflows is its typed error.
 pub fn qrcp_points(psi: &Mat, phi: &Mat, n_mu: usize) -> Result<Vec<usize>, NumericalError> {
-    let z = face_splitting_product(psi, phi);
-    qrcp_select(&z, n_mu)
+    assert_eq!(psi.nrows(), phi.nrows());
+    let n = phi.ncols();
+    // Row r of ψ and of φ as contiguous columns.
+    let (psi_t, phi_t) = (psi.transpose(), phi.transpose());
+    let mut zt = Mat::zeros(psi.ncols() * n, psi.nrows());
+    zt.par_for_each_col(|r, col| {
+        // `max(1)`: with no φ columns `col` is empty.
+        for (pairs, &a) in col.chunks_mut(n.max(1)).zip(psi_t.col(r)) {
+            for (z, &b) in pairs.iter_mut().zip(phi_t.col(r)) {
+                *z = a * b;
+            }
+        }
+    });
+    qrcp_select(zt, n_mu)
 }
 
 /// Randomized-sketch QRCP (the "randomized sampling QRCP" the paper cites):
-/// project the pair columns with a Gaussian sketch before pivoting.
+/// project the pair columns with a Gaussian sketch, then pivot the sketch in
+/// place.
 pub fn randomized_qrcp_points(
     psi: &Mat,
     phi: &Mat,
@@ -103,6 +118,27 @@ mod tests {
         let pts = qrcp_points(&psi, &phi, 4).unwrap();
         assert_eq!(pts.len(), 4);
         assert!(pts.iter().all(|&p| (10..20).contains(&p)), "{pts:?}");
+    }
+
+    #[test]
+    fn qrcp_points_is_qrcp_on_the_transposed_face_splitting_product() {
+        use mathkit::qrcp;
+        // N_cv 48 × N_r 4000: the trailing update splits on two threads.
+        let (psi, phi) = (orbitals(4000, 8, 11), orbitals(4000, 6, 12));
+        let fac = qrcp(face_splitting_product(&psi, &phi).transpose(), 24, 0.0).unwrap();
+        let mut want = fac.perm[..fac.rank].to_vec();
+        want.sort_unstable();
+        assert_eq!(qrcp_points(&psi, &phi, 24).unwrap(), want);
+
+        // ψ_0 ×1e160 on every 7th grid point from 11: the first column of
+        // Zᵀ whose square overflows is grid point 11's.
+        let mut psi = orbitals(60, 3, 13);
+        psi.col_mut(0)[11..].iter_mut().step_by(7).for_each(|x| *x *= 1e160);
+        let phi = orbitals(60, 2, 14);
+        let at = |index| NumericalError::NonFinite { site: "qrcp.column_norms".into(), index };
+        let zt = face_splitting_product(&psi, &phi).transpose();
+        assert_eq!(qrcp(zt, 6, 0.0).err(), Some(at(11)));
+        assert_eq!(qrcp_points(&psi, &phi, 6).err(), Some(at(11)));
     }
 
     #[test]

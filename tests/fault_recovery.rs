@@ -49,6 +49,19 @@ fn poisoned_v_tilde_fails_alike_on_every_rank_of_a_distributed_solve() {
     assert_eq!(errors[1], errors[0], "the ranks disagree");
 }
 
+/// An overflowed pair weight (`psi_v` ×1e160 on every 7th entry) is named
+/// where K-Means meets it: the weights are gathered before the check, so
+/// both ranks return `NonFinite` at `kmeans.pair_weights`, grid point 0.
+#[test]
+fn overflowed_pair_weight_fails_alike_on_every_rank() {
+    let mut p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+    p.psi_v.as_mut_slice().iter_mut().step_by(7).for_each(|x| *x *= 1e160);
+    let solver = opts(&p).version(Version::KmeansIsdf);
+    let errors = parcomm::spmd(2, |c| solver.hamiltonian(c, &p).map(|_| ()));
+    let want = NumericalError::NonFinite { site: "kmeans.pair_weights".into(), index: 0 };
+    assert_eq!(errors, vec![Err(want.clone().into()), Err(want.into())]);
+}
+
 /// Both inputs on every row, serially: the overflowed `Ṽ` fails each ISDF
 /// row's one build with `NonFinite` at `ham.v_tilde` (row 1 forms no `Ṽ`,
 /// and its `H` stays finite), and the overflowed LOBPCG Gram costs rows 4

@@ -166,7 +166,8 @@ proptest! {
 
     #[test]
     fn qrcp_pivot_magnitudes_nonincreasing(a in mat_strategy(12, 9)) {
-        let f = qrcp(&a, a.ncols().min(a.nrows()), 0.0).unwrap();
+        let steps = a.ncols().min(a.nrows());
+        let f = qrcp(a.clone(), steps, 0.0).unwrap();
         for w in f.rdiag.windows(2) {
             prop_assert!(w[0] >= w[1] - 1e-9);
         }

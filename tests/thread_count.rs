@@ -5,11 +5,11 @@
 //! outputs with `to_bits`.
 
 use fftkit::{Complex, Fft3};
-use isdf::{kmeans_points, KmeansOptions};
+use isdf::{face_splitting_product, kmeans_points, qrcp_points, KmeansOptions};
 use lrtddft::{silicon_like_problem, Solver};
 use mathkit::chol::{cholesky, solve_right_in_place};
 use mathkit::gemm::{symm_tn, syrk_tn};
-use mathkit::{gemm, Mat, Transpose};
+use mathkit::{gemm, qrcp, Mat, Transpose};
 use pwdft::{scf, silicon_supercell, Grid, ScfOptions};
 use rayon::ThreadPool;
 
@@ -112,6 +112,21 @@ fn kmeans_classification() {
         let out = kmeans_points(&coords, &w, 128, KmeansOptions::default());
         let mut v: Vec<f64> = out.points.iter().map(|&p| p as f64).collect();
         v.extend([out.iterations as f64, out.objective]);
+        v
+    });
+}
+
+#[test]
+fn qrcp_trailing_update() {
+    // N_cv 128 × N_r 1728: the early steps split three ways.
+    let p = silicon_like_problem(1, 12, 8);
+    let zt = face_splitting_product(&p.psi_v, &p.psi_c).transpose();
+    same_bits_at_every_count("qrcp_points + qrcp", || {
+        let points = qrcp_points(&p.psi_v, &p.psi_c, 64).expect("finite orbitals");
+        let fac = qrcp(zt.clone(), 64, 0.0).expect("finite orbitals");
+        let mut v: Vec<f64> = points.iter().chain(&fac.perm).map(|&i| i as f64).collect();
+        v.extend(fac.rdiag);
+        v.push(fac.rank as f64);
         v
     });
 }
