@@ -1,6 +1,9 @@
 //! The vector kernels: one plain loop per kernel, which the committed
 //! `-C target-cpu=native` (`.cargo/config.toml`) lets LLVM vectorise over
 //! the row index for the host's ISA. No runtime dispatch, no second copy.
+//! The vector width is LLVM's choice, not the widest register of the ISA:
+//! on an AVX-512 host whose tuning prefers 256-bit vectors (the 2-vCPU
+//! Sapphire Rapids guest) the loops compile to ymm registers only.
 //!
 //! The bits are fixed by the source. Every f64 kernel performs, per output
 //! element, one fixed sequence of IEEE-754 operations: a separate multiply

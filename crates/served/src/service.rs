@@ -254,6 +254,7 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
             return;
         }
     };
+    release_freed_memory();
     let build_timings = lrtddft::StageTimings::since(clock);
     let build_stats = group.take_stats();
 
@@ -282,7 +283,29 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
             deadline_missed: false,
         }));
     }
+    release_freed_memory();
 }
+
+/// Hand the pages a rank freed back to the system. glibc returns an arena's
+/// free top only once it exceeds twice its dynamic mmap threshold (8 MiB
+/// after the first 4 MiB buffer is freed), and a build whose GEMM packs are
+/// bounded never frees that much at once, so an idle rank would keep up to
+/// that much resident. Called after a batch's build and after its
+/// eigensolves, where a rank's working set has just shrunk.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    }
+    // SAFETY: `malloc_trim` reads no caller memory; it only releases free
+    // pages of glibc's own arenas.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_memory() {}
 
 #[cfg(test)]
 mod tests {
