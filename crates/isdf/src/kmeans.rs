@@ -24,6 +24,10 @@ use rayon::prelude::*;
 /// evaluate (≈ 2 Mflop): a smaller sweep runs inline on the calling thread.
 const PAR_DISTANCES: usize = 1 << 18;
 
+/// Centroids [`Centroids::nearest`] compares per step: one residue class of
+/// centroid indices per lane.
+const LANES: usize = 8;
+
 /// Centroid initialization strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KmeansInit {
@@ -179,7 +183,7 @@ pub fn kmeans_points_checked(
             .par_iter_mut()
             .enumerate()
             .with_min_len(PAR_DISTANCES.div_ceil(n_mu))
-            .for_each(|(i, a)| *a = nearest(&centroids, coords[mine[i]]));
+            .for_each(|(i, a)| *a = centroids.nearest(coords[mine[i]]));
 
         // Weighted centroid update (Eq. 13) from the group-wide sums.
         partials.fill(0.0);
@@ -195,10 +199,10 @@ pub fn kmeans_points_checked(
         let (sums, wsum) = partials.split_at(3 * n_mu);
         let mut movement = 0.0;
         // An emptied cluster (no weight) keeps its centroid: Lloyd's rule.
-        for (k, c) in centroids.iter_mut().enumerate().filter(|&(k, _)| wsum[k] > 0.0) {
+        for k in (0..n_mu).filter(|&k| wsum[k] > 0.0) {
             let new = [sums[3 * k] / wsum[k], sums[3 * k + 1] / wsum[k], sums[3 * k + 2] / wsum[k]];
-            movement += dist2(*c, new);
-            *c = new;
+            movement += dist2(centroids.get(k), new);
+            centroids.set(k, new);
         }
         if movement < opts.tol {
             break;
@@ -213,7 +217,7 @@ pub fn kmeans_points_checked(
     cand[n_mu..2 * n_mu].fill(-1.0);
     for (&(a, _), &gi) in assign.iter().zip(mine.iter()) {
         let score = match opts.snap {
-            SnapRule::NearestCentroid => dist2(centroids[a], coords[gi]),
+            SnapRule::NearestCentroid => dist2(centroids.get(a), coords[gi]),
             SnapRule::MaxWeight => -w[gi],
         };
         if score < cand[a] {
@@ -224,7 +228,7 @@ pub fn kmeans_points_checked(
     cand[2 * n_mu] = assign
         .iter()
         .zip(mine.iter())
-        .map(|(&(a, _), &gi)| w[gi] * dist2(centroids[a], coords[gi]))
+        .map(|(&(a, _), &gi)| w[gi] * dist2(centroids.get(a), coords[gi]))
         .sum();
     let all = gather(&cand);
     let shares = || all.chunks_exact(2 * n_mu + 1);
@@ -244,7 +248,7 @@ pub fn kmeans_points_checked(
                 let mut best_gi = active[0];
                 let mut best_d = f64::INFINITY;
                 for &a in &active {
-                    let d = dist2(centroids[k], coords[a]);
+                    let d = dist2(centroids.get(k), coords[a]);
                     if d < best_d {
                         best_d = d;
                         best_gi = a;
@@ -268,7 +272,7 @@ fn initialize(
     active: &[usize],
     n_mu: usize,
     opts: KmeansOptions,
-) -> Vec<[f64; 3]> {
+) -> Centroids {
     let mut rng = StdRng::seed_from_u64(opts.seed);
     match opts.init {
         KmeansInit::Random => {
@@ -280,7 +284,7 @@ fn initialize(
                     cs.push(coords[gi]);
                 }
             }
-            cs
+            Centroids::from_points(&cs)
         }
         KmeansInit::WeightGuided => {
             // Sort by weight descending; greedily accept points at least
@@ -304,7 +308,7 @@ fn initialize(
                     if cs.iter().all(|&c| dist2(c, coords[gi]) >= dmin * dmin) {
                         cs.push(coords[gi]);
                         if cs.len() == n_mu {
-                            return cs;
+                            return Centroids::from_points(&cs);
                         }
                     }
                 }
@@ -316,12 +320,12 @@ fn initialize(
                     while cs.len() < n_mu {
                         cs.push(coords[active[rng.gen_range(0..active.len())]]);
                     }
-                    return cs;
+                    return Centroids::from_points(&cs);
                 }
             }
         }
         KmeansInit::PlusPlus => {
-            let mut cs: Vec<[f64; 3]> = Vec::with_capacity(n_mu);
+            let mut cs = Centroids::default();
             // First seed: weight-proportional.
             let total: f64 = active.iter().map(|&gi| w[gi]).sum();
             let mut pick = rng.gen_range(0.0..total);
@@ -339,7 +343,7 @@ fn initialize(
                 let d2: Vec<f64> = active
                     .iter()
                     .map(|&gi| {
-                        let (_, d) = nearest(&cs, coords[gi]);
+                        let (_, d) = cs.nearest(coords[gi]);
                         d * w[gi]
                     })
                     .collect();
@@ -372,23 +376,185 @@ fn dist2(a: [f64; 3], b: [f64; 3]) -> f64 {
     dx * dx + dy * dy + dz * dz
 }
 
-#[inline]
-fn nearest(centroids: &[[f64; 3]], p: [f64; 3]) -> (usize, f64) {
-    let mut bi = 0;
-    let mut bd = f64::INFINITY;
-    for (k, &c) in centroids.iter().enumerate() {
-        let d = dist2(c, p);
-        if d < bd {
-            bd = d;
-            bi = k;
+/// Centroid coordinates as a structure of arrays, `xyz[c][k]` coordinate
+/// `c` of centroid `k`, so [`Centroids::nearest`] loads `LANES` centroids
+/// per vector.
+#[derive(Clone, Debug, Default)]
+struct Centroids {
+    xyz: [Vec<f64>; 3],
+}
+
+impl Centroids {
+    fn from_points(points: &[[f64; 3]]) -> Self {
+        Centroids { xyz: [0, 1, 2].map(|c| points.iter().map(|p| p[c]).collect()) }
+    }
+
+    fn len(&self) -> usize {
+        self.xyz[0].len()
+    }
+
+    fn get(&self, k: usize) -> [f64; 3] {
+        self.xyz.each_ref().map(|c| c[k])
+    }
+
+    fn set(&mut self, k: usize, p: [f64; 3]) {
+        for (c, v) in self.xyz.iter_mut().zip(p) {
+            c[k] = v;
         }
     }
-    (bi, bd)
+
+    fn push(&mut self, p: [f64; 3]) {
+        for (c, v) in self.xyz.iter_mut().zip(p) {
+            c.push(v);
+        }
+    }
+
+    /// The centroid nearest `p` and its squared distance: the first minimum
+    /// in index order, `(0, +Inf)` when no distance is below +Inf (a NaN
+    /// distance never wins), each distance [`dist2`]'s to the bit.
+    ///
+    /// A step compares `LANES` centroids without a branch: lane `l` keeps the
+    /// first minimum of the indices `≡ l (mod LANES)` and the step it was
+    /// met in. The lanes then meet on the smallest distance, ties to the
+    /// lowest index, and the ragged tail past the last whole step continues
+    /// that first-minimum scan in index order.
+    fn nearest(&self, p: [f64; 3]) -> (usize, f64) {
+        let [xs, ys, zs] = &self.xyz;
+        let mut best = [f64::INFINITY; LANES];
+        let mut best_step = [0usize; LANES];
+        let whole = xs.len() / LANES * LANES;
+        let steps = xs[..whole].chunks_exact(LANES).zip(ys.chunks_exact(LANES));
+        for (step, ((x, y), z)) in steps.zip(zs.chunks_exact(LANES)).enumerate() {
+            for l in 0..LANES {
+                let d = dist2([x[l], y[l], z[l]], p);
+                let closer = d < best[l];
+                best[l] = if closer { d } else { best[l] };
+                best_step[l] = if closer { step } else { best_step[l] };
+            }
+        }
+        let mut nearest = (0, f64::INFINITY);
+        for (l, (&d, &step)) in best.iter().zip(&best_step).enumerate() {
+            let k = step * LANES + l;
+            if d < nearest.1 || (d == nearest.1 && k < nearest.0) {
+                nearest = (k, d);
+            }
+        }
+        for k in whole..xs.len() {
+            let d = dist2([xs[k], ys[k], zs[k]], p);
+            if d < nearest.1 {
+                nearest = (k, d);
+            }
+        }
+        nearest
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The element-indexed first-minimum loop [`Centroids::nearest`] must
+    /// equal to the bit.
+    fn first_minimum(centroids: &[[f64; 3]], p: [f64; 3]) -> (usize, f64) {
+        let mut bi = 0;
+        let mut bd = f64::INFINITY;
+        for (k, &c) in centroids.iter().enumerate() {
+            let d = dist2(c, p);
+            if d < bd {
+                bd = d;
+                bi = k;
+            }
+        }
+        (bi, bd)
+    }
+
+    /// The lane search and the oracle on one query, as (index, bits).
+    fn both(cs: &[[f64; 3]], p: [f64; 3]) -> [(usize, u64); 2] {
+        let lanes = Centroids::from_points(cs).nearest(p);
+        let oracle = first_minimum(cs, p);
+        [(lanes.0, lanes.1.to_bits()), (oracle.0, oracle.1.to_bits())]
+    }
+
+    fn assert_same(cs: &[[f64; 3]], p: [f64; 3]) -> usize {
+        let [lanes, oracle] = both(cs, p);
+        assert_eq!(lanes, oracle, "{} centroids, query {p:?}", cs.len());
+        lanes.0
+    }
+
+    fn scattered(n: usize, seed: u64) -> Vec<[f64; 3]> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| [(); 3].map(|_| rng.gen_range(-4.0..4.0))).collect()
+    }
+
+    #[test]
+    fn lane_search_is_the_first_minimum_loop_bitwise() {
+        for n in [1, LANES - 1, LANES, LANES + 1, 720] {
+            let cs = scattered(n, n as u64);
+            for p in scattered(500, 1000 + n as u64) {
+                assert_same(&cs, p);
+            }
+            // Every centroid queried at itself: distance zero, its own index.
+            for (k, &c) in cs.iter().enumerate() {
+                assert_eq!(assert_same(&cs, c), k);
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_centroids_go_to_the_lowest_index() {
+        for n in [2 * LANES + 5, 723] {
+            let mut cs = scattered(n, 7 + n as u64);
+            // Centroid 1 again in another lane, centroid 2 again in the tail
+            // (`n` is no multiple of `LANES`), centroid 3 again in its own
+            // lane two steps later.
+            let dups = [(1, LANES + 3), (2, n - 1), (3, 3 + 2 * LANES)];
+            for (k, dup) in dups {
+                cs[dup] = cs[k];
+            }
+            for (k, dup) in dups {
+                let c = cs[k];
+                assert_eq!(assert_same(&cs, c), k, "centroid {k} and its copy at {dup}");
+                let near = [c[0] + 1e-3, c[1] - 2e-3, c[2]];
+                assert_eq!(assert_same(&cs, near), k, "near centroid {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_distances_across_lanes_go_to_the_lowest_index() {
+        // Unit vectors and their negatives at the query's unit distance, in
+        // every lane and the tail; the rest far away.
+        let axes = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
+        for first in [0, 3, LANES - 1, LANES + 2] {
+            let mut cs = vec![[9.0, 9.0, 9.0]; 2 * LANES + 5];
+            for (i, slot) in (first..cs.len()).step_by(3).enumerate().take(6) {
+                let a = axes[i % 3];
+                let sign = if i < 3 { 1.0 } else { -1.0 };
+                cs[slot] = a.map(|v| sign * v);
+            }
+            assert_eq!(assert_same(&cs, [0.0; 3]), first);
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinates_match_the_first_minimum_loop() {
+        let base = scattered(2 * LANES + 3, 42);
+        let queries = [[0.5, -0.25, 1.0], [f64::NAN, 0.0, 0.0], [f64::INFINITY, 0.0, 0.0]];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for k in [0, 1, LANES, base.len() - 1] {
+                let mut cs = base.clone();
+                cs[k][1] = bad;
+                for p in queries.iter().copied().chain([[0.0, bad, 0.0], cs[k]]) {
+                    assert_same(&cs, p);
+                }
+            }
+            // Every centroid non-finite: no distance is below +Inf.
+            let cs = vec![[bad, 0.0, 0.0]; LANES + 1];
+            let [lanes, _] = both(&cs, [0.0; 3]);
+            assert_eq!(lanes, (0, f64::INFINITY.to_bits()));
+            assert_same(&cs, [0.0; 3]);
+        }
+    }
 
     /// Two tight blobs of heavy points + scattered near-zero noise.
     fn two_blob_fixture() -> (Vec<[f64; 3]>, Vec<f64>) {

@@ -7,6 +7,10 @@
 //! runs its own solver, so its values are what any job with its key would
 //! compute.
 //!
+//! The key is built from the job's stored [`crate::job::BatchKey`], so
+//! neither the lookup at admission nor the leader's insert after an
+//! eigensolve reads the problem again.
+//!
 //! A cached value is a pure function of its key, so it never goes stale and
 //! an entry has no lifetime: the capacity alone bounds the memory, evicting
 //! the least-recently-used entry once full.
@@ -76,7 +80,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{cache_key, JobSpec};
+    use crate::job::{batch_key, cache_key, JobSpec};
     use lrtddft::synthetic_problem;
     use std::sync::Arc;
 
@@ -84,7 +88,7 @@ mod tests {
         let solver = lrtddft::Solver::builder().n_states(n_states).build();
         let spec = JobSpec::new(1, Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2)))
             .with_solver(solver);
-        cache_key(&spec)
+        cache_key(batch_key(&spec), &spec.solver)
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! Jobs, handles, and the hashing that drives batching and result caching.
+//!
+//! A job reads its problem once, at submission: [`JobCore::new`] computes
+//! its [`BatchKey`] (the [`structure_hash`] plus the build's knobs), and the
+//! cache key of the lookup at admission and of the leader's insert after the
+//! eigensolve is that stored key plus the eigensolve's knobs. Nothing
+//! between a batch's build and its eigensolves is O(problem), so no
+//! follower waits in a collective while its leader hashes.
 
 use lrtddft::{CasidaProblem, Solver, StageTimings, Version};
 use std::sync::{Arc, Condvar, Mutex};
@@ -103,7 +110,8 @@ pub(crate) struct JobCore {
     /// `None` until the job reaches its terminal state.
     outcome: Mutex<Option<JobOutcome>>,
     cv: Condvar,
-    /// Key the scheduler batches and caches by (see [`batch_key`]).
+    /// Key the scheduler batches by and the cache key extends (see
+    /// [`batch_key`]): the job's one pass over its problem.
     pub key: BatchKey,
 }
 
@@ -156,27 +164,58 @@ impl JobHandle {
     }
 }
 
-/// FNV-1a over the problem's defining bytes: dimensions, orbital data,
-/// energies, kernel samples, grid shape, cell lengths (they set the volume
-/// element and the Coulomb kernel), and spin channel. Two problems with
-/// equal hashes are treated as the same structure by batching and the
-/// result cache.
+/// Hash of the problem's defining data: dimensions, grid shape, cell lengths
+/// (they set the volume element and the Coulomb kernel), spin channel,
+/// orbital data, energies and kernel samples. Two problems with equal hashes
+/// are treated as the same structure by batching and the result cache.
+///
+/// It reads every 8-byte word once, on four independent lanes, each step a
+/// [`fold_mix`]: xor the word in, multiply 64×64→128 by the lane's odd
+/// constant, xor the halves. A flipped input bit moves the high half of the
+/// product, and the fold spreads that over every output bit; a 64-bit
+/// multiply alone, as in FNV, carries bit 63 of a word only to bit 63. The
+/// lanes fold into the running hash in order, so the hash depends on where
+/// each word sits. A job computes it once, in its [`BatchKey`].
 pub fn structure_hash(p: &CasidaProblem) -> u64 {
-    let mut h = Fnv::new();
-    h.usize(p.n_r());
-    h.usize(p.n_v());
-    h.usize(p.n_c());
-    for d in p.grid.n {
-        h.usize(d);
+    let [n0, n1, n2] = p.grid.n;
+    let shape = [p.n_r(), p.n_v(), p.n_c(), n0, n1, n2, p.kernel_kind as usize];
+    let mut h = fold_words(LANE_KEYS[0], &shape, |v| v as u64);
+    h = fold_words(h, &p.grid.cell.lengths, f64::to_bits);
+    for data in [p.psi_v.as_slice(), p.psi_c.as_slice(), &p.eps_v, &p.eps_c, &p.fxc] {
+        h = fold_words(h, data, f64::to_bits);
     }
-    h.f64s(&p.grid.cell.lengths);
-    h.u64(p.kernel_kind as u64);
-    h.f64s(p.psi_v.as_slice());
-    h.f64s(p.psi_c.as_slice());
-    h.f64s(&p.eps_v);
-    h.f64s(&p.eps_c);
-    h.f64s(&p.fxc);
-    h.finish()
+    h
+}
+
+/// Odd multipliers of the four hash lanes (the first also seeds the hash and
+/// folds the lanes together): the fractional bits of √2 (last bit set), √3,
+/// √5 and √7, as in SHA-512's initial values.
+const LANE_KEYS: [u64; 4] =
+    [0x6a09_e667_f3bc_c909, 0xbb67_ae85_84ca_a73b, 0x3c6e_f372_fe94_f82b, 0xa54f_f53a_5f1d_36f1];
+
+/// One hash step: the 128-bit product of `x` and the odd `key`, its two
+/// halves xored together.
+#[inline]
+fn fold_mix(x: u64, key: u64) -> u64 {
+    let p = u128::from(x) * u128::from(key);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// Fold `words` into `h`: word `i` enters lane `i % 4`, each lane seeded
+/// from `h`, and the lanes fold into `h` in lane order.
+fn fold_words<T: Copy>(h: u64, words: &[T], bits: impl Fn(T) -> u64) -> u64 {
+    let mut lanes = LANE_KEYS.map(|key| h ^ key);
+    let mut step = |j: usize, w: T| lanes[j] = fold_mix(lanes[j] ^ bits(w), LANE_KEYS[j]);
+    let mut quads = words.chunks_exact(4);
+    for quad in &mut quads {
+        for (j, &w) in quad.iter().enumerate() {
+            step(j, w);
+        }
+    }
+    for (j, &w) in quads.remainder().iter().enumerate() {
+        step(j, w);
+    }
+    lanes.iter().fold(h, |h, &lane| fold_mix(h ^ lane, LANE_KEYS[0]))
 }
 
 /// Everything the Hamiltonian build depends on. Jobs with equal keys share
@@ -216,10 +255,11 @@ pub struct CacheKey {
     pub lobpcg_tol_bits: u64,
 }
 
-pub(crate) fn cache_key(spec: &JobSpec) -> CacheKey {
-    let s = &spec.solver;
+/// The cache key of a job whose batch key is `batch` (its [`JobCore::key`]):
+/// no second pass over the problem.
+pub(crate) fn cache_key(batch: BatchKey, s: &Solver) -> CacheKey {
     CacheKey {
-        batch: batch_key(spec),
+        batch,
         version: s.version,
         n_states: s.n_states,
         lobpcg_max_iter: s.lobpcg.max_iter,
@@ -227,39 +267,10 @@ pub(crate) fn cache_key(spec: &JobSpec) -> CacheKey {
     }
 }
 
-/// Minimal 64-bit FNV-1a accumulator.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        for v in vs {
-            self.u64(v.to_bits());
-        }
-    }
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrtddft::synthetic_problem;
+    use lrtddft::{synthetic_problem, CasidaProblem};
 
     #[test]
     fn structure_hash_distinguishes_problems() {
@@ -292,18 +303,70 @@ mod tests {
         assert_ne!(row(Version::Naive), batch_key(&base));
     }
 
+    /// The cache key of a spec that has no stored batch key yet.
+    fn fresh_cache_key(spec: &JobSpec) -> CacheKey {
+        cache_key(batch_key(spec), &spec.solver)
+    }
+
+    #[test]
+    fn structure_hash_sees_both_end_bits_of_every_word_it_hashes() {
+        let mut p = synthetic_problem([8, 8, 8], 6.0, 2, 3);
+        let h0 = structure_hash(&p);
+        type Words = fn(&mut CasidaProblem) -> &mut [f64];
+        let arrays: [(&str, Words); 6] = [
+            ("psi_v", |p| p.psi_v.as_mut_slice()),
+            ("psi_c", |p| p.psi_c.as_mut_slice()),
+            ("eps_v", |p| &mut p.eps_v),
+            ("eps_c", |p| &mut p.eps_c),
+            ("fxc", |p| &mut p.fxc),
+            ("cell.lengths", |p| &mut p.grid.cell.lengths),
+        ];
+        let flip = |w: &mut f64, bit: u32| *w = f64::from_bits(w.to_bits() ^ (1 << bit));
+        for (name, words) in arrays {
+            let n = words(&mut p).len();
+            for i in [0, n / 2, n - 1] {
+                for bit in [0, 63] {
+                    flip(&mut words(&mut p)[i], bit);
+                    assert_ne!(structure_hash(&p), h0, "{name}[{i}] bit {bit}");
+                    flip(&mut words(&mut p)[i], bit);
+                }
+            }
+        }
+        assert_eq!(structure_hash(&p), h0, "every flip was undone");
+        // A word's place counts: neighbours (two lanes) and words four apart
+        // (one lane) swapped.
+        for (i, j) in [(0, 1), (3, 4), (0, 4)] {
+            let psi_v = p.psi_v.as_mut_slice();
+            assert_ne!(psi_v[i].to_bits(), psi_v[j].to_bits());
+            psi_v.swap(i, j);
+            assert_ne!(structure_hash(&p), h0, "psi_v[{i}] <-> psi_v[{j}]");
+            p.psi_v.as_mut_slice().swap(i, j);
+        }
+    }
+
+    #[test]
+    fn a_jobs_stored_batch_key_builds_the_cache_key_of_a_fresh_spec() {
+        let solver = Solver::builder().n_states(4).seed(7).build();
+        let spec = |tenant| {
+            JobSpec::new(tenant, Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2)))
+                .with_solver(solver)
+        };
+        let core = JobCore::new(spec(1));
+        assert_eq!(cache_key(core.key, &core.spec.solver), fresh_cache_key(&spec(2)));
+    }
+
     #[test]
     fn cache_key_separates_eigensolve_knobs() {
         let p = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
         let a = JobSpec::new(1, p.clone());
         let b = JobSpec::new(1, p.clone())
             .with_solver(Solver::builder().n_states(5).build());
-        assert_ne!(cache_key(&a), cache_key(&b));
+        assert_ne!(fresh_cache_key(&a), fresh_cache_key(&b));
         let c = JobSpec::new(2, p.clone()); // tenant does NOT key the cache
-        assert_eq!(cache_key(&a), cache_key(&c));
+        assert_eq!(fresh_cache_key(&a), fresh_cache_key(&c));
         // Same build, other finisher: batch mates, never each other's hit.
         let d = JobSpec::new(1, p).with_solver(Solver::builder().version(Version::KmeansIsdf));
         assert_eq!(batch_key(&a), batch_key(&d));
-        assert_ne!(cache_key(&a), cache_key(&d));
+        assert_ne!(fresh_cache_key(&a), fresh_cache_key(&d));
     }
 }

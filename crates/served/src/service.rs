@@ -160,7 +160,7 @@ impl Service {
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
         let core = JobCore::new(spec);
         let handle = JobHandle { core: Arc::clone(&core) };
-        if let Some(values) = self.cache.get(&cache_key(&core.spec)) {
+        if let Some(values) = self.cache.get(&cache_key(core.key, &core.spec.solver)) {
             core.finish(JobOutcome::Completed(JobResult {
                 values,
                 timings: Default::default(),
@@ -270,7 +270,7 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
         if !leader {
             continue;
         }
-        shared.cache.put(cache_key(spec), values.clone());
+        shared.cache.put(cache_key(job.key, &spec.solver), values.clone());
         job.finish(JobOutcome::Completed(JobResult {
             values,
             timings,
