@@ -98,7 +98,7 @@ pub struct Eigenpairs {
 
 /// The paper's initial block: for each of the `k` lowest entries of `diag_d`,
 /// a coordinate vector with small random dressing to decouple degeneracies.
-pub fn initial_guess(diag_d: &[f64], k: usize, seed: u64) -> Mat {
+fn initial_guess(diag_d: &[f64], k: usize, seed: u64) -> Mat {
     let n = diag_d.len();
     let k = k.min(n);
     let mut order: Vec<usize> = (0..n).collect();
@@ -113,7 +113,7 @@ pub fn initial_guess(diag_d: &[f64], k: usize, seed: u64) -> Mat {
 
 /// The Eq. 17 preconditioner `W = K⁻¹R`, `K_i = D_i − θ_j` for column `j`,
 /// on a row block whose bare diagonal is `diag_d`.
-pub fn precondition(r: &Mat, diag_d: &[f64], theta: &[f64]) -> Mat {
+fn precondition(r: &Mat, diag_d: &[f64], theta: &[f64]) -> Mat {
     let mut w = r.clone();
     for (j, &th) in theta.iter().enumerate().take(w.ncols()) {
         for (v, &d) in w.col_mut(j).iter_mut().zip(diag_d) {
@@ -547,8 +547,8 @@ mod tests {
         // reads the reduced (replicated) Gram, so every rank breaks down.
         let mut p = synthetic_problem([8, 8, 8], 6.0, 2, 2);
         p.fxc[100] = f64::MAX;
-        let selector = PointSelector::Kmeans(Default::default());
-        let ham = build_isdf_hamiltonian(&Comm::solo(), &p, selector, p.n_cv()).expect("finite");
+        let ham = build_isdf_hamiltonian(&Comm::solo(), &p, PointSelector::Kmeans, p.n_cv())
+            .expect("finite");
         for ranks in [1, 2] {
             let res = spmd(ranks, |c| {
                 distributed_casida_lobpcg(c, &ham, 2, LobpcgOptions::default(), 3).err()

@@ -20,9 +20,9 @@
 //!
 //! A failed build fails once: [`Solver::hamiltonian`] runs the build one
 //! time and returns its typed error. Every input to it is fixed — the
-//! K-Means seed, the reduction order, and kernels whose bits do not depend
-//! on the thread count — so a second run would repeat the first one's
-//! arithmetic. The one recovery rung is the
+//! deterministic K-Means seeding, the reduction order, and kernels whose
+//! bits do not depend on the thread count — so a second run would repeat
+//! the first one's arithmetic. The one recovery rung is the
 //! finish half's: the LOBPCG finisher falls to the dense `lowest(·, k)` floor
 //! on breakdown or non-convergence ([`Solver::eigensolve`]), and logs it as
 //! the one line of [`Solution::recovery`]; a clean run's log is empty.
@@ -62,7 +62,8 @@ pub struct Solver {
     pub rank: IsdfRank,
     /// LOBPCG settings (rows 4–5).
     pub lobpcg: LobpcgOptions,
-    /// RNG seed (K-Means init, LOBPCG guess dressing).
+    /// Seed of the small random dressing on LOBPCG's initial block (rows
+    /// 4–5). The Hamiltonian build does not read it.
     pub seed: u64,
 }
 
@@ -125,21 +126,15 @@ impl Solver {
         self
     }
 
-    /// RNG seed.
+    /// Seed of the LOBPCG guess dressing.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// The K-Means point selector of this solver: default clustering knobs,
-    /// seeded by [`Solver::seed`].
-    pub fn kmeans_selector(&self) -> PointSelector {
-        PointSelector::Kmeans(isdf::KmeansOptions { seed: self.seed, ..Default::default() })
-    }
-
     /// The one place `version` is turned into algorithms (paper Table 4).
     pub(crate) fn plan(&self) -> Plan {
-        let kmeans = Some(self.kmeans_selector());
+        let kmeans = Some(PointSelector::Kmeans);
         let (selector, explicit, lobpcg) = match self.version {
             Version::Naive => (None, true, false),
             Version::QrcpIsdf => (Some(PointSelector::Qrcp), true, false),
@@ -152,13 +147,13 @@ impl Solver {
 
     /// The Table 4 row whose Hamiltonian build this solver runs: rows 3–5
     /// share the K-Means ISDF build, rows 1 and 2 have their own. Two solvers
-    /// equal in this, [`Solver::n_mu`] and `seed` build the same Hamiltonian
-    /// — what the serving scheduler batches on.
+    /// equal in this and [`Solver::n_mu`] build the same Hamiltonian, at any
+    /// `seed`.
     pub fn build_row(&self) -> Version {
         match self.plan().selector {
             None => Version::Naive,
             Some(PointSelector::Qrcp) => Version::QrcpIsdf,
-            Some(PointSelector::Kmeans(_)) => Version::KmeansIsdf,
+            Some(PointSelector::Kmeans) => Version::KmeansIsdf,
         }
     }
 
@@ -549,6 +544,21 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "job B diverged under batching");
             }
         }
+    }
+
+    #[test]
+    fn the_build_does_not_read_the_seed() {
+        // Only the LOBPCG guess reads `seed`: two seeds build the same
+        // K-Means ISDF factors to the bit.
+        let p = silicon_like_problem(1, 12, 4);
+        let factors = |seed| {
+            let built = Solver::default().seed(seed).hamiltonian(&Comm::solo(), &p);
+            let Ok(Hamiltonian::Isdf(ham)) = built else { panic!("clean K-Means ISDF build") };
+            ham
+        };
+        let (one, two) = (factors(1), factors(2));
+        assert_eq!(bits(one.c.as_slice()), bits(two.c.as_slice()), "C");
+        assert_eq!(bits(one.v_tilde.as_slice()), bits(two.v_tilde.as_slice()), "Ṽ");
     }
 
     #[test]

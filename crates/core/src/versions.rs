@@ -8,8 +8,8 @@ use crate::timers::StageTimings;
 use faultkit::{NumericalError, SolveError};
 use isdf::interp::{floored_cholesky, gram_pair, GramPair};
 use isdf::{
-    face_splitting_product, kmeans_points_checked, pair_weights, qrcp_points,
-    residual_sample_rows, sampled_residual_sums, KmeansOptions,
+    face_splitting_product, kmeans_points_checked, pair_weights, qrcp_points, residual_sample_rows,
+    sampled_residual_sums,
 };
 use mathkit::chol::solve_right_in_place;
 use mathkit::gemm::{gemm, Transpose};
@@ -24,7 +24,7 @@ pub enum PointSelector {
     /// Traditional pivoted QR on `Zᵀ` (paper §4.1.1).
     Qrcp,
     /// Weighted K-Means clustering (paper §4.2).
-    Kmeans(KmeansOptions),
+    Kmeans,
 }
 
 /// The five versions of paper Table 4.
@@ -180,10 +180,10 @@ fn select_points(
     selector: PointSelector,
     n_mu: usize,
 ) -> Result<Vec<usize>, NumericalError> {
-    let PointSelector::Kmeans(opts) = selector else {
+    if let PointSelector::Qrcp = selector {
         let _sp = obskit::span(Stage::Qrcp, "isdf.qrcp_points");
         return qrcp_points(&problem.psi_v, &problem.psi_c, n_mu);
-    };
+    }
     let _sp = obskit::span(Stage::Kmeans, "kmeans.points");
     // Weights are gathered so that pruning and seeding replicate.
     let w = comm.allgatherv(&pair_weights(&slab.psi_v, &slab.psi_c));
@@ -196,7 +196,7 @@ fn select_points(
         sweep += 1.0;
     };
     let gather = |candidates: &[f64]| comm.allgatherv(candidates);
-    let out = kmeans_points_checked(&coords, &w, n_mu, opts, slab.rows.clone(), reduce, gather)?;
+    let out = kmeans_points_checked(&coords, &w, n_mu, slab.rows.clone(), reduce, gather)?;
     Ok(out.points)
 }
 
@@ -297,7 +297,7 @@ mod tests {
     use crate::problem::{silicon_like_problem, synthetic_problem};
     use crate::rank::IsdfRank;
     use crate::solver::Solver;
-    use isdf::{kmeans_points, IsdfDecomposition};
+    use isdf::{kmeans_points, IsdfDecomposition, KmeansOptions};
     use mathkit::gemm::symm_tn;
     use mathkit::syev;
     use parcomm::spmd;
@@ -361,17 +361,16 @@ mod tests {
         // symmetric ΔV contraction and the N_μ-sized L⁻ᵀ N L⁻¹ finish.
         let p = silicon_like_problem(1, 12, 4);
         let opts = Solver::default();
-        let PointSelector::Kmeans(km) = opts.kmeans_selector() else { unreachable!() };
         let coords: Vec<[f64; 3]> = (0..p.n_r()).map(|i| p.grid.coords(i)).collect();
         let weights = pair_weights(&p.psi_v, &p.psi_c);
         for rank in [IsdfRank::Fixed(p.n_cv()), opts.rank] {
             let n_mu = rank.resolve(p.n_r(), p.n_v(), p.n_c());
             let solo = Comm::solo();
-            let ham = build_isdf_hamiltonian(&solo, &p, opts.kmeans_selector(), n_mu)
+            let ham = build_isdf_hamiltonian(&solo, &p, PointSelector::Kmeans, n_mu)
                 .expect("clean build");
             assert_eq!(solo.stats().collective_calls, 0, "a solo collective is not a call");
 
-            let points = kmeans_points(&coords, &weights, n_mu, km).points;
+            let points = kmeans_points(&coords, &weights, n_mu, KmeansOptions::default()).points;
             let (psi_hat, phi_hat) = (p.psi_v.select_rows(&points), p.psi_c.select_rows(&points));
             let GramPair { zc_t: mut w, cc_t } = gram_pair(&p.psi_v, &p.psi_c, &psi_hat, &phi_hat);
             let l = floored_cholesky(cc_t).expect("SPD Gram");
@@ -403,7 +402,7 @@ mod tests {
         for p in &problems {
             let solver = Solver::builder().n_states(5).build();
             let (solo, n_mu) = (Comm::solo(), solver.n_mu(p));
-            let selector = solver.kmeans_selector();
+            let selector = PointSelector::Kmeans;
             let ham = build_isdf_hamiltonian(&solo, p, selector, n_mu).expect("clean build");
             let points = select_points(&solo, p, &p.slab(&solo), selector, n_mu)
                 .expect("clean selection");
@@ -446,7 +445,7 @@ mod tests {
             let n_mu = solver.n_mu(p);
             let points = |c: &Comm| {
                 let slab = p.slab(c);
-                select_points(c, p, &slab, solver.kmeans_selector(), n_mu).unwrap()
+                select_points(c, p, &slab, PointSelector::Kmeans, n_mu).unwrap()
             };
             let serial_points = points(&Comm::solo());
             let serial = solver.solve(p).unwrap().energies;

@@ -12,14 +12,13 @@ use parcomm::spmd;
 fn kmeans_isdf_build_issues_one_allreduce_per_sweep_plus_two() {
     let problem = silicon_like_problem(1, 10, 3);
     let n_mu = IsdfRank::default().resolve(problem.n_r(), problem.n_v(), problem.n_c());
-    let solver = Solver::builder().rank(IsdfRank::Fixed(n_mu)).seed(0xcafe).build();
+    let solver = Solver::builder().rank(IsdfRank::Fixed(n_mu)).build();
 
     // The serial Lloyd loop on the same weights and grid: the distributed
     // one takes the same decisions on replicated sums, hence the same sweeps.
     let coords: Vec<[f64; 3]> = (0..problem.n_r()).map(|i| problem.grid.coords(i)).collect();
     let w = pair_weights(&problem.psi_v, &problem.psi_c);
-    let opts = KmeansOptions { seed: 0xcafe, ..Default::default() };
-    let serial = kmeans_points(&coords, &w, n_mu, opts);
+    let serial = kmeans_points(&coords, &w, n_mu, KmeansOptions::default());
 
     let calls = spmd(4, |c| {
         solver.hamiltonian(c, &problem).expect("K-Means ISDF build");

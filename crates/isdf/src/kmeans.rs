@@ -16,8 +16,6 @@
 //! 5. return, per cluster, the member grid point closest to the centroid.
 
 use faultkit::NumericalError;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 /// Point-to-centroid distances a part of the parallel classification must
@@ -28,56 +26,28 @@ const PAR_DISTANCES: usize = 1 << 18;
 /// centroid indices per lane.
 const LANES: usize = 8;
 
-/// Centroid initialization strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KmeansInit {
-    /// Greedy largest-weight points with a minimum mutual separation — the
-    /// paper's weight-guided initialization.
-    WeightGuided,
-    /// Weighted k-means++ (distance-proportional seeding).
-    PlusPlus,
-    /// Uniform random over surviving points (the baseline the paper warns
-    /// "may yield a terrible convergence problem").
-    Random,
-}
+/// Pruning cutoff: a point survives when its weight exceeds this fraction
+/// of the largest weight.
+const PRUNE_REL: f64 = 1e-6;
 
-/// How a converged cluster is snapped back to a concrete grid point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapRule {
-    /// Member grid point closest to the centroid (geometric choice).
-    #[default]
-    NearestCentroid,
-    /// Member grid point with the largest weight (density-peak choice —
-    /// tends to land on orbital maxima, often better conditioned for the
-    /// ISDF fit at small N_μ).
-    MaxWeight,
-}
+/// Lloyd sweeps at most.
+const MAX_SWEEPS: usize = 100;
 
-/// Options for [`kmeans_points`] and [`kmeans_points_checked`].
+/// A sweep whose total squared centroid movement falls below this ends the
+/// loop.
+const TOL: f64 = 1e-10;
+
+/// The argument of [`kmeans_points`]. The algorithm has no knobs: seeding
+/// is deterministic, so nothing here is read.
 #[derive(Clone, Copy, Debug)]
 pub struct KmeansOptions {
-    /// Relative weight threshold for pruning (fraction of the max weight).
-    pub prune_rel: f64,
-    /// Max Lloyd iterations.
-    pub max_iter: usize,
-    /// Convergence threshold on total squared centroid movement.
-    pub tol: f64,
-    pub init: KmeansInit,
-    /// Cluster → grid-point snap rule.
-    pub snap: SnapRule,
+    /// Unread: weight-guided seeding draws no random numbers.
     pub seed: u64,
 }
 
 impl Default for KmeansOptions {
     fn default() -> Self {
-        KmeansOptions {
-            prune_rel: 1e-6,
-            max_iter: 100,
-            tol: 1e-10,
-            init: KmeansInit::WeightGuided,
-            snap: SnapRule::NearestCentroid,
-            seed: 0x5ee_d00d,
-        }
+        KmeansOptions { seed: 0x5ee_d00d }
     }
 }
 
@@ -97,14 +67,14 @@ pub struct KmeansOutcome {
 
 /// Select `n_mu` interpolation points from grid `coords` (one `[x,y,z]` per
 /// point) with weights `w` (Eq. 14 values): [`kmeans_points_checked`] on the
-/// whole grid, alone. Panics on degenerate inputs.
+/// whole grid, alone. `_opts` is not read. Panics on degenerate inputs.
 pub fn kmeans_points(
     coords: &[[f64; 3]],
     w: &[f64],
     n_mu: usize,
-    opts: KmeansOptions,
+    _opts: KmeansOptions,
 ) -> KmeansOutcome {
-    match kmeans_points_checked(coords, w, n_mu, opts, 0..coords.len(), |_| {}, <[f64]>::to_vec) {
+    match kmeans_points_checked(coords, w, n_mu, 0..coords.len(), |_| {}, <[f64]>::to_vec) {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
@@ -133,7 +103,6 @@ pub fn kmeans_points_checked(
     coords: &[[f64; 3]],
     w: &[f64],
     n_mu: usize,
-    opts: KmeansOptions,
     slab: std::ops::Range<usize>,
     mut reduce: impl FnMut(&mut [f64]),
     mut gather: impl FnMut(&[f64]) -> Vec<f64>,
@@ -157,7 +126,7 @@ pub fn kmeans_points_checked(
     }
 
     // Step 2: prune.
-    let cutoff = opts.prune_rel * wmax;
+    let cutoff = PRUNE_REL * wmax;
     let active: Vec<usize> = (0..coords.len()).filter(|&i| w[i] > cutoff).collect();
     let n_active = active.len();
     if n_active < n_mu {
@@ -168,14 +137,14 @@ pub fn kmeans_points_checked(
         ..active.partition_point(|&gi| gi < slab.end)];
 
     // Step 3: initialize centroids.
-    let mut centroids = initialize(coords, w, &active, n_mu, opts);
+    let mut centroids = initialize(coords, w, &active, n_mu);
 
     // Step 4: Lloyd iterations.
     let mut partials = vec![0.0f64; 4 * n_mu + 1];
     // (cluster, squared distance to its centroid) of each of `mine`.
     let mut assign = vec![(0usize, 0.0f64); mine.len()];
     let mut iterations = 0;
-    for it in 0..opts.max_iter {
+    for it in 0..MAX_SWEEPS {
         iterations = it + 1;
         // Classification (parallel over this slab's active points), into
         // the one buffer allocated above.
@@ -204,22 +173,19 @@ pub fn kmeans_points_checked(
             movement += dist2(centroids.get(k), new);
             centroids.set(k, new);
         }
-        if movement < opts.tol {
+        if movement < TOL {
             break;
         }
     }
 
-    // Step 5: snap centroids to actual grid points (per the snap rule;
-    // empty clusters fall back to the globally nearest active point). This
+    // Step 5: snap each centroid to its nearest member grid point (empty
+    // clusters fall back to the globally nearest active point). This
     // slab's candidates travel with its share of the Eq. 11 objective at the
     // final assignment.
     let mut cand = vec![f64::INFINITY; 2 * n_mu + 1];
     cand[n_mu..2 * n_mu].fill(-1.0);
     for (&(a, _), &gi) in assign.iter().zip(mine.iter()) {
-        let score = match opts.snap {
-            SnapRule::NearestCentroid => dist2(centroids.get(a), coords[gi]),
-            SnapRule::MaxWeight => -w[gi],
-        };
+        let score = dist2(centroids.get(a), coords[gi]);
         if score < cand[a] {
             cand[a] = score;
             cand[n_mu + a] = gi as f64;
@@ -266,104 +232,38 @@ pub fn kmeans_points_checked(
     Ok(KmeansOutcome { points, iterations, active_points: n_active, objective })
 }
 
-fn initialize(
-    coords: &[[f64; 3]],
-    w: &[f64],
-    active: &[usize],
-    n_mu: usize,
-    opts: KmeansOptions,
-) -> Centroids {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    match opts.init {
-        KmeansInit::Random => {
-            let mut cs = Vec::with_capacity(n_mu);
-            let mut used = std::collections::HashSet::new();
-            while cs.len() < n_mu {
-                let gi = active[rng.gen_range(0..active.len())];
-                if used.insert(gi) {
-                    cs.push(coords[gi]);
-                }
-            }
-            Centroids::from_points(&cs)
+/// The paper's weight-guided seeding: visit the active points by weight,
+/// heaviest first, and accept each one at least `dmin` away from every seed
+/// so far, halving `dmin` until `n_mu` seeds exist.
+fn initialize(coords: &[[f64; 3]], w: &[f64], active: &[usize], n_mu: usize) -> Centroids {
+    let mut order: Vec<usize> = active.to_vec();
+    order.sort_by(|&a, &b| w[b].partial_cmp(&w[a]).unwrap());
+    // Estimate a separation scale from the bounding box.
+    let (mut lo, mut hi) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
+    for &gi in active {
+        for c in 0..3 {
+            lo[c] = lo[c].min(coords[gi][c]);
+            hi[c] = hi[c].max(coords[gi][c]);
         }
-        KmeansInit::WeightGuided => {
-            // Sort by weight descending; greedily accept points at least
-            // `dmin` away from everything accepted so far, relaxing `dmin`
-            // until n_mu seeds exist.
-            let mut order: Vec<usize> = active.to_vec();
-            order.sort_by(|&a, &b| w[b].partial_cmp(&w[a]).unwrap());
-            // Estimate a separation scale from the bounding box.
-            let (mut lo, mut hi) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
-            for &gi in active {
-                for c in 0..3 {
-                    lo[c] = lo[c].min(coords[gi][c]);
-                    hi[c] = hi[c].max(coords[gi][c]);
-                }
-            }
-            let vol: f64 = (0..3).map(|c| (hi[c] - lo[c]).max(1e-6)).product();
-            let mut dmin = 0.5 * (vol / n_mu as f64).powf(1.0 / 3.0);
-            loop {
-                let mut cs: Vec<[f64; 3]> = Vec::with_capacity(n_mu);
-                for &gi in &order {
-                    if cs.iter().all(|&c| dist2(c, coords[gi]) >= dmin * dmin) {
-                        cs.push(coords[gi]);
-                        if cs.len() == n_mu {
-                            return Centroids::from_points(&cs);
-                        }
-                    }
-                }
-                dmin *= 0.5;
-                if dmin < 1e-12 {
-                    // Degenerate geometry: fill with top-weight points.
-                    let mut cs: Vec<[f64; 3]> =
-                        order.iter().take(n_mu).map(|&gi| coords[gi]).collect();
-                    while cs.len() < n_mu {
-                        cs.push(coords[active[rng.gen_range(0..active.len())]]);
-                    }
+    }
+    let vol: f64 = (0..3).map(|c| (hi[c] - lo[c]).max(1e-6)).product();
+    let mut dmin = 0.5 * (vol / n_mu as f64).powf(1.0 / 3.0);
+    loop {
+        let mut cs: Vec<[f64; 3]> = Vec::with_capacity(n_mu);
+        for &gi in &order {
+            if cs.iter().all(|&c| dist2(c, coords[gi]) >= dmin * dmin) {
+                cs.push(coords[gi]);
+                if cs.len() == n_mu {
                     return Centroids::from_points(&cs);
                 }
             }
         }
-        KmeansInit::PlusPlus => {
-            let mut cs = Centroids::default();
-            // First seed: weight-proportional.
-            let total: f64 = active.iter().map(|&gi| w[gi]).sum();
-            let mut pick = rng.gen_range(0.0..total);
-            let mut first = active[0];
-            for &gi in active {
-                pick -= w[gi];
-                if pick <= 0.0 {
-                    first = gi;
-                    break;
-                }
-            }
-            cs.push(coords[first]);
-            while cs.len() < n_mu {
-                // D² weighting times point weight.
-                let d2: Vec<f64> = active
-                    .iter()
-                    .map(|&gi| {
-                        let (_, d) = cs.nearest(coords[gi]);
-                        d * w[gi]
-                    })
-                    .collect();
-                let total: f64 = d2.iter().sum();
-                if total <= 0.0 {
-                    cs.push(coords[active[rng.gen_range(0..active.len())]]);
-                    continue;
-                }
-                let mut pick = rng.gen_range(0.0..total);
-                let mut chosen = active[0];
-                for (k, &gi) in active.iter().enumerate() {
-                    pick -= d2[k];
-                    if pick <= 0.0 {
-                        chosen = gi;
-                        break;
-                    }
-                }
-                cs.push(coords[chosen]);
-            }
-            cs
+        dmin *= 0.5;
+        if dmin < 1e-12 {
+            // Degenerate geometry: the `n_mu` heaviest points (`order` holds
+            // all `n_active ≥ n_mu` of them).
+            let cs: Vec<[f64; 3]> = order[..n_mu].iter().map(|&gi| coords[gi]).collect();
+            return Centroids::from_points(&cs);
         }
     }
 }
@@ -379,7 +279,7 @@ fn dist2(a: [f64; 3], b: [f64; 3]) -> f64 {
 /// Centroid coordinates as a structure of arrays, `xyz[c][k]` coordinate
 /// `c` of centroid `k`, so [`Centroids::nearest`] loads `LANES` centroids
 /// per vector.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Centroids {
     xyz: [Vec<f64>; 3],
 }
@@ -389,10 +289,6 @@ impl Centroids {
         Centroids { xyz: [0, 1, 2].map(|c| points.iter().map(|p| p[c]).collect()) }
     }
 
-    fn len(&self) -> usize {
-        self.xyz[0].len()
-    }
-
     fn get(&self, k: usize) -> [f64; 3] {
         self.xyz.each_ref().map(|c| c[k])
     }
@@ -400,12 +296,6 @@ impl Centroids {
     fn set(&mut self, k: usize, p: [f64; 3]) {
         for (c, v) in self.xyz.iter_mut().zip(p) {
             c[k] = v;
-        }
-    }
-
-    fn push(&mut self, p: [f64; 3]) {
-        for (c, v) in self.xyz.iter_mut().zip(p) {
-            c.push(v);
         }
     }
 
@@ -452,6 +342,8 @@ impl Centroids {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The element-indexed first-minimum loop [`Centroids::nearest`] must
     /// equal to the bit.
@@ -599,34 +491,11 @@ mod tests {
     }
 
     #[test]
-    fn all_inits_converge_to_same_objective_on_easy_data() {
-        let (coords, w) = two_blob_fixture();
-        let mut objectives = Vec::new();
-        for init in [KmeansInit::WeightGuided, KmeansInit::PlusPlus, KmeansInit::Random] {
-            let out = kmeans_points(
-                &coords,
-                &w,
-                2,
-                KmeansOptions { init, ..KmeansOptions::default() },
-            );
-            objectives.push(out.objective);
-        }
-        for o in &objectives {
-            assert!((o - objectives[0]).abs() < 1e-6, "{objectives:?}");
-        }
-    }
-
-    #[test]
-    fn weight_guided_needs_fewer_iterations_than_random() {
+    fn weight_guided_seeding_starts_near_converged() {
         // On the blob fixture, weight-guided should start essentially
         // converged (paper's motivation for the initialization).
         let (coords, w) = two_blob_fixture();
-        let wg = kmeans_points(
-            &coords,
-            &w,
-            2,
-            KmeansOptions { init: KmeansInit::WeightGuided, ..Default::default() },
-        );
+        let wg = kmeans_points(&coords, &w, 2, KmeansOptions::default());
         assert!(wg.iterations <= 5, "took {} iterations", wg.iterations);
     }
 
@@ -654,24 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn max_weight_snap_picks_heaviest_member() {
-        // One obvious cluster with a single dominant-weight member.
-        let mut coords: Vec<[f64; 3]> = (0..8).map(|i| [i as f64 * 0.1, 0.0, 0.0]).collect();
-        let mut w = vec![1.0; 8];
-        w[5] = 50.0; // heavy member, off the centroid
-        coords.push([10.0, 0.0, 0.0]); // far lone point, second cluster
-        w.push(2.0);
-        let out = kmeans_points(
-            &coords,
-            &w,
-            2,
-            KmeansOptions { snap: SnapRule::MaxWeight, ..Default::default() },
-        );
-        assert!(out.points.contains(&5), "{:?}", out.points);
-        assert!(out.points.contains(&8));
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let (coords, w) = two_blob_fixture();
         let a = kmeans_points(&coords, &w, 3, KmeansOptions::default());
@@ -694,7 +545,6 @@ mod tests {
                 coords,
                 w,
                 n_mu,
-                KmeansOptions::default(),
                 0..coords.len(),
                 |_| {},
                 <[f64]>::to_vec,

@@ -32,7 +32,5 @@ pub use decomposition::{
     face_splitting_product, residual_sample_rows, sampled_residual_sums, IsdfDecomposition,
 };
 pub use interp::GramPair;
-pub use kmeans::{
-    kmeans_points, kmeans_points_checked, KmeansInit, KmeansOptions, KmeansOutcome, SnapRule,
-};
+pub use kmeans::{kmeans_points, kmeans_points_checked, KmeansOptions, KmeansOutcome};
 pub use points::{pair_weights, qrcp_points, randomized_qrcp_points};

@@ -190,11 +190,6 @@ fn solve_left(l: &Mat, b: &Mat, passes: &[Transpose]) -> Mat {
     xt.transpose()
 }
 
-/// Solve `L X = B` for lower-triangular `L`, overwriting nothing.
-pub fn solve_lower(l: &Mat, b: &Mat) -> Mat {
-    solve_left(l, b, &[Transpose::Yes])
-}
-
 /// Solve `Lᵀ X = B` for lower-triangular `L`.
 pub fn solve_lower_transpose(l: &Mat, b: &Mat) -> Mat {
     solve_left(l, b, &[Transpose::No])
@@ -320,7 +315,7 @@ mod tests {
         let op_l = if trans { l.transpose() } else { l.clone() };
         match (side_left, trans) {
             (true, false) => {
-                let x = solve_lower(l, b);
+                let x = solve_left(l, b, &[Transpose::Yes]);
                 (x.clone(), reference::solve_lower(l, b), matmul(&op_l, &x))
             }
             (true, true) => {

@@ -221,40 +221,6 @@ pub fn symm_tn(alpha: f64, a: &Mat, b: &Mat, cols: Range<usize>) -> Mat {
     syrk_engine(alpha, &av, &bv, a.ncols(), a.nrows(), cols)
 }
 
-/// `y = alpha * A x + beta * y`, parallel over row chunks of `y`.
-pub fn gemv(alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(a.ncols(), x.len());
-    assert_eq!(a.nrows(), y.len());
-    let nrows = a.nrows();
-    let a_data = a.as_slice();
-    obskit::record_kernel_dispatch("gemv");
-    let body = |i0: usize, yc: &mut [f64]| {
-        scale_slice(yc, beta);
-        if alpha == 0.0 {
-            return;
-        }
-        for (l, &xl) in x.iter().enumerate() {
-            let axl = alpha * xl;
-            if axl == 0.0 {
-                continue;
-            }
-            let col = &a_data[l * nrows + i0..l * nrows + i0 + yc.len()];
-            simd::axpy(axl, col, yc);
-        }
-    };
-    // Chunk rows so each worker owns a contiguous slab of y and streams the
-    // matching slab of every A column.
-    const GEMV_CHUNK: usize = 2048;
-    if nrows * a.ncols() < SMALL_FLOPS || nrows <= GEMV_CHUNK {
-        body(0, y);
-    } else {
-        y.par_chunks_mut(GEMV_CHUNK)
-            .enumerate()
-            .with_min_len(par_floor(2 * GEMV_CHUNK * a.ncols()))
-            .for_each(|(ci, yc)| body(ci * GEMV_CHUNK, yc));
-    }
-}
-
 /// Items per part for a region whose items cost `flops` each.
 #[inline]
 fn par_floor(flops: usize) -> usize {
@@ -1114,41 +1080,6 @@ mod tests {
                     assert_eq!(bits(&block), bits(&want), "n={n} columns {pair:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn gemv_matches_gemm() {
-        let mut rng = test_rng();
-        let a = Mat::random(9, 4, &mut rng);
-        let x: Vec<f64> = (0..4).map(|i| i as f64 - 1.5).collect();
-        let mut y = vec![1.0; 9];
-        gemv(2.0, &a, &x, 0.5, &mut y);
-        let xm = Mat::from_vec(4, 1, x.clone());
-        let mut ym = Mat::from_vec(9, 1, vec![1.0; 9]);
-        gemm(2.0, &a, Transpose::No, &xm, Transpose::No, 0.5, &mut ym);
-        for i in 0..9 {
-            assert!((y[i] - ym[(i, 0)]).abs() < 1e-13);
-        }
-    }
-
-    #[test]
-    fn gemv_accumulates_with_beta_across_chunks() {
-        // Rows > chunk size so the parallel row-chunk path runs, with
-        // beta != 0 checking the accumulate contract per chunk.
-        let m = 5000;
-        let n = 30;
-        let a = Mat::from_fn(m, n, |i, j| ((i * 7 + j * 13) % 19) as f64 * 0.1 - 0.9);
-        let x: Vec<f64> = (0..n).map(|j| 0.2 * j as f64 - 1.0).collect();
-        let mut y: Vec<f64> = (0..m).map(|i| (i % 11) as f64 - 5.0).collect();
-        let y0 = y.clone();
-        gemv(1.5, &a, &x, -0.5, &mut y);
-        for i in (0..m).step_by(487) {
-            let mut expect = -0.5 * y0[i];
-            for j in 0..n {
-                expect += 1.5 * a[(i, j)] * x[j];
-            }
-            assert!((y[i] - expect).abs() < 1e-10, "row {i}: {} vs {expect}", y[i]);
         }
     }
 

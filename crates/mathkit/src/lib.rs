@@ -19,7 +19,6 @@
 //! control and can instrument.
 
 pub mod chol;
-pub mod davidson;
 pub mod eigen;
 pub mod gemm;
 pub mod lobpcg;
@@ -28,14 +27,13 @@ pub mod ortho;
 pub mod qr;
 pub mod simd;
 
-pub use chol::{cholesky, solve_lower, solve_lower_transpose, solve_spd};
-pub use davidson::{davidson, DavidsonOptions};
-pub use lobpcg::{lobpcg, no_precond, LobpcgOptions, LobpcgResult};
+pub use chol::{cholesky, solve_lower_transpose, solve_spd};
+pub use lobpcg::{lobpcg, LobpcgOptions, LobpcgResult};
 pub use eigen::{lowest, syev, Eigen};
 pub use gemm::{
-    gemm, gemm_tn, gemv, matmul, syrk_nt, syrk_nt_scaled, syrk_tn, syrk_tn_scaled, Transpose,
+    gemm, gemm_tn, matmul, syrk_nt, syrk_nt_scaled, syrk_tn, syrk_tn_scaled, Transpose,
 };
 pub use mat::Mat;
 pub use ortho::{cholesky_qr, modified_gram_schmidt};
-pub use qr::{qr_householder, qrcp, qrcp_select, randomized_qrcp_select};
+pub use qr::{qrcp, qrcp_select, randomized_qrcp_select};
 pub use simd::{active_kernel, Kernel};

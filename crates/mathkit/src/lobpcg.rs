@@ -254,7 +254,8 @@ fn sort_ritz(vals: &mut [f64], vecs: &mut Mat) {
 }
 
 /// Identity "preconditioner" for [`lobpcg`].
-pub fn no_precond(r: &Mat, _theta: &[f64]) -> Mat {
+#[cfg(test)]
+pub(crate) fn no_precond(r: &Mat, _theta: &[f64]) -> Mat {
     r.clone()
 }
 

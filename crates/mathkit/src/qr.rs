@@ -1,4 +1,4 @@
-//! Householder QR and QR with column pivoting (QRCP).
+//! Householder QR with column pivoting (QRCP).
 //!
 //! QRCP is the *traditional* ISDF interpolation-point selector (paper §4.1.1):
 //! pivot columns of `Zᵀ` in decreasing residual-norm order; the first `N_μ`
@@ -12,69 +12,6 @@ use crate::simd;
 use faultkit::NumericalError;
 use rand::Rng;
 use rayon::prelude::*;
-
-/// Plain (unpivoted) Householder QR: returns `(Q, R)` with `A = Q R`,
-/// `Q` is `m × min(m,n)` with orthonormal columns, `R` is `min(m,n) × n`.
-pub fn qr_householder(a: &Mat) -> (Mat, Mat) {
-    let (m, n) = a.shape();
-    let k = m.min(n);
-    let mut r = a.clone();
-    let mut vs: Vec<Vec<f64>> = Vec::with_capacity(k);
-    for j in 0..k {
-        // Householder vector for column j below the diagonal.
-        let mut v = vec![0.0; m - j];
-        for i in j..m {
-            v[i - j] = r[(i, j)];
-        }
-        let alpha = -v[0].signum() * v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        v[0] -= alpha;
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        if vnorm2 > 0.0 {
-            // Apply H = I - 2 v vᵀ / (vᵀv) to R[j.., j..].
-            for c in j..n {
-                let mut dot = 0.0;
-                for i in j..m {
-                    dot += v[i - j] * r[(i, c)];
-                }
-                let coef = 2.0 * dot / vnorm2;
-                for i in j..m {
-                    r[(i, c)] -= coef * v[i - j];
-                }
-            }
-        }
-        vs.push(v);
-    }
-    // Build Q by applying the Householder reflectors to I (in reverse).
-    let mut q = Mat::zeros(m, k);
-    for j in 0..k {
-        q[(j, j)] = 1.0;
-    }
-    for j in (0..k).rev() {
-        let v = &vs[j];
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        if vnorm2 == 0.0 {
-            continue;
-        }
-        for c in 0..k {
-            let mut dot = 0.0;
-            for i in j..m {
-                dot += v[i - j] * q[(i, c)];
-            }
-            let coef = 2.0 * dot / vnorm2;
-            for i in j..m {
-                q[(i, c)] -= coef * v[i - j];
-            }
-        }
-    }
-    // Zero out strictly-lower part of R and truncate to k rows.
-    let mut r_out = Mat::zeros(k, n);
-    for j in 0..n {
-        for i in 0..k.min(j + 1) {
-            r_out[(i, j)] = r[(i, j)];
-        }
-    }
-    (q, r_out)
-}
 
 /// Result of QR with column pivoting.
 pub struct Qrcp {
@@ -230,7 +167,7 @@ pub fn randomized_qrcp_select(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm_tn, matmul};
+    use crate::gemm::matmul;
 
     /// The element-indexed loops the slice-based step replaced, kept
     /// verbatim as the oracle.
@@ -346,39 +283,6 @@ mod tests {
         }
         let past_rank = qrcp(cases[5].0.clone(), 6, -1.0).unwrap();
         assert_eq!((past_rank.rank, &past_rank.rdiag[3..]), (6, &[0.0; 3][..]));
-    }
-
-    #[test]
-    fn qr_reconstructs() {
-        let mut rng = rand::thread_rng();
-        let a = Mat::random(12, 7, &mut rng);
-        let (q, r) = qr_householder(&a);
-        assert_eq!(q.shape(), (12, 7));
-        assert_eq!(r.shape(), (7, 7));
-        assert!(matmul(&q, &r).max_abs_diff(&a) < 1e-10);
-        assert!(gemm_tn(&q, &q).max_abs_diff(&Mat::eye(7)) < 1e-10);
-    }
-
-    #[test]
-    fn qr_wide_matrix() {
-        let mut rng = rand::thread_rng();
-        let a = Mat::random(5, 9, &mut rng);
-        let (q, r) = qr_householder(&a);
-        assert_eq!(q.shape(), (5, 5));
-        assert_eq!(r.shape(), (5, 9));
-        assert!(matmul(&q, &r).max_abs_diff(&a) < 1e-10);
-    }
-
-    #[test]
-    fn r_is_upper_triangular() {
-        let mut rng = rand::thread_rng();
-        let a = Mat::random(8, 8, &mut rng);
-        let (_q, r) = qr_householder(&a);
-        for j in 0..8 {
-            for i in (j + 1)..8 {
-                assert_eq!(r[(i, j)], 0.0);
-            }
-        }
     }
 
     #[test]

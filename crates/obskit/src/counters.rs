@@ -84,7 +84,7 @@ pub fn record_gemm_shape(m: usize, n: usize, k: usize) {
 }
 
 /// Record which compute-kernel path a dense-kernel call dispatched to
-/// (e.g. `"gemm.blocked.8x8"`, `"gemm.skinny_packed"`, `"gemv"`). Labels
+/// (e.g. `"gemm.blocked.8x8"`, `"gemm.skinny_packed"`). Labels
 /// must be static — the set of routes is finite and known at compile time.
 #[inline]
 pub fn record_kernel_dispatch(label: &'static str) {

@@ -218,8 +218,8 @@ fn fold_words<T: Copy>(h: u64, words: &[T], bits: impl Fn(T) -> u64) -> u64 {
     lanes.iter().fold(h, |h, &lane| fold_mix(h ^ lane, LANE_KEYS[0]))
 }
 
-/// Everything the Hamiltonian build depends on. Jobs with equal keys share
-/// one distributed build; results stay bitwise
+/// Everything the Hamiltonian build depends on, and the seed. Jobs with
+/// equal keys share one distributed build; results stay bitwise
 /// identical because the per-job eigensolve is unchanged (property-tested in
 /// `lrtddft::solver`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -231,6 +231,9 @@ pub struct BatchKey {
     /// ISDF rank resolved at this problem's dimensions (0 for the dense
     /// build).
     pub n_mu: usize,
+    /// The job's [`Solver::seed`]. The build does not read it (only the
+    /// eigensolve's LOBPCG guess does), but jobs that differ in it are not
+    /// batched together.
     pub seed: u64,
 }
 

@@ -8,14 +8,13 @@
 
 use lrtddft::parallel::distributed_dense_hamiltonian;
 use lrtddft::problem::silicon_like_problem;
-use lrtddft::{build_isdf_hamiltonian, CasidaProblem, Solver, StageTimings};
+use lrtddft::{build_isdf_hamiltonian, CasidaProblem, PointSelector, StageTimings};
 use parcomm::{spmd, Comm};
 
 /// Stage timings of one K-Means-ISDF build at rank `n_mu` on `comm`.
 fn timed_isdf_build(comm: &Comm, problem: &CasidaProblem, n_mu: usize) -> StageTimings {
     let clock = obskit::StageClock::now();
-    let selector = Solver::default().kmeans_selector();
-    build_isdf_hamiltonian(comm, problem, selector, n_mu).expect("clean ISDF build");
+    build_isdf_hamiltonian(comm, problem, PointSelector::Kmeans, n_mu).expect("clean ISDF build");
     StageTimings::since(clock)
 }
 

@@ -5,14 +5,13 @@
 use lrtddft::naive::build_dense_hamiltonian;
 use lrtddft::parallel::distributed_dense_hamiltonian;
 use lrtddft::problem::{silicon_like_problem, CasidaProblem};
-use lrtddft::{build_isdf_hamiltonian, Solver};
+use lrtddft::{build_isdf_hamiltonian, PointSelector};
 use mathkit::syev;
 use parcomm::{spmd, Comm};
 
 /// Spectrum of the K-Means-ISDF Hamiltonian built at rank `n_mu` on `comm`.
 fn isdf_spectrum(comm: &Comm, p: &CasidaProblem, n_mu: usize) -> Vec<f64> {
-    let selector = Solver::builder().kmeans_selector();
-    let ham = build_isdf_hamiltonian(comm, p, selector, n_mu).expect("clean build");
+    let ham = build_isdf_hamiltonian(comm, p, PointSelector::Kmeans, n_mu).expect("clean build");
     syev(&ham.to_dense()).values
 }
 

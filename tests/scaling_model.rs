@@ -4,7 +4,7 @@
 
 use bench::scaling::{isdf_construct_stages, CommPattern, ScalingStudy, Stage};
 use lrtddft::problem::silicon_like_problem;
-use lrtddft::{build_isdf_hamiltonian, Solver, StageTimings};
+use lrtddft::{build_isdf_hamiltonian, PointSelector, StageTimings};
 use parcomm::{block_ranges, spmd, Comm, CostModel};
 use proptest::prelude::*;
 
@@ -15,8 +15,7 @@ fn calibrated_isdf_study_has_paper_shape() {
     let p = silicon_like_problem(1, 12, 4);
     let n_mu = 40.min(p.n_cv());
     let clock = obskit::StageClock::now();
-    let selector = Solver::builder().kmeans_selector();
-    build_isdf_hamiltonian(&Comm::solo(), &p, selector, n_mu).expect("clean build");
+    build_isdf_hamiltonian(&Comm::solo(), &p, PointSelector::Kmeans, n_mu).expect("clean build");
     let t = StageTimings::since(clock);
     let stages = isdf_construct_stages(&t, p.n_r(), p.n_v(), p.n_c(), n_mu);
     let study = ScalingStudy::new(stages, CostModel::default());

@@ -2,7 +2,7 @@
 //! full distributed pipeline: the live stage clock a solve reports must
 //! equal the rollup of the same run's trace, the Chrome export must be
 //! schema-valid with one lane per rank, recording must be thread-safe, and
-//! the disabled-mode overhead on the `V_Hxc` GEMM must stay within budget.
+//! a disabled span must cost next to nothing.
 //!
 //! `obskit`'s recorder is process-global, so every test takes `OBSKIT_LOCK`
 //! and drains leftover state before recording.
@@ -10,7 +10,7 @@
 use lrtddft::{IsdfRank, Solver};
 use lrtddft::problem::silicon_like_problem;
 use lrtddft::StageTimings;
-use mathkit::{Mat, Transpose};
+use mathkit::Mat;
 use parcomm::spmd;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -264,25 +264,15 @@ proptest! {
     }
 }
 
-/// A disabled span costs at most 2 % of the `V_Hxc`-shaped contraction it
-/// would wrap. One open/close pair takes nanoseconds, far below the host's
-/// jitter on a millisecond GEMM, so the pair is measured where it costs
-/// something: the fastest of 8 batches of 10 000 pairs, per pair, against
-/// 2 % of the fastest of 8 contractions.
+/// A disabled span's open/close pair costs at most 2 µs: the fastest of 8
+/// batches of 10 000 pairs, per pair. A pair takes tens of nanoseconds, so
+/// the bound leaves room for host jitter yet fails on any real work (a
+/// lock, an allocation, a clock read per event) done while disabled.
 #[test]
 fn disabled_tracing_overhead_under_budget() {
     const PAIRS: u32 = 10_000;
+    const BUDGET_S: f64 = 2e-6;
     let _g = exclusive();
-    // ~75 Mflop: the contraction one `v_hxc.contract` span wraps.
-    let (m, n, k) = (96usize, 96usize, 4096usize);
-    let a = Mat::from_fn(k, m, |i, j| (((i * 7 + j * 13) % 23) as f64) * 0.04 - 0.44);
-    let b = Mat::from_fn(k, n, |i, j| (((i * 11 + j * 3) % 19) as f64) * 0.05 - 0.45);
-    let mut out = Mat::zeros(m, n);
-    let mut contraction = || {
-        let t0 = Instant::now();
-        mathkit::gemm(2.0, &a, Transpose::Yes, &b, Transpose::No, 0.0, &mut out);
-        t0.elapsed().as_secs_f64()
-    };
     let pairs = || {
         let t0 = Instant::now();
         for _ in 0..PAIRS {
@@ -290,15 +280,13 @@ fn disabled_tracing_overhead_under_budget() {
         }
         t0.elapsed().as_secs_f64()
     };
-    contraction();
     pairs();
-    let t_gemm = (0..8).map(|_| contraction()).fold(f64::INFINITY, f64::min);
     let t_pair = (0..8).map(|_| pairs()).fold(f64::INFINITY, f64::min) / f64::from(PAIRS);
     assert!(
-        t_pair <= 0.02 * t_gemm,
-        "a disabled span costs {:.2} us, over 2% of the {:.3} ms contraction",
+        t_pair <= BUDGET_S,
+        "a disabled span costs {:.3} us, over the {:.0} us budget",
         t_pair * 1e6,
-        t_gemm * 1e3
+        BUDGET_S * 1e6
     );
     assert!(obskit::take_trace().ranks.is_empty(), "disabled run recorded events");
 }
