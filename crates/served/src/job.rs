@@ -2,7 +2,7 @@
 //!
 //! A job reads its problem once, at submission: [`JobCore::new`] computes
 //! its [`BatchKey`] (the [`structure_hash`] plus the build's knobs), and the
-//! cache key of the lookup at admission and of the leader's insert after the
+//! cache key of the lookup at admission and of the insert after the
 //! eigensolve is that stored key plus the eigensolve's knobs. Nothing
 //! between a batch's build and its eigensolves is O(problem), so no
 //! follower waits in a collective while its leader hashes.
@@ -72,8 +72,11 @@ pub struct JobResult {
     /// Number of same-structure jobs that shared this job's Hamiltonian
     /// build (1 = solo).
     pub batch_size: usize,
-    /// Collective calls this job's eigensolve issued on the group
-    /// communicator (leader rank's stats window; 0 for cache hits).
+    /// Ranks the job ran on (its group's size or 1; 0 for a cache hit): the
+    /// values are a solo [`Solver::solve_distributed`]'s at this width.
+    pub ranks: usize,
+    /// Collective calls this job's build and eigensolve issued (rank 0's
+    /// stats window; 0 on one rank and for cache hits).
     pub comm_calls: u64,
     /// Always 1 for a solved job and 0 for a cache hit: a batch runs its
     /// build once. Kept only because the frozen ruler under `benchmark/`
@@ -154,13 +157,9 @@ impl JobHandle {
     /// Block until the job reaches a terminal state and return it, typed.
     pub fn outcome(&self) -> JobOutcome {
         let core = &self.core;
-        let mut g = core.outcome.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(outcome) = g.as_ref() {
-                return outcome.clone();
-            }
-            g = core.cv.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
+        let g = core.outcome.lock().unwrap_or_else(|p| p.into_inner());
+        let g = core.cv.wait_while(g, |o| o.is_none()).unwrap_or_else(|p| p.into_inner());
+        g.clone().expect("woken on a terminal state")
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! A multi-tenant job scheduler for the LR-TDDFT suite. One [`Service`]
 //! owns a pool of thread-ranks, partitions it into disjoint solver groups
-//! with `Comm::split`, and runs an admission-controlled queue in front of
-//! them:
+//! with `Comm::split`, runs each batch on a whole group when the group is
+//! idle and on one rank otherwise ([`JobResult::ranks`]), and runs an
+//! admission-controlled queue in front of them:
 //!
 //! - **Admission control** — per-tenant quotas and a global queue cap,
 //!   surfaced as typed [`AdmissionError`]s at submit time.
@@ -15,9 +16,9 @@
 //!   version + solve parameters in a bounded LRU; repeat submissions
 //!   complete at admission without touching a solver group.
 //! - **Tenant isolation** — a completed job's values are bitwise those of
-//!   a solo distributed solve, whatever ran beside it; a tenant's bad input
-//!   (a non-finite orbital, say) hashes to its own structure and fails its
-//!   own build with the typed input-check error.
+//!   a solo distributed solve at the width it ran on, whatever ran beside
+//!   it; a tenant's bad input (a non-finite orbital, say) hashes to its own
+//!   structure and fails its own build with the typed input-check error.
 //! - **One build per batch** — a batch's build is
 //!   [`Solver::hamiltonian`](lrtddft::Solver::hamiltonian), run once; a
 //!   failed build fails every job of the batch with its typed error. The

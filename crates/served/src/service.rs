@@ -1,41 +1,34 @@
-//! The serving runtime: split communicator groups, group-leader batch
-//! dispatch, and the public [`Service`] front door.
+//! The serving runtime: the rank pool, each rank's two communicators, and
+//! the public [`Service`] front door.
 //!
-//! Topology: `Service::start` launches one supervisor thread that runs the
-//! whole rank pool as an SPMD program. Every rank computes its group color
-//! (`rank / group_size`) and calls [`parcomm::Comm::split`] exactly once, so
-//! the world communicator partitions into `groups` disjoint solver groups
-//! that never synchronize with each other again. Each group's rank 0 is its
-//! *leader*: leaders compete for batches from the shared admission queue and
-//! publish them to their group through a generation-counted slot; the
-//! followers wait on the slot, then the whole group executes the batch in
-//! lockstep (the solve's collectives are the synchronization).
+//! Topology: `Service::start` runs the rank pool as an SPMD program on one
+//! supervisor thread and returns once every rank waits for work. Every rank
+//! calls [`parcomm::Comm::split`] twice: by its group color
+//! (`rank / group_size`), into `groups` solver groups that never
+//! synchronize with each other again, and by its own rank, a one-rank
+//! communicator that keeps the world size (so a rank alone runs as many
+//! kernel threads as in its group). Each rank runs what
+//! `SchedulerState::next_work` hands it on the communicator it names; a
+//! wide batch runs in lockstep on the whole group.
 //!
 //! Failures: a batch's build is [`lrtddft::Solver::hamiltonian`], run once
-//! as on the serial and distributed doors, and a failed build fails every
-//! job of its batch with its typed error. A wedged group needs no handling
-//! of its own: every leader pulls from the one shared queue, so its share
-//! drains to the other groups.
-//!
-//! SPMD symmetry: the leader publishes the claimed jobs unchanged, every
-//! rank of the group runs each job's own `spec.solver`, and a build fails
-//! on replicated data, so every rank executes the identical collective
-//! sequence and every rank of a failed build skips the eigensolves.
+//! on replicated data, so every rank of a wide batch runs the same
+//! collectives and skips the eigensolves together when it fails, and the
+//! failed build fails every job of its batch with its typed error.
 //!
 //! Tenant isolation (tested here and in `tests/serving.rs`): a completed
-//! job's values are bitwise identical to a solo
-//! [`lrtddft::Solver::solve_distributed`] run at the same group size,
-//! whatever batching or scheduling happened around them. A tenant's bad
-//! input (a NaN or +Inf in its orbitals, say) is another structure, so it
-//! shares neither a batch nor a cache entry with a clean job, and its own
-//! build fails it with the typed error of
-//! [`lrtddft::CasidaProblem::check_inputs`].
+//! job's values are bitwise those of a solo
+//! [`lrtddft::Solver::solve_distributed`] at the width it ran on,
+//! [`JobResult::ranks`], whatever ran around them. A tenant's bad input (a
+//! NaN or +Inf in its orbitals, say) is another structure, so it shares
+//! neither a batch nor a cache entry with a clean job, and its own build
+//! fails it with the typed error of [`lrtddft::CasidaProblem::check_inputs`].
 
 use crate::cache::ResultCache;
 use crate::job::{cache_key, AdmissionError, JobCore, JobHandle, JobOutcome, JobResult, JobSpec};
-use crate::scheduler::SchedulerState;
+use crate::scheduler::{SchedulerState, Work};
 use parcomm::{spmd, Comm};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// Service topology and policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -43,6 +36,7 @@ pub struct ServeConfig {
     /// Total thread-ranks in the world communicator.
     pub ranks: usize,
     /// Disjoint solver groups the world splits into; must divide `ranks`.
+    /// A batch runs on `ranks / groups` ranks at most.
     pub groups: usize,
     /// Per-tenant admission quota (max queued jobs).
     pub max_queued_per_tenant: usize,
@@ -67,52 +61,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a group leader publishes to its followers.
-#[derive(Clone)]
-enum SlotCmd {
-    Run(Vec<Arc<JobCore>>),
-    Quit,
-}
-
-/// One per group: the leader bumps `generation` and stores the command;
-/// followers wait for the bump. The leader can be at most one batch ahead —
-/// executing a batch requires collectives, which block until the followers
-/// have read the slot and joined — so commands are never lost.
-struct GroupSlot {
-    slot: Mutex<(u64, Option<SlotCmd>)>,
-    cv: Condvar,
-}
-
-impl GroupSlot {
-    fn new() -> Self {
-        GroupSlot { slot: Mutex::new((0, None)), cv: Condvar::new() }
-    }
-
-    fn publish(&self, cmd: SlotCmd) -> u64 {
-        let mut g = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        g.0 += 1;
-        g.1 = Some(cmd);
-        let gen = g.0;
-        drop(g);
-        self.cv.notify_all();
-        gen
-    }
-
-    fn wait_past(&self, seen: u64) -> (u64, SlotCmd) {
-        let mut g = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        while g.0 == seen {
-            g = self.cv.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
-        (g.0, g.1.clone().expect("published slot always carries a command"))
-    }
-}
-
-/// State shared by every rank of the pool.
-struct Shared {
-    sched: Arc<SchedulerState>,
-    cache: Arc<ResultCache>,
-}
-
 /// Multi-tenant solve service. Construct with [`Service::start`], submit
 /// work with [`Service::submit`], stop with [`Service::shutdown`] (or just
 /// drop it — queued jobs still drain).
@@ -123,8 +71,9 @@ pub struct Service {
 }
 
 impl Service {
-    /// Boot the rank pool and start serving. Panics if `groups` does not
-    /// evenly divide `ranks`.
+    /// Boot the rank pool and return once every rank waits for work, so a
+    /// first job on the idle pool runs on a whole group. Panics if `groups`
+    /// does not evenly divide `ranks`.
     pub fn start(config: ServeConfig) -> Service {
         assert!(config.ranks > 0 && config.groups > 0, "need at least one rank and one group");
         assert_eq!(
@@ -134,23 +83,16 @@ impl Service {
             config.groups,
             config.ranks
         );
-        let sched = Arc::new(SchedulerState::new(
-            config.max_queued_per_tenant,
-            config.queue_capacity,
-            config.max_batch,
-        ));
+        let sched = Arc::new(SchedulerState::new(&config));
         let cache = Arc::new(ResultCache::new(config.cache_capacity));
         let supervisor = {
-            let shared = Shared { sched: Arc::clone(&sched), cache: Arc::clone(&cache) };
+            let (sched, cache) = (Arc::clone(&sched), Arc::clone(&cache));
+            let group_size = config.ranks / config.groups;
             std::thread::spawn(move || {
-                let slots: Vec<GroupSlot> =
-                    (0..config.groups).map(|_| GroupSlot::new()).collect();
-                let group_size = config.ranks / config.groups;
-                spmd(config.ranks, |world| {
-                    worker(world, group_size, &slots, &shared);
-                });
+                spmd(config.ranks, |world| worker(world, group_size, &sched, &cache));
             })
         };
+        sched.wait_ready();
         Service { sched, cache, supervisor: Some(supervisor) }
     }
 
@@ -166,6 +108,7 @@ impl Service {
                 timings: Default::default(),
                 cache_hit: true,
                 batch_size: 0,
+                ranks: 0,
                 comm_calls: 0,
                 attempts: 0,
                 recovery: Vec::new(),
@@ -198,45 +141,34 @@ impl Drop for Service {
 }
 
 /// Per-rank body of the SPMD serving pool.
-fn worker(world: &Comm, group_size: usize, slots: &[GroupSlot], shared: &Shared) {
+fn worker(world: &Comm, group_size: usize, sched: &SchedulerState, cache: &ResultCache) {
     let color = world.rank() / group_size;
-    // Collective over the world communicator — every rank splits exactly
-    // once, and the groups never synchronize with each other afterwards.
+    // Collectives over the world communicator, each made once by every rank;
+    // the groups never synchronize with each other afterwards.
     let group = world.split(color, world.rank());
+    let alone = world.split(world.rank(), 0);
     obskit::set_thread_label(&format!("serve g{color} r{}", group.rank()));
-    let slot = &slots[color];
     let leader = group.rank() == 0;
-    let mut seen = 0u64;
+    let mut seen = 0;
     loop {
-        let cmd = if leader {
-            let cmd = match shared.sched.next_batch() {
-                Some(batch) => SlotCmd::Run(batch),
-                None => SlotCmd::Quit,
-            };
-            seen = slot.publish(cmd.clone());
-            cmd
-        } else {
-            let (gen, cmd) = slot.wait_past(seen);
-            seen = gen;
-            cmd
-        };
-        match cmd {
-            SlotCmd::Run(batch) => execute_batch(&group, &batch, shared),
-            SlotCmd::Quit => break,
+        match sched.next_work(color, leader, &mut seen) {
+            Work::Wide(batch) => execute_batch(&group, &batch, cache),
+            Work::Alone(batch) => execute_batch(&alone, &batch, cache),
+            Work::Quit => break,
         }
     }
 }
 
-/// Run one batch on every rank of a group: the two halves of
-/// [`lrtddft::Solver::solve_distributed`] with each job's `spec.solver` — a
-/// single shared [`lrtddft::Solver::hamiltonian`] build, then one
-/// [`lrtddft::Solver::eigensolve`] per job. Results are bitwise
+/// Run one batch on every rank of `group` (a solver group or one rank): the
+/// two halves of [`lrtddft::Solver::solve_distributed`] with each job's
+/// `spec.solver` — a single shared [`lrtddft::Solver::hamiltonian`] build,
+/// then one [`lrtddft::Solver::eigensolve`] per job. Results are bitwise
 /// identical to per-job solo runs because the build is deterministic in the
 /// batch key and the eigensolve path is untouched (pinned by
-/// `shared_build_eigensolve_bitwise_matches_solo_solve` in `lrtddft`). The
-/// leader owns completion and the cache; followers only join the
+/// `shared_build_eigensolve_bitwise_matches_solo_solve` in `lrtddft`). Its
+/// rank 0 owns completion and the cache; the others only join the
 /// collectives.
-fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
+fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], cache: &ResultCache) {
     let lead = &batch[0].spec;
     let leader = group.rank() == 0;
     group.take_stats(); // discard idle-window stats; build gets a fresh window
@@ -270,12 +202,13 @@ fn execute_batch(group: &Comm, batch: &[Arc<JobCore>], shared: &Shared) {
         if !leader {
             continue;
         }
-        shared.cache.put(cache_key(job.key, &spec.solver), values.clone());
+        cache.put(cache_key(job.key, &spec.solver), values.clone());
         job.finish(JobOutcome::Completed(JobResult {
             values,
             timings,
             cache_hit: false,
             batch_size: batch.len(),
+            ranks: group.size(),
             comm_calls: build_stats.collective_calls + eig_stats.collective_calls,
             attempts: 1,
             recovery,
@@ -316,32 +249,54 @@ mod tests {
         ServeConfig { ranks: 2, groups: 1, ..Default::default() }
     }
 
-    fn solo_oracle(problem: &Arc<CasidaProblem>, solver: &Solver, ranks: usize) -> Vec<f64> {
+    /// The values of a solo `solve_distributed` on `ranks` ranks, as bits.
+    fn solo_oracle(problem: &Arc<CasidaProblem>, solver: &Solver, ranks: usize) -> Vec<u64> {
         let problem = Arc::clone(problem);
         let solver = *solver;
-        spmd(ranks, move |c| solver.solve_distributed(c, &problem).0)[0].clone()
+        bits(&spmd(ranks, move |c| solver.solve_distributed(c, &problem).0)[0])
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn served_results_match_solo_distributed_solve_bitwise() {
         let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
         let solver = Solver::builder().n_states(2).seed(11).build();
-        let solo = solo_oracle(&problem, &solver, 2);
 
         let service = Service::start(small_config());
         let h = service
             .submit(JobSpec::new(7, Arc::clone(&problem)).with_solver(solver))
             .unwrap();
         let res = h.wait().expect("job completed");
-        assert_eq!(res.values, solo, "served values must be bitwise solo-identical");
+        assert_eq!(
+            bits(&res.values),
+            solo_oracle(&problem, &solver, res.ranks),
+            "served values must be bitwise those of a solo run at the width it ran on"
+        );
         assert!(!res.cache_hit);
         assert_eq!(res.batch_size, 1);
         assert_eq!(res.attempts, 1);
         assert!(res.recovery.is_empty());
         assert_eq!(res.degraded, None);
         assert!(!res.deadline_missed);
-        assert!(res.comm_calls > 0, "eigensolve window should record collectives");
         service.shutdown();
+    }
+
+    #[test]
+    fn a_first_job_on_a_fresh_pool_runs_on_the_whole_group() {
+        // `Service::start` returns once both ranks wait for work, so the
+        // leader sees its follower idle and the job goes wide.
+        let problem = Arc::new(synthetic_problem([6, 6, 6], 6.0, 2, 2));
+        let solver = Solver::builder().n_states(2).seed(12).build();
+        let service = Service::start(small_config());
+        let spec = JobSpec::new(7, Arc::clone(&problem)).with_solver(solver);
+        let res = service.submit(spec).unwrap().wait().expect("job completed");
+        service.shutdown();
+        assert_eq!(res.ranks, 2);
+        assert_eq!(bits(&res.values), solo_oracle(&problem, &solver, 2));
+        assert!(res.comm_calls > 0, "a wide job's window records its collectives");
     }
 
     #[test]
@@ -356,11 +311,8 @@ mod tests {
             .map(|s| JobCore::new(JobSpec::new(1, Arc::clone(&problem)).with_solver(s)))
             .collect();
         assert_eq!(batch[0].key, batch[1].key, "one shared build");
-        let shared = Shared {
-            sched: Arc::new(SchedulerState::new(4, 4, 4)),
-            cache: Arc::new(ResultCache::new(4)),
-        };
-        spmd(2, |group| execute_batch(group, &batch, &shared));
+        let cache = ResultCache::new(4);
+        spmd(2, |group| execute_batch(group, &batch, &cache));
 
         let result = |i: usize| {
             JobHandle { core: Arc::clone(&batch[i]) }.wait().expect("job completed")
@@ -369,8 +321,8 @@ mod tests {
         assert_eq!(floored.recovery.len(), 1, "{:?}", floored.recovery);
         assert!(floored.recovery[0].ends_with("; dense floor"), "{:?}", floored.recovery);
         assert!(mate.recovery.is_empty(), "the floor line leaked: {:?}", mate.recovery);
-        assert_eq!(floored.values, solo_oracle(&problem, &stuck, 2));
-        assert_eq!(mate.values, solo_oracle(&problem, &clean, 2));
+        assert_eq!(bits(&floored.values), solo_oracle(&problem, &stuck, 2));
+        assert_eq!(bits(&mate.values), solo_oracle(&problem, &clean, 2));
     }
 
     #[test]
@@ -384,8 +336,8 @@ mod tests {
         let second = service.submit(JobSpec::new(2, Arc::clone(&problem))).unwrap();
         let warm = second.wait().expect("cache hit carries a result");
         assert!(warm.cache_hit);
-        assert_eq!(warm.values, cold.values);
-        assert_eq!((warm.batch_size, warm.attempts), (0, 0), "a hit runs no build");
+        assert_eq!(bits(&warm.values), bits(&cold.values));
+        assert_eq!((warm.batch_size, warm.ranks, warm.attempts), (0, 0, 0), "a hit runs no build");
         assert_eq!(warm.degraded, None);
         assert!(!warm.deadline_missed);
         service.shutdown();
@@ -407,7 +359,7 @@ mod tests {
         let first = submit(isdf);
         let second = submit(naive);
         assert!(!second.cache_hit, "a Naive job must not hit an ISDF job's entry");
-        assert_eq!(second.values, solo_oracle(&problem, &naive, 2));
+        assert_eq!(bits(&second.values), solo_oracle(&problem, &naive, second.ranks));
         assert!((second.values[0] - first.values[0]).abs() > 1e-3);
         assert!(submit(naive).cache_hit, "its own repeat is a hit");
         service.shutdown();
@@ -432,7 +384,7 @@ mod tests {
         let first = submit(&narrow);
         let second = submit(&wide);
         assert!(!second.cache_hit, "the wide cell must not hit the narrow cell's entry");
-        assert_eq!(second.values, solo_oracle(&wide, &solver, 2));
+        assert_eq!(bits(&second.values), solo_oracle(&wide, &solver, second.ranks));
         assert!((second.values[0] - first.values[0]).abs() > 1e-3);
         service.shutdown();
     }
@@ -497,9 +449,9 @@ mod tests {
         let b = service.submit(JobSpec::new(2, Arc::clone(&problem)).with_solver(solver_b));
         let ra = a.unwrap().wait().expect("job a");
         let rb = b.unwrap().wait().expect("job b");
-        // Group size is 2 either way, so solo runs at 2 ranks are the oracle.
-        assert_eq!(ra.values, solo_oracle(&problem, &solver_a, 2));
-        assert_eq!(rb.values, solo_oracle(&problem, &solver_b, 2));
+        // Each job ran on its whole group or on one rank of it.
+        assert_eq!(bits(&ra.values), solo_oracle(&problem, &solver_a, ra.ranks));
+        assert_eq!(bits(&rb.values), solo_oracle(&problem, &solver_b, rb.ranks));
         service.shutdown();
     }
 

@@ -4,10 +4,11 @@
 //!
 //! What is asserted is what does not depend on the schedule: every job ends
 //! in its scripted outcome (a poisoned build fails, everything else
-//! completes), completed values equal the fault-free solo oracle bit for
-//! bit, and the same-seed soak repeats job for job. Cache hits, batch sizes
-//! and latencies depend on which group claims what first, so none of them
-//! is asserted.
+//! completes), a solved job's values equal the fault-free solo oracle at the
+//! width it ran on bit for bit, a cache hit's equal a solved job's, and the
+//! same-seed soak repeats job for job. Widths, cache hits, batch sizes and
+//! latencies depend on which rank claims what first, so none of them is
+//! asserted.
 
 use lrtddft::{synthetic_problem, CasidaProblem, Solver};
 use parcomm::spmd;
@@ -41,13 +42,22 @@ fn fault_problem(clean: &Arc<CasidaProblem>, slot: usize) -> Arc<CasidaProblem> 
     Arc::new(p)
 }
 
-/// The deterministic part of one job's result.
-#[derive(Debug, PartialEq)]
+/// One job's result: its scripted part, its values and the width it ran on
+/// (0 for a cache hit).
+#[derive(Debug)]
 struct Record {
     tenant: u64,
     index: usize,
     outcome: &'static str,
     value_bits: Vec<u64>,
+    ranks: usize,
+}
+
+impl Record {
+    /// The part the schedule does not decide.
+    fn script(&self) -> (u64, usize, &'static str) {
+        (self.tenant, self.index, self.outcome)
+    }
 }
 
 /// The outcome a job's script implies: the poisoned slots of
@@ -85,22 +95,23 @@ fn soak(jobs: Vec<(u64, usize, JobSpec)>) -> Vec<Record> {
                 let service = &service;
                 s.spawn(move || {
                     let outcome = service.submit(spec).expect("soak fits the quotas").outcome();
-                    let (outcome, value_bits) = match outcome {
+                    let (outcome, value_bits, ranks) = match outcome {
                         JobOutcome::Completed(r) => {
                             // A solved job ran its batch's one build; a hit
                             // ran none.
                             let builds = if r.cache_hit { 0 } else { 1 };
                             assert_eq!(r.attempts, builds, "tenant {tenant} job {index}");
-                            ("completed", r.values.iter().map(|v| v.to_bits()).collect())
+                            let bits = r.values.iter().map(|v| v.to_bits()).collect();
+                            ("completed", bits, r.ranks)
                         }
                         JobOutcome::Failed { error } => {
                             let job = format!("tenant {tenant} job {index}");
                             let want = "non-finite value in `problem.psi_v`";
                             assert!(error.contains(want), "{job}: {error}");
-                            ("failed", vec![])
+                            ("failed", vec![], 0)
                         }
                     };
-                    Record { tenant, index, outcome, value_bits }
+                    Record { tenant, index, outcome, value_bits, ranks }
                 })
             })
             .collect();
@@ -114,32 +125,53 @@ fn soak(jobs: Vec<(u64, usize, JobSpec)>) -> Vec<Record> {
 #[test]
 fn chaos_soak_keeps_every_tenant_on_script_and_repeats_job_for_job() {
     let problem = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
-    // Fault-free oracles at the group size, one per clean seed.
-    let oracles: Vec<Vec<u64>> = (0..CLEAN_SEEDS as u64)
-        .map(|seed| {
-            let solver = clean_solver(seed);
-            let values = spmd(2, |c| solver.solve_distributed(c, &problem).0).swap_remove(0);
-            values.iter().map(|v| v.to_bits()).collect()
+    // Fault-free oracles at one rank and at the group size, one per clean
+    // seed: `oracles[ranks - 1][seed]`.
+    let oracles: Vec<Vec<Vec<u64>>> = (1..=2)
+        .map(|ranks| {
+            (0..CLEAN_SEEDS as u64)
+                .map(|seed| {
+                    let solver = clean_solver(seed);
+                    let values =
+                        spmd(ranks, |c| solver.solve_distributed(c, &problem).0).swap_remove(0);
+                    values.iter().map(|v| v.to_bits()).collect()
+                })
+                .collect()
         })
         .collect();
-    let oracle = |r: &Record| match r.tenant {
-        T_CLEAN => &oracles[r.index % CLEAN_SEEDS],
-        // The faulty tenant's clean slots solve the clean problem.
-        _ => &oracles[0],
+    // The faulty tenant's clean slots solve the clean problem with seed 0.
+    let seed = |r: &Record| if r.tenant == T_CLEAN { r.index % CLEAN_SEEDS } else { 0 };
+    // A solved job is its oracle at its width; a hit carries the values of
+    // a solved job of its seed in the same soak.
+    let check = |records: &[Record]| {
+        for r in records.iter().filter(|r| r.outcome == "completed") {
+            let job = format!("tenant {} job {}", r.tenant, r.index);
+            if r.ranks > 0 {
+                assert_eq!(r.value_bits, oracles[r.ranks - 1][seed(r)], "{job} was contaminated");
+            } else {
+                let solved = |s: &&Record| s.ranks > 0 && seed(s) == seed(r);
+                assert!(
+                    records.iter().filter(solved).any(|s| s.value_bits == r.value_bits),
+                    "{job} hit an entry no solve of its seed wrote"
+                );
+            }
+        }
     };
 
-    for r in soak(plan_jobs(&problem, false)) {
+    let control = soak(plan_jobs(&problem, false));
+    for r in &control {
         assert_eq!(r.outcome, "completed", "control job {} ended {}", r.index, r.outcome);
-        assert_eq!(&r.value_bits, oracle(&r), "control job {} left the oracle", r.index);
     }
+    check(&control);
 
     let first = soak(plan_jobs(&problem, true));
     for r in &first {
         let job = format!("tenant {} job {}", r.tenant, r.index);
         assert_eq!(r.outcome, scripted_outcome(r.tenant, r.index), "{job}");
-        if r.outcome == "completed" {
-            assert_eq!(&r.value_bits, oracle(r), "{job} was contaminated");
-        }
     }
-    assert_eq!(soak(plan_jobs(&problem, true)), first, "the same-seed soak did not repeat");
+    check(&first);
+    let again = soak(plan_jobs(&problem, true));
+    check(&again);
+    let script = |records: &[Record]| records.iter().map(Record::script).collect::<Vec<_>>();
+    assert_eq!(script(&again), script(&first), "the same-seed soak did not repeat");
 }

@@ -69,9 +69,22 @@ fn concurrent_same_shape_solves_share_fft_plan_cache() {
         "same-shape tenants must not each build their own plan ({} misses)",
         counters.fft_plan_misses
     );
-    // Identical shape + identical options ⇒ identical eigenvalues.
-    for r in &results[1..] {
-        assert_eq!(r.values, results[0].values, "same-shape solves must agree bitwise");
+    // Identical shape + identical options ⇒ identical eigenvalues at the
+    // width a job ran on; a cache hit carries a solved job's values.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let solver = Solver::builder().n_states(2).build();
+    let problem = synthetic_problem([8, 8, 8], 6.0, 2, 2);
+    let solved: Vec<_> = results.iter().filter(|r| !r.cache_hit).collect();
+    assert!(!solved.is_empty(), "the first of the four was solved");
+    for r in &solved {
+        let solo = spmd(r.ranks, |c| solver.solve_distributed(c, &problem).0).swap_remove(0);
+        assert_eq!(bits(&r.values), bits(&solo), "a solve at {} ranks left its oracle", r.ranks);
+    }
+    for r in results.iter().filter(|r| r.cache_hit) {
+        assert!(
+            solved.iter().any(|s| bits(&s.values) == bits(&r.values)),
+            "a cache hit carries values no solve produced"
+        );
     }
 }
 
@@ -79,12 +92,12 @@ fn concurrent_same_shape_solves_share_fft_plan_cache() {
 /// submits the clean problem, co-scheduled on the same service. A's build
 /// fails its input check, so A ends with the typed error naming the
 /// poisoned field; B's eigenvalues must be bitwise identical to a
-/// fault-free solo run at the group size.
+/// fault-free solo run at the width B ran on.
 #[test]
 fn poisoned_tenant_never_contaminates_coscheduled_victim() {
     let problem = Arc::new(synthetic_problem([8, 8, 8], 6.0, 2, 2));
     let solver = Solver::builder().n_states(2).build();
-    let solo = spmd(2, |c| solver.solve_distributed(c, &problem).0)[0].clone();
+    let solo = |ranks| spmd(ranks, |c| solver.solve_distributed(c, &problem).0).swap_remove(0);
 
     for poison in [f64::NAN, f64::INFINITY] {
         let mut bad = synthetic_problem([8, 8, 8], 6.0, 2, 2);
@@ -106,12 +119,14 @@ fn poisoned_tenant_never_contaminates_coscheduled_victim() {
             other => panic!("{poison}: a poisoned input must fail the attacker, got {other:?}"),
         }
 
-        assert_eq!(rb.values.len(), solo.len());
+        let want = solo(rb.ranks);
+        assert_eq!(rb.values.len(), want.len());
         assert!(
-            rb.values.iter().zip(&solo).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{poison}: victim diverged from the fault-free solo run: {:?} vs {:?}",
+            rb.values.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{poison}: victim diverged from the fault-free solo run at {} ranks: {:?} vs {:?}",
+            rb.ranks,
             rb.values,
-            solo
+            want
         );
         assert_eq!(rb.batch_size, 1, "{poison}: the victim shared the attacker's build");
         assert!(!rb.cache_hit, "{poison}: the victim solved fresh on a fresh service");
